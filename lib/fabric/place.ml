@@ -98,52 +98,94 @@ let element_nets (le : logic_element) : Circuit.net list =
   in
   outs @ le.le_inputs
 
+(* Dense net ids 0, 1, 2, ... in order of first sight: the table and the
+   numbering function. *)
+let dense_ids () =
+  let ids = Hashtbl.create 256 in
+  let id_of net =
+    match Hashtbl.find_opt ids net with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids net id;
+      id
+  in
+  (ids, id_of)
+
 (** Greedy connectivity-driven packing into CLBs of [luts_per_clb]
-    elements. *)
+    elements. Each slot takes the unused element with the most net pins
+    (counted once per pin) already on the cluster's nets — the lowest
+    index on ties, and the lowest unused index when nothing shares a
+    net. Scores are kept per element and raised only for the readers and
+    drivers of a net as it joins the cluster, so each slot scans just
+    the elements sharing a net with it. *)
 let pack (arch : Arch.t) (c : Circuit.t) : clb list =
   let elements = Array.of_list (build_elements c) in
   let n = Array.length elements in
-  let used = Array.make n false in
   let capacity = arch.Arch.luts_per_clb in
-  let nets_of = Array.map element_nets elements in
-  let shares_with cluster_nets i =
-    List.fold_left
-      (fun acc net -> if List.mem net cluster_nets then acc + 1 else acc)
-      0 nets_of.(i)
+  let ids, id_of = dense_ids () in
+  let nets_of = Array.map (fun le -> List.map id_of (element_nets le)) elements in
+  (* net -> the elements on it, once per pin *)
+  let users = Array.make (Hashtbl.length ids) [] in
+  for i = n - 1 downto 0 do
+    List.iter (fun id -> users.(id) <- i :: users.(id)) nets_of.(i)
+  done;
+  let cluster_of_net = Array.make (Hashtbl.length ids) (-1) in
+  let score = Array.make n 0 in
+  let used = Array.make n false in
+  let first_unused = ref 0 in
+  let next_unused () =
+    while !first_unused < n && used.(!first_unused) do incr first_unused done;
+    if !first_unused < n then Some !first_unused else None
   in
-  let clusters = ref [] in
-  let rec next_seed i = if i >= n then None else if used.(i) then next_seed (i + 1) else Some i in
-  let rec build () =
-    match next_seed 0 with
-    | None -> ()
+  let rec build cid clusters =
+    match next_unused () with
+    | None -> List.rev clusters
     | Some seed ->
-      used.(seed) <- true;
-      let members = ref [ seed ] in
-      let cluster_nets = ref nets_of.(seed) in
-      while List.length !members < capacity &&
-            (let best = ref (-1) and best_score = ref (-1) in
-             for i = 0 to n - 1 do
-               if not used.(i) then begin
-                 let s = shares_with !cluster_nets i in
-                 if s > !best_score then begin
-                   best_score := s;
-                   best := i
-                 end
-               end
-             done;
-             if !best >= 0 then begin
-               used.(!best) <- true;
-               members := !best :: !members;
-               cluster_nets := nets_of.(!best) @ !cluster_nets;
-               true
-             end
-             else false)
-      do () done;
-      clusters := { les = List.map (fun i -> elements.(i)) !members } :: !clusters;
-      build ()
+      let scored = ref [] in
+      let add i =
+        used.(i) <- true;
+        List.iter
+          (fun id ->
+            if cluster_of_net.(id) <> cid then begin
+              cluster_of_net.(id) <- cid;
+              List.iter
+                (fun e ->
+                  if score.(e) = 0 then scored := e :: !scored;
+                  score.(e) <- score.(e) + 1)
+                users.(id)
+            end)
+          nets_of.(i)
+      in
+      add seed;
+      let pick () =
+        let best =
+          List.fold_left
+            (fun best e ->
+              if used.(e) then best
+              else if best < 0 || score.(e) > score.(best)
+                      || (score.(e) = score.(best) && e < best)
+              then e
+              else best)
+            (-1) !scored
+        in
+        if best >= 0 then Some best else next_unused ()
+      in
+      (* members, most recent first *)
+      let rec fill members size =
+        if size >= capacity then members
+        else
+          match pick () with
+          | None -> members
+          | Some i ->
+            add i;
+            fill (i :: members) (size + 1)
+      in
+      let members = fill [ seed ] 1 in
+      List.iter (fun e -> score.(e) <- 0) !scored;
+      build (cid + 1) ({ les = List.map (fun i -> elements.(i)) members } :: clusters)
   in
-  build ();
-  List.rev !clusters
+  build 0 []
 
 (* ---------- placement ---------- *)
 
@@ -158,55 +200,25 @@ let grid_order w =
   done;
   List.rev !cells
 
-let hpwl (points : (int * int) list) : float =
-  match points with
-  | [] -> 0.0
-  | (x0, y0) :: rest ->
-    let minx, maxx, miny, maxy =
-      List.fold_left
-        (fun (mnx, mxx, mny, mxy) (x, y) ->
-          (min mnx x, max mxx x, min mny y, max mxy y))
-        (x0, x0, y0, y0) rest
-    in
-    float_of_int (maxx - minx + maxy - miny)
-
-(* nets -> the grid positions of CLBs touching them *)
-let net_positions (clbs : (clb * (int * int)) array)
-    (io_sites : (Circuit.net * (int * int)) list) :
-    (Circuit.net, (int * int) list) Hashtbl.t =
-  let t = Hashtbl.create 256 in
-  let touch net pos =
-    let old = Option.value (Hashtbl.find_opt t net) ~default:[] in
-    Hashtbl.replace t net (pos :: old)
-  in
-  Array.iter
-    (fun (cluster, pos) ->
-      List.iter
-        (fun le -> List.iter (fun net -> touch net pos) (element_nets le))
-        cluster.les)
-    clbs;
-  List.iter (fun (net, pos) -> touch net pos) io_sites;
-  t
-
-let total_wirelength clbs io_sites : float =
-  let nets = net_positions clbs io_sites in
-  Hashtbl.fold (fun _net positions acc -> acc +. hpwl positions) nets 0.0
-
 (** Placement effort: [`Greedy] is the default pairwise-swap hill climb;
     [`Anneal] follows it with simulated annealing (Metropolis acceptance,
     geometric cooling), buying lower wirelength for more runtime. *)
 type effort = [ `Greedy | `Anneal ]
 
-(** Place a packed netlist onto the fabric. Raises {!Does_not_fit} when
-    there are more CLBs than grid sites or more I/O bits than pads. *)
-let place ?(effort : effort = `Greedy) (fabric : Fabric.t) (c : Circuit.t) :
-    placement =
-  let clusters = pack fabric.Fabric.arch c in
+(** Place already-packed clusters onto the fabric. Raises {!Does_not_fit}
+    when there are more CLBs than grid sites or more I/O bits than pads.
+
+    Nets get dense ids; each keeps the CLBs touching it and the bounding
+    box of its pads, which never move, so a net's half-perimeter
+    wirelength is one pass over its CLBs. Every HPWL is an integer, so
+    the float sums are exact whatever order they are taken in. *)
+let place_packed ?(effort : effort = `Greedy) (fabric : Fabric.t)
+    (c : Circuit.t) (clusters : clb list) : placement =
   let w = fabric.Fabric.width in
-  if List.length clusters > Fabric.clb_count fabric then
+  let n = List.length clusters in
+  if n > Fabric.clb_count fabric then
     raise (Does_not_fit
-             (fit_failure ~width:w ~resource:`Clb
-                ~needed:(List.length clusters)
+             (fit_failure ~width:w ~resource:`Clb ~needed:n
                 ~available:(Fabric.clb_count fabric)));
   (* I/O bits on the top (y = w) and bottom (y = -1) pad rows *)
   let io_bits =
@@ -230,51 +242,87 @@ let place ?(effort : effort = `Greedy) (fabric : Fabric.t) (c : Circuit.t) :
         (net, pos))
       io_bits
   in
-  let order = grid_order w in
-  let clbs =
-    Array.of_list
-      (List.mapi
-         (fun i cluster -> (cluster, List.nth order i))
-         clusters)
+  let clusters = Array.of_list clusters in
+  let order = Array.of_list (grid_order w) in
+  let xs = Array.init n (fun i -> fst order.(i)) in
+  let ys = Array.init n (fun i -> snd order.(i)) in
+  let ids, id_of = dense_ids () in
+  let clb_pins =
+    Array.map (fun cl -> List.map id_of (List.concat_map element_nets cl.les)) clusters
   in
-  (* pairwise-swap hill climbing with incremental cost: a swap only
-     affects nets touching the two swapped CLBs *)
-  let n = Array.length clbs in
+  let io_ids = List.map (fun (net, pos) -> (id_of net, pos)) io_sites in
+  let nets = Hashtbl.length ids in
+  (* CLB -> its distinct nets; net -> the CLBs touching it *)
+  let seen = Array.make nets (-1) in
   let clb_nets =
-    Array.map
-      (fun (cluster, _) ->
-        List.sort_uniq compare
-          (List.concat_map element_nets cluster.les))
-      clbs
+    Array.mapi
+      (fun i pins ->
+        Array.of_list
+          (List.filter
+             (fun id ->
+               if seen.(id) = i then false
+               else (seen.(id) <- i; true))
+             pins))
+      clb_pins
   in
-  let positions_of_net =
-    (* net -> (positions list derived on demand) *)
-    let owner : (Circuit.net, int list) Hashtbl.t = Hashtbl.create 256 in
-    Array.iteri
-      (fun i nets ->
-        List.iter
-          (fun net ->
-            let old = Option.value (Hashtbl.find_opt owner net) ~default:[] in
-            Hashtbl.replace owner net (i :: old))
-          nets)
-      clb_nets;
-    let io_of : (Circuit.net, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (net, pos) ->
-        let old = Option.value (Hashtbl.find_opt io_of net) ~default:[] in
-        Hashtbl.replace io_of net (pos :: old))
-      io_sites;
-    fun net ->
-      let clb_pos =
-        List.map (fun i -> snd clbs.(i))
-          (Option.value (Hashtbl.find_opt owner net) ~default:[])
-      in
-      clb_pos @ Option.value (Hashtbl.find_opt io_of net) ~default:[]
+  let owners = Array.make nets [] in
+  for i = n - 1 downto 0 do
+    Array.iter (fun id -> owners.(id) <- i :: owners.(id)) clb_nets.(i)
+  done;
+  let owners = Array.map Array.of_list owners in
+  let pad_x0 = Array.make nets max_int and pad_x1 = Array.make nets min_int in
+  let pad_y0 = Array.make nets max_int and pad_y1 = Array.make nets min_int in
+  List.iter
+    (fun (id, (x, y)) ->
+      pad_x0.(id) <- min pad_x0.(id) x;
+      pad_x1.(id) <- max pad_x1.(id) x;
+      pad_y0.(id) <- min pad_y0.(id) y;
+      pad_y1.(id) <- max pad_y1.(id) y)
+    io_ids;
+  let net_hpwl id =
+    let x0 = ref pad_x0.(id) and x1 = ref pad_x1.(id) in
+    let y0 = ref pad_y0.(id) and y1 = ref pad_y1.(id) in
+    Array.iter
+      (fun i ->
+        let x = xs.(i) and y = ys.(i) in
+        if x < !x0 then x0 := x;
+        if x > !x1 then x1 := x;
+        if y < !y0 then y0 := y;
+        if y > !y1 then y1 := y)
+      owners.(id);
+    if !x0 = max_int then 0.0 else float_of_int (!x1 - !x0 + !y1 - !y0)
   in
-  let net_cost nets =
-    List.fold_left (fun acc net -> acc +. hpwl (positions_of_net net)) 0.0 nets
+  (* a swap only affects the nets touching the two swapped CLBs *)
+  let mark = Array.make nets (-1) and touched = Array.make nets 0 in
+  let n_touched = ref 0 and epoch = ref 0 in
+  let touch i j =
+    incr epoch;
+    n_touched := 0;
+    let add id =
+      if mark.(id) <> !epoch then begin
+        mark.(id) <- !epoch;
+        touched.(!n_touched) <- id;
+        incr n_touched
+      end
+    in
+    Array.iter add clb_nets.(i);
+    Array.iter add clb_nets.(j)
   in
-  let cost = ref (total_wirelength clbs io_sites) in
+  let touched_cost () =
+    let s = ref 0.0 in
+    for t = 0 to !n_touched - 1 do s := !s +. net_hpwl touched.(t) done;
+    !s
+  in
+  let swap i j =
+    let x = xs.(i) and y = ys.(i) in
+    xs.(i) <- xs.(j);
+    ys.(i) <- ys.(j);
+    xs.(j) <- x;
+    ys.(j) <- y
+  in
+  (* pairwise-swap hill climbing *)
+  let cost = ref 0.0 in
+  for id = 0 to nets - 1 do cost := !cost +. net_hpwl id done;
   let improved = ref (n > 1) in
   let rounds = ref 0 in
   let max_rounds = if n <= 40 then 3 else 1 in
@@ -283,22 +331,15 @@ let place ?(effort : effort = `Greedy) (fabric : Fabric.t) (c : Circuit.t) :
     incr rounds;
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let touched =
-          List.sort_uniq compare (clb_nets.(i) @ clb_nets.(j))
-        in
-        let before = net_cost touched in
-        let ci, pi = clbs.(i) and cj, pj = clbs.(j) in
-        clbs.(i) <- (ci, pj);
-        clbs.(j) <- (cj, pi);
-        let after = net_cost touched in
+        touch i j;
+        let before = touched_cost () in
+        swap i j;
+        let after = touched_cost () in
         if after < before then begin
           cost := !cost -. before +. after;
           improved := true
         end
-        else begin
-          clbs.(i) <- (ci, pi);
-          clbs.(j) <- (cj, pj)
-        end
+        else swap i j
       done
     done
   done;
@@ -314,31 +355,25 @@ let place ?(effort : effort = `Greedy) (fabric : Fabric.t) (c : Circuit.t) :
           let i = Random.State.int st n in
           let j = Random.State.int st n in
           if i <> j then begin
-            let touched = List.sort_uniq compare (clb_nets.(i) @ clb_nets.(j)) in
-            let before = net_cost touched in
-            let ci, pi = clbs.(i) and cj, pj = clbs.(j) in
-            clbs.(i) <- (ci, pj);
-            clbs.(j) <- (cj, pi);
-            let after = net_cost touched in
-            let delta = after -. before in
+            touch i j;
+            let before = touched_cost () in
+            swap i j;
+            let delta = touched_cost () -. before in
             let accept =
               delta <= 0.0
               || Random.State.float st 1.0 < exp (-.delta /. !temperature)
             in
-            if accept then cost := !cost +. delta
-            else begin
-              clbs.(i) <- (ci, pi);
-              clbs.(j) <- (cj, pj)
-            end
+            if accept then cost := !cost +. delta else swap i j
           end
         end
       done;
       temperature := !temperature *. 0.85
-    done;
-    (* recompute exactly: accumulated deltas drift *)
-    cost := total_wirelength clbs io_sites);
-  { fabric; clbs = Array.to_list clbs; io_sites; wirelength = !cost }
+    done);
+  { fabric;
+    clbs = List.init n (fun i -> (clusters.(i), (xs.(i), ys.(i))));
+    io_sites;
+    wirelength = !cost }
 
-let clbs_used (p : placement) = List.length p.clbs
-
-let io_bits_used (p : placement) = List.length p.io_sites
+(** Pack then place; see {!pack} and {!place_packed}. *)
+let place ?effort (fabric : Fabric.t) (c : Circuit.t) : placement =
+  place_packed ?effort fabric c (pack fabric.Fabric.arch c)

@@ -46,17 +46,17 @@ exception Does_not_fit of fit_failure
 (** All nets touching a logic element (outputs then inputs). *)
 val element_nets : logic_element -> Circuit.net list
 
-(** Greedy connectivity-driven packing into CLBs. *)
+(** Greedy connectivity-driven packing into CLBs. Packing does not
+    depend on the fabric width. *)
 val pack : Arch.t -> Circuit.t -> clb list
 
 (** Placement effort: [`Greedy] (default) pairwise-swap hill climbing;
     [`Anneal] adds a simulated-annealing refinement. *)
 type effort = [ `Anneal | `Greedy ]
 
-(** Place a circuit onto the fabric; raises {!Does_not_fit} when CLBs or
-    I/O bits exceed capacity. *)
+(** Place already-packed clusters of the circuit onto the fabric; raises
+    {!Does_not_fit} when CLBs or I/O bits exceed capacity. *)
+val place_packed : ?effort:effort -> Fabric.t -> Circuit.t -> clb list -> placement
+
+(** [place_packed] of [pack]. *)
 val place : ?effort:effort -> Fabric.t -> Circuit.t -> placement
-
-val clbs_used : placement -> int
-
-val io_bits_used : placement -> int

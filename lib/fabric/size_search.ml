@@ -55,53 +55,51 @@ let failure_to_string = function
 let clb_budget ~(target_utilization : float) ~(clb_cap : int) : int =
   int_of_float (Float.floor (target_utilization *. float_of_int clb_cap))
 
-(** Attempt one width. Errors carry the structured payload so the
-    caller can report what failed at the final attempted size. *)
-let try_width (arch : Arch.t) ~(target_utilization : float) (mapped : Circuit.t)
-    (w : int) :
-    (implementation,
-     [ `No_fit of Place.fit_failure | `No_route of congestion ]) result =
-  let fabric = Fabric.make arch w in
-  match Place.place fabric mapped with
-  | exception Place.Does_not_fit fe -> Error (`No_fit fe)
-  | placement ->
-    let clbs_used = Place.clbs_used placement in
-    let clb_cap = Fabric.clb_count fabric in
-    let budget = clb_budget ~target_utilization ~clb_cap in
-    if clbs_used > budget then
-      Error
-        (`No_fit
-           (Place.fit_failure ~width:w ~resource:`Utilization
-              ~needed:clbs_used ~available:budget))
-    else begin
-      let routing = Route.route placement in
-      if not routing.Route.routable then
-        Error
-          (`No_route
-             { cg_width = w;
-               cg_demand = routing.Route.max_demand;
-               cg_tracks = routing.Route.tracks_available })
-      else begin
-        let luts_used = Circuit.lut_count mapped in
-        let ffs_used = Circuit.dff_count mapped in
-        let io_used = Circuit.io_bit_count mapped in
-        Ok
-          { fabric; placement; routing; luts_used; ffs_used; io_used;
-            clbs_used;
-            io_util = float_of_int io_used /. float_of_int (Fabric.io_capacity fabric);
-            clb_util = float_of_int clbs_used /. float_of_int clb_cap;
-            bitstream_bits = Bitstream.length fabric;
-            lut_depth = Lutmap.depth mapped }
-      end
-    end
-
 (** Minimum-size search over permitted widths. [mapped] must already be
-    LUT-mapped. *)
+    LUT-mapped. Packing does not depend on the width, so it runs once;
+    the CLB, I/O and utilization tests are then counts, and only a width
+    passing all three is placed and routed. *)
 let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
     ~(target_utilization : float) (mapped : Circuit.t) :
     (implementation, failure) result =
-  if Circuit.io_bit_count mapped = 0 then Error Empty_circuit
+  let io_used = Circuit.io_bit_count mapped in
+  if io_used = 0 then Error Empty_circuit
   else begin
+    let clusters = Place.pack arch mapped in
+    let clbs_used = List.length clusters in
+    (* one width; errors carry the structured payload so the caller can
+       report what failed at the final attempted size *)
+    let try_width w =
+      let fabric = Fabric.make arch w in
+      let clb_cap = Fabric.clb_count fabric and io_cap = Fabric.io_capacity fabric in
+      let budget = clb_budget ~target_utilization ~clb_cap in
+      let no_fit resource needed available =
+        Error (`No_fit (Place.fit_failure ~width:w ~resource ~needed ~available))
+      in
+      if clbs_used > clb_cap then no_fit `Clb clbs_used clb_cap
+      else if io_used > io_cap then no_fit `Io io_used io_cap
+      else if clbs_used > budget then no_fit `Utilization clbs_used budget
+      else begin
+        let placement = Place.place_packed fabric mapped clusters in
+        let routing = Route.route placement in
+        if not routing.Route.routable then
+          Error
+            (`No_route
+               { cg_width = w;
+                 cg_demand = routing.Route.max_demand;
+                 cg_tracks = routing.Route.tracks_available })
+        else
+          Ok
+            { fabric; placement; routing;
+              luts_used = Circuit.lut_count mapped;
+              ffs_used = Circuit.dff_count mapped;
+              io_used; clbs_used;
+              io_util = float_of_int io_used /. float_of_int io_cap;
+              clb_util = float_of_int clbs_used /. float_of_int clb_cap;
+              bitstream_bits = Bitstream.length fabric;
+              lut_depth = Lutmap.depth mapped }
+      end
+    in
     (* remember the last failure of each kind so the caller sees what
        went wrong at the final attempted size, not just that it did *)
     let rec search w last_no_route last_no_fit =
@@ -116,7 +114,7 @@ let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
                (Place.fit_failure ~width:max_size ~resource:`Clb ~needed:0
                   ~available:0))
       else
-        match try_width arch ~target_utilization mapped w with
+        match try_width w with
         | Ok impl -> Ok impl
         | Error (`No_fit fe) -> search (w + 1) last_no_route (Some fe)
         | Error (`No_route cg) -> search (w + 1) (Some cg) last_no_fit

@@ -5,8 +5,8 @@
     leaves by merging fanin cuts, keep the best few by (depth, area
     flow), and extract a LUT cover backward from the circuit roots
     (primary outputs and DFF D-inputs). Buffers are depth- and
-    area-transparent. Truth tables are computed by exhaustively
-    simulating each selected cone over its leaves.
+    area-transparent. Truth tables are computed by simulating each
+    selected cone's gates once over all patterns of its leaves.
 
     The mapped circuit reuses the original net numbering, so primary
     I/O and DFF records carry over unchanged. *)
@@ -46,40 +46,36 @@ let root_nets (c : Circuit.t) : Circuit.net list =
   let ds = List.map (fun (d : Circuit.dff) -> d.d) c.Circuit.dffs in
   outs @ ds
 
-(** Evaluate the cone rooted at [net] under an assignment of leaf values. *)
-let eval_cone gates producer (assignment : (Circuit.net, bool) Hashtbl.t)
-    (net : Circuit.net) : bool =
-  let memo = Hashtbl.create 16 in
+(** The truth table of the cone rooted at [net] over [leaves] (leaf [i]
+    is bit [i] of the table index). Each gate of the cone is evaluated
+    once, over all [2^k] leaf patterns at a time. *)
+let truth_table gates producer (leaves : int list) (net : Circuit.net) : bool array =
+  let size = 1 lsl List.length leaves in
+  let values : (Circuit.net, bool array) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri
+    (fun bit leaf ->
+      Hashtbl.replace values leaf (Array.init size (fun idx -> (idx lsr bit) land 1 = 1)))
+    leaves;
   let rec eval n =
-    match Hashtbl.find_opt assignment n with
+    match Hashtbl.find_opt values n with
     | Some v -> v
-    | None -> (
-      match Hashtbl.find_opt memo n with
-      | Some v -> v
-      | None ->
-        let g : Circuit.gate =
-          match Hashtbl.find_opt producer n with
-          | Some i -> gates.(i)
-          | None -> invalid_arg (Printf.sprintf "eval_cone: net %d has no driver" n)
-        in
-        let v = Circuit.eval_gate g.kind (Array.map eval g.inputs) in
-        Hashtbl.add memo n v;
-        v)
+    | None ->
+      let g : Circuit.gate =
+        match Hashtbl.find_opt producer n with
+        | Some i -> gates.(i)
+        | None -> invalid_arg (Printf.sprintf "truth_table: net %d has no driver" n)
+      in
+      let ins = Array.map eval g.inputs in
+      let pins = Array.make (Array.length ins) false in
+      let v =
+        Array.init size (fun idx ->
+            for a = 0 to Array.length ins - 1 do pins.(a) <- ins.(a).(idx) done;
+            Circuit.eval_gate g.kind pins)
+      in
+      Hashtbl.add values n v;
+      v
   in
   eval net
-
-let truth_table gates producer (leaves : int list) (net : Circuit.net) : bool array =
-  let n_leaves = List.length leaves in
-  let table = Array.make (1 lsl n_leaves) false in
-  let assignment = Hashtbl.create 8 in
-  for idx = 0 to (1 lsl n_leaves) - 1 do
-    Hashtbl.reset assignment;
-    List.iteri
-      (fun bit leaf -> Hashtbl.replace assignment leaf ((idx lsr bit) land 1 = 1))
-      leaves;
-    table.(idx) <- eval_cone gates producer assignment net
-  done;
-  table
 
 (** Cut-selection objective: [`Depth] minimizes logic levels (area flow
     as tie-break); [`Area] minimizes area flow (depth as tie-break),

@@ -173,6 +173,54 @@ let test_sat_detects_difference () =
   | S.Equiv.Equivalent | S.Equiv.Unknown ->
     Alcotest.fail "distinct circuits declared equivalent"
 
+(* Truth tables against a per-assignment oracle: for every LUT the
+   mapper emits on whole benchmark designs, walk the cone once per leaf
+   pattern (memoized per pattern) over the original gates and compare
+   with the table the mapper computed. *)
+let eval_cone (producer : (N.Circuit.net, N.Circuit.gate) Hashtbl.t) assignment net =
+  let memo = Hashtbl.create 16 in
+  let rec eval n =
+    match Hashtbl.find_opt assignment n with
+    | Some v -> v
+    | None -> (
+      match Hashtbl.find_opt memo n with
+      | Some v -> v
+      | None ->
+        let g = Hashtbl.find producer n in
+        let v = N.Circuit.eval_gate g.N.Circuit.kind (Array.map eval g.N.Circuit.inputs) in
+        Hashtbl.add memo n v;
+        v)
+  in
+  eval net
+
+let test_truth_tables_match_cones () =
+  let module B = Alice_benchmarks.Suite in
+  List.iter
+    (fun name ->
+      let c = N.Synth.synthesize (B.elaborate (Option.get (B.find name))) in
+      let producer = Hashtbl.create 1024 in
+      List.iter
+        (fun (g : N.Circuit.gate) -> Hashtbl.replace producer g.output g)
+        (N.Circuit.gates_in_order c);
+      List.iter
+        (fun k ->
+          let _, mapping = N.Lutmap.map ~k c in
+          List.iter
+            (fun (net, leaves, table) ->
+              let assignment = Hashtbl.create 8 in
+              Array.iteri
+                (fun idx bit ->
+                  Hashtbl.reset assignment;
+                  List.iteri
+                    (fun b leaf -> Hashtbl.replace assignment leaf ((idx lsr b) land 1 = 1))
+                    leaves;
+                  if bit <> eval_cone producer assignment net then
+                    Alcotest.failf "%s k=%d: LUT %d row %d differs from its cone" name k net idx)
+                table)
+            mapping.N.Lutmap.luts)
+        [ 4; 6 ])
+    [ "GCD"; "SHA256"; "SOC" ]
+
 let tests =
   [ Alcotest.test_case "k-feasibility" `Quick test_k_feasibility;
     Alcotest.test_case "sat equivalence of mapping" `Quick test_sat_equivalence;
@@ -182,4 +230,5 @@ let tests =
     Alcotest.test_case "rom compression" `Quick test_rom_compression;
     Alcotest.test_case "identity outputs are free" `Quick test_alias_outputs_free;
     Alcotest.test_case "depth reported" `Quick test_depth_reported;
+    Alcotest.test_case "truth tables match cones" `Quick test_truth_tables_match_cones;
     QCheck_alcotest.to_alcotest map_equiv_prop ]

@@ -24,4 +24,5 @@ let () =
       ("decompose", Test_decompose.tests);
       ("structural", Test_structural.tests);
       ("unroll", Test_unroll.tests);
-      ("benchmarks", Test_benchmarks.tests) ]
+      ("benchmarks", Test_benchmarks.tests);
+      ("golden", Test_golden.tests) ]
