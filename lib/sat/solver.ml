@@ -3,6 +3,17 @@
     phase saving, and geometric restarts. Sized for the circuit problems
     the SAT attack generates (thousands of variables).
 
+    Branching takes the unassigned variable of highest activity, the
+    lowest index among equal activities, from a binary max-heap ordered
+    by (activity descending, index ascending), so a decision costs
+    O(log n) instead of a scan over every variable. Assigned variables
+    leave the heap lazily: a decision pops them as they surface at the
+    top. Every variable a backjump unassigns is re-inserted, so every
+    unassigned variable is always in the heap; a bump sifts its variable
+    up; and the 1e100 activity rescale re-heapifies, because underflow
+    can turn two distinct activities into a tie that the index must then
+    break.
+
     The engine is a persistent *incremental session* ({!Incremental}):
     one solver instance stays alive across queries, clauses and
     variables can be appended to the live instance, each query solves
@@ -53,6 +64,9 @@ type t = {
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
+  mutable heap : int array;            (* branching order, see [before] *)
+  mutable heap_len : int;
+  mutable heap_pos : int array;        (* per var: slot in [heap], -1 if out *)
   mutable phase : bool array;          (* saved phases *)
   mutable seen : bool array;           (* scratch for analyze *)
   mutable lbd_stamp : int array;       (* scratch for LBD, by level *)
@@ -85,43 +99,72 @@ let dummy_clause =
 
 let default_reduce_base = 2_000
 
-let create_session ?(nvars = 0) ?(reduce_base = default_reduce_base) () =
-  let cap = max nvars 16 in
-  { nvars; var_cap = cap;
-    clause_data = Array.make 64 dummy_clause;
-    clause_len = 0;
-    n_problem = 0;
-    watches = Array.make ((2 * (cap + 1)) + 2) [];
-    assign = Array.make (cap + 1) 0;
-    level = Array.make (cap + 1) 0;
-    reason = Array.make (cap + 1) None;
-    trail = Array.make (cap + 1) 0;
-    trail_size = 0;
-    trail_lim = Array.make (cap + 2) 0;
-    decision_level = 0;
-    qhead = 0;
-    activity = Array.make (cap + 1) 0.0;
-    var_inc = 1.0;
-    phase = Array.make (cap + 1) false;
-    seen = Array.make (cap + 1) false;
-    lbd_stamp = Array.make (cap + 2) 0;
-    lbd_tick = 0;
-    conflicts = 0; propagations = 0; decisions = 0;
-    next_id = 0;
-    contradiction = false;
-    reduce_base = max 16 reduce_base;
-    max_learnts = max 16 reduce_base;
-    learnt_live = 0;
-    queries = 0; learnt_reused = 0; learnt_dropped = 0; reduces = 0;
-    source = None; synced = 0 }
-
 let grow_array a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(** Grow per-variable state so variables [1..n] exist. Amortized O(1):
-    capacity doubles. Safe on a live session — only appends. *)
+(* ---- branching order: a binary max-heap of variables ---- *)
+
+(* [v] branches before [u]: higher activity, then lower index — the
+   order of a scan over 1..nvars keeping the first strict maximum *)
+let before (s : t) v u =
+  let av = s.activity.(v) and au = s.activity.(u) in
+  av > au || (av = au && v < u)
+
+let place (s : t) v i =
+  s.heap.(i) <- v;
+  s.heap_pos.(v) <- i
+
+(* move [v] from the hole at slot [i] towards the root *)
+let rec sift_up (s : t) v i =
+  if i = 0 then place s v 0
+  else begin
+    let p = (i - 1) / 2 in
+    let u = s.heap.(p) in
+    if before s v u then begin
+      place s u i;
+      sift_up s v p
+    end
+    else place s v i
+  end
+
+(* move [v] from the hole at slot [i] towards the leaves *)
+let rec sift_down (s : t) v i =
+  let l = (2 * i) + 1 in
+  if l >= s.heap_len then place s v i
+  else begin
+    let c =
+      if l + 1 < s.heap_len && before s s.heap.(l + 1) s.heap.(l) then l + 1
+      else l
+    in
+    let u = s.heap.(c) in
+    if before s u v then begin
+      place s u i;
+      sift_down s v c
+    end
+    else place s v i
+  end
+
+let heap_insert (s : t) v =
+  if s.heap_pos.(v) < 0 then begin
+    s.heap_len <- s.heap_len + 1;
+    sift_up s v (s.heap_len - 1)
+  end
+
+let heap_pop (s : t) =
+  s.heap_pos.(s.heap.(0)) <- -1;
+  s.heap_len <- s.heap_len - 1;
+  if s.heap_len > 0 then sift_down s s.heap.(s.heap_len) 0
+
+let heapify (s : t) =
+  for i = (s.heap_len / 2) - 1 downto 0 do
+    sift_down s s.heap.(i) i
+  done
+
+(** Grow per-variable state so variables [1..n] exist, entering the new
+    ones into the branching heap. Amortized O(1): capacity doubles. Safe
+    on a live session — only appends. *)
 let ensure_vars (s : t) (n : int) : unit =
   if n > s.var_cap then begin
     let cap = ref s.var_cap in
@@ -136,12 +179,56 @@ let ensure_vars (s : t) (n : int) : unit =
     s.trail <- grow_array s.trail (cap + 1) 0;
     s.trail_lim <- grow_array s.trail_lim (cap + 2) 0;
     s.activity <- grow_array s.activity (cap + 1) 0.0;
+    s.heap <- grow_array s.heap (cap + 1) 0;
+    s.heap_pos <- grow_array s.heap_pos (cap + 1) (-1);
     s.phase <- grow_array s.phase (cap + 1) false;
     s.seen <- grow_array s.seen (cap + 1) false;
     s.lbd_stamp <- grow_array s.lbd_stamp (cap + 2) 0;
     s.var_cap <- cap
   end;
+  for v = s.nvars + 1 to n do
+    heap_insert s v
+  done;
   if n > s.nvars then s.nvars <- n
+
+(* an empty session whose variables [1..nvars] enter through
+   [ensure_vars], like every later variable *)
+let create_session ?(nvars = 0) ?(reduce_base = default_reduce_base) () =
+  let cap = max nvars 16 in
+  let s =
+    { nvars = 0; var_cap = cap;
+      clause_data = Array.make 64 dummy_clause;
+      clause_len = 0;
+      n_problem = 0;
+      watches = Array.make ((2 * (cap + 1)) + 2) [];
+      assign = Array.make (cap + 1) 0;
+      level = Array.make (cap + 1) 0;
+      reason = Array.make (cap + 1) None;
+      trail = Array.make (cap + 1) 0;
+      trail_size = 0;
+      trail_lim = Array.make (cap + 2) 0;
+      decision_level = 0;
+      qhead = 0;
+      activity = Array.make (cap + 1) 0.0;
+      var_inc = 1.0;
+      heap = Array.make (cap + 1) 0;
+      heap_len = 0;
+      heap_pos = Array.make (cap + 1) (-1);
+      phase = Array.make (cap + 1) false;
+      seen = Array.make (cap + 1) false;
+      lbd_stamp = Array.make (cap + 2) 0;
+      lbd_tick = 0;
+      conflicts = 0; propagations = 0; decisions = 0;
+      next_id = 0;
+      contradiction = false;
+      reduce_base = max 16 reduce_base;
+      max_learnts = max 16 reduce_base;
+      learnt_live = 0;
+      queries = 0; learnt_reused = 0; learnt_dropped = 0; reduces = 0;
+      source = None; synced = 0 }
+  in
+  ensure_vars s nvars;
+  s
 
 let lit_value (s : t) (l : int) : int =
   (* 1 true, -1 false, 0 unassigned *)
@@ -292,8 +379,10 @@ let bump (s : t) v =
     for i = 1 to s.nvars do
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.var_inc <- s.var_inc *. 1e-100;
+    heapify s
   end
+  else if s.heap_pos.(v) >= 0 then sift_up s v s.heap_pos.(v)
 
 let decay (s : t) = s.var_inc <- s.var_inc /. 0.95
 
@@ -353,23 +442,27 @@ let backjump (s : t) (target_level : int) : unit =
     for i = s.trail_size - 1 downto boundary do
       let v = var_of_lit s.trail.(i) in
       s.assign.(v) <- 0;
-      s.reason.(v) <- None
+      s.reason.(v) <- None;
+      heap_insert s v
     done;
     s.trail_size <- boundary;
     s.qhead <- boundary;
     s.decision_level <- target_level
   end
 
-let pick_branch (s : t) : int option =
-  let best = ref 0 and best_act = ref neg_infinity in
-  for v = 1 to s.nvars do
-    if s.assign.(v) = 0 && s.activity.(v) > !best_act then begin
-      best := v;
-      best_act := s.activity.(v)
+(* the decision literal: the heap's first unassigned variable in its
+   saved phase. It stays in the heap, assigned, until a later pick pops
+   it, so a decision abandoned for the budget needs no re-insertion *)
+let rec pick_branch (s : t) : int option =
+  if s.heap_len = 0 then None
+  else begin
+    let v = s.heap.(0) in
+    if s.assign.(v) <> 0 then begin
+      heap_pop s;
+      pick_branch s
     end
-  done;
-  if !best = 0 then None
-  else Some (if s.phase.(!best) then 2 * !best else (2 * !best) + 1)
+    else Some (if s.phase.(v) then 2 * v else (2 * v) + 1)
+  end
 
 (* literal block distance: distinct decision levels among the lits *)
 let lbd_of (s : t) (lits : int array) : int =
@@ -487,6 +580,7 @@ let total_calls () = Atomic.get call_counter
     survives into later queries. Budgets are per-call. *)
 let solve_session (s : t) ~(assumptions : int list) ~max_conflicts
     ~max_decisions : result =
+  if List.mem 0 assumptions then invalid_arg "Solver: assumption literal 0";
   Atomic.incr call_counter;
   s.queries <- s.queries + 1;
   if s.queries > 1 then s.learnt_reused <- s.learnt_reused + s.learnt_live;
@@ -613,7 +707,8 @@ module Incremental = struct
 
   let add_clause (s : session) (clause : int list) : unit =
     assert (s.decision_level = 0);
-    List.iter (fun l -> if l <> 0 then ensure_vars s (abs l)) clause;
+    if List.mem 0 clause then invalid_arg "Incremental.add_clause: literal 0";
+    List.iter (fun l -> ensure_vars s (abs l)) clause;
     add_clause_internal s
       (Array.of_list (List.map lit_of_dimacs clause))
 

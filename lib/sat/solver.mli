@@ -1,7 +1,8 @@
 (** A CDCL SAT solver: two-watched-literal propagation, first-UIP
     conflict analysis with clause learning, VSIDS-style branching
-    activity with phase saving, and geometric restarts. Sized for the
-    circuit problems the SAT attack generates.
+    activity (an order heap; highest activity, then lowest index) with
+    phase saving, and geometric restarts. Sized for the circuit problems
+    the SAT attack generates.
 
     The engine is a persistent {!Incremental} session: one solver
     instance stays alive across queries, clauses and variables append to
@@ -16,8 +17,9 @@ type result =
   | Unknown  (** a resource budget ran out before the search concluded *)
 
 (** Single-shot solve. [assumptions] are DIMACS literals fixed before
-    search. [max_conflicts]/[max_decisions] are hard budgets: when the
-    search would exceed either it returns {!Unknown} instead of running
+    search (a literal 0 raises [Invalid_argument]).
+    [max_conflicts]/[max_decisions] are hard budgets: when the search
+    would exceed either it returns {!Unknown} instead of running
     unboundedly (conflicts at level 0 still conclude [Unsat]). *)
 val solve :
   ?assumptions:int list ->
@@ -85,7 +87,8 @@ module Incremental : sig
   val ensure_vars : session -> int -> unit
 
   (** Append one clause (DIMACS literals) to the live instance. Must be
-      called between queries, never during one. *)
+      called between queries, never during one. Raises
+      [Invalid_argument] on a literal 0. *)
   val add_clause : session -> int list -> unit
 
   (** Append every clause of [f] (used to load the initial formula). *)
@@ -102,7 +105,8 @@ module Incremental : sig
   val sync : session -> unit
 
   (** Solve the accumulated formula under [assumptions] (DIMACS
-      literals, asserted for this query only and retracted afterwards).
+      literals, asserted for this query only and retracted afterwards;
+      a literal 0 raises [Invalid_argument]).
       Budgets are per-query; [Unknown] leaves the session usable.
       [Unsat] under assumptions does not poison the session — only a
       contradiction in the formula itself makes every later query

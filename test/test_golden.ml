@@ -2,7 +2,14 @@
    emits for a fixed set of designs and configurations. Any change to a
    kernel on the way (synthesis, LUT mapping, packing, placement,
    routing, selection, regeneration) that drifts the output bytes fails
-   here, not only in a later self-consistency diff. *)
+   here, not only in a later self-consistency diff.
+
+   Golden verdicts: the per-candidate attack rows (status, DIPs,
+   conflicts, learnt clauses reused) of measured selection on four
+   designs at two attack budgets. Conflict counts move with any change
+   to the SAT solver's search (branching, propagation order, learning,
+   clause-DB reduction), so a solver speedup that changes the search
+   fails here even when every verdict status stays the same. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -18,25 +25,65 @@ let golden =
     ("SHA256", `C1, "b5dd27508cfb12ed00d5db249e7dceb5");
     ("SOC", `C1, "d9ef306b2d4cd343edc0eb8bbf602276") ]
 
-let programmed_digest name cfg =
+(* (design, configuration, (attack budget, DIP iterations), rows) *)
+let golden_verdicts =
+  [ ("SASC", `C1, (500, 4), [ "sasc.u_tx_fifo 7x7 exhausted/4/272/784" ]);
+    ("SASC", `C1, (1000, 8), [ "sasc.u_tx_fifo 7x7 exhausted/8/297/1896" ]);
+    ("USB_PHY", `C1, (500, 4), [ "usb_phy.u_rx 7x7 exhausted/4/89/166" ]);
+    ("USB_PHY", `C1, (1000, 8), [ "usb_phy.u_rx 7x7 exhausted/8/126/620" ]);
+    ( "FIR", `C2, (500, 4),
+      [ "fir.u_mac.u_accum 8x8 exhausted/4/132/386";
+        "fir.u_mac.u_round 9x9 exhausted/4/41/59";
+        "fir.u_mac.u_scaler 6x6 exhausted/4/67/93" ] );
+    ( "FIR", `C2, (1000, 8),
+      [ "fir.u_mac.u_accum 8x8 exhausted/8/134/912";
+        "fir.u_mac.u_round 9x9 exhausted/8/281/670";
+        "fir.u_mac.u_scaler 6x6 exhausted/8/453/649" ] );
+    ("SHA256", `C1, (500, 4), [ "sha256.u_rom 12x12 exhausted/4/265/247" ]);
+    ("SHA256", `C1, (1000, 8), [ "sha256.u_rom 12x12 inconclusive/5/2021/1533" ])
+  ]
+
+let cfg_label = function `C1 -> "cfg1" | `C2 -> "cfg2"
+
+let run_flow ?(tune = Fun.id) name cfg =
   let b = Option.get (B.find name) in
   let config = match cfg with `C1 -> B.config1 b | `C2 -> B.config2 b in
-  let config = { config with C.Flow_config.jobs = 1; attack_jobs = 1 } in
-  let flow =
-    A.Flow.run_request
-      (A.Flow.request ~config (A.Flow.Text { text = b.B.source; file = None }))
-  in
-  match A.Flow.redact ~view:A.Redact.Programmed flow with
+  let config = tune { config with C.Flow_config.jobs = 1; attack_jobs = 1 } in
+  A.Flow.run_request
+    (A.Flow.request ~config (A.Flow.Text { text = b.B.source; file = None }))
+
+let programmed_digest name cfg =
+  match A.Flow.redact ~view:A.Redact.Programmed (run_flow name cfg) with
   | None -> Alcotest.failf "%s: no redaction" name
   | Some red -> Digest.to_hex (Digest.string red.A.Redact.verilog)
+
+let verdict_rows name cfg (budget, iterations) =
+  let measured c =
+    { c with
+      C.Flow_config.score_mode = C.Flow_config.Measured;
+      attack_budget = budget;
+      attack_iterations = iterations }
+  in
+  List.map
+    (fun (r : A.Report.verdict_row) ->
+      Printf.sprintf "%s %s %s/%d/%d/%d" r.A.Report.vr_cluster
+        r.A.Report.vr_fabric r.A.Report.vr_status r.A.Report.vr_dips
+        r.A.Report.vr_conflicts r.A.Report.vr_reused)
+    (A.Report.verdict_rows (run_flow ~tune:measured name cfg))
 
 let tests =
   List.map
     (fun (name, cfg, want) ->
-      let label =
-        Printf.sprintf "%s %s programmed bytes" name
-          (match cfg with `C1 -> "cfg1" | `C2 -> "cfg2")
-      in
+      let label = Printf.sprintf "%s %s programmed bytes" name (cfg_label cfg) in
       Alcotest.test_case label `Quick (fun () ->
           Alcotest.(check string) label want (programmed_digest name cfg)))
     golden
+  @ List.map
+      (fun (name, cfg, ((budget, iterations) as b), want) ->
+        let label =
+          Printf.sprintf "%s %s verdicts at %d/%d" name
+            (cfg_label cfg) budget iterations
+        in
+        Alcotest.test_case label `Quick (fun () ->
+            Alcotest.(check (list string)) label want (verdict_rows name cfg b)))
+      golden_verdicts
