@@ -4,6 +4,7 @@
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table2     # one section
+     dune exec bench/main.exe table2 micro  # several, in order
      sections: table1 table2 figure4 security overhead soc ablation
              parallel cache attack advise server mixed micro
 
@@ -973,6 +974,7 @@ let run_micro () =
   let mapped, _ =
     N.Lutmap.map ~k:4 (N.Synth.synthesize_module gcd_design "is_zero")
   in
+  let soc = N.Synth.synthesize (B.elaborate (Option.get (B.find "SOC"))) in
   let tests =
     [ (* Table 1 kernel: parse + elaborate + characteristics *)
       Test.make ~name:"table1_elaborate_gcd"
@@ -984,6 +986,12 @@ let run_micro () =
         (Staged.stage (fun () -> ignore (run_flow ~config:(B.config1 gcd) gcd_ast)));
       Test.make ~name:"table2_flow_sasc_cfg2"
         (Staged.stage (fun () -> ignore (run_flow ~config:(B.config2 sasc) sasc_ast)));
+      (* CreateEFPGA's LUT-mapping kernel, at the paper's k and the
+         advisor's larger one *)
+      Test.make ~name:"lutmap_soc_k4"
+        (Staged.stage (fun () -> ignore (N.Lutmap.map ~k:4 soc)));
+      Test.make ~name:"lutmap_soc_k6"
+        (Staged.stage (fun () -> ignore (N.Lutmap.map ~k:6 soc)));
       (* Figure 4 kernel: fabric area evaluation *)
       Test.make ~name:"figure4_area_model"
         (Staged.stage (fun () ->
@@ -1015,7 +1023,9 @@ let run_micro () =
               (Toolkit.Instance.monotonic_clock) raw
           in
           match Analyze.OLS.estimates stats with
-          | Some [ est ] -> Format.printf "  %-28s %14.0f ns/run@." name est
+          | Some [ est ] ->
+            Format.printf "  %-28s %14.0f ns/run@." name est;
+            note_f (name ^ "_ns") est
           | Some _ | None -> Format.printf "  %-28s (no estimate)@." name)
         results)
     tests
@@ -1039,16 +1049,25 @@ let all_sections =
     ("micro", run_micro) ]
 
 let () =
-  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let t0 = Unix.gettimeofday () in
   let timed (name, f) =
     let s0 = Unix.gettimeofday () in
     f ();
     record_section name (Unix.gettimeofday () -. s0)
   in
-  (match (what, List.assoc_opt what all_sections) with
-  | _, Some f -> timed (what, f)
-  | ("all" | _), None -> List.iter timed all_sections);
+  (* the named sections in order; everything when none is named *)
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "all" ] -> List.iter timed all_sections
+  | names ->
+    List.iter
+      (fun name ->
+        match List.assoc_opt name all_sections with
+        | Some f -> timed (name, f)
+        | None ->
+          Format.eprintf "unknown section %s; sections: %s@." name
+            (String.concat " " (List.map fst all_sections));
+          exit 2)
+      names);
   let wall_s = Unix.gettimeofday () -. t0 in
   write_snapshot ~wall_s;
   Format.printf "@.bench done in %.1fs@." wall_s

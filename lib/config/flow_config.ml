@@ -166,7 +166,9 @@ let of_yaml (doc : Yaml_lite.t) : t =
     max_efpgas = Yaml_lite.get_int ~default:d.max_efpgas doc "max_efpgas";
     alpha = Yaml_lite.get_float ~default:d.alpha doc "alpha";
     beta = Yaml_lite.get_float ~default:d.beta doc "beta";
-    lut_inputs = Yaml_lite.get_int ~default:d.lut_inputs fabric "lut_inputs";
+    lut_inputs =
+      (let k = Yaml_lite.get_int ~default:d.lut_inputs fabric "lut_inputs" in
+       if k < 2 then invalid_arg "fabric.lut_inputs: must be at least 2" else k);
     luts_per_clb = Yaml_lite.get_int ~default:d.luts_per_clb fabric "luts_per_clb";
     ffs_per_clb = Yaml_lite.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb";
     gpio_per_tile = Yaml_lite.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile";

@@ -77,15 +77,17 @@ let axes_of_constraints ~(base : C.Flow_config.t)
     (design : V.Elaborate.design) (doc : Y.t) : axes =
   let d = default_axes ~base design in
   let ax = Option.value (Y.find doc "axes") ~default:Y.Null in
-  let pos name l =
+  let at_least lo name l =
     List.iter
       (fun v ->
-        if v <= 0 then
-          invalid_arg (Printf.sprintf "advise: axis %s: %d must be positive" name v))
+        if v < lo then
+          invalid_arg (Printf.sprintf "advise: axis %s: %d must be at least %d" name v lo))
       l;
     check_axis name (List.sort_uniq compare l)
   in
-  { ax_lut_inputs = pos "lut_inputs" (Y.get_int_list ~default:d.ax_lut_inputs ax "lut_inputs");
+  let pos = at_least 1 in
+  { ax_lut_inputs =
+      at_least 2 "lut_inputs" (Y.get_int_list ~default:d.ax_lut_inputs ax "lut_inputs");
     ax_max_widths =
       pos "max_fabric_size"
         (Y.get_int_list ~default:d.ax_max_widths ax "max_fabric_size");

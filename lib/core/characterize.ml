@@ -80,18 +80,19 @@ let wrapper_emodule (design : V.Elaborate.design) (cluster : Clustering.cluster)
     em_ports = List.rev !ports; em_nets = List.rev !nets; em_assigns = [];
     em_always = []; em_instances = List.rev !instances; em_params = [] }
 
+(** Synthesize the gate-level circuit of a cluster's synthetic top. *)
+let cluster_netlist (design : V.Elaborate.design) (cluster : Clustering.cluster)
+    : N.Circuit.t =
+  let name = "efpga_cluster" in
+  let wrapper = wrapper_emodule design cluster ~name in
+  N.Synth.synthesize
+    { V.Elaborate.d_top = name;
+      d_modules = V.Elaborate.Smap.add name wrapper design.V.Elaborate.d_modules }
+
 (** Synthesize and LUT-map the circuit a cluster would put on a fabric. *)
 let cluster_circuit (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (cluster : Clustering.cluster) : N.Circuit.t =
-  let name = "efpga_cluster" in
-  let wrapper = wrapper_emodule design cluster ~name in
-  let design' =
-    { V.Elaborate.d_top = name;
-      d_modules = V.Elaborate.Smap.add name wrapper design.V.Elaborate.d_modules }
-  in
-  let circuit = N.Synth.synthesize design' in
-  let mapped, _ = N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs circuit in
-  mapped
+  fst (N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs (cluster_netlist design cluster))
 
 type cache = (string, characterization) Memo.t
 

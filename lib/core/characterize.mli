@@ -35,6 +35,10 @@ type characterization = {
   mapped : N.Circuit.t option;  (** the LUT-mapped cluster *)
 }
 
+(** Synthesize the gate-level circuit of a cluster's synthetic top: a
+    module instantiating every member with all ports exposed. *)
+val cluster_netlist : V.Elaborate.design -> Clustering.cluster -> N.Circuit.t
+
 (** Synthesize and LUT-map the circuit a cluster would put on a fabric. *)
 val cluster_circuit :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> N.Circuit.t

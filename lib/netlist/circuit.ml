@@ -86,6 +86,21 @@ let gates_in_order (c : t) : gate list = List.rev c.gates
 
 let dff_list (c : t) : dff list = List.rev c.dffs
 
+(** For every net, the index in [gates] of the gate driving it, or -1
+    (the last one when several do). *)
+let driver_index (c : t) (gates : gate array) : int array =
+  let t = Array.make c.next_net (-1) in
+  Array.iteri (fun i g -> t.(g.output) <- i) gates;
+  t
+
+(** For every net, whether it is a source of the combinational logic:
+    a primary input or a DFF output. *)
+let source_nets (c : t) : bool array =
+  let s = Array.make c.next_net false in
+  List.iter (fun (_, nets) -> Array.iter (fun n -> s.(n) <- true) nets) c.inputs;
+  List.iter (fun d -> s.(d.q) <- true) c.dffs;
+  s
+
 let gate_count c = c.gate_count
 
 let dff_count c = List.length c.dffs

@@ -67,6 +67,14 @@ val gates_in_order : t -> gate list
 
 val dff_list : t -> dff list
 
+(** For every net, the index in [gates] of the gate driving it, or -1
+    (the last one when several do). *)
+val driver_index : t -> gate array -> int array
+
+(** For every net, whether it is a source of the combinational logic:
+    a primary input or a DFF output. *)
+val source_nets : t -> bool array
+
 val gate_count : t -> int
 
 val dff_count : t -> int

@@ -15,7 +15,10 @@ type mapping = {
 type mode = [ `Area | `Depth ]
 
 (** Map a circuit onto k-LUTs; returns the mapped circuit (LUT gates
-    only) and the mapping description. *)
+    only) and the mapping description. Raises [Invalid_argument] when
+    [k < 2], or when a gate the cover needs has no cut of at most [k]
+    leaves (a 3-input mux at [k = 2]): the mapping is complete or there
+    is none. *)
 val map : ?mode:mode -> k:int -> Circuit.t -> Circuit.t * mapping
 
 val lut_count : mapping -> int

@@ -14,20 +14,14 @@ type t = {
   dffs : Circuit.dff array;
 }
 
+(* Depth-first from each gate in creation order, fanins in pin order;
+   a gate is emitted once all the gates driving its inputs are. *)
 let levelize (c : Circuit.t) : Circuit.gate array =
   let gates = Array.of_list (Circuit.gates_in_order c) in
-  let producer = Hashtbl.create (Array.length gates) in
-  Array.iteri (fun i g -> Hashtbl.replace producer g.Circuit.output i) gates;
-  (* source nets: primary inputs and DFF outputs *)
-  let is_source = Hashtbl.create 64 in
-  List.iter
-    (fun (_, nets) -> Array.iter (fun n -> Hashtbl.replace is_source n ()) nets)
-    c.Circuit.inputs;
-  List.iter
-    (fun (d : Circuit.dff) -> Hashtbl.replace is_source d.q ())
-    c.Circuit.dffs;
+  let producer = Circuit.driver_index c gates in
+  let is_source = Circuit.source_nets c in
   let state = Array.make (Array.length gates) `White in
-  let order = ref [] in
+  let order = Array.copy gates and emitted = ref 0 in
   let rec visit i =
     match state.(i) with
     | `Black -> ()
@@ -39,16 +33,15 @@ let levelize (c : Circuit.t) : Circuit.gate array =
       state.(i) <- `Grey;
       Array.iter
         (fun input ->
-          if not (Hashtbl.mem is_source input) then
-            match Hashtbl.find_opt producer input with
-            | Some j -> visit j
-            | None -> ())
+          if (not is_source.(input)) && producer.(input) >= 0 then
+            visit producer.(input))
         gates.(i).Circuit.inputs;
       state.(i) <- `Black;
-      order := gates.(i) :: !order
+      order.(!emitted) <- gates.(i);
+      incr emitted
   in
   Array.iteri (fun i _ -> visit i) gates;
-  Array.of_list (List.rev !order)
+  order
 
 let create (c : Circuit.t) : t =
   { circuit = c; order = levelize c;

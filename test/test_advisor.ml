@@ -123,6 +123,7 @@ let test_axes_of_constraints () =
            false
          with Invalid_argument _ -> true))
     [ ("non-positive k", bad "lut_inputs" (Y.List [ Y.Int 0 ]));
+      ("1-input LUTs", bad "lut_inputs" (Y.List [ Y.Int 4; Y.Int 1 ]));
       ("utilization > 1", bad "target_utilization" (Y.Float 1.5));
       ("unknown mode", bad "score" (Y.String "vibes"));
       ("empty axis", bad "max_fabric_size" (Y.List [])) ]

@@ -92,10 +92,22 @@ let test_flow_config_defaults () =
   Alcotest.(check bool) "default reward" true
     (cfg.C.Flow_config.score_formula = C.Flow_config.Reward)
 
+(* a LUT needs at least 2 inputs; no upper bound *)
+let test_lut_inputs_bound () =
+  List.iter
+    (fun k ->
+      match C.Flow_config.of_string (Printf.sprintf "fabric:\n  lut_inputs: %d" k) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "lut_inputs: %d accepted" k)
+    [ 1; 0; -3 ];
+  Alcotest.(check int) "k = 16 accepted" 16
+    (C.Flow_config.of_string "fabric:\n  lut_inputs: 16").C.Flow_config.lut_inputs
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
     Alcotest.test_case "comments" `Quick test_comments_blanks;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "flow config" `Quick test_flow_config;
-    Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults ]
+    Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults;
+    Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound ]

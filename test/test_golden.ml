@@ -25,6 +25,20 @@ let golden =
     ("SHA256", `C1, "b5dd27508cfb12ed00d5db249e7dceb5");
     ("SOC", `C1, "d9ef306b2d4cd343edc0eb8bbf602276") ]
 
+(* Golden mappings: the MD5 of the LUT list ([Marshal], no sharing) of
+   whole-design synthesis mapped at k = 4, which every paper
+   configuration uses, and at k = 6, which the advisor's LUT-size axis
+   explores. *)
+let golden_mappings =
+  [ ("GCD", 4, "602ce39d0880faf76f0ad4dc60487eba");
+    ("GCD", 6, "dc85773103cc408746c938dc66578383");
+    ("SHA256", 4, "808869e1515d16f47072383e0d2eb9a0");
+    ("SHA256", 6, "e451662094764d5159c1e447445fe34f");
+    ("DES3", 4, "00539f9c80d32d2bc8a071cf239eca17");
+    ("DES3", 6, "b89ebbf65d3bee074661cff58e2e36fe");
+    ("SOC", 4, "47f963f7c7648522d750d25ef13b4d7d");
+    ("SOC", 6, "3c549fc937e37f2d53aa5080911ff41e") ]
+
 (* (design, configuration, (attack budget, DIP iterations), rows) *)
 let golden_verdicts =
   [ ("SASC", `C1, (500, 4), [ "sasc.u_tx_fifo 7x7 exhausted/4/272/784" ]);
@@ -57,6 +71,12 @@ let programmed_digest name cfg =
   | None -> Alcotest.failf "%s: no redaction" name
   | Some red -> Digest.to_hex (Digest.string red.A.Redact.verilog)
 
+let mapping_digest name k =
+  let module N = Alice_netlist in
+  let c = N.Synth.synthesize (B.elaborate (Option.get (B.find name))) in
+  let _, mapping = N.Lutmap.map ~k c in
+  Digest.to_hex (Digest.string (Marshal.to_string mapping.N.Lutmap.luts [ Marshal.No_sharing ]))
+
 let verdict_rows name cfg (budget, iterations) =
   let measured c =
     { c with
@@ -87,3 +107,9 @@ let tests =
         Alcotest.test_case label `Quick (fun () ->
             Alcotest.(check (list string)) label want (verdict_rows name cfg b)))
       golden_verdicts
+  @ List.map
+      (fun (name, k, want) ->
+        let label = Printf.sprintf "%s k=%d mapping" name k in
+        Alcotest.test_case label `Quick (fun () ->
+            Alcotest.(check string) label want (mapping_digest name k)))
+      golden_mappings

@@ -221,6 +221,175 @@ let test_truth_tables_match_cones () =
         [ 4; 6 ])
     [ "GCD"; "SHA256"; "SOC" ]
 
+(* Differential: the array mapper against the set-based reference
+   ([Lutmap_oracle]) on paper cluster circuits, whole designs, random
+   mux-heavy circuits and deep ladders, at every k from 2 to 6 in both
+   modes. Mappings must be structurally equal, mapped circuit and LUT
+   list alike. Where the reference left a gate uncovered (a 3-input mux
+   at k = 2), the array mapper must raise instead. *)
+
+let distinct circuits =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun c ->
+      let key = Digest.string (Marshal.to_string c [ Marshal.No_sharing ]) in
+      (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+    circuits
+
+let cluster_netlists names =
+  let module B = Alice_benchmarks.Suite in
+  List.concat_map
+    (fun name ->
+      let b = Option.get (B.find name) in
+      let design = B.elaborate b in
+      let df = Alice_analysis.Dataflow.build design in
+      List.concat_map
+        (fun config ->
+          Alice.Clustering.run df config (Alice.Filtering.run df config)
+          |> List.map (Alice.Characterize.cluster_netlist design))
+        [ B.config1 b; B.config2 b ])
+    names
+  |> distinct
+
+let whole_design name =
+  let module B = Alice_benchmarks.Suite in
+  N.Synth.synthesize (B.elaborate (Option.get (B.find name)))
+
+(* A seeded random circuit over at most 6 inputs and a few flip-flops:
+   mostly muxes, ANDs and XORs, with buffers, inverters and 3-input
+   LUTs mixed in. Every gate reads earlier nets, so there is no
+   combinational loop. *)
+let random_circuit seed =
+  let st = Random.State.make [| 0x10f; seed |] in
+  let c = N.Circuit.create (Printf.sprintf "rnd%d" seed) in
+  let pool = ref (Array.to_list (N.Circuit.add_input c "a" (2 + Random.State.int st 5))) in
+  let qs = List.init (Random.State.int st 3) (fun _ -> N.Circuit.fresh_net c) in
+  pool := !pool @ qs;
+  let pick () =
+    (* favour recent nets, so cones get deep and reconverge *)
+    let n = List.length !pool in
+    List.nth !pool (min (n - 1) (Random.State.int st (min n 8)))
+  in
+  let kinds = N.Circuit.[| Mux; Mux; Mux; And; Xor; Xor; Or; Not; Buf; Lut [||] |] in
+  for _ = 1 to 20 + Random.State.int st 60 do
+    let kind =
+      match kinds.(Random.State.int st (Array.length kinds)) with
+      | N.Circuit.Lut _ -> N.Circuit.Lut (Array.init 8 (fun _ -> Random.State.bool st))
+      | kind -> kind
+    in
+    let arity =
+      match kind with
+      | N.Circuit.Not | N.Circuit.Buf -> 1
+      | N.Circuit.Mux | N.Circuit.Lut _ -> 3
+      | _ -> 2
+    in
+    pool := N.Circuit.add_gate c kind (Array.init arity (fun _ -> pick ())) :: !pool
+  done;
+  List.iter (fun q -> N.Circuit.add_dff_q c ~d:(pick ()) ~q) qs;
+  N.Circuit.set_output c "y" (Array.init (1 + Random.State.int st 6) (fun _ -> pick ()));
+  c
+
+(* Two rails of 120 rungs, each rung reading both rails and a fresh
+   input: every cut of a rung holds nets of both rails, so area flow
+   about doubles per rung and passes 2^53, where float sums round and
+   their order shows. No paper design gets there (SoC at k = 3 peaks
+   near 2.7e15). *)
+let ladder seed =
+  let rungs = 120 in
+  let st = Random.State.make [| 0x1add; seed |] in
+  let c = N.Circuit.create (Printf.sprintf "ladder%d" seed) in
+  let x = N.Circuit.add_input c "x" rungs and y = N.Circuit.add_input c "y" rungs in
+  let kinds = N.Circuit.[| Mux; Xor; And; Or; Xnor |] in
+  let rung a b z =
+    match kinds.(Random.State.int st (Array.length kinds)) with
+    | N.Circuit.Mux -> N.Circuit.add_gate c N.Circuit.Mux [| z; a; b |]
+    | kind -> N.Circuit.add_gate c kind [| N.Circuit.add_gate c N.Circuit.Xor [| a; z |]; b |]
+  in
+  let a = ref x.(0) and b = ref y.(0) in
+  for i = 1 to rungs - 1 do
+    let a' = rung !a !b x.(i) and b' = rung !b !a y.(i) in
+    a := a';
+    b := b'
+  done;
+  N.Circuit.set_output c "o" [| !a; !b |];
+  c
+
+let differential_corpus =
+  lazy
+    (cluster_netlists [ "GCD"; "SASC"; "USB_PHY"; "FIR"; "IIR"; "SHA256" ]
+    @ List.map whole_design [ "DES3"; "SOC" ]
+    @ List.init 48 random_circuit
+    @ List.init 4 ladder)
+
+let test_differential () =
+  let circuits = Lazy.force differential_corpus in
+  Lutmap_oracle.cap_hits := 0;
+  Lutmap_oracle.uncovered := 0;
+  let compared = ref 0 and refused = ref 0 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun k ->
+          List.iter
+            (fun mode ->
+              let before = !Lutmap_oracle.uncovered in
+              let want = Lutmap_oracle.map ~mode ~k c in
+              let label =
+                Printf.sprintf "%s k=%d %s" c.N.Circuit.name k
+                  (match mode with `Area -> "area" | `Depth -> "depth")
+              in
+              if !Lutmap_oracle.uncovered > before then begin
+                incr refused;
+                match N.Lutmap.map ~mode ~k c with
+                | exception Invalid_argument _ -> ()
+                | _ -> Alcotest.failf "%s: mapped a gate no cut covers" label
+              end
+              else begin
+                incr compared;
+                let mapped, mapping = N.Lutmap.map ~mode ~k c in
+                if (mapped, mapping.N.Lutmap.luts) <> want then
+                  Alcotest.failf "%s: mapping differs from the reference" label
+              end)
+            [ `Area; `Depth ])
+        [ 2; 3; 4; 5; 6 ])
+    circuits;
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus crosses the 400-merge cap (%d gates)" !Lutmap_oracle.cap_hits)
+    true (!Lutmap_oracle.cap_hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "most mappings compared (%d compared, %d refused)" !compared !refused)
+    true (!compared > 4 * !refused)
+
+(* k < 2 cannot cover a 2-input gate: refuse rather than leave outputs
+   undriven *)
+let test_k_below_two_rejected () =
+  let c = build "module m (input [3:0] a, input [3:0] b, output [3:0] y); assign y = a & b; endmodule" in
+  List.iter
+    (fun k ->
+      match N.Lutmap.map ~k c with
+      | exception Invalid_argument _ -> ()
+      | _, mapping ->
+        Alcotest.failf "k=%d mapped to %d LUTs instead of raising" k
+          (N.Lutmap.lut_count mapping))
+    [ 1; 0; -1 ];
+  (* a configuration built in code skips [of_yaml]'s check: every cluster
+     then fails to characterize, and no fabric is chosen *)
+  let module B = Alice_benchmarks.Suite in
+  let gcd = Option.get (B.find "GCD") in
+  let config = { (B.config1 gcd) with Alice_config.Flow_config.lut_inputs = 1; jobs = 1 } in
+  let flow =
+    Alice.Flow.run_request
+      (Alice.Flow.request ~config (Alice.Flow.Text { text = gcd.B.source; file = None }))
+  in
+  Alcotest.(check bool) "clusters characterized" true (flow.Alice.Flow.characterized <> []);
+  List.iter
+    (fun (ch : Alice.Characterize.characterization) ->
+      match ch.Alice.Characterize.outcome with
+      | Alice.Characterize.Failed _ -> ()
+      | _ -> Alcotest.fail "a cluster characterized at k = 1")
+    flow.Alice.Flow.characterized;
+  Alcotest.(check bool) "no solution" true (flow.Alice.Flow.selection.Alice.Selection.best = None)
+
 let tests =
   [ Alcotest.test_case "k-feasibility" `Quick test_k_feasibility;
     Alcotest.test_case "sat equivalence of mapping" `Quick test_sat_equivalence;
@@ -231,4 +400,6 @@ let tests =
     Alcotest.test_case "identity outputs are free" `Quick test_alias_outputs_free;
     Alcotest.test_case "depth reported" `Quick test_depth_reported;
     Alcotest.test_case "truth tables match cones" `Quick test_truth_tables_match_cones;
-    QCheck_alcotest.to_alcotest map_equiv_prop ]
+    QCheck_alcotest.to_alcotest map_equiv_prop;
+    Alcotest.test_case "differential against the set-based mapper" `Quick test_differential;
+    Alcotest.test_case "k below 2 rejected" `Quick test_k_below_two_rejected ]
