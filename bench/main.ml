@@ -974,7 +974,19 @@ let run_micro () =
   let mapped, _ =
     N.Lutmap.map ~k:4 (N.Synth.synthesize_module gcd_design "is_zero")
   in
-  let soc = N.Synth.synthesize (B.elaborate (Option.get (B.find "SOC"))) in
+  let soc_bench = Option.get (B.find "SOC") in
+  let soc = N.Synth.synthesize (B.elaborate soc_bench) in
+  (* every implemented SoC cfg1 cluster at its final width *)
+  let soc_placements =
+    List.filter_map
+      (fun (ch : A.Characterize.characterization) ->
+        match (ch.A.Characterize.outcome, ch.A.Characterize.mapped) with
+        | A.Characterize.Implemented impl, Some m ->
+          let fabric = impl.F.Size_search.fabric in
+          Some (fabric, m, F.Place.pack fabric.F.Fabric.arch m)
+        | _ -> None)
+      (run_flow ~config:(B.config1 soc_bench) (B.parse soc_bench)).A.Flow.characterized
+  in
   let tests =
     [ (* Table 1 kernel: parse + elaborate + characteristics *)
       Test.make ~name:"table1_elaborate_gcd"
@@ -992,6 +1004,12 @@ let run_micro () =
         (Staged.stage (fun () -> ignore (N.Lutmap.map ~k:4 soc)));
       Test.make ~name:"lutmap_soc_k6"
         (Staged.stage (fun () -> ignore (N.Lutmap.map ~k:6 soc)));
+      (* CreateEFPGA's final-width placement *)
+      Test.make ~name:"place_soc"
+        (Staged.stage (fun () ->
+             List.iter
+               (fun (fabric, m, clusters) -> ignore (F.Place.place_packed fabric m clusters))
+               soc_placements));
       (* Figure 4 kernel: fabric area evaluation *)
       Test.make ~name:"figure4_area_model"
         (Staged.stage (fun () ->

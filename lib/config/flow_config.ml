@@ -162,6 +162,10 @@ let of_yaml (doc : Yaml_lite.t) : t =
     | "lowest" -> Lowest
     | other -> invalid_arg (Printf.sprintf "rank_order: %s" other)
   in
+  let luts_per_clb =
+    let n = Yaml_lite.get_int ~default:d.luts_per_clb fabric "luts_per_clb" in
+    if n < 1 then invalid_arg "fabric.luts_per_clb: must be at least 1" else n
+  in
   { max_io_pins = Yaml_lite.get_int ~default:d.max_io_pins doc "max_io_pins";
     max_efpgas = Yaml_lite.get_int ~default:d.max_efpgas doc "max_efpgas";
     alpha = Yaml_lite.get_float ~default:d.alpha doc "alpha";
@@ -169,9 +173,16 @@ let of_yaml (doc : Yaml_lite.t) : t =
     lut_inputs =
       (let k = Yaml_lite.get_int ~default:d.lut_inputs fabric "lut_inputs" in
        if k < 2 then invalid_arg "fabric.lut_inputs: must be at least 2" else k);
-    luts_per_clb = Yaml_lite.get_int ~default:d.luts_per_clb fabric "luts_per_clb";
-    ffs_per_clb = Yaml_lite.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb";
-    gpio_per_tile = Yaml_lite.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile";
+    luts_per_clb;
+    ffs_per_clb =
+      (let n = Yaml_lite.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb" in
+       (* packing gives every logic element a flip-flop slot *)
+       if n < luts_per_clb then
+         invalid_arg "fabric.ffs_per_clb: must be at least luts_per_clb"
+       else n);
+    gpio_per_tile =
+      (let n = Yaml_lite.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile" in
+       if n < 1 then invalid_arg "fabric.gpio_per_tile: must be at least 1" else n);
     min_fabric_size = Yaml_lite.get_int ~default:d.min_fabric_size fabric "min_size";
     max_fabric_size = Yaml_lite.get_int ~default:d.max_fabric_size fabric "max_size";
     target_utilization =

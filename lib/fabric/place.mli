@@ -47,7 +47,8 @@ exception Does_not_fit of fit_failure
 val element_nets : logic_element -> Circuit.net list
 
 (** Greedy connectivity-driven packing into CLBs. Packing does not
-    depend on the fabric width. *)
+    depend on the fabric width. Raises [Invalid_argument] when the
+    architecture has fewer than one LUT per CLB. *)
 val pack : Arch.t -> Circuit.t -> clb list
 
 (** Placement effort: [`Greedy] (default) pairwise-swap hill climbing;

@@ -19,10 +19,17 @@ let route (p : Place.placement) : report =
   let w = p.fabric.Fabric.width in
   (* cell grid including the pad ring: indices 0 .. w+1 *)
   let demand = Array.make_matrix (w + 2) (w + 2) 0.0 in
+  (* net -> its bounding box [| minx; maxx; miny; maxy |], keyed in order
+     of first sight so that the demand sums run in a fixed order *)
   let nets = Hashtbl.create 256 in
-  let touch net pos =
-    let old = Option.value (Hashtbl.find_opt nets net) ~default:[] in
-    Hashtbl.replace nets net (pos :: old)
+  let touch net (x, y) =
+    match Hashtbl.find_opt nets net with
+    | None -> Hashtbl.add nets net [| x; x; y; y |]
+    | Some b ->
+      if x < b.(0) then b.(0) <- x;
+      if x > b.(1) then b.(1) <- x;
+      if y < b.(2) then b.(2) <- y;
+      if y > b.(3) then b.(3) <- y
   in
   List.iter
     (fun (cluster, pos) ->
@@ -33,16 +40,10 @@ let route (p : Place.placement) : report =
   List.iter (fun (net, pos) -> touch net pos) p.io_sites;
   let total = ref 0.0 in
   Hashtbl.iter
-    (fun _net positions ->
-      match List.sort_uniq compare positions with
-      | [] | [ _ ] -> ()
-      | (x0, y0) :: rest ->
-        let minx, maxx, miny, maxy =
-          List.fold_left
-            (fun (mnx, mxx, mny, mxy) (x, y) ->
-              (min mnx x, max mxx x, min mny y, max mxy y))
-            (x0, x0, y0, y0) rest
-        in
+    (fun _net b ->
+      let minx = b.(0) and maxx = b.(1) and miny = b.(2) and maxy = b.(3) in
+      (* a net at one position needs no wire *)
+      if minx < maxx || miny < maxy then begin
         let hpwl = float_of_int (maxx - minx + maxy - miny) in
         total := !total +. hpwl;
         let cells = float_of_int ((maxx - minx + 1) * (maxy - miny + 1)) in
@@ -52,7 +53,8 @@ let route (p : Place.placement) : report =
           for y = cl miny to cl maxy do
             demand.(x).(y) <- demand.(x).(y) +. per_cell
           done
-        done)
+        done
+      end)
     nets;
   let max_demand = ref 0.0 in
   Array.iter

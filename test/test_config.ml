@@ -103,6 +103,23 @@ let test_lut_inputs_bound () =
   Alcotest.(check int) "k = 16 accepted" 16
     (C.Flow_config.of_string "fabric:\n  lut_inputs: 16").C.Flow_config.lut_inputs
 
+(* a CLB holds at least one LUT, a flip-flop per LUT, and an I/O tile
+   at least one pin *)
+let test_clb_io_bounds () =
+  List.iter
+    (fun fields ->
+      match C.Flow_config.of_string ("fabric:\n" ^ fields) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted: %s" (String.escaped fields))
+    [ "  luts_per_clb: 0"; "  luts_per_clb: -1"; "  ffs_per_clb: 0"; "  ffs_per_clb: 3";
+      "  luts_per_clb: 6\n  ffs_per_clb: 5"; "  gpio_per_tile: 0"; "  gpio_per_tile: -8" ];
+  let c = C.Flow_config.of_string "fabric:\n  luts_per_clb: 1\n  ffs_per_clb: 1\n  gpio_per_tile: 1" in
+  Alcotest.(check (list int)) "smallest accepted" [ 1; 1; 1 ]
+    C.Flow_config.[ c.luts_per_clb; c.ffs_per_clb; c.gpio_per_tile ];
+  let c = C.Flow_config.of_string "max_io_pins: 64" in
+  Alcotest.(check (list int)) "defaults" [ 4; 4; 8 ]
+    C.Flow_config.[ c.luts_per_clb; c.ffs_per_clb; c.gpio_per_tile ]
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
@@ -110,4 +127,5 @@ let tests =
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "flow config" `Quick test_flow_config;
     Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults;
-    Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound ]
+    Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound;
+    Alcotest.test_case "clb and io bounds" `Quick test_clb_io_bounds ]

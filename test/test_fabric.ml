@@ -305,31 +305,47 @@ let random_mapped ~k seed =
   N.Circuit.set_output c "y" (Array.init (1 + Random.State.int st 16) (fun _ -> pick ()));
   fst (N.Lutmap.map ~k c)
 
-(* every distinct LUT-mapped cluster the fast benchmark flows characterize *)
+(* every distinct LUT-mapped cluster the flows of the benchmarks [names]
+   characterize under [configs] *)
+let mapped_clusters names configs =
+  let module B = Alice_benchmarks.Suite in
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun name ->
+      let b = Option.get (B.find name) in
+      List.concat_map
+        (fun config ->
+          let flow =
+            Alice.Flow.run_request
+              (Alice.Flow.request ~config
+                 (Alice.Flow.Text { text = b.B.source; file = None }))
+          in
+          List.filter_map
+            (fun (ch : Alice.Characterize.characterization) ->
+              match ch.mapped with
+              | Some m when not (Hashtbl.mem seen (Marshal.to_string m [])) ->
+                Hashtbl.add seen (Marshal.to_string m []) ();
+                Some (F.Arch.of_config config, m)
+              | _ -> None)
+            flow.Alice.Flow.characterized)
+        (configs b))
+    names
+
 let benchmark_clusters =
   lazy
     (let module B = Alice_benchmarks.Suite in
-     let seen = Hashtbl.create 64 in
-     List.concat_map
-       (fun name ->
-         let b = Option.get (B.find name) in
-         List.concat_map
-           (fun config ->
-             let flow =
-               Alice.Flow.run_request
-                 (Alice.Flow.request ~config
-                    (Alice.Flow.Text { text = b.B.source; file = None }))
-             in
-             List.filter_map
-               (fun (ch : Alice.Characterize.characterization) ->
-                 match ch.mapped with
-                 | Some m when not (Hashtbl.mem seen (Marshal.to_string m [])) ->
-                   Hashtbl.add seen (Marshal.to_string m []) ();
-                   Some (F.Arch.of_config config, m)
-                 | _ -> None)
-               flow.Alice.Flow.characterized)
-           [ B.config1 b; B.config2 b ])
-       [ "GCD"; "SASC"; "USB_PHY"; "FIR"; "IIR"; "SHA256" ])
+     mapped_clusters
+       [ "GCD"; "SASC"; "USB_PHY"; "FIR"; "IIR"; "SHA256" ]
+       (fun b -> [ B.config1 b; B.config2 b ]))
+
+(* SoC clusters that pack into more than 40 CLBs, where placement takes
+   a single round and nets span many CLBs *)
+let large_clusters =
+  lazy
+    (let module B = Alice_benchmarks.Suite in
+     List.filter
+       (fun (arch, mapped) -> List.length (F.Place.pack arch mapped) > 40)
+       (mapped_clusters [ "SOC" ] (fun b -> [ B.config1 b ])))
 
 let differential_circuits () =
   List.init 40 (fun seed ->
@@ -342,26 +358,34 @@ let differential_circuits () =
 let windows = [ (1, 3); (2, 14); (3, 3); (5, 4) ]
 let utilizations = [ 0.3; 0.6; 1.0 ]
 
+(* pack, then place at the smallest width with room for every CLB and
+   I/O bit, with each effort: both must equal the reference *)
+let check_pack_place efforts (arch, mapped) =
+  let clusters = F.Place.pack arch mapped in
+  if clusters <> Ref.pack arch mapped then Alcotest.fail "pack differs from the reference";
+  let n = List.length clusters in
+  let w =
+    max (int_of_float (Float.ceil (sqrt (float_of_int n))))
+      (F.Size_search.min_width_for_io arch ~min_size:1
+         ~io_bits:(N.Circuit.io_bit_count mapped))
+  in
+  let fabric = F.Fabric.make arch w in
+  List.iter
+    (fun effort ->
+      if F.Place.place_packed ~effort fabric mapped clusters
+         <> Ref.place ~effort fabric mapped clusters
+      then Alcotest.failf "place_packed differs from the reference (%d CLBs)" n)
+    (efforts n)
+
 let test_differential_pack_place () =
   List.iter
-    (fun (arch, mapped) ->
-      let clusters = F.Place.pack arch mapped in
-      if clusters <> Ref.pack arch mapped then Alcotest.fail "pack differs from the reference";
-      let n = List.length clusters in
-      (* the smallest width with room for every CLB and I/O bit *)
-      let w =
-        max (int_of_float (Float.ceil (sqrt (float_of_int n))))
-          (F.Size_search.min_width_for_io arch ~min_size:1
-             ~io_bits:(N.Circuit.io_bit_count mapped))
-      in
-      let fabric = F.Fabric.make arch w in
-      List.iter
-        (fun effort ->
-          if F.Place.place_packed ~effort fabric mapped clusters
-             <> Ref.place ~effort fabric mapped clusters
-          then Alcotest.fail "place_packed differs from the reference")
-        (if n <= 24 then [ `Greedy; `Anneal ] else [ `Greedy ]))
+    (check_pack_place (fun n -> if n <= 24 then [ `Greedy; `Anneal ] else [ `Greedy ]))
     (differential_circuits ())
+
+let test_differential_large_placement () =
+  let large = Lazy.force large_clusters in
+  Alcotest.(check bool) "some SoC cluster above 40 CLBs" true (large <> []);
+  List.iter (check_pack_place (fun _ -> [ `Greedy ])) large
 
 let test_differential_size_search () =
   List.iter
@@ -402,6 +426,18 @@ let test_packing () =
   Alcotest.(check int) "all luts packed" luts lut_slots;
   Alcotest.(check int) "all ffs packed" ffs ff_slots;
   Alcotest.(check bool) "element count sane" true (elements >= max luts ffs)
+
+let test_pack_rejects_empty_clbs () =
+  let mapped = mapped_of small_design in
+  List.iter
+    (fun luts_per_clb ->
+      match F.Place.pack { arch with F.Arch.luts_per_clb } mapped with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "pack accepted luts_per_clb = %d" luts_per_clb)
+    [ 0; -1 ];
+  Alcotest.(check int) "one element per CLB"
+    (List.length (Ref.build_elements mapped))
+    (List.length (F.Place.pack { arch with F.Arch.luts_per_clb = 1 } mapped))
 
 let test_placement_invariants () =
   let mapped = mapped_of small_design in
@@ -617,6 +653,7 @@ let test_power () =
 let tests =
   [ Alcotest.test_case "capacities" `Quick test_capacities;
     Alcotest.test_case "packing" `Quick test_packing;
+    Alcotest.test_case "pack rejects empty clbs" `Quick test_pack_rejects_empty_clbs;
     Alcotest.test_case "placement invariants" `Quick test_placement_invariants;
     Alcotest.test_case "does not fit" `Quick test_does_not_fit;
     Alcotest.test_case "size search" `Quick test_size_search;
@@ -629,5 +666,6 @@ let tests =
     Alcotest.test_case "timing estimate" `Quick test_timing;
     Alcotest.test_case "power estimate" `Quick test_power;
     Alcotest.test_case "differential pack and place" `Quick test_differential_pack_place;
+    Alcotest.test_case "differential large placement" `Quick test_differential_large_placement;
     Alcotest.test_case "differential size search" `Quick test_differential_size_search;
     Alcotest.test_case "failure payloads" `Quick test_failure_payloads ]

@@ -1,8 +1,12 @@
 (* Golden bytes: the MD5 of the programmed-view Verilog the whole flow
    emits for a fixed set of designs and configurations. Any change to a
-   kernel on the way (synthesis, LUT mapping, packing, placement,
-   routing, selection, regeneration) that drifts the output bytes fails
-   here, not only in a later self-consistency diff.
+   kernel on the way (synthesis, LUT mapping, packing, selection,
+   regeneration, or a chosen fabric width) that drifts the output bytes
+   fails here, not only in a later self-consistency diff. The bitstream
+   and the emitted wrapper read only the order of the CLBs, never their
+   positions, so a placement or routing drift that keeps every width
+   passes these; the placement goldens below pin positions, wirelength,
+   routing and timing.
 
    Golden verdicts: the per-candidate attack rows (status, DIPs,
    conflicts, learnt clauses reused) of measured selection on four
@@ -38,6 +42,13 @@ let golden_mappings =
     ("DES3", 6, "b89ebbf65d3bee074661cff58e2e36fe");
     ("SOC", 4, "47f963f7c7648522d750d25ef13b4d7d");
     ("SOC", 6, "3c549fc937e37f2d53aa5080911ff41e") ]
+
+(* Golden placements: the MD5 of every implemented characterization's
+   CLB positions, wirelength, routing report and critical path. *)
+let golden_placements =
+  [ ("SOC", `C1, "b0d507df8a33ac76c71e0cf2ab0707c6");
+    ("SHA256", `C1, "9d1e652d6c2ccf2415e5bcadd2f806ca");
+    ("FIR", `C2, "abb4a8218e0bbeec7b8695391b01dc9f") ]
 
 (* (design, configuration, (attack budget, DIP iterations), rows) *)
 let golden_verdicts =
@@ -77,6 +88,24 @@ let mapping_digest name k =
   let _, mapping = N.Lutmap.map ~k c in
   Digest.to_hex (Digest.string (Marshal.to_string mapping.N.Lutmap.luts [ Marshal.No_sharing ]))
 
+let placement_digest name cfg =
+  let module F = Alice_fabric in
+  let placed =
+    List.filter_map
+      (fun (ch : A.Characterize.characterization) ->
+        match (ch.A.Characterize.outcome, ch.A.Characterize.mapped) with
+        | A.Characterize.Implemented impl, Some mapped ->
+          let p = impl.F.Size_search.placement in
+          Some
+            ( List.map snd p.F.Place.clbs,
+              p.F.Place.wirelength,
+              impl.F.Size_search.routing,
+              (F.Timing.estimate p mapped).F.Timing.critical_path_ns )
+        | _ -> None)
+      (run_flow name cfg).A.Flow.characterized
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string placed [ Marshal.No_sharing ]))
+
 let verdict_rows name cfg (budget, iterations) =
   let measured c =
     { c with
@@ -113,3 +142,9 @@ let tests =
         Alcotest.test_case label `Quick (fun () ->
             Alcotest.(check string) label want (mapping_digest name k)))
       golden_mappings
+  @ List.map
+      (fun (name, cfg, want) ->
+        let label = Printf.sprintf "%s %s placements" name (cfg_label cfg) in
+        Alcotest.test_case label `Quick (fun () ->
+            Alcotest.(check string) label want (placement_digest name cfg)))
+      golden_placements
