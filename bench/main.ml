@@ -671,31 +671,15 @@ let run_attack () =
     ((t_cold -. t_heur) /. Float.max 1.0 (float run)) run;
   Format.printf "  warm run re-attacked nothing: %b@."
     (warm.A.Selection.Scorer.attacks_run = 0);
-  (* the same cold sweep on the single-shot solver path: the delta is
-     what the incremental session's learnt-clause reuse buys *)
-  let total_conflicts (f : A.Flow.t) =
+  let total_conflicts =
     List.fold_left
       (fun acc (e : A.Selection.efpga_impl) ->
         match e.A.Selection.verdict with
         | Some v -> acc + v.A.Selection.Scorer.v_conflicts
         | None -> acc)
-      0 f.A.Flow.selection.A.Selection.valid
+      0 cold_flow.A.Flow.selection.A.Selection.valid
   in
-  let single_root = Filename.temp_file "alice_bench" ".cache1" in
-  Sys.remove single_root;
-  Unix.putenv "ALICE_SAT_INCREMENTAL" "0";
-  let single_engine = A.Engine.create ~cache_dir:single_root () in
-  let single_flow, t_single =
-    time (fun () -> A.Engine.run single_engine (request measured_cfg))
-  in
-  Unix.putenv "ALICE_SAT_INCREMENTAL" "1";
-  ignore (line "measured cold (single-shot):" single_flow t_single);
-  let conflicts_inc = total_conflicts cold_flow
-  and conflicts_single = total_conflicts single_flow in
-  Format.printf
-    "  solver conflicts: %d incremental vs %d single-shot (%.2fx), %d learnt reused@."
-    conflicts_inc conflicts_single
-    (float conflicts_single /. Float.max 1.0 (float conflicts_inc))
+  Format.printf "  solver conflicts: %d, %d learnt reused@." total_conflicts
     cold.A.Selection.Scorer.attacks_reused;
   (* the point of measuring: the ranking moves *)
   let ranking (f : A.Flow.t) =
@@ -720,9 +704,7 @@ let run_attack () =
     (float warm.A.Selection.Scorer.attacks_cached
     /. Float.max 1.0 (float run));
   note_f "per_verdict_s" ((t_cold -. t_heur) /. Float.max 1.0 (float run));
-  note_f "single_shot_cold_s" t_single;
-  note_i "total_conflicts_cold" conflicts_inc;
-  note_i "total_conflicts_single_shot" conflicts_single;
+  note_i "total_conflicts_cold" total_conflicts;
   note_i "learnt_reused_cold" cold.A.Selection.Scorer.attacks_reused;
   note "diverges_from_eq1" (Jl.Bool (ranking heur_flow <> ranking cold_flow))
 

@@ -441,16 +441,7 @@ let sweep_cmd =
             ds.A.Disk_cache.failures
             (Option.value (A.Engine.cache_root engine) ~default:"-"));
         (* diagnostics, each tagged with its entry's name *)
-        let tagged =
-          List.concat_map
-            (fun (sp : A.Engine.sweep_point) ->
-              List.map
-                (fun (d : D.t) ->
-                  { d with
-                    D.context = ("config", sp.A.Engine.sp_name) :: d.D.context })
-                sp.A.Engine.sp_diags)
-            results
-        in
+        let tagged = List.concat_map A.Engine.point_diags results in
         render_diags fmt tagged;
         if List.exists D.is_error tagged then 1 else 0)
   in
@@ -564,12 +555,7 @@ let advise_cmd =
         let tagged =
           List.concat_map
             (fun (e : A.Advisor.entry) ->
-              let sp = e.A.Advisor.e_point in
-              List.map
-                (fun (d : D.t) ->
-                  { d with
-                    D.context = ("config", sp.A.Engine.sp_name) :: d.D.context })
-                sp.A.Engine.sp_diags)
+              A.Engine.point_diags e.A.Advisor.e_point)
             entries
         in
         render_diags fmt tagged;

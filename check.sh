@@ -84,6 +84,54 @@ if ! grep -Eq 'cache: [1-9][0-9]* hits, 0 computed' "$tmpdir/stderr_warm.txt"; t
   exit 1
 fi
 
+# --- subtree cache keys: a submodule edit must miss, a moved design hit
+# top instantiates p, p instantiates child; only child's body changes
+hier() {
+  cat <<EOF
+module child (input [7:0] a, input [7:0] b, output [7:0] o);
+  assign o = $1;
+endmodule
+module p (input [7:0] a, input [7:0] b, output [7:0] o);
+  child c0 (.a(a), .b(b), .o(o));
+endmodule
+module top (input [7:0] a, input [7:0] b, output [7:0] y);
+  p p0 (.a(a), .b(b), .o(y));
+endmodule
+EOF
+}
+redact_hier() {
+  dune exec --no-build bin/alice_cli.exe -- redact "$tmpdir/hier.v" \
+    -c "$tmpdir/hier.yaml" "$@"
+}
+cat > "$tmpdir/hier.yaml" <<'EOF'
+top: top
+selected_outputs:
+  - y
+max_io_pins: 64
+max_efpgas: 1
+fabric:
+  min_size: 2
+  max_size: 20
+EOF
+edited='(a * b) + (a ^ (b << 1))'
+hier 'a & b' > "$tmpdir/hier.v"
+redact_hier --cache-dir "$tmpdir/hcache" -o "$tmpdir/hier_before.v" 2> /dev/null
+hier "$edited" > "$tmpdir/hier.v"
+redact_hier --cache-dir "$tmpdir/hcache" -o "$tmpdir/hier_warm.v" 2> /dev/null
+redact_hier --no-cache -o "$tmpdir/hier_nocache.v" 2> /dev/null
+if ! cmp -s "$tmpdir/hier_warm.v" "$tmpdir/hier_nocache.v"; then
+  echo "check.sh: cache served a stale result after a submodule edit" >&2
+  exit 1
+fi
+{ printf '\n\n\n'; hier "$edited"; } > "$tmpdir/hier.v"
+redact_hier --cache-dir "$tmpdir/hcache" -o "$tmpdir/hier_shift.v" \
+  2> "$tmpdir/hier_shift.txt"
+if ! grep -Eq 'cache: [1-9][0-9]* hits, 0 computed' "$tmpdir/hier_shift.txt"; then
+  echo "check.sh: a line shift recomputed characterizations:" >&2
+  cat "$tmpdir/hier_shift.txt" >&2
+  exit 1
+fi
+
 # --- measured selection: cold run attacks, warm run replays verdicts --
 # cfg1 specialized to GCD (the unconstrained default config admits far
 # larger candidates, which makes the attacks needlessly expensive here)
@@ -133,21 +181,6 @@ fi
 if ! grep -Eq '^Cluster +Fabric +Verdict' "$tmpdir/mstderr_cold.txt"; then
   echo "check.sh: measured cold run printed no per-candidate verdicts:" >&2
   cat "$tmpdir/mstderr_cold.txt" >&2
-  exit 1
-fi
-# the single-shot escape hatch must produce byte-identical output (its
-# verdicts key separately, so a fresh cache dir keeps modes apart)
-ALICE_SAT_INCREMENTAL=0 dune exec --no-build bin/alice_cli.exe -- \
-  redact "$tmpdir/gcd.v" -c "$tmpdir/gcd.yaml" --score measured \
-  --attack-budget 2000 --cache-dir "$tmpdir/scache" --diag-format=json \
-  -o "$tmpdir/sout.v" > "$tmpdir/sdiags.json" 2> "$tmpdir/sstderr.txt"
-if ! cmp -s "$tmpdir/mout_cold.v" "$tmpdir/sout.v"; then
-  echo "check.sh: incremental and single-shot attack paths disagree" >&2
-  exit 1
-fi
-if grep -Eq ', [1-9][0-9]* reused' "$tmpdir/sstderr.txt"; then
-  echo "check.sh: single-shot mode reported learnt-clause reuse" >&2
-  cat "$tmpdir/sstderr.txt" >&2
   exit 1
 fi
 # measured scoring must rank differently from Eq. 1 on this design:

@@ -93,9 +93,6 @@ type t = {
           registers and third-party logic) makes them dependent; when
           false (default) only a direct wire connection does *)
   (* resource budgets *)
-  solver_budget : int option;
-      (** conflict budget per SAT-solver call in security evaluation;
-          [None] leaves the solver unbounded *)
   characterize_deadline_s : float option;
       (** wall-clock deadline in seconds for characterizing the whole
           candidate set; clusters not started before the deadline are
@@ -120,16 +117,6 @@ type t = {
       (** fault-injection plan spec (test machinery — see
           {!Alice_fault.Fault.parse}); [None] falls back to
           [$ALICE_FAULT_PLAN] *)
-  (* client retry policy (alice client / scripted loops) *)
-  retry_attempts : int;
-      (** RPC attempts before giving up on E1003 busy / E1004 draining /
-          transient connection errors; [1] never retries *)
-  retry_base_delay_s : float;
-      (** first backoff delay; later delays grow exponentially with
-          decorrelated jitter, capped at 32x this value *)
-  retry_deadline_s : float option;
-      (** total wall-clock cap across all attempts; [None] lets the
-          attempt budget alone bound the wait *)
 }
 
 let default =
@@ -142,10 +129,9 @@ let default =
     attack_budget = 20_000; attack_iterations = 64; attack_jobs = 1;
     attack_area_weight = 0.25;
     transitive_independence = false;
-    solver_budget = None; characterize_deadline_s = None;
+    characterize_deadline_s = None;
     jobs = Domain.recommended_domain_count ();
-    cache = true; cache_dir = None; cache_max_bytes = None; fault_plan = None;
-    retry_attempts = 1; retry_base_delay_s = 0.05; retry_deadline_s = None }
+    cache = true; cache_dir = None; cache_max_bytes = None; fault_plan = None }
 
 (** The paper's cfg1: at most 64 I/O pins per eFPGA, up to two eFPGAs. *)
 let cfg1 = { default with max_io_pins = 64; max_efpgas = 2 }
@@ -233,13 +219,6 @@ let of_yaml (doc : Yaml_lite.t) : t =
     transitive_independence =
       Yaml_lite.get_bool ~default:d.transitive_independence doc
         "transitive_independence";
-    solver_budget =
-      (match Yaml_lite.find doc "solver_budget" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "solver_budget: must be positive"
-         else Some n
-       | Some _ -> invalid_arg "solver_budget: expected an integer");
     characterize_deadline_s =
       (match Yaml_lite.find doc "characterize_deadline_s" with
        | None | Some Yaml_lite.Null -> None
@@ -273,50 +252,26 @@ let of_yaml (doc : Yaml_lite.t) : t =
       (match Yaml_lite.find doc "fault_plan" with
        | None | Some Yaml_lite.Null -> None
        | Some (Yaml_lite.String s) -> Some s
-       | Some _ -> invalid_arg "fault_plan: expected a string");
-    retry_attempts =
-      (match Yaml_lite.find doc "retry_attempts" with
-       | None | Some Yaml_lite.Null -> d.retry_attempts
-       | Some (Yaml_lite.Int n) ->
-         if n < 1 then invalid_arg "retry_attempts: must be at least 1"
-         else n
-       | Some _ -> invalid_arg "retry_attempts: expected an integer");
-    retry_base_delay_s =
-      (let v =
-         Yaml_lite.get_float ~default:d.retry_base_delay_s doc
-           "retry_base_delay_s"
-       in
-       if v < 0.0 then invalid_arg "retry_base_delay_s: must be non-negative"
-       else v);
-    retry_deadline_s =
-      (match Yaml_lite.find doc "retry_deadline_s" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "retry_deadline_s: must be positive"
-         else Some (float_of_int n)
-       | Some (Yaml_lite.Float f) ->
-         if f <= 0.0 then invalid_arg "retry_deadline_s: must be positive"
-         else Some f
-       | Some _ -> invalid_arg "retry_deadline_s: expected a number") }
+       | Some _ -> invalid_arg "fault_plan: expected a string") }
 
 let of_string (src : string) : t = of_yaml (Yaml_lite.parse src)
 
 (* Every field below feeds CreateEFPGA (synthesis target, fabric family,
-   permitted widths, utilization bounds) or bounds its solvers. Fields
-   that only steer later phases — selection weights, output filters,
-   ranking — are deliberately excluded so a persistent characterization
-   cache is shared across them. The [v1] prefix versions the derivation
-   itself: extending the list is a format change, not a silent rekey. *)
+   permitted widths, utilization bounds). Fields that only steer later
+   phases — selection weights, output filters, ranking — are deliberately
+   excluded so a persistent characterization cache is shared across
+   them. The version prefix versions the whole characterization key:
+   this list and how [Characterize.keyer] digests the member modules.
+   Changing either is a format change, not a silent rekey. *)
 let characterize_digest (c : t) : string =
   let s =
     Printf.sprintf
-      "v1;lut_inputs=%d;luts_per_clb=%d;ffs_per_clb=%d;gpio_per_tile=%d;\
+      "v2;lut_inputs=%d;luts_per_clb=%d;ffs_per_clb=%d;gpio_per_tile=%d;\
        min_fabric_size=%d;max_fabric_size=%d;target_utilization=%.17g;\
-       min_clb_utilization=%.17g;solver_budget=%s"
+       min_clb_utilization=%.17g"
       c.lut_inputs c.luts_per_clb c.ffs_per_clb c.gpio_per_tile
       c.min_fabric_size c.max_fabric_size c.target_utilization
       c.min_clb_utilization
-      (match c.solver_budget with None -> "-" | Some n -> string_of_int n)
   in
   Digest.to_hex (Digest.string s)
 

@@ -68,9 +68,6 @@ type t = {
   transitive_independence : bool;
       (** true: any dataflow path between two instances makes them
           dependent; false (default): only a direct wire connection *)
-  solver_budget : int option;
-      (** conflict budget per SAT-solver call in security evaluation;
-          [None] leaves the solver unbounded *)
   characterize_deadline_s : float option;
       (** wall-clock deadline in seconds for characterizing the whole
           candidate set; clusters not started before the deadline are
@@ -95,15 +92,6 @@ type t = {
       (** fault-injection plan spec (test machinery — see
           {!Alice_fault.Fault.parse}); [None] falls back to
           [$ALICE_FAULT_PLAN] *)
-  retry_attempts : int;
-      (** RPC attempts before giving up on E1003 busy / E1004 draining /
-          transient connection errors; [1] never retries *)
-  retry_base_delay_s : float;
-      (** first backoff delay; later delays grow exponentially with
-          decorrelated jitter, capped at 32x this value *)
-  retry_deadline_s : float option;
-      (** total wall-clock cap across all attempts; [None] lets the
-          attempt budget alone bound the wait *)
 }
 
 val default : t
@@ -122,12 +110,11 @@ val of_string : string -> t
 
 (** Hex digest of every configuration field that can change a
     characterization outcome (fabric family, permitted widths,
-    utilization bounds, solver budgets) — and none that cannot, so a
-    persistent cache is shared across selection-only variations. Two
-    configurations with equal digests always characterize a given
-    cluster identically; the digest is part of the cache key, so
-    configurations with different fabric parameters never share
-    entries. *)
+    utilization bounds) — and none that cannot, so a persistent cache
+    is shared across selection-only variations. Two configurations
+    with equal digests always characterize a given cluster identically;
+    the digest is part of the cache key, so configurations with
+    different fabric parameters never share entries. *)
 val characterize_digest : t -> string
 
 (** Hex digest of every configuration field that can change an attack

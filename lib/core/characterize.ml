@@ -6,7 +6,7 @@
     member with all ports exposed, exactly the "top Verilog module that
     instantiates all independent modules" of Section 6. Results are
     cached by the multiset of member modules, each tagged with a digest
-    of its elaborated content, plus a digest of every configuration
+    of its elaborated subtree, plus a digest of every configuration
     field that can change the outcome
     ({!Alice_config.Flow_config.characterize_digest}) — so two clusters
     of the same module mix always get the same fabric, and the key
@@ -109,27 +109,43 @@ type stats = {
 let empty_stats =
   { clusters = 0; unique = 0; cache_hits = 0; computed = 0; skipped = 0 }
 
-(* A stable digest of a module's elaborated content: what the wrapper
-   top actually instantiates. [No_sharing] makes the blob a function of
-   structure alone, so the digest is identical across processes — and
-   two same-named modules with different bodies (e.g. from different
-   designs sharing one persistent store) never collide. *)
-let module_digest (em : V.Elaborate.emodule) : string =
-  Digest.to_hex (Digest.string (Marshal.to_string em [ Marshal.No_sharing ]))
-
 (** Clusters with the same member-module multiset, the same member
-    *content* and the same characterization-relevant configuration map
-    to the same fabric — that triple is the cache key. Returns a keying
-    function with the per-module digests and the config digest computed
-    once, so keying a whole candidate set stays cheap. *)
+    *subtree content* and the same characterization-relevant
+    configuration map to the same fabric — that triple is the cache key.
+    Returns a keying function with the per-module digests and the config
+    digest computed once, so keying a whole candidate set stays cheap. *)
 let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
     Clustering.cluster -> string =
   let mdigests : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let digest_of name =
+  (* A Merkle digest of a module's elaborated subtree, because the
+     cluster netlist synthesizes the whole subtree: the module's own
+     content with instance locations stripped, plus its children's
+     digests. A child edit therefore rekeys every ancestor, while a line
+     shift or a file rename, which only move [ei_loc], rekey nothing.
+     [No_sharing] makes the blob a function of structure alone, so the
+     digest is identical across processes — and two same-named modules
+     with different bodies (e.g. from different designs sharing one
+     persistent store) never collide. *)
+  let rec digest_of name =
     match Hashtbl.find_opt mdigests name with
     | Some d -> d
     | None ->
-      let d = module_digest (V.Elaborate.find_emodule design name) in
+      let em = V.Elaborate.find_emodule design name in
+      let em_instances =
+        List.map
+          (fun (i : V.Elaborate.einstance) -> { i with ei_loc = V.Loc.none })
+          em.V.Elaborate.em_instances
+      in
+      let children =
+        List.map
+          (fun (i : V.Elaborate.einstance) -> digest_of i.ei_module)
+          em_instances
+      in
+      let blob =
+        Marshal.to_string ({ em with em_instances }, children)
+          [ Marshal.No_sharing ]
+      in
+      let d = Digest.to_hex (Digest.string blob) in
       Hashtbl.add mdigests name d;
       d
   in
@@ -142,10 +158,6 @@ let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
       |> List.sort compare |> String.concat "|"
     in
     members ^ "#" ^ cfg_digest
-
-let cache_key (design : V.Elaborate.design) (cfg : C.Flow_config.t)
-    (cluster : Clustering.cluster) : string =
-  keyer design cfg cluster
 
 (* a short human label for diagnostics: the cluster's member instances *)
 let cluster_label (cluster : Clustering.cluster) : string =
@@ -224,18 +236,6 @@ let compute (design : V.Elaborate.design) (cfg : C.Flow_config.t)
         mapped = Some mapped }
     | Ok impl -> { cluster; outcome = Implemented impl; mapped = Some mapped }
     | Error f -> { cluster; outcome = Infeasible f; mapped = Some mapped })
-
-(** Characterize one cluster (cached). On a cache hit the shared result
-    is retargeted so any diagnostic names this cluster's own
-    instances. *)
-let run ?(cache : cache option) (design : V.Elaborate.design)
-    (cfg : C.Flow_config.t) (cluster : Clustering.cluster) : characterization =
-  match cache with
-  | None -> compute design cfg cluster
-  | Some memo ->
-    retarget cluster
-      (Memo.find_or_add memo (cache_key design cfg cluster) (fun () ->
-           compute design cfg cluster))
 
 (** Characterize every cluster; order preserved. Clusters are
     deduplicated by cache key up front — one computation per unique

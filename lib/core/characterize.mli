@@ -2,7 +2,7 @@
     cluster by actually building its eFPGA — a synthetic top
     instantiating the members with all ports exposed, synthesized,
     LUT-mapped, and passed to the minimum-fabric search. Results are
-    cached by member-module multiset (content-digested) plus the
+    cached by member-module multiset (subtree-digested) plus the
     configuration's {!Alice_config.Flow_config.characterize_digest};
     {!run_all} deduplicates by that key up front and characterizes the
     unique keys across a Domain-based worker pool, with output
@@ -44,7 +44,7 @@ val cluster_circuit :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> N.Circuit.t
 
 (** Shared characterization cache: a mutex-guarded memo table keyed by
-    {!cache_key}, safe to share across worker domains and across runs.
+    {!keyer}, safe to share across worker domains and across runs.
     Optional [load]/[save] hooks back it with a persistent store (see
     {!Alice_parallel.Memo} for the hook contract — hooks must not
     raise). *)
@@ -70,29 +70,17 @@ type stats = {
 
 val empty_stats : stats
 
-(** The cache key of a cluster: its member-module multiset with each
-    member tagged by a digest of its elaborated content, joined with
+(** [keyer design cfg] is the cache key function for clusters of
+    [design] under [cfg]: a cluster's member-module multiset with each
+    member tagged by a digest of its elaborated subtree (its own content
+    without source locations, plus its children's digests), joined with
     the configuration's characterization digest. Sound across designs
-    and configurations: same key implies same characterization
-    outcome. {!keyer} is the batch form — per-module digests and the
-    config digest are computed once. *)
-val cache_key :
-  V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> string
-
+    and configurations: same key implies same characterization outcome.
+    A child edit rekeys every cluster containing an ancestor; a line
+    shift or a file rename rekeys nothing. Per-module digests and the
+    config digest are computed once per keyer. *)
 val keyer :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> string
-
-(** Characterize one cluster. Any exception escaping synthesis, LUT
-    mapping or the size search (except [Out_of_memory]) becomes a
-    [Failed] outcome carrying a classified diagnostic. On a cache hit
-    the shared result is retargeted so any diagnostic names this
-    cluster's own instances. *)
-val run :
-  ?cache:cache ->
-  V.Elaborate.design ->
-  C.Flow_config.t ->
-  Clustering.cluster ->
-  characterization
 
 (** Characterize every cluster; order preserved and output independent
     of [jobs] (default 1: strictly serial, no domain spawned).

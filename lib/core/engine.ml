@@ -7,11 +7,11 @@
     parameter exploration and iterative customization run the *same*
     modules through CreateEFPGA over and over, and the dominant cost is
     exactly those characterizations. A cold run pays them once; every
-    later run — in the same process via {!run_many}, or in a new
-    process via the on-disk store — gets them back by content-addressed
-    lookup ({!Characterize.cache_key}: member-module content digests
-    plus the configuration's characterization digest), so results are
-    identical to a cold run, just faster.
+    later run — in the same process through the same engine, or in a
+    new process via the on-disk store — gets them back by
+    content-addressed lookup ({!Characterize.keyer}: member-module
+    subtree digests plus the configuration's characterization digest),
+    so results are identical to a cold run, just faster.
 
     Degradation is always soft: unusable cache entries recompute with a
     [W0702] warning on the affected run's diagnostics, an unwritable
@@ -52,9 +52,8 @@ let create ?(cache = true) ?cache_dir ?max_bytes ?faults () : t =
   else begin
     let disk = Disk_cache.create ?root:cache_dir ?max_bytes ~faults () in
     let load key = Disk_cache.load disk ~key in
-    (* the disk layer only ever holds fabric verdicts: [run_all] already
-       refuses to cache faults and skips, and [Characterize.run]'s
-       single-cluster path goes through this same filter *)
+    (* the disk layer only ever holds fabric verdicts; [run_all]
+       already refuses to cache faults and skips *)
     let save key (c : Characterize.characterization) =
       match c.Characterize.outcome with
       | Characterize.Implemented _ | Characterize.Infeasible _ ->
@@ -94,10 +93,6 @@ let of_config (cfg : C.Flow_config.t) : t =
   in
   create ~cache:cfg.C.Flow_config.cache ?cache_dir:cfg.C.Flow_config.cache_dir
     ?max_bytes:cfg.C.Flow_config.cache_max_bytes ~faults ()
-
-let cache (t : t) : Characterize.cache = t.memo
-
-let attack_cache (t : t) : Scorer.cache = t.attack_memo
 
 let cache_root (t : t) : string option = Option.map Disk_cache.root t.disk
 
@@ -142,20 +137,6 @@ let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
     Disk_cache.set_sink disk sink;
     Option.iter (fun store -> Disk_cache.set_sink store sink) t.attack_store
 
-(** Run a batch of jobs — (design × config) pairs in whatever mix —
-    sequentially through one cache: later jobs reuse every
-    characterization any earlier job (or any earlier process, via the
-    disk store) already paid for. Parallelism lives *inside* each job
-    (the configuration's [jobs] worker domains), where the paper's
-    workload actually fans out. *)
-let run_many (t : t) (reqs : Flow.request list) : Flow.t list =
-  List.map (run t) reqs
-
-let enable_cache_writes (t : t) : unit =
-  Option.iter Disk_cache.enable_writes t.disk;
-  Option.iter Disk_cache.enable_writes t.sweep_store;
-  Option.iter Disk_cache.enable_writes t.attack_store
-
 let gc ?max_bytes (t : t) : Disk_cache.gc_stats option =
   match t.disk with
   | None -> None
@@ -190,6 +171,12 @@ type sweep_point = {
   sp_diags : D.t list;
   sp_resumed : bool;
 }
+
+let point_diags (sp : sweep_point) : D.t list =
+  List.map
+    (fun (d : D.t) ->
+      { d with D.context = ("config", sp.sp_name) :: d.D.context })
+    sp.sp_diags
 
 let solution_fabrics (flow : Flow.t) : string option =
   match flow.Flow.selection.Selection.best with
@@ -294,10 +281,10 @@ let point_key (name : string) (req : Flow.request) : string =
     on resume". Tested in test/test_engine.ml.
 
     All points run through this engine's single characterization memo
-    AND its single attack-verdict pool ([attack_cache]): grid entries
-    whose configs differ only in knobs outside {!C.Flow_config.attack_digest}
-    (e.g. [attack_area_weight], [score_mode]) re-rank cached verdicts
-    without re-running a single attack. *)
+    AND its single attack-verdict pool: grid entries whose configs
+    differ only in knobs outside {!C.Flow_config.attack_digest} (e.g.
+    [attack_area_weight], [score_mode]) re-rank cached verdicts without
+    re-running a single attack. *)
 let run_sweep ?(shared = false) ?(resume = true)
     ?(on_point : (sweep_point -> unit) option) (t : t)
     (points : (string * Flow.request) list) : sweep_point list =

@@ -4,8 +4,8 @@
     {!Disk_cache} store — through which any number of flow
     {!Flow.request}s run.
 
-    Entries are content-addressed by {!Characterize.cache_key} (member
-    module content digests plus the configuration's
+    Entries are content-addressed by {!Characterize.keyer} (member
+    module subtree digests plus the configuration's
     {!Alice_config.Flow_config.characterize_digest}), loaded lazily one
     key at a time, and survive process boundaries, so fabric-parameter
     sweeps and repeated CLI invocations stop re-running CreateEFPGA on
@@ -30,8 +30,8 @@ type t
     (default [true]) the memo table is backed by the {!Disk_cache} store
     rooted at [cache_dir] (default {!Disk_cache.default_root}), bounded
     to [max_bytes] with LRU eviction when given; with [~cache:false] the
-    engine is purely in-memory — still worth holding across {!run_many}
-    jobs, just not across processes. [faults] (default
+    engine is purely in-memory — still worth holding across runs, just
+    not across processes. [faults] (default
     {!Alice_fault.Fault.global}) threads the fault-injection plan into
     the store and the engine's own sweep checkpointing. *)
 val create :
@@ -69,22 +69,6 @@ val run_shared : t -> Flow.request -> Flow.t
     previously installed sink. No-op when caching is off. *)
 val set_warning_sink : t -> (D.t -> unit) -> unit
 
-(** Run a batch of (design × config) jobs sequentially through one
-    cache: later jobs reuse every characterization an earlier job — or
-    an earlier process, via the disk store — already paid for.
-    Parallelism lives inside each job (its configuration's [jobs]
-    worker domains). *)
-val run_many : t -> Flow.request list -> Flow.t list
-
-(** The engine's shared cache, for driving {!Characterize} directly. *)
-val cache : t -> Characterize.cache
-
-(** The engine's shared attack-verdict cache, for driving
-    {!Selection.Scorer.measure} (or {!Selection.run} with an explicit
-    scorer) directly. Backed by the persistent [attack/] namespace
-    under the store root when caching is on. *)
-val attack_cache : t -> Scorer.cache
-
 (** Root directory of the persistent store; [None] when caching is
     off. *)
 val cache_root : t -> string option
@@ -93,16 +77,12 @@ val cache_root : t -> string option
     caching is off. *)
 val disk_stats : t -> Disk_cache.stats option
 
-(** Re-enable disk writes after a [W0703] write-disable (both the
-    characterization store and the sweep checkpoint store); no-op when
-    caching is off. {!gc} does this automatically. *)
-val enable_cache_writes : t -> unit
-
 (** Garbage-collect the persistent store: validate every entry,
     quarantine corruption, evict least-recently-used entries to
     [max_bytes] (default: the engine's configured budget), and
-    re-enable writes. [None] when caching is off. Safe to call on a
-    live engine — concurrent loads degrade to misses at worst. *)
+    re-enable writes after a [W0703] write-disable. [None] when caching
+    is off. Safe to call on a live engine — concurrent loads degrade to
+    misses at worst. *)
 val gc : ?max_bytes:int -> t -> Disk_cache.gc_stats option
 
 (** The advisor's objective vector for one solved point, read off the
@@ -138,12 +118,17 @@ type sweep_point = {
   sp_resumed : bool;         (** served from a checkpoint, not computed *)
 }
 
+(** A point's diagnostics, each tagged with the point's name as its
+    ["config"] context — how [sweep], [advise] and the server report
+    them. *)
+val point_diags : sweep_point -> D.t list
+
 (** The fabric label {!sweep_point.sp_fabrics} reports, for callers
     holding a full {!Flow.t}. *)
 val solution_fabrics : Flow.t -> string option
 
 (** [run_sweep t points] runs named requests sequentially through the
-    engine's cache like {!run_many}, but checkpoints each point's
+    engine's cache like {!run}, but checkpoints each point's
     summary into the persistent store the moment it completes: a sweep
     killed after [k] of [n] points (even with SIGKILL) resumes on rerun
     by serving those [k] summaries back — marked [sp_resumed] — and
@@ -153,7 +138,7 @@ val solution_fabrics : Flow.t -> string option
     (checkpoints are still written). [~shared] selects {!run_shared}
     semantics for the underlying runs (servers); the default is {!run}.
     With caching off there are no checkpoints and this degrades to
-    {!run_many} plus summarization. [~on_point] observes each point
+    {!run} on each point plus summarization. [~on_point] observes each point
     (resumed or computed) the moment it is available — strictly AFTER
     its checkpoint is written. That ordering is a contract streaming
     consumers build on: a crash between computing a point and

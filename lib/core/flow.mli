@@ -52,8 +52,7 @@ type source =
     caller-owned diagnostic collector — the record form of the
     [?config ?diags ?file] optional-argument sprawl the deprecated
     wrappers used to carry. Build with {!request}; consume with
-    {!run_request} or, for cross-run cache reuse and batching,
-    {!Engine.run} / {!Engine.run_many}. *)
+    {!run_request} or, for cross-run cache reuse, {!Engine.run}. *)
 type request = {
   source : source;
   config : C.Flow_config.t;

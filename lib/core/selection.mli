@@ -28,7 +28,7 @@ module Scorer : sig
     v_key_bits : int;
     v_reused : int;
         (** learnt clauses the attack's incremental session carried
-            across queries; 0 on the single-shot path *)
+            across queries *)
   }
 
   type stats = {
@@ -58,9 +58,8 @@ module Scorer : sig
       budget digest ({!Alice_config.Flow_config.attack_digest}).
       Changing the fabric, the netlist or any budget knob rekeys;
       changing [attack_jobs] or [attack_area_weight] does not. The
-      single-shot escape hatch ([ALICE_SAT_INCREMENTAL=0]) keys
-      separately: its conflict counts come from a different search
-      order and must never alias incremental ones. *)
+      string is persisted by every verdict store, so its format is
+      pinned by a golden test. *)
   val verdict_key :
     C.Flow_config.t ->
     fabric:F.Fabric.t ->

@@ -21,8 +21,7 @@
     clauses — plus branching activity and saved phases — carry over
     between queries. An LBD-ordered clause-database reduction with a
     geometric ceiling keeps the retained learnts from degrading
-    propagation. The historical single-shot {!solve}/{!solve_stats} API
-    is a one-query session. *)
+    propagation. The single-shot {!solve} is a one-query session. *)
 
 type result =
   | Sat of bool array (* indexed by variable, entry 0 unused *)
@@ -567,7 +566,7 @@ let maybe_reduce (s : t) : unit =
     s.max_learnts <- s.max_learnts + (s.max_learnts / 2)
   end
 
-(* process-wide count of completed queries ([solve]/[solve_stats] calls
+(* process-wide count of completed queries (single-shot [solve] calls
    and incremental-session queries); Atomic so pool workers in other
    domains are counted too *)
 let call_counter = Atomic.make 0
@@ -754,24 +753,18 @@ module Incremental = struct
       learnt_ceiling = s.max_learnts; reduces = s.reduces }
 end
 
-(** Solve the formula and report the conflicts spent: a one-query
-    session. [assumptions] are literals (DIMACS convention) asserted for
-    this query only.
+(** Solve the formula: a one-query session. [assumptions] are literals
+    (DIMACS convention) asserted for this query only.
 
     [max_conflicts]/[max_decisions] are hard resource budgets: when the
     search would exceed either, it stops and returns {!Unknown} instead
     of looping indefinitely on a hard instance. Conflicts at decision
     level 0 still conclude [Unsat] regardless of budget. *)
-let solve_stats ?(assumptions : int list = []) ?max_conflicts ?max_decisions
-    (f : Cnf.t) : result * int =
+let solve ?(assumptions : int list = []) ?max_conflicts ?max_decisions
+    (f : Cnf.t) : result =
   let s = create_session ~nvars:(Cnf.var_count f) () in
   Incremental.add_cnf s f;
-  let r = solve_session s ~assumptions ~max_conflicts ~max_decisions in
-  (r, s.conflicts)
-
-(** Solve the formula, discarding the conflict count. *)
-let solve ?assumptions ?max_conflicts ?max_decisions (f : Cnf.t) : result =
-  fst (solve_stats ?assumptions ?max_conflicts ?max_decisions f)
+  solve_session s ~assumptions ~max_conflicts ~max_decisions
 
 (** Value of a DIMACS variable in a model. *)
 let model_value (model : bool array) (v : int) : bool =

@@ -9,7 +9,7 @@
     the live instance, each query solves under per-call assumptions, and
     learnt clauses carry over between queries (with LBD-ordered
     clause-database reduction keeping the retained set bounded). The
-    single-shot {!solve}/{!solve_stats} API is a one-query session. *)
+    single-shot {!solve} is a one-query session. *)
 
 type result =
   | Sat of bool array  (** indexed by variable; entry 0 unused *)
@@ -28,21 +28,10 @@ val solve :
   Cnf.t ->
   result
 
-(** Like {!solve} but also reports the number of conflicts the search
-    spent, including searches that concluded [Unsat] at level 0. The
-    conflict count is the deterministic cost measure used by measured
-    selection scoring. *)
-val solve_stats :
-  ?assumptions:int list ->
-  ?max_conflicts:int ->
-  ?max_decisions:int ->
-  Cnf.t ->
-  result * int
-
 (** Process-wide number of completed solver queries across all domains
-    since program start — single-shot {!solve}/{!solve_stats} calls and
-    {!Incremental} session queries alike. Tests use deltas of this
-    counter to assert that warm cache paths perform zero solver work. *)
+    since program start — single-shot {!solve} calls and {!Incremental}
+    session queries alike. Tests use deltas of this counter to assert
+    that warm cache paths perform zero solver work. *)
 val total_calls : unit -> int
 
 (** Value of a variable in a model. *)

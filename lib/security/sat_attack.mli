@@ -4,11 +4,10 @@
     which any key consistent with the recorded queries is functionally
     correct.
 
-    The default loop runs on one persistent incremental solver session:
-    every DIP iteration appends its replay constraints to the live miter
+    The loop runs on one persistent incremental solver session: every
+    DIP iteration appends its replay constraints to the live miter
     (gated behind an activation literal) and learnt clauses carry across
-    queries. [ALICE_SAT_INCREMENTAL=0] selects the historical
-    single-shot loop that rebuilds the CNF cold each iteration. *)
+    queries. *)
 
 (** How a run ended. [Converged] proves the key space collapsed;
     [Exhausted] means the iteration/time budget ran out (the lock held
@@ -33,7 +32,7 @@ type outcome = {
   reused : int;
       (** learnt clauses inherited across the session's queries
           (cumulative live learnt clauses at each query start after the
-          first); 0 on the single-shot path *)
+          first) *)
 }
 
 type budget = {
@@ -46,16 +45,10 @@ type budget = {
 
 val default_budget : budget
 
-(** Whether the incremental loop is enabled: true unless
-    [ALICE_SAT_INCREMENTAL] is set to [0]/[false]/[no]/[off]. *)
-val incremental_enabled : unit -> bool
-
 (** Run the attack; [oracle] maps a scan-input stimulus to the correct
-    response (use {!Locked.make_oracle}). [incremental] overrides the
-    [ALICE_SAT_INCREMENTAL] environment default. *)
+    response (use {!Locked.make_oracle}). *)
 val attack :
   ?budget:budget ->
-  ?incremental:bool ->
   Locked.t ->
   oracle:(bool array -> bool array) ->
   outcome

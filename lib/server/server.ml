@@ -136,16 +136,6 @@ let times_field (times : A.Flow.phase_times) : string * J.t =
         ("clustering_s", J.Float times.A.Flow.clustering_s);
         ("selection_s", J.Float times.A.Flow.selection_s) ] )
 
-let solution_fabrics (flow : A.Flow.t) : string option =
-  Option.map
-    (fun (best : A.Selection.solution) ->
-      String.concat "+"
-        (List.map
-           (fun (e : A.Selection.efpga_impl) ->
-             F.Fabric.size_label e.A.Selection.impl.F.Size_search.fabric)
-           best.A.Selection.efpgas))
-    flow.A.Flow.selection.A.Selection.best
-
 (* additive minor-2 field: measured-selection attack accounting; minor 3
    adds the solver-reuse counter and per-candidate verdicts *)
 let attack_field ~(minor : int) (flow : A.Flow.t) : (string * J.t) list =
@@ -203,7 +193,7 @@ let execute_redact t ~(id : J.t) ~(minor : int) (source : P.source)
         ([ ("verilog", J.String r.A.Redact.verilog);
            ("sites", J.List sites);
            ( "fabrics",
-             match solution_fabrics flow with
+             match A.Engine.solution_fabrics flow with
              | Some s -> J.String s
              | None -> J.Null );
            char_stats_field flow.A.Flow.char_stats;
@@ -281,12 +271,6 @@ let sweep_row_fields ~(minor : int) (sp : A.Engine.sweep_point) :
                         m.A.Engine.pm_security_mode) ) ] ) ])
   @ [ ("resumed", J.Bool sp.A.Engine.sp_resumed) ]
 
-let tag_point_diags (sp : A.Engine.sweep_point) : D.t list =
-  List.map
-    (fun (d : D.t) ->
-      { d with D.context = ("config", sp.A.Engine.sp_name) :: d.D.context })
-    sp.A.Engine.sp_diags
-
 (* a checkpointed point did no cache (or attack) work in this process *)
 let record_point t (sp : A.Engine.sweep_point) =
   if not sp.A.Engine.sp_resumed then begin
@@ -322,7 +306,8 @@ let execute_sweep t ~(id : J.t) ~(minor : int)
       record_point t sp;
       emit
         (P.event_response ~id ~op:"sweep" ~event:"row"
-           (sweep_row_fields ~minor sp @ diags_field (tag_point_diags sp)));
+           (sweep_row_fields ~minor sp
+           @ diags_field (A.Engine.point_diags sp)));
       incr sent;
       if sp.A.Engine.sp_feasible then incr feasible;
       if sp.A.Engine.sp_resumed then incr resumed
@@ -340,7 +325,7 @@ let execute_sweep t ~(id : J.t) ~(minor : int)
     let rows =
       List.map (fun sp -> J.Obj (sweep_row_fields ~minor sp)) results
     in
-    let tagged = List.concat_map tag_point_diags results in
+    let tagged = List.concat_map A.Engine.point_diags results in
     ( P.ok_response ~id ~op:"sweep"
         ([ ("rows", J.List rows) ] @ diags_field tagged),
       true )
@@ -370,7 +355,8 @@ let execute_advise t ~(id : J.t) ~(minor : int)
       if sp.A.Engine.sp_resumed then incr resumed;
       emit
         (P.event_response ~id ~op:"advise" ~event:"row"
-           (sweep_row_fields ~minor sp @ diags_field (tag_point_diags sp)))
+           (sweep_row_fields ~minor sp
+           @ diags_field (A.Engine.point_diags sp)))
     in
     let report = A.Advisor.run ~shared:true ~on_point t.engine ~source:src plan in
     ( P.event_response ~id ~op:"advise" ~event:"done"
@@ -388,7 +374,7 @@ let execute_advise t ~(id : J.t) ~(minor : int)
     let rows =
       List.map (fun sp -> J.Obj (sweep_row_fields ~minor sp)) points
     in
-    let tagged = List.concat_map tag_point_diags points in
+    let tagged = List.concat_map A.Engine.point_diags points in
     ( P.ok_response ~id ~op:"advise"
         ([ ("rows", J.List rows) ] @ finish report @ diags_field tagged),
       true )

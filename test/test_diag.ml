@@ -254,22 +254,18 @@ let test_run_request_reports_parse_errors () =
 (* ---------- configuration knobs ---------- *)
 
 let test_config_knobs () =
-  let cfg = C.Flow_config.of_string "solver_budget: 5000\ncharacterize_deadline_s: 2.5\n" in
-  Alcotest.(check (option int)) "solver budget" (Some 5000)
-    cfg.C.Flow_config.solver_budget;
+  let cfg = C.Flow_config.of_string "characterize_deadline_s: 2.5\n" in
   (match cfg.C.Flow_config.characterize_deadline_s with
   | Some s -> Alcotest.(check (float 1e-9)) "deadline" 2.5 s
   | None -> Alcotest.fail "deadline not parsed");
   let d = C.Flow_config.of_string "alpha: 2.0\n" in
-  Alcotest.(check (option int)) "budget defaults off" None
-    d.C.Flow_config.solver_budget;
   Alcotest.(check bool) "deadline defaults off" true
     (d.C.Flow_config.characterize_deadline_s = None);
   (* an integer deadline is accepted *)
   let i = C.Flow_config.of_string "characterize_deadline_s: 3\n" in
   Alcotest.(check bool) "int deadline" true
     (i.C.Flow_config.characterize_deadline_s = Some 3.0);
-  match C.Flow_config.of_string "solver_budget: -3\n" with
+  match C.Flow_config.of_string "attack_budget: -3\n" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative budget must be rejected"
 

@@ -1,6 +1,6 @@
 (* The reusable flow engine and its persistent characterization cache:
-   memo backing-store hooks, config-digest keying, on-disk round trips,
-   corruption degradation, and warm-run reuse. *)
+   memo backing-store hooks, config-digest and subtree keying, on-disk
+   round trips, corruption degradation, and warm-run reuse. *)
 
 module V = Alice_verilog
 module A = Alice
@@ -86,9 +86,8 @@ let test_config_digest_in_key () =
   Alcotest.(check bool) "digest differs on fabric bound" true
     (C.Flow_config.characterize_digest cfg_a
      <> C.Flow_config.characterize_digest cfg_b);
-  let key_a = A.Characterize.cache_key flow.A.Flow.design cfg_a cluster in
-  let key_b = A.Characterize.cache_key flow.A.Flow.design cfg_b cluster in
-  let key_c = A.Characterize.cache_key flow.A.Flow.design cfg_c cluster in
+  let key cfg = A.Characterize.keyer flow.A.Flow.design cfg cluster in
+  let key_a = key cfg_a and key_b = key cfg_b and key_c = key cfg_c in
   Alcotest.(check bool) "keys differ on fabric bound" true (key_a <> key_b);
   Alcotest.(check bool) "keys differ on lut arch" true (key_a <> key_c);
   (* so two such configs can never share an on-disk entry *)
@@ -97,9 +96,68 @@ let test_config_digest_in_key () =
     (A.Disk_cache.entry_path store key_a <> A.Disk_cache.entry_path store key_b);
   (* selection-only knobs must NOT invalidate characterizations *)
   let cfg_sel = { demo_cfg with C.Flow_config.alpha = 9.0; max_efpgas = 1 } in
-  Alcotest.(check string) "selection knobs reuse"
-    key_a
-    (A.Characterize.cache_key flow.A.Flow.design cfg_sel cluster)
+  Alcotest.(check string) "selection knobs reuse" key_a (key cfg_sel)
+
+(* ---------- subtree keys: a child edit rekeys, a relocation does not ---------- *)
+
+(* [top] -> [p] -> [child]; [pad] goes above the design, shifting every
+   instance's line *)
+let hier_request ?(file = "hier.v") ?(pad = "") child_expr =
+  let text =
+    pad
+    ^ Printf.sprintf
+        {|module child (input [7:0] a, input [7:0] b, output [7:0] o);
+  assign o = %s;
+endmodule
+module p (input [7:0] a, input [7:0] b, output [7:0] o);
+  child c0 (.a(a), .b(b), .o(o));
+endmodule
+module top (input [7:0] a, input [7:0] b, output [7:0] y);
+  p p0 (.a(a), .b(b), .o(y));
+endmodule
+|}
+        child_expr
+  in
+  let config =
+    { C.Flow_config.default with
+      C.Flow_config.top = Some "top"; selected_outputs = [ "y" ];
+      max_io_pins = 64; max_efpgas = 1; min_fabric_size = 2;
+      max_fabric_size = 20; jobs = 1 }
+  in
+  A.Flow.request ~config (A.Flow.Text { text; file = Some file })
+
+let test_subtree_keys () =
+  let verilog (flow : A.Flow.t) =
+    match A.Flow.redact flow with
+    | Some r -> r.A.Redact.verilog
+    | None -> Alcotest.fail "no redaction"
+  in
+  let edited = "(a * b) + (a ^ (b << 1))" in
+  let engine = A.Engine.create ~cache_dir:(tmp_root ()) () in
+  ignore (A.Engine.run engine (hier_request "a & b"));
+  (* [p]'s own text is unchanged, but its subtree is not: no cluster
+     holding [child] may be served from the cache *)
+  let warm = A.Engine.run engine (hier_request edited) in
+  let s = warm.A.Flow.char_stats in
+  Alcotest.(check int) "child edit: every cluster recomputed"
+    s.A.Characterize.unique s.A.Characterize.computed;
+  let cold = A.Flow.run_request (hier_request edited) in
+  Alcotest.(check string) "child edit: warm equals cold" (verilog cold)
+    (verilog warm);
+  (* moving the design in its file, or renaming the file, changes only
+     source locations: every cluster hits *)
+  List.iter
+    (fun (label, req) ->
+      let flow = A.Engine.run engine req in
+      let s = flow.A.Flow.char_stats in
+      Alcotest.(check int) (label ^ ": zero computed") 0
+        s.A.Characterize.computed;
+      Alcotest.(check int) (label ^ ": all hits") s.A.Characterize.unique
+        s.A.Characterize.cache_hits;
+      Alcotest.(check string) (label ^ ": same output") (verilog cold)
+        (verilog flow))
+    [ ("line shift", hier_request ~pad:"\n\n\n" edited);
+      ("file rename", hier_request ~file:"renamed.v" edited) ]
 
 (* ---------- on-disk store: round trip and degradation ---------- *)
 
@@ -243,9 +301,9 @@ let test_engine_no_cache () =
   Alcotest.(check int) "second run zero computed" 0
     again.A.Flow.char_stats.A.Characterize.computed
 
-(* ---------- run_many on the SoC: batch reuse ---------- *)
+(* ---------- a batch on the SoC: reuse across runs ---------- *)
 
-let test_run_many_soc_warm () =
+let test_batch_soc_warm () =
   let soc_cfg =
     { C.Flow_config.cfg1 with
       C.Flow_config.selected_outputs = Alice_benchmarks.Soc.selected_outputs;
@@ -259,7 +317,7 @@ let test_run_many_soc_warm () =
   let root = tmp_root () in
   let engine = A.Engine.create ~cache_dir:root () in
   (* one batch, same job twice: the second must reuse everything *)
-  (match A.Engine.run_many engine [ req (); req () ] with
+  (match List.map (A.Engine.run engine) [ req (); req () ] with
   | [ first; second ] ->
     Alcotest.(check bool) "first computes" true
       (first.A.Flow.char_stats.A.Characterize.computed > 0);
@@ -268,7 +326,7 @@ let test_run_many_soc_warm () =
     Alcotest.(check int) "second: all hits"
       second.A.Flow.char_stats.A.Characterize.unique
       second.A.Flow.char_stats.A.Characterize.cache_hits
-  | _ -> Alcotest.fail "run_many arity");
+  | _ -> Alcotest.fail "batch arity");
   (* a new engine over the same store: warm across processes too *)
   let warm = A.Engine.run (A.Engine.create ~cache_dir:root ()) (req ()) in
   Alcotest.(check int) "fresh engine: zero recomputations" 0
@@ -425,6 +483,7 @@ let tests =
       test_concurrent_writers;
     Alcotest.test_case "config digest in cache key" `Quick
       test_config_digest_in_key;
+    Alcotest.test_case "subtree keys" `Quick test_subtree_keys;
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "unusable entries degrade" `Quick
       test_unusable_entries_degrade;
@@ -433,7 +492,7 @@ let tests =
     Alcotest.test_case "store corruption survived" `Quick
       test_engine_survives_store_corruption;
     Alcotest.test_case "engine without cache" `Quick test_engine_no_cache;
-    Alcotest.test_case "run_many soc warm" `Quick test_run_many_soc_warm;
+    Alcotest.test_case "batch soc warm" `Quick test_batch_soc_warm;
     Alcotest.test_case "sweep point metrics" `Quick test_sweep_point_metrics;
     Alcotest.test_case "sweep shares one attack pool" `Quick
       test_sweep_shares_attack_pool;

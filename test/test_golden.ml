@@ -13,7 +13,9 @@
    designs at two attack budgets. Conflict counts move with any change
    to the SAT solver's search (branching, propagation order, learning,
    clause-DB reduction), so a solver speedup that changes the search
-   fails here even when every verdict status stays the same. *)
+   fails here even when every verdict status stays the same.
+
+   Golden verdict keys: the strings verdicts persist under. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -68,6 +70,15 @@ let golden_verdicts =
     ("SHA256", `C1, (1000, 8), [ "sha256.u_rom 12x12 inconclusive/5/2021/1533" ])
   ]
 
+(* Golden verdict keys: the attack-verdict cache key of a candidate
+   (design, configuration, cluster). Every persisted verdict is stored
+   under such a string, so a change to its format would silently orphan
+   every verdict store. *)
+let golden_verdict_keys =
+  [ ( "GCD", `C1, "gcd.u_dp.u_lt",
+      "attack-verdict v2 df102eb899b38d0d29cdd9ef5aa3a879 \
+       53c56390f1dfac01aff64a1b6c864247 39da22bac4b079a3f96fe4184e4ddfa5" ) ]
+
 let cfg_label = function `C1 -> "cfg1" | `C2 -> "cfg2"
 
 let run_flow ?(tune = Fun.id) name cfg =
@@ -120,6 +131,21 @@ let verdict_rows name cfg (budget, iterations) =
         r.A.Report.vr_conflicts r.A.Report.vr_reused)
     (A.Report.verdict_rows (run_flow ~tune:measured name cfg))
 
+let verdict_key name cfg cluster_key =
+  let module F = Alice_fabric in
+  let flow = run_flow name cfg in
+  match
+    List.find_opt
+      (fun (e : A.Selection.efpga_impl) ->
+        e.A.Selection.cluster.A.Clustering.key = cluster_key)
+      flow.A.Flow.selection.A.Selection.valid
+  with
+  | None -> Alcotest.failf "%s: no valid candidate %s" name cluster_key
+  | Some e ->
+    A.Selection.Scorer.verdict_key flow.A.Flow.config
+      ~fabric:e.A.Selection.impl.F.Size_search.fabric
+      ~mapped:e.A.Selection.mapped
+
 let tests =
   List.map
     (fun (name, cfg, want) ->
@@ -148,3 +174,9 @@ let tests =
         Alcotest.test_case label `Quick (fun () ->
             Alcotest.(check string) label want (placement_digest name cfg)))
       golden_placements
+  @ List.map
+      (fun (name, cfg, cluster, want) ->
+        let label = Printf.sprintf "%s %s verdict key" name (cfg_label cfg) in
+        Alcotest.test_case label `Quick (fun () ->
+            Alcotest.(check string) label want (verdict_key name cfg cluster)))
+      golden_verdict_keys

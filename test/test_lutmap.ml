@@ -257,9 +257,9 @@ let whole_design name =
 
 (* A seeded random circuit over at most 6 inputs and a few flip-flops:
    mostly muxes, ANDs and XORs, with buffers, inverters and 3-input
-   LUTs mixed in. Every gate reads earlier nets, so there is no
-   combinational loop. *)
-let random_circuit seed =
+   LUTs mixed in, [size] to [4 * size - 1] gates. Every gate reads
+   earlier nets, so there is no combinational loop. *)
+let random_circuit ~size seed =
   let st = Random.State.make [| 0x10f; seed |] in
   let c = N.Circuit.create (Printf.sprintf "rnd%d" seed) in
   let pool = ref (Array.to_list (N.Circuit.add_input c "a" (2 + Random.State.int st 5))) in
@@ -271,7 +271,7 @@ let random_circuit seed =
     List.nth !pool (min (n - 1) (Random.State.int st (min n 8)))
   in
   let kinds = N.Circuit.[| Mux; Mux; Mux; And; Xor; Xor; Or; Not; Buf; Lut [||] |] in
-  for _ = 1 to 20 + Random.State.int st 60 do
+  for _ = 1 to size + Random.State.int st (3 * size) do
     let kind =
       match kinds.(Random.State.int st (Array.length kinds)) with
       | N.Circuit.Lut _ -> N.Circuit.Lut (Array.init 8 (fun _ -> Random.State.bool st))
@@ -318,7 +318,7 @@ let differential_corpus =
   lazy
     (cluster_netlists [ "GCD"; "SASC"; "USB_PHY"; "FIR"; "IIR"; "SHA256" ]
     @ List.map whole_design [ "DES3"; "SOC" ]
-    @ List.init 48 random_circuit
+    @ List.init 48 (random_circuit ~size:20)
     @ List.init 4 ladder)
 
 let test_differential () =

@@ -95,10 +95,43 @@ let test_attack_sequential () =
   Alcotest.(check (option bool)) "sequential key correct" (Some true)
     report.Sec.Metrics.key_correct
 
+(* Seeded property: on a lock with n scan inputs, an attack bounded
+   only by 2^n + 1 iterations converges within 2^n DIPs (no input is
+   ever distinguishing twice) and recovers a key that is functionally
+   correct on every input. Small circuits (6 to 23 gates) keep the 30
+   unbounded attacks well under a second. *)
+let test_attack_property () =
+  List.iter
+    (fun seed ->
+      let circuit = Test_lutmap.random_circuit ~size:6 seed in
+      let mapped = fst (N.Lutmap.map ~k:4 circuit) in
+      let locked = Sec.Locked.of_mapped mapped in
+      let n = Array.length (Sec.Locked.input_nets locked) in
+      Alcotest.(check bool) "at most 8 scan inputs" true (n <= 8);
+      let outcome =
+        Sec.Sat_attack.attack
+          ~budget:{ Sec.Sat_attack.max_iterations = (1 lsl n) + 1;
+                    max_seconds = infinity; solver_conflicts = None }
+          locked ~oracle:(Sec.Locked.make_oracle locked)
+      in
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check string) (label "converges") "converged"
+        (Sec.Sat_attack.status_to_string outcome.Sec.Sat_attack.status);
+      Alcotest.(check bool) (label "at most 2^n DIPs") true
+        (outcome.Sec.Sat_attack.iterations <= 1 lsl n);
+      match outcome.Sec.Sat_attack.key with
+      | None -> Alcotest.fail (label "no key extracted")
+      | Some key ->
+        Alcotest.(check bool) (label "recovered key correct") true
+          (Sec.Metrics.key_is_correct locked key))
+    (List.init 30 Fun.id)
+
 let tests =
   [ Alcotest.test_case "lock roundtrip" `Quick test_lock_roundtrip;
     Alcotest.test_case "scan view" `Quick test_scan_view;
     Alcotest.test_case "attack recovers key" `Quick test_attack_recovers;
     Alcotest.test_case "attack budget" `Quick test_attack_budget;
     Alcotest.test_case "metrics report" `Quick test_metrics_report;
-    Alcotest.test_case "sequential attack" `Quick test_attack_sequential ]
+    Alcotest.test_case "sequential attack" `Quick test_attack_sequential;
+    Alcotest.test_case "attack property: 30 random locks" `Quick
+      test_attack_property ]
