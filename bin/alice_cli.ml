@@ -17,11 +17,13 @@
    Unix-domain socket, sharing one characterization cache across every
    request.
 
-   redact, bench and sweep share one flag group: --jobs (characterization
-   worker domains), --cache-dir and --no-cache (the persistent
-   characterization cache; see Alice.Engine), plus the measured-selection
-   knobs --score, --attack-budget and --attack-jobs (see
-   Alice.Selection.Scorer). Warm-cache runs produce byte-identical output
+   redact, bench, sweep and advise share one flag group: --jobs
+   (characterization worker domains), --cache-dir and --no-cache (the
+   persistent characterization cache; see Alice.Engine), plus the
+   measured-selection knobs --score, --attack-budget and --attack-jobs
+   (see Alice.Selection.Scorer). serve takes only --jobs and the two cache
+   flags (scoring comes from its base config or the request); cache gc
+   takes only --cache-dir. Warm-cache runs produce byte-identical output
    to cold ones, they just skip CreateEFPGA (and, under --score measured,
    replay cached attack verdicts instead of re-running the SAT attack).
 
@@ -42,12 +44,16 @@ module Sec = Alice_security
 module S = Alice_server
 module J = Alice_config.Json_lite
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* a source file, or stdin for [-] *)
+let read_input = function
+  | "-" -> In_channel.input_all In_channel.stdin
+  | path -> read_file path
+
+let load_yaml = function
+  | None -> C.Yaml_lite.Null
+  | Some path -> C.Yaml_lite.parse (read_file path)
 
 let load_design path =
   let src = read_file path in
@@ -56,6 +62,27 @@ let load_design path =
 let load_config = function
   | None -> C.Flow_config.default
   | Some path -> C.Flow_config.of_string (read_file path)
+
+(* ---------- shared arguments ---------- *)
+
+(* the design every analysis command reads; redact also takes stdin *)
+let design_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v")
+
+let output_arg =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.v")
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* [-o PATH] writes the result there and says so on stderr; without it
+   the result goes to stdout *)
+let write_output (output : string option) (text : string) : unit =
+  match output with
+  | Some path ->
+    write_file path text;
+    Format.eprintf "wrote %s@." path
+  | None -> print_string text
 
 (* ---------- diagnostics plumbing ---------- *)
 
@@ -69,43 +96,56 @@ let diag_format =
 (* ---------- parallelism & cache plumbing ----------
 
    One flag group, threaded identically through redact, bench, sweep
-   and serve: it evaluates to the raw override values; [apply_overrides]
-   lays them over whatever configuration a command loaded (serve also
-   reads the raw [jobs] to cap per-request parallelism). *)
+   and advise: it evaluates to the overrides, laid over whatever
+   configuration a command loaded. serve takes only the engine subset
+   (it also reads the raw [jobs] to cap per-request parallelism), cache
+   gc only the cache directory. *)
 
-type flow_overrides = {
-  ov_jobs : int option;
-  ov_cache_dir : string option;
-  ov_no_cache : bool;
-  ov_score : C.Flow_config.score_mode option;
-  ov_attack_budget : int option;
-  ov_attack_jobs : int option;
-}
+let jobs_flag =
+  Arg.(value & opt (some int) None
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Characterize candidate clusters across $(docv) worker \
+                 domains. $(b,1) disables parallelism; the default is the \
+                 machine's recommended domain count. Results are \
+                 identical for any value.")
 
-let flow_flags : flow_overrides Cmdliner.Term.t =
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Characterize candidate clusters across $(docv) worker \
-                   domains. $(b,1) disables parallelism; the default is \
-                   the machine's recommended domain count. Results are \
-                   identical for any value.")
-  in
-  let cache_dir =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Root of the persistent characterization cache. \
-                   Defaults to \\$ALICE_CACHE_DIR, \
-                   \\$XDG_CACHE_HOME/alice or ~/.cache/alice. Warm runs \
-                   produce byte-identical results, they just skip \
-                   already-characterized eFPGAs.")
-  in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ]
-             ~doc:"Disable the persistent characterization cache for \
-                   this invocation (nothing is read or written).")
-  in
+let cache_dir_flag =
+  Arg.(value & opt (some string) None
+       & info [ "cache-dir" ] ~docv:"DIR"
+           ~doc:"Root of the persistent characterization cache. \
+                 Defaults to \\$ALICE_CACHE_DIR, \
+                 \\$XDG_CACHE_HOME/alice or ~/.cache/alice. Warm runs \
+                 produce byte-identical results, they just skip \
+                 already-characterized eFPGAs.")
+
+let no_cache_flag =
+  Arg.(value & flag
+       & info [ "no-cache" ]
+           ~doc:"Disable the persistent characterization cache for this \
+                 invocation (nothing is read or written).")
+
+(* count flags are rejected as the flow rejects the same YAML keys *)
+let bounded ~(must : string) (ok : int -> bool) (flag : string) (n : int) =
+  if ok n then n
+  else invalid_arg (Printf.sprintf "%s %d: must be %s" flag n must)
+
+let positive = bounded ~must:"positive" (fun n -> n > 0)
+
+let at_least_1 = bounded ~must:"at least 1" (fun n -> n >= 1)
+
+let over o set cfg = match o with None -> cfg | Some v -> set cfg v
+
+(* --jobs, --cache-dir and --no-cache over a loaded configuration *)
+let engine_overrides jobs cache_dir no_cache (cfg : C.Flow_config.t) =
+  cfg
+  |> over jobs (fun cfg n ->
+         { cfg with C.Flow_config.jobs = at_least_1 "--jobs" n })
+  |> over cache_dir (fun cfg dir ->
+         { cfg with C.Flow_config.cache_dir = Some dir })
+  |> fun cfg ->
+  if no_cache then { cfg with C.Flow_config.cache = false } else cfg
+
+let flow_flags : (C.Flow_config.t -> C.Flow_config.t) Term.t =
   let score =
     let mode_conv =
       Arg.enum
@@ -136,47 +176,19 @@ let flow_flags : flow_overrides Cmdliner.Term.t =
              ~doc:"Run measured-selection attacks across $(docv) worker \
                    domains. Rankings are identical for any value.")
   in
-  let gather jobs cache_dir no_cache score attack_budget attack_jobs =
-    { ov_jobs = jobs; ov_cache_dir = cache_dir; ov_no_cache = no_cache;
-      ov_score = score; ov_attack_budget = attack_budget;
-      ov_attack_jobs = attack_jobs }
+  let overrides jobs cache_dir no_cache score budget attack_jobs cfg =
+    engine_overrides jobs cache_dir no_cache cfg
+    |> over score (fun cfg mode ->
+           { cfg with C.Flow_config.score_mode = mode })
+    |> over budget (fun cfg n ->
+           let n = positive "--attack-budget" n in
+           { cfg with C.Flow_config.attack_budget = n })
+    |> over attack_jobs (fun cfg n ->
+           let n = at_least_1 "--attack-jobs" n in
+           { cfg with C.Flow_config.attack_jobs = n })
   in
-  Term.(const gather $ jobs $ cache_dir $ no_cache $ score $ attack_budget
-        $ attack_jobs)
-
-let apply_overrides (ov : flow_overrides) (cfg : C.Flow_config.t) :
-    C.Flow_config.t =
-  let cfg =
-    match ov.ov_jobs with
-    | None -> cfg
-    | Some n when n >= 1 -> { cfg with C.Flow_config.jobs = n }
-    | Some n -> invalid_arg (Printf.sprintf "--jobs %d: must be at least 1" n)
-  in
-  let cfg =
-    match ov.ov_cache_dir with
-    | None -> cfg
-    | Some dir -> { cfg with C.Flow_config.cache_dir = Some dir }
-  in
-  let cfg =
-    if ov.ov_no_cache then { cfg with C.Flow_config.cache = false } else cfg
-  in
-  let cfg =
-    match ov.ov_score with
-    | None -> cfg
-    | Some mode -> { cfg with C.Flow_config.score_mode = mode }
-  in
-  let cfg =
-    match ov.ov_attack_budget with
-    | None -> cfg
-    | Some n when n > 0 -> { cfg with C.Flow_config.attack_budget = n }
-    | Some n ->
-      invalid_arg (Printf.sprintf "--attack-budget %d: must be positive" n)
-  in
-  match ov.ov_attack_jobs with
-  | None -> cfg
-  | Some n when n >= 1 -> { cfg with C.Flow_config.attack_jobs = n }
-  | Some n ->
-    invalid_arg (Printf.sprintf "--attack-jobs %d: must be at least 1" n)
+  Term.(const overrides $ jobs_flag $ cache_dir_flag $ no_cache_flag $ score
+        $ attack_budget $ attack_jobs)
 
 (* the per-run cache accounting, on stderr next to the tables *)
 let report_cache_line (flow : A.Flow.t) : unit =
@@ -205,26 +217,47 @@ let report_attack_line (cfg : C.Flow_config.t) (flow : A.Flow.t) : unit =
 let render_diags (fmt : D.format) (diags : D.t list) : unit =
   if diags <> [] then
     match fmt with
-    | D.Text -> prerr_string (D.render_list D.Text diags)
+    | D.Text -> prerr_endline (D.render_list D.Text diags)
     | D.Json -> print_string (D.render_list D.Json diags)
 
+(* sweep and advise: how many points came back from checkpoints *)
+let report_resumed ~(cmd : string) ~(noun : string)
+    (points : A.Engine.sweep_point list) : unit =
+  let resumed = List.filter (fun sp -> sp.A.Engine.sp_resumed) points in
+  if resumed <> [] then
+    Format.eprintf
+      "%s: %d of %d %s resumed from checkpoints (use --no-resume to \
+       recompute)@."
+      cmd (List.length resumed) (List.length points) noun
+
+(* render every point's diagnostics, each tagged with its point's name;
+   any error among them makes the exit code 1 *)
+let point_diags_exit (fmt : D.format) (points : A.Engine.sweep_point list) :
+    int =
+  let tagged = List.concat_map A.Engine.point_diags points in
+  render_diags fmt tagged;
+  if List.exists D.is_error tagged then 1 else 0
+
+let no_resume_arg ~(noun : string) =
+  Arg.(value & flag
+       & info [ "no-resume" ]
+           ~doc:
+             (Printf.sprintf
+                "Recompute every %s instead of serving those already \
+                 checkpointed by an earlier (possibly killed) run over the \
+                 same inputs. Checkpoints are still written."
+                noun))
+
 (* Classify an exception that escaped a command into a diagnostic plus
-   the exit code it implies: recognized input/configuration problems are
-   1, anything unexpected is an internal failure, 2. *)
+   the exit code it implies: recognized input/configuration problems
+   (the library's classifier, plus the client's own) are 1, anything
+   unexpected is an internal failure, 2. *)
 let diag_of_cli_exn : exn -> D.t * int = function
-  | V.Loc.Error (loc, msg) -> (D.error ~loc ~code:"E0100" "%s" msg, 1)
-  | C.Yaml_lite.Parse_error (line, msg) ->
-    (D.error ~code:"E0601" "configuration parse error at line %d: %s" line msg, 1)
   | J.Parse_error (line, msg) ->
     (D.error ~code:"E1000" "request parse error at line %d: %s" line msg, 1)
   | S.Client.Connection_error msg -> (D.error ~code:"E0001" "%s" msg, 1)
-  | N.Synth.Synthesis_error msg -> (D.error ~code:"E0201" "synthesis error: %s" msg, 1)
-  | N.Simulate.Combinational_cycle msg ->
-    (D.error ~code:"E0202" "combinational cycle: %s" msg, 1)
-  | A.Redact.Redaction_error msg -> (D.error ~code:"E0800" "redaction error: %s" msg, 1)
-  | Invalid_argument msg -> (D.error ~code:"E0602" "%s" msg, 1)
-  | Sys_error msg -> (D.error ~code:"E0001" "%s" msg, 1)
-  | e -> (D.of_exn e, 2)
+  | e -> (
+    match A.Flow.classify_exn e with Some d -> (d, 1) | None -> (D.of_exn e, 2))
 
 (* Run a command body that returns its own exit code; exceptions become
    rendered diagnostics (appended to any partial ones already collected)
@@ -244,7 +277,6 @@ let handle_errors ~(fmt : D.format) ?(collector : D.Collector.t option)
 (* ---------- inspect ---------- *)
 
 let inspect_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v") in
   let top =
     Arg.(value & opt (some string) None & info [ "t"; "top" ] ~docv:"MODULE")
   in
@@ -268,7 +300,7 @@ let inspect_cmd =
   in
   Cmd.v
     (Cmd.info "inspect" ~doc:"Show design characteristics (Table 1 style)")
-    Term.(const run $ file $ top $ diag_format)
+    Term.(const run $ design_arg $ top $ diag_format)
 
 (* ---------- redact ---------- *)
 
@@ -281,18 +313,13 @@ let redact_cmd =
   let config =
     Arg.(value & opt (some file) None & info [ "c"; "config" ] ~docv:"FLOW.yaml")
   in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.v")
-  in
   let opaque = Arg.(value & flag & info [ "opaque" ] ~doc:"Emit the foundry view") in
   let run file config output opaque flags fmt =
     let collector = D.Collector.create () in
     handle_errors ~fmt ~collector (fun () ->
-        let src, src_name =
-          if file = "-" then (In_channel.input_all In_channel.stdin, "<stdin>")
-          else (read_file file, file)
-        in
-        let cfg = apply_overrides flags (load_config config) in
+        let src = read_input file in
+        let src_name = if file = "-" then "<stdin>" else file in
+        let cfg = flags (load_config config) in
         let engine = A.Engine.of_config cfg in
         (* recovering front end: every syntax error lands in the
            collector and surviving modules continue through the flow *)
@@ -321,13 +348,7 @@ let redact_cmd =
                   s.efpga_name s.insertion_point (List.length s.members)
                   s.gpio_in_width s.gpio_out_width)
               r.A.Redact.sites;
-            (match output with
-            | Some path ->
-              let oc = open_out path in
-              output_string oc r.A.Redact.verilog;
-              close_out oc;
-              Format.eprintf "wrote %s@." path
-            | None -> print_string r.A.Redact.verilog);
+            write_output output r.A.Redact.verilog;
             if D.Collector.has_errors collector then 1 else 0
         in
         render_diags fmt (D.Collector.list collector);
@@ -335,7 +356,8 @@ let redact_cmd =
   in
   Cmd.v
     (Cmd.info "redact" ~doc:"Run the ALICE flow and emit the redacted design")
-    Term.(const run $ file $ config $ output $ opaque $ flow_flags $ diag_format)
+    Term.(const run $ file $ config $ output_arg $ opaque $ flow_flags
+          $ diag_format)
 
 (* ---------- sweep ---------- *)
 
@@ -357,20 +379,12 @@ let redact_cmd =
    with every earlier run. *)
 
 let sweep_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v") in
   let config =
     Arg.(required & opt (some file) None
          & info [ "c"; "config" ] ~docv:"SWEEP.yaml"
              ~doc:"Sweep description: an optional $(b,base) \
                    configuration map and a $(b,sweep) list of \
                    configuration overlays, one flow run per entry.")
-  in
-  let no_resume =
-    Arg.(value & flag
-         & info [ "no-resume" ]
-             ~doc:"Recompute every entry instead of serving entries \
-                   already checkpointed by an earlier (possibly killed) \
-                   run of the same sweep. Checkpoints are still written.")
   in
   let run file config no_resume flags fmt =
     handle_errors ~fmt (fun () ->
@@ -387,9 +401,7 @@ let sweep_cmd =
         let ast = load_design file in
         (* cache knobs (and the engine) come from base + flags; each
            entry still carries its own full configuration *)
-        let engine =
-          A.Engine.of_config (apply_overrides flags (C.Flow_config.of_yaml base))
-        in
+        let engine = A.Engine.of_config (flags (C.Flow_config.of_yaml base)) in
         let points =
           List.mapi
             (fun i entry ->
@@ -399,8 +411,7 @@ let sweep_cmd =
                   entry "name"
               in
               let cfg =
-                apply_overrides flags
-                  (C.Flow_config.of_yaml (C.Yaml_lite.merge base entry))
+                flags (C.Flow_config.of_yaml (C.Yaml_lite.merge base entry))
               in
               ( name,
                 A.Flow.request ~config:cfg
@@ -424,15 +435,7 @@ let sweep_cmd =
               sp.A.Engine.sp_computed sp.A.Engine.sp_skipped
               (if sp.A.Engine.sp_resumed then "yes" else "no"))
           results;
-        let resumed =
-          List.length
-            (List.filter (fun sp -> sp.A.Engine.sp_resumed) results)
-        in
-        if resumed > 0 then
-          Format.eprintf
-            "sweep: %d of %d entries resumed from checkpoints (use \
-             --no-resume to recompute)@."
-            resumed (List.length results);
+        report_resumed ~cmd:"sweep" ~noun:"entries" results;
         (match A.Engine.disk_stats engine with
         | None -> ()
         | Some ds ->
@@ -440,10 +443,7 @@ let sweep_cmd =
             ds.A.Disk_cache.disk_hits ds.A.Disk_cache.stores
             ds.A.Disk_cache.failures
             (Option.value (A.Engine.cache_root engine) ~default:"-"));
-        (* diagnostics, each tagged with its entry's name *)
-        let tagged = List.concat_map A.Engine.point_diags results in
-        render_diags fmt tagged;
-        if List.exists D.is_error tagged then 1 else 0)
+        point_diags_exit fmt results)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -451,7 +451,8 @@ let sweep_cmd =
              reusing characterizations across entries and runs; completed \
              entries are checkpointed, so a killed sweep resumes where it \
              died")
-    Term.(const run $ file $ config $ no_resume $ flow_flags $ diag_format)
+    Term.(const run $ design_arg $ config $ no_resume_arg ~noun:"entry"
+          $ flow_flags $ diag_format)
 
 (* ---------- advise ----------
 
@@ -463,7 +464,6 @@ let sweep_cmd =
    warm runs are byte-identical — check.sh asserts it. *)
 
 let advise_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v") in
   let constraints =
     Arg.(value & opt (some file) None
          & info [ "c"; "constraints" ] ~docv:"CONSTRAINTS.yaml"
@@ -483,25 +483,13 @@ let advise_cmd =
                    recommendation on stdout) or $(b,json) \
                    (machine-readable report on stdout).")
   in
-  let no_resume =
-    Arg.(value & flag
-         & info [ "no-resume" ]
-             ~doc:"Recompute every candidate instead of serving \
-                   candidates already checkpointed by an earlier \
-                   (possibly killed) run over the same grid. \
-                   Checkpoints are still written.")
-  in
   let run file constraints format no_resume flags fmt =
     handle_errors ~fmt (fun () ->
-        let doc =
-          match constraints with
-          | None -> C.Yaml_lite.Null
-          | Some path -> C.Yaml_lite.parse (read_file path)
-        in
+        let doc = load_yaml constraints in
         let base_doc =
           Option.value (C.Yaml_lite.find doc "base") ~default:C.Yaml_lite.Null
         in
-        let base = apply_overrides flags (C.Flow_config.of_yaml base_doc) in
+        let base = flags (C.Flow_config.of_yaml base_doc) in
         let ast = load_design file in
         let source = A.Flow.Ast ast in
         let plan = A.Advisor.plan_of_source ~base ~constraints:doc source in
@@ -510,18 +498,10 @@ let advise_cmd =
           A.Advisor.run ~resume:(not no_resume) engine ~source plan
         in
         let entries = report.A.Advisor.r_entries in
-        let resumed =
-          List.length
-            (List.filter
-               (fun (e : A.Advisor.entry) ->
-                 e.A.Advisor.e_point.A.Engine.sp_resumed)
-               entries)
+        let points =
+          List.map (fun (e : A.Advisor.entry) -> e.A.Advisor.e_point) entries
         in
-        if resumed > 0 then
-          Format.eprintf
-            "advise: %d of %d candidates resumed from checkpoints (use \
-             --no-resume to recompute)@."
-            resumed (List.length entries);
+        report_resumed ~cmd:"advise" ~noun:"candidates" points;
         (match format with
         | `Json ->
           print_endline (J.to_string (A.Advisor.json_of_report report))
@@ -551,15 +531,7 @@ let advise_cmd =
               m.A.Engine.pm_area_um2 m.A.Engine.pm_timing_ns
               m.A.Engine.pm_security
               (C.Flow_config.score_mode_to_string m.A.Engine.pm_security_mode));
-        (* diagnostics, each tagged with its candidate's name *)
-        let tagged =
-          List.concat_map
-            (fun (e : A.Advisor.entry) ->
-              A.Engine.point_diags e.A.Advisor.e_point)
-            entries
-        in
-        render_diags fmt tagged;
-        if List.exists D.is_error tagged then 1 else 0)
+        point_diags_exit fmt points)
   in
   Cmd.v
     (Cmd.info "advise"
@@ -569,13 +541,12 @@ let advise_cmd =
              and security, and rank it. Candidates are cached and \
              checkpointed like sweep entries, so a killed run resumes \
              with zero recomputation")
-    Term.(const run $ file $ constraints $ format $ no_resume $ flow_flags
-          $ diag_format)
+    Term.(const run $ design_arg $ constraints $ format
+          $ no_resume_arg ~noun:"candidate" $ flow_flags $ diag_format)
 
 (* ---------- attack ---------- *)
 
 let attack_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v") in
   let module_name =
     Arg.(required & opt (some string) None & info [ "m"; "module" ] ~docv:"MODULE")
   in
@@ -593,6 +564,16 @@ let attack_cmd =
   in
   let run file module_name iterations seconds solver_budget fmt =
     handle_errors ~fmt (fun () ->
+        let budget =
+          { Sec.Sat_attack.max_iterations = positive "--iterations" iterations;
+            max_seconds =
+              (if seconds > 0.0 then seconds
+               else
+                 invalid_arg
+                   (Printf.sprintf "--timeout %g: must be positive" seconds));
+            solver_conflicts =
+              Option.map (positive "--attack-budget") solver_budget }
+        in
         let ast = load_design file in
         let d = V.Elaborate.elaborate ast in
         let circuit = N.Synth.synthesize_module d module_name in
@@ -600,10 +581,6 @@ let attack_cmd =
         Format.printf "module %s: %d LUTs, %d FFs, %d I/O bits@." module_name
           (N.Circuit.lut_count mapped) (N.Circuit.dff_count mapped)
           (N.Circuit.io_bit_count mapped);
-        let budget =
-          { Sec.Sat_attack.max_iterations = iterations; max_seconds = seconds;
-            solver_conflicts = solver_budget }
-        in
         let locked = Sec.Locked.of_mapped mapped in
         let oracle = Sec.Locked.make_oracle locked in
         let o = Sec.Sat_attack.attack ~budget locked ~oracle in
@@ -634,20 +611,16 @@ let attack_cmd =
   Cmd.v
     (Cmd.info "attack"
        ~doc:"Lock one module as an eFPGA and run the oracle-guided SAT attack")
-    Term.(const run $ file $ module_name $ iterations $ seconds $ solver_budget
-          $ diag_format)
+    Term.(const run $ design_arg $ module_name $ iterations $ seconds
+          $ solver_budget $ diag_format)
 
 (* ---------- decompose ---------- *)
 
 let decompose_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v") in
   let module_name =
     Arg.(required & opt (some string) None & info [ "m"; "module" ] ~docv:"MODULE")
   in
   let pins = Arg.(value & opt int 64 & info [ "pins" ] ~docv:"N") in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.v")
-  in
   let run file module_name pins output fmt =
     handle_errors ~fmt (fun () ->
         let ast = load_design file in
@@ -661,25 +634,18 @@ let decompose_cmd =
             (fun part outs ->
               Format.eprintf "%s <- outputs {%s}@." part (String.concat ", " outs))
             plan.A.Decompose.part_names plan.A.Decompose.group_outputs;
-          let text = V.Pp.design_to_string design' in
-          (match output with
-          | Some path ->
-            let oc = open_out path in
-            output_string oc text;
-            close_out oc;
-            Format.eprintf "wrote %s@." path
-          | None -> print_string text);
+          write_output output (V.Pp.design_to_string design');
           0)
   in
   Cmd.v
     (Cmd.info "decompose"
        ~doc:"Split a combinational module into eFPGA-sized parts              (fine-grained redaction pre-processing)")
-    Term.(const run $ file $ module_name $ pins $ output $ diag_format)
+    Term.(const run $ design_arg $ module_name $ pins $ output_arg
+          $ diag_format)
 
 (* ---------- simulate ---------- *)
 
 let simulate_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN.v") in
   let top =
     Arg.(value & opt (some string) None & info [ "t"; "top" ] ~docv:"MODULE")
   in
@@ -720,7 +686,8 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Synthesize and simulate a design with random stimuli;              optionally dump a VCD waveform")
-    Term.(const run $ file $ top $ cycles $ vcd_out $ seed $ diag_format)
+    Term.(const run $ design_arg $ top $ cycles $ vcd_out $ seed
+          $ diag_format)
 
 (* ---------- bench ---------- *)
 
@@ -745,9 +712,7 @@ let bench_cmd =
           print_string b.B.source;
           0
         | Some b ->
-          let config =
-            apply_overrides flags (if cfg2 then B.config2 b else B.config1 b)
-          in
+          let config = flags (if cfg2 then B.config2 b else B.config1 b) in
           let engine = A.Engine.of_config config in
           let flow =
             A.Engine.run engine
@@ -828,7 +793,7 @@ let serve_cmd =
                    dead clients cannot pin a worker or stall the drain.")
   in
   let run listen socket config max_in_flight max_queue deadline idle_timeout
-      flags fmt =
+      jobs cache_dir no_cache fmt =
     handle_errors ~fmt (fun () ->
         let listen =
           (match socket with
@@ -840,19 +805,16 @@ let serve_cmd =
           invalid_arg
             "serve: nowhere to listen; give --listen ENDPOINT (or --socket \
              PATH)";
-        let base =
-          match config with
-          | None -> C.Yaml_lite.Null
-          | Some path -> C.Yaml_lite.parse (read_file path)
-        in
+        let base = load_yaml config in
         let engine =
           A.Engine.of_config
-            (apply_overrides flags (C.Flow_config.of_yaml base))
+            (engine_overrides jobs cache_dir no_cache
+               (C.Flow_config.of_yaml base))
         in
         let server_cfg =
           { (S.Server.default_config ~socket_path:"/unused") with
             S.Server.listen; max_in_flight; max_queue; base;
-            jobs = flags.ov_jobs; deadline_s = deadline;
+            jobs; deadline_s = deadline;
             idle_timeout_s = idle_timeout }
         in
         (* the effective endpoints come from the live server, so a
@@ -879,7 +841,8 @@ let serve_cmd =
              admission control with a cheap lane reserved for health \
              checks, graceful drain on SIGTERM or a $(b,shutdown) request")
     Term.(const run $ listen $ socket $ config $ max_in_flight $ max_queue
-          $ deadline $ idle_timeout $ flow_flags $ diag_format)
+          $ deadline $ idle_timeout $ jobs_flag $ cache_dir_flag
+          $ no_cache_flag $ diag_format)
 
 (* ---------- client ---------- *)
 
@@ -953,12 +916,13 @@ let client_cmd =
   let stream =
     Arg.(value & flag
          & info [ "stream" ]
-             ~doc:"Ask for a streaming response (sweep requests): adds \
-                   $(b,stream:true) and the protocol minor version to the \
-                   request, and prints every $(b,event:\"row\") frame to \
-                   stdout the moment it arrives; $(b,--extract) and exit \
-                   status apply to the terminal frame. Against an older \
-                   server the response simply comes back buffered.")
+             ~doc:"Ask for a streaming response (sweep and advise \
+                   requests): adds $(b,stream:true) and the protocol minor \
+                   version to the request, and prints every \
+                   $(b,event:\"row\") frame to stdout the moment it \
+                   arrives; $(b,--extract) and exit status apply to the \
+                   terminal frame. Against an older server the response \
+                   simply comes back buffered.")
   in
   let retry_deadline =
     Arg.(value & opt (some float) None
@@ -976,10 +940,7 @@ let client_cmd =
           | Some `Shutdown, _ -> S.Protocol.shutdown_request ()
           | Some `CacheGc, _ -> S.Protocol.cache_gc_request ()
           | None, Some src ->
-            let text =
-              if src = "-" then In_channel.input_all In_channel.stdin
-              else read_file src
-            in
+            let text = read_input src in
             let config =
               match config with
               | None -> J.Null
@@ -987,11 +948,7 @@ let client_cmd =
             in
             S.Protocol.redact_request ~config ?view (S.Protocol.Inline text)
           | None, None ->
-            let text =
-              match request_file with
-              | None | Some "-" -> In_channel.input_all In_channel.stdin
-              | Some path -> read_file path
-            in
+            let text = read_input (Option.value request_file ~default:"-") in
             let line = String.trim text in
             if line = "" then invalid_arg "client: empty request";
             (* fail on malformed JSON client-side, before the round trip *)
@@ -1057,10 +1014,7 @@ let client_cmd =
         in
         (match output with
         | None -> print_string printed
-        | Some path ->
-          let oc = open_out path in
-          output_string oc printed;
-          close_out oc);
+        | Some path -> write_file path printed);
         match J.find doc "ok" with Some (J.Bool true) -> 0 | _ -> 1)
   in
   Cmd.v
@@ -1093,7 +1047,7 @@ let cache_cmd =
                      validates and quarantines; a server gc falls back \
                      to the server's configured budget.")
     in
-    let run socket max_bytes flags fmt =
+    let run socket max_bytes cache_dir fmt =
       handle_errors ~fmt (fun () ->
           match socket with
           | Some sock ->
@@ -1107,7 +1061,7 @@ let cache_cmd =
             | _ -> 1)
           | None ->
             let root =
-              match flags.ov_cache_dir with
+              match cache_dir with
               | Some dir -> dir
               | None -> A.Disk_cache.default_root ()
             in
@@ -1128,7 +1082,7 @@ let cache_cmd =
                least-recently-used entries to a byte budget, and — on a \
                running server — re-enable writes disabled by an earlier \
                write failure")
-      Term.(const run $ socket $ max_bytes $ flow_flags $ diag_format)
+      Term.(const run $ socket $ max_bytes $ cache_dir_flag $ diag_format)
   in
   Cmd.group
     (Cmd.info "cache" ~doc:"Persistent characterization cache maintenance")

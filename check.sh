@@ -242,6 +242,31 @@ fi
 # serializes on the build lock, which would defeat concurrent clients
 ALICE=_build/default/bin/alice_cli.exe
 
+# --- CLI regressions: flags a command cannot honour are refused -------
+# serve takes only --jobs and the cache flags; scoring comes from its
+# base config or the request, so --score is a usage error rather than a
+# knob that silently does nothing (the timeout only bounds a regression)
+set +e
+timeout 10 "$ALICE" serve --socket "$tmpdir/noscore.sock" --score measured \
+  > /dev/null 2> "$tmpdir/noscore.txt"
+set -e
+if ! grep -q "unknown option '--score'" "$tmpdir/noscore.txt"; then
+  echo "check.sh: serve accepted --score:" >&2
+  cat "$tmpdir/noscore.txt" >&2
+  exit 1
+fi
+# attack rejects a non-positive conflict budget as the flow does
+set +e
+"$ALICE" attack "$tmpdir/gcd.v" -m gcd_ctrl --attack-budget 0 \
+  --diag-format=json > "$tmpdir/attack0.json" 2> /dev/null
+code=$?
+set -e
+if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/attack0.json"; then
+  echo "check.sh: attack --attack-budget 0 exited $code without E0602:" >&2
+  cat "$tmpdir/attack0.json" >&2
+  exit 1
+fi
+
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'
 top: soc

@@ -136,12 +136,6 @@ let rec mkdir_p (dir : string) : unit =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let read_file (path : string) : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let file_size (path : string) : int =
   match Unix.stat path with
   | { Unix.st_size; _ } -> st_size
@@ -215,7 +209,7 @@ let load (t : t) ~(key : string) : 'v option =
     | None -> false
   in
   match if injected_read_failure then raise (Sys_error "injected read failure")
-        else read_file path with
+        else In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ ->
     Mutex.protect t.mu (fun () -> t.misses <- t.misses + 1);
     None
@@ -369,7 +363,7 @@ let gc ?max_bytes (t : t) : gc_stats =
     List.fold_left
       (fun (n, bytes) (path, size, _) ->
         let ok =
-          match read_file path with
+          match In_channel.with_open_bin path In_channel.input_all with
           | raw -> entry_is_valid raw
           | exception Sys_error _ -> false
         in

@@ -191,3 +191,22 @@ let redact ?(view = Redact.Programmed) (flow : t) : Redact.redacted option =
 
 (** Count of valid eFPGA implementations (the "# valid eFPGAs" column). *)
 let valid_efpga_count (flow : t) = List.length flow.selection.Selection.valid
+
+(* The one mapping from an exception that escaped a flow to its layer's
+   diagnostic code, shared by the CLI and the server; [None] means an
+   internal failure. *)
+let classify_exn : exn -> D.t option = function
+  | V.Loc.Error (loc, msg) -> Some (D.error ~loc ~code:"E0100" "%s" msg)
+  | C.Yaml_lite.Parse_error (line, msg) ->
+    Some
+      (D.error ~code:"E0601" "configuration parse error at line %d: %s" line
+         msg)
+  | Alice_netlist.Synth.Synthesis_error msg ->
+    Some (D.error ~code:"E0201" "synthesis error: %s" msg)
+  | Alice_netlist.Simulate.Combinational_cycle msg ->
+    Some (D.error ~code:"E0202" "combinational cycle: %s" msg)
+  | Redact.Redaction_error msg ->
+    Some (D.error ~code:"E0800" "redaction error: %s" msg)
+  | Invalid_argument msg -> Some (D.error ~code:"E0602" "%s" msg)
+  | Sys_error msg -> Some (D.error ~code:"E0001" "%s" msg)
+  | _ -> None

@@ -83,3 +83,11 @@ val run_request :
 val redact : ?view:Redact.view -> t -> Redact.redacted option
 
 val valid_efpga_count : t -> int
+
+(** Classify an exception that escaped a flow (or the input handling
+    around one) into its layer's diagnostic: [E0100] malformed Verilog,
+    [E0601] configuration parse error, [E0201] synthesis, [E0202]
+    combinational cycle, [E0800] redaction, [E0602] invalid
+    configuration value, [E0001] unreadable file. [None] means the
+    failure is internal. *)
+val classify_exn : exn -> D.t option

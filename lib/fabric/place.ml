@@ -409,6 +409,30 @@ let place_packed ?(effort : effort = `Greedy) (fabric : Fabric.t)
     io_sites;
     wirelength = float_of_int !cost }
 
+(* net -> its bounding box [| minx; maxx; miny; maxy |], keyed in order
+   of first sight so that sums over the table run in a fixed order *)
+let net_boxes (p : placement) : (Circuit.net, int array) Hashtbl.t =
+  let boxes = Hashtbl.create 256 in
+  let touch net (x, y) =
+    match Hashtbl.find_opt boxes net with
+    | None -> Hashtbl.add boxes net [| x; x; y; y |]
+    | Some b ->
+      if x < b.(0) then b.(0) <- x;
+      if x > b.(1) then b.(1) <- x;
+      if y < b.(2) then b.(2) <- y;
+      if y > b.(3) then b.(3) <- y
+  in
+  List.iter
+    (fun (cluster, pos) ->
+      List.iter
+        (fun le -> List.iter (fun net -> touch net pos) (element_nets le))
+        cluster.les)
+    p.clbs;
+  List.iter (fun (net, pos) -> touch net pos) p.io_sites;
+  boxes
+
+let net_hpwl (b : int array) : int = b.(1) - b.(0) + b.(3) - b.(2)
+
 (** Pack then place; see {!pack} and {!place_packed}. *)
 let place ?effort (fabric : Fabric.t) (c : Circuit.t) : placement =
   place_packed ?effort fabric c (pack fabric.Fabric.arch c)

@@ -61,3 +61,13 @@ val place_packed : ?effort:effort -> Fabric.t -> Circuit.t -> clb list -> placem
 
 (** [place_packed] of [pack]. *)
 val place : ?effort:effort -> Fabric.t -> Circuit.t -> placement
+
+(** Each net's bounding box [[| minx; maxx; miny; maxy |]] over the CLBs
+    and pads it touches, keyed in order of first sight (CLBs in
+    placement order, then pads), so sums over the table run in a fixed
+    order. *)
+val net_boxes : placement -> (Circuit.net, int array) Hashtbl.t
+
+(** Half-perimeter wirelength of a {!net_boxes} box in tile units; 0 for
+    a net at one position. *)
+val net_hpwl : int array -> int

@@ -66,6 +66,8 @@ let estimate ?(vectors = 256) ?(seed = 0x9e3779)
 
 (** Wirelength accessor derived from a placement, for fabric circuits. *)
 let placed_wirelength (p : Place.placement) : Circuit.net -> float =
-  let positions = Timing.net_positions p in
+  let boxes = Place.net_boxes p in
   fun net ->
-    1.0 +. Timing.hpwl (Option.value (Hashtbl.find_opt positions net) ~default:[])
+    match Hashtbl.find_opt boxes net with
+    | Some b -> 1.0 +. float_of_int (Place.net_hpwl b)
+    | None -> 1.0

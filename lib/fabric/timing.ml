@@ -21,41 +21,15 @@ type report = {
   worst_net_tiles : float;  (* longest routed net in tile units *)
 }
 
-(* per-net placed positions (CLBs + pads) *)
-let net_positions (p : Place.placement) : (Circuit.net, (int * int) list) Hashtbl.t =
-  let t = Hashtbl.create 256 in
-  let touch net pos =
-    let old = Option.value (Hashtbl.find_opt t net) ~default:[] in
-    Hashtbl.replace t net (pos :: old)
-  in
-  List.iter
-    (fun (clb, pos) ->
-      List.iter
-        (fun le -> List.iter (fun net -> touch net pos) (Place.element_nets le))
-        clb.Place.les)
-    p.Place.clbs;
-  List.iter (fun (net, pos) -> touch net pos) p.Place.io_sites;
-  t
-
-let hpwl (positions : (int * int) list) : float =
-  match positions with
-  | [] | [ _ ] -> 0.0
-  | (x0, y0) :: rest ->
-    let minx, maxx, miny, maxy =
-      List.fold_left
-        (fun (mnx, mxx, mny, mxy) (x, y) ->
-          (min mnx x, max mxx x, min mny y, max mxy y))
-        (x0, x0, y0, y0) rest
-    in
-    float_of_int (maxx - minx + maxy - miny)
-
 (** Estimate the critical path of a placed fabric. *)
 let estimate (p : Place.placement) (mapped : Circuit.t) : report =
-  let positions = net_positions p in
-  let net_delay net =
-    wire_delay_per_tile_ns
-    *. hpwl (Option.value (Hashtbl.find_opt positions net) ~default:[])
+  let boxes = Place.net_boxes p in
+  let hpwl net =
+    match Hashtbl.find_opt boxes net with
+    | Some b -> float_of_int (Place.net_hpwl b)
+    | None -> 0.0
   in
+  let net_delay net = wire_delay_per_tile_ns *. hpwl net in
   let arrival : (Circuit.net, float) Hashtbl.t = Hashtbl.create 256 in
   let level : (Circuit.net, int) Hashtbl.t = Hashtbl.create 256 in
   let at net = Option.value (Hashtbl.find_opt arrival net) ~default:0.0 in
@@ -79,9 +53,7 @@ let estimate (p : Place.placement) (mapped : Circuit.t) : report =
         worst_levels := out_level
       end;
       Array.iter
-        (fun n ->
-          let d = hpwl (Option.value (Hashtbl.find_opt positions n) ~default:[]) in
-          if d > !worst_net then worst_net := d)
+        (fun n -> worst_net := Float.max !worst_net (hpwl n))
         g.Circuit.inputs)
     (Simulate.levelize mapped);
   (* sinks add their final wire hop *)

@@ -10,12 +10,6 @@ type report = {
   worst_net_tiles : float;  (** longest routed net in tile units *)
 }
 
-(** Positions (CLBs and pads) touching each net — shared with {!Power}. *)
-val net_positions :
-  Place.placement -> (Circuit.net, (int * int) list) Hashtbl.t
-
-val hpwl : (int * int) list -> float
-
 val estimate : Place.placement -> Circuit.t -> report
 
 (** ASIC reference delay for the same function: gate depth times an

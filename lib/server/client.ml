@@ -167,6 +167,16 @@ let retryable_response (resp : string) : bool =
 
 let one_shot ?timeout_s ?retry ?faults ?on_event ~socket (line : string) :
     string =
+  (* once a streaming attempt has delivered row events, a retry would
+     replay them to the caller; fail conclusively instead *)
+  let events_emitted = ref false in
+  let on_event =
+    Option.map
+      (fun f resp ->
+        events_emitted := true;
+        f resp)
+      on_event
+  in
   let attempt_once () =
     let t = connect ?timeout_s ?faults ~socket () in
     Fun.protect
@@ -177,22 +187,6 @@ let one_shot ?timeout_s ?retry ?faults ?on_event ~socket (line : string) :
   | None -> attempt_once ()
   | Some r ->
     let started = Unix.gettimeofday () in
-    (* once a streaming attempt has delivered row events, a retry would
-       replay them to the caller; fail conclusively instead *)
-    let events_emitted = ref false in
-    let on_event =
-      Option.map
-        (fun f resp ->
-          events_emitted := true;
-          f resp)
-        on_event
-    in
-    let attempt_once () =
-      let t = connect ?timeout_s ?faults ~socket () in
-      Fun.protect
-        ~finally:(fun () -> close t)
-        (fun () -> rpc_gen t line on_event)
-    in
     let give_up = function
       | `Resp resp -> resp
       | `Err msg -> raise (Connection_error msg)

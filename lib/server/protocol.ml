@@ -17,6 +17,21 @@ let version = 1
    row/done framing) and the "metrics" object on sweep/advise rows *)
 let minor = 4
 
+(* the minor that introduced each gated response field; a field not
+   listed is sent at every minor *)
+let field_minors =
+  [ ("attack", 2); ("attacks_run", 2); ("attacks_cached", 2);
+    ("attacks_inconclusive", 2); ("reused", 3); ("verdicts", 3);
+    ("metrics", 4) ]
+
+let gate ~(minor : int) (fields : (string * 'a) list) : (string * 'a) list =
+  List.filter
+    (fun (k, _) ->
+      match List.assoc_opt k field_minors with
+      | Some introduced -> introduced <= minor
+      | None -> true)
+    fields
+
 type source = Inline of string | Path of string
 
 type op =
@@ -59,6 +74,11 @@ let lane_of_op_name = function
 
 let lane_of_op op = lane_of_op_name (op_name op)
 
+let streams ~(minor : int) = function
+  | Sweep { stream; _ } -> stream && minor >= 1
+  | Advise { stream; _ } -> stream && minor >= 4
+  | Ping | Stats | Shutdown | Redact _ | Characterize _ | CacheGc _ -> false
+
 (* Deliberately lenient — this runs on the acceptor against bytes it
    has only peeked at: anything that is not recognizably a heavy
    operation (including garbage, which a worker answers with a fast
@@ -85,21 +105,16 @@ let parse_source (j : J.t) : source =
       "request needs a `source` (inline Verilog text) or `file` (server-side \
        path) field"
 
-let parse_config (j : J.t) : Y.t =
-  match J.find j "config" with
+(* an optional object field, as YAML; anything else is rejected, saying
+   what the field [must] be *)
+let parse_doc (j : J.t) (field : string) ~(must : string) : Y.t =
+  match J.find j field with
   | None | Some J.Null -> Y.Null
-  | Some (J.Obj _ as cfg) -> J.to_yaml cfg
+  | Some (J.Obj _ as o) -> J.to_yaml o
   | Some _ ->
-    bad_request ~kind:"unknown_op" ~code:"E1002"
-      "`config` must be an object of flow-configuration keys"
+    bad_request ~kind:"unknown_op" ~code:"E1002" "`%s` must be %s" field must
 
-let parse_base (j : J.t) : Y.t =
-  match J.find j "base" with
-  | None | Some J.Null -> Y.Null
-  | Some (J.Obj _ as b) -> J.to_yaml b
-  | Some _ ->
-    bad_request ~kind:"unknown_op" ~code:"E1002"
-      "`base` must be an object of flow-configuration keys"
+let flow_keys = "an object of flow-configuration keys"
 
 let parse_stream (j : J.t) : bool =
   match J.find j "stream" with
@@ -156,12 +171,15 @@ let parse_request (line : string) : request =
     | Some (J.String "shutdown") -> Shutdown
     | Some (J.String "redact") ->
       Redact
-        { source = parse_source j; config = parse_config j;
+        { source = parse_source j;
+          config = parse_doc j "config" ~must:flow_keys;
           view = parse_view j }
     | Some (J.String "characterize") ->
-      Characterize { source = parse_source j; config = parse_config j }
+      Characterize
+        { source = parse_source j;
+          config = parse_doc j "config" ~must:flow_keys }
     | Some (J.String "sweep") ->
-      let base = parse_base j in
+      let base = parse_doc j "base" ~must:flow_keys in
       let entries =
         match J.find j "sweep" with
         | Some (J.List (_ :: _ as items)) ->
@@ -180,17 +198,12 @@ let parse_request (line : string) : request =
       Sweep { source = parse_source j; base; entries; stream = parse_stream j }
     | Some (J.String "advise") ->
       let constraints =
-        match J.find j "constraints" with
-        | None | Some J.Null -> Y.Null
-        | Some (J.Obj _ as c) -> J.to_yaml c
-        | Some _ ->
-          bad_request ~kind:"unknown_op" ~code:"E1002"
-            "`constraints` must be an object (optionally carrying an `axes` \
-             map of grid axes)"
+        parse_doc j "constraints"
+          ~must:"an object (optionally carrying an `axes` map of grid axes)"
       in
       Advise
-        { source = parse_source j; base = parse_base j; constraints;
-          stream = parse_stream j }
+        { source = parse_source j; base = parse_doc j "base" ~must:flow_keys;
+          constraints; stream = parse_stream j }
     | Some (J.String "cache-gc") ->
       CacheGc
         { max_bytes =

@@ -65,6 +65,13 @@ val version : int
     rejected — minors only ever add behaviour. *)
 val minor : int
 
+(** [gate ~minor fields] drops every response field introduced after
+    the client's announced [minor]: [attack] and the sweep-row
+    [attacks_run]/[attacks_cached]/[attacks_inconclusive] at 2,
+    [reused] and [verdicts] at 3, [metrics] at 4. Other fields pass at
+    every minor. It filters one object's own fields, not nested ones. *)
+val gate : minor:int -> (string * 'a) list -> (string * 'a) list
+
 (** Where a request's Verilog comes from: inline text in the request
     itself, or a path readable by the server process. *)
 type source = Inline of string | Path of string
@@ -109,6 +116,12 @@ type request = {
 exception Bad_request of { kind : string; diag : D.t }
 
 val op_name : op -> string
+
+(** Whether the request is answered incrementally: a [sweep] asking to
+    [stream] from minor 1, an [advise] asking to [stream] from minor 4.
+    Every other request, and any request whose minor predates its
+    streaming form, gets one buffered line. *)
+val streams : minor:int -> op -> bool
 
 (** The two admission lanes of the server's priority queue. [Cheap]
     operations ([ping], [stats], [cache-gc], [shutdown] — and malformed

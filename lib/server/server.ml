@@ -19,7 +19,6 @@ module F = Alice_fabric
 module J = Alice_config.Json_lite
 module V = Alice_verilog
 module Y = Alice_config.Yaml_lite
-module N = Alice_netlist
 module P = Protocol
 module Fi = Alice_fault.Fault
 
@@ -65,7 +64,7 @@ let endpoints t = List.map snd t.listeners
 
 (* a streamed row write failed (client hung up, or an injected
    ["sock.stream"] fault): the connection is dead mid-response, so this
-   must escape request execution — the error-response wrappers re-raise
+   must escape request execution — {!respond}'s error wrapper re-raises
    it — and be absorbed as a dropped link, never turned into an error
    line nobody can receive *)
 exception Stream_failed of exn
@@ -76,15 +75,12 @@ let invalid_op = "invalid"
 
 (* ---------- request execution ---------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let flow_source : P.source -> A.Flow.source = function
   | P.Inline text -> A.Flow.Text { text; file = None }
-  | P.Path path -> A.Flow.Text { text = read_file path; file = Some path }
+  | P.Path path ->
+    A.Flow.Text
+      { text = In_channel.with_open_bin path In_channel.input_all;
+        file = Some path }
 
 (* the request's inline config over the server's base document, plus
    the operator overrides: a forced [jobs], and the server deadline when
@@ -100,11 +96,11 @@ let effective_config t (req_cfg : Y.t) : C.Flow_config.t =
   | Some d, None -> { cfg with C.Flow_config.characterize_deadline_s = Some d }
   | _ -> cfg
 
-let run_flow t (cfg : C.Flow_config.t) (source : P.source) : A.Flow.t =
+let run_flow t (req_cfg : Y.t) (source : P.source) : A.Flow.t =
   let flow =
     A.Engine.run_shared t.engine
-      (A.Flow.request ~config:cfg ~diags:(D.Collector.create ())
-         (flow_source source))
+      (A.Flow.request ~config:(effective_config t req_cfg)
+         ~diags:(D.Collector.create ()) (flow_source source))
   in
   let s = flow.A.Flow.char_stats in
   Metrics.record_cache_run t.metrics ~hits:s.A.Characterize.cache_hits
@@ -120,283 +116,119 @@ let diags_field (diags : D.t list) : (string * J.t) list =
   | [] -> []
   | ds -> [ ("diags", J.List (List.map P.json_of_diag ds)) ]
 
-let char_stats_field (s : A.Characterize.stats) : string * J.t =
-  ( "char_stats",
+(* the fields every flow-running response reports after its own *)
+let flow_fields (flow : A.Flow.t) : (string * J.t) list =
+  let s = flow.A.Flow.char_stats and times = flow.A.Flow.times in
+  [ ( "char_stats",
+      J.Obj
+        [ ("clusters", J.Int s.A.Characterize.clusters);
+          ("unique", J.Int s.A.Characterize.unique);
+          ("hits", J.Int s.A.Characterize.cache_hits);
+          ("computed", J.Int s.A.Characterize.computed);
+          ("skipped", J.Int s.A.Characterize.skipped) ] );
+    ( "times",
+      J.Obj
+        [ ("filtering_s", J.Float times.A.Flow.filtering_s);
+          ("clustering_s", J.Float times.A.Flow.clustering_s);
+          ("selection_s", J.Float times.A.Flow.selection_s) ] ) ]
+
+(* measured-selection attack accounting and per-candidate verdicts *)
+let attack_field ~(minor : int) (flow : A.Flow.t) : string * J.t =
+  let a = flow.A.Flow.selection.A.Selection.attack in
+  let verdict (r : A.Report.verdict_row) =
     J.Obj
-      [ ("clusters", J.Int s.A.Characterize.clusters);
-        ("unique", J.Int s.A.Characterize.unique);
-        ("hits", J.Int s.A.Characterize.cache_hits);
-        ("computed", J.Int s.A.Characterize.computed);
-        ("skipped", J.Int s.A.Characterize.skipped) ] )
-
-let times_field (times : A.Flow.phase_times) : string * J.t =
-  ( "times",
-    J.Obj
-      [ ("filtering_s", J.Float times.A.Flow.filtering_s);
-        ("clustering_s", J.Float times.A.Flow.clustering_s);
-        ("selection_s", J.Float times.A.Flow.selection_s) ] )
-
-(* additive minor-2 field: measured-selection attack accounting; minor 3
-   adds the solver-reuse counter and per-candidate verdicts *)
-let attack_field ~(minor : int) (flow : A.Flow.t) : (string * J.t) list =
-  if minor < 2 then []
-  else
-    let a = flow.A.Flow.selection.A.Selection.attack in
-    let minor3 =
-      if minor < 3 then []
-      else
-        [ ("reused", J.Int a.A.Engine.Scorer.attacks_reused);
-          ( "verdicts",
-            J.List
-              (List.map
-                 (fun (r : A.Report.verdict_row) ->
-                   J.Obj
-                     [ ("cluster", J.String r.A.Report.vr_cluster);
-                       ("fabric", J.String r.A.Report.vr_fabric);
-                       ("status", J.String r.A.Report.vr_status);
-                       ("dips", J.Int r.A.Report.vr_dips);
-                       ("conflicts", J.Int r.A.Report.vr_conflicts);
-                       ("reused", J.Int r.A.Report.vr_reused) ])
-                 (A.Report.verdict_rows flow)) ) ]
-    in
-    [ ( "attack",
-        J.Obj
-          ([ ("run", J.Int a.A.Engine.Scorer.attacks_run);
-             ("cached", J.Int a.A.Engine.Scorer.attacks_cached);
-             ("inconclusive", J.Int a.A.Engine.Scorer.attacks_inconclusive) ]
-          @ minor3) ) ]
-
-let execute_redact t ~(id : J.t) ~(minor : int) (source : P.source)
-    (req_cfg : Y.t) (view : A.Redact.view) : string * bool =
-  let cfg = effective_config t req_cfg in
-  let flow = run_flow t cfg source in
-  match A.Flow.redact ~view flow with
-  | None ->
-    ( P.error_response ~id ~kind:"infeasible" ~op:"redact"
-        ~diags:flow.A.Flow.diags
-        (D.error ~code:"E0801"
-           "no feasible redaction under this configuration"),
-      false )
-  | Some r ->
-    let sites =
-      List.map
-        (fun (s : A.Redact.efpga_site) ->
-          J.Obj
-            [ ("efpga", J.String s.A.Redact.efpga_name);
-              ("insertion_point", J.String s.A.Redact.insertion_point);
-              ("members", J.Int (List.length s.A.Redact.members));
-              ("gpio_in", J.Int s.A.Redact.gpio_in_width);
-              ("gpio_out", J.Int s.A.Redact.gpio_out_width) ])
-        r.A.Redact.sites
-    in
-    ( P.ok_response ~id ~op:"redact"
-        ([ ("verilog", J.String r.A.Redact.verilog);
-           ("sites", J.List sites);
-           ( "fabrics",
-             match A.Engine.solution_fabrics flow with
-             | Some s -> J.String s
-             | None -> J.Null );
-           char_stats_field flow.A.Flow.char_stats;
-           times_field flow.A.Flow.times ]
-        @ attack_field ~minor flow
-        @ diags_field flow.A.Flow.diags),
-      true )
-
-let execute_characterize t ~(id : J.t) (source : P.source) (req_cfg : Y.t) :
-    string * bool =
-  let cfg = effective_config t req_cfg in
-  let flow = run_flow t cfg source in
-  let clusters =
-    List.map
-      (fun (c : A.Characterize.characterization) ->
-        let outcome, fabric =
-          match c.A.Characterize.outcome with
-          | A.Characterize.Implemented impl ->
-            ( "implemented",
-              J.String (F.Fabric.size_label impl.F.Size_search.fabric) )
-          | A.Characterize.Infeasible _ -> ("infeasible", J.Null)
-          | A.Characterize.Failed _ -> ("failed", J.Null)
-          | A.Characterize.Skipped _ -> ("skipped", J.Null)
-        in
-        J.Obj
-          [ ("key", J.String c.A.Characterize.cluster.A.Clustering.key);
-            ( "members",
-              J.List
-                (List.map
-                   (fun (m : V.Design.tree) ->
-                     J.String m.V.Design.module_name)
-                   c.A.Characterize.cluster.A.Clustering.members) );
-            ("io_pins", J.Int c.A.Characterize.cluster.A.Clustering.io_pins);
-            ("outcome", J.String outcome);
-            ("fabric", fabric) ])
-      flow.A.Flow.characterized
+      [ ("cluster", J.String r.A.Report.vr_cluster);
+        ("fabric", J.String r.A.Report.vr_fabric);
+        ("status", J.String r.A.Report.vr_status);
+        ("dips", J.Int r.A.Report.vr_dips);
+        ("conflicts", J.Int r.A.Report.vr_conflicts);
+        ("reused", J.Int r.A.Report.vr_reused) ]
   in
-  ( P.ok_response ~id ~op:"characterize"
-      ([ ("clusters", J.List clusters);
-         char_stats_field flow.A.Flow.char_stats;
-         times_field flow.A.Flow.times ]
-      @ diags_field flow.A.Flow.diags),
-    true )
+  ( "attack",
+    J.Obj
+      (P.gate ~minor
+         [ ("run", J.Int a.A.Engine.Scorer.attacks_run);
+           ("cached", J.Int a.A.Engine.Scorer.attacks_cached);
+           ("inconclusive", J.Int a.A.Engine.Scorer.attacks_inconclusive);
+           ("reused", J.Int a.A.Engine.Scorer.attacks_reused);
+           ("verdicts", J.List (List.map verdict (A.Report.verdict_rows flow)))
+         ]) )
 
-let sweep_row_fields ~(minor : int) (sp : A.Engine.sweep_point) :
+let row_fields ~(minor : int) (sp : A.Engine.sweep_point) :
     (string * J.t) list =
-  [ ("name", J.String sp.A.Engine.sp_name);
-    ("feasible", J.Bool sp.A.Engine.sp_feasible);
-    ( "fabrics",
-      match sp.A.Engine.sp_fabrics with
-      | Some f -> J.String f
-      | None -> J.Null );
-    ("hits", J.Int sp.A.Engine.sp_hits);
-    ("computed", J.Int sp.A.Engine.sp_computed);
-    ("skipped", J.Int sp.A.Engine.sp_skipped) ]
-  @ (if minor < 2 then []
-     else
-       [ ("attacks_run", J.Int sp.A.Engine.sp_attacks_run);
-         ("attacks_cached", J.Int sp.A.Engine.sp_attacks_cached);
-         ("attacks_inconclusive", J.Int sp.A.Engine.sp_attacks_inconclusive)
-       ])
-  @ (if minor < 4 then []
-     else
-       [ ( "metrics",
-           match sp.A.Engine.sp_metrics with
-           | None -> J.Null
-           | Some m ->
-             J.Obj
-               [ ("area_um2", J.Float m.A.Engine.pm_area_um2);
-                 ("timing_ns", J.Float m.A.Engine.pm_timing_ns);
-                 ("security", J.Float m.A.Engine.pm_security);
-                 ( "security_mode",
-                   J.String
-                     (C.Flow_config.score_mode_to_string
-                        m.A.Engine.pm_security_mode) ) ] ) ])
-  @ [ ("resumed", J.Bool sp.A.Engine.sp_resumed) ]
+  P.gate ~minor
+    [ ("name", J.String sp.A.Engine.sp_name);
+      ("feasible", J.Bool sp.A.Engine.sp_feasible);
+      ( "fabrics",
+        match sp.A.Engine.sp_fabrics with
+        | Some f -> J.String f
+        | None -> J.Null );
+      ("hits", J.Int sp.A.Engine.sp_hits);
+      ("computed", J.Int sp.A.Engine.sp_computed);
+      ("skipped", J.Int sp.A.Engine.sp_skipped);
+      ("attacks_run", J.Int sp.A.Engine.sp_attacks_run);
+      ("attacks_cached", J.Int sp.A.Engine.sp_attacks_cached);
+      ("attacks_inconclusive", J.Int sp.A.Engine.sp_attacks_inconclusive);
+      ( "metrics",
+        match sp.A.Engine.sp_metrics with
+        | None -> J.Null
+        | Some m ->
+          J.Obj
+            [ ("area_um2", J.Float m.A.Engine.pm_area_um2);
+              ("timing_ns", J.Float m.A.Engine.pm_timing_ns);
+              ("security", J.Float m.A.Engine.pm_security);
+              ( "security_mode",
+                J.String
+                  (C.Flow_config.score_mode_to_string
+                     m.A.Engine.pm_security_mode) ) ] );
+      ("resumed", J.Bool sp.A.Engine.sp_resumed) ]
 
-(* a checkpointed point did no cache (or attack) work in this process *)
-let record_point t (sp : A.Engine.sweep_point) =
-  if not sp.A.Engine.sp_resumed then begin
-    Metrics.record_cache_run t.metrics ~hits:sp.A.Engine.sp_hits
-      ~computed:sp.A.Engine.sp_computed ~skipped:sp.A.Engine.sp_skipped;
-    Metrics.record_attack_run t.metrics ~run:sp.A.Engine.sp_attacks_run
-      ~cached:sp.A.Engine.sp_attacks_cached
-      ~inconclusive:sp.A.Engine.sp_attacks_inconclusive
-  end
-
-let execute_sweep t ~(id : J.t) ~(minor : int)
-    ~(emit : (string -> unit) option) (source : P.source) (base : Y.t)
-    (entries : Y.t list) (stream : bool) : string * bool =
-  let src = flow_source source in
-  let points =
-    List.mapi
-      (fun i entry ->
-        let name =
-          Y.get_string ~default:(Printf.sprintf "cfg%d" (i + 1)) entry "name"
-        in
-        let cfg = effective_config t (Y.merge base entry) in
-        (name, A.Flow.request ~config:cfg ~diags:(D.Collector.create ()) src))
-      entries
-  in
-  match emit with
-  | Some emit when stream && minor >= 1 ->
-    (* negotiated streaming: one row frame per completed point, then a
-       terminal summary. Rows go out after their checkpoint is written
-       (Engine.run_sweep's contract), so a client that hangs up
-       mid-sweep wastes at most the point in flight. *)
-    let sent = ref 0 and feasible = ref 0 and resumed = ref 0 in
-    let on_point (sp : A.Engine.sweep_point) =
-      record_point t sp;
+(* The one row path of sweep and advise. [run] drives the points through
+   the [on_point] observer, which Engine.run_sweep calls after each
+   point's checkpoint write. A computed point is recorded in the metrics
+   (a resumed one did no cache or attack work in this process); when the
+   request negotiated streaming its row goes out as its own frame at
+   once, so a client that hangs up mid-sweep wastes at most the point in
+   flight. Returns [run]'s result and the points, in order. *)
+let emit_rows t ~(id : J.t) ~(minor : int) ~(emit : string -> unit)
+    (op : P.op) (run : (A.Engine.sweep_point -> unit) -> 'a) :
+    'a * A.Engine.sweep_point list =
+  let points = ref [] in
+  let on_point (sp : A.Engine.sweep_point) =
+    if not sp.A.Engine.sp_resumed then begin
+      Metrics.record_cache_run t.metrics ~hits:sp.A.Engine.sp_hits
+        ~computed:sp.A.Engine.sp_computed ~skipped:sp.A.Engine.sp_skipped;
+      Metrics.record_attack_run t.metrics ~run:sp.A.Engine.sp_attacks_run
+        ~cached:sp.A.Engine.sp_attacks_cached
+        ~inconclusive:sp.A.Engine.sp_attacks_inconclusive
+    end;
+    if P.streams ~minor op then
       emit
-        (P.event_response ~id ~op:"sweep" ~event:"row"
-           (sweep_row_fields ~minor sp
-           @ diags_field (A.Engine.point_diags sp)));
-      incr sent;
-      if sp.A.Engine.sp_feasible then incr feasible;
-      if sp.A.Engine.sp_resumed then incr resumed
-    in
-    ignore (A.Engine.run_sweep ~shared:true ~on_point t.engine points);
-    ( P.event_response ~id ~op:"sweep" ~event:"done"
-        [ ("points", J.Int !sent);
-          ("feasible", J.Int !feasible);
-          ("resumed", J.Int !resumed) ],
-      true )
-  | _ ->
-    (* the buffered form: what pre-minor-1 clients always get *)
-    let results = A.Engine.run_sweep ~shared:true t.engine points in
-    List.iter (record_point t) results;
-    let rows =
-      List.map (fun sp -> J.Obj (sweep_row_fields ~minor sp)) results
-    in
-    let tagged = List.concat_map A.Engine.point_diags results in
-    ( P.ok_response ~id ~op:"sweep"
-        ([ ("rows", J.List rows) ] @ diags_field tagged),
-      true )
-
-let execute_advise t ~(id : J.t) ~(minor : int)
-    ~(emit : (string -> unit) option) (source : P.source) (base : Y.t)
-    (constraints : Y.t) (stream : bool) : string * bool =
-  let src = flow_source source in
-  let cfg = effective_config t base in
-  let plan = A.Advisor.plan_of_source ~base:cfg ~constraints src in
-  let finish (report : A.Advisor.report) : (string * J.t) list =
-    [ ("candidates", J.Int (List.length report.A.Advisor.r_entries));
-      ("deduped", J.Int report.A.Advisor.r_deduped);
-      ( "front",
-        J.List (List.map A.Advisor.json_of_entry report.A.Advisor.r_front) )
-    ]
+        (P.event_response ~id ~op:(P.op_name op) ~event:"row"
+           (row_fields ~minor sp @ diags_field (A.Engine.point_diags sp)));
+    points := sp :: !points
   in
-  match emit with
-  | Some emit when stream && minor >= 4 ->
-    (* negotiated streaming, same framing as sweep rows: candidates go
-       out as they complete (after their checkpoint write), the
-       terminal frame carries the ranked Pareto front — which can only
-       be computed once every candidate is in *)
-    let resumed = ref 0 in
-    let on_point (sp : A.Engine.sweep_point) =
-      record_point t sp;
-      if sp.A.Engine.sp_resumed then incr resumed;
-      emit
-        (P.event_response ~id ~op:"advise" ~event:"row"
-           (sweep_row_fields ~minor sp
-           @ diags_field (A.Engine.point_diags sp)))
-    in
-    let report = A.Advisor.run ~shared:true ~on_point t.engine ~source:src plan in
-    ( P.event_response ~id ~op:"advise" ~event:"done"
-        (finish report @ [ ("resumed", J.Int !resumed) ]),
-      true )
-  | _ ->
-    (* the buffered form: what pre-minor-4 clients always get, stream
-       flag or not *)
-    let report = A.Advisor.run ~shared:true t.engine ~source:src plan in
-    let points =
-      List.map (fun (e : A.Advisor.entry) -> e.A.Advisor.e_point)
-        report.A.Advisor.r_entries
-    in
-    List.iter (record_point t) points;
-    let rows =
-      List.map (fun sp -> J.Obj (sweep_row_fields ~minor sp)) points
-    in
-    let tagged = List.concat_map A.Engine.point_diags points in
-    ( P.ok_response ~id ~op:"advise"
-        ([ ("rows", J.List rows) ] @ finish report @ diags_field tagged),
-      true )
+  let result = run on_point in
+  (result, List.rev !points)
 
-let execute_cache_gc t ~(id : J.t) (max_bytes : int option) : string * bool =
-  match A.Engine.gc ?max_bytes t.engine with
-  | None ->
-    ( P.error_response ~id ~kind:"no_cache" ~op:"cache-gc"
-        (D.error ~code:"E1006"
-           "cache-gc: this server runs with caching disabled"),
-      false )
-  | Some g ->
-    ( P.ok_response ~id ~op:"cache-gc"
-        [ ("examined", J.Int g.A.Disk_cache.gc_examined);
-          ("quarantined", J.Int g.A.Disk_cache.gc_quarantined);
-          ("evicted", J.Int g.A.Disk_cache.gc_evicted);
-          ("freed_bytes", J.Int g.A.Disk_cache.gc_freed_bytes);
-          ("live_bytes", J.Int g.A.Disk_cache.gc_live_bytes);
-          ("writes_reenabled", J.Bool g.A.Disk_cache.gc_writes_reenabled) ],
-      true )
+(* The line concluding a sweep or advise: after streamed rows, a done
+   frame with the op's [streamed] fields and the resumed count; else the
+   buffered line with every row, the op's [buffered] fields and the
+   points' tagged diagnostics. *)
+let conclude ~(id : J.t) ~(minor : int) (op : P.op)
+    (points : A.Engine.sweep_point list) ~streamed ~buffered : string =
+  let op_name = P.op_name op in
+  if P.streams ~minor op then
+    let resumed = List.filter (fun sp -> sp.A.Engine.sp_resumed) points in
+    P.event_response ~id ~op:op_name ~event:"done"
+      (streamed @ [ ("resumed", J.Int (List.length resumed)) ])
+  else
+    let rows = List.map (fun sp -> J.Obj (row_fields ~minor sp)) points in
+    P.ok_response ~id ~op:op_name
+      ((("rows", J.List rows) :: buffered)
+      @ diags_field (List.concat_map A.Engine.point_diags points))
 
-let execute_stats t ~(id : J.t) : string * bool =
+let stats_fields t : (string * J.t) list =
   let s = Metrics.snapshot t.metrics in
   let cheap_q, heavy_q, unclassified, active =
     Mutex.lock t.mu;
@@ -461,138 +293,209 @@ let execute_stats t ~(id : J.t) : string * bool =
                      (fun (site, n) -> (site, J.Int n))
                      (Fi.injected t.cfg.faults)) ) ] ) ]
   in
-  ( P.ok_response ~id ~op:"stats"
-      ([ ("uptime_s", J.Float s.Metrics.uptime_s);
-        ("in_flight", J.Int active);
-        ( "queued",
-          J.Obj
-            [ ("cheap", J.Int cheap_q);
-              ("heavy", J.Int heavy_q);
-              ("unclassified", J.Int unclassified);
-              ("total", J.Int (cheap_q + heavy_q + unclassified)) ] );
-        ( "workers",
-          J.Obj
-            [ ("configured", J.Int t.cfg.max_in_flight);
-              ( "reserved_cheap",
-                J.Int (if t.cfg.max_in_flight > 1 then 1 else 0) );
-              ("crashed", J.Int s.Metrics.worker_crashes) ] );
-        ("requests", J.Obj per_op);
-        ( "rejected",
-          J.Obj
-            [ ("busy", J.Int s.Metrics.rejected_busy);
-              ("draining", J.Int s.Metrics.rejected_draining) ] );
-        ( "latency",
-          J.Obj
-            [ ("completed", J.Int s.Metrics.completed);
-              ( "mean_ms",
-                if s.Metrics.completed = 0 then J.Null
-                else
-                  ms (s.Metrics.latency_sum_s
-                      /. float_of_int s.Metrics.completed) );
-              ("max_ms", ms s.Metrics.latency_max_s);
-              ("p50_ms", ms (Metrics.quantile s 0.50));
-              ("p90_ms", ms (Metrics.quantile s 0.90));
-              ("p95_ms", ms (Metrics.quantile s 0.95));
-              ("p99_ms", ms (Metrics.quantile s 0.99));
-              ("buckets", J.List buckets) ] );
-        ("cache", J.Obj cache);
-        ( "attacks",
-          J.Obj
-            [ ("run", J.Int s.Metrics.attacks_run);
-              ("cached", J.Int s.Metrics.attacks_cached);
-              ("inconclusive", J.Int s.Metrics.attacks_inconclusive) ] ) ]
-      @ faults),
-    true )
+  [ ("uptime_s", J.Float s.Metrics.uptime_s);
+    ("in_flight", J.Int active);
+    ( "queued",
+      J.Obj
+        [ ("cheap", J.Int cheap_q);
+          ("heavy", J.Int heavy_q);
+          ("unclassified", J.Int unclassified);
+          ("total", J.Int (cheap_q + heavy_q + unclassified)) ] );
+    ( "workers",
+      J.Obj
+        [ ("configured", J.Int t.cfg.max_in_flight);
+          ("reserved_cheap", J.Int (if t.cfg.max_in_flight > 1 then 1 else 0));
+          ("crashed", J.Int s.Metrics.worker_crashes) ] );
+    ("requests", J.Obj per_op);
+    ( "rejected",
+      J.Obj
+        [ ("busy", J.Int s.Metrics.rejected_busy);
+          ("draining", J.Int s.Metrics.rejected_draining) ] );
+    ( "latency",
+      J.Obj
+        [ ("completed", J.Int s.Metrics.completed);
+          ( "mean_ms",
+            if s.Metrics.completed = 0 then J.Null
+            else
+              ms (s.Metrics.latency_sum_s /. float_of_int s.Metrics.completed)
+          );
+          ("max_ms", ms s.Metrics.latency_max_s);
+          ("p50_ms", ms (Metrics.quantile s 0.50));
+          ("p90_ms", ms (Metrics.quantile s 0.90));
+          ("p95_ms", ms (Metrics.quantile s 0.95));
+          ("p99_ms", ms (Metrics.quantile s 0.99));
+          ("buckets", J.List buckets) ] );
+    ("cache", J.Obj cache);
+    ( "attacks",
+      J.Obj
+        [ ("run", J.Int s.Metrics.attacks_run);
+          ("cached", J.Int s.Metrics.attacks_cached);
+          ("inconclusive", J.Int s.Metrics.attacks_inconclusive) ] ) ]
+  @ faults
 
-(* Classify an exception escaping request execution, mirroring the CLI
-   classifier: recognized input problems keep their layer code, the
-   rest is internal. *)
-let diag_of_exn : exn -> D.t = function
-  | V.Loc.Error (loc, msg) -> D.error ~loc ~code:"E0100" "%s" msg
-  | Y.Parse_error (line, msg) ->
-    D.error ~code:"E0601" "configuration parse error at line %d: %s" line msg
-  | N.Synth.Synthesis_error msg -> D.error ~code:"E0201" "synthesis error: %s" msg
-  | A.Redact.Redaction_error msg -> D.error ~code:"E0800" "redaction error: %s" msg
-  | Invalid_argument msg -> D.error ~code:"E0602" "%s" msg
-  | Sys_error msg -> D.error ~code:"E0001" "%s" msg
-  | e -> D.of_exn e
+let characterize_row (c : A.Characterize.characterization) : J.t =
+  let outcome, fabric =
+    match c.A.Characterize.outcome with
+    | A.Characterize.Implemented impl ->
+      ( "implemented",
+        J.String (F.Fabric.size_label impl.F.Size_search.fabric) )
+    | A.Characterize.Infeasible _ -> ("infeasible", J.Null)
+    | A.Characterize.Failed _ -> ("failed", J.Null)
+    | A.Characterize.Skipped _ -> ("skipped", J.Null)
+  in
+  let cl = c.A.Characterize.cluster in
+  J.Obj
+    [ ("key", J.String cl.A.Clustering.key);
+      ( "members",
+        J.List
+          (List.map
+             (fun (m : V.Design.tree) -> J.String m.V.Design.module_name)
+             cl.A.Clustering.members) );
+      ("io_pins", J.Int cl.A.Clustering.io_pins);
+      ("outcome", J.String outcome);
+      ("fabric", fabric) ]
 
-let execute t ~(id : J.t) ~(minor : int) ~(emit : (string -> unit) option)
-    (op : P.op) : string * bool * [ `Continue | `Stop ] =
+(* One request, one response line (plus any streamed row frames sent
+   through [emit]) and whether it succeeded. Exceptions escape to
+   {!respond}, the one place that turns them into error lines. *)
+let execute t ~(id : J.t) ~(minor : int) ~(emit : string -> unit) (op : P.op)
+    : string * bool =
+  let name = P.op_name op in
+  let ok fields = (P.ok_response ~id ~op:name fields, true) in
   match op with
   | P.Ping ->
-    let s = Metrics.snapshot t.metrics in
-    ( P.ok_response ~id ~op:"ping"
-        [ ("server", J.String "alice");
-          ("protocol", J.Int P.version);
-          ("minor", J.Int P.minor);
-          ("uptime_s", J.Float s.Metrics.uptime_s) ],
-      true, `Continue )
-  | P.Stats ->
-    let resp, ok = execute_stats t ~id in
-    (resp, ok, `Continue)
-  | P.Shutdown ->
-    (P.ok_response ~id ~op:"shutdown" [ ("draining", J.Bool true) ], true, `Stop)
+    ok
+      [ ("server", J.String "alice");
+        ("protocol", J.Int P.version);
+        ("minor", J.Int P.minor);
+        ("uptime_s", J.Float (Metrics.snapshot t.metrics).Metrics.uptime_s) ]
+  | P.Stats -> ok (stats_fields t)
+  | P.Shutdown -> ok [ ("draining", J.Bool true) ]
   | P.Redact { source; config; view } -> (
-    match execute_redact t ~id ~minor source config view with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"redact" (diag_of_exn e),
-        false, `Continue ))
-  | P.Characterize { source; config } -> (
-    match execute_characterize t ~id source config with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"characterize" (diag_of_exn e),
-        false, `Continue ))
-  | P.Sweep { source; base; entries; stream } -> (
-    match execute_sweep t ~id ~minor ~emit source base entries stream with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e) ->
-      raise e
-    | exception e ->
-      (* after rows went out this error line is still well-formed: a
-         non-row frame concludes the exchange on the client side *)
-      ( P.error_response ~id ~kind:"failed" ~op:"sweep" (diag_of_exn e),
-        false, `Continue ))
-  | P.Advise { source; base; constraints; stream } -> (
-    match execute_advise t ~id ~minor ~emit source base constraints stream with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e) ->
-      raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"advise" (diag_of_exn e),
-        false, `Continue ))
+    let flow = run_flow t config source in
+    match A.Flow.redact ~view flow with
+    | None ->
+      ( P.error_response ~id ~kind:"infeasible" ~op:name
+          ~diags:flow.A.Flow.diags
+          (D.error ~code:"E0801"
+             "no feasible redaction under this configuration"),
+        false )
+    | Some r ->
+      let site (s : A.Redact.efpga_site) =
+        J.Obj
+          [ ("efpga", J.String s.A.Redact.efpga_name);
+            ("insertion_point", J.String s.A.Redact.insertion_point);
+            ("members", J.Int (List.length s.A.Redact.members));
+            ("gpio_in", J.Int s.A.Redact.gpio_in_width);
+            ("gpio_out", J.Int s.A.Redact.gpio_out_width) ]
+      in
+      ok
+        (P.gate ~minor
+           ([ ("verilog", J.String r.A.Redact.verilog);
+              ("sites", J.List (List.map site r.A.Redact.sites));
+              ( "fabrics",
+                match A.Engine.solution_fabrics flow with
+                | Some s -> J.String s
+                | None -> J.Null ) ]
+           @ flow_fields flow
+           @ (attack_field ~minor flow :: diags_field flow.A.Flow.diags))))
+  | P.Characterize { source; config } ->
+    let flow = run_flow t config source in
+    let clusters = List.map characterize_row flow.A.Flow.characterized in
+    ok
+      ((("clusters", J.List clusters) :: flow_fields flow)
+      @ diags_field flow.A.Flow.diags)
+  | P.Sweep { source; base; entries; _ } ->
+    let src = flow_source source in
+    let requests =
+      List.mapi
+        (fun i entry ->
+          let name =
+            Y.get_string ~default:(Printf.sprintf "cfg%d" (i + 1)) entry "name"
+          in
+          let cfg = effective_config t (Y.merge base entry) in
+          (name, A.Flow.request ~config:cfg ~diags:(D.Collector.create ()) src))
+        entries
+    in
+    let (), points =
+      emit_rows t ~id ~minor ~emit op (fun on_point ->
+          ignore (A.Engine.run_sweep ~shared:true ~on_point t.engine requests))
+    in
+    let feasible = List.filter (fun sp -> sp.A.Engine.sp_feasible) points in
+    ( conclude ~id ~minor op points ~buffered:[]
+        ~streamed:
+          [ ("points", J.Int (List.length points));
+            ("feasible", J.Int (List.length feasible)) ],
+      true )
+  | P.Advise { source; base; constraints; _ } ->
+    let src = flow_source source in
+    let plan =
+      A.Advisor.plan_of_source ~base:(effective_config t base) ~constraints src
+    in
+    let report, points =
+      emit_rows t ~id ~minor ~emit op (fun on_point ->
+          A.Advisor.run ~shared:true ~on_point t.engine ~source:src plan)
+    in
+    let summary =
+      [ ("candidates", J.Int (List.length report.A.Advisor.r_entries));
+        ("deduped", J.Int report.A.Advisor.r_deduped);
+        ( "front",
+          J.List (List.map A.Advisor.json_of_entry report.A.Advisor.r_front) )
+      ]
+    in
+    (conclude ~id ~minor op points ~streamed:summary ~buffered:summary, true)
   | P.CacheGc { max_bytes } -> (
-    match execute_cache_gc t ~id max_bytes with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"cache-gc" (diag_of_exn e),
-        false, `Continue ))
+    match A.Engine.gc ?max_bytes t.engine with
+    | None ->
+      ( P.error_response ~id ~kind:"no_cache" ~op:name
+          (D.error ~code:"E1006"
+             "cache-gc: this server runs with caching disabled"),
+        false )
+    | Some g ->
+      ok
+        [ ("examined", J.Int g.A.Disk_cache.gc_examined);
+          ("quarantined", J.Int g.A.Disk_cache.gc_quarantined);
+          ("evicted", J.Int g.A.Disk_cache.gc_evicted);
+          ("freed_bytes", J.Int g.A.Disk_cache.gc_freed_bytes);
+          ("live_bytes", J.Int g.A.Disk_cache.gc_live_bytes);
+          ("writes_reenabled", J.Bool g.A.Disk_cache.gc_writes_reenabled) ])
 
 (* ---------- connection handling ---------- *)
 
-let respond t ~(emit : (string -> unit) option) (line : string) :
+let respond t ~(emit : string -> unit) (line : string) :
     string * [ `Continue | `Stop ] =
   let t0 = Unix.gettimeofday () in
-  match P.parse_request line with
-  | exception P.Bad_request { kind; diag } ->
-    (* malformed traffic must be visible in [stats]: a misbehaving
-       client spamming garbage is exactly when the operator looks *)
-    Metrics.record_received t.metrics ~op:invalid_op;
-    Metrics.record_completed t.metrics ~op:invalid_op ~ok:false
-      ~seconds:(Unix.gettimeofday () -. t0);
-    (P.error_response ~id:J.Null ~kind diag, `Continue)
-  | { P.id; minor; op } ->
-    let name = P.op_name op in
-    Metrics.record_received t.metrics ~op:name;
-    let resp, ok, action = execute t ~id ~minor ~emit op in
-    Metrics.record_completed t.metrics ~op:name ~ok
-      ~seconds:(Unix.gettimeofday () -. t0);
-    (resp, action)
+  let op_name, (resp, ok), action =
+    match P.parse_request line with
+    | exception P.Bad_request { kind; diag } ->
+      (* malformed traffic must be visible in [stats]: a misbehaving
+         client spamming garbage is exactly when the operator looks *)
+      Metrics.record_received t.metrics ~op:invalid_op;
+      (invalid_op, (P.error_response ~id:J.Null ~kind diag, false), `Continue)
+    | { P.id; minor; op } ->
+      let name = P.op_name op in
+      Metrics.record_received t.metrics ~op:name;
+      let result =
+        match execute t ~id ~minor ~emit op with
+        | result -> result
+        | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e)
+          ->
+          raise e
+        | exception e ->
+          (* a recognized input problem keeps its layer code, the rest is
+             internal; after streamed rows this line is still
+             well-formed — a non-row frame concludes the exchange on the
+             client side *)
+          let diag =
+            match A.Flow.classify_exn e with Some d -> d | None -> D.of_exn e
+          in
+          (P.error_response ~id ~kind:"failed" ~op:name diag, false)
+      in
+      (name, result, match op with P.Shutdown -> `Stop | _ -> `Continue)
+  in
+  Metrics.record_completed t.metrics ~op:op_name ~ok
+    ~seconds:(Unix.gettimeofday () -. t0);
+  (resp, action)
 
 (* wake the acceptor out of [select] with a throwaway connection to
    each listener; nothing here blocks or takes a lock, so it is
@@ -662,7 +565,7 @@ let handle_connection t (fd : Unix.file_descr) : unit =
       | Some line when String.trim line = "" -> ()
       | Some line ->
         Fi.hit faults "server.worker";
-        let resp, action = respond t ~emit:(Some emit) line in
+        let resp, action = respond t ~emit line in
         (match Fi.check faults "sock.write" with
         | Some (Fi.Delay s) -> Unix.sleepf s
         | Some _ ->

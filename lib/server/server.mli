@@ -17,7 +17,7 @@
     admitted connection — by peeking (without consuming) its first
     request line — into one of two lanes: {e cheap}
     ([ping]/[stats]/[cache-gc]/[shutdown], and malformed requests) or
-    {e heavy} ([redact]/[characterize]/[sweep]). With two or more
+    {e heavy} ([redact]/[characterize]/[sweep]/[advise]). With two or more
     workers, one is reserved for the cheap lane, so a saturating sweep
     load can never starve health checks; the remaining workers drain
     the cheap lane first, then the heavy one. A connection's lane is
@@ -28,17 +28,19 @@
     queuing without bound — load sheds at the door, never by hanging.
     [stats] reports the per-lane queue depths.
 
-    {2 Streaming sweeps}
+    {2 Streaming sweeps and advice}
 
     A [sweep] request that sets [stream:true] and announces protocol
     minor [mv >= 1] is answered incrementally: one
     [{"ok":true,"op":"sweep","event":"row",...}] line per completed
-    point, then a terminal [{"event":"done",...}] summary frame. Rows
+    point, then a terminal [{"event":"done",...}] summary frame. An
+    [advise] request streams the same way from [mv >= 4]: one row per
+    candidate, then a done frame carrying the ranked Pareto front. Rows
     are emitted after their checkpoint is written, so a client that
     hangs up mid-sweep wastes at most the point in flight — a rerun
-    resumes the rest from the sweep store. Clients that do not announce
-    [mv >= 1] get the buffered single-line form whatever they asked
-    for.
+    resumes the rest from the sweep store. Clients below those minors
+    get the buffered single-line form whatever they asked for
+    ({!Protocol.streams}).
 
     {2 Deadlines and drain}
 

@@ -253,6 +253,66 @@ let test_protocol_responses () =
     Alcotest.(check string) "diag code" "E1003" (J.get_string d "code")
   | _ -> Alcotest.fail "diags list"
 
+let test_protocol_gate () =
+  (* the one minor-gating table: each field with the minor it arrived in *)
+  let gated =
+    [ ("attack", 2); ("attacks_run", 2); ("attacks_cached", 2);
+      ("attacks_inconclusive", 2); ("reused", 3); ("verdicts", 3);
+      ("metrics", 4) ]
+  in
+  let ungated = [ "name"; "verilog"; "run"; "resumed"; "diags"; "front" ] in
+  let names = List.map fst gated @ ungated in
+  for minor = 0 to S.Protocol.minor do
+    let fields = List.map (fun k -> (k, ())) names in
+    let kept = List.map fst (S.Protocol.gate ~minor fields) in
+    List.iter
+      (fun (k, introduced) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s at minor %d" k minor)
+          (introduced <= minor) (List.mem k kept))
+      gated;
+    List.iter
+      (fun k ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s always at minor %d" k minor)
+          true (List.mem k kept))
+      ungated;
+    Alcotest.(check (list string)) "order kept"
+      (List.filter (fun k -> List.mem k kept) names)
+      kept
+  done;
+  (* streaming: sweep from minor 1, advise from minor 4, only on request *)
+  let src = S.Protocol.Inline "module m; endmodule" in
+  let sweep stream =
+    S.Protocol.Sweep { source = src; base = Y.Null; entries = []; stream }
+  and advise stream =
+    S.Protocol.Advise
+      { source = src; base = Y.Null; constraints = Y.Null; stream }
+  in
+  let ops =
+    [ ("ping", S.Protocol.Ping, None); ("stats", S.Protocol.Stats, None);
+      ("shutdown", S.Protocol.Shutdown, None);
+      ( "redact",
+        S.Protocol.Redact
+          { source = src; config = Y.Null; view = A.Redact.Programmed },
+        None );
+      ( "characterize",
+        S.Protocol.Characterize { source = src; config = Y.Null },
+        None );
+      ("sweep", sweep true, Some 1); ("sweep unasked", sweep false, None);
+      ("advise", advise true, Some 4); ("advise unasked", advise false, None);
+      ("cache-gc", S.Protocol.CacheGc { max_bytes = None }, None) ]
+  in
+  List.iter
+    (fun (label, op, from) ->
+      for minor = 0 to S.Protocol.minor do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s streams at minor %d" label minor)
+          (match from with Some m -> minor >= m | None -> false)
+          (S.Protocol.streams ~minor op)
+      done)
+    ops
+
 (* ---------- Metrics ---------- *)
 
 let test_metrics () =
@@ -827,6 +887,307 @@ let test_server_shutdown_drain () =
   S.Server.stop t;
   S.Server.wait t
 
+(* ---------- wire transcript ---------- *)
+
+(* Every line the server sends for a fixed request matrix, replayed at
+   each announced minor, pinned by one MD5 per request. Wall-clock
+   values, the racy queue/in-flight gauges and the cache root (a temp
+   dir) are zeroed first; everything else — field order, minor gating,
+   error mapping, streamed framing — is pinned byte for byte, so a
+   change to any of them names the request that moved. *)
+
+let wire_volatile =
+  [ "uptime_s"; "filtering_s"; "clustering_s"; "selection_s"; "in_flight";
+    "queued"; "latency"; "root" ]
+
+let rec wire_scrub (j : J.t) : J.t =
+  match j with
+  | J.Obj kvs ->
+    J.Obj
+      (List.map
+         (fun (k, v) ->
+           (k, if List.mem k wire_volatile then J.Int 0 else wire_scrub v))
+         kvs)
+  | J.List l -> J.List (List.map wire_scrub l)
+  | v -> v
+
+(* the lines one request draws — streamed rows, then the concluding
+   frame — scrubbed and joined *)
+let wire_transcript socket (line : string) : string =
+  let rows = ref [] in
+  let final =
+    S.Client.one_shot ~faults:Alice_fault.Fault.none
+      ~on_event:(fun r -> rows := r :: !rows)
+      ~socket line
+  in
+  List.rev (final :: !rows)
+  |> List.map (fun l -> J.to_string (wire_scrub (J.parse l)))
+  |> String.concat "\n"
+
+let wire_matrix : (string * (string * J.t) list) list =
+  let op o = ("op", J.String o) and src = ("source", J.String demo_src) in
+  let measured =
+    J.Obj
+      [ ("score", J.String "measured"); ("attack_budget", J.Int 2_000);
+        ("attack_iterations", J.Int 16); ("attack_jobs", J.Int 1) ]
+  in
+  let axes l = ("constraints", J.Obj [ ("axes", J.Obj l) ]) in
+  let grid =
+    axes
+      [ ("lut_inputs", J.List [ J.Int 4 ]);
+        ("max_fabric_size", J.List [ J.Int 8; J.Int 12 ]) ]
+  in
+  let stream = ("stream", J.Bool true) in
+  let sweep = ("sweep", J.List sweep_entries) in
+  [ ("ping", [ op "ping" ]);
+    ("redact", [ op "redact"; src ]);
+    ("redact-opaque", [ op "redact"; src; ("view", J.String "opaque") ]);
+    ("redact-measured", [ op "redact"; src; ("config", measured) ]);
+    ( "redact-infeasible",
+      [ op "redact"; src; ("config", J.Obj [ ("max_io_pins", J.Int 1) ]) ] );
+    ( "redact-bad-k",
+      [ op "redact"; src;
+        ("config", J.Obj [ ("fabric", J.Obj [ ("lut_inputs", J.Int 1) ]) ])
+      ] );
+    ( "redact-parse-error",
+      [ op "redact"; ("source", J.String "module m (input a; endmodule") ] );
+    ( "redact-missing-file",
+      [ op "redact"; ("file", J.String "/nonexistent/alice/x.v") ] );
+    ("characterize", [ op "characterize"; src ]);
+    ("sweep", [ op "sweep"; src; sweep ]);
+    ("sweep-stream", [ op "sweep"; src; sweep; stream ]);
+    ("sweep-measured", [ op "sweep"; src; ("base", measured); sweep ]);
+    ( "sweep-measured-stream",
+      [ op "sweep"; src; ("base", measured); sweep; stream ] );
+    ("advise", [ op "advise"; src; grid ]);
+    ("advise-stream", [ op "advise"; src; grid; stream ]);
+    ("advise-measured", [ op "advise"; src; ("base", measured); grid ]);
+    ( "advise-measured-stream",
+      [ op "advise"; src; ("base", measured); grid; stream ] );
+    ( "advise-empty-axis",
+      [ op "advise"; src; axes [ ("lut_inputs", J.List []) ] ] );
+    ("redact-config-list", [ op "redact"; src; ("config", J.List []) ]);
+    ("sweep-base-string", [ op "sweep"; src; ("base", J.String "x"); sweep ]);
+    ( "advise-constraints-list",
+      [ op "advise"; src; ("constraints", J.List []) ] );
+    ("cache-gc", [ op "cache-gc" ]);
+    ("unknown-op", [ op "teleport" ]);
+    ("stats", [ op "stats" ]) ]
+
+(* the matrix at every minor (absent, 1..4) on a cache-less server, then
+   a cached server running the same sweep and advise twice, so the
+   second pass resumes every point from its checkpoint *)
+let wire_line ?mv name fields =
+  let mv = match mv with None -> [] | Some m -> [ ("mv", J.Int m) ] in
+  J.to_string
+    (J.Obj ((("v", J.Int 1) :: mv) @ (("id", J.String name) :: fields)))
+
+let wire_requests : (string * string) list =
+  List.concat_map
+    (fun mv ->
+      let tag =
+        match mv with None -> "mv-" | Some m -> Printf.sprintf "mv%d" m
+      in
+      ((tag ^ "/garbage"), "not json at all")
+      :: List.map
+           (fun (name, fields) -> (tag ^ "/" ^ name, wire_line ?mv name fields))
+           wire_matrix)
+    [ None; Some 1; Some 2; Some 3; Some 4 ]
+
+let wire_resume_requests : (string * string) list =
+  let pick = [ "sweep"; "sweep-stream"; "advise"; "advise-stream" ] in
+  List.concat_map
+    (fun pass ->
+      let tag name = Printf.sprintf "cached%d/%s" pass name in
+      List.map
+        (fun name ->
+          (tag name, wire_line ~mv:4 name (List.assoc name wire_matrix)))
+        pick
+      @ [ (tag "stats", S.Protocol.stats_request ()) ])
+    [ 1; 2 ]
+
+(* one MD5 per request; a mismatch lists every request whose transcript
+   moved, in this form *)
+let wire_golden : (string * string) list =
+  [ ("mv-/garbage", "0672af754aa8298a61ce27835334c5b1");
+    ("mv-/ping", "49e496a8cac631f09f85197ae373504e");
+    ("mv-/redact", "b58735c71a1b360d94729f0e381061d0");
+    ("mv-/redact-opaque", "37545b2ca633bdeed35f99822d559a4f");
+    ("mv-/redact-measured", "49f11e652223bd3c4d7fb07919a2fcef");
+    ("mv-/redact-infeasible", "3af32dd0c3fad85a92257229f1e986be");
+    ("mv-/redact-bad-k", "607fb255f4c6cbdffbe5fd57ea0219f8");
+    ("mv-/redact-parse-error", "aaf266d31ba23e4657a69b3f01b72553");
+    ("mv-/redact-missing-file", "fd7f91fd808ef72cae0a5cb7f966464a");
+    ("mv-/characterize", "2c2b056175461e437cff60d8c0b97e83");
+    ("mv-/sweep", "8bd6a23cfe6db888bbd69bea157a48a7");
+    ("mv-/sweep-stream", "035faeb9bdaf25628b65ce9f6d6afb61");
+    ("mv-/sweep-measured", "8d012539f6e095235978b356d98ff559");
+    ("mv-/sweep-measured-stream", "9b1d9d244629312d11db275f9bb13c3e");
+    ("mv-/advise", "c7dde6cf6595ff6cfe451806949b7e68");
+    ("mv-/advise-stream", "e0b078426d5c6fb935f53b59f3415e56");
+    ("mv-/advise-measured", "3f4f22803567383e8792e73a3c47b077");
+    ("mv-/advise-measured-stream", "fdc21db9480efd3dd026f305e75fbf28");
+    ("mv-/advise-empty-axis", "42005f8c8c164ac134f7e1ff42d41d08");
+    ("mv-/redact-config-list", "ed8671646d0b981ccb792b28e5b5c7d7");
+    ("mv-/sweep-base-string", "ecf81556cb983bef43635a3ca84c08b5");
+    ("mv-/advise-constraints-list", "39a29fefcb00f0162369eef25aadef6b");
+    ("mv-/cache-gc", "11fd29a9dee8b9627b18de165db843af");
+    ("mv-/unknown-op", "ac2316634c667efa7ae3db5de3c46d56");
+    ("mv-/stats", "2e0ca20fdf2d5065c6b71c2a90195848");
+    ("mv1/garbage", "0672af754aa8298a61ce27835334c5b1");
+    ("mv1/ping", "49e496a8cac631f09f85197ae373504e");
+    ("mv1/redact", "42116b6050464db049eed990871cabde");
+    ("mv1/redact-opaque", "37545b2ca633bdeed35f99822d559a4f");
+    ("mv1/redact-measured", "49f11e652223bd3c4d7fb07919a2fcef");
+    ("mv1/redact-infeasible", "3af32dd0c3fad85a92257229f1e986be");
+    ("mv1/redact-bad-k", "607fb255f4c6cbdffbe5fd57ea0219f8");
+    ("mv1/redact-parse-error", "aaf266d31ba23e4657a69b3f01b72553");
+    ("mv1/redact-missing-file", "fd7f91fd808ef72cae0a5cb7f966464a");
+    ("mv1/characterize", "2c2b056175461e437cff60d8c0b97e83");
+    ("mv1/sweep", "ffa26d4b42710db9a3b6b08fee099dea");
+    ("mv1/sweep-stream", "1256b6b0236250dd511dc303d08a7515");
+    ("mv1/sweep-measured", "8d012539f6e095235978b356d98ff559");
+    ("mv1/sweep-measured-stream", "93d1c3a4cb688350d6116c737d5233bc");
+    ("mv1/advise", "c7dde6cf6595ff6cfe451806949b7e68");
+    ("mv1/advise-stream", "e0b078426d5c6fb935f53b59f3415e56");
+    ("mv1/advise-measured", "3f4f22803567383e8792e73a3c47b077");
+    ("mv1/advise-measured-stream", "fdc21db9480efd3dd026f305e75fbf28");
+    ("mv1/advise-empty-axis", "42005f8c8c164ac134f7e1ff42d41d08");
+    ("mv1/redact-config-list", "ed8671646d0b981ccb792b28e5b5c7d7");
+    ("mv1/sweep-base-string", "ecf81556cb983bef43635a3ca84c08b5");
+    ("mv1/advise-constraints-list", "39a29fefcb00f0162369eef25aadef6b");
+    ("mv1/cache-gc", "11fd29a9dee8b9627b18de165db843af");
+    ("mv1/unknown-op", "ac2316634c667efa7ae3db5de3c46d56");
+    ("mv1/stats", "94333781c293f5fe73b6ac4d09e6eb4e");
+    ("mv2/garbage", "0672af754aa8298a61ce27835334c5b1");
+    ("mv2/ping", "49e496a8cac631f09f85197ae373504e");
+    ("mv2/redact", "ad5570322908b835b9d23bb5ed34bd9d");
+    ("mv2/redact-opaque", "a98e727c9e3177eb9afcc16e844b3150");
+    ("mv2/redact-measured", "b5108f9199ec0fa36bcfea03b6bd32d6");
+    ("mv2/redact-infeasible", "3af32dd0c3fad85a92257229f1e986be");
+    ("mv2/redact-bad-k", "607fb255f4c6cbdffbe5fd57ea0219f8");
+    ("mv2/redact-parse-error", "aaf266d31ba23e4657a69b3f01b72553");
+    ("mv2/redact-missing-file", "fd7f91fd808ef72cae0a5cb7f966464a");
+    ("mv2/characterize", "2c2b056175461e437cff60d8c0b97e83");
+    ("mv2/sweep", "8f56da8a7a4494386e114f24195891de");
+    ("mv2/sweep-stream", "3cdc533842af75fe62c54efa2d24b499");
+    ("mv2/sweep-measured", "406893af8e1e2abf818ab1c334ddc19c");
+    ("mv2/sweep-measured-stream", "5ab1ea89029586f204fa52edaaf54323");
+    ("mv2/advise", "116f17ae816d3796a2f0899426fd49c7");
+    ("mv2/advise-stream", "11e20d6a63b905856810708114c3b0ce");
+    ("mv2/advise-measured", "ea3635c73b175b4e9dfe527988ca67c0");
+    ("mv2/advise-measured-stream", "a7ad66174c151bcb5c73a5868013d964");
+    ("mv2/advise-empty-axis", "42005f8c8c164ac134f7e1ff42d41d08");
+    ("mv2/redact-config-list", "ed8671646d0b981ccb792b28e5b5c7d7");
+    ("mv2/sweep-base-string", "ecf81556cb983bef43635a3ca84c08b5");
+    ("mv2/advise-constraints-list", "39a29fefcb00f0162369eef25aadef6b");
+    ("mv2/cache-gc", "11fd29a9dee8b9627b18de165db843af");
+    ("mv2/unknown-op", "ac2316634c667efa7ae3db5de3c46d56");
+    ("mv2/stats", "e03e34163682fea1fa00a00a8d1baaa2");
+    ("mv3/garbage", "0672af754aa8298a61ce27835334c5b1");
+    ("mv3/ping", "49e496a8cac631f09f85197ae373504e");
+    ("mv3/redact", "5629f2ec474b12b7dfa7a8c08a58de6b");
+    ("mv3/redact-opaque", "f427c30eebcd3aaf25c12b04eed8581d");
+    ("mv3/redact-measured", "772a3f73de0192204dbeda9a57ff7d63");
+    ("mv3/redact-infeasible", "3af32dd0c3fad85a92257229f1e986be");
+    ("mv3/redact-bad-k", "607fb255f4c6cbdffbe5fd57ea0219f8");
+    ("mv3/redact-parse-error", "aaf266d31ba23e4657a69b3f01b72553");
+    ("mv3/redact-missing-file", "fd7f91fd808ef72cae0a5cb7f966464a");
+    ("mv3/characterize", "2c2b056175461e437cff60d8c0b97e83");
+    ("mv3/sweep", "8f56da8a7a4494386e114f24195891de");
+    ("mv3/sweep-stream", "3cdc533842af75fe62c54efa2d24b499");
+    ("mv3/sweep-measured", "406893af8e1e2abf818ab1c334ddc19c");
+    ("mv3/sweep-measured-stream", "5ab1ea89029586f204fa52edaaf54323");
+    ("mv3/advise", "116f17ae816d3796a2f0899426fd49c7");
+    ("mv3/advise-stream", "11e20d6a63b905856810708114c3b0ce");
+    ("mv3/advise-measured", "ea3635c73b175b4e9dfe527988ca67c0");
+    ("mv3/advise-measured-stream", "a7ad66174c151bcb5c73a5868013d964");
+    ("mv3/advise-empty-axis", "42005f8c8c164ac134f7e1ff42d41d08");
+    ("mv3/redact-config-list", "ed8671646d0b981ccb792b28e5b5c7d7");
+    ("mv3/sweep-base-string", "ecf81556cb983bef43635a3ca84c08b5");
+    ("mv3/advise-constraints-list", "39a29fefcb00f0162369eef25aadef6b");
+    ("mv3/cache-gc", "11fd29a9dee8b9627b18de165db843af");
+    ("mv3/unknown-op", "ac2316634c667efa7ae3db5de3c46d56");
+    ("mv3/stats", "3f77549d4c496b12a12a0020b159c34e");
+    ("mv4/garbage", "0672af754aa8298a61ce27835334c5b1");
+    ("mv4/ping", "49e496a8cac631f09f85197ae373504e");
+    ("mv4/redact", "5629f2ec474b12b7dfa7a8c08a58de6b");
+    ("mv4/redact-opaque", "f427c30eebcd3aaf25c12b04eed8581d");
+    ("mv4/redact-measured", "772a3f73de0192204dbeda9a57ff7d63");
+    ("mv4/redact-infeasible", "3af32dd0c3fad85a92257229f1e986be");
+    ("mv4/redact-bad-k", "607fb255f4c6cbdffbe5fd57ea0219f8");
+    ("mv4/redact-parse-error", "aaf266d31ba23e4657a69b3f01b72553");
+    ("mv4/redact-missing-file", "fd7f91fd808ef72cae0a5cb7f966464a");
+    ("mv4/characterize", "2c2b056175461e437cff60d8c0b97e83");
+    ("mv4/sweep", "e09bcb6938a30849f9306c4a5ec9ee3c");
+    ("mv4/sweep-stream", "6cc02332d2f9ccf4ad1b2216d2f47d0c");
+    ("mv4/sweep-measured", "a6e990d9a3c4c8a56c6580dc31c49d08");
+    ("mv4/sweep-measured-stream", "d10d3e22706066bd3b17697cdc903318");
+    ("mv4/advise", "2e0dd6dbcfde4836ba4a85c2967f5d8d");
+    ("mv4/advise-stream", "aef29f6599468434cf68dbbf044b2e57");
+    ("mv4/advise-measured", "ccefd5d6f0bb5420fbdc536d0a3da604");
+    ("mv4/advise-measured-stream", "184287ceb36c3d0338431d0e70bccc39");
+    ("mv4/advise-empty-axis", "42005f8c8c164ac134f7e1ff42d41d08");
+    ("mv4/redact-config-list", "ed8671646d0b981ccb792b28e5b5c7d7");
+    ("mv4/sweep-base-string", "ecf81556cb983bef43635a3ca84c08b5");
+    ("mv4/advise-constraints-list", "39a29fefcb00f0162369eef25aadef6b");
+    ("mv4/cache-gc", "11fd29a9dee8b9627b18de165db843af");
+    ("mv4/unknown-op", "ac2316634c667efa7ae3db5de3c46d56");
+    ("mv4/stats", "fd95f5eeacbd8453374c74634c108e7f");
+    ("cached1/sweep", "8d389bdf1962595042daa2a9fee03291");
+    ("cached1/sweep-stream", "1ac10514cd679f9f4abc79c57f9ae746");
+    ("cached1/advise", "2e0dd6dbcfde4836ba4a85c2967f5d8d");
+    ("cached1/advise-stream", "79539e52bdf863330befaab999873b4f");
+    ("cached1/stats", "46efb1b481cab6f54680d66d3b61423b");
+    ("cached2/sweep", "833fa2b716883020e80c1500399ba7bf");
+    ("cached2/sweep-stream", "1ac10514cd679f9f4abc79c57f9ae746");
+    ("cached2/advise", "e63f99f41f2d9e0c5946131aa89fd348");
+    ("cached2/advise-stream", "79539e52bdf863330befaab999873b4f");
+    ("cached2/stats", "dac7e218f91e590473e1c05d353344ae") ]
+
+let test_wire_transcript () =
+  let run ~engine requests =
+    let cfg =
+      { (S.Server.default_config ~socket_path:(tmp_socket ())) with
+        S.Server.base = base_yaml; idle_timeout_s = 20.0;
+        faults = Alice_fault.Fault.none }
+    in
+    let t = S.Server.start ~engine cfg in
+    Fun.protect
+      ~finally:(fun () ->
+        S.Server.stop t;
+        S.Server.wait t)
+      (fun () ->
+        let socket = S.Endpoint.to_string (List.hd (S.Server.endpoints t)) in
+        List.map
+          (fun (name, line) ->
+            (name, Digest.to_hex (Digest.string (wire_transcript socket line))))
+          requests)
+  in
+  let faults = Alice_fault.Fault.none in
+  let cold =
+    run ~engine:(A.Engine.create ~cache:false ~faults ()) wire_requests
+  in
+  let dir = Filename.temp_file "alice_wire" ".cache" in
+  Sys.remove dir;
+  let cached =
+    run ~engine:(A.Engine.create ~cache_dir:dir ~faults ()) wire_resume_requests
+  in
+  let got = cold @ cached in
+  let moved =
+    List.filter_map
+      (fun (name, md5) ->
+        match List.assoc_opt name wire_golden with
+        | Some want when want = md5 -> None
+        | _ -> Some (Printf.sprintf "(%S, %S);" name md5))
+      got
+  in
+  if moved <> [] then
+    Alcotest.failf "%d of %d wire transcripts moved:\n%s" (List.length moved)
+      (List.length got) (String.concat "\n" moved);
+  Alcotest.(check int) "every pinned request ran" (List.length wire_golden)
+    (List.length got)
+
 let tests =
   [ Alcotest.test_case "json parse" `Quick test_json_parse;
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
@@ -839,6 +1200,7 @@ let tests =
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "protocol lanes" `Quick test_protocol_lanes;
     Alcotest.test_case "protocol responses" `Quick test_protocol_responses;
+    Alcotest.test_case "protocol gate and streams" `Quick test_protocol_gate;
     Alcotest.test_case "metrics registry" `Quick test_metrics;
     Alcotest.test_case "metrics quantile clamp" `Quick
       test_metrics_quantile_clamp;
@@ -860,4 +1222,5 @@ let tests =
       test_server_advise_negotiation;
     Alcotest.test_case "attack verdicts gated on minor 3" `Quick
       test_server_attack_verdicts_minor3;
+    Alcotest.test_case "wire transcript golden" `Quick test_wire_transcript;
     Alcotest.test_case "shutdown drain" `Quick test_server_shutdown_drain ]
