@@ -544,16 +544,13 @@ let run_parallel () =
         (c.A.Characterize.cluster.A.Clustering.key, label))
       results
   in
-  let serial, t_serial =
-    time (fun () -> A.Characterize.run_all ~jobs:1 design cfg clusters)
+  let characterize jobs () =
+    fst (A.Characterize.run_all_stats ~jobs design cfg clusters)
   in
+  let serial, t_serial = time (characterize 1) in
   let default_jobs = Domain.recommended_domain_count () in
-  let default_run, t_default =
-    time (fun () -> A.Characterize.run_all ~jobs:default_jobs design cfg clusters)
-  in
-  let over, t_over =
-    time (fun () -> A.Characterize.run_all ~jobs:4 design cfg clusters)
-  in
+  let default_run, t_default = time (characterize default_jobs) in
+  let over, t_over = time (characterize 4) in
   Format.printf "  serial  (jobs=1):          %6.2fs@." t_serial;
   Format.printf "  pool    (jobs=%d, default): %6.2fs   ratio serial/pool %.2fx@."
     default_jobs t_default

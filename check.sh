@@ -236,6 +236,49 @@ if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_warm.json"; then
   exit 1
 fi
 
+# --- sweep checkpoints: a corrupt one is recomputed with a W0702 -----
+# --- tagged with its entry's config ---------------------------------
+cat > "$tmpdir/sweep.yaml" <<'EOF'
+base:
+  top: gcd
+  selected_outputs:
+    - result
+  max_io_pins: 64
+  fabric:
+    min_size: 4
+    max_size: 16
+    target_utilization: 0.5
+    min_clb_utilization: 0.3
+sweep:
+  - name: one-efpga
+    max_efpgas: 1
+  - name: two-efpga
+    max_efpgas: 2
+EOF
+sweep_gcd() {
+  dune exec --no-build bin/alice_cli.exe -- sweep "$tmpdir/gcd.v" \
+    -c "$tmpdir/sweep.yaml" --cache-dir "$tmpdir/scache" \
+    --diag-format=json > "$1" 2> /dev/null
+}
+sweep_gcd "$tmpdir/sweep_cold.txt"
+victim=$(find "$tmpdir/scache/sweep" -name '*.bin' | head -n 1)
+if [ -z "$victim" ]; then
+  echo "check.sh: sweep wrote no checkpoints" >&2
+  exit 1
+fi
+printf 'rotted' > "$victim"
+sweep_gcd "$tmpdir/sweep_rot.txt"
+# the one entry not resumed is the corrupted checkpoint's
+recomputed=$(awk '$NF == "no" { print $1 }' "$tmpdir/sweep_rot.txt")
+if [ -z "$recomputed" ] || ! grep -q \
+  "\"code\":\"W0702\".*\"config\":\"$recomputed\",\"entry\":\"$victim\"" \
+  "$tmpdir/sweep_rot.txt"; then
+  echo "check.sh: corrupt sweep checkpoint $victim recomputed without" \
+    "a W0702 for its entry:" >&2
+  cat "$tmpdir/sweep_rot.txt" >&2
+  exit 1
+fi
+
 # --- redaction service: 8 concurrent clients, warm stats, streaming ---
 # --- sweep, clean drain — once per transport (unix + tcp) -------------
 # the daemon is exercised through the built binary directly: `dune exec`
@@ -358,6 +401,14 @@ server_smoke() {
   "$ALICE" client --connect "$ep" --op stats > "$tmpdir/stats_$label.json"
   if ! grep -q '"hits":[1-9]' "$tmpdir/stats_$label.json"; then
     echo "check.sh: $label server stats report no cache hits:" >&2
+    cat "$tmpdir/stats_$label.json" >&2
+    exit 1
+  fi
+  # ...and the 8 concurrent cold writers lost no cache write: a shared
+  # temp file made one writer's rename fail (W0703) and disable writes
+  if ! grep -q '"warnings":0' "$tmpdir/stats_$label.json" ||
+    ! grep -q '"failures":0' "$tmpdir/stats_$label.json"; then
+    echo "check.sh: $label server stats report cache warnings/failures:" >&2
     cat "$tmpdir/stats_$label.json" >&2
     exit 1
   fi

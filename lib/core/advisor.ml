@@ -276,7 +276,7 @@ let rank (plan : plan) (sps : Engine.sweep_point list) : report =
   { r_entries = entries; r_front = ranked_front;
     r_deduped = plan.pl_deduped }
 
-let run ?(shared = false) ?(resume = true) ?on_point (engine : Engine.t)
+let run ?(resume = true) ?on_point (engine : Engine.t)
     ~(source : Flow.source) (plan : plan) : report =
   let points =
     List.map
@@ -284,7 +284,7 @@ let run ?(shared = false) ?(resume = true) ?on_point (engine : Engine.t)
         (name, Flow.request ~config:cfg ~diags:(D.Collector.create ()) source))
       plan.pl_grid
   in
-  rank plan (Engine.run_sweep ~shared ~resume ?on_point engine points)
+  rank plan (Engine.run_sweep ~resume ?on_point engine points)
 
 (* ---------- rendering ---------- *)
 

@@ -6,7 +6,9 @@
     {!Alice_fabric.Size_search.suggested_max_widths}, target
     utilization, attack budget, score mode — drives every grid point
     through {!Engine.run_sweep} (so points are cached, per-point
-    resumable and attack-verdict-warm), and classifies the solved
+    resumable and attack-verdict-warm; the CLI and the server take the
+    same path, and cache warnings follow {!Engine.run}'s routing rule),
+    and classifies the solved
     points with {!Pareto} over three objectives: total fabric area
     (minimize), critical-path timing (minimize) and security score
     (maximize; Eq. 1 proxy under [Heuristic], measured attack
@@ -106,11 +108,11 @@ val plan_of_source :
 val rank : plan -> Engine.sweep_point list -> report
 
 (** Drive the grid through {!Engine.run_sweep} and rank the results.
-    [shared], [resume] and [on_point] are passed through — [on_point]
+    [resume] and [on_point] are passed through — [on_point]
     observes each candidate after its checkpoint write (see
     {!Engine.run_sweep} for the crash-safety contract). *)
 val run :
-  ?shared:bool -> ?resume:bool -> ?on_point:(Engine.sweep_point -> unit) ->
+  ?resume:bool -> ?on_point:(Engine.sweep_point -> unit) ->
   Engine.t -> source:Flow.source -> plan -> report
 
 (** Machine-readable forms. Deliberately free of wall-clock times,

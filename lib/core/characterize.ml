@@ -13,19 +13,18 @@
     stays sound when the cache outlives one run or one configuration.
 
     Characterizations are independent of each other (the paper's
-    per-cluster OpenFPGA fan-out), so {!run_all} deduplicates the
+    per-cluster OpenFPGA fan-out), so {!run_all_stats} deduplicates the
     candidate set by cache key up front, characterizes each unique
-    module multiset once across an {!Alice_parallel.Pool} of worker
-    domains, and fans the results back out to every aliasing cluster in
-    the original order — output is bit-identical to the serial flow for
-    any [jobs] value. *)
+    module multiset once across a pool of worker domains
+    ({!Alice_parallel.Memo.resolve}), and fans the results back out to
+    every aliasing cluster in the original order — output is
+    bit-identical to the serial flow for any [jobs] value. *)
 
 module V = Alice_verilog
 module N = Alice_netlist
 module F = Alice_fabric
 module C = Alice_config
 module D = Alice_diag.Diag
-module Pool = Alice_parallel.Pool
 module Memo = Alice_parallel.Memo
 module Timebase = Alice_diag.Timebase
 
@@ -237,16 +236,16 @@ let compute (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     | Ok impl -> { cluster; outcome = Implemented impl; mapped = Some mapped }
     | Error f -> { cluster; outcome = Infeasible f; mapped = Some mapped })
 
-(** Characterize every cluster; order preserved. Clusters are
-    deduplicated by cache key up front — one computation per unique
-    module multiset — and the unique keys not already in [cache] are
-    fanned out over [jobs] worker domains (serial, without spawning a
-    domain, when [jobs] is 1). With [deadline_s], unique keys whose
-    characterization has not *started* when the deadline passes become
-    [Skipped] with a [W0701] diagnostic — a computation already in
-    flight is allowed to finish. Results are fanned back out to every
-    aliasing cluster, each with its diagnostics relabeled to its own
-    instances.
+(** Characterize every cluster; order preserved. One {!Memo.resolve}
+    call does the work: clusters are deduplicated by cache key up front
+    — one computation per unique module multiset — and the unique keys
+    not already in [cache] are fanned out over [jobs] worker domains
+    (serial, without spawning a domain, when [jobs] is 1). With
+    [deadline_s], unique keys whose characterization has not *started*
+    when the deadline passes become [Skipped] with a [W0701] diagnostic
+    — a computation already in flight is allowed to finish. Results are
+    fanned back out to every aliasing cluster, each with its diagnostics
+    relabeled to its own instances.
 
     Only real fabric verdicts ([Implemented]/[Infeasible]) are written
     back to [cache]: a fault or a deadline skip is an artifact of this
@@ -254,89 +253,36 @@ let compute (design : V.Elaborate.design) (cfg : C.Flow_config.t)
 let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
     (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (clusters : Clustering.cluster list) : characterization list * stats =
-  let memo : cache =
-    match cache with Some c -> c | None -> create_cache ()
-  in
+  let memo = match cache with Some c -> c | None -> create_cache () in
   let t0 = Timebase.now_s () in
-  let should_stop () =
-    match deadline_s with
-    | None -> false
-    | Some limit -> Timebase.elapsed_since t0 > limit
+  let should_stop =
+    Option.map (fun limit () -> Timebase.elapsed_since t0 > limit) deadline_s
+  in
+  let keep c =
+    match c.outcome with
+    | Implemented _ | Infeasible _ -> true
+    | Failed _ | Skipped _ -> false
+  in
+  (* [compute] catches everything but [Out_of_memory] itself; a raised
+     task is a safety net so an unexpected escape still costs one
+     candidate *)
+  let recover cluster e =
+    let outcome =
+      match e with
+      | Some e -> Failed (diag_of_cluster_exn cluster e)
+      | None ->
+        Skipped
+          (skip_diag ~deadline_s:(Option.value deadline_s ~default:0.0)
+             cluster)
+    in
+    { cluster; outcome; mapped = None }
   in
   let key_of = keyer design cfg in
-  let keyed = List.map (fun cluster -> (key_of cluster, cluster)) clusters in
-  let seen = Hashtbl.create 64 in
-  let uniques =
-    List.filter
-      (fun (key, _) ->
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      keyed
+  let r =
+    Memo.resolve ~jobs ?should_stop ~keep ~recover memo (compute design cfg)
+      (List.map (fun cluster -> (key_of cluster, cluster)) clusters)
   in
-  (* this run's key -> characterization table, for the alias fan-out;
-     distinct from [memo], which may outlive the run and only ever
-     holds fabric verdicts *)
-  let resolved : (string, characterization) Hashtbl.t = Hashtbl.create 64 in
-  let misses =
-    List.filter
-      (fun (key, _) ->
-        match Memo.find_opt memo key with
-        | Some c ->
-          Hashtbl.replace resolved key c;
-          false
-        | None -> true)
-      uniques
-  in
-  let cache_hits = Hashtbl.length resolved in
-  let pool = Pool.create ~jobs in
-  let outcomes =
-    Pool.map_ordered ~should_stop pool
-      (fun (_key, cluster) -> compute design cfg cluster)
-      misses
-  in
-  let computed = ref 0 and skipped = ref 0 in
-  List.iter2
-    (fun (key, rep) outcome ->
-      let c =
-        match outcome with
-        | Pool.Value c ->
-          incr computed;
-          c
-        | Pool.Raised Out_of_memory -> raise Out_of_memory
-        | Pool.Raised e ->
-          (* [compute] catches everything else itself; keep a safety
-             net so an unexpected escape still costs one candidate *)
-          incr computed;
-          { cluster = rep; outcome = Failed (diag_of_cluster_exn rep e);
-            mapped = None }
-        | Pool.Skipped ->
-          incr skipped;
-          { cluster = rep;
-            outcome =
-              Skipped
-                (skip_diag ~deadline_s:(Option.value deadline_s ~default:0.0)
-                   rep);
-            mapped = None }
-      in
-      Hashtbl.replace resolved key c;
-      match c.outcome with
-      | Implemented _ | Infeasible _ -> Memo.set memo key c
-      | Failed _ | Skipped _ -> ())
-    misses outcomes;
-  let results =
-    List.map
-      (fun (key, cluster) ->
-        match Hashtbl.find_opt resolved key with
-        | Some c -> retarget cluster c
-        | None -> assert false (* every unique key was just resolved *))
-      keyed
-  in
-  ( results,
-    { clusters = List.length clusters; unique = List.length uniques;
-      cache_hits; computed = !computed; skipped = !skipped } )
-
-let run_all ?deadline_s ?jobs ?cache design cfg clusters =
-  fst (run_all_stats ?deadline_s ?jobs ?cache design cfg clusters)
+  ( List.map2 retarget clusters r.Memo.values,
+    { clusters = List.length clusters; unique = List.length r.Memo.uniques;
+      cache_hits = r.Memo.hits; computed = r.Memo.computed;
+      skipped = r.Memo.skipped } )

@@ -4,8 +4,8 @@
     LUT-mapped, and passed to the minimum-fabric search. Results are
     cached by member-module multiset (subtree-digested) plus the
     configuration's {!Alice_config.Flow_config.characterize_digest};
-    {!run_all} deduplicates by that key up front and characterizes the
-    unique keys across a Domain-based worker pool, with output
+    {!run_all_stats} deduplicates by that key up front and characterizes
+    the unique keys across a Domain-based worker pool, with output
     bit-identical to the serial order for any [jobs] value. The cache
     may be supplied by the caller (see {!Engine}) so it outlives one
     run. *)
@@ -56,7 +56,7 @@ val create_cache :
   unit ->
   cache
 
-(** Per-{!run_all} accounting, in unique cache keys: [unique] distinct
+(** Per-{!run_all_stats} accounting, in unique cache keys: [unique] distinct
     keys among [clusters] requested, of which [cache_hits] came from
     the cache (in-memory or its backing store), [computed] were
     characterized in this run, and [skipped] fell to the deadline. *)
@@ -82,27 +82,18 @@ val empty_stats : stats
 val keyer :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> string
 
-(** Characterize every cluster; order preserved and output independent
-    of [jobs] (default 1: strictly serial, no domain spawned).
-    Clusters are deduplicated by cache key up front — one computation
-    per unique key, fanned back out to every aliasing cluster with
-    per-cluster relabeled diagnostics. Keys already present in [cache]
-    (default: a fresh ephemeral one) are served from it; only fabric
-    verdicts ([Implemented]/[Infeasible]) are written back, so faults
-    and deadline skips never stick across runs. With [deadline_s],
-    computations not started before the wall-clock deadline come back
-    [Skipped] with a [W0701] diagnostic; in-flight computations are
-    allowed to finish. *)
-val run_all :
-  ?deadline_s:float ->
-  ?jobs:int ->
-  ?cache:cache ->
-  V.Elaborate.design ->
-  C.Flow_config.t ->
-  Clustering.cluster list ->
-  characterization list
-
-(** {!run_all} plus this run's cache accounting. *)
+(** Characterize every cluster and account for the cache; order
+    preserved and output independent of [jobs] (default 1: strictly
+    serial, no domain spawned). One {!Alice_parallel.Memo.resolve}
+    call: clusters are deduplicated by cache key up front — one
+    computation per unique key, fanned back out to every aliasing
+    cluster with per-cluster relabeled diagnostics. Keys already present
+    in [cache] (default: a fresh ephemeral one) are served from it; only
+    fabric verdicts ([Implemented]/[Infeasible]) are written back, so
+    faults and deadline skips never stick across runs. With
+    [deadline_s], computations not started before the wall-clock
+    deadline come back [Skipped] with a [W0701] diagnostic; in-flight
+    computations are allowed to finish. *)
 val run_all_stats :
   ?deadline_s:float ->
   ?jobs:int ->

@@ -16,9 +16,10 @@
     [<root>/quarantine/]) so the same rot is paid once, then repaired by
     the recomputation's write-back. An unwritable directory disables
     writes with a single [W0703] warning until {!enable_writes} (which
-    {!gc} calls after freeing space) re-arms them. Writes go through a
-    per-domain temporary file and [Sys.rename], so concurrent processes
-    and worker domains never observe a torn entry.
+    {!gc} calls after freeing space) re-arms them. Each write goes
+    through a temporary file of its own (named by pid and a per-process
+    counter) and [Sys.rename], so concurrent processes, worker domains
+    and threads never observe a torn entry or lose a rename.
 
     With a byte budget ([max_bytes]) the store is bounded: loads touch
     their entry's mtime, and when a write pushes the directory over
@@ -153,11 +154,11 @@ let quarantine (t : t) (path : string) : unit =
    with _ -> ( try Sys.remove path with Sys_error _ -> ()));
   Mutex.protect t.mu (fun () -> t.quarantined <- t.quarantined + 1)
 
-(* Entry validation, strict end to end: header shape, format version,
-   payload length, payload digest, then the embedded key. Everything
-   after the digest check is safe to [Marshal.from_string] — a blob
-   whose MD5 matches is the blob we wrote. *)
-let parse_entry (key : string) (raw : string) : ('v, string) result =
+(* Entry validation up to the payload: header shape, format version,
+   payload length, payload digest. A payload that passes is the blob we
+   wrote, so it is safe to [Marshal.from_string]; gc stops here, as it
+   does not know the key. *)
+let verified_payload (raw : string) : (string, string) result =
   match String.index_opt raw '\n' with
   | None -> Error "missing header"
   | Some nl -> (
@@ -178,27 +179,15 @@ let parse_entry (key : string) (raw : string) : ('v, string) result =
              (String.length payload) len)
       else if Digest.to_hex (Digest.string payload) <> digest then
         Error "payload checksum mismatch"
-      else
-        match Marshal.from_string payload 0 with
-        | exception _ -> Error "undecodable payload"
-        | stored_key, v ->
-          if (stored_key : string) <> key then Error "key collision" else Ok v)
+      else Ok payload)
 
-(* a valid header + checksum, without knowing the key — gc's view *)
-let entry_is_valid (raw : string) : bool =
-  match String.index_opt raw '\n' with
-  | None -> false
-  | Some nl -> (
-    let header = String.sub raw 0 nl in
-    let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-    match
-      Scanf.sscanf header "ALICE-CACHE %d %s %d" (fun v d n -> (v, d, n))
-    with
-    | exception _ -> false
-    | version, digest, len ->
-      version = format_version
-      && String.length payload = len
-      && Digest.to_hex (Digest.string payload) = digest)
+(* the full load-time check: a verified payload, then the embedded key *)
+let parse_entry (key : string) (raw : string) : ('v, string) result =
+  Result.bind (verified_payload raw) (fun payload ->
+      match Marshal.from_string payload 0 with
+      | exception _ -> Error "undecodable payload"
+      | stored_key, v ->
+        if (stored_key : string) <> key then Error "key collision" else Ok v)
 
 let load (t : t) ~(key : string) : 'v option =
   let path = entry_path t key in
@@ -292,9 +281,17 @@ let ensure_used_bytes (t : t) : int =
         | Some used -> used  (* another thread scanned first *)
         | None -> t.used_bytes <- Some total; total)
 
+(* Numbers this process's temp files: with the pid, every write gets a
+   temp file of its own, whichever domain, thread or process makes it. *)
+let tmp_seq = Atomic.make 0
+
 let store (t : t) ~(key : string) (v : 'a) : unit =
   if writes_enabled t then begin
     let path = entry_path t key in
+    let tmp =
+      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
+        (Atomic.fetch_and_add tmp_seq 1)
+    in
     let injected = Fi.check t.faults "cache.write" in
     (match injected with Some (Fi.Delay s) -> Unix.sleepf s | _ -> ());
     match
@@ -321,9 +318,6 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
         | Some Fi.Torn -> String.sub payload 0 (String.length payload / 2)
         | _ -> payload
       in
-      let tmp =
-        Printf.sprintf "%s.tmp.%d" path (Domain.self () :> int)
-      in
       let oc = open_out_bin tmp in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
@@ -344,7 +338,9 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
     | exception e ->
       (* one warning, then stop trying: an unwritable cache directory
          must not warn once per characterization. [enable_writes] (and
-         [gc], once space is freed) re-arms. *)
+         [gc], once space is freed) re-arms. A half-written temp file
+         is removed, as no later write reuses its name. *)
+      (try Sys.remove tmp with Sys_error _ -> ());
       Mutex.protect t.mu (fun () -> t.write_disabled <- true);
       warn t
         (D.warning ~code:"W0703"
@@ -364,7 +360,7 @@ let gc ?max_bytes (t : t) : gc_stats =
       (fun (n, bytes) (path, size, _) ->
         let ok =
           match In_channel.with_open_bin path In_channel.input_all with
-          | raw -> entry_is_valid raw
+          | raw -> Result.is_ok (verified_payload raw)
           | exception Sys_error _ -> false
         in
         if ok then (n, bytes)

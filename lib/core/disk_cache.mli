@@ -24,10 +24,11 @@
     {!gc} does all of the above on demand: validates every entry,
     quarantines failures, evicts to the budget, re-enables writes.
 
-    Writes are atomic (per-domain temporary file + rename), loads and
-    counters are mutex-guarded, so one store may back the memo table of
-    a multi-domain characterization run and be shared by concurrent
-    processes.
+    Writes are atomic (a temporary file per write, named by pid and a
+    per-process counter, then rename), loads and counters are
+    mutex-guarded, so one store may back the memo table of a
+    multi-domain characterization run, serve the threads of a server
+    and be shared by concurrent processes.
 
     Values are read back with [Marshal] at the caller's type: a store
     (i.e. a [root] directory) must hold exactly one value type,

@@ -1,7 +1,8 @@
-(** The reusable flow engine: a long-lived handle owning one
-    characterization cache — an in-memory, mutex-guarded memo table
-    backed (unless caching is off) by the persistent {!Disk_cache}
-    store — through which any number of flow {!Flow.request}s run.
+(** The reusable flow engine: a long-lived handle owning the
+    characterization and attack-verdict memo tables — in-memory,
+    mutex-guarded, backed (unless caching is off) by the persistent
+    {!Disk_cache} stores — through which any number of flow
+    {!Flow.request}s run.
 
     This is what makes the realistic ALICE workload cheap: fabric
     parameter exploration and iterative customization run the *same*
@@ -14,8 +15,8 @@
     so results are identical to a cold run, just faster.
 
     Degradation is always soft: unusable cache entries recompute with a
-    [W0702] warning on the affected run's diagnostics, an unwritable
-    store warns once ([W0703]) and stops writing. The engine never
+    [W0702] warning, an unwritable store warns once ([W0703]) and stops
+    writing, and [routed] decides where both go. The engine never
     changes what a flow computes — only whether CreateEFPGA has to run
     again. *)
 
@@ -30,58 +31,43 @@ module Scorer = Selection.Scorer
 
 type t = {
   memo : Characterize.cache;
-  disk : Disk_cache.t option;
-  sweep_store : Disk_cache.t option;
-      (* per-point sweep checkpoints, a separate store (one value type
-         per store) under <root>/sweep; never byte-bounded — summaries
-         are tiny and evicting one silently costs a recomputation *)
   attack_memo : Scorer.cache;
       (* measured-selection attack verdicts, shared across runs like
-         [memo]; backed by [attack_store] when caching is on *)
-  attack_store : Disk_cache.t option;
-      (* persistent attack/ namespace under <root>/attack — a separate
-         store because one store holds one value type *)
+         [memo] *)
+  stores : Disk_cache.t list;
+      (* the characterization store at the cache root, then its attack/
+         and sweep/ namespaces (one value type per store); [] with
+         caching off. Only the root store is byte-bounded: verdicts and
+         sweep summaries are tiny, and evicting one silently costs a
+         recomputation *)
+  sweep_store : Disk_cache.t option;  (* per-point sweep checkpoints *)
+  engine_sink : bool Atomic.t;  (* [set_warning_sink] was called *)
   faults : Fi.t;
 }
 
 let create ?(cache = true) ?cache_dir ?max_bytes ?faults () : t =
   let faults = match faults with Some f -> f | None -> Fi.global () in
-  if not cache then
-    { memo = Characterize.create_cache (); disk = None; sweep_store = None;
-      attack_memo = Scorer.create_cache (); attack_store = None; faults }
-  else begin
-    let disk = Disk_cache.create ?root:cache_dir ?max_bytes ~faults () in
-    let load key = Disk_cache.load disk ~key in
-    (* the disk layer only ever holds fabric verdicts; [run_all]
-       already refuses to cache faults and skips *)
-    let save key (c : Characterize.characterization) =
-      match c.Characterize.outcome with
-      | Characterize.Implemented _ | Characterize.Infeasible _ ->
-        Disk_cache.store disk ~key c
-      | Characterize.Failed _ | Characterize.Skipped _ -> ()
-    in
-    let sweep_store =
-      Disk_cache.create
-        ~root:(Filename.concat (Disk_cache.root disk) "sweep")
-        ~faults ()
-    in
-    let attack_store =
-      Disk_cache.create
-        ~root:(Filename.concat (Disk_cache.root disk) "attack")
-        ~faults ()
-    in
-    (* every verdict status persists: a verdict is a deterministic fact
-       about (netlist, fabric, budget), including Inconclusive ones —
-       the Scorer never caches crashed tasks in the first place *)
-    let attack_load key = Disk_cache.load attack_store ~key in
-    let attack_save key (v : Scorer.verdict) =
-      Disk_cache.store attack_store ~key v
-    in
-    { memo = Characterize.create_cache ~load ~save (); disk = Some disk;
-      sweep_store = Some sweep_store;
-      attack_memo = Scorer.create_cache ~load:attack_load ~save:attack_save ();
-      attack_store = Some attack_store; faults }
-  end
+  let stores =
+    if not cache then []
+    else begin
+      let disk = Disk_cache.create ?root:cache_dir ?max_bytes ~faults () in
+      let namespace sub =
+        Disk_cache.create ~root:(Filename.concat (Disk_cache.root disk) sub)
+          ~faults ()
+      in
+      [ disk; namespace "attack"; namespace "sweep" ]
+    end
+  in
+  let store i = List.nth_opt stores i in
+  let load s key = Disk_cache.load s ~key in
+  let save s key v = Disk_cache.store s ~key v in
+  { memo =
+      Characterize.create_cache ?load:(Option.map load (store 0))
+        ?save:(Option.map save (store 0)) ();
+    attack_memo =
+      Scorer.create_cache ?load:(Option.map load (store 1))
+        ?save:(Option.map save (store 1)) ();
+    stores; sweep_store = store 2; engine_sink = Atomic.make false; faults }
 
 (** An engine honoring the configuration's cache knobs ([cache],
     [cache_dir], [cache_max_bytes]) and fault plan. *)
@@ -94,57 +80,51 @@ let of_config (cfg : C.Flow_config.t) : t =
   create ~cache:cfg.C.Flow_config.cache ?cache_dir:cfg.C.Flow_config.cache_dir
     ?max_bytes:cfg.C.Flow_config.cache_max_bytes ~faults ()
 
-let cache_root (t : t) : string option = Option.map Disk_cache.root t.disk
+let cache_root (t : t) : string option =
+  Option.map Disk_cache.root (List.nth_opt t.stores 0)
 
 let disk_stats (t : t) : Disk_cache.stats option =
-  Option.map Disk_cache.stats t.disk
+  Option.map Disk_cache.stats (List.nth_opt t.stores 0)
 
-(** Run one request through the engine's cache. Cache-degradation
-    warnings raised while this request runs land on its diagnostics
-    (and its collector, if it carries one). Per-run cache accounting is
-    on the result's [char_stats]. *)
-let run (t : t) (req : Flow.request) : Flow.t =
+let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
+  List.iter (fun store -> Disk_cache.set_sink store sink) t.stores;
+  Atomic.set t.engine_sink true
+
+(* Run [f] on [req] given a collector of its own, under the warning
+   routing rule: once an engine-wide sink is installed the stores'
+   sinks are left alone, so overlapping calls from several threads are
+   safe; otherwise every store warns into the request's collector while
+   [f] runs. *)
+let routed (t : t) (req : Flow.request) (f : Flow.request -> 'a) : 'a =
   let collector =
     match req.Flow.diags with Some c -> c | None -> D.Collector.create ()
   in
   let req = { req with Flow.diags = Some collector } in
-  match t.disk with
-  | None -> Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req
-  | Some disk ->
-    Disk_cache.set_sink disk (D.Collector.add collector);
-    Option.iter
+  if Atomic.get t.engine_sink then f req
+  else begin
+    List.iter
       (fun store -> Disk_cache.set_sink store (D.Collector.add collector))
-      t.attack_store;
+      t.stores;
     Fun.protect
-      ~finally:(fun () ->
-        Disk_cache.clear_sink disk;
-        Option.iter Disk_cache.clear_sink t.attack_store)
-      (fun () ->
-        Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req)
+      ~finally:(fun () -> List.iter Disk_cache.clear_sink t.stores)
+      (fun () -> f req)
+  end
 
-(** Like [run], but without touching the disk store's warning sink, so
-    overlapping calls from several threads are safe — the sink swap in
-    [run] is the only part of the engine that is not. Cache-degradation
-    warnings raised on behalf of any concurrent request go to the
-    engine-wide sink installed with [set_warning_sink]. *)
-let run_shared (t : t) (req : Flow.request) : Flow.t =
+let run_request (t : t) (req : Flow.request) : Flow.t =
   Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req
 
-let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
-  match t.disk with
-  | None -> ()
-  | Some disk ->
-    Disk_cache.set_sink disk sink;
-    Option.iter (fun store -> Disk_cache.set_sink store sink) t.attack_store
+(** Run one request through the engine's caches. Cache-degradation
+    warnings go where [routed] sends them; per-run cache accounting is
+    on the result's [char_stats]. *)
+let run (t : t) (req : Flow.request) : Flow.t = routed t req (run_request t)
 
 let gc ?max_bytes (t : t) : Disk_cache.gc_stats option =
-  match t.disk with
-  | None -> None
-  | Some disk ->
+  match t.stores with
+  | [] -> None
+  | disk :: namespaces ->
     let stats = Disk_cache.gc ?max_bytes disk in
     (* freed space un-wedges the checkpoint and attack stores too *)
-    Option.iter Disk_cache.enable_writes t.sweep_store;
-    Option.iter Disk_cache.enable_writes t.attack_store;
+    List.iter Disk_cache.enable_writes namespaces;
     Some stats
 
 (* ---------- resumable sweeps ---------- *)
@@ -285,28 +265,30 @@ let point_key (name : string) (req : Flow.request) : string =
     differ only in knobs outside {!C.Flow_config.attack_digest} (e.g.
     [attack_area_weight], [score_mode]) re-rank cached verdicts without
     re-running a single attack. *)
-let run_sweep ?(shared = false) ?(resume = true)
-    ?(on_point : (sweep_point -> unit) option) (t : t)
-    (points : (string * Flow.request) list) : sweep_point list =
-  let runner = if shared then run_shared else run in
+let run_sweep ?(resume = true) ?(on_point : (sweep_point -> unit) option)
+    (t : t) (points : (string * Flow.request) list) : sweep_point list =
   List.map
     (fun (name, req) ->
       let key = point_key name req in
-      let checkpointed =
-        if resume then
-          Option.bind t.sweep_store (fun store -> Disk_cache.load store ~key)
-        else None
-      in
+      (* the checkpoint is loaded under the point's own collector, so an
+         unusable one is reported against the point it recomputes *)
       let sp =
-        match checkpointed with
-        | Some sp -> { sp with sp_resumed = true }
-        | None ->
-          Fi.hit t.faults "engine.sweep_point";
-          let sp = summarize name (runner t req) in
-          Option.iter
-            (fun store -> Disk_cache.store store ~key sp)
-            t.sweep_store;
-          sp
+        routed t req (fun req ->
+            let checkpointed =
+              if resume then
+                Option.bind t.sweep_store (fun store ->
+                    Disk_cache.load store ~key)
+              else None
+            in
+            match checkpointed with
+            | Some sp -> { sp with sp_resumed = true }
+            | None ->
+              Fi.hit t.faults "engine.sweep_point";
+              let sp = summarize name (run_request t req) in
+              Option.iter
+                (fun store -> Disk_cache.store store ~key sp)
+                t.sweep_store;
+              sp)
       in
       (* deliberately after the checkpoint write: if the observer
          raises (a streaming client hung up), the completed point is

@@ -1,8 +1,11 @@
-(** The reusable flow engine: a long-lived handle owning one
-    characterization cache — an in-memory, mutex-guarded memo table
-    backed (unless caching is off) by the persistent on-disk
-    {!Disk_cache} store — through which any number of flow
-    {!Flow.request}s run.
+(** The reusable flow engine: a long-lived handle owning the
+    characterization memo and the attack-verdict memo — mutex-guarded
+    tables that every run resolves through
+    {!Alice_parallel.Memo.resolve} — backed (unless caching is off) by
+    three {!Disk_cache} stores built from one list: characterizations
+    at the cache root, attack verdicts under [attack/] and per-point
+    sweep checkpoints under [sweep/]. Any number of flow
+    {!Flow.request}s run through one engine with one {!run}.
 
     Entries are content-addressed by {!Characterize.keyer} (member
     module subtree digests plus the configuration's
@@ -11,9 +14,10 @@
     sweeps and repeated CLI invocations stop re-running CreateEFPGA on
     work they have already paid for. Results are bit-identical to a
     cold run; only the wall clock changes. Unusable entries (truncated,
-    corrupt, version-mismatched) recompute with a [W0702] warning on
-    the affected run; an unwritable store warns once ([W0703]) and
-    stops writing. *)
+    corrupt, version-mismatched) recompute with a [W0702] warning and
+    an unwritable store warns once ([W0703]) and stops writing; both
+    land on the affected run's diagnostics, or on the engine-wide sink
+    once {!set_warning_sink} installed one. *)
 
 module C = Alice_config
 module D = Alice_diag.Diag
@@ -42,31 +46,22 @@ val create :
     [cache_max_bytes] knobs and [fault_plan]. *)
 val of_config : C.Flow_config.t -> t
 
-(** Run one request through the engine's cache. Per-run cache
-    accounting is on the result's [char_stats]; cache-degradation
-    warnings land on the run's diagnostics.
+(** Run one request through the engine's caches; per-run cache
+    accounting is on the result's [char_stats].
 
-    Not safe for overlapping calls from several threads: the
-    disk-store warning sink is swapped around each run, so concurrent
-    runs would misattribute (or drop) each other's warnings. Serve
-    concurrent traffic with {!run_shared} instead. *)
+    Warning routing: until {!set_warning_sink} is called, every store
+    warns ([W0702]/[W0703]) into the request's collector while it runs,
+    so overlapping calls would misattribute each other's warnings. Once
+    an engine-wide sink is installed the stores' sinks are left alone,
+    any number of threads may call [run] at once, and the warnings go to
+    that sink: a load made for whichever request reached a key first
+    belongs to no single request. *)
 val run : t -> Flow.request -> Flow.t
 
-(** Like {!run}, but the disk store's warning sink is left alone, so
-    any number of threads may run requests through one engine
-    concurrently (the memo table and disk store are mutex-guarded).
-    Cache-degradation warnings go to the engine-wide sink installed
-    with {!set_warning_sink} — attribution to a single request is
-    impossible once loads happen on behalf of whichever request reaches
-    a key first, so they become engine-level events (the server counts
-    them in its metrics). Everything else — per-request diagnostics,
-    [char_stats], results — is identical to {!run}. *)
-val run_shared : t -> Flow.request -> Flow.t
-
-(** Install a persistent engine-wide sink for cache-degradation
-    warnings ([W0702]/[W0703]) raised by {!run_shared} callers. The
-    sink must be safe to call from any domain; it replaces any
-    previously installed sink. No-op when caching is off. *)
+(** Install an engine-wide sink for the warnings of all three stores
+    and switch {!run} and {!run_sweep} to leave the stores' sinks alone;
+    call it before serving concurrent requests. The sink must be safe to
+    call from any domain and replaces any earlier one. *)
 val set_warning_sink : t -> (D.t -> unit) -> unit
 
 (** Root directory of the persistent store; [None] when caching is
@@ -135,10 +130,12 @@ val solution_fabrics : Flow.t -> string option
     computing exactly the remaining [n - k]. A point's checkpoint key
     digests its name, configuration and source, so editing the sweep
     never reuses a stale row. [~resume:false] recomputes everything
-    (checkpoints are still written). [~shared] selects {!run_shared}
-    semantics for the underlying runs (servers); the default is {!run}.
-    With caching off there are no checkpoints and this degrades to
-    {!run} on each point plus summarization. [~on_point] observes each point
+    (checkpoints are still written). A checkpoint is loaded under the
+    point's collector with {!run}'s warning routing, so an unusable one
+    is recomputed with a [W0702] on that point's diagnostics (tagged
+    with its ["config"] by {!point_diags}). With caching off there are
+    no checkpoints and this degrades to {!run} on each point plus
+    summarization. [~on_point] observes each point
     (resumed or computed) the moment it is available — strictly AFTER
     its checkpoint is written. That ordering is a contract streaming
     consumers build on: a crash between computing a point and
@@ -155,5 +152,5 @@ val solution_fabrics : Flow.t -> string option
     [score_mode], [attack_jobs] — re-rank cached verdicts without
     re-running any attack. *)
 val run_sweep :
-  ?shared:bool -> ?resume:bool -> ?on_point:(sweep_point -> unit) -> t ->
+  ?resume:bool -> ?on_point:(sweep_point -> unit) -> t ->
   (string * Flow.request) list -> sweep_point list

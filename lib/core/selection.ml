@@ -35,7 +35,6 @@ module V = Alice_verilog
     digest ({!Alice_config.Flow_config.attack_digest}). *)
 module Scorer = struct
   module Sec = Alice_security
-  module Pool = Alice_parallel.Pool
   module Memo = Alice_parallel.Memo
 
   (* What one budgeted attack run concluded about one candidate. No
@@ -139,88 +138,42 @@ module Scorer = struct
     in
     resilience cfg v -. (cfg.C.Flow_config.attack_area_weight *. area)
 
-  (** Resolve a verdict for every candidate, order preserved. Candidates
-      aliasing the same cache key are attacked once; cache misses fan
-      out over [attack_jobs] worker domains (strictly serial at 1).
-      Verdicts of every status are written back — all are deterministic
-      facts about (netlist, fabric, budget). A crashed or skipped attack
-      task degrades to an uncached Inconclusive verdict so one broken
-      candidate cannot abort selection. *)
+  (** Resolve a verdict for every candidate, order preserved, through
+      one {!Memo.resolve} call. Candidates aliasing the same cache key
+      are attacked once; cache misses fan out over [attack_jobs] worker
+      domains (strictly serial at 1). Verdicts of every status are
+      written back — all are deterministic facts about (netlist, fabric,
+      budget). A crashed or skipped attack task degrades to an uncached
+      Inconclusive verdict so one broken candidate cannot abort
+      selection. *)
   let measure ~(cache : cache option) (cfg : C.Flow_config.t)
       (cands : (F.Fabric.t * Alice_netlist.Circuit.t) list) :
       verdict list * stats =
     let memo = match cache with Some c -> c | None -> create_cache () in
-    let keyed =
-      List.map
-        (fun (fabric, mapped) -> (verdict_key cfg ~fabric ~mapped, mapped))
-        cands
+    let recover _ _ =
+      { v_status = Sec.Sat_attack.Inconclusive; v_iterations = 0;
+        v_conflicts = 0; v_key_bits = 0; v_reused = 0 }
     in
-    let seen = Hashtbl.create 16 in
-    let uniques =
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        keyed
-    in
-    let resolved : (string, verdict) Hashtbl.t = Hashtbl.create 16 in
-    let misses =
-      List.filter
-        (fun (key, _) ->
-          match Memo.find_opt memo key with
-          | Some v ->
-            Hashtbl.replace resolved key v;
-            false
-          | None -> true)
-        uniques
-    in
-    let cached = Hashtbl.length resolved in
-    let pool = Pool.create ~jobs:cfg.C.Flow_config.attack_jobs in
-    let outcomes =
-      Pool.map_ordered pool (fun (_key, mapped) -> attack_one cfg mapped)
-        misses
-    in
-    let run = ref 0 in
-    List.iter2
-      (fun (key, _) outcome ->
-        match outcome with
-        | Pool.Value v ->
-          incr run;
-          Hashtbl.replace resolved key v;
-          Memo.set memo key v
-        | Pool.Raised Out_of_memory -> raise Out_of_memory
-        | Pool.Raised _ | Pool.Skipped ->
-          incr run;
-          Hashtbl.replace resolved key
-            { v_status = Sec.Sat_attack.Inconclusive; v_iterations = 0;
-              v_conflicts = 0; v_key_bits = 0; v_reused = 0 })
-      misses outcomes;
-    let verdicts =
-      List.map
-        (fun (key, _) ->
-          match Hashtbl.find_opt resolved key with
-          | Some v -> v
-          | None -> assert false (* every unique key was just resolved *))
-        keyed
+    let r =
+      Memo.resolve ~jobs:cfg.C.Flow_config.attack_jobs ~recover memo
+        (attack_one cfg)
+        (List.map
+           (fun (fabric, mapped) -> (verdict_key cfg ~fabric ~mapped, mapped))
+           cands)
     in
     let inconclusive, reused =
       List.fold_left
-        (fun (inc, reu) (key, _) ->
-          match Hashtbl.find_opt resolved key with
-          | Some v ->
-            ( (match v.v_status with
-              | Sec.Sat_attack.Inconclusive -> inc + 1
-              | Sec.Sat_attack.Converged | Sec.Sat_attack.Exhausted -> inc),
-              reu + v.v_reused )
-          | None -> (inc, reu))
-        (0, 0) uniques
+        (fun (inc, reu) (_, v) ->
+          ( (match v.v_status with
+            | Sec.Sat_attack.Inconclusive -> inc + 1
+            | Sec.Sat_attack.Converged | Sec.Sat_attack.Exhausted -> inc),
+            reu + v.v_reused ))
+        (0, 0) r.Memo.uniques
     in
-    ( verdicts,
-      { attacks_run = !run; attacks_cached = cached;
-        attacks_inconclusive = inconclusive; attacks_reused = reused } )
+    ( r.Memo.values,
+      { attacks_run = r.Memo.computed + r.Memo.skipped;
+        attacks_cached = r.Memo.hits; attacks_inconclusive = inconclusive;
+        attacks_reused = reused } )
 end
 
 type efpga_impl = {

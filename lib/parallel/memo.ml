@@ -8,51 +8,82 @@ type ('k, 'v) t = {
 let create ?(size = 64) ?load ?save () =
   { mu = Mutex.create (); tbl = Hashtbl.create size; load; save }
 
-(* Insert a value fetched or computed outside the lock; an entry that
-   appeared meanwhile wins so every caller observes one binding. *)
-let install (t : ('k, 'v) t) (k : 'k) (v : 'v) : 'v =
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some winner -> winner
-      | None ->
-        Hashtbl.replace t.tbl k v;
-        v)
-
+(* In-memory lookup, then the [load] hook outside the lock, so a slow
+   load never blocks other keys; a load hit is installed *)
 let find_opt (t : ('k, 'v) t) (k : 'k) : 'v option =
   match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.tbl k) with
   | Some v -> Some v
-  | None -> (
-    match t.load with
-    | None -> None
-    | Some load -> (
-      (* backing-store read outside the lock: a slow load never blocks
-         other keys *)
-      match load k with
-      | None -> None
-      | Some v -> Some (install t k v)))
-
-let mem (t : ('k, 'v) t) (k : 'k) : bool =
-  match find_opt t k with Some _ -> true | None -> false
+  | None ->
+    let loaded = Option.bind t.load (fun load -> load k) in
+    Option.iter
+      (fun v -> Mutex.protect t.mu (fun () -> Hashtbl.replace t.tbl k v))
+      loaded;
+    loaded
 
 let set (t : ('k, 'v) t) (k : 'k) (v : 'v) : unit =
   Mutex.protect t.mu (fun () -> Hashtbl.replace t.tbl k v);
-  match t.save with Some save -> save k v | None -> ()
+  Option.iter (fun save -> save k v) t.save
 
-let find_or_add (t : ('k, 'v) t) (k : 'k) (compute : unit -> 'v) : 'v =
-  match find_opt t k with
-  | Some v -> v
-  | None ->
-    (* compute outside the lock; first writer wins a race *)
-    let v = compute () in
-    let stored = install t k v in
-    (* only the race winner reaches the backing store *)
-    if stored == v then
-      (match t.save with Some save -> save k v | None -> ());
-    stored
+type ('k, 'v) resolution = {
+  values : 'v list;
+  uniques : ('k * 'v) list;
+  hits : int;
+  computed : int;
+  skipped : int;
+}
 
-let bindings (t : ('k, 'v) t) : ('k * 'v) list =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
-
-let length (t : ('k, 'v) t) : int =
-  Mutex.protect t.mu (fun () -> Hashtbl.length t.tbl)
+let resolve ?(jobs = 1) ?should_stop ?(keep = fun _ -> true) ~recover
+    (t : ('k, 'v) t) (compute : 'a -> 'v) (items : ('k * 'a) list) :
+    ('k, 'v) resolution =
+  let seen = Hashtbl.create 64 in
+  let uniques =
+    List.filter
+      (fun (k, _) ->
+        if Hashtbl.mem seen k then false
+        else begin
+          Hashtbl.add seen k ();
+          true
+        end)
+      items
+  in
+  (* this call's key -> value table for the fan-out; distinct from [t],
+     which only ever holds kept computed values and loaded ones *)
+  let resolved = Hashtbl.create 64 in
+  let misses =
+    List.filter
+      (fun (k, _) ->
+        match find_opt t k with
+        | Some v ->
+          Hashtbl.replace resolved k v;
+          false
+        | None -> true)
+      uniques
+  in
+  let hits = Hashtbl.length resolved in
+  let outcomes =
+    Pool.map_ordered ?should_stop (Pool.create ~jobs)
+      (fun (_, x) -> compute x) misses
+  in
+  let computed = ref 0 and skipped = ref 0 in
+  List.iter2
+    (fun (k, x) outcome ->
+      let v =
+        match outcome with
+        | Pool.Value v ->
+          incr computed;
+          if keep v then set t k v;
+          v
+        | Pool.Raised Out_of_memory -> raise Out_of_memory
+        | Pool.Raised e ->
+          incr computed;
+          recover x (Some e)
+        | Pool.Skipped ->
+          incr skipped;
+          recover x None
+      in
+      Hashtbl.replace resolved k v)
+    misses outcomes;
+  let value k = Hashtbl.find resolved k in
+  { values = List.map (fun (k, _) -> value k) items;
+    uniques = List.map (fun (k, _) -> (k, value k)) uniques;
+    hits; computed = !computed; skipped = !skipped }

@@ -1,26 +1,25 @@
-(** Mutex-guarded memo table, usable as a shared cache across the
-    domains of a {!Pool} batch.
+(** Mutex-guarded memo table and {!resolve}, the one keyed resolver
+    every cached stage goes through: dedupe a batch by key, serve hits,
+    compute the misses once each across a {!Pool}, write back, and fan
+    the values out in input order — the same result for any [jobs].
 
-    Lookups and insertions are atomic with respect to each other.
-    {!find_or_add} computes *outside* the lock so a slow computation
-    never blocks other keys; if two domains race to fill the same key,
-    the first writer wins and both callers observe the winning value
-    (callers must therefore be happy with either computation's result —
-    true of any pure keyed computation).
+    Lookups and write-backs are atomic with respect to each other and
+    computation runs outside the lock, so a slow computation never
+    blocks other keys. Two batches racing on one key may both compute
+    it; the last write-back wins, which is safe for any pure keyed
+    computation.
 
-    A table may be created with backing-store hooks: [load] is consulted
-    (outside the lock) on an in-memory miss and its hit is installed in
-    the table, so a persistent store is read lazily, one key at a time;
-    [save] is called (outside the lock) after each new in-memory
-    insertion. Hooks must be safe to call from any domain and must not
-    raise — a store that can fail should catch internally and degrade to
-    [None] / no-op. *)
+    A table may be backed by a store: [load] is consulted (outside the
+    lock) on an in-memory miss and its hit is installed, so the store is
+    read lazily, one key at a time; [save] is called (outside the lock)
+    on each write-back. Hooks must be safe to call from any domain and
+    must not raise — a store that can fail should catch internally and
+    degrade to [None] / no-op. *)
 
 type ('k, 'v) t
 
-(** [create ?size ?load ?save ()] — [load] backs in-memory misses,
-    [save] observes new insertions (both optional; omitting both gives a
-    plain in-memory table). *)
+(** [create ?size ?load ?save ()]; omitting both hooks gives a plain
+    in-memory table. *)
 val create :
   ?size:int ->
   ?load:('k -> 'v option) ->
@@ -28,27 +27,34 @@ val create :
   unit ->
   ('k, 'v) t
 
-(** In-memory lookup, then the [load] hook on a miss (installing any
-    hit). *)
-val find_opt : ('k, 'v) t -> 'k -> 'v option
+(** What one {!resolve} call produced: one value per item in item
+    order, one per distinct key in first-occurrence order, and every
+    distinct key counted once — a hit (memory or [load]), computed (its
+    task returned or raised) or skipped (never dispatched). *)
+type ('k, 'v) resolution = {
+  values : 'v list;
+  uniques : ('k * 'v) list;
+  hits : int;
+  computed : int;
+  skipped : int;
+}
 
-val mem : ('k, 'v) t -> 'k -> bool
-
-(** [set t k v] binds [k] to [v], replacing any previous binding, and
-    notifies the [save] hook. *)
-val set : ('k, 'v) t -> 'k -> 'v -> unit
-
-(** [find_or_add t k compute] returns the cached value for [k] (from
-    memory or the [load] hook), or runs [compute ()] (unlocked) and
-    installs its result, notifying the [save] hook if this caller won
-    the installation race. Returns the stored value, which under a race
-    may be another domain's result for the same key. An exception from
-    [compute] propagates and caches nothing. *)
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-
-(** Snapshot of the in-memory bindings, in no particular order (lazy
-    backing-store entries not yet loaded are absent). *)
-val bindings : ('k, 'v) t -> ('k * 'v) list
-
-(** Number of distinct keys currently cached in memory. *)
-val length : ('k, 'v) t -> int
+(** [resolve ?jobs ?should_stop ?keep ~recover t compute items]
+    dedupes the [(key, input)] items by key (first occurrence wins),
+    serves the keys [t] holds, and runs [compute input] for the rest
+    over a {!Pool} of [jobs] domains (default 1: serial, no domain
+    spawned), polling [should_stop] before each dispatch as
+    {!Pool.map_ordered} does. Computed values that [keep] accepts
+    (default: all) are written back to [t], and so to [save], in miss
+    order. A task that raised [e] becomes [recover input (Some e)], one
+    never dispatched [recover input None]; these are never written back.
+    [Out_of_memory] is re-raised. *)
+val resolve :
+  ?jobs:int ->
+  ?should_stop:(unit -> bool) ->
+  ?keep:('v -> bool) ->
+  recover:('a -> exn option -> 'v) ->
+  ('k, 'v) t ->
+  ('a -> 'v) ->
+  ('k * 'a) list ->
+  ('k, 'v) resolution

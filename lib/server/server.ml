@@ -98,7 +98,7 @@ let effective_config t (req_cfg : Y.t) : C.Flow_config.t =
 
 let run_flow t (req_cfg : Y.t) (source : P.source) : A.Flow.t =
   let flow =
-    A.Engine.run_shared t.engine
+    A.Engine.run t.engine
       (A.Flow.request ~config:(effective_config t req_cfg)
          ~diags:(D.Collector.create ()) (flow_source source))
   in
@@ -419,7 +419,7 @@ let execute t ~(id : J.t) ~(minor : int) ~(emit : string -> unit) (op : P.op)
     in
     let (), points =
       emit_rows t ~id ~minor ~emit op (fun on_point ->
-          ignore (A.Engine.run_sweep ~shared:true ~on_point t.engine requests))
+          ignore (A.Engine.run_sweep ~on_point t.engine requests))
     in
     let feasible = List.filter (fun sp -> sp.A.Engine.sp_feasible) points in
     ( conclude ~id ~minor op points ~buffered:[]
@@ -434,7 +434,7 @@ let execute t ~(id : J.t) ~(minor : int) ~(emit : string -> unit) (op : P.op)
     in
     let report, points =
       emit_rows t ~id ~minor ~emit op (fun on_point ->
-          A.Advisor.run ~shared:true ~on_point t.engine ~source:src plan)
+          A.Advisor.run ~on_point t.engine ~source:src plan)
     in
     let summary =
       [ ("candidates", J.Int (List.length report.A.Advisor.r_entries));

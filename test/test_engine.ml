@@ -1,6 +1,7 @@
 (* The reusable flow engine and its persistent characterization cache:
-   memo backing-store hooks, config-digest and subtree keying, on-disk
-   round trips, corruption degradation, and warm-run reuse. *)
+   the resolver's backing-store hooks, config-digest and subtree keying,
+   on-disk round trips, same-key writers, corruption degradation (sweep
+   checkpoints included), and warm-run reuse. *)
 
 module V = Alice_verilog
 module A = Alice
@@ -47,6 +48,8 @@ let demo_request () =
 
 (* ---------- memo backing-store hooks ---------- *)
 
+module Memo = Alice_parallel.Memo
+
 let test_memo_hooks () =
   let loads = ref 0 and saved = ref [] in
   let load k =
@@ -54,26 +57,34 @@ let test_memo_hooks () =
     if k = "hot" then Some 42 else None
   in
   let save k v = saved := (k, v) :: !saved in
-  let m = Alice_parallel.Memo.create ~load ~save () in
-  (* miss in memory, hit in the store; the hit is installed *)
-  Alcotest.(check (option int)) "load hit" (Some 42)
-    (Alice_parallel.Memo.find_opt m "hot");
-  Alcotest.(check (option int)) "installed" (Some 42)
-    (Alice_parallel.Memo.find_opt m "hot");
-  Alcotest.(check int) "load consulted once" 1 !loads;
-  (* a store miss stays a miss and is re-consulted *)
-  Alcotest.(check (option int)) "store miss" None
-    (Alice_parallel.Memo.find_opt m "cold");
-  Alcotest.(check int) "miss re-consults" 2 !loads;
-  (* new insertions notify the save hook *)
-  Alice_parallel.Memo.set m "a" 1;
-  let v = Alice_parallel.Memo.find_or_add m "b" (fun () -> 2) in
-  Alcotest.(check int) "computed" 2 v;
-  (* find_or_add on a present key must not save again *)
-  let _ = Alice_parallel.Memo.find_or_add m "b" (fun () -> 99) in
-  Alcotest.(check (list (pair string int))) "saved insertions"
-    [ ("a", 1); ("b", 2) ]
-    (List.sort compare !saved)
+  let m = Memo.create ~load ~save () in
+  let resolve ?keep items =
+    Memo.resolve ?keep ~recover:(fun _ _ -> Alcotest.fail "no task fails") m
+      Fun.id items
+  in
+  let check name ~values ~hits ~computed (r : (string, int) Memo.resolution) =
+    Alcotest.(check (list int)) (name ^ ": values") values r.Memo.values;
+    Alcotest.(check int) (name ^ ": hits") hits r.Memo.hits;
+    Alcotest.(check int) (name ^ ": computed") computed r.Memo.computed
+  in
+  (* "hot" misses memory and hits the store; "cold" misses both and is
+     computed once for its two items *)
+  check "cold call" ~values:[ 42; 7; 7 ] ~hits:1 ~computed:1
+    (resolve [ ("hot", 0); ("cold", 7); ("cold", 8) ]);
+  Alcotest.(check int) "one load per distinct key" 2 !loads;
+  (* the load hit was installed and the computed value written back:
+     neither the store nor [compute] is consulted again *)
+  check "warm call" ~values:[ 7; 42 ] ~hits:2 ~computed:0
+    (resolve [ ("cold", 99); ("hot", 99) ]);
+  Alcotest.(check int) "installed keys skip the load hook" 2 !loads;
+  (* a value [keep] rejects is returned but neither installed nor saved *)
+  let odd v = v mod 2 = 1 in
+  check "rejected" ~values:[ 4 ] ~hits:0 ~computed:1
+    (resolve ~keep:odd [ ("even", 4) ]);
+  check "rejected again" ~values:[ 4 ] ~hits:0 ~computed:1
+    (resolve ~keep:odd [ ("even", 4) ]);
+  Alcotest.(check (list (pair string int))) "saved write-backs" [ ("cold", 7) ]
+    !saved
 
 (* ---------- cache keys carry the configuration digest ---------- *)
 
@@ -379,6 +390,26 @@ let test_concurrent_writers () =
   Alcotest.(check int) "reader saw no corrupt entry" 0
     (A.Disk_cache.stats reader).A.Disk_cache.failures
 
+(* ---------- same-key writers, one store ---------- *)
+
+(* two threads of one process storing one key, as a server's workers
+   do: unless every write has a temp file of its own, one writer's
+   rename finds the file gone (W0703, writes disabled) or moves a
+   half-written one into place (W0702 on the next load) *)
+let test_same_key_writers () =
+  let store = A.Disk_cache.create ~root:(tmp_root ()) () in
+  let warned = ref [] in
+  A.Disk_cache.set_sink store (fun d -> warned := d.D.code :: !warned);
+  let payload = String.make 65536 'x' in
+  let lost = ref 0 in
+  for round = 1 to 200 do
+    let writer () = A.Disk_cache.store store ~key:"k" (round, payload) in
+    List.iter Thread.join (List.init 2 (fun _ -> Thread.create writer ()));
+    if A.Disk_cache.load store ~key:"k" <> Some (round, payload) then incr lost
+  done;
+  Alcotest.(check (list string)) "no W0702/W0703" [] !warned;
+  Alcotest.(check int) "every round's entry loads" 0 !lost
+
 (* ---------- sweep points carry the advisor's objectives ---------- *)
 
 let test_sweep_point_metrics () =
@@ -432,6 +463,32 @@ let test_sweep_shares_attack_pool () =
       first.A.Engine.sp_attacks_run second.A.Engine.sp_attacks_cached
   | _ -> Alcotest.fail "run_sweep arity"
 
+(* ---------- an unusable sweep checkpoint is reported ---------- *)
+
+(* a corrupt checkpoint is quarantined and its point recomputed, with a
+   W0702 on that point's diagnostics *)
+let test_sweep_checkpoint_warning () =
+  let root = tmp_root () in
+  let sweep () =
+    A.Engine.run_sweep (A.Engine.create ~cache_dir:root ())
+      [ ("p1", demo_request ()) ]
+  in
+  ignore (sweep ());
+  (match entry_files (Filename.concat root "sweep") with
+  | [ checkpoint ] -> write_file checkpoint "rotted"
+  | fs -> Alcotest.failf "expected one checkpoint, found %d" (List.length fs));
+  match sweep () with
+  | [ sp ] -> (
+    Alcotest.(check bool) "recomputed" false sp.A.Engine.sp_resumed;
+    match
+      List.filter (fun (d : D.t) -> d.D.code = "W0702") (A.Engine.point_diags sp)
+    with
+    | [ d ] ->
+      Alcotest.(check (option string)) "tagged with its point" (Some "p1")
+        (List.assoc_opt "config" d.D.context)
+    | ds -> Alcotest.failf "expected one W0702, got %d" (List.length ds))
+  | _ -> Alcotest.fail "run_sweep arity"
+
 (* ---------- on_point fires only after the checkpoint write ---------- *)
 
 (* a consumer that dies mid-delivery loses the row, never the work: the
@@ -479,6 +536,8 @@ let test_sweep_on_point_after_checkpoint () =
 
 let tests =
   [ Alcotest.test_case "memo hooks" `Quick test_memo_hooks;
+    Alcotest.test_case "same-key writers, one store" `Quick
+      test_same_key_writers;
     Alcotest.test_case "concurrent writers same dir" `Quick
       test_concurrent_writers;
     Alcotest.test_case "config digest in cache key" `Quick
@@ -497,4 +556,6 @@ let tests =
     Alcotest.test_case "sweep shares one attack pool" `Quick
       test_sweep_shares_attack_pool;
     Alcotest.test_case "on_point after checkpoint" `Quick
-      test_sweep_on_point_after_checkpoint ]
+      test_sweep_on_point_after_checkpoint;
+    Alcotest.test_case "unusable sweep checkpoint warns" `Quick
+      test_sweep_checkpoint_warning ]

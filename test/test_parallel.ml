@@ -1,6 +1,7 @@
 (* The domain-parallel characterization engine: pool ordering and fault
-   isolation, the mutex-guarded memo table under contention, serial vs
-   parallel flow equivalence, and determinism of a parallel SoC run. *)
+   isolation, the keyed resolver under contention and against a serial
+   reference, serial vs parallel flow equivalence, and determinism of a
+   parallel SoC run. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -69,33 +70,106 @@ let test_should_stop_skips_undispatched () =
       Alcotest.(check int) "order/length preserved" 10 (List.length out))
     [ 1; 4 ]
 
-(* ---------- memo table under contention ---------- *)
+(* ---------- the keyed resolver ---------- *)
 
+(* four domains resolve the same 64 items (8 distinct keys) through one
+   memo at once, each over its own 2-domain pool *)
 let test_memo_contention () =
   let memo : (int, int) P.Memo.t = P.Memo.create () in
   let computed = Atomic.make 0 in
-  let pool = P.Pool.create ~jobs:4 in
-  (* 64 lookups over 8 distinct keys racing from 4 domains *)
-  let out =
-    P.Pool.map_ordered pool
-      (fun i ->
-        let k = i mod 8 in
-        P.Memo.find_or_add memo k (fun () ->
-            Atomic.incr computed;
-            k * 100))
-      (List.init 64 Fun.id)
+  let items = List.init 64 (fun i -> (i mod 8, i mod 8)) in
+  let resolve () =
+    P.Memo.resolve ~jobs:2
+      ~recover:(fun _ _ -> Alcotest.fail "no task fails")
+      memo
+      (fun k ->
+        Atomic.incr computed;
+        k * 100)
+      items
   in
-  Alcotest.(check int) "8 distinct keys cached" 8 (P.Memo.length memo);
-  List.iteri
-    (fun i o ->
-      match o with
-      | P.Pool.Value v -> Alcotest.(check int) "consistent value" (i mod 8 * 100) v
-      | P.Pool.Raised _ | P.Pool.Skipped -> Alcotest.fail "memo lookup failed")
-    out;
-  (* racing duplicates are permitted, but every stored value must be a
-     winner observed by all callers of the same key *)
-  Alcotest.(check bool) "computed at least once per key" true
-    (Atomic.get computed >= 8)
+  let callers = List.init 4 (fun _ -> Domain.spawn resolve) in
+  List.iter
+    (fun d ->
+      let r = Domain.join d in
+      Alcotest.(check (list int)) "consistent values"
+        (List.map (fun (k, _) -> k * 100) items)
+        r.P.Memo.values;
+      Alcotest.(check int) "every key a hit or computed once" 8
+        (r.P.Memo.hits + r.P.Memo.computed))
+    callers;
+  (* racing callers may each compute a key, but within one call every
+     key is computed at most once *)
+  let n = Atomic.get computed in
+  Alcotest.(check bool) "8 to 32 computations" true (n >= 8 && n <= 32);
+  (* every key is now bound: a later call computes nothing *)
+  let r = resolve () in
+  Alcotest.(check int) "all 8 keys cached" 8 r.P.Memo.hits;
+  Alcotest.(check int) "no recomputation" n (Atomic.get computed)
+
+exception Rejected of int
+
+(* Random items with duplicate keys, resolved at jobs 1 and 4 against a
+   serial reference. Keys below 2 are served by the [load] hook, inputs
+   divisible by 5 raise, [keep] rejects odd values, and [stop] skips
+   every miss. *)
+let resolve_prop =
+  QCheck.Test.make ~count:100 ~name:"resolve matches a serial reference"
+    QCheck.(pair bool (small_list (pair (int_range 0 9) (int_range 0 50))))
+    (fun (stop, items) ->
+      let load k = if k < 2 then Some (1000 + k) else None in
+      let compute x = if x mod 5 = 0 then raise (Rejected x) else 3 * x in
+      let keep v = v mod 2 = 0 in
+      let recover x = function
+        | Some (Rejected y) when x = y -> -x
+        | Some e -> raise e
+        | None -> -1
+      in
+      (* each distinct key in first-occurrence order, decided by its
+         first input: (value, written back) *)
+      let order =
+        List.fold_left
+          (fun acc (k, x) ->
+            if List.mem_assoc k acc then acc else (k, x) :: acc)
+          [] items
+        |> List.rev
+      in
+      let expect =
+        List.map
+          (fun (k, x) ->
+            ( k,
+              match load k with
+              | Some v -> (v, false)
+              | None when stop -> (-1, false)
+              | None -> (
+                match compute x with
+                | v -> (v, keep v)
+                | exception Rejected _ -> (-x, false)) ))
+          order
+      in
+      let value k = fst (List.assoc k expect) in
+      let hits = List.length (List.filter (fun (k, _) -> k < 2) order) in
+      let kept =
+        List.filter_map (fun (k, (_, kept)) -> if kept then Some k else None)
+          expect
+      in
+      List.for_all
+        (fun jobs ->
+          let saved = ref [] in
+          let memo =
+            P.Memo.create ~load ~save:(fun k _ -> saved := k :: !saved) ()
+          in
+          let r =
+            P.Memo.resolve ~jobs ~should_stop:(fun () -> stop) ~keep ~recover
+              memo compute items
+          in
+          r.P.Memo.values = List.map (fun (k, _) -> value k) items
+          && r.P.Memo.uniques = List.map (fun (k, _) -> (k, value k)) order
+          && r.P.Memo.hits = hits
+          && r.P.Memo.hits + r.P.Memo.computed + r.P.Memo.skipped
+             = List.length order
+          && r.P.Memo.skipped = (if stop then List.length order - hits else 0)
+          && List.rev !saved = kept)
+        [ 1; 4 ])
 
 (* ---------- flow equivalence: serial vs parallel ---------- *)
 
@@ -180,6 +254,8 @@ let tests =
       test_should_stop_skips_undispatched;
     Alcotest.test_case "memo table under domain contention" `Quick
       test_memo_contention;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2022 |])
+      resolve_prop;
     Alcotest.test_case "flow: jobs=1 vs jobs=4 equivalence" `Slow
       test_flow_jobs_equivalence;
     Alcotest.test_case "flow: SoC determinism at jobs=4" `Slow
