@@ -230,6 +230,17 @@ let report_resumed ~(cmd : string) ~(noun : string)
        recompute)@."
       cmd (List.length resumed) (List.length points) noun
 
+(* sweep and advise: where reuse across points landed, per
+   characterization stage *)
+let report_stage_line (engine : A.Engine.t) : unit =
+  Format.eprintf "stages: %s@."
+    (String.concat "; "
+       (List.map
+          (fun (s : A.Characterize.stage_stats) ->
+            Printf.sprintf "%s %d computed, %d hits" s.A.Characterize.stage
+              s.A.Characterize.stage_computed s.A.Characterize.stage_hits)
+          (A.Engine.stage_stats engine)))
+
 (* render every point's diagnostics, each tagged with its point's name;
    any error among them makes the exit code 1 *)
 let point_diags_exit (fmt : D.format) (points : A.Engine.sweep_point list) :
@@ -436,6 +447,7 @@ let sweep_cmd =
               (if sp.A.Engine.sp_resumed then "yes" else "no"))
           results;
         report_resumed ~cmd:"sweep" ~noun:"entries" results;
+        report_stage_line engine;
         (match A.Engine.disk_stats engine with
         | None -> ()
         | Some ds ->
@@ -502,6 +514,7 @@ let advise_cmd =
           List.map (fun (e : A.Advisor.entry) -> e.A.Advisor.e_point) entries
         in
         report_resumed ~cmd:"advise" ~noun:"candidates" points;
+        report_stage_line engine;
         (match format with
         | `Json ->
           print_endline (J.to_string (A.Advisor.json_of_report report))

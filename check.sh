@@ -236,6 +236,55 @@ if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_warm.json"; then
   exit 1
 fi
 
+# --- staged characterization: every point of a cold grid equals the ---
+# --- same point advised alone, and the grid reuses its netlists -------
+{
+  sed '/^axes:/,$d' "$tmpdir/advise.yaml"
+  cat <<'EOF'
+axes:
+  lut_inputs: [4, 6]
+  max_fabric_size: [12, 16]
+  target_utilization: [0.5, 0.45]
+EOF
+} > "$tmpdir/grid.yaml"
+dune exec --no-build bin/alice_cli.exe -- advise "$tmpdir/gcd.v" \
+  -c "$tmpdir/grid.yaml" --no-cache --format json \
+  > "$tmpdir/grid.json" 2> "$tmpdir/grid_stderr.txt"
+if ! grep -Eq '^stages: netlist [0-9]+ computed, [1-9][0-9]* hits' \
+  "$tmpdir/grid_stderr.txt"; then
+  echo "check.sh: the advise grid reused no netlist across points:" >&2
+  cat "$tmpdir/grid_stderr.txt" >&2
+  exit 1
+fi
+# one line per candidate: k, width bound, utilization, fabrics and metrics
+advise_rows() {
+  sed 's/{"name":/\n&/g' "$1" \
+    | sed -n 's/.*"lut_inputs":\([0-9]*\),"max_fabric_size":\([0-9]*\),"target_utilization":\([^,]*\),.*\("fabrics":.*\),"dominated_by".*/\1 \2 \3 \4/p' \
+    | sort -u
+}
+advise_rows "$tmpdir/grid.json" > "$tmpdir/grid_rows.txt"
+for k in 4 6; do
+  for w in 12 16; do
+    for u in 0.5 0.45; do
+      sed -e "s/^  lut_inputs: .*/  lut_inputs: [$k]/" \
+        -e "s/^  max_fabric_size: .*/  max_fabric_size: [$w]/" \
+        -e "s/^  target_utilization: .*/  target_utilization: [$u]/" \
+        "$tmpdir/grid.yaml" > "$tmpdir/point.yaml"
+      dune exec --no-build bin/alice_cli.exe -- advise "$tmpdir/gcd.v" \
+        -c "$tmpdir/point.yaml" --no-cache --format json \
+        > "$tmpdir/point.json" 2> /dev/null
+      row=$(advise_rows "$tmpdir/point.json")
+      if [ "$(printf '%s\n' "$row" | grep -c "^$k $w ")" -ne 1 ] \
+        || ! grep -Fqx "$row" "$tmpdir/grid_rows.txt"; then
+        echo "check.sh: advise k=$k w=$w u=$u alone differs from its grid entry:" >&2
+        printf '%s\n' "$row" >&2
+        cat "$tmpdir/grid_rows.txt" >&2
+        exit 1
+      fi
+    done
+  done
+done
+
 # --- sweep checkpoints: a corrupt one is recomputed with a W0702 -----
 # --- tagged with its entry's config ---------------------------------
 cat > "$tmpdir/sweep.yaml" <<'EOF'

@@ -130,12 +130,15 @@ let dedupe_key (cfg : C.Flow_config.t) : string =
   | C.Flow_config.Measured ->
     ":measured:" ^ C.Flow_config.attack_digest cfg
 
+(* a utilization's name part; [%g] keeps six significant digits *)
+let u_label (u : float) : string = Printf.sprintf "u%g" u
+
 let candidate_name ~(axes : axes) ~k ~w ~u ~b ~(m : C.Flow_config.score_mode)
     : string =
   let multi = function _ :: _ :: _ -> true | _ -> false in
   String.concat "-"
     ([ Printf.sprintf "k%d" k; Printf.sprintf "w%d" w ]
-    @ (if multi axes.ax_utilizations then [ Printf.sprintf "u%g" u ] else [])
+    @ (if multi axes.ax_utilizations then [ u_label u ] else [])
     @ (if multi axes.ax_attack_budgets then [ Printf.sprintf "b%d" b ] else [])
     @
     if multi axes.ax_score_modes then [ C.Flow_config.score_mode_to_string m ]
@@ -147,6 +150,22 @@ let plan ~(base : C.Flow_config.t) ~(axes : axes) : plan =
   ignore (check_axis "target_utilization" axes.ax_utilizations);
   ignore (check_axis "attack_budget" axes.ax_attack_budgets);
   ignore (check_axis "score" axes.ax_score_modes);
+  (* the only axis printed lossily: two distinct utilizations with one
+     label would give two candidates one name *)
+  let labels = Hashtbl.create 8 in
+  List.iter
+    (fun u ->
+      let label = u_label u in
+      match Hashtbl.find_opt labels label with
+      | Some u' when u' <> u ->
+        invalid_arg
+          (Printf.sprintf
+             "advise: axis target_utilization: %.17g and %.17g both name \
+              candidates %s"
+             u' u label)
+      | Some _ -> ()
+      | None -> Hashtbl.add labels label u)
+    axes.ax_utilizations;
   let seen = Hashtbl.create 16 in
   let grid = ref [] and deduped = ref 0 in
   List.iter

@@ -91,7 +91,10 @@ val axes_of_constraints :
   base:C.Flow_config.t -> V.Elaborate.design -> Y.t -> axes
 
 (** Expand axes into the deduplicated candidate grid. Raises
-    [Invalid_argument] when an axis is empty. *)
+    [Invalid_argument] when an axis is empty, or when two distinct
+    utilizations print alike in candidate names (names keep six
+    significant digits, as [%g] does), naming the axis and both
+    values. *)
 val plan : base:C.Flow_config.t -> axes:axes -> plan
 
 (** [plan_of_source ~base ~constraints source]: parse/elaborate the

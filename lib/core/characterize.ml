@@ -12,6 +12,16 @@
     of the same module mix always get the same fabric, and the key
     stays sound when the cache outlives one run or one configuration.
 
+    A miss is computed in four stages, each memoized in memory in the
+    cache and keyed by its parent stage's key plus exactly the inputs it
+    reads: the synthesized netlist (the ordered members as
+    [wrapper_emodule] reads them, with their subtree digests), the
+    LUT-mapped circuit (+ k), the packed CLBs (+ LUTs and FFs per CLB)
+    and one width's placement and routing (+ GPIO per tile, the width).
+    Grid points that differ only downstream of a stage share it: a new
+    utilization target or width window re-runs no synthesis, mapping or
+    packing, and places no width an earlier point already placed.
+
     Characterizations are independent of each other (the paper's
     per-cluster OpenFPGA fan-out), so {!run_all_stats} deduplicates the
     candidate set by cache key up front, characterizes each unique
@@ -93,9 +103,46 @@ let cluster_circuit (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (cluster : Clustering.cluster) : N.Circuit.t =
   fst (N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs (cluster_netlist design cluster))
 
-type cache = (string, characterization) Memo.t
+(* One in-memory stage: its memo table and its lookup counters. *)
+type 'v stage = {
+  memo : (string, 'v) Memo.t;
+  hits : int Atomic.t;
+  computed : int Atomic.t;
+}
 
-let create_cache ?load ?save () : cache = Memo.create ~size:64 ?load ?save ()
+let stage () =
+  { memo = Memo.create ~size:64 (); hits = Atomic.make 0;
+    computed = Atomic.make 0 }
+
+(* A stage's value for [key], computed on a miss. No [Pool] dispatch, so
+   a characterization stays one pool task however many stages it hits;
+   an exception is never written back. *)
+let through (s : 'v stage) (key : string) (compute : unit -> 'v) : 'v =
+  let v, hit = Memo.find_or_compute s.memo key compute in
+  Atomic.incr (if hit then s.hits else s.computed);
+  v
+
+type cache = {
+  final : (string, characterization) Memo.t;
+  netlists : N.Circuit.t stage;
+  mapped_circuits : N.Circuit.t stage;
+  packed : F.Place.clb list stage;
+  placed : (F.Place.placement * F.Route.report) stage;
+}
+
+let create_cache ?load ?save () : cache =
+  { final = Memo.create ~size:64 ?load ?save (); netlists = stage ();
+    mapped_circuits = stage (); packed = stage (); placed = stage () }
+
+type stage_stats = { stage : string; stage_hits : int; stage_computed : int }
+
+let stage_stats (c : cache) : stage_stats list =
+  let count name (s : _ stage) =
+    { stage = name; stage_hits = Atomic.get s.hits;
+      stage_computed = Atomic.get s.computed }
+  in
+  [ count "netlist" c.netlists; count "mapped" c.mapped_circuits;
+    count "packed" c.packed; count "placed" c.placed ]
 
 type stats = {
   clusters : int;
@@ -108,23 +155,17 @@ type stats = {
 let empty_stats =
   { clusters = 0; unique = 0; cache_hits = 0; computed = 0; skipped = 0 }
 
-(** Clusters with the same member-module multiset, the same member
-    *subtree content* and the same characterization-relevant
-    configuration map to the same fabric — that triple is the cache key.
-    Returns a keying function with the per-module digests and the config
-    digest computed once, so keying a whole candidate set stays cheap. *)
-let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
-    Clustering.cluster -> string =
+(* A Merkle digest of a module's elaborated subtree, because the
+   cluster netlist synthesizes the whole subtree: the module's own
+   content with instance locations stripped, plus its children's
+   digests. A child edit therefore rekeys every ancestor, while a line
+   shift or a file rename, which only move [ei_loc], rekey nothing.
+   [No_sharing] makes the blob a function of structure alone, so the
+   digest is identical across processes — and two same-named modules
+   with different bodies (e.g. from different designs sharing one
+   persistent store) never collide. Memoized per design. *)
+let subtree_digester (design : V.Elaborate.design) : string -> string =
   let mdigests : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  (* A Merkle digest of a module's elaborated subtree, because the
-     cluster netlist synthesizes the whole subtree: the module's own
-     content with instance locations stripped, plus its children's
-     digests. A child edit therefore rekeys every ancestor, while a line
-     shift or a file rename, which only move [ei_loc], rekey nothing.
-     [No_sharing] makes the blob a function of structure alone, so the
-     digest is identical across processes — and two same-named modules
-     with different bodies (e.g. from different designs sharing one
-     persistent store) never collide. *)
   let rec digest_of name =
     match Hashtbl.find_opt mdigests name with
     | Some d -> d
@@ -148,6 +189,10 @@ let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
       Hashtbl.add mdigests name d;
       d
   in
+  digest_of
+
+let cluster_key (digest_of : string -> string) (cfg : C.Flow_config.t) :
+    Clustering.cluster -> string =
   let cfg_digest = C.Flow_config.characterize_digest cfg in
   fun (cluster : Clustering.cluster) ->
     let members =
@@ -157,6 +202,27 @@ let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
       |> List.sort compare |> String.concat "|"
     in
     members ^ "#" ^ cfg_digest
+
+(** Clusters with the same member-module multiset, the same member
+    *subtree content* and the same characterization-relevant
+    configuration map to the same fabric — that triple is the cache key.
+    Returns a keying function with the per-module digests and the config
+    digest computed once, so keying a whole candidate set stays cheap. *)
+let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
+    Clustering.cluster -> string =
+  cluster_key (subtree_digester design) cfg
+
+(* The netlist stage's key: the members in cluster order, each with the
+   three names [wrapper_emodule] reads and its subtree digest. The
+   ordered list, not the multiset, so that equal keys synthesize
+   identical netlists, down to instance paths and port order. *)
+let netlist_key (digest_of : string -> string) (cluster : Clustering.cluster)
+    : string =
+  cluster.Clustering.members
+  |> List.map (fun (m : V.Design.tree) ->
+         Printf.sprintf "%S %S %S %s" m.inst_name m.module_name
+           m.orig_module_name (digest_of m.module_name))
+  |> String.concat "|"
 
 (* a short human label for diagnostics: the cluster's member instances *)
 let cluster_label (cluster : Clustering.cluster) : string =
@@ -210,24 +276,49 @@ let retarget (cluster : Clustering.cluster) (c : characterization) :
   in
   { c with cluster; outcome }
 
-(* Characterize one cluster, uncached. Any exception escaping synthesis,
-   LUT mapping or the size search — except [Out_of_memory], which is not
-   safely resumable — becomes a [Failed] outcome carrying a diagnostic,
-   so a single broken cluster degrades to one lost candidate instead of
+(* Characterize one cluster through the stages of [stages] ([nkey] is
+   its netlist key). Any exception escaping synthesis, LUT mapping or
+   the size search — except [Out_of_memory], which is not safely
+   resumable — becomes a [Failed] outcome carrying a diagnostic, so a
+   single broken cluster degrades to one lost candidate instead of
    aborting the run. *)
-let compute (design : V.Elaborate.design) (cfg : C.Flow_config.t)
-    (cluster : Clustering.cluster) : characterization =
-  match cluster_circuit design cfg cluster with
+let compute (stages : cache) (design : V.Elaborate.design)
+    (cfg : C.Flow_config.t) ((nkey, cluster) : string * Clustering.cluster) :
+    characterization =
+  let k = cfg.C.Flow_config.lut_inputs in
+  let mkey = Printf.sprintf "%s#k=%d" nkey k in
+  match
+    let netlist =
+      through stages.netlists nkey (fun () -> cluster_netlist design cluster)
+    in
+    through stages.mapped_circuits mkey (fun () ->
+        fst (N.Lutmap.map ~k netlist))
+  with
   | exception Out_of_memory -> raise Out_of_memory
   | exception e ->
     { cluster; outcome = Failed (diag_of_cluster_exn cluster e); mapped = None }
   | mapped -> (
+    (* k, the CLB shape and the GPIO count are every field
+       [Arch.of_config] sets, and its routing-track constants are
+       fixed: the placed key determines the placement's arch *)
     let arch = F.Arch.of_config cfg in
+    let pkey =
+      Printf.sprintf "%s#luts=%d,ffs=%d" mkey arch.F.Arch.luts_per_clb
+        arch.F.Arch.ffs_per_clb
+    in
+    let place_route clbs w =
+      through stages.placed
+        (Printf.sprintf "%s#gpio=%d,w=%d" pkey arch.F.Arch.gpio_per_tile w)
+        (fun () -> F.Size_search.place_route arch mapped clbs w)
+    in
     match
-      F.Size_search.minimum arch
+      F.Size_search.search arch
         ~min_size:cfg.C.Flow_config.min_fabric_size
         ~max_size:cfg.C.Flow_config.max_fabric_size
-        ~target_utilization:cfg.C.Flow_config.target_utilization mapped
+        ~target_utilization:cfg.C.Flow_config.target_utilization
+        ~pack:(fun () ->
+          through stages.packed pkey (fun () -> F.Place.pack arch mapped))
+        ~place_route mapped
     with
     | exception Out_of_memory -> raise Out_of_memory
     | exception e ->
@@ -253,7 +344,7 @@ let compute (design : V.Elaborate.design) (cfg : C.Flow_config.t)
 let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
     (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (clusters : Clustering.cluster list) : characterization list * stats =
-  let memo = match cache with Some c -> c | None -> create_cache () in
+  let cache = match cache with Some c -> c | None -> create_cache () in
   let t0 = Timebase.now_s () in
   let should_stop =
     Option.map (fun limit () -> Timebase.elapsed_since t0 > limit) deadline_s
@@ -266,7 +357,7 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
   (* [compute] catches everything but [Out_of_memory] itself; a raised
      task is a safety net so an unexpected escape still costs one
      candidate *)
-  let recover cluster e =
+  let recover (_, cluster) e =
     let outcome =
       match e with
       | Some e -> Failed (diag_of_cluster_exn cluster e)
@@ -277,10 +368,17 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
     in
     { cluster; outcome; mapped = None }
   in
-  let key_of = keyer design cfg in
+  (* both keys up front, serially: the digest table is not shared with
+     the worker domains *)
+  let digest_of = subtree_digester design in
+  let key_of = cluster_key digest_of cfg in
   let r =
-    Memo.resolve ~jobs ?should_stop ~keep ~recover memo (compute design cfg)
-      (List.map (fun cluster -> (key_of cluster, cluster)) clusters)
+    Memo.resolve ~jobs ?should_stop ~keep ~recover cache.final
+      (compute cache design cfg)
+      (List.map
+         (fun cluster ->
+           (key_of cluster, (netlist_key digest_of cluster, cluster)))
+         clusters)
   in
   ( List.map2 retarget clusters r.Memo.values,
     { clusters = List.length clusters; unique = List.length r.Memo.uniques;

@@ -3,7 +3,10 @@
     instantiating the members with all ports exposed, synthesized,
     LUT-mapped, and passed to the minimum-fabric search. Results are
     cached by member-module multiset (subtree-digested) plus the
-    configuration's {!Alice_config.Flow_config.characterize_digest};
+    configuration's {!Alice_config.Flow_config.characterize_digest}; a
+    miss runs in memoized stages (netlist, mapped, packed, placed per
+    width), so configurations that share a stage's inputs share its
+    work;
     {!run_all_stats} deduplicates by that key up front and characterizes
     the unique keys across a Domain-based worker pool, with output
     bit-identical to the serial order for any [jobs] value. The cache
@@ -47,7 +50,17 @@ val cluster_circuit :
     {!keyer}, safe to share across worker domains and across runs.
     Optional [load]/[save] hooks back it with a persistent store (see
     {!Alice_parallel.Memo} for the hook contract — hooks must not
-    raise). *)
+    raise).
+
+    A miss is computed through four in-memory stage tables the cache
+    also owns, each keyed by its parent's key plus exactly what the
+    stage reads: [netlist] (the members in cluster order — instance,
+    module and original module names — with their subtree digests),
+    [mapped] (+ k), [packed] (+ LUTs and FFs per CLB) and [placed]
+    (+ GPIO per tile and one fabric width). A stage is written only when
+    it returns, so a fault is never reused; stage lookups run inside
+    the one pooled task of their characterization. The stages add
+    nothing to the persistent store: the final entry is the same. *)
 type cache
 
 val create_cache :
@@ -55,6 +68,13 @@ val create_cache :
   ?save:(string -> characterization -> unit) ->
   unit ->
   cache
+
+(** One stage's cumulative lookups since {!create_cache}: [stage] is
+    ["netlist"], ["mapped"], ["packed"] or ["placed"]. *)
+type stage_stats = { stage : string; stage_hits : int; stage_computed : int }
+
+(** The four stages' counters, in pipeline order. *)
+val stage_stats : cache -> stage_stats list
 
 (** Per-{!run_all_stats} accounting, in unique cache keys: [unique] distinct
     keys among [clusters] requested, of which [cache_hits] came from

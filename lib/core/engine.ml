@@ -86,6 +86,9 @@ let cache_root (t : t) : string option =
 let disk_stats (t : t) : Disk_cache.stats option =
   Option.map Disk_cache.stats (List.nth_opt t.stores 0)
 
+let stage_stats (t : t) : Characterize.stage_stats list =
+  Characterize.stage_stats t.memo
+
 let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
   List.iter (fun store -> Disk_cache.set_sink store sink) t.stores;
   Atomic.set t.engine_sink true

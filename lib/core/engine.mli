@@ -72,6 +72,11 @@ val cache_root : t -> string option
     caching is off. *)
 val disk_stats : t -> Disk_cache.stats option
 
+(** Cumulative hits and computations of each in-memory
+    characterization stage since [create] (see {!Characterize.cache}):
+    where a sweep's or an advise grid's reuse across points lands. *)
+val stage_stats : t -> Characterize.stage_stats list
+
 (** Garbage-collect the persistent store: validate every entry,
     quarantine corruption, evict least-recently-used entries to
     [max_bytes] (default: the engine's configured budget), and

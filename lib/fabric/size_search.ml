@@ -55,23 +55,35 @@ let failure_to_string = function
 let clb_budget ~(target_utilization : float) ~(clb_cap : int) : int =
   int_of_float (Float.floor (target_utilization *. float_of_int clb_cap))
 
+(** Place and route the packed [clusters] of [mapped] on a [w]-wide
+    fabric of [arch]: the one step of the search that depends on the
+    width. *)
+let place_route (arch : Arch.t) (mapped : Circuit.t)
+    (clusters : Place.clb list) (w : int) : Place.placement * Route.report =
+  let placement = Place.place_packed (Fabric.make arch w) mapped clusters in
+  (placement, Route.route placement)
+
 (** Minimum-size search over permitted widths. [mapped] must already be
-    LUT-mapped. Packing does not depend on the width, so it runs once;
-    the CLB, I/O and utilization tests are then counts, and only a width
-    passing all three is placed and routed. *)
-let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
-    ~(target_utilization : float) (mapped : Circuit.t) :
-    (implementation, failure) result =
+    LUT-mapped. Packing does not depend on the width, so [pack] runs
+    once, and only for a circuit with I/O; the CLB, I/O and utilization
+    tests are then counts, and only a width passing all three goes to
+    [place_route]. The implementation's fabric is the placement's own,
+    so a memoized [place_route] yields the same value graph as a fresh
+    one. *)
+let search (arch : Arch.t) ~(min_size : int) ~(max_size : int)
+    ~(target_utilization : float) ~(pack : unit -> Place.clb list)
+    ~(place_route : Place.clb list -> int -> Place.placement * Route.report)
+    (mapped : Circuit.t) : (implementation, failure) result =
   let io_used = Circuit.io_bit_count mapped in
   if io_used = 0 then Error Empty_circuit
   else begin
-    let clusters = Place.pack arch mapped in
+    let clusters = pack () in
     let clbs_used = List.length clusters in
     (* one width; errors carry the structured payload so the caller can
        report what failed at the final attempted size *)
     let try_width w =
-      let fabric = Fabric.make arch w in
-      let clb_cap = Fabric.clb_count fabric and io_cap = Fabric.io_capacity fabric in
+      let sized = Fabric.make arch w in
+      let clb_cap = Fabric.clb_count sized and io_cap = Fabric.io_capacity sized in
       let budget = clb_budget ~target_utilization ~clb_cap in
       let no_fit resource needed available =
         Error (`No_fit (Place.fit_failure ~width:w ~resource ~needed ~available))
@@ -80,8 +92,7 @@ let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
       else if io_used > io_cap then no_fit `Io io_used io_cap
       else if clbs_used > budget then no_fit `Utilization clbs_used budget
       else begin
-        let placement = Place.place_packed fabric mapped clusters in
-        let routing = Route.route placement in
+        let placement, routing = place_route clusters w in
         if not routing.Route.routable then
           Error
             (`No_route
@@ -89,6 +100,7 @@ let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
                  cg_demand = routing.Route.max_demand;
                  cg_tracks = routing.Route.tracks_available })
         else
+          let fabric = placement.Place.fabric in
           Ok
             { fabric; placement; routing;
               luts_used = Circuit.lut_count mapped;
@@ -102,7 +114,7 @@ let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
     in
     (* remember the last failure of each kind so the caller sees what
        went wrong at the final attempted size, not just that it did *)
-    let rec search w last_no_route last_no_fit =
+    let rec go w last_no_route last_no_fit =
       if w > max_size then
         match (last_no_route, last_no_fit) with
         | Some cg, _ -> Error (Unroutable cg)
@@ -116,11 +128,18 @@ let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
       else
         match try_width w with
         | Ok impl -> Ok impl
-        | Error (`No_fit fe) -> search (w + 1) last_no_route (Some fe)
-        | Error (`No_route cg) -> search (w + 1) (Some cg) last_no_fit
+        | Error (`No_fit fe) -> go (w + 1) last_no_route (Some fe)
+        | Error (`No_route cg) -> go (w + 1) (Some cg) last_no_fit
     in
-    search (max 1 min_size) None None
+    go (max 1 min_size) None None
   end
+
+let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
+    ~(target_utilization : float) (mapped : Circuit.t) :
+    (implementation, failure) result =
+  search arch ~min_size ~max_size ~target_utilization
+    ~pack:(fun () -> Place.pack arch mapped)
+    ~place_route:(place_route arch mapped) mapped
 
 let pp_implementation fmt (impl : implementation) =
   Format.fprintf fmt

@@ -46,8 +46,34 @@ val failure_to_string : failure -> string
     placement of exactly this many CLBs is feasible. *)
 val clb_budget : target_utilization:float -> clb_cap:int -> int
 
-(** Minimum-size search over permitted widths; the input must already be
-    LUT-mapped. *)
+(** [place_route arch mapped clbs w] places the packed [clbs] of
+    [mapped] on a [w]-wide fabric of [arch] and routes the placement.
+    Deterministic, and it reads nothing but its arguments, so its result
+    may be reused for any search that reaches width [w] with the same
+    circuit, packing and architecture. *)
+val place_route :
+  Arch.t -> Circuit.t -> Place.clb list -> int -> Place.placement * Route.report
+
+(** The one minimum-size search loop. [mapped] must already be
+    LUT-mapped. A circuit without I/O is [Empty_circuit] before [pack]
+    is called; otherwise [pack ()] runs once and the widths from
+    [max 1 min_size] up are tested on the CLB, I/O and utilization
+    counts, and only a width passing all three goes to
+    [place_route clbs w]. The implementation's [fabric] is the
+    placement's own, so a memoized [place_route] gives the value a
+    fresh one would. Exceptions from [pack] and
+    [place_route] propagate. *)
+val search :
+  Arch.t ->
+  min_size:int ->
+  max_size:int ->
+  target_utilization:float ->
+  pack:(unit -> Place.clb list) ->
+  place_route:(Place.clb list -> int -> Place.placement * Route.report) ->
+  Circuit.t ->
+  (implementation, failure) result
+
+(** {!search} with {!Place.pack} and {!place_route} computed directly. *)
 val minimum :
   Arch.t ->
   min_size:int ->

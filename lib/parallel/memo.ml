@@ -24,6 +24,15 @@ let set (t : ('k, 'v) t) (k : 'k) (v : 'v) : unit =
   Mutex.protect t.mu (fun () -> Hashtbl.replace t.tbl k v);
   Option.iter (fun save -> save k v) t.save
 
+let find_or_compute (t : ('k, 'v) t) (k : 'k) (compute : unit -> 'v) :
+    'v * bool =
+  match find_opt t k with
+  | Some v -> (v, true)
+  | None ->
+    let v = compute () in
+    set t k v;
+    (v, false)
+
 type ('k, 'v) resolution = {
   values : 'v list;
   uniques : ('k * 'v) list;

@@ -27,6 +27,14 @@ val create :
   unit ->
   ('k, 'v) t
 
+(** [find_or_compute t k compute] is the value [t] holds for [k] (in
+    memory or from [load]) paired with [true], else [compute ()] written
+    back and paired with [false]: {!resolve} for one key, without its
+    {!Pool} dispatch, so a lookup nested inside a pooled task costs no
+    task or worker of its own. An exception from [compute] propagates
+    and nothing is written back. *)
+val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
+
 (** What one {!resolve} call produced: one value per item in item
     order, one per distinct key in first-occurrence order, and every
     distinct key counted once — a hit (memory or [load]), computed (its

@@ -85,6 +85,34 @@ let test_plan_rejects_empty_axis () =
        false
      with Invalid_argument _ -> true)
 
+let contains (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let test_plan_rejects_colliding_names () =
+  (* 0.5 and 0.5000001 both print as u0.5: refused before any point
+     runs, naming the axis and both values *)
+  let axes = singleton_axes ~utils:[ 0.5; 0.5000001; 0.45 ] () in
+  (match A.Advisor.plan ~base:demo_cfg ~axes with
+  | _ -> Alcotest.fail "colliding utilization names accepted"
+  | exception Invalid_argument msg ->
+    List.iter
+      (fun part ->
+        Alcotest.(check bool) ("message names " ^ part) true
+          (contains msg part))
+      [ "target_utilization"; "0.5 "; "0.50000009999999995" ]);
+  (* distinct names stay accepted and keep how they print, including a
+     value one ulp off its decimal *)
+  let p =
+    A.Advisor.plan ~base:demo_cfg
+      ~axes:(singleton_axes ~utils:[ 0.55; 0.55 -. 0.05 ] ())
+  in
+  Alcotest.(check (list string)) "names unchanged" [ "k4-w12-u0.55"; "k4-w12-u0.5" ]
+    (List.map fst p.A.Advisor.pl_grid)
+
 let test_axes_of_constraints () =
   let design =
     Alice_verilog.Elaborate.elaborate (Alice_verilog.Parser.parse demo_src)
@@ -316,6 +344,8 @@ let tests =
       test_plan_dedup_heuristic_budgets;
     Alcotest.test_case "plan rejects empty axis" `Quick
       test_plan_rejects_empty_axis;
+    Alcotest.test_case "plan rejects colliding names" `Quick
+      test_plan_rejects_colliding_names;
     Alcotest.test_case "axes of constraints" `Quick test_axes_of_constraints;
     Alcotest.test_case "advise ranks a front" `Quick test_advise_ranked_front;
     Alcotest.test_case "warm advise byte-identical" `Quick

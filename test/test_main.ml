@@ -16,6 +16,7 @@ let () =
       ("security", Test_security.tests);
       ("flow", Test_flow.tests);
       ("engine", Test_engine.tests);
+      ("stages", Test_stages.tests);
       ("pareto", Test_pareto.tests);
       ("advisor", Test_advisor.tests);
       ("scorer", Test_scorer.tests);
