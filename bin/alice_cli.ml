@@ -52,7 +52,7 @@ let read_input = function
   | path -> read_file path
 
 let load_yaml = function
-  | None -> C.Yaml_lite.Null
+  | None -> J.Null
   | Some path -> C.Yaml_lite.parse (read_file path)
 
 let load_design path =
@@ -400,30 +400,25 @@ let sweep_cmd =
   let run file config no_resume flags fmt =
     handle_errors ~fmt (fun () ->
         let doc = C.Yaml_lite.parse (read_file config) in
-        let base =
-          Option.value (C.Yaml_lite.find doc "base") ~default:C.Yaml_lite.Null
-        in
+        let base = Option.value (J.find doc "base") ~default:J.Null in
         let entries =
-          match C.Yaml_lite.find doc "sweep" with
-          | Some (C.Yaml_lite.List (_ :: _ as items)) -> items
+          match J.find doc "sweep" with
+          | Some (J.List (_ :: _ as items)) -> items
           | Some _ -> invalid_arg "sweep: expected a non-empty list of maps"
           | None -> invalid_arg "sweep: missing `sweep` list"
         in
         let ast = load_design file in
         (* cache knobs (and the engine) come from base + flags; each
            entry still carries its own full configuration *)
-        let engine = A.Engine.of_config (flags (C.Flow_config.of_yaml base)) in
+        let engine = A.Engine.of_config (flags (C.Flow_config.of_doc base)) in
         let points =
           List.mapi
             (fun i entry ->
               let name =
-                C.Yaml_lite.get_string
-                  ~default:(Printf.sprintf "cfg%d" (i + 1))
-                  entry "name"
+                J.get_string ~default:(Printf.sprintf "cfg%d" (i + 1)) entry
+                  "name"
               in
-              let cfg =
-                flags (C.Flow_config.of_yaml (C.Yaml_lite.merge base entry))
-              in
+              let cfg = flags (C.Flow_config.of_doc (J.merge base entry)) in
               ( name,
                 A.Flow.request ~config:cfg
                   ~diags:(D.Collector.create ())
@@ -498,10 +493,8 @@ let advise_cmd =
   let run file constraints format no_resume flags fmt =
     handle_errors ~fmt (fun () ->
         let doc = load_yaml constraints in
-        let base_doc =
-          Option.value (C.Yaml_lite.find doc "base") ~default:C.Yaml_lite.Null
-        in
-        let base = flags (C.Flow_config.of_yaml base_doc) in
+        let base_doc = Option.value (J.find doc "base") ~default:J.Null in
+        let base = flags (C.Flow_config.of_doc base_doc) in
         let ast = load_design file in
         let source = A.Flow.Ast ast in
         let plan = A.Advisor.plan_of_source ~base ~constraints:doc source in
@@ -822,7 +815,7 @@ let serve_cmd =
         let engine =
           A.Engine.of_config
             (engine_overrides jobs cache_dir no_cache
-               (C.Flow_config.of_yaml base))
+               (C.Flow_config.of_doc base))
         in
         let server_cfg =
           { (S.Server.default_config ~socket_path:"/unused") with

@@ -359,6 +359,22 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/attack0.json"; then
   exit 1
 fi
 
+# a utilization outside (0, 1] is a configuration error (E0602), refused
+# before any characterization -- not a design without a feasible
+# redaction (E0801)
+printf 'fabric:\n  target_utilization: nan\n' > "$tmpdir/nan.yaml"
+set +e
+"$ALICE" redact "$tmpdir/gcd.v" -c "$tmpdir/nan.yaml" --no-cache \
+  --diag-format=json > "$tmpdir/nan.json" 2> /dev/null
+code=$?
+set -e
+if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/nan.json" \
+  || grep -q '"code":"E0801"' "$tmpdir/nan.json"; then
+  echo "check.sh: redact with target_utilization: nan exited $code without E0602:" >&2
+  cat "$tmpdir/nan.json" >&2
+  exit 1
+fi
+
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'
 top: soc
@@ -496,31 +512,6 @@ if [ -e "$sock" ]; then
 fi
 server_smoke tcp "tcp:127.0.0.1:0"
 
-# --- mixed-load bench: cheap ops must stay fast under saturation ------
-# run from $tmpdir so the snapshot this writes does not clobber a
-# committed BENCH_<rev>.json at the repo root
-( cd "$tmpdir" && "$OLDPWD/_build/default/bench/main.exe" mixed \
-  > "$tmpdir/bench_mixed.log" 2>&1 )
-bench_json=$(find "$tmpdir" -maxdepth 1 -name 'BENCH_*.json' | head -n 1)
-if [ -z "$bench_json" ]; then
-  echo "check.sh: bench mixed wrote no snapshot; log:" >&2
-  cat "$tmpdir/bench_mixed.log" >&2
-  exit 1
-fi
-# ping p95 under heavy saturation stayed within 10x of idle, on both
-# transports, and the server's histogram never reported a quantile
-# above its own observed maximum
-if ! grep -q '"cheap_p95_bound_ok":true' "$bench_json"; then
-  echo "check.sh: cheap-op p95 exceeded 10x idle under saturation:" >&2
-  cat "$tmpdir/bench_mixed.log" >&2
-  exit 1
-fi
-if ! grep -q '"quantile_le_max_ok":true' "$bench_json"; then
-  echo "check.sh: server histogram reported a quantile above max:" >&2
-  cat "$tmpdir/bench_mixed.log" >&2
-  exit 1
-fi
-
 # --- fault smoke: the service self-heals under an injected plan -------
 # one worker is killed mid-request and one cache write is torn; the
 # clients retry with backoff and every response must still be
@@ -614,5 +605,31 @@ if ! wait "$fault_pid"; then
   exit 1
 fi
 fault_pid=""
+
+# --- mixed-load bench: cheap ops must stay fast under saturation ------
+# last, so a failure of this timing gate cannot hide the steps above
+# run from $tmpdir so the snapshot this writes does not clobber a
+# committed BENCH_<rev>.json at the repo root
+( cd "$tmpdir" && "$OLDPWD/_build/default/bench/main.exe" mixed \
+  > "$tmpdir/bench_mixed.log" 2>&1 )
+bench_json=$(find "$tmpdir" -maxdepth 1 -name 'BENCH_*.json' | head -n 1)
+if [ -z "$bench_json" ]; then
+  echo "check.sh: bench mixed wrote no snapshot; log:" >&2
+  cat "$tmpdir/bench_mixed.log" >&2
+  exit 1
+fi
+# ping p95 under heavy saturation stayed within 10x of idle, on both
+# transports, and the server's histogram never reported a quantile
+# above its own observed maximum
+if ! grep -q '"cheap_p95_bound_ok":true' "$bench_json"; then
+  echo "check.sh: cheap-op p95 exceeded 10x idle under saturation:" >&2
+  cat "$tmpdir/bench_mixed.log" >&2
+  exit 1
+fi
+if ! grep -q '"quantile_le_max_ok":true' "$bench_json"; then
+  echo "check.sh: server histogram reported a quantile above max:" >&2
+  cat "$tmpdir/bench_mixed.log" >&2
+  exit 1
+fi
 
 echo "check.sh: OK"

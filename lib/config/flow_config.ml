@@ -5,6 +5,8 @@
     fixes for its evaluation: CLBs of four 4-input fracturable LUTs and
     I/O tiles carrying 8 GPIOs each. *)
 
+module J = Json_lite
+
 (** Direction of Eq. 1 ranking. The paper's Algorithm 3 selects the
     solution with the *highest* score (line 25), which — with Eq. 1 as
     printed — prefers solutions whose fabrics sit further below the
@@ -113,10 +115,6 @@ type t = {
   cache_max_bytes : int option;
       (** byte budget for the on-disk store; exceeded, least-recently
           used entries are evicted. [None] leaves the store unbounded *)
-  fault_plan : string option;
-      (** fault-injection plan spec (test machinery — see
-          {!Alice_fault.Fault.parse}); [None] falls back to
-          [$ALICE_FAULT_PLAN] *)
 }
 
 let default =
@@ -131,7 +129,7 @@ let default =
     transitive_independence = false;
     characterize_deadline_s = None;
     jobs = Domain.recommended_domain_count ();
-    cache = true; cache_dir = None; cache_max_bytes = None; fault_plan = None }
+    cache = true; cache_dir = None; cache_max_bytes = None }
 
 (** The paper's cfg1: at most 64 I/O pins per eFPGA, up to two eFPGAs. *)
 let cfg1 = { default with max_io_pins = 64; max_efpgas = 2 }
@@ -139,122 +137,128 @@ let cfg1 = { default with max_io_pins = 64; max_efpgas = 2 }
 (** The paper's cfg2: at most 96 I/O pins, a single eFPGA. *)
 let cfg2 = { default with max_io_pins = 96; max_efpgas = 1 }
 
-let of_yaml (doc : Yaml_lite.t) : t =
+let of_doc (doc : J.t) : t =
   let d = default in
-  let fabric = Option.value (Yaml_lite.find doc "fabric") ~default:Yaml_lite.Null in
+  let fabric = Option.value (J.find doc "fabric") ~default:J.Null in
   let rank =
-    match Yaml_lite.get_string ~default:"highest" doc "rank_order" with
+    match J.get_string ~default:"highest" doc "rank_order" with
     | "highest" -> Highest
     | "lowest" -> Lowest
     | other -> invalid_arg (Printf.sprintf "rank_order: %s" other)
   in
   let luts_per_clb =
-    let n = Yaml_lite.get_int ~default:d.luts_per_clb fabric "luts_per_clb" in
+    let n = J.get_int ~default:d.luts_per_clb fabric "luts_per_clb" in
     if n < 1 then invalid_arg "fabric.luts_per_clb: must be at least 1" else n
   in
-  { max_io_pins = Yaml_lite.get_int ~default:d.max_io_pins doc "max_io_pins";
-    max_efpgas = Yaml_lite.get_int ~default:d.max_efpgas doc "max_efpgas";
-    alpha = Yaml_lite.get_float ~default:d.alpha doc "alpha";
-    beta = Yaml_lite.get_float ~default:d.beta doc "beta";
+  { max_io_pins = J.get_int ~default:d.max_io_pins doc "max_io_pins";
+    max_efpgas = J.get_int ~default:d.max_efpgas doc "max_efpgas";
+    alpha = J.get_float ~default:d.alpha doc "alpha";
+    beta = J.get_float ~default:d.beta doc "beta";
     lut_inputs =
-      (let k = Yaml_lite.get_int ~default:d.lut_inputs fabric "lut_inputs" in
+      (let k = J.get_int ~default:d.lut_inputs fabric "lut_inputs" in
        if k < 2 then invalid_arg "fabric.lut_inputs: must be at least 2" else k);
     luts_per_clb;
     ffs_per_clb =
-      (let n = Yaml_lite.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb" in
+      (let n = J.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb" in
        (* packing gives every logic element a flip-flop slot *)
        if n < luts_per_clb then
          invalid_arg "fabric.ffs_per_clb: must be at least luts_per_clb"
        else n);
     gpio_per_tile =
-      (let n = Yaml_lite.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile" in
+      (let n = J.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile" in
        if n < 1 then invalid_arg "fabric.gpio_per_tile: must be at least 1" else n);
-    min_fabric_size = Yaml_lite.get_int ~default:d.min_fabric_size fabric "min_size";
-    max_fabric_size = Yaml_lite.get_int ~default:d.max_fabric_size fabric "max_size";
+    min_fabric_size = J.get_int ~default:d.min_fabric_size fabric "min_size";
+    max_fabric_size = J.get_int ~default:d.max_fabric_size fabric "max_size";
     target_utilization =
-      Yaml_lite.get_float ~default:d.target_utilization fabric "target_utilization";
+      (let u =
+         J.get_float ~default:d.target_utilization fabric "target_utilization"
+       in
+       (* [not (_ && _)] also refuses nan *)
+       if not (u > 0.0 && u <= 1.0) then
+         invalid_arg "fabric.target_utilization: must be in (0, 1]"
+       else u);
     min_clb_utilization =
-      Yaml_lite.get_float ~default:d.min_clb_utilization fabric "min_clb_utilization";
-    selected_outputs = Yaml_lite.get_string_list ~default:[] doc "selected_outputs";
-    top = (match Yaml_lite.find doc "top" with
-           | Some (Yaml_lite.String s) -> Some s
+      (let u =
+         J.get_float ~default:d.min_clb_utilization fabric "min_clb_utilization"
+       in
+       if not (u >= 0.0 && u <= 1.0) then
+         invalid_arg "fabric.min_clb_utilization: must be in [0, 1]"
+       else u);
+    selected_outputs = J.get_string_list ~default:[] doc "selected_outputs";
+    top = (match J.find doc "top" with
+           | Some (J.String s) -> Some s
            | Some _ | None -> None);
-    min_score = Yaml_lite.get_int ~default:d.min_score doc "min_score";
+    min_score = J.get_int ~default:d.min_score doc "min_score";
     rank_order = rank;
     score_formula =
-      (match Yaml_lite.get_string ~default:"reward" doc "score_formula" with
+      (match J.get_string ~default:"reward" doc "score_formula" with
        | "reward" -> Reward
        | "penalty" -> Penalty
        | other -> invalid_arg (Printf.sprintf "score_formula: %s" other));
     score_mode =
       score_mode_of_string
-        (Yaml_lite.get_string ~default:(score_mode_to_string d.score_mode)
+        (J.get_string ~default:(score_mode_to_string d.score_mode)
            doc "score");
     attack_budget =
-      (match Yaml_lite.find doc "attack_budget" with
-       | None | Some Yaml_lite.Null -> d.attack_budget
-       | Some (Yaml_lite.Int n) ->
+      (match J.find doc "attack_budget" with
+       | None | Some J.Null -> d.attack_budget
+       | Some (J.Int n) ->
          if n <= 0 then invalid_arg "attack_budget: must be positive" else n
        | Some _ -> invalid_arg "attack_budget: expected an integer");
     attack_iterations =
-      (match Yaml_lite.find doc "attack_iterations" with
-       | None | Some Yaml_lite.Null -> d.attack_iterations
-       | Some (Yaml_lite.Int n) ->
+      (match J.find doc "attack_iterations" with
+       | None | Some J.Null -> d.attack_iterations
+       | Some (J.Int n) ->
          if n <= 0 then invalid_arg "attack_iterations: must be positive"
          else n
        | Some _ -> invalid_arg "attack_iterations: expected an integer");
     attack_jobs =
-      (match Yaml_lite.find doc "attack_jobs" with
-       | None | Some Yaml_lite.Null -> d.attack_jobs
-       | Some (Yaml_lite.Int n) ->
+      (match J.find doc "attack_jobs" with
+       | None | Some J.Null -> d.attack_jobs
+       | Some (J.Int n) ->
          if n < 1 then invalid_arg "attack_jobs: must be at least 1" else n
        | Some _ -> invalid_arg "attack_jobs: expected an integer");
     attack_area_weight =
       (let v =
-         Yaml_lite.get_float ~default:d.attack_area_weight doc
+         J.get_float ~default:d.attack_area_weight doc
            "attack_area_weight"
        in
        if v < 0.0 then invalid_arg "attack_area_weight: must be non-negative"
        else v);
     transitive_independence =
-      Yaml_lite.get_bool ~default:d.transitive_independence doc
+      J.get_bool ~default:d.transitive_independence doc
         "transitive_independence";
     characterize_deadline_s =
-      (match Yaml_lite.find doc "characterize_deadline_s" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
+      (match J.find doc "characterize_deadline_s" with
+       | None | Some J.Null -> None
+       | Some (J.Int n) ->
          if n <= 0 then invalid_arg "characterize_deadline_s: must be positive"
          else Some (float_of_int n)
-       | Some (Yaml_lite.Float f) ->
+       | Some (J.Float f) ->
          if f <= 0.0 then invalid_arg "characterize_deadline_s: must be positive"
          else Some f
        | Some _ -> invalid_arg "characterize_deadline_s: expected a number");
     jobs =
-      (match Yaml_lite.find doc "jobs" with
-       | None | Some Yaml_lite.Null -> d.jobs
-       | Some (Yaml_lite.Int n) ->
+      (match J.find doc "jobs" with
+       | None | Some J.Null -> d.jobs
+       | Some (J.Int n) ->
          if n < 1 then invalid_arg "jobs: must be at least 1" else n
        | Some _ -> invalid_arg "jobs: expected an integer");
-    cache = Yaml_lite.get_bool ~default:d.cache doc "cache";
+    cache = J.get_bool ~default:d.cache doc "cache";
     cache_dir =
-      (match Yaml_lite.find doc "cache_dir" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.String s) -> Some s
+      (match J.find doc "cache_dir" with
+       | None | Some J.Null -> None
+       | Some (J.String s) -> Some s
        | Some _ -> invalid_arg "cache_dir: expected a string");
     cache_max_bytes =
-      (match Yaml_lite.find doc "cache_max_bytes" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
+      (match J.find doc "cache_max_bytes" with
+       | None | Some J.Null -> None
+       | Some (J.Int n) ->
          if n < 0 then invalid_arg "cache_max_bytes: must be non-negative"
          else Some n
-       | Some _ -> invalid_arg "cache_max_bytes: expected an integer");
-    fault_plan =
-      (match Yaml_lite.find doc "fault_plan" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.String s) -> Some s
-       | Some _ -> invalid_arg "fault_plan: expected a string") }
+       | Some _ -> invalid_arg "cache_max_bytes: expected an integer") }
 
-let of_string (src : string) : t = of_yaml (Yaml_lite.parse src)
+let of_string (src : string) : t = of_doc (Yaml_lite.parse src)
 
 (* Every field below feeds CreateEFPGA (synthesis target, fabric family,
    permitted widths, utilization bounds). Fields that only steer later

@@ -88,10 +88,6 @@ type t = {
   cache_max_bytes : int option;
       (** byte budget for the on-disk store; exceeded, least-recently
           used entries are evicted. [None] leaves the store unbounded *)
-  fault_plan : string option;
-      (** fault-injection plan spec (test machinery — see
-          {!Alice_fault.Fault.parse}); [None] falls back to
-          [$ALICE_FAULT_PLAN] *)
 }
 
 val default : t
@@ -102,10 +98,14 @@ val cfg1 : t
 (** The paper's cfg2: at most 96 I/O pins, a single eFPGA. *)
 val cfg2 : t
 
-(** Read a configuration from a parsed YAML document; unknown keys fall
-    back to {!default}. Raises [Invalid_argument] on type mismatches. *)
-val of_yaml : Yaml_lite.t -> t
+(** Read a configuration from a parsed document — a YAML file or a JSON
+    request, both {!Json_lite.t}; unknown keys fall back to {!default}.
+    Raises [Invalid_argument] on type mismatches and out-of-range values
+    (among them a [fabric.target_utilization] outside (0, 1\] or a
+    [fabric.min_clb_utilization] outside \[0, 1\], nan included). *)
+val of_doc : Json_lite.t -> t
 
+(** [of_doc] over {!Yaml_lite.parse}. *)
 val of_string : string -> t
 
 (** Hex digest of every configuration field that can change a

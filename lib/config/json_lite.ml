@@ -1,6 +1,7 @@
-(** A minimal JSON parser and printer (see the interface for the exact
-    dialect). The parser is a plain recursive-descent scanner over the
-    input string; the printer always emits one line. *)
+(** The one document tree (see the interface): a minimal JSON parser
+    and printer plus the typed accessors every configuration reader
+    uses. The parser is a plain recursive-descent scanner over the input
+    string; the printer always emits one line. *)
 
 type t =
   | Null
@@ -294,58 +295,87 @@ let to_string (v : t) : string =
   go v;
   Buffer.contents buf
 
-(* ---------- accessors (mirroring Yaml_lite) ---------- *)
+(* ---------- accessors ---------- *)
 
-let find (v : t) (key : string) : t option =
-  match v with Obj members -> List.assoc_opt key members | _ -> None
+let find (doc : t) key : t option =
+  match doc with
+  | Obj kvs -> List.assoc_opt key kvs
+  | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
 
-let get ~(what : string) ~(convert : t -> 'a option) ?(default : 'a option)
-    (v : t) (key : string) : 'a =
-  match find v key with
-  | None | Some Null -> (
-    match default with
-    | Some d -> d
-    | None -> invalid_arg (Printf.sprintf "json: missing key %s" key))
-  | Some node -> (
-    match convert node with
-    | Some x -> x
-    | None -> invalid_arg (Printf.sprintf "json: key %s is not %s" key what))
+(* The lookup every typed accessor shares: an absent or null [key] is
+   the [default], absent without one is an error, and any other node
+   goes to [convert], which raises on a type mismatch. *)
+let get ?default doc key convert =
+  match (find doc key, default) with
+  | (Some Null | None), Some d -> d
+  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
+  | Some node, _ -> convert node
 
-let get_int ?default v key =
-  get ~what:"an int" ~convert:(function Int i -> Some i | _ -> None) ?default v
-    key
+let mismatch key what =
+  invalid_arg (Printf.sprintf "key %s: expected %s" key what)
 
-let get_float ?default v key =
-  get ~what:"a float"
-    ~convert:(function
-      | Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None)
-    ?default v key
+let get_int ?default doc key =
+  get ?default doc key (function
+    | Int i -> i
+    | Float f -> int_of_float f
+    | String s -> mismatch key ("int, got string " ^ s)
+    | Null | Bool _ | List _ | Obj _ -> mismatch key "int, got non-int")
 
-let get_string ?default v key =
-  get ~what:"a string"
-    ~convert:(function String s -> Some s | _ -> None)
-    ?default v key
+let get_float ?default doc key =
+  get ?default doc key (function
+    | Float f -> f
+    | Int i -> float_of_int i
+    | Null | Bool _ | String _ | List _ | Obj _ -> mismatch key "float")
 
-let get_bool ?default v key =
-  get ~what:"a bool" ~convert:(function Bool b -> Some b | _ -> None) ?default
-    v key
+let get_string ?default doc key =
+  get ?default doc key (function String s -> s | _ -> mismatch key "string")
 
-(* ---------- the Yaml_lite bridge ---------- *)
+let get_bool ?default doc key =
+  get ?default doc key (function Bool b -> b | _ -> mismatch key "bool")
 
-let rec to_yaml : t -> Yaml_lite.t = function
-  | Null -> Yaml_lite.Null
-  | Bool b -> Yaml_lite.Bool b
-  | Int i -> Yaml_lite.Int i
-  | Float f -> Yaml_lite.Float f
-  | String s -> Yaml_lite.String s
-  | List items -> Yaml_lite.List (List.map to_yaml items)
-  | Obj members -> Yaml_lite.Map (List.map (fun (k, v) -> (k, to_yaml v)) members)
+let get_string_list ?default doc key =
+  get ?default doc key (function
+    | List items ->
+      List.map
+        (function
+          | String s -> s
+          | Int i -> string_of_int i
+          | Null | Bool _ | Float _ | List _ | Obj _ ->
+            mismatch key "list of strings")
+        items
+    | String s -> [ s ]
+    | Null | Bool _ | Int _ | Float _ | Obj _ -> mismatch key "list")
 
-let rec of_yaml : Yaml_lite.t -> t = function
-  | Yaml_lite.Null -> Null
-  | Yaml_lite.Bool b -> Bool b
-  | Yaml_lite.Int i -> Int i
-  | Yaml_lite.Float f -> Float f
-  | Yaml_lite.String s -> String s
-  | Yaml_lite.List items -> List (List.map of_yaml items)
-  | Yaml_lite.Map members -> Obj (List.map (fun (k, v) -> (k, of_yaml v)) members)
+let get_int_list ?default doc key =
+  get ?default doc key (function
+    | List items ->
+      List.map (function Int i -> i | _ -> mismatch key "list of ints") items
+    | Int i -> [ i ]
+    | _ -> mismatch key "list of ints")
+
+let get_float_list ?default doc key =
+  let number = function
+    | Float f -> f
+    | Int i -> float_of_int i
+    | _ -> mismatch key "list of numbers"
+  in
+  get ?default doc key (function
+    | List items -> List.map number items
+    | scalar -> [ number scalar ])
+
+let rec merge (base : t) (overlay : t) : t =
+  match (base, overlay) with
+  | Obj bs, Obj os ->
+    (* base key order kept, overlay-only keys appended in their order *)
+    let merged =
+      List.map
+        (fun (k, bv) ->
+          match List.assoc_opt k os with
+          | Some ov -> (k, merge bv ov)
+          | None -> (k, bv))
+        bs
+    in
+    let fresh = List.filter (fun (k, _) -> not (List.mem_assoc k bs)) os in
+    Obj (merged @ fresh)
+  | _, Null -> base
+  | _, overlay -> overlay

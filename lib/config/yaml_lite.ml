@@ -3,16 +3,10 @@
     Supported: nested block maps, block lists ([- item]), scalars
     (int, float, bool, null, quoted and bare strings), [#] comments and
     blank lines, inline flow lists ([\[a, b\]]). Anchors, aliases,
-    multi-documents and block scalars are not supported. *)
+    multi-documents and block scalars are not supported. The result is
+    the {!Json_lite} document tree; block maps become [Obj]. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of t list
-  | Map of (string * t) list
+module J = Json_lite
 
 exception Parse_error of int * string  (* line number, message *)
 
@@ -20,28 +14,28 @@ let error line fmt = Format.kasprintf (fun m -> raise (Parse_error (line, m))) f
 
 (* ---------- scalar parsing ---------- *)
 
-let parse_scalar (s : string) : t =
+let parse_scalar (s : string) : J.t =
   let s = String.trim s in
-  if s = "" || s = "~" || s = "null" then Null
-  else if s = "true" || s = "yes" then Bool true
-  else if s = "false" || s = "no" then Bool false
+  if s = "" || s = "~" || s = "null" then J.Null
+  else if s = "true" || s = "yes" then J.Bool true
+  else if s = "false" || s = "no" then J.Bool false
   else if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-    String (String.sub s 1 (String.length s - 2))
+    J.String (String.sub s 1 (String.length s - 2))
   else if String.length s >= 2 && s.[0] = '\'' && s.[String.length s - 1] = '\'' then
-    String (String.sub s 1 (String.length s - 2))
+    J.String (String.sub s 1 (String.length s - 2))
   else
     match int_of_string_opt s with
-    | Some i -> Int i
+    | Some i -> J.Int i
     | None -> (
       match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> String s)
+      | Some f -> J.Float f
+      | None -> J.String s)
 
-let rec parse_flow_value line (s : string) : t =
+let rec parse_flow_value line (s : string) : J.t =
   let s = String.trim s in
   if String.length s >= 2 && s.[0] = '[' && s.[String.length s - 1] = ']' then begin
     let inner = String.sub s 1 (String.length s - 2) in
-    if String.trim inner = "" then List []
+    if String.trim inner = "" then J.List []
     else
       (* split on commas that are not nested in brackets *)
       let parts = ref [] and buf = Buffer.create 16 and depth = ref 0 in
@@ -60,7 +54,7 @@ let rec parse_flow_value line (s : string) : t =
           | _ -> Buffer.add_char buf c)
         inner;
       parts := Buffer.contents buf :: !parts;
-      List (List.rev_map (parse_flow_value line) !parts)
+      J.List (List.rev_map (parse_flow_value line) !parts)
   end
   else parse_scalar s
 
@@ -85,8 +79,7 @@ let strip_comment s =
   String.sub s 0 (find 0 false ' ')
 
 let prepare (src : string) : line list =
-  let raw = String.split_on_char '\n' src in
-  List.filteri (fun _ _ -> true) raw
+  String.split_on_char '\n' src
   |> List.mapi (fun i l -> (i + 1, strip_comment l))
   |> List.filter_map (fun (num, l) ->
          let trimmed = String.trim l in
@@ -126,17 +119,17 @@ let split_key_value (l : line) : (string * string) option =
     let value = if i + 1 >= n then "" else String.sub s (i + 1) (n - i - 1) in
     Some (key, String.trim value)
 
-let rec parse_block (lines : line list) (indent : int) : t * line list =
+let rec parse_block (lines : line list) (indent : int) : J.t * line list =
   match lines with
-  | [] -> (Null, [])
-  | first :: _ when first.indent < indent -> (Null, lines)
+  | [] -> (J.Null, [])
+  | first :: _ when first.indent < indent -> (J.Null, lines)
   | first :: _ ->
     if String.length first.body >= 1 && first.body.[0] = '-'
        && (String.length first.body = 1 || first.body.[1] = ' ')
     then parse_list lines first.indent
     else parse_map lines first.indent
 
-and parse_list lines indent : t * line list =
+and parse_list lines indent : J.t * line list =
   let rec loop acc = function
     | ({ indent = i; body; num } as l) :: rest
       when i = indent && String.length body >= 1 && body.[0] = '-' ->
@@ -160,11 +153,11 @@ and parse_list lines indent : t * line list =
           loop (value :: acc) rest'
         | None -> loop (parse_flow_value num item_src :: acc) rest
       end
-    | rest -> (List (List.rev acc), rest)
+    | rest -> (J.List (List.rev acc), rest)
   in
   loop [] lines
 
-and parse_map lines indent : t * line list =
+and parse_map lines indent : J.t * line list =
   let rec loop acc = function
     | ({ indent = i; _ } as l) :: rest when i = indent -> (
       match split_key_value l with
@@ -175,132 +168,16 @@ and parse_map lines indent : t * line list =
           loop ((key, sub) :: acc) rest'
         end
         else loop ((key, parse_flow_value l.num value) :: acc) rest)
-    | rest -> (Map (List.rev acc), rest)
+    | rest -> (J.Obj (List.rev acc), rest)
   in
   loop [] lines
 
 (** Parse a YAML-subset document. Raises {!Parse_error}. *)
-let parse (src : string) : t =
+let parse (src : string) : J.t =
   match prepare src with
-  | [] -> Null
+  | [] -> J.Null
   | first :: _ as lines -> (
     let value, rest = parse_block lines first.indent in
     match rest with
     | [] -> value
     | l :: _ -> error l.num "trailing content at unexpected indentation")
-
-(* ---------- accessors ---------- *)
-
-let find (doc : t) key : t option =
-  match doc with
-  | Map kvs -> List.assoc_opt key kvs
-  | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
-
-let get_int ?default doc key =
-  match (find doc key, default) with
-  | Some (Int i), _ -> i
-  | Some (Float f), _ -> int_of_float f
-  | (Some Null | None), Some d -> d
-  | Some other, _ ->
-    invalid_arg (Printf.sprintf "key %s: expected int, got %s" key
-                   (match other with
-                    | String s -> "string " ^ s
-                    | _ -> "non-int"))
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_float ?default doc key =
-  match (find doc key, default) with
-  | Some (Float f), _ -> f
-  | Some (Int i), _ -> float_of_int i
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected float" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_string ?default doc key =
-  match (find doc key, default) with
-  | Some (String s), _ -> s
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected string" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_bool ?default doc key =
-  match (find doc key, default) with
-  | Some (Bool b), _ -> b
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected bool" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_string_list ?default doc key =
-  match (find doc key, default) with
-  | Some (List items), _ ->
-    List.map
-      (function
-        | String s -> s
-        | Int i -> string_of_int i
-        | Null | Bool _ | Float _ | List _ | Map _ ->
-          invalid_arg (Printf.sprintf "key %s: expected list of strings" key))
-      items
-  | Some (String s), _ -> [ s ]
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected list" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_int_list ?default doc key =
-  match (find doc key, default) with
-  | Some (List items), _ ->
-    List.map
-      (function
-        | Int i -> i
-        | Null | Bool _ | Float _ | String _ | List _ | Map _ ->
-          invalid_arg (Printf.sprintf "key %s: expected list of ints" key))
-      items
-  | Some (Int i), _ -> [ i ]
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected list of ints" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_float_list ?default doc key =
-  match (find doc key, default) with
-  | Some (List items), _ ->
-    List.map
-      (function
-        | Float f -> f
-        | Int i -> float_of_int i
-        | Null | Bool _ | String _ | List _ | Map _ ->
-          invalid_arg (Printf.sprintf "key %s: expected list of numbers" key))
-      items
-  | Some (Float f), _ -> [ f ]
-  | Some (Int i), _ -> [ float_of_int i ]
-  | (Some Null | None), Some d -> d
-  | Some _, _ ->
-    invalid_arg (Printf.sprintf "key %s: expected list of numbers" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> string_of_float f
-  | String s -> Printf.sprintf "%S" s
-  | List items -> "[" ^ String.concat ", " (List.map to_string items) ^ "]"
-  | Map kvs ->
-    "{"
-    ^ String.concat ", " (List.map (fun (k, v) -> k ^ ": " ^ to_string v) kvs)
-    ^ "}"
-
-let rec merge (base : t) (overlay : t) : t =
-  match (base, overlay) with
-  | Map bs, Map os ->
-    (* base key order kept, overlay-only keys appended in their order *)
-    let merged =
-      List.map
-        (fun (k, bv) ->
-          match List.assoc_opt k os with
-          | Some ov -> (k, merge bv ov)
-          | None -> (k, bv))
-        bs
-    in
-    let fresh = List.filter (fun (k, _) -> not (List.mem_assoc k bs)) os in
-    Map (merged @ fresh)
-  | _, Null -> base
-  | _, overlay -> overlay

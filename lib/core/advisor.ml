@@ -10,7 +10,6 @@
     output, which check.sh asserts. *)
 
 module C = Alice_config
-module Y = C.Yaml_lite
 module J = C.Json_lite
 module D = Alice_diag.Diag
 module F = Alice_fabric
@@ -74,9 +73,9 @@ let check_axis name = function
   | l -> l
 
 let axes_of_constraints ~(base : C.Flow_config.t)
-    (design : V.Elaborate.design) (doc : Y.t) : axes =
+    (design : V.Elaborate.design) (doc : J.t) : axes =
   let d = default_axes ~base design in
-  let ax = Option.value (Y.find doc "axes") ~default:Y.Null in
+  let ax = Option.value (J.find doc "axes") ~default:J.Null in
   let at_least lo name l =
     List.iter
       (fun v ->
@@ -87,13 +86,13 @@ let axes_of_constraints ~(base : C.Flow_config.t)
   in
   let pos = at_least 1 in
   { ax_lut_inputs =
-      at_least 2 "lut_inputs" (Y.get_int_list ~default:d.ax_lut_inputs ax "lut_inputs");
+      at_least 2 "lut_inputs" (J.get_int_list ~default:d.ax_lut_inputs ax "lut_inputs");
     ax_max_widths =
       pos "max_fabric_size"
-        (Y.get_int_list ~default:d.ax_max_widths ax "max_fabric_size");
+        (J.get_int_list ~default:d.ax_max_widths ax "max_fabric_size");
     ax_utilizations =
       (let us =
-         Y.get_float_list ~default:d.ax_utilizations ax "target_utilization"
+         J.get_float_list ~default:d.ax_utilizations ax "target_utilization"
        in
        List.iter
          (fun u ->
@@ -105,15 +104,15 @@ let axes_of_constraints ~(base : C.Flow_config.t)
        check_axis "target_utilization" (List.sort_uniq compare us));
     ax_attack_budgets =
       pos "attack_budget"
-        (Y.get_int_list ~default:d.ax_attack_budgets ax "attack_budget");
+        (J.get_int_list ~default:d.ax_attack_budgets ax "attack_budget");
     ax_score_modes =
-      (match Y.find ax "score" with
-      | None | Some Y.Null -> d.ax_score_modes
+      (match J.find ax "score" with
+      | None | Some J.Null -> d.ax_score_modes
       | Some _ ->
         check_axis "score"
           (List.sort_uniq compare
              (List.map C.Flow_config.score_mode_of_string
-                (Y.get_string_list ax "score")))) }
+                (J.get_string_list ax "score")))) }
 
 (* ---------- the grid ---------- *)
 
@@ -205,7 +204,7 @@ let plan ~(base : C.Flow_config.t) ~(axes : axes) : plan =
   { pl_base = base; pl_axes = axes; pl_grid = List.rev !grid;
     pl_deduped = !deduped }
 
-let plan_of_source ~(base : C.Flow_config.t) ~(constraints : Y.t)
+let plan_of_source ~(base : C.Flow_config.t) ~(constraints : J.t)
     (source : Flow.source) : plan =
   let ast =
     match source with

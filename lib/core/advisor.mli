@@ -40,7 +40,6 @@
     rerun over the same grid is byte-identical to the cold run. *)
 
 module C = Alice_config
-module Y = C.Yaml_lite
 module J = C.Json_lite
 module V = Alice_verilog
 
@@ -88,7 +87,7 @@ val default_axes : base:C.Flow_config.t -> V.Elaborate.design -> axes
     (see the module docs for the format). Raises [Invalid_argument] on
     malformed or empty axis lists. *)
 val axes_of_constraints :
-  base:C.Flow_config.t -> V.Elaborate.design -> Y.t -> axes
+  base:C.Flow_config.t -> V.Elaborate.design -> J.t -> axes
 
 (** Expand axes into the deduplicated candidate grid. Raises
     [Invalid_argument] when an axis is empty, or when two distinct
@@ -102,7 +101,7 @@ val plan : base:C.Flow_config.t -> axes:axes -> plan
     {!Alice_verilog.Loc.Error} on unparsable sources and
     [Invalid_argument] on malformed constraints. *)
 val plan_of_source :
-  base:C.Flow_config.t -> constraints:Y.t -> Flow.source -> plan
+  base:C.Flow_config.t -> constraints:J.t -> Flow.source -> plan
 
 (** Classify solved points (one per grid entry, in grid order) into a
     report. The front is ranked security-first (descending), then area,

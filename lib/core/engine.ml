@@ -70,15 +70,10 @@ let create ?(cache = true) ?cache_dir ?max_bytes ?faults () : t =
     stores; sweep_store = store 2; engine_sink = Atomic.make false; faults }
 
 (** An engine honoring the configuration's cache knobs ([cache],
-    [cache_dir], [cache_max_bytes]) and fault plan. *)
+    [cache_dir], [cache_max_bytes]) under the global fault plan. *)
 let of_config (cfg : C.Flow_config.t) : t =
-  let faults =
-    match cfg.C.Flow_config.fault_plan with
-    | Some spec -> Fi.parse spec
-    | None -> Fi.global ()
-  in
   create ~cache:cfg.C.Flow_config.cache ?cache_dir:cfg.C.Flow_config.cache_dir
-    ?max_bytes:cfg.C.Flow_config.cache_max_bytes ~faults ()
+    ?max_bytes:cfg.C.Flow_config.cache_max_bytes ()
 
 let cache_root (t : t) : string option =
   Option.map Disk_cache.root (List.nth_opt t.stores 0)

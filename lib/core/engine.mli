@@ -43,7 +43,8 @@ val create :
   ?faults:Alice_fault.Fault.t -> unit -> t
 
 (** An engine honoring the configuration's [cache] / [cache_dir] /
-    [cache_max_bytes] knobs and [fault_plan]. *)
+    [cache_max_bytes] knobs, under {!Alice_fault.Fault.global} (the
+    [$ALICE_FAULT_PLAN] plan); {!create}'s [~faults] arms any other. *)
 val of_config : C.Flow_config.t -> t
 
 (** Run one request through the engine's caches; per-run cache

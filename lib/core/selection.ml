@@ -61,12 +61,6 @@ module Scorer = struct
     { attacks_run = 0; attacks_cached = 0; attacks_inconclusive = 0;
       attacks_reused = 0 }
 
-  let add_stats a b =
-    { attacks_run = a.attacks_run + b.attacks_run;
-      attacks_cached = a.attacks_cached + b.attacks_cached;
-      attacks_inconclusive = a.attacks_inconclusive + b.attacks_inconclusive;
-      attacks_reused = a.attacks_reused + b.attacks_reused }
-
   type cache = (string, verdict) Memo.t
 
   let create_cache ?load ?save () : cache = Memo.create ~size:64 ?load ?save ()

@@ -41,8 +41,6 @@ module Scorer : sig
 
   val empty_stats : stats
 
-  val add_stats : stats -> stats -> stats
-
   (** Shared verdict cache, usable across runs via [load]/[save] hooks
       backed by a persistent store (see {!Alice_parallel.Memo} for the
       hook contract — hooks must not raise). *)

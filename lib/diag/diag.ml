@@ -21,6 +21,7 @@
     - [E09xx] internal failures (uncaught exceptions) *)
 
 module Loc = Alice_verilog.Loc
+module J = Alice_config.Json_lite
 
 type severity = Error | Warning | Note
 
@@ -83,59 +84,21 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 
 (* ---------- JSON rendering ---------- *)
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let to_doc (d : t) : J.t =
+  J.Obj
+    [ ("severity", J.String (severity_to_string d.severity));
+      ("code", J.String d.code);
+      ("message", J.String d.message);
+      ( "loc",
+        match d.loc with
+        | None -> J.Null
+        | Some { Loc.file; line; col } ->
+          J.Obj [ ("file", J.String file); ("line", J.Int line); ("col", J.Int col) ] );
+      ("context", J.Obj (List.map (fun (k, v) -> (k, J.String v)) d.context)) ]
 
-let to_json (d : t) : string =
-  let b = Buffer.create 160 in
-  Buffer.add_string b "{\"severity\":\"";
-  Buffer.add_string b (severity_to_string d.severity);
-  Buffer.add_string b "\",\"code\":\"";
-  Buffer.add_string b (json_escape d.code);
-  Buffer.add_string b "\",\"message\":\"";
-  Buffer.add_string b (json_escape d.message);
-  Buffer.add_string b "\",\"loc\":";
-  (match d.loc with
-  | None -> Buffer.add_string b "null"
-  | Some { Loc.file; line; col } ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d}"
-         (json_escape file) line col));
-  Buffer.add_string b ",\"context\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape k);
-      Buffer.add_string b "\":\"";
-      Buffer.add_string b (json_escape v);
-      Buffer.add_char b '"')
-    d.context;
-  Buffer.add_string b "}}";
-  Buffer.contents b
-
-let list_to_json (ds : t list) : string =
-  "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+let list_to_json (ds : t list) : string = J.to_string (J.List (List.map to_doc ds))
 
 type format = Text | Json
-
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | _ -> None
 
 let render_list (format : format) (ds : t list) : string =
   match format with
@@ -171,8 +134,6 @@ module Collector = struct
   let create () = { rev_items = [] }
 
   let add c d = c.rev_items <- d :: c.rev_items
-
-  let add_list c ds = List.iter (add c) ds
 
   let list c = List.rev c.rev_items
 

@@ -14,6 +14,7 @@
     failure) · [E08xx] redaction · [E09xx] internal failures. *)
 
 module Loc = Alice_verilog.Loc
+module J = Alice_config.Json_lite
 
 type severity = Error | Warning | Note
 
@@ -52,16 +53,17 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** One JSON object with [severity]/[code]/[message]/[loc]/[context]. *)
-val to_json : t -> string
+(** One JSON object with [severity]/[code]/[message]/[loc]/[context]
+    fields, in that order: [loc] is [null] or a [file]/[line]/[col]
+    object, [context] an object of strings (empty when there is none). *)
+val to_doc : t -> J.t
 
-(** A JSON array of {!to_json} objects. *)
+(** A JSON array of {!to_doc} objects, printed by
+    {!Alice_config.Json_lite.to_string}. *)
 val list_to_json : t list -> string
 
 (** Output format selector for renderers and the CLI [--diag-format]. *)
 type format = Text | Json
-
-val format_of_string : string -> format option
 
 val render_list : format -> t list -> string
 
@@ -80,8 +82,6 @@ module Collector : sig
   val create : unit -> t
 
   val add : t -> diag -> unit
-
-  val add_list : t -> diag list -> unit
 
   (** Diagnostics in insertion order. *)
   val list : t -> diag list

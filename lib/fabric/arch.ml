@@ -33,7 +33,3 @@ let of_config (c : Alice_config.Flow_config.t) : t =
 let channel_tracks (arch : t) (w : int) : int =
   arch.routing_tracks_base
   + int_of_float (Float.round (arch.routing_tracks_slope *. float_of_int w))
-
-let pp fmt (a : t) =
-  Format.fprintf fmt "%d-LUT x%d/CLB (%d FF), %d GPIO/tile" a.lut_inputs
-    a.luts_per_clb a.ffs_per_clb a.gpio_per_tile

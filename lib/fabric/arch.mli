@@ -18,5 +18,3 @@ val of_config : Alice_config.Flow_config.t -> t
 (** Routing channel width on a fabric of width [w]: larger fabrics need
     wider channels, the usual island-style scaling. *)
 val channel_tracks : t -> int -> int
-
-val pp : Format.formatter -> t -> unit

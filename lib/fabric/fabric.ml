@@ -27,7 +27,3 @@ let io_capacity (f : t) = io_tile_count f * f.arch.Arch.gpio_per_tile
 let channel_tracks (f : t) = Arch.channel_tracks f.arch f.width
 
 let size_label (f : t) = Printf.sprintf "%dx%d" f.width f.width
-
-let pp fmt (f : t) =
-  Format.fprintf fmt "%s fabric (%d CLBs, %d LUTs, %d I/O pins)"
-    (size_label f) (clb_count f) (lut_capacity f) (io_capacity f)

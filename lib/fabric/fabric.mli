@@ -21,5 +21,3 @@ val channel_tracks : t -> int
 
 (** ["WxW"]. *)
 val size_label : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -62,11 +62,6 @@ let add_gate_with_output c ?(path = "") kind inputs ~(output : net) : unit =
   c.gates <- { kind; inputs; output; path } :: c.gates;
   c.gate_count <- c.gate_count + 1
 
-let add_dff ?(path = "") c ~(d : net) : net =
-  let q = fresh_net c in
-  c.dffs <- { d; q; ff_path = path } :: c.dffs;
-  q
-
 (* DFF with a pre-allocated Q net (needed when the register is read
    before its always block is synthesized) *)
 let add_dff_q ?(path = "") c ~(d : net) ~(q : net) : unit =
@@ -139,7 +134,3 @@ let eval_gate (kind : gate_kind) (vals : bool array) : bool =
     let idx = ref 0 in
     Array.iteri (fun i v -> if v then idx := !idx lor (1 lsl i)) vals;
     table.(!idx)
-
-let pp_stats fmt c =
-  Format.fprintf fmt "%s: %d gates, %d DFFs, %d inputs, %d outputs" c.name
-    c.gate_count (dff_count c) (input_bit_count c) (output_bit_count c)

@@ -51,9 +51,6 @@ val add_gate : t -> ?path:string -> gate_kind -> net array -> net
 val add_gate_with_output :
   t -> ?path:string -> gate_kind -> net array -> output:net -> unit
 
-(** Add a DFF with a fresh Q net; returns it. *)
-val add_dff : ?path:string -> t -> d:net -> net
-
 (** Add a DFF with a pre-allocated Q net. *)
 val add_dff_q : ?path:string -> t -> d:net -> q:net -> unit
 
@@ -94,5 +91,3 @@ val lut_count : t -> int
 
 (** Evaluate one gate over concrete input values. *)
 val eval_gate : gate_kind -> bool array -> bool
-
-val pp_stats : Format.formatter -> t -> unit

@@ -1,13 +1,5 @@
-(** Summary statistics of a circuit, before or after LUT mapping. *)
-
-type t = {
-  gates : int;
-  luts : int;
-  dffs : int;
-  inputs : int;
-  outputs : int;
-  depth : int;  (* combinational levels *)
-}
+(** Circuit metrics the timing and area models read, before or after
+    LUT mapping. *)
 
 let logic_depth (c : Circuit.t) : int =
   let order = Simulate.levelize c in
@@ -27,18 +19,6 @@ let logic_depth (c : Circuit.t) : int =
       Hashtbl.replace level g.Circuit.output l;
       max acc l)
     0 order
-
-let of_circuit (c : Circuit.t) : t =
-  { gates = Circuit.gate_count c;
-    luts = Circuit.lut_count c;
-    dffs = Circuit.dff_count c;
-    inputs = Circuit.input_bit_count c;
-    outputs = Circuit.output_bit_count c;
-    depth = logic_depth c }
-
-let pp fmt (s : t) =
-  Format.fprintf fmt "gates=%d luts=%d dffs=%d in=%d out=%d depth=%d" s.gates
-    s.luts s.dffs s.inputs s.outputs s.depth
 
 (** Logic gates excluding buffers and constants: the gate-equivalent
     count used by the area model for the non-redacted ASIC portion. *)

@@ -1,20 +1,8 @@
-(** Summary statistics of a circuit, before or after LUT mapping. *)
-
-type t = {
-  gates : int;
-  luts : int;
-  dffs : int;
-  inputs : int;
-  outputs : int;
-  depth : int;  (** combinational levels *)
-}
+(** Circuit metrics the timing and area models read, before or after
+    LUT mapping. *)
 
 (** Combinational depth (buffers and constants are free). *)
 val logic_depth : Circuit.t -> int
-
-val of_circuit : Circuit.t -> t
-
-val pp : Format.formatter -> t -> unit
 
 (** Logic gates excluding buffers and constants: the gate-equivalent
     count the area model charges for the non-redacted ASIC portion. *)

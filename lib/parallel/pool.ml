@@ -16,8 +16,6 @@ let create ~jobs = { jobs = max 1 jobs }
 
 let jobs (pool : t) = pool.jobs
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 type 'a outcome =
   | Value of 'a
   | Raised of exn

@@ -30,9 +30,6 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-(** The runtime's recommended parallelism ([Domain.recommended_domain_count]). *)
-val default_jobs : unit -> int
-
 (** How one task ended. *)
 type 'a outcome =
   | Value of 'a        (** the task returned *)

@@ -78,14 +78,3 @@ let encode_mux f ~out ~sel ~a ~b =
   add_clause f [ out; sel; -a ];
   add_clause f [ -out; -sel; b ];
   add_clause f [ out; -sel; -b ]
-
-let to_dimacs (f : t) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "p cnf %d %d\n" f.var_count f.clause_count);
-  List.iter
-    (fun c ->
-      Array.iter (fun l -> Buffer.add_string buf (string_of_int l ^ " ")) c;
-      Buffer.add_string buf "0\n")
-    (clause_list f);
-  Buffer.contents buf

@@ -43,5 +43,3 @@ val encode_eq : t -> a:lit -> b:lit -> unit
 
 (** [out <-> (sel ? b : a)] *)
 val encode_mux : t -> out:lit -> sel:lit -> a:lit -> b:lit -> unit
-
-val to_dimacs : t -> string

@@ -59,13 +59,3 @@ let evaluate ?budget (mapped : Circuit.t) : report =
   let attack = Sat_attack.attack ?budget l ~oracle in
   let key_correct = Option.map (fun key -> key_is_correct l key) attack.Sat_attack.key in
   { key_bits = l.Locked.key_bits; attack; key_correct }
-
-let pp_report fmt (r : report) =
-  Format.fprintf fmt
-    "key=%d bits, attack %s in %d iterations (%.2fs)%s" r.key_bits
-    (Sat_attack.status_to_string r.attack.Sat_attack.status)
-    r.attack.Sat_attack.iterations r.attack.Sat_attack.seconds
-    (match r.key_correct with
-    | Some true -> ", recovered key correct"
-    | Some false -> ", recovered key WRONG"
-    | None -> "")

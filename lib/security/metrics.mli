@@ -16,5 +16,3 @@ val key_is_correct : ?samples:int -> Locked.t -> bool array -> bool
 
 (** Lock a mapped circuit, attack it, verify the recovered key. *)
 val evaluate : ?budget:Sat_attack.budget -> Circuit.t -> report
-
-val pp_report : Format.formatter -> report -> unit

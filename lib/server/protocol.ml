@@ -5,7 +5,6 @@
     decorate requests freely. *)
 
 module J = Alice_config.Json_lite
-module Y = Alice_config.Yaml_lite
 module D = Alice_diag.Diag
 
 let version = 1
@@ -38,12 +37,12 @@ type op =
   | Ping
   | Stats
   | Shutdown
-  | Redact of { source : source; config : Y.t; view : Alice.Redact.view }
-  | Characterize of { source : source; config : Y.t }
+  | Redact of { source : source; config : J.t; view : Alice.Redact.view }
+  | Characterize of { source : source; config : J.t }
   | Sweep of
-      { source : source; base : Y.t; entries : Y.t list; stream : bool }
+      { source : source; base : J.t; entries : J.t list; stream : bool }
   | Advise of
-      { source : source; base : Y.t; constraints : Y.t; stream : bool }
+      { source : source; base : J.t; constraints : J.t; stream : bool }
   | CacheGc of { max_bytes : int option }
 
 type request = { id : J.t; minor : int; op : op }
@@ -105,12 +104,12 @@ let parse_source (j : J.t) : source =
       "request needs a `source` (inline Verilog text) or `file` (server-side \
        path) field"
 
-(* an optional object field, as YAML; anything else is rejected, saying
-   what the field [must] be *)
-let parse_doc (j : J.t) (field : string) ~(must : string) : Y.t =
+(* an optional object field; anything else is rejected, saying what
+   the field [must] be *)
+let parse_doc (j : J.t) (field : string) ~(must : string) : J.t =
   match J.find j field with
-  | None | Some J.Null -> Y.Null
-  | Some (J.Obj _ as o) -> J.to_yaml o
+  | None | Some J.Null -> J.Null
+  | Some (J.Obj _ as o) -> o
   | Some _ ->
     bad_request ~kind:"unknown_op" ~code:"E1002" "`%s` must be %s" field must
 
@@ -185,7 +184,7 @@ let parse_request (line : string) : request =
         | Some (J.List (_ :: _ as items)) ->
           List.map
             (function
-              | J.Obj _ as e -> J.to_yaml e
+              | J.Obj _ as e -> e
               | _ ->
                 bad_request ~kind:"unknown_op" ~code:"E1002"
                   "`sweep` entries must be objects")
@@ -226,29 +225,16 @@ let parse_request (line : string) : request =
 
 (* ---------- response building ---------- *)
 
+(* the diagnostic's own object, minus a null [loc] and an empty
+   [context] *)
 let json_of_diag (d : D.t) : J.t =
-  let base =
-    [ ("severity", J.String (D.severity_to_string d.D.severity));
-      ("code", J.String d.D.code);
-      ("message", J.String d.D.message) ]
-  in
-  let loc =
-    match d.D.loc with
-    | None -> []
-    | Some l ->
-      [ ("loc",
-         J.Obj
-           [ ("file", J.String l.Alice_verilog.Loc.file);
-             ("line", J.Int l.Alice_verilog.Loc.line);
-             ("col", J.Int l.Alice_verilog.Loc.col) ]) ]
-  in
-  let context =
-    match d.D.context with
-    | [] -> []
-    | kvs ->
-      [ ("context", J.Obj (List.map (fun (k, v) -> (k, J.String v)) kvs)) ]
-  in
-  J.Obj (base @ loc @ context)
+  match D.to_doc d with
+  | J.Obj fields ->
+    J.Obj
+      (List.filter
+         (function _, (J.Null | J.Obj []) -> false | _ -> true)
+         fields)
+  | doc -> doc
 
 let base_fields ~(id : J.t) =
   let id = match id with J.Null -> [] | id -> [ ("id", id) ] in

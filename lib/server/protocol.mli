@@ -29,7 +29,6 @@
     sent as a response, [E1006] cache-gc on a cache-less server). *)
 
 module J = Alice_config.Json_lite
-module Y = Alice_config.Yaml_lite
 module D = Alice_diag.Diag
 
 (** Bumped on any incompatible change to request or response shapes.
@@ -80,17 +79,17 @@ type op =
   | Ping
   | Stats
   | Shutdown
-  | Redact of { source : source; config : Y.t; view : Alice.Redact.view }
-  | Characterize of { source : source; config : Y.t }
+  | Redact of { source : source; config : J.t; view : Alice.Redact.view }
+  | Characterize of { source : source; config : J.t }
   | Sweep of
-      { source : source; base : Y.t; entries : Y.t list; stream : bool }
+      { source : source; base : J.t; entries : J.t list; stream : bool }
       (** [entries] are configuration overlays, each deep-merged over
           [base] (itself merged over the server's base configuration);
           an entry's [name] key labels its result row. [stream] asks
           for incremental row events — honoured only when the request
           also announces [mv >= 1] (see {!minor}) *)
   | Advise of
-      { source : source; base : Y.t; constraints : Y.t; stream : bool }
+      { source : source; base : J.t; constraints : J.t; stream : bool }
       (** pre-architecture advisor ([Alice.Advisor]): [base] is a
           flow-configuration overlay over the server's base
           configuration, [constraints] an optional constraint document
@@ -143,8 +142,8 @@ val parse_request : string -> request
 
 (** {2 Response building} *)
 
-(** A diagnostic as a JSON object with [severity]/[code]/[message]/
-    [loc]/[context] fields, matching {!Alice_diag.Diag.to_json}. *)
+(** A diagnostic as {!Alice_diag.Diag.to_doc} builds it, without a
+    [null] [loc] or an empty [context]. *)
 val json_of_diag : D.t -> J.t
 
 (** [ok_response ~id ~op fields] is one response line (no trailing

@@ -18,7 +18,6 @@ module D = Alice_diag.Diag
 module F = Alice_fabric
 module J = Alice_config.Json_lite
 module V = Alice_verilog
-module Y = Alice_config.Yaml_lite
 module P = Protocol
 module Fi = Alice_fault.Fault
 
@@ -26,7 +25,7 @@ type config = {
   listen : Endpoint.t list;
   max_in_flight : int;
   max_queue : int;
-  base : Y.t;
+  base : J.t;
   jobs : int option;
   deadline_s : float option;
   idle_timeout_s : float;
@@ -35,7 +34,7 @@ type config = {
 
 let default_config ~socket_path =
   { listen = [ Endpoint.Unix_path socket_path ]; max_in_flight = 4;
-    max_queue = 16; base = Y.Null; jobs = None; deadline_s = None;
+    max_queue = 16; base = J.Null; jobs = None; deadline_s = None;
     idle_timeout_s = 30.0; faults = Fi.global () }
 
 type t = {
@@ -85,8 +84,8 @@ let flow_source : P.source -> A.Flow.source = function
 (* the request's inline config over the server's base document, plus
    the operator overrides: a forced [jobs], and the server deadline when
    the request sets none *)
-let effective_config t (req_cfg : Y.t) : C.Flow_config.t =
-  let cfg = C.Flow_config.of_yaml (Y.merge t.cfg.base req_cfg) in
+let effective_config t (req_cfg : J.t) : C.Flow_config.t =
+  let cfg = C.Flow_config.of_doc (J.merge t.cfg.base req_cfg) in
   let cfg =
     match t.cfg.jobs with
     | None -> cfg
@@ -96,7 +95,7 @@ let effective_config t (req_cfg : Y.t) : C.Flow_config.t =
   | Some d, None -> { cfg with C.Flow_config.characterize_deadline_s = Some d }
   | _ -> cfg
 
-let run_flow t (req_cfg : Y.t) (source : P.source) : A.Flow.t =
+let run_flow t (req_cfg : J.t) (source : P.source) : A.Flow.t =
   let flow =
     A.Engine.run t.engine
       (A.Flow.request ~config:(effective_config t req_cfg)
@@ -411,9 +410,9 @@ let execute t ~(id : J.t) ~(minor : int) ~(emit : string -> unit) (op : P.op)
       List.mapi
         (fun i entry ->
           let name =
-            Y.get_string ~default:(Printf.sprintf "cfg%d" (i + 1)) entry "name"
+            J.get_string ~default:(Printf.sprintf "cfg%d" (i + 1)) entry "name"
           in
-          let cfg = effective_config t (Y.merge base entry) in
+          let cfg = effective_config t (J.merge base entry) in
           (name, A.Flow.request ~config:cfg ~diags:(D.Collector.create ()) src))
         entries
     in
@@ -872,7 +871,7 @@ let start ?engine (cfg : config) : t =
   let engine =
     match engine with
     | Some e -> e
-    | None -> A.Engine.of_config (C.Flow_config.of_yaml cfg.base)
+    | None -> A.Engine.of_config (C.Flow_config.of_doc cfg.base)
   in
   let metrics = Metrics.create () in
   A.Engine.set_warning_sink engine (fun _ -> Metrics.record_cache_warning metrics);

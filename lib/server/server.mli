@@ -59,7 +59,7 @@
 
 module A = Alice
 module C = Alice_config
-module Y = Alice_config.Yaml_lite
+module J = Alice_config.Json_lite
 
 type config = {
   listen : Endpoint.t list;
@@ -68,7 +68,7 @@ type config = {
           back from {!endpoints} *)
   max_in_flight : int;  (** worker threads; at least 1 *)
   max_queue : int;  (** admitted connections awaiting a worker; >= 0 *)
-  base : Y.t;
+  base : J.t;
       (** flow-configuration document merged under every request's
           inline [config] (request keys win) *)
   jobs : int option;

@@ -94,8 +94,6 @@ type design = { modules : module_decl list }
 
 let num ?width value = Num { width; value }
 
-let ident name = Ident name
-
 let find_module design name =
   List.find_opt (fun m -> m.mod_name = name) design.modules
 

@@ -82,8 +82,6 @@ type design = { modules : module_decl list }
 (** [num ?width v] builds a numeric literal expression. *)
 val num : ?width:int -> int -> expr
 
-val ident : string -> expr
-
 val find_module : design -> string -> module_decl option
 
 (** Identifiers read by an expression, prepended to the accumulator. *)

@@ -15,7 +15,3 @@ let pp fmt loc = Format.pp_print_string fmt (to_string loc)
 exception Error of t * string
 
 let error loc fmt = Format.kasprintf (fun msg -> raise (Error (loc, msg))) fmt
-
-let error_to_string = function
-  | Error (loc, msg) -> Some (Printf.sprintf "%s: %s" (to_string loc) msg)
-  | _ -> None

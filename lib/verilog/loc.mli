@@ -16,7 +16,3 @@ exception Error of t * string
 
 (** [error loc fmt ...] raises {!Error} with a formatted message. *)
 val error : t -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-
-(** Render an {!Error} as ["file:line:col: message"]; [None] for other
-    exceptions. *)
-val error_to_string : exn -> string option

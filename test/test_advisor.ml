@@ -5,7 +5,6 @@
 
 module A = Alice
 module C = Alice_config
-module Y = C.Yaml_lite
 module J = C.Json_lite
 module Sat = Alice_sat
 
@@ -125,13 +124,13 @@ let test_axes_of_constraints () =
     (d.A.Advisor.ax_max_widths <> []);
   (* constraints override only the keys they carry *)
   let doc =
-    Y.Map
+    J.Obj
       [ ("axes",
-         Y.Map
-           [ ("lut_inputs", Y.List [ Y.Int 4 ]);
-             ("max_fabric_size", Y.Int 10);  (* bare scalar = singleton *)
-             ("target_utilization", Y.List [ Y.Float 0.5; Y.Float 0.7 ]);
-             ("score", Y.List [ Y.String "heuristic"; Y.String "measured" ]) ]) ]
+         J.Obj
+           [ ("lut_inputs", J.List [ J.Int 4 ]);
+             ("max_fabric_size", J.Int 10);  (* bare scalar = singleton *)
+             ("target_utilization", J.List [ J.Float 0.5; J.Float 0.7 ]);
+             ("score", J.List [ J.String "heuristic"; J.String "measured" ]) ]) ]
   in
   let a = A.Advisor.axes_of_constraints ~base:demo_cfg design doc in
   Alcotest.(check (list int)) "lut pinned" [ 4 ] a.A.Advisor.ax_lut_inputs;
@@ -142,7 +141,7 @@ let test_axes_of_constraints () =
   Alcotest.(check (list int)) "budget untouched"
     d.A.Advisor.ax_attack_budgets a.A.Advisor.ax_attack_budgets;
   (* malformed axes are rejected, not silently dropped *)
-  let bad k v = Y.Map [ ("axes", Y.Map [ (k, v) ]) ] in
+  let bad k v = J.Obj [ ("axes", J.Obj [ (k, v) ]) ] in
   List.iter
     (fun (name, doc) ->
       Alcotest.(check bool) name true
@@ -150,11 +149,11 @@ let test_axes_of_constraints () =
            ignore (A.Advisor.axes_of_constraints ~base:demo_cfg design doc);
            false
          with Invalid_argument _ -> true))
-    [ ("non-positive k", bad "lut_inputs" (Y.List [ Y.Int 0 ]));
-      ("1-input LUTs", bad "lut_inputs" (Y.List [ Y.Int 4; Y.Int 1 ]));
-      ("utilization > 1", bad "target_utilization" (Y.Float 1.5));
-      ("unknown mode", bad "score" (Y.String "vibes"));
-      ("empty axis", bad "max_fabric_size" (Y.List [])) ]
+    [ ("non-positive k", bad "lut_inputs" (J.List [ J.Int 0 ]));
+      ("1-input LUTs", bad "lut_inputs" (J.List [ J.Int 4; J.Int 1 ]));
+      ("utilization > 1", bad "target_utilization" (J.Float 1.5));
+      ("unknown mode", bad "score" (J.String "vibes"));
+      ("empty axis", bad "max_fabric_size" (J.List [])) ]
 
 (* ---------- end-to-end: ranked front ---------- *)
 

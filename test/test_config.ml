@@ -1,19 +1,20 @@
 (* YAML-subset parser and flow configuration tests. *)
 
 module C = Alice_config
+module J = C.Json_lite
 
 let parse = C.Yaml_lite.parse
 
 let test_scalars () =
-  Alcotest.(check bool) "int" true (parse "a: 42" = C.Yaml_lite.Map [ ("a", C.Yaml_lite.Int 42) ]);
-  Alcotest.(check bool) "float" true (parse "a: 1.5" = C.Yaml_lite.Map [ ("a", C.Yaml_lite.Float 1.5) ]);
-  Alcotest.(check bool) "bool true" true (parse "a: true" = C.Yaml_lite.Map [ ("a", C.Yaml_lite.Bool true) ]);
-  Alcotest.(check bool) "bool no" true (parse "a: no" = C.Yaml_lite.Map [ ("a", C.Yaml_lite.Bool false) ]);
-  Alcotest.(check bool) "null" true (parse "a: ~" = C.Yaml_lite.Map [ ("a", C.Yaml_lite.Null) ]);
+  Alcotest.(check bool) "int" true (parse "a: 42" = J.Obj [ ("a", J.Int 42) ]);
+  Alcotest.(check bool) "float" true (parse "a: 1.5" = J.Obj [ ("a", J.Float 1.5) ]);
+  Alcotest.(check bool) "bool true" true (parse "a: true" = J.Obj [ ("a", J.Bool true) ]);
+  Alcotest.(check bool) "bool no" true (parse "a: no" = J.Obj [ ("a", J.Bool false) ]);
+  Alcotest.(check bool) "null" true (parse "a: ~" = J.Obj [ ("a", J.Null) ]);
   Alcotest.(check bool) "quoted string" true
-    (parse {|a: "hello world"|} = C.Yaml_lite.Map [ ("a", C.Yaml_lite.String "hello world") ]);
+    (parse {|a: "hello world"|} = J.Obj [ ("a", J.String "hello world") ]);
   Alcotest.(check bool) "bare string" true
-    (parse "a: hello" = C.Yaml_lite.Map [ ("a", C.Yaml_lite.String "hello") ])
+    (parse "a: hello" = J.Obj [ ("a", J.String "hello") ])
 
 let test_nesting () =
   let doc = parse {|
@@ -26,13 +27,13 @@ outputs:
   - valid
 inline: [1, 2, 3]
 |} in
-  let fabric = Option.get (C.Yaml_lite.find doc "fabric") in
-  Alcotest.(check int) "nested int" 4 (C.Yaml_lite.get_int fabric "lut_inputs");
-  Alcotest.(check int) "nested int 2" 8 (C.Yaml_lite.get_int fabric "max_size");
+  let fabric = Option.get (J.find doc "fabric") in
+  Alcotest.(check int) "nested int" 4 (J.get_int fabric "lut_inputs");
+  Alcotest.(check int) "nested int 2" 8 (J.get_int fabric "max_size");
   Alcotest.(check (list string)) "block list" [ "des_out"; "valid" ]
-    (C.Yaml_lite.get_string_list doc "outputs");
-  (match C.Yaml_lite.find doc "inline" with
-  | Some (C.Yaml_lite.List [ C.Yaml_lite.Int 1; C.Yaml_lite.Int 2; C.Yaml_lite.Int 3 ]) -> ()
+    (J.get_string_list doc "outputs");
+  (match J.find doc "inline" with
+  | Some (J.List [ J.Int 1; J.Int 2; J.Int 3 ]) -> ()
   | _ -> Alcotest.fail "inline list")
 
 let test_comments_blanks () =
@@ -42,8 +43,8 @@ a: 1  # trailing comment
 
 b: "has # inside"
 |} in
-  Alcotest.(check int) "a" 1 (C.Yaml_lite.get_int doc "a");
-  Alcotest.(check string) "b keeps hash" "has # inside" (C.Yaml_lite.get_string doc "b")
+  Alcotest.(check int) "a" 1 (J.get_int doc "a");
+  Alcotest.(check string) "b keeps hash" "has # inside" (J.get_string doc "b")
 
 let test_errors () =
   (match parse "a: 1\n\tb: 2" with
@@ -52,7 +53,7 @@ let test_errors () =
   | _ -> Alcotest.fail "expected tab rejection");
   (match parse "just a bare line" with
   | exception C.Yaml_lite.Parse_error _ -> ()
-  | C.Yaml_lite.String _ -> () (* a single scalar line parses as flow value *)
+  | J.String _ -> () (* a single scalar line parses as flow value *)
   | _ -> Alcotest.fail "unexpected")
 
 let test_flow_config () =
@@ -120,6 +121,37 @@ let test_clb_io_bounds () =
   Alcotest.(check (list int)) "defaults" [ 4; 4; 8 ]
     C.Flow_config.[ c.luts_per_clb; c.ffs_per_clb; c.gpio_per_tile ]
 
+(* a utilization is a fraction: the mapper's target in (0, 1], the
+   IsValid floor in [0, 1]; nan and inf, which the YAML subset reads as
+   floats, are refused too, naming the key *)
+let test_utilization_bounds () =
+  let message fields =
+    match C.Flow_config.of_string ("fabric:\n" ^ fields) with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.failf "accepted: %s" (String.escaped fields)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check string) ("target " ^ v)
+        "fabric.target_utilization: must be in (0, 1]"
+        (message ("  target_utilization: " ^ v)))
+    [ "nan"; "inf"; "-inf"; "0"; "0.0"; "-0.5"; "1.5"; "2" ];
+  List.iter
+    (fun v ->
+      Alcotest.(check string) ("floor " ^ v)
+        "fabric.min_clb_utilization: must be in [0, 1]"
+        (message ("  min_clb_utilization: " ^ v)))
+    [ "nan"; "inf"; "-0.1"; "1.01" ];
+  let c =
+    C.Flow_config.of_string
+      "fabric:\n  target_utilization: 1\n  min_clb_utilization: 0"
+  in
+  Alcotest.(check (list (float 0.0))) "closed ends accepted" [ 1.0; 0.0 ]
+    C.Flow_config.[ c.target_utilization; c.min_clb_utilization ];
+  let c = C.Flow_config.of_string "fabric:\n  min_clb_utilization: 1.0" in
+  Alcotest.(check (float 0.0)) "floor of 1 accepted" 1.0
+    c.C.Flow_config.min_clb_utilization
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
@@ -128,4 +160,5 @@ let tests =
     Alcotest.test_case "flow config" `Quick test_flow_config;
     Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults;
     Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound;
-    Alcotest.test_case "clb and io bounds" `Quick test_clb_io_bounds ]
+    Alcotest.test_case "clb and io bounds" `Quick test_clb_io_bounds;
+    Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds ]

@@ -110,6 +110,43 @@ let test_render () =
   Alcotest.(check bool) "json carries the location" true
     (contains json {|"line":3|})
 
+(* one JSON writer: the CLI's [list_to_json] and the server's
+   [json_of_diag] both print the tree [Diag.to_doc] builds, with
+   Json_lite's escapes ([\b] and [\f] included) *)
+let test_render_json () =
+  let located =
+    D.error ~loc:{ V.Loc.file = "a.v"; line = 3; col = 7 }
+      ~context:[ ("cluster", "top.u1"); ("config", "k4") ]
+      ~code:"E0202" "cycle through %s" "t"
+  and bare = D.warning ~code:"W0501" "attack inconclusive"
+  and controls =
+    D.error ~code:"E0001" "%s: No such file" "bs\bff\012tab\tq\"bsl\\.v"
+  in
+  let located_json =
+    {|{"severity":"error","code":"E0202","message":"cycle through t",|}
+    ^ {|"loc":{"file":"a.v","line":3,"col":7},|}
+    ^ {|"context":{"cluster":"top.u1","config":"k4"}}|}
+  in
+  Alcotest.(check string) "list_to_json bytes"
+    ("[" ^ located_json ^ ","
+    ^ {|{"severity":"warning","code":"W0501","message":"attack inconclusive",|}
+    ^ {|"loc":null,"context":{}},|}
+    ^ {|{"severity":"error","code":"E0001",|}
+    ^ {|"message":"bs\bff\ftab\tq\"bsl\\.v: No such file",|}
+    ^ {|"loc":null,"context":{}}]|})
+    (D.list_to_json [ located; bare; controls ]);
+  let served d =
+    Alice_config.Json_lite.to_string (Alice_server.Protocol.json_of_diag d)
+  in
+  Alcotest.(check string) "served located" located_json (served located);
+  Alcotest.(check string) "served bare"
+    {|{"severity":"warning","code":"W0501","message":"attack inconclusive"}|}
+    (served bare);
+  Alcotest.(check string) "served controls"
+    ({|{"severity":"error","code":"E0001",|}
+    ^ {|"message":"bs\bff\ftab\tq\"bsl\\.v: No such file"}|})
+    (served controls)
+
 (* ---------- per-cluster fault isolation ---------- *)
 
 let isolation_src =
@@ -394,6 +431,7 @@ let tests =
     Alcotest.test_case "solver decision budget returns Unknown" `Quick
       test_solver_decision_budget;
     Alcotest.test_case "diagnostic rendering" `Quick test_render;
+    Alcotest.test_case "diagnostic json bytes" `Quick test_render_json;
     Alcotest.test_case "per-cluster fault isolation" `Quick
       test_cluster_isolation;
     Alcotest.test_case "cache-hit diagnostics name their own cluster" `Quick

@@ -424,7 +424,7 @@ let test_server_self_heals_under_plan () =
       let rpc line = S.Client.one_shot ~retry ~socket line in
       (* what the library computes is the contract under faults too *)
       let reference =
-        let config = C.Flow_config.of_yaml base_yaml in
+        let config = C.Flow_config.of_doc base_yaml in
         let flow =
           A.Flow.run_request
             (A.Flow.request ~config

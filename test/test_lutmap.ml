@@ -372,7 +372,7 @@ let test_k_below_two_rejected () =
         Alcotest.failf "k=%d mapped to %d LUTs instead of raising" k
           (N.Lutmap.lut_count mapping))
     [ 1; 0; -1 ];
-  (* a configuration built in code skips [of_yaml]'s check: every cluster
+  (* a configuration built in code skips [of_doc]'s check: every cluster
      then fails to characterize, and no fabric is chosen *)
   let module B = Alice_benchmarks.Suite in
   let gcd = Option.get (B.find "GCD") in

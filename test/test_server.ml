@@ -58,13 +58,50 @@ let test_json_errors () =
   bad "{} trailing";
   bad "{\"a\":1} {\"b\":2}"
 
-let test_json_yaml_bridge () =
-  let j = J.parse {| {"max_efpgas": 2, "selected_outputs": ["a", "b"]} |} in
-  let y = J.to_yaml j in
-  Alcotest.(check int) "int through" 2 (Y.get_int y "max_efpgas");
-  Alcotest.(check (list string)) "list through" [ "a"; "b" ]
-    (Y.get_string_list y "selected_outputs");
-  Alcotest.(check bool) "inverse" true (J.of_yaml y = j)
+(* one document model: a configuration written as YAML and as JSON is
+   one tree and one [Flow_config.t], and a mistyped key fails with the
+   same message through both *)
+let test_json_yaml_parity () =
+  let y =
+    Y.parse
+      {|max_efpgas: 1
+alpha: 0.5
+top: gcd
+selected_outputs:
+  - a
+  - b
+transitive_independence: true
+cache_dir: ~
+fabric:
+  lut_inputs: 6
+  target_utilization: 0.75
+|}
+  and j =
+    J.parse
+      {| {"max_efpgas": 1, "alpha": 0.5, "top": "gcd",
+          "selected_outputs": ["a", "b"], "transitive_independence": true,
+          "cache_dir": null,
+          "fabric": {"lut_inputs": 6, "target_utilization": 0.75}} |}
+  in
+  Alcotest.(check bool) "same tree" true (y = j);
+  Alcotest.(check bool) "same configuration" true
+    (C.Flow_config.of_doc y = C.Flow_config.of_doc j);
+  let message doc =
+    match C.Flow_config.of_doc doc with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.fail "mistyped key accepted"
+  in
+  List.iter
+    (fun (yaml, json, expected) ->
+      Alcotest.(check string) ("yaml " ^ yaml) expected (message (Y.parse yaml));
+      Alcotest.(check string) ("json " ^ json) expected (message (J.parse json)))
+    [ ("max_efpgas: two", {|{"max_efpgas": "two"}|},
+       "key max_efpgas: expected int, got string two");
+      ("fabric:\n  target_utilization: yes",
+       {|{"fabric": {"target_utilization": true}}|},
+       "key target_utilization: expected float");
+      ("selected_outputs: [a, [b]]", {|{"selected_outputs": ["a", ["b"]]}|},
+       "key selected_outputs: expected list of strings") ]
 
 (* ---------- Endpoint grammar ---------- *)
 
@@ -113,7 +150,7 @@ let test_protocol_parse () =
   (match r.S.Protocol.op with
   | S.Protocol.Redact { source = S.Protocol.Inline src; config; view } ->
     Alcotest.(check string) "inline source" "module m; endmodule" src;
-    Alcotest.(check int) "config key" 1 (Y.get_int config "max_efpgas");
+    Alcotest.(check int) "config key" 1 (J.get_int config "max_efpgas");
     Alcotest.(check bool) "view" true (view = A.Redact.Opaque)
   | _ -> Alcotest.fail "redact shape");
   match
@@ -141,9 +178,9 @@ let test_protocol_advise_parse () =
           { source = S.Protocol.Path p; base; constraints; stream };
       _ } ->
     Alcotest.(check string) "path" "d.v" p;
-    Alcotest.(check string) "base through" "gcd" (Y.get_string base "top");
+    Alcotest.(check string) "base through" "gcd" (J.get_string base "top");
     Alcotest.(check bool) "constraints carry axes" true
-      (Y.find constraints "axes" <> None);
+      (J.find constraints "axes" <> None);
     Alcotest.(check bool) "stream flag" true stream;
     Alcotest.(check int) "minor 4" 4 minor
   | _ -> Alcotest.fail "advise shape");
@@ -152,8 +189,8 @@ let test_protocol_advise_parse () =
      S.Protocol.parse_request {|{"v":1,"op":"advise","source":"module m; endmodule"}|}
    with
   | { S.Protocol.op = S.Protocol.Advise { base; constraints; stream; _ }; _ } ->
-    Alcotest.(check bool) "null base" true (base = Y.Null);
-    Alcotest.(check bool) "null constraints" true (constraints = Y.Null);
+    Alcotest.(check bool) "null base" true (base = J.Null);
+    Alcotest.(check bool) "null constraints" true (constraints = J.Null);
     Alcotest.(check bool) "buffered by default" false stream
   | _ -> Alcotest.fail "minimal advise shape");
   (* the client-side builder round-trips *)
@@ -166,7 +203,7 @@ let test_protocol_advise_parse () =
   | { S.Protocol.op = S.Protocol.Advise { stream = true; constraints; _ }; _ }
     ->
     Alcotest.(check bool) "builder constraints through" true
-      (Y.find constraints "axes" <> None)
+      (J.find constraints "axes" <> None)
   | _ -> Alcotest.fail "builder round trip"
 
 let check_bad line kind code =
@@ -284,20 +321,20 @@ let test_protocol_gate () =
   (* streaming: sweep from minor 1, advise from minor 4, only on request *)
   let src = S.Protocol.Inline "module m; endmodule" in
   let sweep stream =
-    S.Protocol.Sweep { source = src; base = Y.Null; entries = []; stream }
+    S.Protocol.Sweep { source = src; base = J.Null; entries = []; stream }
   and advise stream =
     S.Protocol.Advise
-      { source = src; base = Y.Null; constraints = Y.Null; stream }
+      { source = src; base = J.Null; constraints = J.Null; stream }
   in
   let ops =
     [ ("ping", S.Protocol.Ping, None); ("stats", S.Protocol.Stats, None);
       ("shutdown", S.Protocol.Shutdown, None);
       ( "redact",
         S.Protocol.Redact
-          { source = src; config = Y.Null; view = A.Redact.Programmed },
+          { source = src; config = J.Null; view = A.Redact.Programmed },
         None );
       ( "characterize",
-        S.Protocol.Characterize { source = src; config = Y.Null },
+        S.Protocol.Characterize { source = src; config = J.Null },
         None );
       ("sweep", sweep true, Some 1); ("sweep unasked", sweep false, None);
       ("advise", advise true, Some 4); ("advise unasked", advise false, None);
@@ -439,7 +476,7 @@ let with_server ?(max_in_flight = 2) ?(max_queue = 4) ?listen f =
 let rpc socket line = S.Client.one_shot ~socket line
 
 let reference_verilog () =
-  let config = C.Flow_config.of_yaml base_yaml in
+  let config = C.Flow_config.of_doc base_yaml in
   let flow =
     A.Flow.run_request
       (A.Flow.request ~config (A.Flow.Text { text = demo_src; file = None }))
@@ -1192,7 +1229,7 @@ let tests =
   [ Alcotest.test_case "json parse" `Quick test_json_parse;
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
-    Alcotest.test_case "json-yaml bridge" `Quick test_json_yaml_bridge;
+    Alcotest.test_case "json-yaml parity" `Quick test_json_yaml_parity;
     Alcotest.test_case "endpoint grammar" `Quick test_endpoint_parse;
     Alcotest.test_case "protocol parse" `Quick test_protocol_parse;
     Alcotest.test_case "protocol advise parse" `Quick
