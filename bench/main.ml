@@ -1,23 +1,21 @@
 (* ALICE benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 7) and runs the ablations DESIGN.md calls
-   out.
+   paper's evaluation (Section 7), runs the ablations DESIGN.md calls
+   out, and holds the service's mixed-load latency gate.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe table2     # one section
-     dune exec bench/main.exe table2 micro  # several, in order
-     sections: table1 table2 figure4 security overhead soc ablation
-             parallel cache attack advise server mixed micro
+     dune exec bench/main.exe               # everything
+     dune exec bench/main.exe table2        # one section
+     dune exec bench/main.exe table1 soc    # several, in order
+     sections: table1 table2 figure4 security overhead soc ablation mixed
 
    Paper reference values are printed next to the measured ones so the
-   output doubles as the data source for EXPERIMENTS.md. The [micro]
-   section registers one Bechamel Test.make per table/figure and reports
-   monotonic-clock estimates for the underlying kernels.
+   output doubles as the data source for EXPERIMENTS.md. Throughput and
+   cache behaviour of the cached, measured, advised and served paths
+   are bench/perf's workloads, not sections here.
 
    Besides the console report, every run writes BENCH_<rev>.json into
    the working directory (rev = `git rev-parse --short HEAD`, or "dev"
    outside a checkout): per-section wall times plus each section's key
-   scalars (request throughput, cache hit rates, speedups), so a
-   snapshot per revision can be committed and diffed. *)
+   scalars, so a snapshot per revision can be committed and diffed. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -38,7 +36,6 @@ let section_notes : (string * Jl.t) list ref = ref []
 
 let note key v = section_notes := !section_notes @ [ (key, v) ]
 let note_f key v = note key (Jl.Float v)
-let note_i key v = note key (Jl.Int v)
 
 (* (section, seconds + notes) rows in run order *)
 let recorded : (string * Jl.t) list ref = ref []
@@ -141,28 +138,23 @@ let opt_str = function None -> "-" | Some v -> string_of_int v
 let run_table2_config label config_of paper =
   Format.printf "@.--- %s ---@." label;
   Format.printf "%a" A.Report.pp_table2_header ();
-  let flows =
-    List.map
-      (fun (b : B.benchmark) ->
-        let flow = run_flow ~config:(config_of b) (B.parse b) in
-        Format.printf "%a%!" A.Report.pp_table2_row
-          (A.Report.row_of_flow ~design_name:b.B.name flow);
-        (b, flow))
-      B.all
-  in
+  List.iter
+    (fun (b : B.benchmark) ->
+      let flow = run_flow ~config:(config_of b) (B.parse b) in
+      Format.printf "%a%!" A.Report.pp_table2_row
+        (A.Report.row_of_flow ~design_name:b.B.name flow))
+    B.all;
   Format.printf "paper reference (structural columns):@.";
   List.iter
     (fun (name, r, c, valid, s, sizes, redacted) ->
       Format.printf "  %-8s |R|=%-3d |C|=%-4s valid=%-4s |S|=%-5s %-12s redacted=%s@."
         name r (opt_str c) (opt_str valid) (opt_str s) sizes (opt_str redacted))
-    paper;
-  flows
+    paper
 
 let run_table2 () =
   section "Table 2: ALICE under the two configurations";
-  let flows1 = run_table2_config "cfg1: 64 I/O pins and 2 eFPGAs" B.config1 paper_table2_cfg1 in
-  let flows2 = run_table2_config "cfg2: 96 I/O pins and 1 eFPGA" B.config2 paper_table2_cfg2 in
-  (flows1, flows2)
+  run_table2_config "cfg1: 64 I/O pins and 2 eFPGAs" B.config1 paper_table2_cfg1;
+  run_table2_config "cfg2: 96 I/O pins and 1 eFPGA" B.config2 paper_table2_cfg2
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: physical area of the two GCD solutions                    *)
@@ -497,348 +489,6 @@ let run_soc () =
      observation about integration.@."
 
 (* ------------------------------------------------------------------ *)
-(* Parallel characterization: serial vs Domain-pool wall clock on the  *)
-(* SoC benchmark (the largest cluster set in the suite)                *)
-(* ------------------------------------------------------------------ *)
-
-let run_parallel () =
-  section "Parallel characterization: serial vs domain pool on the SoC";
-  let ast = V.Parser.parse ~file:"soc.v" Alice_benchmarks.Soc.source in
-  let cfg =
-    { C.Flow_config.cfg1 with
-      C.Flow_config.selected_outputs = Alice_benchmarks.Soc.selected_outputs;
-      top = Some Alice_benchmarks.Soc.top;
-      min_fabric_size = 4; max_fabric_size = 20; target_utilization = 0.5;
-      min_clb_utilization = 0.3 }
-  in
-  let design = V.Elaborate.elaborate ~top:Alice_benchmarks.Soc.top ast in
-  let df = Alice_analysis.Dataflow.build design in
-  let filt = A.Filtering.run df cfg in
-  let clusters = A.Clustering.run df cfg filt in
-  let unique_multisets =
-    List.sort_uniq compare
-      (List.map
-         (fun (c : A.Clustering.cluster) ->
-           c.A.Clustering.members
-           |> List.map (fun (m : V.Design.tree) -> m.V.Design.module_name)
-           |> List.sort compare |> String.concat "|")
-         clusters)
-  in
-  Format.printf "clusters %d, unique module multisets %d (one CreateEFPGA each)@."
-    (List.length clusters)
-    (List.length unique_multisets);
-  (* timing-free projection: cluster identity plus everything the
-     outcome decides *)
-  let sig_of results =
-    List.map
-      (fun (c : A.Characterize.characterization) ->
-        let label =
-          match c.A.Characterize.outcome with
-          | A.Characterize.Implemented impl ->
-            "impl:" ^ F.Fabric.size_label impl.F.Size_search.fabric
-          | A.Characterize.Infeasible f ->
-            "infeasible:" ^ F.Size_search.failure_to_string f
-          | A.Characterize.Failed d -> "failed:" ^ Alice_diag.Diag.to_string d
-          | A.Characterize.Skipped d -> "skipped:" ^ Alice_diag.Diag.to_string d
-        in
-        (c.A.Characterize.cluster.A.Clustering.key, label))
-      results
-  in
-  let characterize jobs () =
-    fst (A.Characterize.run_all_stats ~jobs design cfg clusters)
-  in
-  let serial, t_serial = time (characterize 1) in
-  let default_jobs = Domain.recommended_domain_count () in
-  let default_run, t_default = time (characterize default_jobs) in
-  let over, t_over = time (characterize 4) in
-  Format.printf "  serial  (jobs=1):          %6.2fs@." t_serial;
-  Format.printf "  pool    (jobs=%d, default): %6.2fs   ratio serial/pool %.2fx@."
-    default_jobs t_default
-    (t_serial /. Float.max 1e-9 t_default);
-  Format.printf "  pool    (jobs=4, forced):  %6.2fs@." t_over;
-  Format.printf "  results identical across all three: %b@."
-    (sig_of serial = sig_of default_run && sig_of serial = sig_of over);
-  Format.printf
-    "(the default pool is sized to the machine; forcing jobs=4 on fewer@.\
-    \ cores oversubscribes the domains and only serves as the determinism@.\
-    \ check — speedup needs cores, not domains)@."
-
-(* ------------------------------------------------------------------ *)
-(* Engine cache: cold vs warm on the SoC                               *)
-(* ------------------------------------------------------------------ *)
-
-let run_cache () =
-  section "Persistent characterization cache: cold vs warm on the SoC";
-  let cfg =
-    { C.Flow_config.cfg1 with
-      C.Flow_config.selected_outputs = Alice_benchmarks.Soc.selected_outputs;
-      top = Some Alice_benchmarks.Soc.top;
-      min_fabric_size = 4; max_fabric_size = 20; target_utilization = 0.5;
-      min_clb_utilization = 0.3 }
-  in
-  let request () =
-    A.Flow.request ~config:cfg
-      (A.Flow.Text { text = Alice_benchmarks.Soc.source; file = Some "soc.v" })
-  in
-  let root = Filename.temp_file "alice_bench" ".cache" in
-  Sys.remove root;
-  let line label (flow : A.Flow.t) t =
-    let s = flow.A.Flow.char_stats in
-    Format.printf "  %-26s %6.2fs   %3d hits, %3d computed, %3d unique@."
-      label t s.A.Characterize.cache_hits s.A.Characterize.computed
-      s.A.Characterize.unique;
-    s
-  in
-  let cold_engine = A.Engine.create ~cache_dir:root () in
-  let cold_flow, t_cold = time (fun () -> A.Engine.run cold_engine (request ())) in
-  let _ = line "cold (empty store):" cold_flow t_cold in
-  let memo_flow, t_memo = time (fun () -> A.Engine.run cold_engine (request ())) in
-  let memo = line "warm (same engine):" memo_flow t_memo in
-  let disk_engine = A.Engine.create ~cache_dir:root () in
-  let disk_flow, t_disk = time (fun () -> A.Engine.run disk_engine (request ())) in
-  let disk = line "warm (new process):" disk_flow t_disk in
-  Format.printf "  speedup: %.1fx in-memory, %.1fx from disk@."
-    (t_cold /. Float.max 1e-9 t_memo)
-    (t_cold /. Float.max 1e-9 t_disk);
-  Format.printf "  warm runs recomputed nothing: %b@."
-    (memo.A.Characterize.computed = 0 && disk.A.Characterize.computed = 0);
-  note_f "cold_s" t_cold;
-  note_f "warm_memory_s" t_memo;
-  note_f "warm_disk_s" t_disk;
-  note_f "speedup_memory" (t_cold /. Float.max 1e-9 t_memo);
-  note_f "speedup_disk" (t_cold /. Float.max 1e-9 t_disk);
-  note_i "unique_characterizations" disk.A.Characterize.unique;
-  note_f "warm_disk_hit_rate"
-    (float disk.A.Characterize.cache_hits
-    /. Float.max 1.0 (float disk.A.Characterize.unique));
-  let score (f : A.Flow.t) =
-    Option.map (fun s -> s.A.Selection.total_score)
-      f.A.Flow.selection.A.Selection.best
-  in
-  Format.printf "  selections identical across all three: %b@."
-    (score cold_flow = score memo_flow && score cold_flow = score disk_flow);
-  (match A.Engine.disk_stats disk_engine with
-  | Some s ->
-    Format.printf "  store (%s): %d disk hits, %d failures@." root
-      s.A.Disk_cache.disk_hits s.A.Disk_cache.failures
-  | None -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Measured selection: attack-in-the-loop scoring, cold vs warm        *)
-(* ------------------------------------------------------------------ *)
-
-let run_attack () =
-  section "Measured selection: attack-in-the-loop scoring on GCD (cold vs warm)";
-  let gcd = Option.get (B.find "GCD") in
-  let ast = B.parse gcd in
-  let heuristic_cfg = B.config1 gcd in
-  let measured_cfg =
-    { heuristic_cfg with
-      C.Flow_config.score_mode = C.Flow_config.Measured;
-      attack_budget = 2_000; attack_iterations = 16; attack_jobs = 1 }
-  in
-  let request cfg = A.Flow.request ~config:cfg (A.Flow.Ast ast) in
-  let root = Filename.temp_file "alice_bench" ".cache" in
-  Sys.remove root;
-  let line label (flow : A.Flow.t) t =
-    let a = flow.A.Flow.selection.A.Selection.attack in
-    Format.printf "  %-26s %6.2fs   %3d run, %3d cached, %3d inconclusive@."
-      label t a.A.Selection.Scorer.attacks_run
-      a.A.Selection.Scorer.attacks_cached
-      a.A.Selection.Scorer.attacks_inconclusive;
-    a
-  in
-  let heur_flow, t_heur =
-    time (fun () -> A.Flow.run_request (request heuristic_cfg))
-  in
-  Format.printf "  %-26s %6.2fs   (no attacks)@." "heuristic baseline:" t_heur;
-  let cold_engine = A.Engine.create ~cache_dir:root () in
-  let cold_flow, t_cold =
-    time (fun () -> A.Engine.run cold_engine (request measured_cfg))
-  in
-  let cold = line "measured cold:" cold_flow t_cold in
-  (* a fresh engine over the same store: a second process *)
-  let warm_engine = A.Engine.create ~cache_dir:root () in
-  let warm_flow, t_warm =
-    time (fun () -> A.Engine.run warm_engine (request measured_cfg))
-  in
-  let warm = line "measured warm (new engine):" warm_flow t_warm in
-  let run = cold.A.Selection.Scorer.attacks_run in
-  Format.printf "  per-verdict attack cost: %.3fs over %d verdicts@."
-    ((t_cold -. t_heur) /. Float.max 1.0 (float run)) run;
-  Format.printf "  warm run re-attacked nothing: %b@."
-    (warm.A.Selection.Scorer.attacks_run = 0);
-  let total_conflicts =
-    List.fold_left
-      (fun acc (e : A.Selection.efpga_impl) ->
-        match e.A.Selection.verdict with
-        | Some v -> acc + v.A.Selection.Scorer.v_conflicts
-        | None -> acc)
-      0 cold_flow.A.Flow.selection.A.Selection.valid
-  in
-  Format.printf "  solver conflicts: %d, %d learnt reused@." total_conflicts
-    cold.A.Selection.Scorer.attacks_reused;
-  (* the point of measuring: the ranking moves *)
-  let ranking (f : A.Flow.t) =
-    List.map
-      (fun (s : A.Selection.solution) ->
-        String.concat "+"
-          (List.map
-             (fun (e : A.Selection.efpga_impl) ->
-               F.Fabric.size_label e.impl.F.Size_search.fabric)
-             s.A.Selection.efpgas))
-      f.A.Flow.selection.A.Selection.solutions
-  in
-  Format.printf "  measured ranking diverges from Eq. 1: %b@."
-    (ranking heur_flow <> ranking cold_flow);
-  note_f "heuristic_s" t_heur;
-  note_f "measured_cold_s" t_cold;
-  note_f "measured_warm_s" t_warm;
-  note_i "attacks_run_cold" run;
-  note_i "attacks_inconclusive" cold.A.Selection.Scorer.attacks_inconclusive;
-  note_i "attacks_run_warm" warm.A.Selection.Scorer.attacks_run;
-  note_f "warm_hit_rate"
-    (float warm.A.Selection.Scorer.attacks_cached
-    /. Float.max 1.0 (float run));
-  note_f "per_verdict_s" ((t_cold -. t_heur) /. Float.max 1.0 (float run));
-  note_i "total_conflicts_cold" total_conflicts;
-  note_i "learnt_reused_cold" cold.A.Selection.Scorer.attacks_reused;
-  note "diverges_from_eq1" (Jl.Bool (ranking heur_flow <> ranking cold_flow))
-
-(* ------------------------------------------------------------------ *)
-(* Advisor: Pareto-front exploration on GCD, cold vs warm              *)
-(* ------------------------------------------------------------------ *)
-
-let run_advise () =
-  section "advisor: pre-architecture Pareto sweep on GCD (cold vs warm)";
-  let gcd = Option.get (B.find "GCD") in
-  let base = B.config1 gcd in
-  let axes =
-    { A.Advisor.ax_lut_inputs = [ 4; 6 ]; ax_max_widths = [ 8; 12 ];
-      ax_utilizations = [ base.C.Flow_config.target_utilization ];
-      ax_attack_budgets = [ base.C.Flow_config.attack_budget ];
-      ax_score_modes = [ C.Flow_config.Heuristic ] }
-  in
-  let plan = A.Advisor.plan ~base ~axes in
-  Format.printf "  grid: %d candidates (%d deduplicated)@."
-    (List.length plan.A.Advisor.pl_grid) plan.A.Advisor.pl_deduped;
-  let root = Filename.temp_file "alice_bench" ".cache" in
-  Sys.remove root;
-  let source = A.Flow.Ast (B.parse gcd) in
-  let advise label =
-    let engine = A.Engine.create ~cache_dir:root () in
-    let resumed = ref 0 in
-    let on_point (sp : A.Engine.sweep_point) =
-      if sp.A.Engine.sp_resumed then incr resumed
-    in
-    let report, t = time (fun () -> A.Advisor.run ~on_point engine ~source plan) in
-    Format.printf "  %-22s %6.2fs   front %d of %d, %d resumed@." label t
-      (List.length report.A.Advisor.r_front)
-      (List.length report.A.Advisor.r_entries)
-      !resumed;
-    (report, t, !resumed)
-  in
-  let cold, t_cold, _ = advise "cold (empty store):" in
-  (* a fresh engine over the same store: a second process *)
-  let warm, t_warm, warm_resumed = advise "warm (new engine):" in
-  let json r = Jl.to_string (A.Advisor.json_of_report r) in
-  Format.printf "  warm resumed every candidate: %b@."
-    (warm_resumed = List.length plan.A.Advisor.pl_grid);
-  Format.printf "  warm report byte-identical to cold: %b@."
-    (json cold = json warm);
-  (match cold.A.Advisor.r_front with
-  | (best : A.Advisor.entry) :: _ ->
-    (match best.A.Advisor.e_point.A.Engine.sp_metrics with
-    | Some m ->
-      Format.printf
-        "  recommendation: %s — area %.0f um^2, path %.2f ns, security %.3f@."
-        best.A.Advisor.e_name m.A.Engine.pm_area_um2 m.A.Engine.pm_timing_ns
-        m.A.Engine.pm_security
-    | None -> ())
-  | [] -> Format.printf "  (empty front)@.");
-  note_f "cold_s" t_cold;
-  note_f "warm_s" t_warm;
-  note_f "speedup_warm" (t_cold /. Float.max 1e-9 t_warm);
-  note_i "candidates" (List.length plan.A.Advisor.pl_grid);
-  note_i "deduped" plan.A.Advisor.pl_deduped;
-  note_i "front" (List.length cold.A.Advisor.r_front);
-  note_i "warm_resumed" warm_resumed;
-  note "warm_byte_identical" (Jl.Bool (json cold = json warm))
-
-(* ------------------------------------------------------------------ *)
-(* Redaction service: warm-cache round-trip throughput and latency     *)
-(* ------------------------------------------------------------------ *)
-
-let run_server () =
-  section "server: warm-cache request round trips (in-process daemon)";
-  let module S = Alice_server in
-  let module Y = C.Yaml_lite in
-  let gcd = Option.get (B.find "GCD") in
-  let socket = Filename.temp_file "alice_bench" ".sock" in
-  Sys.remove socket;
-  let cfg =
-    { (S.Server.default_config ~socket_path:socket) with
-      S.Server.base =
-        Y.parse "top: gcd\nselected_outputs:\n  - result\njobs: 1" }
-  in
-  let t = S.Server.start ~engine:(A.Engine.create ~cache:false ()) cfg in
-  Fun.protect
-    ~finally:(fun () -> S.Server.stop t; S.Server.wait t)
-    (fun () ->
-      let conn = S.Client.connect ~socket () in
-      Fun.protect ~finally:(fun () -> S.Client.close conn) (fun () ->
-          let redact_line =
-            S.Protocol.redact_request (S.Protocol.Inline gcd.B.source)
-          in
-          (* populate the shared engine so the measured passes are warm *)
-          ignore (S.Client.rpc conn redact_line);
-          let rounds = 50 in
-          let lat_ping = Array.make rounds 0.0
-          and lat_redact = Array.make rounds 0.0 in
-          let t0 = Unix.gettimeofday () in
-          for i = 0 to rounds - 1 do
-            let a = Unix.gettimeofday () in
-            ignore (S.Client.rpc conn (S.Protocol.ping_request ()));
-            let b = Unix.gettimeofday () in
-            ignore (S.Client.rpc conn redact_line);
-            let c = Unix.gettimeofday () in
-            lat_ping.(i) <- b -. a;
-            lat_redact.(i) <- c -. b
-          done;
-          let wall = Unix.gettimeofday () -. t0 in
-          let pctl a q =
-            Array.sort compare a;
-            a.(Int.min (Array.length a - 1)
-                 (int_of_float (q *. float (Array.length a))))
-          in
-          Format.printf
-            "  %d ping+redact round trips in %.2fs: %.0f requests/s@." rounds
-            wall (float (2 * rounds) /. wall);
-          Format.printf "  ping   p50 %6.2f ms   p95 %6.2f ms@."
-            (1e3 *. pctl lat_ping 0.50) (1e3 *. pctl lat_ping 0.95);
-          Format.printf "  redact p50 %6.2f ms   p95 %6.2f ms (warm cache)@."
-            (1e3 *. pctl lat_redact 0.50) (1e3 *. pctl lat_redact 0.95);
-          (* the server's own histogram agrees on the volume *)
-          let s = S.Metrics.snapshot (S.Server.metrics t) in
-          Format.printf
-            "  server histogram: %d completed, p95 <= %.2f ms, cache %d hits / %d computed@."
-            s.S.Metrics.completed
-            (1e3 *. S.Metrics.quantile s 0.95)
-            s.S.Metrics.cache_hits s.S.Metrics.cache_computed;
-          note_f "requests_per_s" (float (2 * rounds) /. wall);
-          note_f "ping_p50_ms" (1e3 *. pctl lat_ping 0.50);
-          note_f "ping_p95_ms" (1e3 *. pctl lat_ping 0.95);
-          note_f "redact_p50_ms" (1e3 *. pctl lat_redact 0.50);
-          note_f "redact_p95_ms" (1e3 *. pctl lat_redact 0.95);
-          note_i "completed" s.S.Metrics.completed;
-          note_i "cache_hits" s.S.Metrics.cache_hits;
-          note_i "cache_computed" s.S.Metrics.cache_computed;
-          note_f "cache_hit_rate"
-            (float s.S.Metrics.cache_hits
-            /. Float.max 1.0
-                 (float (s.S.Metrics.cache_hits + s.S.Metrics.cache_computed)))))
-
-(* ------------------------------------------------------------------ *)
 (* Mixed load: cheap-lane latency under heavy saturation, both         *)
 (* transports                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -939,111 +589,16 @@ let run_mixed () =
   note "quantile_le_max_ok" (Jl.Bool !all_quantiles_sane)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure           *)
-(* ------------------------------------------------------------------ *)
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (kernel of each table/figure)";
-  let open Bechamel in
-  let gcd = Option.get (B.find "GCD") in
-  let gcd_ast = B.parse gcd in
-  let sasc = Option.get (B.find "SASC") in
-  let sasc_ast = B.parse sasc in
-  let gcd_design = B.elaborate gcd in
-  let mapped, _ =
-    N.Lutmap.map ~k:4 (N.Synth.synthesize_module gcd_design "is_zero")
-  in
-  let soc_bench = Option.get (B.find "SOC") in
-  let soc = N.Synth.synthesize (B.elaborate soc_bench) in
-  (* every implemented SoC cfg1 cluster at its final width *)
-  let soc_placements =
-    List.filter_map
-      (fun (ch : A.Characterize.characterization) ->
-        match (ch.A.Characterize.outcome, ch.A.Characterize.mapped) with
-        | A.Characterize.Implemented impl, Some m ->
-          let fabric = impl.F.Size_search.fabric in
-          Some (fabric, m, F.Place.pack fabric.F.Fabric.arch m)
-        | _ -> None)
-      (run_flow ~config:(B.config1 soc_bench) (B.parse soc_bench)).A.Flow.characterized
-  in
-  let tests =
-    [ (* Table 1 kernel: parse + elaborate + characteristics *)
-      Test.make ~name:"table1_elaborate_gcd"
-        (Staged.stage (fun () ->
-             let d = V.Elaborate.elaborate ~top:"gcd" gcd_ast in
-             ignore (Alice_analysis.Iocount.summarize d)));
-      (* Table 2 kernels: one full flow per configuration *)
-      Test.make ~name:"table2_flow_gcd_cfg1"
-        (Staged.stage (fun () -> ignore (run_flow ~config:(B.config1 gcd) gcd_ast)));
-      Test.make ~name:"table2_flow_sasc_cfg2"
-        (Staged.stage (fun () -> ignore (run_flow ~config:(B.config2 sasc) sasc_ast)));
-      (* CreateEFPGA's LUT-mapping kernel, at the paper's k and the
-         advisor's larger one *)
-      Test.make ~name:"lutmap_soc_k4"
-        (Staged.stage (fun () -> ignore (N.Lutmap.map ~k:4 soc)));
-      Test.make ~name:"lutmap_soc_k6"
-        (Staged.stage (fun () -> ignore (N.Lutmap.map ~k:6 soc)));
-      (* CreateEFPGA's final-width placement *)
-      Test.make ~name:"place_soc"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (fabric, m, clusters) -> ignore (F.Place.place_packed fabric m clusters))
-               soc_placements));
-      (* Figure 4 kernel: fabric area evaluation *)
-      Test.make ~name:"figure4_area_model"
-        (Staged.stage (fun () ->
-             ignore
-               (F.Area.solution_area ~asic_gates:1000
-                  [ F.Fabric.make F.Arch.default 4; F.Fabric.make F.Arch.default 5 ])));
-      (* security kernel: one SAT-attack run on a small candidate *)
-      Test.make ~name:"security_attack_is_zero"
-        (Staged.stage (fun () ->
-             let locked = Sec.Locked.of_mapped mapped in
-             let oracle = Sec.Locked.make_oracle locked in
-             ignore
-               (Sec.Sat_attack.attack
-                  ~budget:{ Sec.Sat_attack.max_iterations = 64;
-                            max_seconds = infinity; solver_conflicts = None }
-                  locked ~oracle))) ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name raw ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              (Toolkit.Instance.monotonic_clock) raw
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] ->
-            Format.printf "  %-28s %14.0f ns/run@." name est;
-            note_f (name ^ "_ns") est
-          | Some _ | None -> Format.printf "  %-28s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [ ("table1", run_table1);
-    ("table2", fun () -> ignore (run_table2 ()));
+    ("table2", run_table2);
     ("figure4", run_figure4);
     ("security", run_security);
     ("overhead", run_overhead);
     ("soc", run_soc);
     ("ablation", run_ablation);
-    ("parallel", run_parallel);
-    ("cache", run_cache);
-    ("attack", run_attack);
-    ("advise", run_advise);
-    ("server", run_server);
-    ("mixed", run_mixed);
-    ("micro", run_micro) ]
+    ("mixed", run_mixed) ]
 
 let () =
   let t0 = Unix.gettimeofday () in

@@ -359,6 +359,22 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/attack0.json"; then
   exit 1
 fi
 
+# serve refuses timeouts it cannot honour, before binding: a zero idle
+# timeout would mean none at all, a non-positive deadline skips every
+# cluster
+for flag in --idle-timeout --deadline; do
+  set +e
+  timeout 10 "$ALICE" serve --socket "$tmpdir/badtime.sock" "$flag" 0 \
+    --diag-format=json > "$tmpdir/badtime.json" 2> /dev/null
+  code=$?
+  set -e
+  if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/badtime.json"; then
+    echo "check.sh: serve $flag 0 exited $code without E0602:" >&2
+    cat "$tmpdir/badtime.json" >&2
+    exit 1
+  fi
+done
+
 # a utilization outside (0, 1] is a configuration error (E0602), refused
 # before any characterization -- not a design without a feasible
 # redaction (E0801)
@@ -605,6 +621,35 @@ if ! wait "$fault_pid"; then
   exit 1
 fi
 fault_pid=""
+
+# --- paper harness: the tables, figure and SoC remark still run -------
+# in a scratch directory, so the snapshot this writes does not clobber a
+# committed BENCH_<rev>.json at the repo root
+BENCH="$PWD/_build/default/bench/main.exe"
+mkdir "$tmpdir/paper"
+if ! ( cd "$tmpdir/paper" && "$BENCH" table1 figure4 overhead soc \
+  > "$tmpdir/paper/bench.log" 2>&1 ); then
+  echo "check.sh: bench table1 figure4 overhead soc failed; log:" >&2
+  cat "$tmpdir/paper/bench.log" >&2
+  exit 1
+fi
+paper_json=$(find "$tmpdir/paper" -name 'BENCH_*.json' | head -n 1)
+for s in table1 figure4 overhead soc; do
+  if [ -z "$paper_json" ] || ! grep -q "\"$s\":{" "$paper_json"; then
+    echo "check.sh: bench snapshot has no $s section:" >&2
+    cat "$tmpdir/paper/bench.log" >&2
+    exit 1
+  fi
+done
+# a section the harness no longer has is refused with exit 2
+set +e
+( cd "$tmpdir/paper" && "$BENCH" micro > /dev/null 2>&1 )
+code=$?
+set -e
+if [ "$code" -ne 2 ]; then
+  echo "check.sh: bench micro exited $code, want 2 (no such section)" >&2
+  exit 1
+fi
 
 # --- mixed-load bench: cheap ops must stay fast under saturation ------
 # last, so a failure of this timing gate cannot hide the steps above

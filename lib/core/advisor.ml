@@ -309,18 +309,6 @@ let run ?(resume = true) ?on_point (engine : Engine.t)
 let json_of_entry (e : entry) : J.t =
   let cfg = e.e_config in
   let sp = e.e_point in
-  let metrics =
-    match sp.Engine.sp_metrics with
-    | None -> J.Null
-    | Some m ->
-      J.Obj
-        [ ("area_um2", J.Float m.Engine.pm_area_um2);
-          ("timing_ns", J.Float m.Engine.pm_timing_ns);
-          ("security", J.Float m.Engine.pm_security);
-          ("security_mode",
-           J.String
-             (C.Flow_config.score_mode_to_string m.Engine.pm_security_mode)) ]
-  in
   J.Obj
     [ ("name", J.String e.e_name);
       ("rank", (match e.e_rank with None -> J.Null | Some r -> J.Int r));
@@ -334,7 +322,7 @@ let json_of_entry (e : entry) : J.t =
        (match sp.Engine.sp_fabrics with
        | None -> J.Null
        | Some f -> J.String f));
-      ("metrics", metrics);
+      ("metrics", Engine.json_of_metrics sp.Engine.sp_metrics);
       ("dominated_by",
        (match e.e_dominated_by with None -> J.Null | Some w -> J.String w)) ]
 

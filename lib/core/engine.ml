@@ -24,6 +24,7 @@ module C = Alice_config
 module D = Alice_diag.Diag
 module F = Alice_fabric
 module Fi = Alice_fault.Fault
+module J = Alice_config.Json_lite
 
 (* The selection-scoring seam, re-exported so library users configure
    measured scoring without reaching into [lib/core] internals. *)
@@ -133,6 +134,16 @@ type point_metrics = {
   pm_security : float;
   pm_security_mode : C.Flow_config.score_mode;
 }
+
+let json_of_metrics : point_metrics option -> J.t = function
+  | None -> J.Null
+  | Some m ->
+    J.Obj
+      [ ("area_um2", J.Float m.pm_area_um2);
+        ("timing_ns", J.Float m.pm_timing_ns);
+        ("security", J.Float m.pm_security);
+        ( "security_mode",
+          J.String (C.Flow_config.score_mode_to_string m.pm_security_mode) ) ]
 
 type sweep_point = {
   sp_name : string;

@@ -99,6 +99,10 @@ type point_metrics = {
       (** which scale [pm_security] is on *)
 }
 
+(** The four-key object [advise] reports and the server's sweep and
+    advise rows carry as ["metrics"]; [null] for an infeasible point. *)
+val json_of_metrics : point_metrics option -> C.Json_lite.t
+
 (** One sweep row: the marshalable summary of a completed flow that the
     checkpoint store persists — everything the sweep table and server
     sweep response report, but not the full {!Flow.t}. *)

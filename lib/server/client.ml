@@ -5,7 +5,12 @@ module Fi = Alice_fault.Fault
 
 exception Connection_error of string
 
-type t = { ic : in_channel; oc : out_channel; faults : Fi.t }
+type t = {
+  ic : in_channel;
+  oc : out_channel;
+  timeout_s : float;
+  faults : Fi.t;
+}
 
 let connect ?(timeout_s = 60.0) ?faults ~socket () : t =
   let faults = match faults with Some f -> f | None -> Fi.global () in
@@ -40,6 +45,7 @@ let connect ?(timeout_s = 60.0) ?faults ~socket () : t =
          with Unix.Unix_error _ -> ());
       { ic = Unix.in_channel_of_descr fd;
         oc = Unix.out_channel_of_descr fd;
+        timeout_s;
         faults }
     with
     | Unix.Unix_error (e, _, _) ->
@@ -96,6 +102,12 @@ let rpc_gen (t : t) (line : string) (on_event : (string -> unit) option) :
           (Connection_error "server closed the connection without a response"))
     | exception (Sys_error msg | Unix.Unix_error (_, msg, _)) ->
       raise (Connection_error ("receive failed: " ^ msg))
+    | exception Sys_blocked_io ->
+      (* the receive timeout expired: the read came back EAGAIN *)
+      raise
+        (Connection_error
+           (Printf.sprintf "receive timed out: no response within %gs"
+              t.timeout_s))
   in
   recv ()
 

@@ -168,18 +168,7 @@ let row_fields ~(minor : int) (sp : A.Engine.sweep_point) :
       ("attacks_run", J.Int sp.A.Engine.sp_attacks_run);
       ("attacks_cached", J.Int sp.A.Engine.sp_attacks_cached);
       ("attacks_inconclusive", J.Int sp.A.Engine.sp_attacks_inconclusive);
-      ( "metrics",
-        match sp.A.Engine.sp_metrics with
-        | None -> J.Null
-        | Some m ->
-          J.Obj
-            [ ("area_um2", J.Float m.A.Engine.pm_area_um2);
-              ("timing_ns", J.Float m.A.Engine.pm_timing_ns);
-              ("security", J.Float m.A.Engine.pm_security);
-              ( "security_mode",
-                J.String
-                  (C.Flow_config.score_mode_to_string
-                     m.A.Engine.pm_security_mode) ) ] );
+      ("metrics", A.Engine.json_of_metrics sp.A.Engine.sp_metrics);
       ("resumed", J.Bool sp.A.Engine.sp_resumed) ]
 
 (* The one row path of sweep and advise. [run] drives the points through
@@ -866,6 +855,15 @@ let start ?engine (cfg : config) : t =
   if cfg.max_in_flight < 1 then
     invalid_arg "serve: max_in_flight must be at least 1";
   if cfg.max_queue < 0 then invalid_arg "serve: max_queue must be >= 0";
+  (* a zero receive timeout means none at all, and a non-positive
+     deadline skips every cluster *)
+  let check_seconds name s =
+    if not (Float.is_finite s && s > 0.0) then
+      invalid_arg
+        (Printf.sprintf "serve: %s must be positive and finite, got %g" name s)
+  in
+  check_seconds "idle_timeout_s" cfg.idle_timeout_s;
+  Option.iter (check_seconds "deadline_s") cfg.deadline_s;
   (* a worker writing to a client that vanished must see EPIPE, not die *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> ());
   let engine =

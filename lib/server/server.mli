@@ -102,9 +102,10 @@ type t
     return immediately. [engine] defaults to {!Alice.Engine.of_config}
     of the base document's cache knobs. A stale Unix socket file (no
     listener behind it) is removed; a live one raises
-    [Invalid_argument], as does an empty [listen]. Installs the
-    engine's warning sink (cache-degradation events feed the [stats]
-    counters) and ignores SIGPIPE process-wide. *)
+    [Invalid_argument], as do an empty [listen] and, before anything
+    binds, an [idle_timeout_s] or [deadline_s] that is not positive and
+    finite. Installs the engine's warning sink (cache-degradation events
+    feed the [stats] counters) and ignores SIGPIPE process-wide. *)
 val start : ?engine:A.Engine.t -> config -> t
 
 (** The endpoints actually listening, in [config.listen] order, with

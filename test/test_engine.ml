@@ -325,23 +325,44 @@ let test_batch_soc_warm () =
     A.Flow.request ~config:soc_cfg
       (A.Flow.Text { text = Alice_benchmarks.Soc.source; file = Some "soc.v" })
   in
+  (* the selected solution: each eFPGA's cluster and fabric, and the
+     total score *)
+  let best (flow : A.Flow.t) =
+    Option.map
+      (fun (s : A.Selection.solution) ->
+        ( List.map
+            (fun (e : A.Selection.efpga_impl) ->
+              ( e.A.Selection.cluster.A.Clustering.key,
+                Alice_fabric.Fabric.size_label
+                  e.A.Selection.impl.Alice_fabric.Size_search.fabric ))
+            s.A.Selection.efpgas,
+          s.A.Selection.total_score ))
+      flow.A.Flow.selection.A.Selection.best
+  in
   let root = tmp_root () in
   let engine = A.Engine.create ~cache_dir:root () in
   (* one batch, same job twice: the second must reuse everything *)
-  (match List.map (A.Engine.run engine) [ req (); req () ] with
-  | [ first; second ] ->
-    Alcotest.(check bool) "first computes" true
-      (first.A.Flow.char_stats.A.Characterize.computed > 0);
-    Alcotest.(check int) "second: zero recomputations" 0
-      second.A.Flow.char_stats.A.Characterize.computed;
-    Alcotest.(check int) "second: all hits"
-      second.A.Flow.char_stats.A.Characterize.unique
-      second.A.Flow.char_stats.A.Characterize.cache_hits
-  | _ -> Alcotest.fail "batch arity");
+  let first, second =
+    match List.map (A.Engine.run engine) [ req (); req () ] with
+    | [ first; second ] -> (first, second)
+    | _ -> Alcotest.fail "batch arity"
+  in
+  Alcotest.(check bool) "first computes" true
+    (first.A.Flow.char_stats.A.Characterize.computed > 0);
+  Alcotest.(check int) "second: zero recomputations" 0
+    second.A.Flow.char_stats.A.Characterize.computed;
+  Alcotest.(check int) "second: all hits"
+    second.A.Flow.char_stats.A.Characterize.unique
+    second.A.Flow.char_stats.A.Characterize.cache_hits;
   (* a new engine over the same store: warm across processes too *)
   let warm = A.Engine.run (A.Engine.create ~cache_dir:root ()) (req ()) in
   Alcotest.(check int) "fresh engine: zero recomputations" 0
-    warm.A.Flow.char_stats.A.Characterize.computed
+    warm.A.Flow.char_stats.A.Characterize.computed;
+  Alcotest.(check bool) "first selects a solution" true (best first <> None);
+  Alcotest.(check bool) "second selects the first's solution" true
+    (best second = best first);
+  Alcotest.(check bool) "fresh engine selects the first's solution" true
+    (best warm = best first)
 
 (* ---------- concurrent writers, one cache dir ---------- *)
 

@@ -227,7 +227,7 @@ let test_flow_jobs_equivalence () =
         (flow_sig serial = flow_sig parallel))
     [ "GCD"; "SASC" ]
 
-(* ---------- determinism: the SoC flow twice at jobs=4 ---------- *)
+(* ---------- determinism: the SoC flow at jobs=4 and jobs=1 ---------- *)
 
 let soc_cfg ~jobs =
   { C.Flow_config.cfg1 with
@@ -238,10 +238,12 @@ let soc_cfg ~jobs =
 
 let test_soc_parallel_determinism () =
   let ast = V.Parser.parse ~file:"soc.v" Alice_benchmarks.Soc.source in
-  let run () = flow_ast ~config:(soc_cfg ~jobs:4) ast in
-  let first = run () and second = run () in
+  let run jobs = flow_ast ~config:(soc_cfg ~jobs) ast in
+  let first = run 4 and second = run 4 and serial = run 1 in
   Alcotest.(check bool) "SoC flow is deterministic at jobs=4" true
     (flow_sig first = flow_sig second);
+  Alcotest.(check bool) "SoC flow at jobs=4 equals jobs=1" true
+    (flow_sig first = flow_sig serial);
   Alcotest.(check bool) "the SoC flow actually selects a solution" true
     (first.A.Flow.selection.A.Selection.best <> None)
 

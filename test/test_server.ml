@@ -621,6 +621,59 @@ let test_server_busy_rejection () =
       in
       retry 20)
 
+(* regression: a zero idle timeout set a receive timeout of 0, which
+   means none, so one silent client pinned a worker for good; a zero or
+   negative deadline skipped every cluster. Both are refused before
+   anything binds. *)
+let test_server_rejects_bad_timeouts () =
+  let socket = tmp_socket () in
+  let base = S.Server.default_config ~socket_path:socket in
+  List.iter
+    (fun (label, cfg) ->
+      match S.Server.start ~engine:(A.Engine.create ~cache:false ()) cfg with
+      | exception Invalid_argument _ ->
+        Alcotest.(check bool) (label ^ ": nothing bound") false
+          (Sys.file_exists socket)
+      | t ->
+        S.Server.stop t;
+        S.Server.wait t;
+        Alcotest.failf "%s accepted" label)
+    [ ("idle timeout 0", { base with S.Server.idle_timeout_s = 0.0 });
+      ("idle timeout -1", { base with S.Server.idle_timeout_s = -1.0 });
+      ("idle timeout nan", { base with S.Server.idle_timeout_s = nan });
+      ("idle timeout inf", { base with S.Server.idle_timeout_s = infinity });
+      ("deadline 0", { base with S.Server.deadline_s = Some 0.0 });
+      ("deadline -1", { base with S.Server.deadline_s = Some (-1.0) });
+      ("deadline nan", { base with S.Server.deadline_s = Some nan }) ]
+
+(* regression: an expired receive timeout escaped the client as
+   [Sys_blocked_io], an internal error that also skipped the retry
+   loop. A listener that never accepts never answers. *)
+let test_client_receive_timeout () =
+  let path = tmp_socket () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Sys.remove path)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd 4;
+      let retry =
+        { S.Client.default_retry with
+          S.Client.attempts = 2; base_delay_s = 0.001 }
+      in
+      match
+        S.Client.one_shot ~timeout_s:0.05 ~retry ~socket:path
+          (S.Protocol.ping_request ())
+      with
+      | exception S.Client.Connection_error msg ->
+        Alcotest.(check bool)
+          ("names the timeout: " ^ msg)
+          true
+          (String.starts_with ~prefix:"receive timed out" msg)
+      | resp -> Alcotest.failf "got a response: %s" resp)
+
 let test_server_cheap_lane_no_starvation () =
   (* Saturate every heavy slot with redact requests whose server-side
      file source is a FIFO nobody is writing yet: each pins its worker
@@ -1249,6 +1302,10 @@ let tests =
     Alcotest.test_case "invalid requests visible in stats" `Quick
       test_server_invalid_op_metrics;
     Alcotest.test_case "busy rejection" `Quick test_server_busy_rejection;
+    Alcotest.test_case "start rejects bad timeouts" `Quick
+      test_server_rejects_bad_timeouts;
+    Alcotest.test_case "client receive timeout" `Quick
+      test_client_receive_timeout;
     Alcotest.test_case "cheap lane immune to heavy saturation" `Quick
       test_server_cheap_lane_no_starvation;
     Alcotest.test_case "streaming sweep" `Quick test_server_streaming_sweep;

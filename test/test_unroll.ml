@@ -1,5 +1,5 @@
-(* Time-frame expansion, BLIF export, and the approximate attack
-   baseline. *)
+(* Time-frame expansion, the sequential attack, and the approximate
+   attack baseline. *)
 
 module V = Alice_verilog
 module N = Alice_netlist
@@ -60,33 +60,6 @@ let test_unroll_is_combinational () =
   (match N.Unroll.unroll ~cycles:0 c with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "cycles=0 must be rejected")
-
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
-let test_blif_export () =
-  let c = build accum_src in
-  let mapped, _ = N.Lutmap.map ~k:4 c in
-  let blif = N.Blif.of_circuit mapped in
-  Alcotest.(check bool) "model line" true (contains blif ".model");
-  Alcotest.(check bool) "inputs line" true (contains blif ".inputs");
-  Alcotest.(check bool) "outputs line" true (contains blif ".outputs");
-  Alcotest.(check bool) "latches for each dff" true (contains blif ".latch");
-  Alcotest.(check bool) "names blocks" true (contains blif ".names");
-  Alcotest.(check bool) "terminated" true (contains blif ".end");
-  (* one .latch per DFF, one .names per gate *)
-  let count tag =
-    List.length
-      (List.filter (fun line -> String.length line >= String.length tag
-                                && String.sub line 0 (String.length tag) = tag)
-         (String.split_on_char '\n' blif))
-  in
-  Alcotest.(check int) "latch count" (N.Circuit.dff_count mapped) (count ".latch");
-  Alcotest.(check int) "names count" (N.Circuit.gate_count mapped) (count ".names");
-  let sym = N.Blif.of_circuit_with_symbols mapped in
-  Alcotest.(check bool) "symbols appended" true (contains sym "# output q[0]")
 
 let test_approx_attack () =
   let c =
@@ -167,7 +140,6 @@ let test_lock_unrolled_shares_keys () =
 let tests =
   [ Alcotest.test_case "unroll matches stepping" `Quick test_unroll_matches_stepping;
     Alcotest.test_case "unroll is combinational" `Quick test_unroll_is_combinational;
-    Alcotest.test_case "blif export" `Quick test_blif_export;
     Alcotest.test_case "approx attack" `Quick test_approx_attack;
     Alcotest.test_case "approx vs sat" `Quick test_approx_attack_weaker_than_sat;
     Alcotest.test_case "no-scan sequential attack" `Quick test_seq_attack_no_scan;
