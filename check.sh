@@ -256,6 +256,14 @@ if ! grep -Eq '^stages: netlist [0-9]+ computed, [1-9][0-9]* hits' \
   cat "$tmpdir/grid_stderr.txt" >&2
   exit 1
 fi
+# no axis is a front-end field: the eight points parse, elaborate,
+# filter and cluster the design once
+if ! grep -Eq '^stages: .*; front 1 computed, 7 hits$' \
+  "$tmpdir/grid_stderr.txt"; then
+  echo "check.sh: the advise grid re-ran the front end across points:" >&2
+  cat "$tmpdir/grid_stderr.txt" >&2
+  exit 1
+fi
 # one line per candidate: k, width bound, utilization, fabrics and metrics
 advise_rows() {
   sed 's/{"name":/\n&/g' "$1" \
@@ -390,6 +398,27 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/nan.json" \
   cat "$tmpdir/nan.json" >&2
   exit 1
 fi
+
+# so are a pin or eFPGA budget below 1 and a selected output the top
+# module lacks: each would empty the run and end in an E0801 blaming
+# the design
+printf 'max_io_pins: 0\n' > "$tmpdir/bad_pins.yaml"
+printf 'max_efpgas: 0\n' > "$tmpdir/bad_efpgas.yaml"
+printf 'top: gcd\nselected_outputs:\n  - no_such_output\n' \
+  > "$tmpdir/bad_outputs.yaml"
+for bad in pins efpgas outputs; do
+  set +e
+  "$ALICE" redact "$tmpdir/gcd.v" -c "$tmpdir/bad_$bad.yaml" --no-cache \
+    --diag-format=json > "$tmpdir/bad_$bad.json" 2> /dev/null
+  code=$?
+  set -e
+  if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/bad_$bad.json" \
+    || grep -q '"code":"E0801"' "$tmpdir/bad_$bad.json"; then
+    echo "check.sh: redact with bad_$bad.yaml exited $code without E0602:" >&2
+    cat "$tmpdir/bad_$bad.json" >&2
+    exit 1
+  fi
+done
 
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'

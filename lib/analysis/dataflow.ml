@@ -177,61 +177,71 @@ let nested a b =
   prefix (a : V.Design.tree).path (b : V.Design.tree).path
   || prefix b.path a.path
 
+(* An instance's port nodes: outputs and inouts for [`Out], inputs and
+   inouts for [`In]. *)
+let port_nodes (t : t) kind (n : V.Design.tree) : int list =
+  let em = V.Elaborate.find_emodule t.design n.module_name in
+  List.filter_map
+    (fun (p : V.Elaborate.eport) ->
+      if (kind = `Out && p.dir <> V.Ast.Input)
+         || (kind = `In && p.dir <> V.Ast.Output)
+      then Graph.find_node t.graph (var_label n.path p.pname)
+      else None)
+    em.V.Elaborate.em_ports
+
+(** One dependence notion as a predicate that finds each instance's
+    input nodes and the nodes its outputs reach once, however many
+    pairs it is asked about. [transitive] follows any dataflow path;
+    otherwise an output reaches one or two hops, i.e. a wire straight
+    into the other's input or through one continuous assignment of
+    their parent. Nesting counts as dependence either way. *)
+let dependence (t : t) ~(transitive : bool) :
+    V.Design.tree -> V.Design.tree -> bool =
+  let memo = Hashtbl.create 16 in
+  let reach_of (n : V.Design.tree) =
+    match Hashtbl.find_opt memo n.path with
+    | Some r -> r
+    | None ->
+      let outs = port_nodes t `Out n in
+      let reach =
+        if transitive then Graph.reachable t.graph outs
+        else begin
+          let hops = Hashtbl.create 16 in
+          List.iter
+            (fun o ->
+              List.iter
+                (fun mid ->
+                  Hashtbl.replace hops mid ();
+                  List.iter
+                    (fun i -> Hashtbl.replace hops i ())
+                    (Graph.succ t.graph mid))
+                (Graph.succ t.graph o))
+            outs;
+          hops
+        end
+      in
+      let r = (port_nodes t `In n, reach) in
+      Hashtbl.add memo n.path r;
+      r
+  in
+  let flows_to src dst =
+    let _, reach = reach_of src and ins, _ = reach_of dst in
+    List.exists (Hashtbl.mem reach) ins
+  in
+  fun a b -> nested a b || flows_to a b || flows_to b a
+
 (** Direct dependence: one instance's output is wired (possibly through
     the fabric of its parent's continuous assignments, i.e. one hop of
     the dataflow graph) straight into the other's input. This is the
     default notion of "independent modules" for multi-module redaction:
     modules whose only interaction passes through third-party logic can
     still share an eFPGA, since each keeps its own GPIO connections. *)
-let instances_directly_connected (t : t) (a : V.Design.tree) (b : V.Design.tree)
-    : bool =
-  if nested a b then true
-  else begin
-    let port_nodes kind (n : V.Design.tree) =
-      let em = V.Elaborate.find_emodule t.design n.module_name in
-      List.filter_map
-        (fun (p : V.Elaborate.eport) ->
-          if (kind = `Out && p.dir <> V.Ast.Input)
-             || (kind = `In && p.dir <> V.Ast.Output)
-          then Graph.find_node t.graph (var_label n.path p.pname)
-          else None)
-        em.V.Elaborate.em_ports
-    in
-    (* one- or two-hop adjacency: out-port -> parent wire -> in-port *)
-    let feeds src dst =
-      let outs = port_nodes `Out src in
-      let dst_ins = port_nodes `In dst in
-      List.exists
-        (fun o ->
-          List.exists
-            (fun mid ->
-              List.mem mid dst_ins
-              || List.exists (fun i -> List.mem i dst_ins) (Graph.succ t.graph mid))
-            (Graph.succ t.graph o))
-        outs
-    in
-    feeds a b || feeds b a
-  end
+let instances_directly_connected (t : t) : V.Design.tree -> V.Design.tree -> bool
+    =
+  dependence t ~transitive:false
 
 (** Transitive dependence: any dataflow path connects the two instances,
     even through registers and unrelated logic. Two instances can share
     an eFPGA only when independent, i.e. this returns [false]. *)
-let instances_dependent (t : t) (a : V.Design.tree) (b : V.Design.tree) : bool =
-  let ports kind (n : V.Design.tree) =
-    let em = V.Elaborate.find_emodule t.design n.module_name in
-    List.filter_map
-      (fun (p : V.Elaborate.eport) ->
-        if (kind = `Out && p.dir <> V.Ast.Input)
-           || (kind = `In && p.dir <> V.Ast.Output)
-        then Graph.find_node t.graph (var_label n.path p.pname)
-        else None)
-      em.V.Elaborate.em_ports
-  in
-  if nested a b then true
-  else begin
-    let flows_to src dst =
-      let from_outs = Graph.reachable t.graph (ports `Out src) in
-      List.exists (fun n -> Hashtbl.mem from_outs n) (ports `In dst)
-    in
-    flows_to a b || flows_to b a
-  end
+let instances_dependent (t : t) : V.Design.tree -> V.Design.tree -> bool =
+  dependence t ~transitive:true

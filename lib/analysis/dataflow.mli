@@ -27,6 +27,15 @@ val instances_affecting : t -> output:string -> Alice_verilog.Design.tree list
     descending score. [outputs = []] means all top outputs. *)
 val module_scores : t -> outputs:string list -> (string * int) list
 
+(** One dependence notion — {!instances_dependent} when [transitive],
+    else {!instances_directly_connected} — as a predicate that finds
+    each instance's input nodes and the nodes its outputs reach once,
+    however many pairs it is asked about: for whole dependence
+    relations. *)
+val dependence :
+  t -> transitive:bool -> Alice_verilog.Design.tree ->
+  Alice_verilog.Design.tree -> bool
+
 (** Direct dependence: one instance's output is wired (within two hops of
     the dataflow graph, i.e. through at most one continuous assignment)
     into the other's input. The default notion of "independent modules"

@@ -150,8 +150,14 @@ let of_doc (doc : J.t) : t =
     let n = J.get_int ~default:d.luts_per_clb fabric "luts_per_clb" in
     if n < 1 then invalid_arg "fabric.luts_per_clb: must be at least 1" else n
   in
-  { max_io_pins = J.get_int ~default:d.max_io_pins doc "max_io_pins";
-    max_efpgas = J.get_int ~default:d.max_efpgas doc "max_efpgas";
+  (* a zero pin budget admits no module and a zero eFPGA budget no
+     solution: either would end the run blaming the design *)
+  let at_least_1 key default =
+    let n = J.get_int ~default doc key in
+    if n < 1 then invalid_arg (key ^ ": must be at least 1") else n
+  in
+  { max_io_pins = at_least_1 "max_io_pins" d.max_io_pins;
+    max_efpgas = at_least_1 "max_efpgas" d.max_efpgas;
     alpha = J.get_float ~default:d.alpha doc "alpha";
     beta = J.get_float ~default:d.beta doc "beta";
     lut_inputs =

@@ -101,7 +101,8 @@ val cfg2 : t
 (** Read a configuration from a parsed document — a YAML file or a JSON
     request, both {!Json_lite.t}; unknown keys fall back to {!default}.
     Raises [Invalid_argument] on type mismatches and out-of-range values
-    (among them a [fabric.target_utilization] outside (0, 1\] or a
+    (among them a [max_io_pins] or [max_efpgas] below 1, a
+    [fabric.target_utilization] outside (0, 1\] or a
     [fabric.min_clb_utilization] outside \[0, 1\], nan included). *)
 val of_doc : Json_lite.t -> t
 

@@ -122,17 +122,33 @@ let through (s : 'v stage) (key : string) (compute : unit -> 'v) : 'v =
   Atomic.incr (if hit then s.hits else s.computed);
   v
 
+(* What [Flow] builds before characterization, for one source and
+   front-end configuration. All of it is immutable, so one value is
+   shared by every request and domain that hits it. *)
+type front = {
+  ast : V.Ast.design;
+  design : V.Elaborate.design;
+  filtering : Filtering.result;
+  clusters : Clustering.cluster list;
+  diags : D.t list;
+}
+
 type cache = {
   final : (string, characterization) Memo.t;
   netlists : N.Circuit.t stage;
   mapped_circuits : N.Circuit.t stage;
   packed : F.Place.clb list stage;
   placed : (F.Place.placement * F.Route.report) stage;
+  fronts : front stage;
 }
 
 let create_cache ?load ?save () : cache =
   { final = Memo.create ~size:64 ?load ?save (); netlists = stage ();
-    mapped_circuits = stage (); packed = stage (); placed = stage () }
+    mapped_circuits = stage (); packed = stage (); placed = stage ();
+    fronts = stage () }
+
+let front_stage (c : cache) ~(key : string) (compute : unit -> front) : front =
+  through c.fronts key compute
 
 type stage_stats = { stage : string; stage_hits : int; stage_computed : int }
 
@@ -142,7 +158,7 @@ let stage_stats (c : cache) : stage_stats list =
       stage_computed = Atomic.get s.computed }
   in
   [ count "netlist" c.netlists; count "mapped" c.mapped_circuits;
-    count "packed" c.packed; count "placed" c.placed ]
+    count "packed" c.packed; count "placed" c.placed; count "front" c.fronts ]
 
 type stats = {
   clusters : int;

@@ -60,7 +60,10 @@ val cluster_circuit :
     (+ GPIO per tile and one fabric width). A stage is written only when
     it returns, so a fault is never reused; stage lookups run inside
     the one pooled task of their characterization. The stages add
-    nothing to the persistent store: the final entry is the same. *)
+    nothing to the persistent store: the final entry is the same.
+
+    The cache also holds {!Flow}'s front end as one more in-memory
+    stage, [front] (see {!front_stage}). *)
 type cache
 
 val create_cache :
@@ -69,11 +72,34 @@ val create_cache :
   unit ->
   cache
 
+(** What {!Flow.run_request} builds before characterization — parse,
+    elaboration, filtering and clustering of one source under one
+    front-end configuration — minus the dataflow graph, which nothing
+    reads after clustering: the AST, the elaborated design, the
+    filtering result, the clusters, and the diagnostics recorded on the
+    way (syntax errors, phase faults), replayed into every request that
+    hits. Every part is immutable, so a value is shared across requests
+    and domains. *)
+type front = {
+  ast : V.Ast.design;
+  design : V.Elaborate.design;
+  filtering : Filtering.result;
+  clusters : Clustering.cluster list;
+  diags : D.t list;
+}
+
+(** [front_stage cache ~key compute] is the front end [cache] holds
+    under [key], else [compute ()], stored when it returns: an
+    exception propagates and stores nothing. The caller owns the key,
+    which must determine the value. *)
+val front_stage : cache -> key:string -> (unit -> front) -> front
+
 (** One stage's cumulative lookups since {!create_cache}: [stage] is
-    ["netlist"], ["mapped"], ["packed"] or ["placed"]. *)
+    ["netlist"], ["mapped"], ["packed"], ["placed"] or ["front"]. *)
 type stage_stats = { stage : string; stage_hits : int; stage_computed : int }
 
-(** The four stages' counters, in pipeline order. *)
+(** The four characterization stages' counters in pipeline order, then
+    the front stage's. *)
 val stage_stats : cache -> stage_stats list
 
 (** Per-{!run_all_stats} accounting, in unique cache keys: [unique] distinct

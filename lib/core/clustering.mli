@@ -23,7 +23,11 @@ val check_parameters : C.Flow_config.t -> cluster -> bool
     dependence notion. *)
 val cluster_independent : C.Flow_config.t -> A.Dataflow.t -> cluster -> bool
 
-(** The fixed point of Algorithm 2: all candidate clusters C. *)
+(** The fixed point of Algorithm 2: all candidate clusters C — the
+    singletons in candidate order, then each round's unions in the
+    order the pseudocode's pair loop finds them. Clusters are bitsets
+    over the candidates, and pairs a previous round already tried are
+    skipped; the list is the plain pair loop's. *)
 val run : A.Dataflow.t -> C.Flow_config.t -> Filtering.result -> cluster list
 
 (** Do the clusters share no instance? (Algorithm 3's combination

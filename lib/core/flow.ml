@@ -80,76 +80,146 @@ let elaborate_checked ?top (ast : V.Ast.design) : V.Elaborate.design =
     raise (V.Loc.Error
              (V.Loc.none, "elaboration failed: " ^ Printexc.to_string e))
 
+(* Fault isolation: run a phase, recording an exception that escapes
+   it into [collector] as a classified diagnostic and returning the
+   phase's degraded (empty) value. *)
+let guard (collector : D.Collector.t) ~phase ~degraded f =
+  try f () with
+  | Out_of_memory -> raise Out_of_memory
+  | e ->
+    D.Collector.add collector
+      { (D.of_exn e) with D.context = [ ("phase", phase) ] };
+    degraded
+
+(* A selected output the top module lacks would silently empty the
+   candidate set, and the run would end blaming the design; it is a
+   configuration error. *)
+let check_selected_outputs (config : C.Flow_config.t)
+    (design : V.Elaborate.design) : unit =
+  let top = V.Elaborate.find_emodule design design.V.Elaborate.d_top in
+  List.iter
+    (fun output ->
+      if
+        not
+          (List.exists
+             (fun (p : V.Elaborate.eport) ->
+               p.pname = output && p.dir <> V.Ast.Input)
+             top.V.Elaborate.em_ports)
+      then
+        invalid_arg
+          (Printf.sprintf "selected_outputs: %s is not an output of %s" output
+             design.V.Elaborate.d_top))
+    config.C.Flow_config.selected_outputs
+
+(* The front stage's key: the source — its text and file name, or the
+   marshalled AST — and every configuration field the front end reads:
+   [top] (elaboration), [selected_outputs] (the check above and
+   filtering), [min_score] (filtering), [max_io_pins] (filtering and
+   clustering) and [transitive_independence] (clustering). *)
+let front_key (config : C.Flow_config.t) (source : source) : string =
+  let c = config in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( source, c.C.Flow_config.top, c.max_io_pins, c.selected_outputs,
+            c.min_score, c.transitive_independence )
+          [ Marshal.No_sharing ]))
+
+(* Parse → elaborate → dataflow → filtering → clustering: everything
+   before characterization, as one memoizable value. Its diagnostics
+   are its own, for the caller to replay; a source that cannot be
+   elaborated (or selects an output it lacks) reports its syntax errors
+   to [collector] and raises, so it is never stored. [filtering_s] and
+   [clustering_s] receive the phases' wall clock. *)
+let front_end ~(collector : D.Collector.t) ~filtering_s ~clustering_s
+    (config : C.Flow_config.t) (source : source) : Characterize.front =
+  let own = D.Collector.create () in
+  match
+    let ast =
+      match source with
+      | Ast ast -> ast
+      | Text { text; file } ->
+        (* recovering front end: one pass reports every syntax error as
+           an [E0102] diagnostic and the surviving modules continue *)
+        let ast, errors = V.Parser.parse_with_recovery ?file text in
+        List.iter
+          (fun (loc, msg) ->
+            D.Collector.add own (D.error ~loc ~code:"E0102" "%s" msg))
+          errors;
+        ast
+    in
+    let design = elaborate_checked ?top:config.C.Flow_config.top ast in
+    check_selected_outputs config design;
+    (ast, design)
+  with
+  | exception e ->
+    List.iter (D.Collector.add collector) (D.Collector.list own);
+    raise e
+  | ast, design ->
+    let filtering, df =
+      timed (fun dt -> filtering_s := dt) (fun () ->
+          guard own ~phase:"filtering"
+            ~degraded:
+              ( { Filtering.candidates = []; scores = []; outputs_used = [] },
+                None )
+            (fun () ->
+              let df = A.Dataflow.build design in
+              (Filtering.run df config, Some df)))
+    in
+    let clusters =
+      timed (fun dt -> clustering_s := dt) (fun () ->
+          match df with
+          | None -> []  (* no dataflow graph: nothing to cluster *)
+          | Some df ->
+            guard own ~phase:"clustering" ~degraded:[] (fun () ->
+                Clustering.run df config filtering))
+    in
+    { Characterize.ast; design; filtering; clusters;
+      diags = D.Collector.list own }
+
 (** Run a {!request}. Raises {!Alice_verilog.Loc.Error} on malformed
-    input; an empty candidate set (like IIR under cfg1) is not an
+    input and [Invalid_argument] on a selected output the top module
+    lacks; an empty candidate set (like IIR under cfg1) is not an
     error — the result simply carries no solution. Later-phase faults
     never raise: they are recorded into [diags] (appended to the
     caller's collector when one is passed) and the faulting phase
-    degrades to an empty result. With [cache], characterizations are
-    served from and written back to the caller's cache (how {!Engine}
-    reuses work across runs); without it every run starts cold.
-    [attack_cache] plays the same role for measured-selection attack
-    verdicts and is unused when the configuration's [score_mode] is
-    [Heuristic]. *)
+    degrades to an empty result. With [cache], the front end and the
+    characterizations are served from and written back to the caller's
+    cache (how {!Engine} reuses work across runs; a front-end hit runs
+    neither filtering nor clustering, whose times are then 0); without
+    it every run starts cold. [attack_cache] plays the same role for
+    measured-selection attack verdicts and is unused when the
+    configuration's [score_mode] is [Heuristic]. *)
 let run_request ?(cache : Characterize.cache option)
     ?(attack_cache : Selection.Scorer.cache option) (req : request) : t =
   let config = req.config in
   let collector =
     match req.diags with Some c -> c | None -> D.Collector.create ()
   in
-  let ast =
-    match req.source with
-    | Ast ast -> ast
-    | Text { text; file } ->
-      (* recovering front end: one pass reports every syntax error as an
-         [E0102] diagnostic and the surviving modules continue *)
-      let ast, errors = V.Parser.parse_with_recovery ?file text in
-      List.iter
-        (fun (loc, msg) ->
-          D.Collector.add collector (D.error ~loc ~code:"E0102" "%s" msg))
-        errors;
-      ast
-  in
-  let design = elaborate_checked ?top:config.C.Flow_config.top ast in
   let filtering_s = ref 0.0
   and clustering_s = ref 0.0
   and selection_s = ref 0.0 in
-  (* fault isolation: record a classified diagnostic, return the
-     phase's degraded (empty) value *)
-  let guard ~phase ~degraded f =
-    try f () with
-    | Out_of_memory -> raise Out_of_memory
-    | e ->
-      D.Collector.add collector
-        { (D.of_exn e) with D.context = [ ("phase", phase) ] };
-      degraded
+  let front =
+    let compute () =
+      front_end ~collector ~filtering_s ~clustering_s config req.source
+    in
+    match cache with
+    | None -> compute ()
+    | Some cache ->
+      Characterize.front_stage cache ~key:(front_key config req.source)
+        compute
   in
-  let empty_filtering =
-    { Filtering.candidates = []; scores = []; outputs_used = [] }
-  in
+  List.iter (D.Collector.add collector) front.Characterize.diags;
+  let { Characterize.ast; design; filtering; clusters; _ } = front in
   let empty_selection =
     { Selection.valid = []; solutions = []; best = None;
       max_io_util = 0.0; max_clb_util = 0.0;
       attack = Selection.Scorer.empty_stats }
   in
-  let filtering, df =
-    timed (fun dt -> filtering_s := dt) (fun () ->
-        guard ~phase:"filtering" ~degraded:(empty_filtering, None) (fun () ->
-            let df = A.Dataflow.build design in
-            (Filtering.run df config, Some df)))
-  in
-  let clusters =
-    timed (fun dt -> clustering_s := dt) (fun () ->
-        match df with
-        | None -> []  (* no dataflow graph: nothing to cluster *)
-        | Some df ->
-          guard ~phase:"clustering" ~degraded:[] (fun () ->
-              Clustering.run df config filtering))
-  in
   let (characterized, char_stats), selection =
     timed (fun dt -> selection_s := dt) (fun () ->
         let characterized, char_stats =
-          guard ~phase:"characterize"
+          guard collector ~phase:"characterize"
             ~degraded:([], Characterize.empty_stats) (fun () ->
               Characterize.run_all_stats
                 ?deadline_s:config.C.Flow_config.characterize_deadline_s
@@ -166,7 +236,8 @@ let run_request ?(cache : Characterize.cache option)
             | Characterize.Implemented _ | Characterize.Infeasible _ -> ())
           characterized;
         let selection =
-          guard ~phase:"selection" ~degraded:empty_selection (fun () ->
+          guard collector ~phase:"selection" ~degraded:empty_selection
+            (fun () ->
               let total_instances =
                 List.length (Filtering.candidate_instances filtering)
               in

@@ -65,14 +65,25 @@ val request :
   ?config:C.Flow_config.t -> ?diags:D.Collector.t -> source -> request
 
 (** Run a {!request}. An empty candidate set (like IIR under cfg1) is
-    not an error — the result simply carries no solution. When the
-    request carries a collector, diagnostics are appended to it (on top
-    of anything already in it) as well as reported on the result. With
-    [cache], characterizations are served from and written back to the
-    caller's cache — this is how {!Engine} reuses work across runs;
-    without it every run starts cold. [attack_cache] plays the same
-    role for measured-selection attack verdicts (ignored when the
-    configuration's [score_mode] is [Heuristic]). *)
+    not an error — the result simply carries no solution. A
+    [selected_outputs] entry that names no output of the top module
+    raises [Invalid_argument] (an [E0602] through {!classify_exn})
+    before any characterization. When the request carries a collector,
+    diagnostics are appended to it (on top of anything already in it)
+    as well as reported on the result. With [cache], the front end
+    (parse → elaborate → dataflow → filtering → clustering) and the
+    characterizations are served from and written back to the caller's
+    cache — this is how {!Engine} reuses work across runs; without it
+    every run starts cold. The front stage is keyed by the source (its
+    text and file name, or the marshalled AST) and the configuration's
+    [top], [max_io_pins], [selected_outputs], [min_score] and
+    [transitive_independence]; a hit replays the stored syntax errors
+    and phase faults into this request's diagnostics and runs neither
+    filtering nor clustering, so both phase times are 0. A source that
+    fails to elaborate raises as without a cache and is never stored.
+    [attack_cache] plays the same role for measured-selection attack
+    verdicts (ignored when the configuration's [score_mode] is
+    [Heuristic]). *)
 val run_request :
   ?cache:Characterize.cache ->
   ?attack_cache:Selection.Scorer.cache ->

@@ -152,6 +152,23 @@ let test_utilization_bounds () =
   Alcotest.(check (float 0.0)) "floor of 1 accepted" 1.0
     c.C.Flow_config.min_clb_utilization
 
+(* a pin budget below 1 admits no module and an eFPGA budget below 1
+   no solution: both are refused naming the key, not run to an empty
+   result *)
+let test_budget_bounds () =
+  List.iter
+    (fun (key, v) ->
+      match C.Flow_config.of_string (Printf.sprintf "%s: %d" key v) with
+      | exception Invalid_argument m ->
+        Alcotest.(check string) (Printf.sprintf "%s: %d" key v)
+          (key ^ ": must be at least 1") m
+      | _ -> Alcotest.failf "%s: %d accepted" key v)
+    [ ("max_io_pins", 0); ("max_io_pins", -1); ("max_efpgas", 0);
+      ("max_efpgas", -2) ];
+  let c = C.Flow_config.of_string "max_io_pins: 1\nmax_efpgas: 1" in
+  Alcotest.(check (list int)) "smallest accepted" [ 1; 1 ]
+    C.Flow_config.[ c.max_io_pins; c.max_efpgas ]
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
@@ -161,4 +178,5 @@ let tests =
     Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults;
     Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound;
     Alcotest.test_case "clb and io bounds" `Quick test_clb_io_bounds;
-    Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds ]
+    Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds;
+    Alcotest.test_case "pin and eFPGA budget bounds" `Quick test_budget_bounds ]

@@ -124,36 +124,65 @@ let test_empty_candidates_flow () =
   Alcotest.(check bool) "no solution" true
     (flow.A.Flow.selection.A.Selection.best = None)
 
+(* a selected output the top module lacks is a configuration error
+   naming it, not a run that ends with no candidates *)
+let test_missing_selected_output () =
+  let config =
+    { demo_cfg with C.Flow_config.selected_outputs = [ "out1"; "no_such_output" ] }
+  in
+  match flow_text ~config demo_src with
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the output"
+      "selected_outputs: no_such_output is not an output of top" msg
+  | _ -> Alcotest.fail "the flow ran with a missing selected output"
+
+(* Algorithm 2's fixed point must produce exactly the admissible
+   subsets that direct enumeration produces: on the demo, and on every
+   paper design and the SoC under both configurations (up to 17
+   candidates, 2^17 subsets). A subset's pin sum is checked first from
+   per-instance pins (what [check_parameters] sums), so only subsets
+   within the budget pay for [make_cluster]. *)
 let test_fixed_point_equals_enumeration () =
-  (* Algorithm 2's fixed point must produce exactly the admissible
-     subsets that direct enumeration produces *)
-  let flow = run () in
-  let design = flow.A.Flow.design in
-  let df = Alice_analysis.Dataflow.build design in
-  let candidates =
-    A.Filtering.candidate_instances flow.A.Flow.filtering
-  in
-  (* enumerate all non-empty subsets, keep admissible ones *)
-  let n = List.length candidates in
-  let arr = Array.of_list candidates in
-  let subsets = ref [] in
-  for mask = 1 to (1 lsl n) - 1 do
-    let members = ref [] in
-    for i = 0 to n - 1 do
-      if (mask lsr i) land 1 = 1 then members := arr.(i) :: !members
+  let module B = Alice_benchmarks.Suite in
+  let check label design (cfg : C.Flow_config.t) =
+    let df = Alice_analysis.Dataflow.build design in
+    let filtering = A.Filtering.run df cfg in
+    let arr = Array.of_list (A.Filtering.candidate_instances filtering) in
+    let n = Array.length arr in
+    let pins = Array.map (Alice_analysis.Iocount.of_instance design) arr in
+    let subsets = ref [] in
+    for mask = 1 to (1 lsl n) - 1 do
+      let members = ref [] and sum = ref 0 in
+      for i = 0 to n - 1 do
+        if (mask lsr i) land 1 = 1 then begin
+          members := arr.(i) :: !members;
+          sum := !sum + pins.(i)
+        end
+      done;
+      if !sum <= cfg.C.Flow_config.max_io_pins then begin
+        let cluster = A.Clustering.make_cluster design !members in
+        if
+          A.Clustering.check_parameters cfg cluster
+          && A.Clustering.cluster_independent cfg df cluster
+        then subsets := cluster.A.Clustering.key :: !subsets
+      end
     done;
-    let cluster = A.Clustering.make_cluster design !members in
-    if
-      A.Clustering.check_parameters demo_cfg cluster
-      && A.Clustering.cluster_independent demo_cfg df cluster
-    then subsets := cluster.A.Clustering.key :: !subsets
-  done;
-  let expected = List.sort compare !subsets in
-  let got =
-    List.sort compare
-      (List.map (fun (c : A.Clustering.cluster) -> c.key) flow.A.Flow.clusters)
+    let got =
+      List.map
+        (fun (c : A.Clustering.cluster) -> c.key)
+        (A.Clustering.run df cfg filtering)
+    in
+    Alcotest.(check (list string))
+      (label ^ ": fixed point = enumeration")
+      (List.sort compare !subsets) (List.sort compare got)
   in
-  Alcotest.(check (list string)) "fixed point = enumeration" expected got
+  check "demo" (run ()).A.Flow.design demo_cfg;
+  List.iter
+    (fun (b : B.benchmark) ->
+      let design = B.elaborate b in
+      check (b.B.name ^ " cfg1") design (B.config1 b);
+      check (b.B.name ^ " cfg2") design (B.config2 b))
+    (B.all @ [ B.soc ])
 
 (* properties over randomized flow configurations *)
 let cluster_invariants_prop =
@@ -194,6 +223,8 @@ let tests =
     Alcotest.test_case "scoring formulas" `Quick test_scoring_formulas;
     Alcotest.test_case "efpga budget" `Quick test_max_efpgas_respected;
     Alcotest.test_case "empty candidate flow" `Quick test_empty_candidates_flow;
+    Alcotest.test_case "missing selected output" `Quick
+      test_missing_selected_output;
     Alcotest.test_case "fixed point equals enumeration" `Quick
       test_fixed_point_equals_enumeration;
     QCheck_alcotest.to_alcotest cluster_invariants_prop;

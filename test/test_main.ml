@@ -15,6 +15,7 @@ let () =
       ("fault", Test_fault.tests);
       ("security", Test_security.tests);
       ("flow", Test_flow.tests);
+      ("clustering", Test_clustering.tests);
       ("engine", Test_engine.tests);
       ("stages", Test_stages.tests);
       ("pareto", Test_pareto.tests);

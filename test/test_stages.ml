@@ -141,7 +141,8 @@ let staged_equals_fresh =
 (* check.sh's grid: k {4, 6} x max width {12, 16} x utilization
    {0.45, 0.5}. GCD has 27 unique clusters a point: synthesis runs once
    each, mapping and packing once per k, and the second utilization
-   re-places only where it moves the first feasible width. *)
+   re-places only where it moves the first feasible width. No axis is a
+   front-end field, so the front end runs once for the eight points. *)
 let test_grid_counters () =
   let base =
     { (B.config1 B.gcd) with
@@ -170,12 +171,203 @@ let test_grid_counters () =
   Alcotest.(check (list (triple string int int)))
     "stage (computed, hits)"
     [ ("netlist", 27, 189); ("mapped", 54, 162); ("packed", 54, 162);
-      ("placed", 66, 150) ]
+      ("placed", 66, 150); ("front", 1, 7) ]
     (List.map
        (fun (s : A.Characterize.stage_stats) ->
          (s.A.Characterize.stage, s.A.Characterize.stage_computed,
           s.A.Characterize.stage_hits))
        (A.Engine.stage_stats engine))
+
+(* ---------- the front stage ---------- *)
+
+(* the front stage's (computed, hits) *)
+let front_counts (cache : A.Characterize.cache) : int * int =
+  List.find_map
+    (fun (s : A.Characterize.stage_stats) ->
+      if s.A.Characterize.stage = "front" then
+        Some (s.A.Characterize.stage_computed, s.A.Characterize.stage_hits)
+      else None)
+    (A.Characterize.stage_stats cache)
+  |> Option.get
+
+let counts = Alcotest.(pair int int)
+
+(* four leaves under one top, one with a syntax error: the parser
+   recovers and reports an E0102, the rest runs *)
+let broken_src =
+  {|module f1 (input [7:0] a, output [7:0] y); assign y = a + 8'h1; endmodule
+    module f2 (input [7:0] a, output [7:0] y); assign y = a ^ 8'h55; endmodule
+    module f3 (input [7:0] a, output [7:0] y); assign y = {a[0], a[7:1]}; endmodule
+    module junk (input a, output y); assign y = ; endmodule
+    module top (input [7:0] x, output [7:0] out1, output [7:0] out2, output out3);
+      wire [7:0] t;
+      f1 u1 (.a(x), .y(t));
+      f2 u2 (.a(t), .y(out1));
+      f3 u3 (.a(x), .y(out2));
+      junk u4 (.a(x[0]), .y(out3));
+    endmodule|}
+
+let broken_cfg =
+  { C.Flow_config.default with
+    C.Flow_config.max_io_pins = 40; selected_outputs = [ "out1"; "out2" ];
+    min_fabric_size = 2; max_fabric_size = 12; jobs = 1 }
+
+let text ?(file = "design.v") text = A.Flow.Text { text; file = Some file }
+
+let codes (diags : Alice_diag.Diag.t list) =
+  List.map (fun (d : Alice_diag.Diag.t) -> d.Alice_diag.Diag.code) diags
+
+(* A front-stage hit changes nothing but the clock: after a first run
+   at another LUT size (same front end, every characterization
+   different), a second run through the cache equals a cacheless cold
+   run on every field but [times] — whose filtering and clustering
+   columns a hit leaves at 0 — and redacts to the same bytes. *)
+let test_front_warm_equals_cold () =
+  List.iter
+    (fun (name, source, (config : C.Flow_config.t)) ->
+      let config = { config with C.Flow_config.jobs = 1 } in
+      let cache = A.Characterize.create_cache () in
+      ignore
+        (A.Flow.run_request ~cache
+           (A.Flow.request
+              ~config:{ config with C.Flow_config.lut_inputs = 6 }
+              source));
+      let warm = A.Flow.run_request ~cache (A.Flow.request ~config source) in
+      let cold = A.Flow.run_request (A.Flow.request ~config source) in
+      Alcotest.check counts (name ^ ": one front end, one hit") (1, 1)
+        (front_counts cache);
+      let same field f =
+        Alcotest.(check bool) (name ^ ": " ^ field) true
+          (String.equal (Marshal.to_string (f warm) [])
+             (Marshal.to_string (f cold) []))
+      in
+      same "config" (fun (f : A.Flow.t) -> Obj.repr f.A.Flow.config);
+      same "ast" (fun f -> Obj.repr f.A.Flow.ast);
+      same "design" (fun f -> Obj.repr f.A.Flow.design);
+      same "filtering" (fun f -> Obj.repr f.A.Flow.filtering);
+      same "clusters" (fun f -> Obj.repr f.A.Flow.clusters);
+      same "characterized" (fun f -> Obj.repr f.A.Flow.characterized);
+      same "selection" (fun f -> Obj.repr f.A.Flow.selection);
+      same "diags" (fun f -> Obj.repr f.A.Flow.diags);
+      same "char_stats" (fun f -> Obj.repr f.A.Flow.char_stats);
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        (name ^ ": a hit runs neither filtering nor clustering") (0.0, 0.0)
+        (warm.A.Flow.times.A.Flow.filtering_s,
+         warm.A.Flow.times.A.Flow.clustering_s);
+      let verilog flow =
+        Option.map
+          (fun (r : A.Redact.redacted) -> r.A.Redact.verilog)
+          (A.Flow.redact flow)
+      in
+      Alcotest.(check (option string)) (name ^ ": redacted bytes")
+        (verilog cold) (verilog warm))
+    [ ("GCD", text B.gcd.B.source, B.config1 B.gcd);
+      ("GCD ast", A.Flow.Ast (B.parse B.gcd), B.config2 B.gcd);
+      ("SASC", text B.sasc.B.source, B.config1 B.sasc);
+      ("broken", text broken_src, broken_cfg) ]
+
+(* the recovered syntax error is reported by every run, hit or not *)
+let test_front_replays_syntax_errors () =
+  let cache = A.Characterize.create_cache () in
+  let run () =
+    let diags = Alice_diag.Diag.Collector.create () in
+    let flow =
+      A.Flow.run_request ~cache
+        (A.Flow.request ~config:broken_cfg ~diags (text broken_src))
+    in
+    (codes (Alice_diag.Diag.Collector.list diags), codes flow.A.Flow.diags)
+  in
+  let first = run () in
+  let second = run () in
+  Alcotest.check counts "computed once, then hit" (1, 1) (front_counts cache);
+  Alcotest.(check (pair (list string) (list string))) "cold run" ([ "E0102" ], [ "E0102" ])
+    first;
+  Alcotest.(check (pair (list string) (list string))) "hit replays" first second
+
+(* A source that cannot be elaborated reports its syntax errors and
+   raises, run after run; nothing is stored. So does a selected output
+   the top module lacks, before any characterization. *)
+let test_front_failures_not_stored () =
+  let unresolved =
+    {|module junk (input a, output y); assign y = ; endmodule
+      module top (input a, output y); missing u (.a(a), .y(y)); endmodule|}
+  in
+  let cache = A.Characterize.create_cache () in
+  for _ = 1 to 2 do
+    let diags = Alice_diag.Diag.Collector.create () in
+    (match
+       A.Flow.run_request ~cache
+         (A.Flow.request ~config:broken_cfg ~diags (text unresolved))
+     with
+    | exception Alice_verilog.Loc.Error _ -> ()
+    | _ -> Alcotest.fail "an unresolved module elaborated");
+    Alcotest.(check (list string)) "syntax errors reported" [ "E0102" ]
+      (codes (Alice_diag.Diag.Collector.list diags));
+    let config =
+      { broken_cfg with C.Flow_config.selected_outputs = [ "out1"; "nope" ] }
+    in
+    match
+      A.Flow.run_request ~cache (A.Flow.request ~config (text broken_src))
+    with
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the output"
+        "selected_outputs: nope is not an output of top" msg;
+      Alcotest.(check bool) "an E0602" true
+        (match A.Flow.classify_exn (Invalid_argument msg) with
+         | Some d -> d.Alice_diag.Diag.code = "E0602"
+         | None -> false)
+    | _ -> Alcotest.fail "a missing selected output ran"
+  done;
+  Alcotest.check counts "nothing stored" (0, 0) (front_counts cache);
+  Alcotest.(check (list (triple string int int)))
+    "no characterization ran"
+    [ ("netlist", 0, 0); ("mapped", 0, 0); ("packed", 0, 0); ("placed", 0, 0) ]
+    (List.filter_map
+       (fun (s : A.Characterize.stage_stats) ->
+         if s.A.Characterize.stage = "front" then None
+         else
+           Some
+             (s.A.Characterize.stage, s.A.Characterize.stage_computed,
+              s.A.Characterize.stage_hits))
+       (A.Characterize.stage_stats cache))
+
+(* The key holds the source and the five fields the front end reads:
+   changing any of them misses; fields only characterization or
+   selection read hit. *)
+let test_front_key () =
+  let cache = A.Characterize.create_cache () in
+  let run ?(source = text broken_src) config =
+    ignore (A.Flow.run_request ~cache (A.Flow.request ~config source))
+  in
+  run broken_cfg;
+  let expect label (computed, hits) f =
+    let c0, h0 = front_counts cache in
+    f ();
+    Alcotest.check counts label (c0 + computed, h0 + hits) (front_counts cache)
+  in
+  let b = broken_cfg in
+  expect "same request hits" (0, 1) (fun () -> run b);
+  List.iter
+    (fun (label, config) -> expect (label ^ " misses") (1, 0) (fun () -> run config))
+    [ ("top", { b with C.Flow_config.top = Some "top" });
+      ("max_io_pins", { b with C.Flow_config.max_io_pins = 41 });
+      ("selected_outputs", { b with C.Flow_config.selected_outputs = [ "out1" ] });
+      ("min_score", { b with C.Flow_config.min_score = 2 });
+      ("transitive_independence",
+       { b with C.Flow_config.transitive_independence = true }) ];
+  expect "text misses" (1, 0) (fun () -> run ~source:(text (broken_src ^ "\n")) b);
+  expect "file name misses" (1, 0) (fun () ->
+      run ~source:(text ~file:"other.v" broken_src) b);
+  let ast = A.Flow.Ast (Alice_verilog.Parser.parse B.gcd.B.source) in
+  let gcd = B.config1 B.gcd in
+  expect "an AST misses" (1, 0) (fun () -> run ~source:ast gcd);
+  expect "the same AST hits" (0, 1) (fun () -> run ~source:ast gcd);
+  List.iter
+    (fun (label, config) -> expect (label ^ " hits") (0, 1) (fun () -> run config))
+    [ ("lut_inputs", { b with C.Flow_config.lut_inputs = 6 });
+      ("max_fabric_size", { b with C.Flow_config.max_fabric_size = 10 });
+      ("target_utilization", { b with C.Flow_config.target_utilization = 0.6 });
+      ("max_efpgas", { b with C.Flow_config.max_efpgas = 1 }) ]
 
 (* ---------- a global pool fault lands where it always did ---------- *)
 
@@ -241,4 +433,11 @@ let tests =
   [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
       staged_equals_fresh;
     Alcotest.test_case "grid stage counters" `Quick test_grid_counters;
+    Alcotest.test_case "front hit equals cold run" `Quick
+      test_front_warm_equals_cold;
+    Alcotest.test_case "front hit replays syntax errors" `Quick
+      test_front_replays_syntax_errors;
+    Alcotest.test_case "front failures are not stored" `Quick
+      test_front_failures_not_stored;
+    Alcotest.test_case "front key fields" `Quick test_front_key;
     Alcotest.test_case "pool fault position" `Quick test_pool_fault_position ]
