@@ -159,6 +159,24 @@ if ! cmp -s "$tmpdir/mout_cold.v" "$tmpdir/mout_warm.v"; then
   echo "check.sh: measured redaction differs between cold and warm cache" >&2
   exit 1
 fi
+# four attack domains load and search their sessions side by side; a
+# cold run on them must give the serial cold run's bytes and verdicts
+dune exec --no-build bin/alice_cli.exe -- redact "$tmpdir/gcd.v" \
+  -c "$tmpdir/gcd.yaml" --score measured --attack-budget 2000 \
+  --attack-jobs 4 --cache-dir "$tmpdir/mcache4" --diag-format=json \
+  -o "$tmpdir/mout_jobs4.v" > /dev/null 2> "$tmpdir/mstderr_jobs4.txt"
+verdict_table() {
+  sed -n '/^attack: /,/^Design /{/^Design /!p;}' "$1"
+}
+verdict_table "$tmpdir/mstderr_cold.txt" > "$tmpdir/verdicts_jobs1.txt"
+verdict_table "$tmpdir/mstderr_jobs4.txt" > "$tmpdir/verdicts_jobs4.txt"
+if ! cmp -s "$tmpdir/mout_cold.v" "$tmpdir/mout_jobs4.v" \
+  || [ ! -s "$tmpdir/verdicts_jobs1.txt" ] \
+  || ! cmp -s "$tmpdir/verdicts_jobs1.txt" "$tmpdir/verdicts_jobs4.txt"; then
+  echo "check.sh: measured redaction differs between --attack-jobs 1 and 4:" >&2
+  diff "$tmpdir/verdicts_jobs1.txt" "$tmpdir/verdicts_jobs4.txt" >&2 || true
+  exit 1
+fi
 # the cold run must actually have attacked candidates...
 if ! grep -Eq 'attack: [1-9][0-9]* run, 0 cached' "$tmpdir/mstderr_cold.txt"; then
   echo "check.sh: measured cold run reported no attacks:" >&2

@@ -9,11 +9,12 @@ type clause = lit array
 
 type t = {
   mutable var_count : int;
-  mutable clauses : clause list;  (* reverse order of addition *)
+  mutable clauses : clause array;  (* addition order; the first
+                                       [clause_count] slots are used *)
   mutable clause_count : int;
 }
 
-let create () = { var_count = 0; clauses = []; clause_count = 0 }
+let create () = { var_count = 0; clauses = [||]; clause_count = 0 }
 
 let fresh_var (f : t) : int =
   f.var_count <- f.var_count + 1;
@@ -23,21 +24,21 @@ let fresh_vars (f : t) n : int array = Array.init n (fun _ -> fresh_var f)
 
 let add_clause (f : t) (c : lit list) : unit =
   assert (List.for_all (fun l -> l <> 0 && abs l <= f.var_count) c);
-  f.clauses <- Array.of_list c :: f.clauses;
-  f.clause_count <- f.clause_count + 1
+  let n = f.clause_count in
+  if n = Array.length f.clauses then begin
+    let grown = Array.make (max 16 (2 * n)) [||] in
+    Array.blit f.clauses 0 grown 0 n;
+    f.clauses <- grown
+  end;
+  f.clauses.(n) <- Array.of_list c;
+  f.clause_count <- n + 1
 
-let clause_list (f : t) : clause list = List.rev f.clauses
-
-(** Clauses added at position [>= n] (0-based, in addition order). The
-    incremental solver uses this to pull only the delta a caller encoded
-    since its last sync, in the exact order it was added. *)
-let clauses_from (f : t) (n : int) : clause list =
-  let rec take acc k rest =
-    if k <= 0 then acc
-    else
-      match rest with [] -> acc | c :: tl -> take (c :: acc) (k - 1) tl
-  in
-  take [] (f.clause_count - n) f.clauses
+(* up to the count at the call, so [g] may add clauses to [f] *)
+let iter_from (f : t) (n : int) (g : clause -> unit) : unit =
+  let clauses = f.clauses and stop = f.clause_count in
+  for i = n to stop - 1 do
+    g clauses.(i)
+  done
 
 let var_count f = f.var_count
 

@@ -18,12 +18,11 @@ val add_clause : t -> lit list -> unit
 
 val add_unit : t -> lit -> unit
 
-val clause_list : t -> clause list
-
-(** [clauses_from f n] is the clauses added at position [>= n] (0-based,
-    addition order): the delta since a caller last looked, used by the
-    incremental solver's sync. [clauses_from f 0 = clause_list f]. *)
-val clauses_from : t -> int -> clause list
+(** [iter_from f n g] applies [g] to every clause added at position
+    [>= n] (0-based), in addition order: the delta since a caller last
+    looked, read in place by the incremental solver's sync. [g] must not
+    mutate the clause. *)
+val iter_from : t -> int -> (clause -> unit) -> unit
 
 val var_count : t -> int
 

@@ -19,9 +19,9 @@
 module Circuit = Alice_netlist.Circuit
 
 type counterexample = {
-  inputs : (string * int) list;   (* per port, little-endian packed *)
-  outputs_a : (string * int) list;
-  outputs_b : (string * int) list;
+  inputs : (string * string) list;  (* per port, bits MSB first *)
+  outputs_a : (string * string) list;
+  outputs_b : (string * string) list;
 }
 
 type result =
@@ -106,13 +106,12 @@ let check_many ?solver_budget (a : Circuit.t) (bs : Circuit.t list) :
       | Solver.Unsat -> Equivalent
       | Solver.Unknown -> Unknown
       | Solver.Sat model ->
+        (* one character per bit, so a port of any width fits *)
         let pack nets map =
-          let v = ref 0 in
-          Array.iteri
-            (fun i n ->
-              if Solver.model_value model map.(n) then v := !v lor (1 lsl i))
-            nets;
-          !v
+          let w = Array.length nets in
+          String.init w (fun i ->
+              if Solver.model_value model map.(nets.(w - 1 - i)) then '1'
+              else '0')
         in
         Different
           { inputs =
@@ -142,7 +141,7 @@ let pp_counterexample fmt (cex : counterexample) =
   let pp_group fmt l =
     Format.pp_print_list
       ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-      (fun f (n, v) -> Format.fprintf f "%s=%d" n v)
+      (fun f (n, v) -> Format.fprintf f "%s=%s" n v)
       fmt l
   in
   Format.fprintf fmt "inputs: %a; a: %a; b: %a" pp_group cex.inputs pp_group

@@ -4,10 +4,13 @@
 
 module Circuit = Alice_netlist.Circuit
 
+(** Each port's value as a bit string, most significant bit first (bit
+    0 of the port is the last character), so ports of any width print
+    exactly. *)
 type counterexample = {
-  inputs : (string * int) list;  (** per port, little-endian packed *)
-  outputs_a : (string * int) list;
-  outputs_b : (string * int) list;
+  inputs : (string * string) list;
+  outputs_a : (string * string) list;
+  outputs_b : (string * string) list;
 }
 
 type result =

@@ -51,11 +51,15 @@ type t = {
      clauses), not O(history): deletion marks + one compaction pass *)
   mutable clause_data : clause_rec array;
   mutable clause_len : int;
-  mutable n_problem : int;             (* non-learnt clauses stored *)
-  mutable watches : clause_rec list array;  (* indexed by literal *)
+  (* per literal: the clauses watching it, as indices into
+     [clause_data], in a stack whose top (the last used slot) is the
+     head of the list a [c :: ws] representation would hold; see
+     [propagate] for the order it replays *)
+  mutable watches : int array array;
+  mutable watch_len : int array;
   mutable assign : int array;          (* per var: 0 unknown, 1 true, -1 false *)
   mutable level : int array;           (* per var *)
-  mutable reason : clause_rec option array; (* per var *)
+  mutable reason : int array;          (* per var: clause index or [no_clause] *)
   mutable trail : int array;           (* literals in assignment order *)
   mutable trail_size : int;
   mutable trail_lim : int array;       (* decision level boundaries *)
@@ -68,6 +72,10 @@ type t = {
   mutable heap_pos : int array;        (* per var: slot in [heap], -1 if out *)
   mutable phase : bool array;          (* saved phases *)
   mutable seen : bool array;           (* scratch for analyze *)
+  mutable learnt_buf : int array;      (* scratch for analyze *)
+  mutable load_buf : int array;        (* scratch for clause loading: one
+                                          per session, since sessions in
+                                          different domains load at once *)
   mutable lbd_stamp : int array;       (* scratch for LBD, by level *)
   mutable lbd_tick : int;
   mutable conflicts : int;
@@ -95,6 +103,13 @@ exception Assumption_unsat
 let dummy_clause =
   { lits = [||]; w1 = 0; w2 = 0; learnt = false; id = -1; lbd = 0;
     deleted = true }
+
+(* Watches, reasons and conflicts name a clause by its index in
+   [clause_data]. Being ints, they are stored without the write barrier
+   a pointer store into an old array pays. [reduce_db] renumbers the
+   clauses as it compacts them, clears every reason first and rebuilds
+   every watch list after. *)
+let no_clause = -1
 
 let default_reduce_base = 2_000
 
@@ -171,10 +186,11 @@ let ensure_vars (s : t) (n : int) : unit =
       cap := !cap * 2
     done;
     let cap = !cap in
-    s.watches <- grow_array s.watches ((2 * (cap + 1)) + 2) [];
+    s.watches <- grow_array s.watches ((2 * (cap + 1)) + 2) [||];
+    s.watch_len <- grow_array s.watch_len ((2 * (cap + 1)) + 2) 0;
     s.assign <- grow_array s.assign (cap + 1) 0;
     s.level <- grow_array s.level (cap + 1) 0;
-    s.reason <- grow_array s.reason (cap + 1) None;
+    s.reason <- grow_array s.reason (cap + 1) no_clause;
     s.trail <- grow_array s.trail (cap + 1) 0;
     s.trail_lim <- grow_array s.trail_lim (cap + 2) 0;
     s.activity <- grow_array s.activity (cap + 1) 0.0;
@@ -198,11 +214,11 @@ let create_session ?(nvars = 0) ?(reduce_base = default_reduce_base) () =
     { nvars = 0; var_cap = cap;
       clause_data = Array.make 64 dummy_clause;
       clause_len = 0;
-      n_problem = 0;
-      watches = Array.make ((2 * (cap + 1)) + 2) [];
+      watches = Array.make ((2 * (cap + 1)) + 2) [||];
+      watch_len = Array.make ((2 * (cap + 1)) + 2) 0;
       assign = Array.make (cap + 1) 0;
       level = Array.make (cap + 1) 0;
-      reason = Array.make (cap + 1) None;
+      reason = Array.make (cap + 1) no_clause;
       trail = Array.make (cap + 1) 0;
       trail_size = 0;
       trail_lim = Array.make (cap + 2) 0;
@@ -215,6 +231,8 @@ let create_session ?(nvars = 0) ?(reduce_base = default_reduce_base) () =
       heap_pos = Array.make (cap + 1) (-1);
       phase = Array.make (cap + 1) false;
       seen = Array.make (cap + 1) false;
+      learnt_buf = Array.make 16 0;
+      load_buf = Array.make 16 0;
       lbd_stamp = Array.make (cap + 2) 0;
       lbd_tick = 0;
       conflicts = 0; propagations = 0; decisions = 0;
@@ -234,7 +252,7 @@ let lit_value (s : t) (l : int) : int =
   let v = s.assign.(var_of_lit l) in
   if v = 0 then 0 else if l land 1 = 0 then v else -v
 
-let enqueue (s : t) (l : int) (why : clause_rec option) : unit =
+let enqueue (s : t) (l : int) (why : int) : unit =
   let v = var_of_lit l in
   s.assign.(v) <- (if l land 1 = 0 then 1 else -1);
   s.level.(v) <- s.decision_level;
@@ -243,14 +261,26 @@ let enqueue (s : t) (l : int) (why : clause_rec option) : unit =
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1
 
-let watch (s : t) (l : int) (c : clause_rec) : unit =
-  s.watches.(l) <- c :: s.watches.(l)
+(* push clause [c] on [l]'s stack: what [c :: ws] would make the new
+   head *)
+let watch (s : t) (l : int) (c : int) : unit =
+  let n = s.watch_len.(l) and ws = s.watches.(l) in
+  if n = Array.length ws then begin
+    let grown = Array.make (max 4 (2 * n)) 0 in
+    Array.blit ws 0 grown 0 n;
+    s.watches.(l) <- grown;
+    grown.(n) <- c
+  end
+  else ws.(n) <- c;
+  s.watch_len.(l) <- n + 1
 
-let push_clause (s : t) (c : clause_rec) : unit =
+(* store [c]; returns its index *)
+let push_clause (s : t) (c : clause_rec) : int =
   if s.clause_len = Array.length s.clause_data then
     s.clause_data <- grow_array s.clause_data (2 * s.clause_len) dummy_clause;
   s.clause_data.(s.clause_len) <- c;
-  s.clause_len <- s.clause_len + 1
+  s.clause_len <- s.clause_len + 1;
+  s.clause_len - 1
 
 (* a fresh decision level; the boundary array grows on demand because
    assumption levels (one per assumption, some empty) can push the level
@@ -261,114 +291,134 @@ let new_level (s : t) : unit =
   s.trail_lim.(s.decision_level) <- s.trail_size;
   s.decision_level <- s.decision_level + 1
 
-(** Add a problem clause (internal lits) at decision level 0. Duplicate
-    literals are removed, tautologies skipped, and literals already
-    false at level 0 dropped (level-0 facts are permanent). Sets
-    [contradiction] if the database became trivially unsat. *)
-let add_clause_internal (s : t) (lits : int array) : unit =
+(** Add a problem clause (DIMACS literals) at decision level 0.
+    Duplicate literals are removed, keeping first occurrences in order;
+    tautologies and clauses already satisfied at level 0 are skipped;
+    literals already false at level 0 are dropped (level-0 facts are
+    permanent). Sets [contradiction] if the database became trivially
+    unsat. The literals are converted and deduplicated in the session's
+    [load_buf], so a skipped clause allocates nothing and a kept one only
+    its literal array. *)
+let add_clause_internal (s : t) (c : Cnf.clause) : unit =
   if not s.contradiction then begin
     assert (s.decision_level = 0);
-    (* simplify: dedupe, drop level-0-false lits, detect tautology and
-       level-0-satisfied clauses (first-occurrence order preserved) *)
-    let tautology = ref false and satisfied = ref false in
-    let kept = ref [] and n_kept = ref 0 in
-    Array.iter
-      (fun l ->
-        if not (!tautology || !satisfied) then
-          match lit_value s l with
-          | 1 -> satisfied := true
-          | -1 -> ()
-          | _ ->
-            if List.exists (fun k -> k = neg l) !kept then tautology := true
-            else if not (List.exists (fun k -> k = l) !kept) then begin
-              kept := l :: !kept;
-              incr n_kept
-            end)
-      lits;
-    if not (!tautology || !satisfied) then begin
-      let lits = Array.of_list (List.rev !kept) in
-      match !n_kept with
+    let len = Array.length c in
+    if len > Array.length s.load_buf then
+      s.load_buf <- Array.make (max len (2 * Array.length s.load_buf)) 0;
+    let buf = s.load_buf in
+    let n = ref 0 and skip = ref false and i = ref 0 in
+    while (not !skip) && !i < len do
+      let l = lit_of_dimacs c.(!i) in
+      incr i;
+      match lit_value s l with
+      | 1 -> skip := true (* satisfied at level 0 *)
+      | -1 -> () (* false at level 0 *)
+      | _ ->
+        let j = ref 0 and dup = ref false in
+        while (not !dup) && !j < !n do
+          let k = buf.(!j) in
+          if k = neg l then skip := true (* tautology *)
+          else if k = l then dup := true;
+          incr j
+        done;
+        if not (!skip || !dup) then begin
+          buf.(!n) <- l;
+          incr n
+        end
+    done;
+    if not !skip then
+      match !n with
       | 0 -> s.contradiction <- true
       | 1 ->
-        (match lit_value s lits.(0) with
-        | -1 -> s.contradiction <- true
-        | 1 -> ()
-        | _ -> enqueue s lits.(0) None)
-      | _ ->
+        (* a kept literal is unassigned, and loading assigns nothing *)
+        enqueue s buf.(0) no_clause
+      | n ->
         let c =
-          { lits; w1 = 0; w2 = 1; learnt = false; id = s.next_id; lbd = 0;
-            deleted = false }
+          { lits = Array.sub buf 0 n; w1 = 0; w2 = 1; learnt = false;
+            id = s.next_id; lbd = 0; deleted = false }
         in
         s.next_id <- s.next_id + 1;
-        s.n_problem <- s.n_problem + 1;
-        push_clause s c;
-        watch s (neg lits.(0)) c;
-        watch s (neg lits.(1)) c
-    end
+        let ci = push_clause s c in
+        watch s (neg c.lits.(0)) ci;
+        watch s (neg c.lits.(1)) ci
   end
 
-(* propagate; returns the conflicting clause, if any *)
-let propagate (s : t) : clause_rec option =
-  let conflict = ref None in
-  while !conflict = None && s.qhead < s.trail_size do
+(* reverse [a.(0 .. n-1)] in place *)
+let reverse (a : int array) n =
+  for i = 0 to (n / 2) - 1 do
+    let t = a.(i) in
+    a.(i) <- a.(n - 1 - i);
+    a.(n - 1 - i) <- t
+  done
+
+(* propagate; returns the conflicting clause, or [no_clause].
+
+   Watch order is a replay of a list representation, which every golden
+   was recorded with: each literal's list was visited head first, and
+   every clause that stays was pushed back with [c :: ws] in visit
+   order. With the head at the top of the stack, reversing the live
+   segment puts the head at slot 0, so visiting slots upwards is list
+   order; writing the survivors back from slot 0 up leaves the last
+   survivor on top, exactly the head the list rebuild would leave.
+   No clause is pushed on [l]'s own stack meanwhile: a replacement watch
+   is never a false literal. *)
+let propagate (s : t) : int =
+  let conflict = ref no_clause in
+  while !conflict = no_clause && s.qhead < s.trail_size do
     let l = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     (* literals watching [l] may become falsified: clauses watch the
        negation of their watched literal, so visiting watches.(l) visits
        clauses where watched literal = neg l just became false *)
-    let watching = s.watches.(l) in
-    s.watches.(l) <- [];
-    let rec process = function
-      | [] -> ()
-      | c :: rest -> (
-        if !conflict <> None then begin
-          (* put back untouched *)
-          s.watches.(l) <- c :: s.watches.(l);
-          process rest
+    let ws = s.watches.(l) and n = s.watch_len.(l) in
+    reverse ws n;
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let ci = ws.(i) in
+      if !conflict <> no_clause then begin
+        (* put back untouched *)
+        ws.(!kept) <- ci;
+        incr kept
+      end
+      else begin
+        let c = s.clause_data.(ci) in
+        (* identify which watch is falsified *)
+        let falsified_idx = if neg c.lits.(c.w1) = l then c.w1 else c.w2 in
+        let other_idx = if falsified_idx = c.w1 then c.w2 else c.w1 in
+        let other = c.lits.(other_idx) in
+        if lit_value s other = 1 then begin
+          (* satisfied; keep watching *)
+          ws.(!kept) <- ci;
+          incr kept
         end
         else begin
-          (* identify which watch is falsified *)
-          let falsified_idx =
-            if neg c.lits.(c.w1) = l then c.w1
-            else c.w2
-          in
-          let other_idx = if falsified_idx = c.w1 then c.w2 else c.w1 in
-          let other = c.lits.(other_idx) in
-          if lit_value s other = 1 then begin
-            (* clause satisfied; keep watching *)
-            s.watches.(l) <- c :: s.watches.(l);
-            process rest
+          (* search a replacement watch *)
+          let lits = c.lits in
+          let len = Array.length lits in
+          let found = ref (-1) and j = ref 0 in
+          while !found < 0 && !j < len do
+            if !j <> falsified_idx && !j <> other_idx
+               && lit_value s lits.(!j) >= 0
+            then found := !j;
+            incr j
+          done;
+          if !found >= 0 then begin
+            (* move the watch *)
+            if falsified_idx = c.w1 then c.w1 <- !found else c.w2 <- !found;
+            watch s (neg lits.(!found)) ci
           end
           else begin
-            (* search a replacement watch *)
-            let n = Array.length c.lits in
-            let found = ref (-1) in
-            let i = ref 0 in
-            while !found < 0 && !i < n do
-              let cand = c.lits.(!i) in
-              if !i <> falsified_idx && !i <> other_idx && lit_value s cand >= 0
-              then found := !i;
-              incr i
-            done;
-            if !found >= 0 then begin
-              (* move the watch *)
-              if falsified_idx = c.w1 then c.w1 <- !found else c.w2 <- !found;
-              watch s (neg c.lits.(!found)) c;
-              process rest
-            end
-            else begin
-              (* unit or conflict *)
-              s.watches.(l) <- c :: s.watches.(l);
-              (match lit_value s other with
-              | -1 -> conflict := Some c
-              | _ -> enqueue s other (Some c));
-              process rest
-            end
+            (* unit or conflict *)
+            ws.(!kept) <- ci;
+            incr kept;
+            if lit_value s other = -1 then conflict := ci
+            else enqueue s other ci
           end
-        end)
-    in
-    process watching
+        end
+      end
+    done;
+    s.watch_len.(l) <- !kept
   done;
   !conflict
 
@@ -385,33 +435,39 @@ let bump (s : t) v =
 
 let decay (s : t) = s.var_inc <- s.var_inc /. 0.95
 
-(* first-UIP conflict analysis; returns (learnt clause lits, backjump level) *)
-let analyze (s : t) (confl : clause_rec) : int array * int =
-  let learnt = ref [] in
+(* first-UIP conflict analysis; returns (learnt clause lits, backjump
+   level). The asserting literal comes first, then the other literals
+   in the reverse of the order they were first met *)
+let analyze (s : t) (confl : int) : int array * int =
+  let n_learnt = ref 0 in
   let counter = ref 0 in
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
-  let reason_lits (c : clause_rec) skip_p =
-    Array.to_list c.lits
-    |> List.filter (fun l -> (not skip_p) || l <> !p)
-  in
-  let current = ref (reason_lits confl false) in
+  let reason = ref confl in
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    List.iter
-      (fun q ->
-        let v = var_of_lit q in
-        if (not s.seen.(v)) && s.level.(v) > 0 then begin
-          s.seen.(v) <- true;
-          bump s v;
-          if s.level.(v) = s.decision_level then incr counter
-          else begin
-            learnt := q :: !learnt;
-            if s.level.(v) > !btlevel then btlevel := s.level.(v)
-          end
-        end)
-      !current;
+    (* the conflict clause whole, then each reason without [p] (the
+       literal it implied); [p] is no literal while it is -1 *)
+    let lits =
+      if !reason = no_clause then [||] else s.clause_data.(!reason).lits
+    in
+    for i = 0 to Array.length lits - 1 do
+      let q = lits.(i) in
+      let v = var_of_lit q in
+      if q <> !p && (not s.seen.(v)) && s.level.(v) > 0 then begin
+        s.seen.(v) <- true;
+        bump s v;
+        if s.level.(v) = s.decision_level then incr counter
+        else begin
+          if !n_learnt = Array.length s.learnt_buf then
+            s.learnt_buf <- grow_array s.learnt_buf (2 * !n_learnt) 0;
+          s.learnt_buf.(!n_learnt) <- q;
+          incr n_learnt;
+          if s.level.(v) > !btlevel then btlevel := s.level.(v)
+        end
+      end
+    done;
     (* pick next literal from trail *)
     let rec next_seen i =
       let v = var_of_lit s.trail.(i) in
@@ -423,16 +479,17 @@ let analyze (s : t) (confl : clause_rec) : int array * int =
     s.seen.(v) <- false;
     decr counter;
     decr index;
-    if !counter = 0 then continue := false
-    else
-      current :=
-        (match s.reason.(v) with
-        | Some c -> reason_lits c true
-        | None -> []) ;
+    if !counter = 0 then continue := false else reason := s.reason.(v)
   done;
-  let lits = Array.of_list (neg !p :: !learnt) in
+  let n = !n_learnt in
+  let lits = Array.make (n + 1) (neg !p) in
+  for i = 0 to n - 1 do
+    lits.(n - i) <- s.learnt_buf.(i)
+  done;
   (* clear seen *)
-  Array.iter (fun l -> s.seen.(var_of_lit l) <- false) lits;
+  for i = 0 to n do
+    s.seen.(var_of_lit lits.(i)) <- false
+  done;
   (lits, !btlevel)
 
 let backjump (s : t) (target_level : int) : unit =
@@ -441,7 +498,7 @@ let backjump (s : t) (target_level : int) : unit =
     for i = s.trail_size - 1 downto boundary do
       let v = var_of_lit s.trail.(i) in
       s.assign.(v) <- 0;
-      s.reason.(v) <- None;
+      s.reason.(v) <- no_clause;
       heap_insert s v
     done;
     s.trail_size <- boundary;
@@ -450,17 +507,19 @@ let backjump (s : t) (target_level : int) : unit =
   end
 
 (* the decision literal: the heap's first unassigned variable in its
-   saved phase. It stays in the heap, assigned, until a later pick pops
-   it, so a decision abandoned for the budget needs no re-insertion *)
-let rec pick_branch (s : t) : int option =
-  if s.heap_len = 0 then None
+   saved phase, or 0 (no literal) once every variable is assigned. It
+   stays in the heap, assigned, until a later pick pops it, so a
+   decision abandoned for the budget needs no re-insertion *)
+let rec pick_branch (s : t) : int =
+  if s.heap_len = 0 then 0
   else begin
     let v = s.heap.(0) in
     if s.assign.(v) <> 0 then begin
       heap_pop s;
       pick_branch s
     end
-    else Some (if s.phase.(v) then 2 * v else (2 * v) + 1)
+    else if s.phase.(v) then 2 * v
+    else (2 * v) + 1
   end
 
 (* literal block distance: distinct decision levels among the lits *)
@@ -468,22 +527,21 @@ let lbd_of (s : t) (lits : int array) : int =
   s.lbd_tick <- s.lbd_tick + 1;
   let tick = s.lbd_tick in
   let n = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = s.level.(var_of_lit l) in
-      if s.lbd_stamp.(lv) <> tick then begin
-        s.lbd_stamp.(lv) <- tick;
-        incr n
-      end)
-    lits;
+  for i = 0 to Array.length lits - 1 do
+    let lv = s.level.(var_of_lit lits.(i)) in
+    if s.lbd_stamp.(lv) <> tick then begin
+      s.lbd_stamp.(lv) <- tick;
+      incr n
+    end
+  done;
   !n
 
 (* attach a freshly learnt clause and enqueue its asserting literal
    (lits.(0)); the caller has already backjumped to btlevel *)
 let learn (s : t) (lits : int array) (btlevel : int) : unit =
   match Array.length lits with
-  | 1 -> enqueue s lits.(0) None
-  | _ ->
+  | 1 -> enqueue s lits.(0) no_clause
+  | n ->
     let lbd = lbd_of s lits in
     let c =
       { lits; w1 = 0; w2 = 1; learnt = true; id = s.next_id; lbd;
@@ -492,17 +550,17 @@ let learn (s : t) (lits : int array) (btlevel : int) : unit =
     s.next_id <- s.next_id + 1;
     (* the second watch should be a literal from btlevel *)
     let si = ref 1 in
-    Array.iteri
-      (fun i l -> if i > 0 && s.level.(var_of_lit l) = btlevel then si := i)
-      lits;
+    for i = 1 to n - 1 do
+      if s.level.(var_of_lit lits.(i)) = btlevel then si := i
+    done;
     let tmp = lits.(1) in
     lits.(1) <- lits.(!si);
     lits.(!si) <- tmp;
-    push_clause s c;
+    let ci = push_clause s c in
     s.learnt_live <- s.learnt_live + 1;
-    watch s (neg lits.(0)) c;
-    watch s (neg lits.(1)) c;
-    enqueue s lits.(0) (Some c)
+    watch s (neg lits.(0)) ci;
+    watch s (neg lits.(1)) ci;
+    enqueue s lits.(0) ci
 
 (** Clause-database reduction at decision level 0: delete the worst half
     of the long learnt clauses (highest LBD first, newest first among
@@ -513,7 +571,7 @@ let learn (s : t) (lits : int array) (btlevel : int) : unit =
 let reduce_db (s : t) : unit =
   assert (s.decision_level = 0);
   for i = 0 to s.trail_size - 1 do
-    s.reason.(var_of_lit s.trail.(i)) <- None
+    s.reason.(var_of_lit s.trail.(i)) <- no_clause
   done;
   (* candidates: learnt clauses longer than binary *)
   let cands = ref [] and n_cands = ref 0 in
@@ -549,12 +607,12 @@ let reduce_db (s : t) : unit =
   done;
   Array.fill s.clause_data !j (s.clause_len - !j) dummy_clause;
   s.clause_len <- !j;
-  (* rebuild watches in storage order *)
-  Array.fill s.watches 0 (Array.length s.watches) [];
+  (* rebuild watches in storage order, under the new indices *)
+  Array.fill s.watch_len 0 (Array.length s.watch_len) 0;
   for i = 0 to s.clause_len - 1 do
     let c = s.clause_data.(i) in
-    watch s (neg c.lits.(c.w1)) c;
-    watch s (neg c.lits.(c.w2)) c
+    watch s (neg c.lits.(c.w1)) i;
+    watch s (neg c.lits.(c.w2)) i
   done
 
 (* reduce when the live learnt count exceeds the ceiling; the ceiling
@@ -608,16 +666,16 @@ let solve_session (s : t) ~(assumptions : int list) ~max_conflicts
       r
     in
     try
-      (match propagate s with Some _ -> raise Unsat_exception | None -> ());
+      if propagate s <> no_clause then raise Unsat_exception;
       maybe_reduce s;
       let restart_interval = ref 256 in
       let result = ref None in
-      while !result = None do
+      while Option.is_none !result do
         let budget = ref !restart_interval in
         (try
-           while !result = None do
-             match propagate s with
-             | Some confl ->
+           while Option.is_none !result do
+             let confl = propagate s in
+             if confl <> no_clause then begin
                s.conflicts <- s.conflicts + 1;
                decr budget;
                if s.decision_level = 0 then raise Unsat_exception;
@@ -634,39 +692,39 @@ let solve_session (s : t) ~(assumptions : int list) ~max_conflicts
                    raise Exit
                  end
                end
-             | None ->
-               if s.decision_level < n_assumps then begin
-                 (* re-assert assumptions in order; level i belongs to
-                    assumption i, so backjumps retract and this loop
-                    re-establishes them *)
-                 let a = assumps.(s.decision_level) in
-                 match lit_value s a with
-                 | 1 -> new_level s (* already holds: empty level *)
-                 | -1 -> raise Assumption_unsat
-                 | _ ->
-                   if over_budget () then result := Some Unknown
-                   else begin
-                     new_level s;
-                     enqueue s a None
-                   end
+             end
+             else if s.decision_level < n_assumps then begin
+               (* re-assert assumptions in order; level i belongs to
+                  assumption i, so backjumps retract and this loop
+                  re-establishes them *)
+               let a = assumps.(s.decision_level) in
+               match lit_value s a with
+               | 1 -> new_level s (* already holds: empty level *)
+               | -1 -> raise Assumption_unsat
+               | _ ->
+                 if over_budget () then result := Some Unknown
+                 else begin
+                   new_level s;
+                   enqueue s a no_clause
+                 end
+             end
+             else begin
+               let l = pick_branch s in
+               if l = 0 then begin
+                 (* full assignment found *)
+                 let model = Array.make (s.nvars + 1) false in
+                 for v = 1 to s.nvars do
+                   model.(v) <- s.assign.(v) = 1
+                 done;
+                 result := Some (Sat model)
                end
+               else if over_budget () then result := Some Unknown
                else begin
-                 match pick_branch s with
-                 | None ->
-                   (* full assignment found *)
-                   let model = Array.make (s.nvars + 1) false in
-                   for v = 1 to s.nvars do
-                     model.(v) <- s.assign.(v) = 1
-                   done;
-                   result := Some (Sat model)
-                 | Some l ->
-                   if over_budget () then result := Some Unknown
-                   else begin
-                     s.decisions <- s.decisions + 1;
-                     new_level s;
-                     enqueue s l None
-                   end
+                 s.decisions <- s.decisions + 1;
+                 new_level s;
+                 enqueue s l no_clause
                end
+             end
            done
          with Exit -> restart_interval := !restart_interval * 2)
       done;
@@ -708,14 +766,11 @@ module Incremental = struct
     assert (s.decision_level = 0);
     if List.mem 0 clause then invalid_arg "Incremental.add_clause: literal 0";
     List.iter (fun l -> ensure_vars s (abs l)) clause;
-    add_clause_internal s
-      (Array.of_list (List.map lit_of_dimacs clause))
+    add_clause_internal s (Array.of_list clause)
 
   let add_cnf (s : session) (f : Cnf.t) : unit =
     ensure_vars s (Cnf.var_count f);
-    List.iter
-      (fun clause -> add_clause_internal s (Array.map lit_of_dimacs clause))
-      (Cnf.clause_list f)
+    Cnf.iter_from f 0 (add_clause_internal s)
 
   let attach (s : session) (f : Cnf.t) : unit =
     (match s.source with
@@ -730,9 +785,7 @@ module Incremental = struct
     | None -> ()
     | Some f ->
       ensure_vars s (Cnf.var_count f);
-      List.iter
-        (fun clause -> add_clause_internal s (Array.map lit_of_dimacs clause))
-        (Cnf.clauses_from f s.synced);
+      Cnf.iter_from f s.synced (add_clause_internal s);
       s.synced <- Cnf.clause_count f
 
   let solve_stats ?(assumptions : int list = []) ?max_conflicts

@@ -66,14 +66,30 @@ let output_nets (l : t) : Circuit.net array =
     as usual; LUT gates read their truth table from [key_vars] at their
     key offset. [share] maps nets to already-existing CNF variables
     (used to share primary inputs between the two attack copies).
-    Returns the net-to-variable map of this copy. *)
+    Returns the net-to-variable map of this copy.
+
+    Only a net that a gate reads or drives, or that is a core input or
+    output, gets a fresh variable (in ascending net order); every other
+    net maps to 0. A variable for it would sit in no clause, keep
+    activity 0 and propagate nothing when decided, and the others are
+    numbered in the same order either way, so leaving it out changes no
+    conflict or learnt clause (DESIGN.md, "Incremental SAT session"). *)
 let encode_locked (f : Cnf.t) (l : t) ~(key_vars : int array)
     ~(share : Circuit.net -> int option) : int array =
+  let referenced = Array.make l.circuit.Circuit.next_net false in
+  let mark n = referenced.(n) <- true in
+  List.iter
+    (fun (g : Circuit.gate) ->
+      mark g.Circuit.output;
+      Array.iter mark g.Circuit.inputs)
+    (Circuit.gates_in_order l.circuit);
+  Array.iter mark (input_nets l);
+  Array.iter mark (output_nets l);
   let net_var =
     Array.init l.circuit.Circuit.next_net (fun n ->
         match share n with
         | Some v -> v
-        | None -> Cnf.fresh_var f)
+        | None -> if referenced.(n) then Cnf.fresh_var f else 0)
   in
   let offset_of = Hashtbl.create 64 in
   List.iter (fun (net, off) -> Hashtbl.replace offset_of net off) l.offsets;

@@ -23,7 +23,10 @@ val output_nets : t -> Circuit.net array
 
 (** Encode one locked copy: non-LUT gates as usual, LUTs reading their
     truth tables from [key_vars]. [share] maps nets to existing CNF
-    variables. Returns this copy's net-to-variable map. *)
+    variables. Returns this copy's net-to-variable map: a net [share]
+    does not map gets a fresh variable, in ascending net order, only if
+    a gate reads or drives it or it is a core input or output (a PI, PO,
+    DFF D or Q); every other net maps to 0, which is no variable. *)
 val encode_locked :
   Cnf.t -> t -> key_vars:int array -> share:(Circuit.net -> int option) -> int array
 

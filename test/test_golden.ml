@@ -15,6 +15,12 @@
    clause-DB reduction), so a solver speedup that changes the search
    fails here even when every verdict status stays the same.
 
+   Golden long sessions: the same attacks run to 40 DIPs under a
+   3,000-conflict budget, where one session carries up to 80 pinned
+   replay copies, reuses tens of thousands of learnt clauses and, in
+   the largest, passes the clause-DB reduction ceiling; each row also
+   pins the recovered key's digest.
+
    Golden verdict keys: the strings verdicts persist under. *)
 
 module A = Alice
@@ -69,6 +75,21 @@ let golden_verdicts =
     ("SHA256", `C1, (500, 4), [ "sha256.u_rom 12x12 exhausted/4/265/247" ]);
     ("SHA256", `C1, (1000, 8), [ "sha256.u_rom 12x12 inconclusive/5/2021/1533" ])
   ]
+
+(* (design, configuration, clusters, rows): every valid candidate, or
+   only the named cluster, attacked at (3000 conflicts, 40 DIPs). A row
+   is cluster, fabric, status/DIPs/conflicts/reused, then the first 8
+   hex digits of the recovered key's MD5, or "-" without a key.
+   Recorded before the solver's clause store and watch lists became
+   arrays and unreferenced nets lost their variables. *)
+let golden_long_sessions =
+  [ ("SASC", `C1, None, [ "sasc.u_tx_fifo 7x7 exhausted/40/1294/34836 -" ]);
+    ("USB_PHY", `C1, None, [ "usb_phy.u_rx 7x7 exhausted/40/367/7306 -" ]);
+    ( "IIR", `C2, None,
+      [ "iir.u_engine.u_mac 15x15 inconclusive/17/4401/15226 -";
+        "iir.u_engine.u_quant 9x9 exhausted/40/3299/40539 -" ] );
+    ( "GCD", `C2, Some "gcd.u_dp.u_reg_b|gcd.u_dp.u_sub",
+      [ "gcd.u_dp.u_reg_b|gcd.u_dp.u_sub 6x6 exhausted/40/2099/27280 -" ] ) ]
 
 (* Golden verdict keys: the attack-verdict cache key of a candidate
    (design, configuration, cluster). Every persisted verdict is stored
@@ -131,6 +152,36 @@ let verdict_rows name cfg (budget, iterations) =
         r.A.Report.vr_conflicts r.A.Report.vr_reused)
     (A.Report.verdict_rows (run_flow ~tune:measured name cfg))
 
+let long_session_rows name cfg only =
+  let module F = Alice_fabric in
+  let module Sec = Alice_security in
+  let budget =
+    { Sec.Sat_attack.max_iterations = 40; max_seconds = infinity;
+      solver_conflicts = Some 3_000 }
+  in
+  List.filter_map
+    (fun (e : A.Selection.efpga_impl) ->
+      let cluster = e.A.Selection.cluster.A.Clustering.key in
+      if Option.fold ~none:false ~some:(( <> ) cluster) only then None
+      else begin
+        let l = Sec.Locked.of_mapped e.A.Selection.mapped in
+        let o = Sec.Sat_attack.attack ~budget l ~oracle:(Sec.Locked.make_oracle l) in
+        let key =
+          match o.Sec.Sat_attack.key with
+          | None -> "-"
+          | Some k ->
+            let bits = String.init (Array.length k) (fun i -> if k.(i) then '1' else '0') in
+            String.sub (Digest.to_hex (Digest.string bits)) 0 8
+        in
+        Some
+          (Printf.sprintf "%s %s %s/%d/%d/%d %s" cluster
+             (F.Fabric.size_label e.A.Selection.impl.F.Size_search.fabric)
+             (Sec.Sat_attack.status_to_string o.Sec.Sat_attack.status)
+             o.Sec.Sat_attack.iterations o.Sec.Sat_attack.conflicts
+             o.Sec.Sat_attack.reused key)
+      end)
+    (run_flow name cfg).A.Flow.selection.A.Selection.valid
+
 let verdict_key name cfg cluster_key =
   let module F = Alice_fabric in
   let flow = run_flow name cfg in
@@ -162,6 +213,16 @@ let tests =
         Alcotest.test_case label `Quick (fun () ->
             Alcotest.(check (list string)) label want (verdict_rows name cfg b)))
       golden_verdicts
+  @ List.map
+      (fun (name, cfg, only, want) ->
+        let label =
+          Printf.sprintf "%s %s long-session verdicts at 3000/40" name
+            (cfg_label cfg)
+        in
+        Alcotest.test_case label `Slow (fun () ->
+            Alcotest.(check (list string)) label want
+              (long_session_rows name cfg only)))
+      golden_long_sessions
   @ List.map
       (fun (name, k, want) ->
         let label = Printf.sprintf "%s k=%d mapping" name k in

@@ -156,6 +156,57 @@ let test_tseitin_miter () =
   | (S.Solver.Unsat | S.Solver.Unknown) ->
     Alcotest.fail "different circuits: miter must be sat"
 
+(* Equiv counterexamples carry every bit of a wide port: two 128-bit
+   buffers that differ in output bit [i] must report y in both copies
+   with exactly that bit apart. Packing ports into an int garbled bit
+   62 into the sign, dropped bit 63 and folded 64 and 100 onto 0 and 36 *)
+let test_equiv_wide_counterexample () =
+  let build src =
+    N.Synth.synthesize (V.Elaborate.elaborate (V.Parser.parse src))
+  in
+  let buffer =
+    build "module m (input [127:0] a, output [127:0] y); assign y = a; endmodule"
+  in
+  List.iter
+    (fun i ->
+      let flipped =
+        build
+          (Printf.sprintf
+             "module m (input [127:0] a, output [127:0] y); assign y = \
+              {a[127:%d], ~a[%d], a[%d:0]}; endmodule"
+             (i + 1) i (i - 1))
+      in
+      match S.Equiv.check buffer flipped with
+      | S.Equiv.Equivalent | S.Equiv.Unknown ->
+        Alcotest.failf "bit %d: a one-bit difference was not found" i
+      | S.Equiv.Different cex ->
+        let line = Format.asprintf "%a" S.Equiv.pp_counterexample cex in
+        let value part =
+          String.sub part
+            (String.index part '=' + 1)
+            (String.length part - String.index part '=' - 1)
+        in
+        let a, ya, yb =
+          match String.split_on_char ';' line with
+          | [ a; ya; yb ] -> (value a, value ya, value yb)
+          | _ -> Alcotest.failf "bit %d: unexpected rendering %S" i line
+        in
+        let label what = Printf.sprintf "bit %d: %s" i what in
+        Alcotest.(check int) (label "a has 128 bits") 128 (String.length a);
+        Alcotest.(check string) (label "copy a buffers the input") a ya;
+        Alcotest.(check int) (label "copy b has 128 bits") 128
+          (String.length yb);
+        List.iteri
+          (fun k (ca, cb) ->
+            (* MSB first: port bit j is character 127 - j *)
+            Alcotest.(check bool)
+              (label (Printf.sprintf "character %d differs" k))
+              (k = 127 - i) (ca <> cb))
+          (List.combine
+             (List.of_seq (String.to_seq ya))
+             (List.of_seq (String.to_seq yb))))
+    [ 62; 63; 64; 100 ]
+
 (* property: Tseitin encoding agrees with simulation on random inputs *)
 let tseitin_sim_prop =
   QCheck.Test.make ~count:30 ~name:"tseitin encoding matches simulation"
@@ -196,5 +247,7 @@ let tests =
     Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
     Alcotest.test_case "assumptions" `Quick test_assumptions;
     Alcotest.test_case "tseitin miter" `Quick test_tseitin_miter;
+    Alcotest.test_case "equiv counterexample of 128-bit ports" `Quick
+      test_equiv_wide_counterexample;
     QCheck_alcotest.to_alcotest fuzz_prop;
     QCheck_alcotest.to_alcotest tseitin_sim_prop ]

@@ -291,7 +291,19 @@ let test_measured_deterministic_across_jobs () =
       flow.A.Flow.selection.A.Selection.valid
   in
   Alcotest.(check (list (float 0.0))) "bit-identical scores"
-    (scores serial) (scores parallel)
+    (scores serial) (scores parallel);
+  (* the searches themselves, not only what the ranking reads of them:
+     four sessions load clauses at once in different domains *)
+  let rows flow =
+    List.map
+      (fun (r : A.Report.verdict_row) ->
+        Printf.sprintf "%s %s %s/%d/%d/%d" r.A.Report.vr_cluster
+          r.A.Report.vr_fabric r.A.Report.vr_status r.A.Report.vr_dips
+          r.A.Report.vr_conflicts r.A.Report.vr_reused)
+      (A.Report.verdict_rows flow)
+  in
+  Alcotest.(check (list string)) "identical verdict rows" (rows serial)
+    (rows parallel)
 
 let tests =
   [ Alcotest.test_case "score_eq1 degenerate maxima" `Quick

@@ -570,6 +570,122 @@ let test_golden_sessions () =
         want (golden_session seed))
     golden_sessions
 
+(* the attached path loads straight from the CNF's clause store. Each
+   chunk below is more than 8x every clause before it, so a store that
+   grows by doubling reallocates at least three times between two
+   syncs; the attached session must still match a session fed the same
+   clauses by hand, query for query, model and counters included *)
+let test_attach_sync_growth () =
+  for seed = 0 to 9 do
+    let st = Random.State.make [| 0x6A0; seed |] in
+    let nvars = 40 + Random.State.int st 20 in
+    let f = S.Cnf.create () in
+    ignore (S.Cnf.fresh_vars f nvars);
+    let attached = S.Solver.Incremental.create () in
+    S.Solver.Incremental.attach attached f;
+    let fed = S.Solver.Incremental.create ~nvars () in
+    List.iteri
+      (fun q chunk ->
+        for _ = 1 to chunk do
+          let c = ternary st nvars in
+          S.Cnf.add_clause f c;
+          S.Solver.Incremental.add_clause fed c
+        done;
+        let assumptions =
+          List.init (Random.State.int st 3) (fun _ ->
+              let v = 1 + Random.State.int st nvars in
+              if Random.State.bool st then v else -v)
+        in
+        let line s =
+          query_line s (S.Solver.Incremental.solve ~assumptions s)
+        in
+        let want = line fed in
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d query %d: attached = hand-fed" seed q)
+          want (line attached))
+      [ 2; 20; 170; 30 ]
+  done
+
+(* Loading golden: clauses that repeat a literal, sometimes far from
+   its first occurrence, tautologies, and literals already fixed by
+   level-0 units. Loading keeps each literal's first occurrence, in
+   order, and the first two kept literals are the clause's watches, so
+   keeping any other occurrence moves a watch and, through the
+   conflicts, these counters. Recorded before clause loading moved to a
+   per-session buffer. Even seeds feed an attached CNF, odd ones hand
+   feed the session. *)
+let loading_session seed =
+  let st = Random.State.make [| 0x10AD; seed |] in
+  let nvars = 100 + Random.State.int st 60 in
+  let session = S.Solver.Incremental.create () in
+  let add =
+    if seed mod 2 = 0 then begin
+      let f = S.Cnf.create () in
+      ignore (S.Cnf.fresh_vars f nvars);
+      S.Solver.Incremental.attach session f;
+      S.Cnf.add_clause f
+    end
+    else begin
+      S.Solver.Incremental.ensure_vars session nvars;
+      S.Solver.Incremental.add_clause session
+    end
+  in
+  let lit () =
+    let v = 1 + Random.State.int st nvars in
+    if Random.State.bool st then v else -v
+  in
+  let clause () =
+    let c = ternary st nvars in
+    match Random.State.int st 6 with
+    | 0 | 1 -> c @ [ List.nth c (Random.State.int st 2) ]
+    | 2 -> (match c with a :: b :: rest -> a :: b :: a :: rest | _ -> c)
+    | 3 -> c @ [ -List.hd c ]
+    | _ -> c
+  in
+  let per_round = int_of_float (4.4 *. float_of_int nvars) / 6 in
+  List.init 6 (fun _ ->
+      if Random.State.int st 3 = 0 then add [ lit () ];
+      for _ = 1 to per_round do
+        add (clause ())
+      done;
+      let assumptions = List.init (Random.State.int st 3) (fun _ -> lit ()) in
+      query_line session (S.Solver.Incremental.solve ~assumptions session))
+
+let golden_loading =
+  [ (0,
+     [ "sat 09ac2249 c0 d94 p117"; "sat 484b6089 c0 d172 p233";
+       "sat 7f39d9ed c1 d254 p376"; "sat d990b78c c4 d307 p560";
+       "sat 9931b2d6 c10 d346 p813"; "sat b055a4ee c19 d378 p1108" ]);
+    (1,
+     [ "sat 8670dd53 c0 d110 p124"; "sat d1dad16c c0 d198 p247";
+       "sat 71232c35 c0 d265 p370"; "sat 82486eff c1 d315 p502";
+       "sat 3c185a95 c5 d352 p733"; "sat 315f92e9 c44 d429 p1984" ]);
+    (2,
+     [ "sat 8b16d85b c0 d126 p151"; "sat b2959300 c0 d233 p302";
+       "sat b925afbe c0 d321 p453"; "sat 56e48cf6 c1 d405 p629";
+       "sat d929957d c3 d478 p863"; "sat cf0ace76 c3 d512 p1012" ]);
+    (3,
+     [ "sat 383139d0 c0 d118 p140"; "sat bd93eb56 c0 d219 p280";
+       "sat a5089099 c2 d326 p471"; "sat bd03244a c3 d385 p614";
+       "sat 8c88287a c4 d438 p762"; "sat 69c6e748 c34 d515 p1840" ]);
+    (4,
+     [ "sat da5a367c c0 d98 p114"; "sat 3c635cc9 c0 d179 p228";
+       "sat 0d046ad7 c0 d245 p342"; "sat e85629e2 c0 d294 p456";
+       "sat 154a0385 c6 d345 p706"; "sat 9f93029d c49 d419 p2157" ]);
+    (5,
+     [ "sat 70f516ee c0 d97 p114"; "sat 9f7bd150 c0 d172 p227";
+       "sat cdba51b9 c2 d247 p378"; "sat 9ec153e3 c2 d282 p491";
+       "sat 42393bf8 c3 d324 p607"; "sat f818adc8 c15 d365 p1008" ]) ]
+
+let test_golden_loading () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "loading session %d: per-query verdict, model, counters"
+           seed)
+        want (loading_session seed))
+    golden_loading
+
 (* pigeonhole 9 -> 8 on an empty session: 18k conflicts cross the 1e100
    activity rescale several times, where underflow can create ties *)
 let test_golden_pigeonhole () =
@@ -640,6 +756,10 @@ let tests =
       test_edge_clauses;
     Alcotest.test_case "golden: 12 sessions, every query's decisions pinned"
       `Quick test_golden_sessions;
+    Alcotest.test_case "attached sessions across clause-store growth" `Quick
+      test_attach_sync_growth;
+    Alcotest.test_case "golden: duplicate, tautological, level-0 literals"
+      `Quick test_golden_loading;
     Alcotest.test_case "golden: pigeonhole 9->8 conflicts, decisions" `Slow
       test_golden_pigeonhole;
     Alcotest.test_case "golden: activity ties after rescale underflow" `Slow
