@@ -438,6 +438,32 @@ for bad in pins efpgas outputs; do
   fi
 done
 
+# a nan weight or deadline and an empty fabric window are refused the
+# same way, before any characterization (no cache: line): nan would rank
+# every solution on nan scores or switch the deadline off, and an empty
+# window characterizes every cluster only to report an E0801
+gcd_cfg1='top: gcd\nselected_outputs:\n  - result\nmax_io_pins: 64\nmax_efpgas: 2\n'
+n=0
+for bad in 'alpha: nan' 'characterize_deadline_s: nan' \
+  'score: measured\nattack_area_weight: nan' \
+  'fabric:\n  min_size: 9\n  max_size: 5' 'fabric:\n  max_size: 0'; do
+  n=$((n + 1))
+  printf "$gcd_cfg1$bad\n" > "$tmpdir/refused$n.yaml"
+  set +e
+  "$ALICE" redact "$tmpdir/gcd.v" -c "$tmpdir/refused$n.yaml" --no-cache \
+    --diag-format=json > "$tmpdir/refused$n.json" 2> "$tmpdir/refused$n.txt"
+  code=$?
+  set -e
+  if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/refused$n.json" \
+    || grep -q '"code":"E0801"' "$tmpdir/refused$n.json" \
+    || grep -q '^cache:' "$tmpdir/refused$n.txt"; then
+    echo "check.sh: redact with '$bad' exited $code without an E0602" \
+      "before characterization:" >&2
+    cat "$tmpdir/refused$n.json" "$tmpdir/refused$n.txt" >&2
+    exit 1
+  fi
+done
+
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'
 top: soc

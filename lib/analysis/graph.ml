@@ -1,35 +1,26 @@
-(** A small mutable digraph over integer nodes with string labels,
-    supporting the traversals the ALICE analyses need: reachability in
-    both directions, topological ordering, and label interning. *)
+(** A small mutable digraph over integer nodes interned from string
+    labels, supporting the traversals the dataflow analysis needs:
+    reachability in both directions. *)
 
 type t = {
-  mutable node_count : int;
-  labels : (int, string) Hashtbl.t;
   ids : (string, int) Hashtbl.t;
   succ : (int, int list) Hashtbl.t;
   pred : (int, int list) Hashtbl.t;
 }
 
 let create () =
-  { node_count = 0; labels = Hashtbl.create 64; ids = Hashtbl.create 64;
-    succ = Hashtbl.create 64; pred = Hashtbl.create 64 }
-
-let node_count g = g.node_count
+  { ids = Hashtbl.create 64; succ = Hashtbl.create 64; pred = Hashtbl.create 64 }
 
 (** Intern a label, creating the node on first use. *)
 let node g label =
   match Hashtbl.find_opt g.ids label with
   | Some id -> id
   | None ->
-    let id = g.node_count in
-    g.node_count <- id + 1;
+    let id = Hashtbl.length g.ids in
     Hashtbl.add g.ids label id;
-    Hashtbl.add g.labels id label;
     id
 
 let find_node g label = Hashtbl.find_opt g.ids label
-
-let label g id = Hashtbl.find g.labels id
 
 let succ g id = Option.value (Hashtbl.find_opt g.succ id) ~default:[]
 
@@ -42,8 +33,6 @@ let add_edge g a b =
   in
   add g.succ a b;
   add g.pred b a
-
-let add_edge_labels g la lb = add_edge g (node g la) (node g lb)
 
 (* breadth-first closure following [next] *)
 let closure next (starts : int list) : (int, unit) Hashtbl.t =
@@ -73,44 +62,3 @@ let reachable g starts = closure (succ g) starts
 
 (** Nodes from which some node in [starts] is reachable (backward cone). *)
 let coreachable g starts = closure (pred g) starts
-
-let reaches g a b = Hashtbl.mem (reachable g [ a ]) b
-
-(** Topological order of the whole graph; raises [Invalid_argument] on a
-    cycle. *)
-let topological_order g : int list =
-  let indeg = Array.make g.node_count 0 in
-  for v = 0 to g.node_count - 1 do
-    List.iter (fun w -> indeg.(w) <- indeg.(w) + 1) (succ g v)
-  done;
-  let q = Queue.create () in
-  for v = 0 to g.node_count - 1 do
-    if indeg.(v) = 0 then Queue.add v q
-  done;
-  let order = ref [] and seen = ref 0 in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    incr seen;
-    order := v :: !order;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w q)
-      (succ g v)
-  done;
-  if !seen <> g.node_count then invalid_arg "topological_order: graph has a cycle";
-  List.rev !order
-
-(** Reverse postorder from a root, restricted to reachable nodes. *)
-let reverse_postorder g root : int list =
-  let seen = Hashtbl.create 64 in
-  let order = ref [] in
-  let rec dfs v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      List.iter dfs (succ g v);
-      order := v :: !order
-    end
-  in
-  dfs root;
-  !order

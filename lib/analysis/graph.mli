@@ -1,37 +1,21 @@
-(** A small mutable digraph over integer nodes with string labels,
-    supporting the traversals the ALICE analyses need. *)
+(** A small mutable digraph over integer nodes interned from string
+    labels, supporting the traversals the dataflow analysis needs. *)
 
 type t
 
 val create : unit -> t
-
-val node_count : t -> int
 
 (** Intern a label, creating the node on first use. *)
 val node : t -> string -> int
 
 val find_node : t -> string -> int option
 
-val label : t -> int -> string
-
 val succ : t -> int -> int list
 
-val pred : t -> int -> int list
-
 val add_edge : t -> int -> int -> unit
-
-val add_edge_labels : t -> string -> string -> unit
 
 (** Nodes reachable from the given starts following edges forward. *)
 val reachable : t -> int list -> (int, unit) Hashtbl.t
 
 (** Nodes from which some start is reachable (backward cone). *)
 val coreachable : t -> int list -> (int, unit) Hashtbl.t
-
-val reaches : t -> int -> int -> bool
-
-(** Topological order of the whole graph; [Invalid_argument] on cycles. *)
-val topological_order : t -> int list
-
-(** Reverse postorder from a root, restricted to reachable nodes. *)
-val reverse_postorder : t -> int -> int list

@@ -139,7 +139,15 @@ let cfg2 = { default with max_io_pins = 96; max_efpgas = 1 }
 
 let of_doc (doc : J.t) : t =
   let d = default in
-  let fabric = Option.value (J.find doc "fabric") ~default:J.Null in
+  (* the YAML subset reads an inline [{...}] map as a string, whose keys
+     would all fall back to their defaults *)
+  let fabric =
+    match J.find doc "fabric" with
+    | None | Some J.Null -> J.Null
+    | Some (J.Obj _ as f) -> f
+    | Some _ ->
+      invalid_arg "fabric: expected a block mapping (inline {...} maps are not supported)"
+  in
   let rank =
     match J.get_string ~default:"highest" doc "rank_order" with
     | "highest" -> Highest
@@ -156,10 +164,22 @@ let of_doc (doc : J.t) : t =
     let n = J.get_int ~default doc key in
     if n < 1 then invalid_arg (key ^ ": must be at least 1") else n
   in
+  (* a nan weight makes every score nan and the ranking arbitrary *)
+  let finite key default =
+    let v = J.get_float ~default doc key in
+    if not (Float.is_finite v) then invalid_arg (key ^ ": must be finite") else v
+  in
+  (* an empty window has no fabric to try: every cluster would be
+     characterized only to end the run with no feasible redaction *)
+  let min_fabric_size = J.get_int ~default:d.min_fabric_size fabric "min_size" in
+  if min_fabric_size < 1 then invalid_arg "fabric.min_size: must be at least 1";
+  let max_fabric_size = J.get_int ~default:d.max_fabric_size fabric "max_size" in
+  if max_fabric_size < min_fabric_size then
+    invalid_arg "fabric.max_size: must be at least fabric.min_size";
   { max_io_pins = at_least_1 "max_io_pins" d.max_io_pins;
     max_efpgas = at_least_1 "max_efpgas" d.max_efpgas;
-    alpha = J.get_float ~default:d.alpha doc "alpha";
-    beta = J.get_float ~default:d.beta doc "beta";
+    alpha = finite "alpha" d.alpha;
+    beta = finite "beta" d.beta;
     lut_inputs =
       (let k = J.get_int ~default:d.lut_inputs fabric "lut_inputs" in
        if k < 2 then invalid_arg "fabric.lut_inputs: must be at least 2" else k);
@@ -173,8 +193,8 @@ let of_doc (doc : J.t) : t =
     gpio_per_tile =
       (let n = J.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile" in
        if n < 1 then invalid_arg "fabric.gpio_per_tile: must be at least 1" else n);
-    min_fabric_size = J.get_int ~default:d.min_fabric_size fabric "min_size";
-    max_fabric_size = J.get_int ~default:d.max_fabric_size fabric "max_size";
+    min_fabric_size;
+    max_fabric_size;
     target_utilization =
       (let u =
          J.get_float ~default:d.target_utilization fabric "target_utilization"
@@ -229,7 +249,8 @@ let of_doc (doc : J.t) : t =
          J.get_float ~default:d.attack_area_weight doc
            "attack_area_weight"
        in
-       if v < 0.0 then invalid_arg "attack_area_weight: must be non-negative"
+       if not (Float.is_finite v && v >= 0.0) then
+         invalid_arg "attack_area_weight: must be non-negative and finite"
        else v);
     transitive_independence =
       J.get_bool ~default:d.transitive_independence doc
@@ -241,7 +262,9 @@ let of_doc (doc : J.t) : t =
          if n <= 0 then invalid_arg "characterize_deadline_s: must be positive"
          else Some (float_of_int n)
        | Some (J.Float f) ->
-         if f <= 0.0 then invalid_arg "characterize_deadline_s: must be positive"
+         (* nan would compare as no deadline at all *)
+         if not (Float.is_finite f && f > 0.0) then
+           invalid_arg "characterize_deadline_s: must be positive and finite"
          else Some f
        | Some _ -> invalid_arg "characterize_deadline_s: expected a number");
     jobs =

@@ -100,10 +100,14 @@ val cfg2 : t
 
 (** Read a configuration from a parsed document — a YAML file or a JSON
     request, both {!Json_lite.t}; unknown keys fall back to {!default}.
-    Raises [Invalid_argument] on type mismatches and out-of-range values
-    (among them a [max_io_pins] or [max_efpgas] below 1, a
+    Raises [Invalid_argument] naming the key on type mismatches and
+    out-of-range values, nan included: among them a [max_io_pins] or
+    [max_efpgas] below 1, a non-finite [alpha] or [beta], a negative or
+    non-finite [attack_area_weight], a non-positive or non-finite
+    [characterize_deadline_s], a [fabric] that is not a mapping, a
+    [fabric.min_size] below 1 or a [fabric.max_size] below it, a
     [fabric.target_utilization] outside (0, 1\] or a
-    [fabric.min_clb_utilization] outside \[0, 1\], nan included). *)
+    [fabric.min_clb_utilization] outside \[0, 1\]. *)
 val of_doc : Json_lite.t -> t
 
 (** [of_doc] over {!Yaml_lite.parse}. *)

@@ -26,7 +26,8 @@ let make_cluster (design : V.Elaborate.design) (members : V.Design.tree list) :
   let members =
     List.sort_uniq (fun (a : V.Design.tree) b -> compare a.path b.path) members
   in
-  { members; io_pins = A.Iocount.of_cluster design members;
+  { members;
+    io_pins = List.fold_left (fun acc n -> acc + V.Design.io_pins design n) 0 members;
     key = cluster_key members }
 
 let member_count (c : cluster) = List.length c.members
@@ -94,7 +95,7 @@ let run (df : A.Dataflow.t) (cfg : C.Flow_config.t)
     s.(i / word_bits) <- s.(i / word_bits) lor (1 lsl (i mod word_bits))
   in
   let mem s i = s.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0 in
-  let pins = Array.map (A.Iocount.of_instance design) by_path in
+  let pins = Array.map (V.Design.io_pins design) by_path in
   let max_pins = cfg.C.Flow_config.max_io_pins in
   (* the dependence relation, each unordered pair asked once; when no
      two candidates fit the pin budget together no union can, and none

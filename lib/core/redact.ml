@@ -2,8 +2,8 @@
     selected instances with eFPGA instances, re-route their signals to
     the fabric GPIOs, and regenerate the Verilog of the whole system.
 
-    The insertion point of each eFPGA is the dominator (lowest common
-    ancestor) of its member instances in the hierarchy. Members living
+    The insertion point of each eFPGA is the deepest common ancestor of
+    its members' parents ({!insertion_point}). Members living
     below the insertion point have their connections re-routed upward by
     port punching: every module on the path gains forwarding ports, the
     member's former connections become continuous assignments to/from
@@ -20,7 +20,6 @@
     design, used for verification). *)
 
 module V = Alice_verilog
-module A = Alice_analysis
 module F = Alice_fabric
 
 exception Redaction_error of string
@@ -31,7 +30,7 @@ type view = Opaque | Programmed | Structural
 
 type efpga_site = {
   efpga_name : string;
-  insertion_point : string;    (* dominator instance path *)
+  insertion_point : string;    (* instance path of the fabric's parent *)
   gpio_in_width : int;
   gpio_out_width : int;
   members : F.Emit.member list;
@@ -50,6 +49,18 @@ let parent_path (path : string) : string =
   match String.rindex_opt path '.' with
   | Some i -> String.sub path 0 i
   | None -> fail "instance %s has no parent" path
+
+(* The hierarchy is a tree, so its dominator tree is itself and the
+   nearest common dominator is a common path prefix, by segments. *)
+let insertion_point (members : string list) : string =
+  let rec common a b =
+    match (a, b) with
+    | x :: a, y :: b when x = y -> x :: common a b
+    | _ -> []
+  in
+  match List.map (fun p -> String.split_on_char '.' (parent_path p)) members with
+  | [] -> invalid_arg "Redact.insertion_point: no members"
+  | first :: rest -> String.concat "." (List.fold_left common first rest)
 
 let find_tree_node (design : V.Elaborate.design) (path : string) : V.Design.tree =
   let root = V.Design.instance_tree design in
@@ -155,7 +166,7 @@ let zero_expr width =
 (* Route one member-port signal from the member's parent module up to the
    insertion module, punching forwarding ports through every level.
    Returns the expression to use inside the insertion module. *)
-let punch_signal (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
+let punch_signal (design : V.Elaborate.design) edits_table
     ~(insertion_path : string) ~(member_parent_path : string)
     ~(signal_name : string) ~(width : int) ~(dir : V.Ast.direction)
     ~(local_expr : V.Ast.expr option) : V.Ast.expr =
@@ -225,7 +236,6 @@ let punch_signal (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
         thread (level_path ^ "." ^ child_inst) rest
     in
     thread insertion_path chain;
-    ignore ast;
     V.Ast.Ident signal_name
   end
 
@@ -260,8 +270,8 @@ let build_site (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
     (index : int) (efpga : Selection.efpga_impl) : efpga_site =
   let members = efpga.Selection.cluster.Clustering.members in
   let parents = List.map (fun (m : V.Design.tree) -> parent_path m.path) members in
-  let insertion_path = A.Domtree.hierarchy_insertion_point design
-      (List.map (fun (m : V.Design.tree) -> m.path) members)
+  let insertion_path =
+    insertion_point (List.map (fun (m : V.Design.tree) -> m.path) members)
   in
   let insertion_em = module_of_path design insertion_path in
   let insertion_edits = get_edits edits_table insertion_em.V.Elaborate.em_orig_name in
@@ -294,7 +304,7 @@ let build_site (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
               :: insertion_edits.extra_items
           | _ -> ());
           let top_expr =
-            punch_signal design ast edits_table ~insertion_path
+            punch_signal design edits_table ~insertion_path
               ~member_parent_path ~signal_name ~width:p.width ~dir:p.dir
               ~local_expr:conn
           in

@@ -18,7 +18,7 @@ type view = Opaque | Programmed | Structural
 
 type efpga_site = {
   efpga_name : string;
-  insertion_point : string;  (** dominator instance path *)
+  insertion_point : string;  (** {!insertion_point} of the members *)
   gpio_in_width : int;
   gpio_out_width : int;
   members : F.Emit.member list;
@@ -32,6 +32,15 @@ type redacted = {
       (** module definitions absent from the foundry views (only modules
           whose every instance was redacted) *)
 }
+
+(** Where the eFPGA holding the instances at paths [members] is
+    inserted: the deepest common ancestor of the members' parents,
+    compared by [.]-separated segments, so [top.u_dp] is no ancestor of
+    [top.u_dpx.u_a]. The instance hierarchy is a tree, whose dominator
+    tree is itself, so this is the paper's nearest node dominating every
+    member. Raises {!Redaction_error} for the top itself (it has no
+    parent) and [Invalid_argument] on an empty list. *)
+val insertion_point : string list -> string
 
 (** Generate the redacted design for a selected solution. Raises
     {!Redaction_error} on unsupported structures (e.g. positional

@@ -2,7 +2,6 @@
     paper's Table 1 and Table 2. *)
 
 module V = Alice_verilog
-module A = Alice_analysis
 module F = Alice_fabric
 
 type table2_row = {
@@ -149,12 +148,9 @@ type table1_row = {
 }
 
 let table1_row ~(design_name : string) (d : V.Elaborate.design) : table1_row =
-  let s = A.Iocount.summarize d in
-  { t1_design = design_name;
-    t1_modules = s.A.Iocount.module_total;
-    t1_instances = s.A.Iocount.instance_total;
-    t1_io_min = s.A.Iocount.io_min;
-    t1_io_max = s.A.Iocount.io_max }
+  let t1_io_min, t1_io_max = V.Design.io_pin_range d in
+  { t1_design = design_name; t1_modules = V.Design.module_count d;
+    t1_instances = V.Design.instance_count d; t1_io_min; t1_io_max }
 
 let pp_table1_header fmt () =
   Format.fprintf fmt "%-8s %8s %10s %14s@." "Design" "Modules" "Instances"

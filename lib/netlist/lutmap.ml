@@ -1,10 +1,10 @@
 (** Technology mapping onto k-input LUTs via cut enumeration.
 
-    A classical depth-oriented structural mapper with area-flow
+    A classical structural mapper with area-flow selection and depth
     tie-breaking: for every gate output we enumerate cuts of at most k
-    leaves by merging fanin cuts, keep the best few by (depth, area
-    flow), and extract a LUT cover backward from the circuit roots
-    (primary outputs and DFF D-inputs). Buffers are depth- and
+    leaves by merging fanin cuts, keep the best few by (area flow,
+    depth, leaf count), and extract a LUT cover backward from the
+    circuit roots (primary outputs and DFF D-inputs). Buffers are depth- and
     area-transparent. Truth tables are computed by simulating each
     selected cone's gates once over all patterns of its leaves.
 
@@ -217,15 +217,12 @@ let truth_table gates producer memo (leaves : int array) (net : Circuit.net) :
   List.iter (fun n -> memo.(n) <- [||]) !touched;
   Array.init size (fun idx -> (v.(idx / 32) lsr (idx mod 32)) land 1 = 1)
 
-(** Cut-selection objective: [`Depth] minimizes logic levels (area flow
-    as tie-break); [`Area] minimizes area flow (depth as tie-break),
-    which is what fabric characterization wants — LUT count drives
-    fabric size, while a level or two of extra depth is immaterial. *)
-type mode = [ `Depth | `Area ]
-
-(** Per-net best cuts, minimal (depth, area flow), as indices into the
-    returned store; -1 for a net no cut of at most [k] leaves covers. *)
-let enumerate_cuts ~mode ~k (c : Circuit.t) (gates : Circuit.gate array)
+(** Per-net best cuts, minimal (area flow, depth), as indices into the
+    returned store; -1 for a net no cut of at most [k] leaves covers.
+    Area flow comes first because that is what fabric characterization
+    wants: LUT count drives fabric size, while a level or two of extra
+    depth is immaterial. *)
+let enumerate_cuts ~k (c : Circuit.t) (gates : Circuit.gate array)
     (is_source : bool array) : store * int array =
   let nets = c.Circuit.next_net in
   let cuts = store ~k (8 * Array.length gates) in
@@ -292,9 +289,7 @@ let enumerate_cuts ~mode ~k (c : Circuit.t) (gates : Circuit.gate array)
   let precedes st i j =
     let d1 = st.depth.(i) and d2 = st.depth.(j) in
     let a1 = st.aflow.(i) and a2 = st.aflow.(j) in
-    match mode with
-    | `Depth -> d1 < d2 || (d1 = d2 && (a1 < a2 || (a1 = a2 && st.len.(i) < st.len.(j))))
-    | `Area -> a1 < a2 || (a1 = a2 && (d1 < d2 || (d1 = d2 && st.len.(i) < st.len.(j))))
+    a1 < a2 || (a1 = a2 && (d1 < d2 || (d1 = d2 && st.len.(i) < st.len.(j))))
   in
   (* cut [i] goes after every kept cut it does not strictly precede *)
   let offer st i =
@@ -350,13 +345,13 @@ let enumerate_cuts ~mode ~k (c : Circuit.t) (gates : Circuit.gate array)
 
     Raises [Invalid_argument] when [k < 2], or when a gate the cover
     needs has no cut of at most [k] leaves (a 3-input mux at [k = 2]). *)
-let map ?(mode : mode = `Area) ~k (c : Circuit.t) : Circuit.t * mapping =
+let map ~k (c : Circuit.t) : Circuit.t * mapping =
   if k < 2 then
     invalid_arg (Printf.sprintf "Lutmap.map: k = %d, a LUT needs at least 2 inputs" k);
   let gates = Array.of_list (Circuit.gates_in_order c) in
   let producer = Circuit.driver_index c gates in
   let is_source = Circuit.source_nets c in
-  let cuts, best = enumerate_cuts ~mode ~k c gates is_source in
+  let cuts, best = enumerate_cuts ~k c gates is_source in
   (* follow buffer chains back to a real driver *)
   let rec resolve_alias net =
     if is_source.(net) || producer.(net) < 0 then net

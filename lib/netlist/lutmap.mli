@@ -10,16 +10,12 @@ type mapping = {
       (** output net, leaf nets, truth table *)
 }
 
-(** Cut-selection objective: [`Area] (default) minimizes LUT count, the
-    driver of fabric size; [`Depth] minimizes logic levels. *)
-type mode = [ `Area | `Depth ]
-
 (** Map a circuit onto k-LUTs; returns the mapped circuit (LUT gates
     only) and the mapping description. Raises [Invalid_argument] when
     [k < 2], or when a gate the cover needs has no cut of at most [k]
     leaves (a 3-input mux at [k = 2]): the mapping is complete or there
     is none. *)
-val map : ?mode:mode -> k:int -> Circuit.t -> Circuit.t * mapping
+val map : k:int -> Circuit.t -> Circuit.t * mapping
 
 val lut_count : mapping -> int
 

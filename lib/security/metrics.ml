@@ -1,20 +1,11 @@
 (** Security metrics for redaction candidates.
 
     The DAC'22 paper scores candidates structurally (Eq. 1) and cites the
-    SAT-attack studies [3,4] for the direction of that score. This module
-    makes the citation measurable: it runs the actual attack on a locked
-    candidate and checks whether the recovered key is functionally
-    correct, so benches can plot attack effort against fabric
-    utilization. *)
+    SAT-attack studies [3,4] for the direction of that score; the
+    scorer runs that attack ({!Sat_attack}) on locked candidates. This
+    module checks whether a recovered key is functionally correct. *)
 
-module Circuit = Alice_netlist.Circuit
 module Simulate = Alice_netlist.Simulate
-
-type report = {
-  key_bits : int;
-  attack : Sat_attack.outcome;
-  key_correct : bool option;  (* functional check of the recovered key *)
-}
 
 (** Compare the recovered key's circuit against the original on
     [samples] random scan vectors (exhaustive when the input space is
@@ -51,11 +42,3 @@ let key_is_correct ?(samples = 512) (l : Locked.t) (key : bool array) : bool =
     done;
     !ok
   end
-
-(** Lock a mapped circuit, attack it, and verify the recovered key. *)
-let evaluate ?budget (mapped : Circuit.t) : report =
-  let l = Locked.of_mapped mapped in
-  let oracle = Locked.make_oracle l in
-  let attack = Sat_attack.attack ?budget l ~oracle in
-  let key_correct = Option.map (fun key -> key_is_correct l key) attack.Sat_attack.key in
-  { key_bits = l.Locked.key_bits; attack; key_correct }

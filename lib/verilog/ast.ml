@@ -117,45 +117,3 @@ let rec lvalue_targets acc = function
   | Ident s | Bit_select (s, _) | Part_select (s, _, _) -> s :: acc
   | Concat es -> List.fold_left lvalue_targets acc es
   | Num _ | Unary _ | Binary _ | Ternary _ | Repeat _ -> acc
-
-let rec stmt_reads acc = function
-  | Blocking (lhs, rhs) | Nonblocking (lhs, rhs) ->
-    (* index expressions on the lhs are reads too *)
-    let acc =
-      match lhs with
-      | Bit_select (_, i) -> expr_idents acc i
-      | Part_select (_, a, b) -> expr_idents (expr_idents acc a) b
-      | Ident _ | Num _ | Unary _ | Binary _ | Ternary _ | Concat _ | Repeat _ -> acc
-    in
-    expr_idents acc rhs
-  | If (c, t, e) ->
-    let acc = expr_idents acc c in
-    let acc = List.fold_left stmt_reads acc t in
-    List.fold_left stmt_reads acc e
-  | Case (subject, arms, dflt) ->
-    let acc = expr_idents acc subject in
-    let acc =
-      List.fold_left
-        (fun acc (labels, body) ->
-          let acc = List.fold_left expr_idents acc labels in
-          List.fold_left stmt_reads acc body)
-        acc arms
-    in
-    (match dflt with
-    | None -> acc
-    | Some body -> List.fold_left stmt_reads acc body)
-
-let rec stmt_writes acc = function
-  | Blocking (lhs, _) | Nonblocking (lhs, _) -> lvalue_targets acc lhs
-  | If (_, t, e) ->
-    let acc = List.fold_left stmt_writes acc t in
-    List.fold_left stmt_writes acc e
-  | Case (_, arms, dflt) ->
-    let acc =
-      List.fold_left
-        (fun acc (_, body) -> List.fold_left stmt_writes acc body)
-        acc arms
-    in
-    (match dflt with
-    | None -> acc
-    | Some body -> List.fold_left stmt_writes acc body)

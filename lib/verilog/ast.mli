@@ -89,9 +89,3 @@ val expr_idents : string list -> expr -> string list
 
 (** Base identifiers assigned by an lvalue expression. *)
 val lvalue_targets : string list -> expr -> string list
-
-(** Identifiers read anywhere in a statement (conditions included). *)
-val stmt_reads : string list -> stmt -> string list
-
-(** Identifiers written anywhere in a statement. *)
-val stmt_writes : string list -> stmt -> string list

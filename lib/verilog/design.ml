@@ -44,6 +44,11 @@ let non_top_modules (d : Elaborate.design) : Elaborate.emodule list =
   Smap.bindings d.d_modules
   |> List.filter_map (fun (name, m) -> if name = d.d_top then None else Some m)
 
+(** I/O pins of an instance's module, the structural criterion of
+    Algorithm 2; a cluster has the sum of its members' pins. *)
+let io_pins (d : Elaborate.design) (n : tree) : int =
+  Elaborate.io_pin_count (Elaborate.find_emodule d n.module_name)
+
 (** Number of non-top module *types*, as reported in Table 1. *)
 let module_count (d : Elaborate.design) : int = List.length (non_top_modules d)
 

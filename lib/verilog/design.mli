@@ -23,6 +23,11 @@ val all_instances : Elaborate.design -> tree list
     candidate). *)
 val non_top_modules : Elaborate.design -> Elaborate.emodule list
 
+(** I/O pins of an instance's module ({!Elaborate.io_pin_count}): the
+    structural criterion of Algorithm 2, which sums it over a cluster's
+    members (paper Section 5). *)
+val io_pins : Elaborate.design -> tree -> int
+
 (** Number of non-top module types, as reported in the paper's Table 1. *)
 val module_count : Elaborate.design -> int
 

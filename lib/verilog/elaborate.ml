@@ -337,13 +337,3 @@ let elaborate ?top (d : Ast.design) : design =
     fabric I/O limit. *)
 let io_pin_count (m : emodule) : int =
   List.fold_left (fun acc p -> acc + p.width) 0 m.em_ports
-
-let input_pin_count (m : emodule) : int =
-  List.fold_left
-    (fun acc p -> match p.dir with Ast.Input -> acc + p.width | Ast.Output | Ast.Inout -> acc)
-    0 m.em_ports
-
-let output_pin_count (m : emodule) : int =
-  List.fold_left
-    (fun acc p -> match p.dir with Ast.Output -> acc + p.width | Ast.Input | Ast.Inout -> acc)
-    0 m.em_ports

@@ -56,7 +56,3 @@ val elaborate : ?top:string -> Ast.design -> design
     structural metric ALICE's filtering checks against the fabric I/O
     limit. *)
 val io_pin_count : emodule -> int
-
-val input_pin_count : emodule -> int
-
-val output_pin_count : emodule -> int

@@ -90,17 +90,13 @@ let truth_table gates producer (leaves : int list) (net : Circuit.net) : bool ar
   in
   eval net
 
-let cut_compare mode a b =
-  let by_depth () =
-    if a.depth <> b.depth then compare a.depth b.depth
-    else if a.aflow <> b.aflow then compare a.aflow b.aflow
-    else compare (IntSet.cardinal a.leaves) (IntSet.cardinal b.leaves)
-  in
-  match mode with
-  | `Depth -> by_depth ()
-  | `Area -> if a.aflow <> b.aflow then compare a.aflow b.aflow else by_depth ()
+(* area flow, then depth, then leaf count *)
+let cut_compare a b =
+  if a.aflow <> b.aflow then compare a.aflow b.aflow
+  else if a.depth <> b.depth then compare a.depth b.depth
+  else compare (IntSet.cardinal a.leaves) (IntSet.cardinal b.leaves)
 
-let enumerate_cuts ~mode ~k (c : Circuit.t) =
+let enumerate_cuts ~k (c : Circuit.t) =
   let gates = Array.of_list (Circuit.gates_in_order c) in
   let sources = source_set c in
   let best : (Circuit.net, cut) Hashtbl.t = Hashtbl.create 256 in
@@ -147,7 +143,7 @@ let enumerate_cuts ~mode ~k (c : Circuit.t) =
             !merged
       in
       let kept = List.filteri (fun i _ -> i < cut_limit)
-          (List.sort (cut_compare mode) candidate_cuts) in
+          (List.sort cut_compare candidate_cuts) in
       (match kept with
       | best_cut :: _ ->
         Hashtbl.replace best out best_cut;
@@ -162,8 +158,8 @@ let enumerate_cuts ~mode ~k (c : Circuit.t) =
     (levelize c);
   (gates, best)
 
-let map ?(mode = `Area) ~k (c : Circuit.t) =
-  let gates, best = enumerate_cuts ~mode ~k c in
+let map ~k (c : Circuit.t) =
+  let gates, best = enumerate_cuts ~k c in
   let producer = producer_table gates in
   let sources = source_set c in
   let rec resolve_alias net =

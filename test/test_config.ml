@@ -169,6 +169,48 @@ let test_budget_bounds () =
   Alcotest.(check (list int)) "smallest accepted" [ 1; 1 ]
     C.Flow_config.[ c.max_io_pins; c.max_efpgas ]
 
+(* nan, which the YAML subset reads as a float, would score every
+   solution nan or turn the deadline off, an empty fabric window would
+   characterize every cluster only to find no fabric, and an inline
+   fabric map (a string to the YAML subset) would leave every fabric
+   key at its default: all are refused naming the key, before any
+   characterization *)
+let test_finite_and_window () =
+  let message src =
+    match C.Flow_config.of_string src with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.failf "accepted: %s" (String.escaped src)
+  in
+  List.iter
+    (fun (want, srcs) ->
+      List.iter (fun src -> Alcotest.(check string) src want (message src)) srcs)
+    [ ("alpha: must be finite", [ "alpha: nan"; "alpha: inf"; "alpha: -inf" ]);
+      ("beta: must be finite", [ "beta: nan"; "beta: inf" ]);
+      ( "attack_area_weight: must be non-negative and finite",
+        [ "attack_area_weight: nan"; "attack_area_weight: inf";
+          "attack_area_weight: -0.5" ] );
+      ( "characterize_deadline_s: must be positive and finite",
+        [ "characterize_deadline_s: nan"; "characterize_deadline_s: inf";
+          "characterize_deadline_s: -2.5"; "characterize_deadline_s: 0.0" ] );
+      ( "fabric.min_size: must be at least 1",
+        [ "fabric:\n  min_size: 0"; "fabric:\n  min_size: -3\n  max_size: 5" ] );
+      ( "fabric.max_size: must be at least fabric.min_size",
+        [ "fabric:\n  min_size: 9\n  max_size: 5"; "fabric:\n  max_size: 0";
+          "fabric:\n  max_size: 1" ] );
+      ( "fabric: expected a block mapping (inline {...} maps are not supported)",
+        [ "fabric: {max_size: 0}"; "fabric: {min_size: 9, max_size: 5}"; "fabric: 5" ] ) ];
+  let c =
+    C.Flow_config.of_string
+      "alpha: -1.5\nbeta: 0\nattack_area_weight: 0\n\
+       characterize_deadline_s: 0.001\nfabric:\n  min_size: 1\n  max_size: 1"
+  in
+  Alcotest.(check (list (float 0.0))) "finite edges accepted" [ -1.5; 0.0; 0.0 ]
+    C.Flow_config.[ c.alpha; c.beta; c.attack_area_weight ];
+  Alcotest.(check (option (float 0.0))) "small deadline accepted" (Some 0.001)
+    c.C.Flow_config.characterize_deadline_s;
+  Alcotest.(check (pair int int)) "one-width window accepted" (1, 1)
+    C.Flow_config.(c.min_fabric_size, c.max_fabric_size)
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
@@ -179,4 +221,5 @@ let tests =
     Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound;
     Alcotest.test_case "clb and io bounds" `Quick test_clb_io_bounds;
     Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds;
-    Alcotest.test_case "pin and eFPGA budget bounds" `Quick test_budget_bounds ]
+    Alcotest.test_case "pin and eFPGA budget bounds" `Quick test_budget_bounds;
+    Alcotest.test_case "finite weights and fabric window" `Quick test_finite_and_window ]

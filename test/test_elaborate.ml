@@ -49,8 +49,16 @@ let test_port_directions_and_pins () =
   in
   let leaf = V.Elaborate.find_emodule d "leaf" in
   Alcotest.(check int) "total pins" 14 (V.Elaborate.io_pin_count leaf);
-  Alcotest.(check int) "input pins" 5 (V.Elaborate.input_pin_count leaf);
-  Alcotest.(check int) "output pins" 8 (V.Elaborate.output_pin_count leaf)
+  Alcotest.(check (list (pair string int))) "port directions and widths"
+    [ ("input", 1); ("input", 4); ("output", 8); ("inout", 1) ]
+    (List.map
+       (fun (p : V.Elaborate.eport) ->
+         ( (match p.dir with
+           | V.Ast.Input -> "input"
+           | V.Ast.Output -> "output"
+           | V.Ast.Inout -> "inout"),
+           p.width ))
+       leaf.V.Elaborate.em_ports)
 
 let test_detect_top () =
   let src =

@@ -149,7 +149,7 @@ let test_fixed_point_equals_enumeration () =
     let filtering = A.Filtering.run df cfg in
     let arr = Array.of_list (A.Filtering.candidate_instances filtering) in
     let n = Array.length arr in
-    let pins = Array.map (Alice_analysis.Iocount.of_instance design) arr in
+    let pins = Array.map (Alice_verilog.Design.io_pins design) arr in
     let subsets = ref [] in
     for mask = 1 to (1 lsl n) - 1 do
       let members = ref [] and sum = ref 0 in

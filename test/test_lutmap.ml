@@ -109,7 +109,7 @@ let test_depth_reported () =
       assign y = a + b;
     endmodule|}
   in
-  let mapped, _ = N.Lutmap.map ~mode:`Depth ~k:4 c in
+  let mapped, _ = N.Lutmap.map ~k:4 c in
   let depth = N.Lutmap.depth mapped in
   Alcotest.(check bool)
     (Printf.sprintf "16-bit adder depth sane (got %d)" depth)
@@ -223,8 +223,8 @@ let test_truth_tables_match_cones () =
 
 (* Differential: the array mapper against the set-based reference
    ([Lutmap_oracle]) on paper cluster circuits, whole designs, random
-   mux-heavy circuits and deep ladders, at every k from 2 to 6 in both
-   modes. Mappings must be structurally equal, mapped circuit and LUT
+   mux-heavy circuits and deep ladders, at every k from 2 to 6.
+   Mappings must be structurally equal, mapped circuit and LUT
    list alike. Where the reference left a gate uncovered (a 3-input mux
    at k = 2), the array mapper must raise instead. *)
 
@@ -330,27 +330,21 @@ let test_differential () =
     (fun c ->
       List.iter
         (fun k ->
-          List.iter
-            (fun mode ->
-              let before = !Lutmap_oracle.uncovered in
-              let want = Lutmap_oracle.map ~mode ~k c in
-              let label =
-                Printf.sprintf "%s k=%d %s" c.N.Circuit.name k
-                  (match mode with `Area -> "area" | `Depth -> "depth")
-              in
-              if !Lutmap_oracle.uncovered > before then begin
-                incr refused;
-                match N.Lutmap.map ~mode ~k c with
-                | exception Invalid_argument _ -> ()
-                | _ -> Alcotest.failf "%s: mapped a gate no cut covers" label
-              end
-              else begin
-                incr compared;
-                let mapped, mapping = N.Lutmap.map ~mode ~k c in
-                if (mapped, mapping.N.Lutmap.luts) <> want then
-                  Alcotest.failf "%s: mapping differs from the reference" label
-              end)
-            [ `Area; `Depth ])
+          let before = !Lutmap_oracle.uncovered in
+          let want = Lutmap_oracle.map ~k c in
+          let label = Printf.sprintf "%s k=%d" c.N.Circuit.name k in
+          if !Lutmap_oracle.uncovered > before then begin
+            incr refused;
+            match N.Lutmap.map ~k c with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "%s: mapped a gate no cut covers" label
+          end
+          else begin
+            incr compared;
+            let mapped, mapping = N.Lutmap.map ~k c in
+            if (mapped, mapping.N.Lutmap.luts) <> want then
+              Alcotest.failf "%s: mapping differs from the reference" label
+          end)
         [ 2; 3; 4; 5; 6 ])
     circuits;
   Alcotest.(check bool)

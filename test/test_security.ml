@@ -71,12 +71,19 @@ let test_attack_budget () =
   in
   Alcotest.(check bool) "budget exhausts" false outcome.Sec.Sat_attack.success
 
+(* lock a mapped circuit, attack it under the default budget and check
+   the recovered key against the original function *)
+let attack_and_verify mapped =
+  let locked = Sec.Locked.of_mapped mapped in
+  let outcome = Sec.Sat_attack.attack locked ~oracle:(Sec.Locked.make_oracle locked) in
+  ( locked, outcome,
+    Option.map (Sec.Metrics.key_is_correct locked) outcome.Sec.Sat_attack.key )
+
 let test_metrics_report () =
-  let mapped = mapped_of small_comb in
-  let report = Sec.Metrics.evaluate mapped in
-  Alcotest.(check bool) "attack succeeded" true report.Sec.Metrics.attack.Sec.Sat_attack.success;
-  Alcotest.(check (option bool)) "key verified" (Some true) report.Sec.Metrics.key_correct;
-  Alcotest.(check bool) "key bits positive" true (report.Sec.Metrics.key_bits > 0)
+  let locked, outcome, key_correct = attack_and_verify (mapped_of small_comb) in
+  Alcotest.(check bool) "attack succeeded" true outcome.Sec.Sat_attack.success;
+  Alcotest.(check (option bool)) "key verified" (Some true) key_correct;
+  Alcotest.(check bool) "key bits positive" true (locked.Sec.Locked.key_bits > 0)
 
 let test_attack_sequential () =
   (* scan-exposed sequential circuit: attack the combinational core *)
@@ -89,11 +96,10 @@ let test_attack_sequential () =
         end
       endmodule|}
   in
-  let report = Sec.Metrics.evaluate mapped in
+  let _, outcome, key_correct = attack_and_verify mapped in
   Alcotest.(check bool) "sequential attack converges" true
-    report.Sec.Metrics.attack.Sec.Sat_attack.success;
-  Alcotest.(check (option bool)) "sequential key correct" (Some true)
-    report.Sec.Metrics.key_correct
+    outcome.Sec.Sat_attack.success;
+  Alcotest.(check (option bool)) "sequential key correct" (Some true) key_correct
 
 (* Seeded property: on a lock with n scan inputs, an attack bounded
    only by 2^n + 1 iterations converges within 2^n DIPs (no input is
