@@ -218,7 +218,7 @@ let run_security () =
     let o = Sec.Sat_attack.attack ~budget locked ~oracle in
     let correct =
       match o.Sec.Sat_attack.key with
-      | Some key -> Sec.Metrics.key_is_correct locked key
+      | Some key -> Sec.Locked.key_is_correct locked key
       | None -> false
     in
     let approx =
@@ -231,7 +231,8 @@ let run_security () =
       (N.Circuit.lut_count mapped) o.Sec.Sat_attack.key_bits
       o.Sec.Sat_attack.iterations o.Sec.Sat_attack.conflicts
       o.Sec.Sat_attack.seconds
-      (if o.Sec.Sat_attack.success then (if correct then "correct" else "WRONG")
+      (if o.Sec.Sat_attack.status = Sec.Sat_attack.Converged then
+         (if correct then "correct" else "WRONG")
        else Sec.Sat_attack.status_to_string o.Sec.Sat_attack.status)
       (100.0 *. approx.Sec.Approx_attack.best_agreement)
       approx.Sec.Approx_attack.seconds
@@ -412,27 +413,7 @@ let run_ablation () =
     (List.length enum) t_enum
     (List.length (A.Filtering.candidate_instances filt));
   let keys l = List.sort compare (List.map (fun (c : A.Clustering.cluster) -> c.A.Clustering.key) l) in
-  Format.printf "  result sets identical: %b@." (keys fixed = keys enum);
-
-  section "Ablation 5: placement effort (greedy hill climb vs annealing)";
-  List.iter
-    (fun (bench, module_name, w) ->
-      let bm = Option.get (B.find bench) in
-      let design = B.elaborate bm in
-      let mapped, _ =
-        Alice_netlist.Lutmap.map ~k:4
-          (Alice_netlist.Synth.synthesize_module design module_name)
-      in
-      let fabric = F.Fabric.make F.Arch.default w in
-      let g, tg = time (fun () -> F.Place.place ~effort:`Greedy fabric mapped) in
-      let a, ta = time (fun () -> F.Place.place ~effort:`Anneal fabric mapped) in
-      Format.printf
-        "  %-18s %dx%d: greedy HPWL %7.0f (%5.2fs)   anneal HPWL %7.0f (%5.2fs)  %+.0f%%@."
-        (bench ^ "/" ^ module_name) w w g.F.Place.wirelength tg
-        a.F.Place.wirelength ta
-        (100.0 *. (a.F.Place.wirelength -. g.F.Place.wirelength)
-         /. Float.max 1.0 g.F.Place.wirelength))
-    [ ("GCD", "subtractor", 6); ("SASC", "sasc_fifo", 8); ("SHA256", "kconst_rom", 13) ]
+  Format.printf "  result sets identical: %b@." (keys fixed = keys enum)
 
 (* ------------------------------------------------------------------ *)
 (* SoC context: Section 7's remark that GCD's fabrics dominate its     *)

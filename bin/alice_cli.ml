@@ -400,10 +400,12 @@ let sweep_cmd =
   let run file config no_resume flags fmt =
     handle_errors ~fmt (fun () ->
         let doc = C.Yaml_lite.parse (read_file config) in
-        let base = Option.value (J.find doc "base") ~default:J.Null in
+        let base = J.get_obj doc "base" in
         let entries =
           match J.find doc "sweep" with
-          | Some (J.List (_ :: _ as items)) -> items
+          | Some (J.List (_ :: _ as items))
+            when List.for_all (function J.Obj _ -> true | _ -> false) items ->
+            items
           | Some _ -> invalid_arg "sweep: expected a non-empty list of maps"
           | None -> invalid_arg "sweep: missing `sweep` list"
         in
@@ -493,8 +495,7 @@ let advise_cmd =
   let run file constraints format no_resume flags fmt =
     handle_errors ~fmt (fun () ->
         let doc = load_yaml constraints in
-        let base_doc = Option.value (J.find doc "base") ~default:J.Null in
-        let base = flags (C.Flow_config.of_doc base_doc) in
+        let base = flags (C.Flow_config.of_doc (J.get_obj doc "base")) in
         let ast = load_design file in
         let source = A.Flow.Ast ast in
         let plan = A.Advisor.plan_of_source ~base ~constraints:doc source in
@@ -595,7 +596,7 @@ let attack_cmd =
         | Sec.Sat_attack.Converged ->
           let correct =
             match o.Sec.Sat_attack.key with
-            | Some key -> Sec.Metrics.key_is_correct locked key
+            | Some key -> Sec.Locked.key_is_correct locked key
             | None -> false
           in
           Format.printf

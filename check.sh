@@ -464,6 +464,38 @@ for bad in 'alpha: nan' 'characterize_deadline_s: nan' \
   fi
 done
 
+# sweep and advise documents the readers cannot take are refused before
+# any characterization (no stages: or cache line): an inline {...} map
+# is a parse error (E0601), since the YAML subset has no flow maps, and
+# a base or sweep entry that is not a mapping is E0602. Each used to run
+# on the default configuration and exit 0.
+printf 'sweep:\n  - {name: a, max_efpgas: 1}\n  - {name: b, max_efpgas: 2}\n' \
+  > "$tmpdir/shape1.yaml"
+printf 'base: {max_efpgas: 1}\n' > "$tmpdir/shape2.yaml"
+printf 'axes: {lut_inputs: [4]}\n' > "$tmpdir/shape3.yaml"
+printf 'base: 5\nsweep:\n  - name: a\n' > "$tmpdir/shape4.yaml"
+printf 'sweep:\n  - 5\n' > "$tmpdir/shape5.yaml"
+for shape in sweep:1:E0601 advise:2:E0601 advise:3:E0601 sweep:4:E0602 \
+  sweep:5:E0602; do
+  cmd=${shape%%:*}
+  rest=${shape#*:}
+  n=${rest%%:*}
+  want=${rest#*:}
+  set +e
+  "$ALICE" "$cmd" "$tmpdir/gcd.v" -c "$tmpdir/shape$n.yaml" \
+    --cache-dir "$tmpdir/shapecache" --diag-format=json \
+    > "$tmpdir/shape$n.json" 2> "$tmpdir/shape$n.txt"
+  code=$?
+  set -e
+  if [ "$code" -ne 1 ] || ! grep -q "\"code\":\"$want\"" "$tmpdir/shape$n.json" \
+    || grep -Eq '^(stages:|cache)' "$tmpdir/shape$n.txt"; then
+    echo "check.sh: $cmd with shape$n.yaml exited $code without an $want" \
+      "before characterization:" >&2
+    cat "$tmpdir/shape$n.yaml" "$tmpdir/shape$n.json" "$tmpdir/shape$n.txt" >&2
+    exit 1
+  fi
+done
+
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'
 top: soc

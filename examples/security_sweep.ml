@@ -39,13 +39,15 @@ let () =
       let outcome = Sec.Sat_attack.attack ~budget locked ~oracle in
       let correct =
         match outcome.Sec.Sat_attack.key with
-        | Some key -> Sec.Metrics.key_is_correct locked key
+        | Some key -> Sec.Locked.key_is_correct locked key
         | None -> false
       in
       Format.printf "%-16s %8d %8d %6d %8.2f %10b %8b@." label
         (N.Circuit.lut_count mapped)
         outcome.Sec.Sat_attack.key_bits outcome.Sec.Sat_attack.iterations
-        outcome.Sec.Sat_attack.seconds outcome.Sec.Sat_attack.success correct)
+        outcome.Sec.Sat_attack.seconds
+        (outcome.Sec.Sat_attack.status = Sec.Sat_attack.Converged)
+        correct)
     candidates;
   Format.printf
     "@.Reading: key length (and with it attack effort) grows with the@.\

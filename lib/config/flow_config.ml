@@ -139,15 +139,7 @@ let cfg2 = { default with max_io_pins = 96; max_efpgas = 1 }
 
 let of_doc (doc : J.t) : t =
   let d = default in
-  (* the YAML subset reads an inline [{...}] map as a string, whose keys
-     would all fall back to their defaults *)
-  let fabric =
-    match J.find doc "fabric" with
-    | None | Some J.Null -> J.Null
-    | Some (J.Obj _ as f) -> f
-    | Some _ ->
-      invalid_arg "fabric: expected a block mapping (inline {...} maps are not supported)"
-  in
+  let fabric = J.get_obj doc "fabric" in
   let rank =
     match J.get_string ~default:"highest" doc "rank_order" with
     | "highest" -> Highest

@@ -311,6 +311,12 @@ let get ?default doc key convert =
   | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
   | Some node, _ -> convert node
 
+let get_obj doc key =
+  get ~default:Null doc key (function
+    | Obj _ as m -> m
+    | Null | Bool _ | Int _ | Float _ | String _ | List _ ->
+      invalid_arg (Printf.sprintf "%s: expected a mapping" key))
+
 let mismatch key what =
   invalid_arg (Printf.sprintf "key %s: expected %s" key what)
 

@@ -35,6 +35,12 @@ val to_string : t -> string
     keys. *)
 val find : t -> string -> t option
 
+(** An optional mapping: the [Obj] under [key], or [Null] when the key
+    is absent or null, which every accessor reads as all defaults.
+    Raises [Invalid_argument "<key>: expected a mapping"] on any other
+    node. *)
+val get_obj : t -> string -> t
+
 (** Typed accessors: return the value under [key], the [default] when
     the key is absent or null, and raise [Invalid_argument] on a type
     mismatch (or a missing key without default). [get_int] truncates a

@@ -3,8 +3,10 @@
     Supported: nested block maps, block lists ([- item]), scalars
     (int, float, bool, null, quoted and bare strings), [#] comments and
     blank lines, inline flow lists ([\[a, b\]]). Anchors, aliases,
-    multi-documents and block scalars are not supported. The result is
-    the {!Json_lite} document tree; block maps become [Obj]. *)
+    multi-documents, block scalars and inline flow maps ([{a: 1}]) are
+    not supported; an unquoted [{] starting a value or a list item is a
+    parse error rather than a string. The result is the {!Json_lite}
+    document tree; block maps become [Obj]. *)
 
 module J = Json_lite
 
@@ -13,6 +15,12 @@ exception Parse_error of int * string  (* line number, message *)
 let error line fmt = Format.kasprintf (fun m -> raise (Parse_error (line, m))) fmt
 
 (* ---------- scalar parsing ---------- *)
+
+(* Without this, a flow map would read as a string, or as a map whose
+   first key starts with [{], and every key in it would be lost. *)
+let refuse_flow_map line (s : string) =
+  if String.length s > 0 && s.[0] = '{' then
+    error line "inline {...} maps are not supported; use a block mapping"
 
 let parse_scalar (s : string) : J.t =
   let s = String.trim s in
@@ -33,6 +41,7 @@ let parse_scalar (s : string) : J.t =
 
 let rec parse_flow_value line (s : string) : J.t =
   let s = String.trim s in
+  refuse_flow_map line s;
   if String.length s >= 2 && s.[0] = '[' && s.[String.length s - 1] = ']' then begin
     let inner = String.sub s 1 (String.length s - 2) in
     if String.trim inner = "" then J.List []
@@ -102,6 +111,7 @@ let prepare (src : string) : line list =
 (* split "key: value" at the first ':' outside quotes/brackets *)
 let split_key_value (l : line) : (string * string) option =
   let s = l.body in
+  refuse_flow_map l.num s;
   let n = String.length s in
   let rec find i depth =
     if i >= n then None

@@ -75,7 +75,7 @@ let check_axis name = function
 let axes_of_constraints ~(base : C.Flow_config.t)
     (design : V.Elaborate.design) (doc : J.t) : axes =
   let d = default_axes ~base design in
-  let ax = Option.value (J.find doc "axes") ~default:J.Null in
+  let ax = J.get_obj doc "axes" in
   let at_least lo name l =
     List.iter
       (fun v ->

@@ -62,33 +62,20 @@ let insertion_point (members : string list) : string =
   | [] -> invalid_arg "Redact.insertion_point: no members"
   | first :: rest -> String.concat "." (List.fold_left common first rest)
 
-let find_tree_node (design : V.Elaborate.design) (path : string) : V.Design.tree =
-  let root = V.Design.instance_tree design in
-  let rec find (node : V.Design.tree) =
-    if node.path = path then Some node else List.find_map find node.children
-  in
-  match find root with
-  | Some node -> node
-  | None -> fail "no instance at path %s" path
-
-(* instance names along the way from [ancestor] down to [descendant]
-   (exclusive of the ancestor itself) *)
-let chain_between ~(ancestor : string) ~(descendant : string) : string list =
-  if ancestor = descendant then []
-  else begin
-    let pre = ancestor ^ "." in
-    let n = String.length pre in
-    if String.length descendant <= n || String.sub descendant 0 n <> pre then
-      fail "%s is not an ancestor of %s" ancestor descendant;
-    String.split_on_char '.' (String.sub descendant n (String.length descendant - n))
-  end
+(* the instance tree indexed by path, built once per run *)
+let index_tree (design : V.Elaborate.design) : (string, V.Design.tree) Hashtbl.t =
+  let index = Hashtbl.create 64 in
+  V.Design.fold_tree
+    (fun () (n : V.Design.tree) -> Hashtbl.replace index n.path n)
+    () (V.Design.instance_tree design);
+  index
 
 (* ---------- per-module accumulated edits ---------- *)
 
 type edits = {
   mutable remove_instances : string list;
-  mutable extra_ports : V.Ast.item list;   (* Port_decl items *)
-  mutable extra_port_names : string list;  (* for the header list *)
+  (* ports to append, each a direction, range and name *)
+  mutable extra_ports : (V.Ast.direction * V.Ast.range option * string) list;
   mutable extra_items : V.Ast.item list;   (* assigns, wires, instances *)
   (* named bindings to append to an existing instance, keyed by name *)
   mutable extra_bindings : (string * V.Ast.port_binding) list;
@@ -99,8 +86,8 @@ let get_edits table module_name =
   | Some e -> e
   | None ->
     let e =
-      { remove_instances = []; extra_ports = []; extra_port_names = [];
-        extra_items = []; extra_bindings = [] }
+      { remove_instances = []; extra_ports = []; extra_items = [];
+        extra_bindings = [] }
     in
     Hashtbl.add table module_name e;
     e
@@ -112,18 +99,25 @@ let ast_module (ast : V.Ast.design) name : V.Ast.module_decl =
   | Some m -> m
   | None -> fail "no AST module %s" name
 
-let module_of_path (design : V.Elaborate.design) (path : string) : V.Elaborate.emodule =
-  V.Elaborate.find_emodule design (find_tree_node design path).module_name
+let tree_node index (path : string) : V.Design.tree =
+  match Hashtbl.find_opt index path with
+  | Some node -> node
+  | None -> fail "no instance at path %s" path
+
+let module_of_path (design : V.Elaborate.design) index (path : string) :
+    V.Elaborate.emodule =
+  V.Elaborate.find_emodule design (tree_node index path).module_name
+
+(* every connection of the instance is positional *)
+let positional (inst : V.Ast.instance) =
+  inst.V.Ast.inst_ports <> []
+  && List.for_all (fun (b : V.Ast.port_binding) -> b.port_name = None)
+       inst.V.Ast.inst_ports
 
 (* port bindings of an AST instance, keyed by callee port name *)
 let ast_bindings (inst : V.Ast.instance) (callee : V.Elaborate.emodule) :
     (string * V.Ast.expr option) list =
-  let positional =
-    inst.V.Ast.inst_ports <> []
-    && List.for_all (fun (b : V.Ast.port_binding) -> b.port_name = None)
-         inst.V.Ast.inst_ports
-  in
-  if positional then
+  if positional inst then
     List.mapi
       (fun i (b : V.Ast.port_binding) ->
         match List.nth_opt callee.V.Elaborate.em_ports i with
@@ -157,21 +151,49 @@ let find_ast_instance (m : V.Ast.module_decl) (inst_name : string) : V.Ast.insta
 let range_of_width w : V.Ast.range option =
   if w <= 1 then None else Some (V.Ast.num (w - 1), V.Ast.num 0)
 
+let named_binding name expr = { V.Ast.port_name = Some name; port_expr = Some expr }
+
+(* the fabric configuration interface, surfaced as chip pins *)
+let cfg_pins =
+  [ ("cfg_clk", V.Ast.Input); ("cfg_en", V.Ast.Input); ("cfg_in", V.Ast.Input);
+    ("cfg_out", V.Ast.Output) ]
+
 let zero_expr width =
   if width = 1 then V.Ast.Num { width = Some 1; value = 0 }
   else V.Ast.Repeat (V.Ast.num width, [ V.Ast.Num { width = Some 1; value = 0 } ])
 
 (* ---------- site construction ---------- *)
 
+(* Walk up from the instance at [path] to its ancestor at [upto]:
+   [declare] declares [signal] in each level's module, and every level
+   above [path] binds it by name on the child instance below. No module
+   is its own ancestor, so each level edits a different module and the
+   direction of the walk does not show in the output. *)
+let thread design index edits_table ~(path : string) ~(upto : string)
+    ~(signal : string) ~(declare : string -> edits -> unit) : unit =
+  let edits_at path =
+    get_edits edits_table (module_of_path design index path).V.Elaborate.em_orig_name
+  in
+  let rec walk path =
+    declare path (edits_at path);
+    if path <> upto then begin
+      let parent = parent_path path in
+      let edits = edits_at parent in
+      edits.extra_bindings <-
+        ((tree_node index path).inst_name, named_binding signal (V.Ast.Ident signal))
+        :: edits.extra_bindings;
+      walk parent
+    end
+  in
+  walk path
+
 (* Route one member-port signal from the member's parent module up to the
    insertion module, punching forwarding ports through every level.
    Returns the expression to use inside the insertion module. *)
-let punch_signal (design : V.Elaborate.design) edits_table
-    ~(insertion_path : string) ~(member_parent_path : string)
-    ~(signal_name : string) ~(width : int) ~(dir : V.Ast.direction)
-    ~(local_expr : V.Ast.expr option) : V.Ast.expr =
-  let chain = chain_between ~ancestor:insertion_path ~descendant:member_parent_path in
-  if chain = [] then
+let punch_signal design index edits_table ~(insertion_path : string)
+    ~(member_parent_path : string) ~(signal_name : string) ~(width : int)
+    ~(dir : V.Ast.direction) ~(local_expr : V.Ast.expr option) : V.Ast.expr =
+  if member_parent_path = insertion_path then
     (* same module: use the original connection directly *)
     match (local_expr, dir) with
     | Some e, _ -> e
@@ -179,63 +201,37 @@ let punch_signal (design : V.Elaborate.design) edits_table
     | None, (V.Ast.Output | V.Ast.Inout) -> V.Ast.Ident signal_name
     (* caller declares the scratch wire *)
   else begin
-    (* the member parent gets the boundary port and the bridging assign *)
-    let parent_em = module_of_path design member_parent_path in
-    let parent_edits = get_edits edits_table parent_em.V.Elaborate.em_orig_name in
     let port_dir =
       match dir with
       | V.Ast.Input -> V.Ast.Output  (* data flows out toward the eFPGA *)
       | V.Ast.Output -> V.Ast.Input
       | V.Ast.Inout -> fail "inout ports cannot be redacted"
     in
-    parent_edits.extra_ports <-
-      V.Ast.Port_decl (port_dir, V.Ast.Wire, range_of_width width, [ signal_name ])
-      :: parent_edits.extra_ports;
-    parent_edits.extra_port_names <- signal_name :: parent_edits.extra_port_names;
-    (match (local_expr, dir) with
-    | Some e, V.Ast.Input ->
-      parent_edits.extra_items <-
-        V.Ast.Assign (V.Ast.Ident signal_name, e) :: parent_edits.extra_items
-    | Some e, (V.Ast.Output | V.Ast.Inout) ->
-      parent_edits.extra_items <-
-        V.Ast.Assign (e, V.Ast.Ident signal_name) :: parent_edits.extra_items
-    | None, V.Ast.Input ->
-      parent_edits.extra_items <-
-        V.Ast.Assign (V.Ast.Ident signal_name, zero_expr width)
-        :: parent_edits.extra_items
-    | None, (V.Ast.Output | V.Ast.Inout) -> ());
-    (* intermediate levels forward the port and bind it on the child *)
-    let rec thread (level_path : string) (remaining : string list) =
-      match remaining with
-      | [] -> ()
-      | child_inst :: rest ->
-        let level_em = module_of_path design level_path in
-        let level_edits = get_edits edits_table level_em.V.Elaborate.em_orig_name in
-        let binding =
-          { V.Ast.port_name = Some signal_name;
-            port_expr = Some (V.Ast.Ident signal_name) }
-        in
-        level_edits.extra_bindings <-
-          (child_inst, binding) :: level_edits.extra_bindings;
-        if level_path = insertion_path then
+    let range = range_of_width width in
+    thread design index edits_table ~path:member_parent_path ~upto:insertion_path
+      ~signal:signal_name
+      ~declare:(fun path edits ->
+        if path = insertion_path then
           (* the insertion module declares a plain wire *)
-          level_edits.extra_items <-
-            V.Ast.Net_decl (V.Ast.Wire, range_of_width width, [ signal_name ])
-            :: level_edits.extra_items
+          edits.extra_items <-
+            V.Ast.Net_decl (V.Ast.Wire, range, [ signal_name ]) :: edits.extra_items
         else begin
-          level_edits.extra_ports <-
-            V.Ast.Port_decl
-              ( (match dir with
-                | V.Ast.Input -> V.Ast.Output
-                | V.Ast.Output | V.Ast.Inout -> V.Ast.Input),
-                V.Ast.Wire, range_of_width width, [ signal_name ] )
-            :: level_edits.extra_ports;
-          level_edits.extra_port_names <-
-            signal_name :: level_edits.extra_port_names
-        end;
-        thread (level_path ^ "." ^ child_inst) rest
-    in
-    thread insertion_path chain;
+          edits.extra_ports <- (port_dir, range, signal_name) :: edits.extra_ports;
+          (* the member parent bridges the port to the former connection *)
+          if path = member_parent_path then
+            match (local_expr, dir) with
+            | Some e, V.Ast.Input ->
+              edits.extra_items <-
+                V.Ast.Assign (V.Ast.Ident signal_name, e) :: edits.extra_items
+            | Some e, (V.Ast.Output | V.Ast.Inout) ->
+              edits.extra_items <-
+                V.Ast.Assign (e, V.Ast.Ident signal_name) :: edits.extra_items
+            | None, V.Ast.Input ->
+              edits.extra_items <-
+                V.Ast.Assign (V.Ast.Ident signal_name, zero_expr width)
+                :: edits.extra_items
+            | None, (V.Ast.Output | V.Ast.Inout) -> ()
+        end);
     V.Ast.Ident signal_name
   end
 
@@ -244,44 +240,29 @@ let sanitize name = String.map (fun c -> if c = '.' then '_' else c) name
 (* Declare [signal] as a [dir] port of the insertion module and thread it
    through every ancestor so it surfaces as a chip pin: the fabric
    configuration interface of the final design. *)
-let expose_cfg_pin (design : V.Elaborate.design) edits_table
-    ~(insertion_path : string) ~(signal : string) ~(dir : V.Ast.direction) :
-    unit =
-  let top_path = design.V.Elaborate.d_top in
-  let rec thread level_path remaining =
-    let em = module_of_path design level_path in
-    let edits = get_edits edits_table em.V.Elaborate.em_orig_name in
-    edits.extra_ports <-
-      V.Ast.Port_decl (dir, V.Ast.Wire, None, [ signal ]) :: edits.extra_ports;
-    edits.extra_port_names <- signal :: edits.extra_port_names;
-    match remaining with
-    | [] -> ()
-    | child :: rest ->
-      edits.extra_bindings <-
-        ( child,
-          { V.Ast.port_name = Some signal;
-            port_expr = Some (V.Ast.Ident signal) } )
-        :: edits.extra_bindings;
-      thread (level_path ^ "." ^ child) rest
-  in
-  thread top_path (chain_between ~ancestor:top_path ~descendant:insertion_path)
+let expose_cfg_pin design index edits_table ~(insertion_path : string)
+    ~(signal : string) ~(dir : V.Ast.direction) : unit =
+  thread design index edits_table ~path:insertion_path
+    ~upto:design.V.Elaborate.d_top ~signal ~declare:(fun _ edits ->
+      edits.extra_ports <- (dir, None, signal) :: edits.extra_ports)
 
-let build_site (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
-    (index : int) (efpga : Selection.efpga_impl) : efpga_site =
+let build_site (design : V.Elaborate.design) index (ast : V.Ast.design)
+    edits_table (site_index : int) (efpga : Selection.efpga_impl) : efpga_site =
   let members = efpga.Selection.cluster.Clustering.members in
   let parents = List.map (fun (m : V.Design.tree) -> parent_path m.path) members in
   let insertion_path =
     insertion_point (List.map (fun (m : V.Design.tree) -> m.path) members)
   in
-  let insertion_em = module_of_path design insertion_path in
+  let insertion_em = module_of_path design index insertion_path in
   let insertion_edits = get_edits edits_table insertion_em.V.Elaborate.em_orig_name in
-  let efpga_name = Printf.sprintf "efpga_%d" index in
+  let efpga_name = Printf.sprintf "efpga_%d" site_index in
   let in_parts = ref [] and out_parts = ref [] in
+  let gpio_in_width = ref 0 and gpio_out_width = ref 0 in
   let emit_members = ref [] in
   List.iter2
     (fun (m : V.Design.tree) member_parent_path ->
       let callee = V.Elaborate.find_emodule design m.module_name in
-      let parent_em = module_of_path design member_parent_path in
+      let parent_em = module_of_path design index member_parent_path in
       let parent_ast = ast_module ast parent_em.V.Elaborate.em_orig_name in
       let inst = find_ast_instance parent_ast m.inst_name in
       let parent_edits = get_edits edits_table parent_em.V.Elaborate.em_orig_name in
@@ -304,17 +285,19 @@ let build_site (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
               :: insertion_edits.extra_items
           | _ -> ());
           let top_expr =
-            punch_signal design edits_table ~insertion_path
+            punch_signal design index edits_table ~insertion_path
               ~member_parent_path ~signal_name ~width:p.width ~dir:p.dir
               ~local_expr:conn
           in
           match p.dir with
           | V.Ast.Input ->
             in_ports := (p.pname, p.width) :: !in_ports;
-            in_parts := top_expr :: !in_parts
+            in_parts := top_expr :: !in_parts;
+            gpio_in_width := !gpio_in_width + p.width
           | V.Ast.Output ->
             out_ports := (p.pname, p.width) :: !out_ports;
-            out_parts := top_expr :: !out_parts
+            out_parts := top_expr :: !out_parts;
+            gpio_out_width := !gpio_out_width + p.width
           | V.Ast.Inout -> fail "inout ports cannot be redacted")
         callee.V.Elaborate.em_ports;
       emit_members :=
@@ -325,14 +308,6 @@ let build_site (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
           out_ports = List.rev !out_ports }
         :: !emit_members)
     members parents;
-  let emit_members = List.rev !emit_members in
-  let sum proj =
-    List.fold_left
-      (fun acc m -> acc + List.fold_left (fun a (_, w) -> a + w) 0 (proj m))
-      0 emit_members
-  in
-  let gpio_in_width = sum (fun (m : F.Emit.member) -> m.F.Emit.in_ports) in
-  let gpio_out_width = sum (fun (m : F.Emit.member) -> m.F.Emit.out_ports) in
   (* concatenations are MSB-first; the accumulated (reversed) part lists
      are already MSB-first relative to the LSB-first GPIO packing *)
   let instance_item =
@@ -341,28 +316,25 @@ let build_site (design : V.Elaborate.design) (ast : V.Ast.design) edits_table
         inst_name = "u_" ^ efpga_name;
         inst_params = [];
         inst_ports =
-          [ { V.Ast.port_name = Some "cfg_clk"; port_expr = Some (V.Ast.Ident (efpga_name ^ "_cfg_clk")) };
-            { V.Ast.port_name = Some "cfg_en"; port_expr = Some (V.Ast.Ident (efpga_name ^ "_cfg_en")) };
-            { V.Ast.port_name = Some "cfg_in"; port_expr = Some (V.Ast.Ident (efpga_name ^ "_cfg_in")) };
-            { V.Ast.port_name = Some "cfg_out"; port_expr = Some (V.Ast.Ident (efpga_name ^ "_cfg_out")) };
-            { V.Ast.port_name = Some "gpio_in"; port_expr = Some (V.Ast.Concat !in_parts) };
-            { V.Ast.port_name = Some "gpio_out"; port_expr = Some (V.Ast.Concat !out_parts) } ];
+          List.map
+            (fun (pin, _) -> named_binding pin (V.Ast.Ident (efpga_name ^ "_" ^ pin)))
+            cfg_pins
+          @ [ named_binding "gpio_in" (V.Ast.Concat !in_parts);
+              named_binding "gpio_out" (V.Ast.Concat !out_parts) ];
         inst_loc = V.Loc.none }
   in
   insertion_edits.extra_items <- instance_item :: insertion_edits.extra_items;
-  (* the configuration interface surfaces as chip pins *)
   List.iter
-    (fun (suffix, dir) ->
-      expose_cfg_pin design edits_table ~insertion_path
-        ~signal:(efpga_name ^ suffix) ~dir)
-    [ ("_cfg_clk", V.Ast.Input); ("_cfg_en", V.Ast.Input);
-      ("_cfg_in", V.Ast.Input); ("_cfg_out", V.Ast.Output) ];
+    (fun (pin, dir) ->
+      expose_cfg_pin design index edits_table ~insertion_path
+        ~signal:(efpga_name ^ "_" ^ pin) ~dir)
+    cfg_pins;
   let bitstream =
     F.Bitstream.generate efpga.Selection.impl.F.Size_search.placement
       efpga.Selection.mapped
   in
-  { efpga_name; insertion_point = insertion_path; gpio_in_width;
-    gpio_out_width; members = emit_members; bitstream }
+  { efpga_name; insertion_point = insertion_path; gpio_in_width = !gpio_in_width;
+    gpio_out_width = !gpio_out_width; members = List.rev !emit_members; bitstream }
 
 (* ---------- applying edits ---------- *)
 
@@ -380,12 +352,7 @@ let apply_edits (edits : edits) (m : V.Ast.module_decl) : V.Ast.module_decl =
                 edits.extra_bindings
             in
             if extra = [] then Some item
-            else if
-              i.V.Ast.inst_ports <> []
-              && List.for_all
-                   (fun (b : V.Ast.port_binding) -> b.port_name = None)
-                   i.V.Ast.inst_ports
-            then
+            else if positional i then
               fail "instance %s uses positional connections; port punching \
                     requires named connections"
                 i.V.Ast.inst_name
@@ -396,43 +363,43 @@ let apply_edits (edits : edits) (m : V.Ast.module_decl) : V.Ast.module_decl =
         | V.Ast.Assign _ | V.Ast.Always _ -> Some item)
       m.V.Ast.mod_items
   in
+  let ports = List.rev edits.extra_ports in
   { m with
-    V.Ast.mod_ports = m.V.Ast.mod_ports @ List.rev edits.extra_port_names;
+    V.Ast.mod_ports = m.V.Ast.mod_ports @ List.map (fun (_, _, name) -> name) ports;
     V.Ast.mod_items =
-      List.rev edits.extra_ports @ kept_items @ List.rev edits.extra_items }
+      List.map
+        (fun (dir, range, name) -> V.Ast.Port_decl (dir, V.Ast.Wire, range, [ name ]))
+        ports
+      @ kept_items @ List.rev edits.extra_items }
 
 (** Generate the redacted design for a selected solution. *)
 let run ?(view = Programmed) (design : V.Elaborate.design) (ast : V.Ast.design)
     (solution : Selection.solution) : redacted =
   let edits_table : (string, edits) Hashtbl.t = Hashtbl.create 8 in
+  let index = index_tree design in
   let sites =
-    List.mapi (fun i e -> build_site design ast edits_table i e)
+    List.mapi (fun i e -> build_site design index ast edits_table i e)
       solution.Selection.efpgas
   in
   (* a module definition disappears from the opaque view only when every
      one of its instances was redacted; a surviving instance still needs
      the definition *)
-  let redacted_per_module = Hashtbl.create 8 in
+  let redacted = Hashtbl.create 16 and kept = Hashtbl.create 16 in
   List.iter
-    (fun site ->
+    (fun (e : Selection.efpga_impl) ->
       List.iter
-        (fun (m : F.Emit.member) ->
-          let k = m.F.Emit.member_module in
-          Hashtbl.replace redacted_per_module k
-            (1 + Option.value (Hashtbl.find_opt redacted_per_module k) ~default:0))
-        site.members)
-    sites;
+        (fun (m : V.Design.tree) -> Hashtbl.replace redacted m.path m.orig_module_name)
+        e.Selection.cluster.Clustering.members)
+    solution.Selection.efpgas;
+  (* the index holds the root too, whose module is no member's *)
+  Hashtbl.iter
+    (fun path (n : V.Design.tree) ->
+      if not (Hashtbl.mem redacted path) then Hashtbl.replace kept n.orig_module_name ())
+    index;
   let removed_module_names =
     Hashtbl.fold
-      (fun orig_name redacted acc ->
-        let total =
-          List.length
-            (List.filter
-               (fun (n : V.Design.tree) -> n.orig_module_name = orig_name)
-               (V.Design.all_instances design))
-        in
-        if redacted >= total then orig_name :: acc else acc)
-      redacted_per_module []
+      (fun _ orig acc -> if Hashtbl.mem kept orig then acc else orig :: acc)
+      redacted []
     |> List.sort_uniq compare
   in
   let hide_members = match view with
@@ -453,7 +420,7 @@ let run ?(view = Programmed) (design : V.Elaborate.design) (ast : V.Ast.design)
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
     "// Redacted design generated by ALICE; eFPGA bodies follow the design.\n\n";
-  Buffer.add_string buf (V.Pp.design_to_string { V.Ast.modules = surviving_modules });
+  V.Pp.add_design buf { V.Ast.modules = surviving_modules };
   List.iter2
     (fun site (efpga : Selection.efpga_impl) ->
       let fabric = efpga.Selection.impl.F.Size_search.fabric in
@@ -468,6 +435,7 @@ let run ?(view = Programmed) (design : V.Elaborate.design) (ast : V.Ast.design)
             ~mapped:efpga.Selection.mapped
         | Programmed ->
           F.Emit.programmed_wrapper ~name:site.efpga_name ~fabric
+            ~gpio_in:site.gpio_in_width ~gpio_out:site.gpio_out_width
             ~members:site.members
       in
       Buffer.add_string buf "\n";

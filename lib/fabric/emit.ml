@@ -50,17 +50,8 @@ type member = {
   out_ports : (string * int) list;
 }
 
-let programmed_wrapper ~(name : string) ~(fabric : Fabric.t)
-    ~(members : member list) : string =
-  let gpio_in =
-    List.fold_left
-      (fun acc m -> acc + List.fold_left (fun a (_, w) -> a + w) 0 m.in_ports)
-      0 members
-  and gpio_out =
-    List.fold_left
-      (fun acc m -> acc + List.fold_left (fun a (_, w) -> a + w) 0 m.out_ports)
-      0 members
-  in
+let programmed_wrapper ~(name : string) ~(fabric : Fabric.t) ~(gpio_in : int)
+    ~(gpio_out : int) ~(members : member list) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf

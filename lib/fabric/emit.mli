@@ -21,8 +21,11 @@ type member = {
 val opaque_wrapper :
   name:string -> fabric:Fabric.t -> gpio_in:int -> gpio_out:int -> string
 
+(** [gpio_in] and [gpio_out] are the sums of the members' input and
+    output port widths. *)
 val programmed_wrapper :
-  name:string -> fabric:Fabric.t -> members:member list -> string
+  name:string -> fabric:Fabric.t -> gpio_in:int -> gpio_out:int ->
+  members:member list -> string
 
 (** The structural fabric: a configuration shift register of
     {!Bitstream.layout} length feeding LUT truth tables in placement

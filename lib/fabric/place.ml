@@ -13,9 +13,8 @@
     swapped CLBs keeps its set of positions, so it is skipped; every
     other net on either is scored once, with the moved CLB's new position
     substituted, and nothing moves until a swap is accepted. The pairs,
-    the round limit, the acceptance tests ([d < 0] greedy; [d <= 0] or a
-    Metropolis draw when annealing) and the random draws (one float only
-    when [d > 0]) are those of a full recomputation. On a 2-vCPU VM, the
+    the round limit and the acceptance test ([d < 0]) are those of a
+    full recomputation. On a 2-vCPU VM, the
     211 final placements of the perf benchmark's redact deck take
     0.089 s. Three variants were measured on a prototype over the same
     corpus and dropped: bounding boxes with edge counts as in VPR
@@ -220,22 +219,17 @@ let grid_order w =
   done;
   List.rev !cells
 
-(** Placement effort: [`Greedy] is the default pairwise-swap hill climb;
-    [`Anneal] follows it with simulated annealing (Metropolis acceptance,
-    geometric cooling), buying lower wirelength for more runtime. *)
-type effort = [ `Greedy | `Anneal ]
-
 (** Place already-packed clusters onto the fabric. Raises {!Does_not_fit}
     when there are more CLBs than grid sites or more I/O bits than pads.
 
     Nets get dense ids; each keeps the CLBs touching it and the bounding
     box of its pads, which never move, so a net's half-perimeter
     wirelength is one pass over its CLBs. Each net's HPWL is cached as an
-    integer, and one evaluator serves the hill climb and the anneal: it
-    scores a candidate swap without making it (see [delta]), and only an
-    accepted swap writes positions and cached HPWLs. *)
-let place_packed ?(effort : effort = `Greedy) (fabric : Fabric.t)
-    (c : Circuit.t) (clusters : clb list) : placement =
+    integer; the hill climb scores a candidate swap without making it
+    (see [delta]), and only an accepted swap writes positions and cached
+    HPWLs. *)
+let place_packed (fabric : Fabric.t) (c : Circuit.t) (clusters : clb list) :
+    placement =
   let w = fabric.Fabric.width in
   let n = List.length clusters in
   if n > Fabric.clb_count fabric then
@@ -381,29 +375,6 @@ let place_packed ?(effort : effort = `Greedy) (fabric : Fabric.t)
       done
     done
   done;
-  (* optional simulated-annealing refinement *)
-  (match effort with
-  | `Greedy -> ()
-  | `Anneal ->
-    let st = Random.State.make [| 0x5ca1ab1e; n |] in
-    let temperature =
-      ref (Float.max 1.0 (float_of_int !cost /. float_of_int (max 1 n)))
-    in
-    while !temperature > 0.05 do
-      for _move = 1 to 8 * n do
-        if n >= 2 then begin
-          let i = Random.State.int st n in
-          let j = Random.State.int st n in
-          if i <> j then begin
-            let d = delta i j in
-            if d <= 0
-               || Random.State.float st 1.0 < exp (-.float_of_int d /. !temperature)
-            then commit i j d
-          end
-        end
-      done;
-      temperature := !temperature *. 0.85
-    done);
   { fabric;
     clbs = List.init n (fun i -> (clusters.(i), (xs.(i), ys.(i))));
     io_sites;
@@ -434,5 +405,5 @@ let net_boxes (p : placement) : (Circuit.net, int array) Hashtbl.t =
 let net_hpwl (b : int array) : int = b.(1) - b.(0) + b.(3) - b.(2)
 
 (** Pack then place; see {!pack} and {!place_packed}. *)
-let place ?effort (fabric : Fabric.t) (c : Circuit.t) : placement =
-  place_packed ?effort fabric c (pack fabric.Fabric.arch c)
+let place (fabric : Fabric.t) (c : Circuit.t) : placement =
+  place_packed fabric c (pack fabric.Fabric.arch c)

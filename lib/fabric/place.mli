@@ -51,16 +51,12 @@ val element_nets : logic_element -> Circuit.net list
     architecture has fewer than one LUT per CLB. *)
 val pack : Arch.t -> Circuit.t -> clb list
 
-(** Placement effort: [`Greedy] (default) pairwise-swap hill climbing;
-    [`Anneal] adds a simulated-annealing refinement. *)
-type effort = [ `Anneal | `Greedy ]
-
 (** Place already-packed clusters of the circuit onto the fabric; raises
     {!Does_not_fit} when CLBs or I/O bits exceed capacity. *)
-val place_packed : ?effort:effort -> Fabric.t -> Circuit.t -> clb list -> placement
+val place_packed : Fabric.t -> Circuit.t -> clb list -> placement
 
 (** [place_packed] of [pack]. *)
-val place : ?effort:effort -> Fabric.t -> Circuit.t -> placement
+val place : Fabric.t -> Circuit.t -> placement
 
 (** Each net's bounding box [[| minx; maxx; miny; maxy |]] over the CLBs
     and pads it touches, keyed in order of first sight (CLBs in

@@ -12,6 +12,7 @@
 module Circuit = Alice_netlist.Circuit
 module Simulate = Alice_netlist.Simulate
 module Cnf = Alice_sat.Cnf
+module Equiv = Alice_sat.Equiv
 module Tseitin = Alice_sat.Tseitin
 
 type t = {
@@ -145,6 +146,14 @@ let apply_key (l : t) (key : bool array) : Circuit.t =
           ~output:g.Circuit.output)
     (Circuit.gates_in_order c);
   keyed
+
+(** Whether [key] unlocks the original function: the keyed circuit is
+    proved equivalent to the original on every scan input, so a "key
+    recovered" verdict comes with a verified key. *)
+let key_is_correct (l : t) (key : bool array) : bool =
+  match Equiv.check l.circuit (apply_key l key) with
+  | Equiv.Equivalent -> true
+  | Equiv.Different _ | Equiv.Unknown -> false
 
 (** The oracle of the threat model: evaluate the *unlocked* combinational
     core on a scan-input vector. *)

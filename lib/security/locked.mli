@@ -33,6 +33,10 @@ val encode_locked :
 (** Instantiate the circuit with an arbitrary key. *)
 val apply_key : t -> bool array -> Circuit.t
 
+(** Whether the key unlocks the original function, proved with
+    {!Alice_sat.Equiv.check} over the scan-exposed core. *)
+val key_is_correct : t -> bool array -> bool
+
 (** The oracle of the threat model: evaluate the unlocked core on a
     scan-input stimulus. *)
 val make_oracle : t -> bool array -> bool array

@@ -33,10 +33,9 @@ let status_to_string = function
   | Inconclusive -> "inconclusive"
 
 type outcome = {
-  success : bool;          (* miter converged within the budget *)
   status : status;
   iterations : int;        (* DIPs used *)
-  key : bool array option; (* recovered key, when successful *)
+  key : bool array option; (* recovered key, when converged *)
   key_bits : int;
   seconds : float;
   conflicts : int;         (* solver conflicts spent across all calls *)
@@ -117,17 +116,17 @@ let attack ?(budget = default_budget) (l : Locked.t)
     replay key1;
     replay key2
   in
-  let finish ~success ~status ~iterations ~key =
-    { success; status; iterations; key; key_bits = l.Locked.key_bits;
+  let finish ~status ~iterations ~key =
+    { status; iterations; key; key_bits = l.Locked.key_bits;
       seconds = elapsed (); conflicts = !spent; reused = reused () }
   in
   let rec loop iterations =
     if iterations >= budget.max_iterations || elapsed () > budget.max_seconds
-    then finish ~success:false ~status:Exhausted ~iterations ~key:None
+    then finish ~status:Exhausted ~iterations ~key:None
     else begin
       match solve [ act ] with
       | Solver.Unknown ->
-        finish ~success:false ~status:Inconclusive ~iterations ~key:None
+        finish ~status:Inconclusive ~iterations ~key:None
       | Solver.Unsat -> (
         (* converged: with the miter gate off, the session reduces to the
            key-feasibility formula over key1 *)
@@ -136,11 +135,11 @@ let attack ?(budget = default_budget) (l : Locked.t)
           let key =
             Some (Array.map (fun v -> Solver.model_value model v) key1)
           in
-          finish ~success:true ~status:Converged ~iterations ~key
+          finish ~status:Converged ~iterations ~key
         | Solver.Unsat ->
-          finish ~success:true ~status:Converged ~iterations ~key:None
+          finish ~status:Converged ~iterations ~key:None
         | Solver.Unknown ->
-          finish ~success:false ~status:Inconclusive ~iterations ~key:None)
+          finish ~status:Inconclusive ~iterations ~key:None)
       | Solver.Sat model ->
         let dip =
           Array.init (Array.length ins) (fun i ->

@@ -19,10 +19,9 @@ type status = Converged | Exhausted | Inconclusive
 val status_to_string : status -> string
 
 type outcome = {
-  success : bool;           (** miter converged within the budget *)
   status : status;
   iterations : int;         (** distinguishing inputs used *)
-  key : bool array option;  (** recovered key, when successful *)
+  key : bool array option;  (** recovered key, when converged *)
   key_bits : int;
   seconds : float;
   conflicts : int;

@@ -43,4 +43,4 @@ let attack ?budget (l : Locked.t) ~(cycles : int) : Sat_attack.outcome =
 
 (** Functional check of a recovered key over the bounded window. *)
 let key_correct_bounded (l : Locked.t) ~(cycles : int) (key : bool array) : bool =
-  Metrics.key_is_correct (lock_unrolled l ~cycles) key
+  Locked.key_is_correct (lock_unrolled l ~cycles) key

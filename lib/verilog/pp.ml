@@ -40,30 +40,29 @@ let binop_str = function
   | Ast.Bshr -> ">>"
   | Ast.Bashr -> ">>>"
 
-let rec pp_expr fmt = function
-  | Ast.Ident s -> Format.pp_print_string fmt s
-  | Ast.Num { width = None; value } -> Format.fprintf fmt "%d" value
-  | Ast.Num { width = Some w; value } -> Format.fprintf fmt "%d'h%x" w value
-  | Ast.Unary (op, e) -> Format.fprintf fmt "%s(%a)" (unop_str op) pp_expr e
-  | Ast.Binary (op, a, b) ->
-    Format.fprintf fmt "(%a %s %a)" pp_expr a (binop_str op) pp_expr b
-  | Ast.Ternary (c, a, b) ->
-    Format.fprintf fmt "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
-  | Ast.Bit_select (s, i) -> Format.fprintf fmt "%s[%a]" s pp_expr i
-  | Ast.Part_select (s, m, l) ->
-    Format.fprintf fmt "%s[%a:%a]" s pp_expr m pp_expr l
-  | Ast.Concat es ->
-    Format.fprintf fmt "{%a}"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp_expr)
-      es
-  | Ast.Repeat (n, es) ->
-    Format.fprintf fmt "{%a{%a}}" pp_expr n
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp_expr)
-      es
+(* print each element of [l] with [add], [sep] between them *)
+let add_list sep add buf l =
+  List.iteri (fun i x -> if i > 0 then Buffer.add_string buf sep; add buf x) l
 
-let pp_range fmt = function
+let rec add_expr buf = function
+  | Ast.Ident s -> Buffer.add_string buf s
+  | Ast.Num { width = None; value } -> Printf.bprintf buf "%d" value
+  | Ast.Num { width = Some w; value } -> Printf.bprintf buf "%d'h%x" w value
+  | Ast.Unary (op, e) -> Printf.bprintf buf "%s(%a)" (unop_str op) add_expr e
+  | Ast.Binary (op, a, b) ->
+    Printf.bprintf buf "(%a %s %a)" add_expr a (binop_str op) add_expr b
+  | Ast.Ternary (c, a, b) ->
+    Printf.bprintf buf "(%a ? %a : %a)" add_expr c add_expr a add_expr b
+  | Ast.Bit_select (s, i) -> Printf.bprintf buf "%s[%a]" s add_expr i
+  | Ast.Part_select (s, m, l) ->
+    Printf.bprintf buf "%s[%a:%a]" s add_expr m add_expr l
+  | Ast.Concat es -> Printf.bprintf buf "{%a}" (add_list ", " add_expr) es
+  | Ast.Repeat (n, es) ->
+    Printf.bprintf buf "{%a{%a}}" add_expr n (add_list ", " add_expr) es
+
+let add_range buf = function
   | None -> ()
-  | Some (msb, lsb) -> Format.fprintf fmt " [%a:%a]" pp_expr msb pp_expr lsb
+  | Some (msb, lsb) -> Printf.bprintf buf " [%a:%a]" add_expr msb add_expr lsb
 
 let dir_str = function
   | Ast.Input -> "input"
@@ -72,106 +71,102 @@ let dir_str = function
 
 let kind_str = function Ast.Wire -> "" | Ast.Reg -> " reg"
 
-let rec pp_stmt indent fmt stmt =
+let rec add_stmt indent buf stmt =
   let pad = String.make indent ' ' in
   match stmt with
   | Ast.Blocking (lhs, rhs) ->
-    Format.fprintf fmt "%s%a = %a;@." pad pp_expr lhs pp_expr rhs
+    Printf.bprintf buf "%s%a = %a;\n" pad add_expr lhs add_expr rhs
   | Ast.Nonblocking (lhs, rhs) ->
-    Format.fprintf fmt "%s%a <= %a;@." pad pp_expr lhs pp_expr rhs
+    Printf.bprintf buf "%s%a <= %a;\n" pad add_expr lhs add_expr rhs
   | Ast.If (c, t, e) ->
-    Format.fprintf fmt "%sif (%a) begin@.%a%send@." pad pp_expr c
-      (pp_stmts (indent + 2)) t pad;
+    Printf.bprintf buf "%sif (%a) begin\n%a%send\n" pad add_expr c
+      (add_stmts (indent + 2)) t pad;
     (match e with
     | [] -> ()
     | _ ->
-      Format.fprintf fmt "%selse begin@.%a%send@." pad (pp_stmts (indent + 2)) e pad)
+      Printf.bprintf buf "%selse begin\n%a%send\n" pad (add_stmts (indent + 2)) e pad)
   | Ast.Case (subject, arms, dflt) ->
-    Format.fprintf fmt "%scase (%a)@." pad pp_expr subject;
+    Printf.bprintf buf "%scase (%a)\n" pad add_expr subject;
     List.iter
       (fun (labels, body) ->
-        Format.fprintf fmt "%s  %a: begin@.%a%s  end@." pad
-          (Format.pp_print_list
-             ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-             pp_expr)
-          labels
-          (pp_stmts (indent + 4))
+        Printf.bprintf buf "%s  %a: begin\n%a%s  end\n" pad
+          (add_list ", " add_expr) labels
+          (add_stmts (indent + 4))
           body pad)
       arms;
     (match dflt with
     | None -> ()
     | Some body ->
-      Format.fprintf fmt "%s  default: begin@.%a%s  end@." pad
-        (pp_stmts (indent + 4)) body pad);
-    Format.fprintf fmt "%sendcase@." pad
+      Printf.bprintf buf "%s  default: begin\n%a%s  end\n" pad
+        (add_stmts (indent + 4)) body pad);
+    Printf.bprintf buf "%sendcase\n" pad
 
-and pp_stmts indent fmt stmts = List.iter (pp_stmt indent fmt) stmts
+and add_stmts indent buf stmts = List.iter (add_stmt indent buf) stmts
 
-let pp_sensitivity fmt = function
-  | Ast.Sens_star -> Format.pp_print_string fmt "@(*)"
+let add_sensitivity buf = function
+  | Ast.Sens_star -> Buffer.add_string buf "@(*)"
   | Ast.Sens_events evs ->
-    let pp_event fmt { Ast.edge; signal } =
+    let add_event buf { Ast.edge; signal } =
       match edge with
-      | Ast.Posedge -> Format.fprintf fmt "posedge %s" signal
-      | Ast.Negedge -> Format.fprintf fmt "negedge %s" signal
-      | Ast.Level -> Format.pp_print_string fmt signal
+      | Ast.Posedge -> Printf.bprintf buf "posedge %s" signal
+      | Ast.Negedge -> Printf.bprintf buf "negedge %s" signal
+      | Ast.Level -> Buffer.add_string buf signal
     in
-    Format.fprintf fmt "@(%a)"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " or ") pp_event)
-      evs
+    Printf.bprintf buf "@(%a)" (add_list " or " add_event) evs
 
-let pp_item fmt = function
+let add_item buf = function
   | Ast.Port_decl (dir, kind, range, names) ->
-    Format.fprintf fmt "  %s%s%a %s;@." (dir_str dir) (kind_str kind) pp_range
+    Printf.bprintf buf "  %s%s%a %s;\n" (dir_str dir) (kind_str kind) add_range
       range
       (String.concat ", " names)
   | Ast.Net_decl (kind, range, names) ->
     let kw = match kind with Ast.Wire -> "wire" | Ast.Reg -> "reg" in
-    Format.fprintf fmt "  %s%a %s;@." kw pp_range range (String.concat ", " names)
+    Printf.bprintf buf "  %s%a %s;\n" kw add_range range (String.concat ", " names)
   | Ast.Param_decl (local, assigns) ->
     let kw = if local then "localparam" else "parameter" in
     List.iter
       (fun (name, value) ->
-        Format.fprintf fmt "  %s %s = %a;@." kw name pp_expr value)
+        Printf.bprintf buf "  %s %s = %a;\n" kw name add_expr value)
       assigns
   | Ast.Assign (lhs, rhs) ->
-    Format.fprintf fmt "  assign %a = %a;@." pp_expr lhs pp_expr rhs
+    Printf.bprintf buf "  assign %a = %a;\n" add_expr lhs add_expr rhs
   | Ast.Always (sens, body) ->
-    Format.fprintf fmt "  always %a begin@.%a  end@." pp_sensitivity sens
-      (pp_stmts 4) body
+    Printf.bprintf buf "  always %a begin\n%a  end\n" add_sensitivity sens
+      (add_stmts 4) body
   | Ast.Instance { inst_module; inst_name; inst_params; inst_ports; inst_loc = _ } ->
-    let pp_param fmt = function
-      | Some n, e -> Format.fprintf fmt ".%s(%a)" n pp_expr e
-      | None, e -> pp_expr fmt e
+    let add_param buf = function
+      | Some n, e -> Printf.bprintf buf ".%s(%a)" n add_expr e
+      | None, e -> add_expr buf e
     in
-    let pp_binding fmt { Ast.port_name; port_expr } =
+    let add_binding buf { Ast.port_name; port_expr } =
       match (port_name, port_expr) with
-      | Some n, Some e -> Format.fprintf fmt ".%s(%a)" n pp_expr e
-      | Some n, None -> Format.fprintf fmt ".%s()" n
-      | None, Some e -> pp_expr fmt e
+      | Some n, Some e -> Printf.bprintf buf ".%s(%a)" n add_expr e
+      | Some n, None -> Printf.bprintf buf ".%s()" n
+      | None, Some e -> add_expr buf e
       | None, None -> ()
     in
-    Format.fprintf fmt "  %s" inst_module;
+    Printf.bprintf buf "  %s" inst_module;
     (match inst_params with
     | [] -> ()
-    | ps ->
-      Format.fprintf fmt " #(%a)"
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp_param)
-        ps);
-    Format.fprintf fmt " %s (%a);@." inst_name
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp_binding)
+    | ps -> Printf.bprintf buf " #(%a)" (add_list ", " add_param) ps);
+    Printf.bprintf buf " %s (%a);\n" inst_name (add_list ", " add_binding)
       inst_ports
 
-let pp_module fmt (m : Ast.module_decl) =
-  Format.fprintf fmt "module %s (%s);@." m.Ast.mod_name
+let add_module buf (m : Ast.module_decl) =
+  Printf.bprintf buf "module %s (%s);\n" m.Ast.mod_name
     (String.concat ", " m.Ast.mod_ports);
-  List.iter (pp_item fmt) m.Ast.mod_items;
-  Format.fprintf fmt "endmodule@.@."
+  List.iter (add_item buf) m.Ast.mod_items;
+  Buffer.add_string buf "endmodule\n\n"
 
-let pp_design fmt (d : Ast.design) = List.iter (pp_module fmt) d.Ast.modules
+let add_design buf (d : Ast.design) = List.iter (add_module buf) d.Ast.modules
 
-let module_to_string m = Format.asprintf "%a" pp_module m
+let to_string add x =
+  let buf = Buffer.create 4096 in
+  add buf x;
+  Buffer.contents buf
 
-let design_to_string d = Format.asprintf "%a" pp_design d
+let module_to_string m = to_string add_module m
 
-let expr_to_string e = Format.asprintf "%a" pp_expr e
+let design_to_string d = to_string add_design d
+
+let expr_to_string e = to_string add_expr e

@@ -3,11 +3,8 @@
     The output parses back through {!Parser} to an equivalent tree
     (modulo redundant parentheses); this round-trip is property-tested. *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-
-val pp_module : Format.formatter -> Ast.module_decl -> unit
-
-val pp_design : Format.formatter -> Ast.design -> unit
+(** Append the design's modules, in order, to the buffer. *)
+val add_design : Buffer.t -> Ast.design -> unit
 
 val expr_to_string : Ast.expr -> string
 

@@ -153,7 +153,18 @@ let test_axes_of_constraints () =
       ("1-input LUTs", bad "lut_inputs" (J.List [ J.Int 4; J.Int 1 ]));
       ("utilization > 1", bad "target_utilization" (J.Float 1.5));
       ("unknown mode", bad "score" (J.String "vibes"));
-      ("empty axis", bad "max_fabric_size" (J.List [])) ]
+      ("empty axis", bad "max_fabric_size" (J.List [])) ];
+  (* axes that are not a mapping would leave every axis at its default *)
+  List.iter
+    (fun axes ->
+      match
+        A.Advisor.axes_of_constraints ~base:demo_cfg design
+          (J.Obj [ ("axes", axes) ])
+      with
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "axes not a mapping" "axes: expected a mapping" m
+      | _ -> Alcotest.fail "axes that are not a mapping accepted")
+    [ J.Int 5; J.String "{lut_inputs: [4]}"; J.List [ J.Int 4 ] ]
 
 (* ---------- end-to-end: ranked front ---------- *)
 

@@ -54,7 +54,21 @@ let test_errors () =
   (match parse "just a bare line" with
   | exception C.Yaml_lite.Parse_error _ -> ()
   | J.String _ -> () (* a single scalar line parses as flow value *)
-  | _ -> Alcotest.fail "unexpected")
+  | _ -> Alcotest.fail "unexpected");
+  (* the subset has no flow maps: an unquoted [{] starting a value or a
+     list item is refused on its line, not read as a string or a key *)
+  List.iter
+    (fun (src, line) ->
+      match parse src with
+      | exception C.Yaml_lite.Parse_error (l, _) -> Alcotest.(check int) src line l
+      | _ -> Alcotest.failf "accepted: %s" (String.escaped src))
+    [ ("base: {max_efpgas: 1}", 1);
+      ("sweep:\n  - {name: a, max_efpgas: 1}", 2);
+      ("axes: {lut_inputs: [4]}", 1);
+      ("a: 1\nb: [1, {c: 2}]", 2);
+      ("{a: 1}", 1) ];
+  Alcotest.(check bool) "quoted brace is a string" true
+    (parse "a: '{b: 1}'" = J.Obj [ ("a", J.String "{b: 1}") ])
 
 let test_flow_config () =
   let cfg =
@@ -171,10 +185,10 @@ let test_budget_bounds () =
 
 (* nan, which the YAML subset reads as a float, would score every
    solution nan or turn the deadline off, an empty fabric window would
-   characterize every cluster only to find no fabric, and an inline
-   fabric map (a string to the YAML subset) would leave every fabric
-   key at its default: all are refused naming the key, before any
-   characterization *)
+   characterize every cluster only to find no fabric, and a fabric that
+   is not a mapping would leave every fabric key at its default: all
+   are refused naming the key, before any characterization. An inline
+   fabric map is refused earlier, by the YAML subset. *)
 let test_finite_and_window () =
   let message src =
     match C.Flow_config.of_string src with
@@ -197,8 +211,13 @@ let test_finite_and_window () =
       ( "fabric.max_size: must be at least fabric.min_size",
         [ "fabric:\n  min_size: 9\n  max_size: 5"; "fabric:\n  max_size: 0";
           "fabric:\n  max_size: 1" ] );
-      ( "fabric: expected a block mapping (inline {...} maps are not supported)",
-        [ "fabric: {max_size: 0}"; "fabric: {min_size: 9, max_size: 5}"; "fabric: 5" ] ) ];
+      ("fabric: expected a mapping", [ "fabric: 5"; "fabric: [4, 6]" ]) ];
+  List.iter
+    (fun src ->
+      match C.Flow_config.of_string src with
+      | exception C.Yaml_lite.Parse_error (1, _) -> ()
+      | _ -> Alcotest.failf "accepted: %s" src)
+    [ "fabric: {max_size: 0}"; "fabric: {min_size: 9, max_size: 5}" ];
   let c =
     C.Flow_config.of_string
       "alpha: -1.5\nbeta: 0\nattack_area_weight: 0\n\

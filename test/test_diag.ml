@@ -363,7 +363,7 @@ let test_attack_inconclusive () =
   | Alice_security.Sat_attack.Converged | Alice_security.Sat_attack.Exhausted ->
     Alcotest.fail "a 1-conflict solver budget must leave the attack inconclusive");
   Alcotest.(check bool) "not reported as success" false
-    o.Alice_security.Sat_attack.success
+    (o.Alice_security.Sat_attack.status = Alice_security.Sat_attack.Converged)
 
 (* ---------- seeded fuzz: corrupt sources never crash the flow ---------- *)
 

@@ -138,7 +138,7 @@ module Ref = struct
 
   (* the original [place], minus the capacity checks [Size_search] made
      through it (see [try_width]) *)
-  let place ?(effort : F.Place.effort = `Greedy) (fabric : F.Fabric.t) c clusters =
+  let place (fabric : F.Fabric.t) c clusters =
     let w = fabric.F.Fabric.width in
     let io_bits =
       List.concat_map (fun (_, nets) -> Array.to_list nets) c.N.Circuit.inputs
@@ -205,27 +205,6 @@ module Ref = struct
         done
       done
     done;
-    (match effort with
-    | `Greedy -> ()
-    | `Anneal ->
-      let st = Random.State.make [| 0x5ca1ab1e; n |] in
-      let temperature = ref (Float.max 1.0 (!cost /. float_of_int (max 1 n))) in
-      while !temperature > 0.05 do
-        for _move = 1 to 8 * n do
-          if n >= 2 then begin
-            let i = Random.State.int st n in
-            let j = Random.State.int st n in
-            if i <> j then begin
-              let delta, undo = try_swap i j in
-              if delta <= 0.0 || Random.State.float st 1.0 < exp (-.delta /. !temperature)
-              then cost := !cost +. delta
-              else undo ()
-            end
-          end
-        done;
-        temperature := !temperature *. 0.85
-      done;
-      cost := total_wirelength clbs io_sites);
     { fabric; clbs = Array.to_list clbs; io_sites; wirelength = !cost }
 
   (* the original walk: pack and check capacity at every width, place,
@@ -359,8 +338,8 @@ let windows = [ (1, 3); (2, 14); (3, 3); (5, 4) ]
 let utilizations = [ 0.3; 0.6; 1.0 ]
 
 (* pack, then place at the smallest width with room for every CLB and
-   I/O bit, with each effort: both must equal the reference *)
-let check_pack_place efforts (arch, mapped) =
+   I/O bit: both must equal the reference *)
+let check_pack_place (arch, mapped) =
   let clusters = F.Place.pack arch mapped in
   if clusters <> Ref.pack arch mapped then Alcotest.fail "pack differs from the reference";
   let n = List.length clusters in
@@ -370,22 +349,16 @@ let check_pack_place efforts (arch, mapped) =
          ~io_bits:(N.Circuit.io_bit_count mapped))
   in
   let fabric = F.Fabric.make arch w in
-  List.iter
-    (fun effort ->
-      if F.Place.place_packed ~effort fabric mapped clusters
-         <> Ref.place ~effort fabric mapped clusters
-      then Alcotest.failf "place_packed differs from the reference (%d CLBs)" n)
-    (efforts n)
+  if F.Place.place_packed fabric mapped clusters <> Ref.place fabric mapped clusters
+  then Alcotest.failf "place_packed differs from the reference (%d CLBs)" n
 
 let test_differential_pack_place () =
-  List.iter
-    (check_pack_place (fun n -> if n <= 24 then [ `Greedy; `Anneal ] else [ `Greedy ]))
-    (differential_circuits ())
+  List.iter check_pack_place (differential_circuits ())
 
 let test_differential_large_placement () =
   let large = Lazy.force large_clusters in
   Alcotest.(check bool) "some SoC cluster above 40 CLBs" true (large <> []);
-  List.iter (check_pack_place (fun _ -> [ `Greedy ])) large
+  List.iter check_pack_place large
 
 let test_differential_size_search () =
   List.iter
@@ -610,7 +583,7 @@ let test_emit () =
   let d = V.Parser.parse text in
   Alcotest.(check int) "one module" 1 (List.length d.V.Ast.modules);
   let prog =
-    F.Emit.programmed_wrapper ~name:"efpga_0" ~fabric
+    F.Emit.programmed_wrapper ~name:"efpga_0" ~fabric ~gpio_in:4 ~gpio_out:4
       ~members:
         [ { F.Emit.member_module = "sub"; member_instance = "u1"; member_params = [];
             in_ports = [ ("a", 4) ]; out_ports = [ ("y", 4) ] } ]

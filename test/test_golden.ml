@@ -1,12 +1,14 @@
-(* Golden bytes: the MD5 of the programmed-view Verilog the whole flow
-   emits for a fixed set of designs and configurations. Any change to a
-   kernel on the way (synthesis, LUT mapping, packing, selection,
-   regeneration, or a chosen fabric width) that drifts the output bytes
-   fails here, not only in a later self-consistency diff. The bitstream
-   and the emitted wrapper read only the order of the CLBs, never their
-   positions, so a placement or routing drift that keeps every width
-   passes these; the placement goldens below pin positions, wirelength,
-   routing and timing.
+(* Golden bytes: the MD5 of the Verilog the whole flow emits in each of
+   the three views for a fixed set of designs and configurations. Any
+   change to a kernel on the way (synthesis, LUT mapping, packing,
+   selection, regeneration, printing, or a chosen fabric width) that
+   drifts the output bytes fails here, not only in a later
+   self-consistency diff. The opaque and structural digests were
+   recorded before the printer moved from [Format] to a [Buffer]. The
+   bitstream and the emitted wrapper read only the order of the CLBs,
+   never their positions, so a placement or routing drift that keeps
+   every width passes these; the placement goldens below pin positions,
+   wirelength, routing and timing.
 
    Golden verdicts: the per-candidate attack rows (status, DIPs,
    conflicts, learnt clauses reused) of measured selection on four
@@ -27,15 +29,24 @@ module A = Alice
 module B = Alice_benchmarks.Suite
 module C = Alice_config
 
+(* (design, configuration, programmed, opaque, structural) *)
 let golden =
-  [ ("GCD", `C1, "47d8e21c214839067405eb6fd9c1658d");
-    ("GCD", `C2, "c3b6ff9a958e9192ed28827b7cd0fd86");
-    ("SASC", `C1, "d4e2cbfa98a0878a079599d64971e873");
-    ("USB_PHY", `C1, "f1022d53388f3c8913f1e7a673637599");
-    ("FIR", `C2, "69c8d666cbe7418c18cf30ef1a53b007");
-    ("IIR", `C2, "a4ef26a7558e7f476d4e4093203b6dad");
-    ("SHA256", `C1, "b5dd27508cfb12ed00d5db249e7dceb5");
-    ("SOC", `C1, "d9ef306b2d4cd343edc0eb8bbf602276") ]
+  [ ( "GCD", `C1, "47d8e21c214839067405eb6fd9c1658d",
+      "a5aa14ecfa62aab74c6a91956caa551c", "a82daf948d3b31c69aa73285d9bc370c" );
+    ( "GCD", `C2, "c3b6ff9a958e9192ed28827b7cd0fd86",
+      "a7f85d0e0e6d23e27a81261b08c54beb", "85e0c203e0b1bff051bbaa4873d1103d" );
+    ( "SASC", `C1, "d4e2cbfa98a0878a079599d64971e873",
+      "9f5bc3eb03daafd9c52875c0e4e5d311", "28505c5e332ebe05857f4dd4f379bb0d" );
+    ( "USB_PHY", `C1, "f1022d53388f3c8913f1e7a673637599",
+      "b97cde5c217fd5630fa60bcfefc31ba7", "2953d4d89d5f280944a3fb89b8ce1da1" );
+    ( "FIR", `C2, "69c8d666cbe7418c18cf30ef1a53b007",
+      "c402745777aa86ed000653e789bec423", "e4c91485f16a97ae1591965a79bf3d12" );
+    ( "IIR", `C2, "a4ef26a7558e7f476d4e4093203b6dad",
+      "02c43ff9153b4967314a35adff1f1a4b", "aba62cd332a5ecb274d6f8858be13895" );
+    ( "SHA256", `C1, "b5dd27508cfb12ed00d5db249e7dceb5",
+      "f8b3544b5fbdad65fb1cea311f2d7897", "0ac2577b6633f035d53964ce7dfab64e" );
+    ( "SOC", `C1, "d9ef306b2d4cd343edc0eb8bbf602276",
+      "df3c519c1f388a622a9a0de01097b5cb", "25656ce4201f76fe54a6aff10ff2f294" ) ]
 
 (* Golden mappings: the MD5 of the LUT list ([Marshal], no sharing) of
    whole-design synthesis mapped at k = 4, which every paper
@@ -109,8 +120,8 @@ let run_flow ?(tune = Fun.id) name cfg =
   A.Flow.run_request
     (A.Flow.request ~config (A.Flow.Text { text = b.B.source; file = None }))
 
-let programmed_digest name cfg =
-  match A.Flow.redact ~view:A.Redact.Programmed (run_flow name cfg) with
+let view_digest view name cfg =
+  match A.Flow.redact ~view (run_flow name cfg) with
   | None -> Alcotest.failf "%s: no redaction" name
   | Some red -> Digest.to_hex (Digest.string red.A.Redact.verilog)
 
@@ -198,11 +209,16 @@ let verdict_key name cfg cluster_key =
       ~mapped:e.A.Selection.mapped
 
 let tests =
-  List.map
-    (fun (name, cfg, want) ->
-      let label = Printf.sprintf "%s %s programmed bytes" name (cfg_label cfg) in
-      Alcotest.test_case label `Quick (fun () ->
-          Alcotest.(check string) label want (programmed_digest name cfg)))
+  List.concat_map
+    (fun (name, cfg, programmed, opaque, structural) ->
+      List.map
+        (fun (view, label, want) ->
+          let label = Printf.sprintf "%s %s %s bytes" name (cfg_label cfg) label in
+          Alcotest.test_case label `Quick (fun () ->
+              Alcotest.(check string) label want (view_digest view name cfg)))
+        [ (A.Redact.Programmed, "programmed", programmed);
+          (A.Redact.Opaque, "opaque", opaque);
+          (A.Redact.Structural, "structural", structural) ])
     golden
   @ List.map
       (fun (name, cfg, ((budget, iterations) as b), want) ->

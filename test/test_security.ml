@@ -23,13 +23,13 @@ let test_lock_roundtrip () =
   (* applying the correct key reproduces the circuit *)
   let keyed = Sec.Locked.apply_key locked locked.Sec.Locked.correct_key in
   Alcotest.(check bool) "correct key is functionally correct" true
-    (Sec.Metrics.key_is_correct locked locked.Sec.Locked.correct_key);
+    (Sec.Locked.key_is_correct locked locked.Sec.Locked.correct_key);
   Alcotest.(check int) "same gate count" (N.Circuit.gate_count mapped)
     (N.Circuit.gate_count keyed);
   (* the complemented key inverts every LUT, including the output cones *)
   let wrong = Array.map not locked.Sec.Locked.correct_key in
   Alcotest.(check bool) "complemented key detected" false
-    (Sec.Metrics.key_is_correct locked wrong)
+    (Sec.Locked.key_is_correct locked wrong)
 
 let test_scan_view () =
   let mapped =
@@ -50,14 +50,15 @@ let test_attack_recovers () =
   let locked = Sec.Locked.of_mapped mapped in
   let oracle = Sec.Locked.make_oracle locked in
   let outcome = Sec.Sat_attack.attack locked ~oracle in
-  Alcotest.(check bool) "attack converges" true outcome.Sec.Sat_attack.success;
+  Alcotest.(check bool) "attack converges" true
+    (outcome.Sec.Sat_attack.status = Sec.Sat_attack.Converged);
   Alcotest.(check bool) "needs at least one DIP" true
     (outcome.Sec.Sat_attack.iterations >= 1);
   match outcome.Sec.Sat_attack.key with
   | None -> Alcotest.fail "no key extracted"
   | Some key ->
     Alcotest.(check bool) "recovered key functionally correct" true
-      (Sec.Metrics.key_is_correct locked key)
+      (Sec.Locked.key_is_correct locked key)
 
 let test_attack_budget () =
   let mapped = mapped_of small_comb in
@@ -69,7 +70,8 @@ let test_attack_budget () =
                 solver_conflicts = None }
       locked ~oracle
   in
-  Alcotest.(check bool) "budget exhausts" false outcome.Sec.Sat_attack.success
+  Alcotest.(check bool) "budget exhausts" false
+    (outcome.Sec.Sat_attack.status = Sec.Sat_attack.Converged)
 
 (* lock a mapped circuit, attack it under the default budget and check
    the recovered key against the original function *)
@@ -77,11 +79,12 @@ let attack_and_verify mapped =
   let locked = Sec.Locked.of_mapped mapped in
   let outcome = Sec.Sat_attack.attack locked ~oracle:(Sec.Locked.make_oracle locked) in
   ( locked, outcome,
-    Option.map (Sec.Metrics.key_is_correct locked) outcome.Sec.Sat_attack.key )
+    Option.map (Sec.Locked.key_is_correct locked) outcome.Sec.Sat_attack.key )
 
 let test_metrics_report () =
   let locked, outcome, key_correct = attack_and_verify (mapped_of small_comb) in
-  Alcotest.(check bool) "attack succeeded" true outcome.Sec.Sat_attack.success;
+  Alcotest.(check bool) "attack succeeded" true
+    (outcome.Sec.Sat_attack.status = Sec.Sat_attack.Converged);
   Alcotest.(check (option bool)) "key verified" (Some true) key_correct;
   Alcotest.(check bool) "key bits positive" true (locked.Sec.Locked.key_bits > 0)
 
@@ -98,8 +101,37 @@ let test_attack_sequential () =
   in
   let _, outcome, key_correct = attack_and_verify mapped in
   Alcotest.(check bool) "sequential attack converges" true
-    outcome.Sec.Sat_attack.success;
+    (outcome.Sec.Sat_attack.status = Sec.Sat_attack.Converged);
   Alcotest.(check (option bool)) "sequential key correct" (Some true) key_correct
+
+(* A wrong key that differs from the correct one on one scan input out
+   of 2^20: the all-ones row of the LUT driving [y = &a] is read only
+   when every bit of [a] is 1, which 512 random vectors almost surely
+   miss. The key check must still refuse it. *)
+let test_key_check_exact () =
+  let locked =
+    Sec.Locked.of_mapped
+      (mapped_of "module wide (input [19:0] a, output y); assign y = &a; endmodule")
+  in
+  let c = locked.Sec.Locked.circuit in
+  Alcotest.(check (list int)) "LUTs, key bits, scan inputs" [ 7; 100; 20 ]
+    [ N.Circuit.lut_count c; locked.Sec.Locked.key_bits;
+      Array.length (Sec.Locked.input_nets locked) ];
+  let y = (List.assoc "y" c.N.Circuit.outputs).(0) in
+  let lut =
+    List.find (fun (g : N.Circuit.gate) -> g.N.Circuit.output = y)
+      (N.Circuit.gates_in_order c)
+  in
+  let bit =
+    List.assoc y locked.Sec.Locked.offsets
+    + (1 lsl Array.length lut.N.Circuit.inputs) - 1
+  in
+  let key = Array.copy locked.Sec.Locked.correct_key in
+  key.(bit) <- not key.(bit);
+  Alcotest.(check bool) "correct key accepted" true
+    (Sec.Locked.key_is_correct locked locked.Sec.Locked.correct_key);
+  Alcotest.(check bool) "key wrong on one vector refused" false
+    (Sec.Locked.key_is_correct locked key)
 
 (* Seeded property: on a lock with n scan inputs, an attack bounded
    only by 2^n + 1 iterations converges within 2^n DIPs (no input is
@@ -129,7 +161,7 @@ let test_attack_property () =
       | None -> Alcotest.fail (label "no key extracted")
       | Some key ->
         Alcotest.(check bool) (label "recovered key correct") true
-          (Sec.Metrics.key_is_correct locked key))
+          (Sec.Locked.key_is_correct locked key))
     (List.init 30 Fun.id)
 
 let tests =
@@ -140,4 +172,5 @@ let tests =
     Alcotest.test_case "metrics report" `Quick test_metrics_report;
     Alcotest.test_case "sequential attack" `Quick test_attack_sequential;
     Alcotest.test_case "attack property: 30 random locks" `Quick
-      test_attack_property ]
+      test_attack_property;
+    Alcotest.test_case "key check is exact" `Quick test_key_check_exact ]

@@ -90,7 +90,8 @@ let test_approx_attack_weaker_than_sat () =
   let oracle = Sec.Locked.make_oracle locked in
   let exact = Sec.Sat_attack.attack locked ~oracle in
   let approx = Sec.Approx_attack.attack locked ~oracle in
-  Alcotest.(check bool) "exact converges" true exact.Sec.Sat_attack.success;
+  Alcotest.(check bool) "exact converges" true
+    (exact.Sec.Sat_attack.status = Sec.Sat_attack.Converged);
   Alcotest.(check bool) "approx reports agreement" true
     (approx.Sec.Approx_attack.best_agreement > 0.0)
 
@@ -114,7 +115,8 @@ let test_seq_attack_no_scan () =
                 solver_conflicts = None }
       locked ~cycles
   in
-  Alcotest.(check bool) "sequential attack converges" true o.Sec.Sat_attack.success;
+  Alcotest.(check bool) "sequential attack converges" true
+    (o.Sec.Sat_attack.status = Sec.Sat_attack.Converged);
   (match o.Sec.Sat_attack.key with
   | None -> Alcotest.fail "no key"
   | Some key ->
