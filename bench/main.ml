@@ -203,39 +203,30 @@ let run_figure4 () =
 (* Security ablation: SAT attack vs fabric utilization (Eq. 1 basis)   *)
 (* ------------------------------------------------------------------ *)
 
-(* Both attacks are bounded by work only (DIPs; flips and queries), never
-   by wall clock, so the verdicts depend on the candidate alone and not
-   on how fast the solver or the host is. *)
+(* The attack is bounded by work only (DIPs), never by wall clock, so
+   the verdicts depend on the candidate alone and not on how fast the
+   solver or the host is. *)
 let run_security () =
-  section "Security ablation: exact SAT attack vs approximate baseline";
-  Format.printf "%-18s %6s %9s | %6s %9s %8s %9s | %9s %8s@." "candidate"
-    "LUTs" "key bits" "DIPs" "conflicts" "time(s)" "SAT" "agree%" "hill(s)";
+  section "Security ablation: the exact SAT attack per candidate";
+  Format.printf "%-18s %6s %9s | %6s %9s %8s %9s@." "candidate" "LUTs"
+    "key bits" "DIPs" "conflicts" "time(s)" "SAT";
   let attack_one label mapped =
     let locked = Sec.Locked.of_mapped mapped in
     let oracle = Sec.Locked.make_oracle locked in
-    let budget = { Sec.Sat_attack.max_iterations = 200; max_seconds = infinity;
-                   solver_conflicts = None } in
+    let budget = { Sec.Sat_attack.max_iterations = 200; solver_conflicts = None } in
     let o = Sec.Sat_attack.attack ~budget locked ~oracle in
     let correct =
       match o.Sec.Sat_attack.key with
       | Some key -> Sec.Locked.key_is_correct locked key
       | None -> false
     in
-    let approx =
-      Sec.Approx_attack.attack
-        ~budget:{ Sec.Approx_attack.queries = 96; max_flips = 2000; restarts = 4;
-                  max_seconds = infinity }
-        locked ~oracle
-    in
-    Format.printf "%-18s %6d %9d | %6d %9d %8.2f %9s | %8.0f%% %8.2f@." label
+    Format.printf "%-18s %6d %9d | %6d %9d %8.2f %9s@." label
       (N.Circuit.lut_count mapped) o.Sec.Sat_attack.key_bits
       o.Sec.Sat_attack.iterations o.Sec.Sat_attack.conflicts
       o.Sec.Sat_attack.seconds
       (if o.Sec.Sat_attack.status = Sec.Sat_attack.Converged then
          (if correct then "correct" else "WRONG")
        else Sec.Sat_attack.status_to_string o.Sec.Sat_attack.status)
-      (100.0 *. approx.Sec.Approx_attack.best_agreement)
-      approx.Sec.Approx_attack.seconds
   in
   List.iter
     (fun (label, bench, module_name) ->
@@ -260,9 +251,7 @@ let run_security () =
      budget; the first two are point functions, the same output for@.\
      almost every input, so each DIP prunes little of the key space.@.\
      The budget counts DIPs, not seconds, so these verdicts do not@.\
-     depend on the solver's speed or the host. The hill-climbing baseline reaches high@.\
-     *query* agreement cheaply everywhere but never certifies a key, so@.\
-     the exact-attack columns are the security signal. Redacting onto a@.\
+     depend on the solver's speed or the host. Redacting onto a@.\
      well-utilized fabric keeps every configured bit meaningful, the@.\
      direction Eq. 1 encodes.@."
 

@@ -300,12 +300,13 @@ let inspect_cmd =
         Format.printf "%a" A.Report.pp_table1_row
           (A.Report.table1_row ~design_name:(Filename.basename file) d);
         Format.printf "@.modules:@.";
+        let instances = V.Design.all_instances d in
         List.iter
           (fun (m : V.Elaborate.emodule) ->
-            Format.printf "  %-24s %4d I/O pins, %d instance(s)@."
-              m.V.Elaborate.em_name
-              (V.Elaborate.io_pin_count m)
-              (List.length (V.Design.instances_of_module d m.V.Elaborate.em_name)))
+            let name = m.V.Elaborate.em_name in
+            let own = List.filter (fun n -> n.V.Design.module_name = name) instances in
+            Format.printf "  %-24s %4d I/O pins, %d instance(s)@." name
+              (V.Elaborate.io_pin_count m) (List.length own))
           (V.Design.non_top_modules d);
         0)
   in
@@ -558,9 +559,11 @@ let attack_cmd =
     Arg.(required & opt (some string) None & info [ "m"; "module" ] ~docv:"MODULE")
   in
   let iterations =
-    Arg.(value & opt int 256 & info [ "iterations" ] ~docv:"N")
+    Arg.(value & opt int 256
+         & info [ "iterations" ] ~docv:"N"
+             ~doc:"Distinguishing inputs the attack may use; when they \
+                   run out the attack reports $(b,exhausted).")
   in
-  let seconds = Arg.(value & opt float 60.0 & info [ "timeout" ] ~docv:"S") in
   let solver_budget =
     Arg.(value & opt (some int) None
          & info [ "attack-budget" ] ~docv:"CONFLICTS"
@@ -569,15 +572,10 @@ let attack_cmd =
                    Same name and meaning as the flow commands' \
                    measured-selection flag.")
   in
-  let run file module_name iterations seconds solver_budget fmt =
+  let run file module_name iterations solver_budget fmt =
     handle_errors ~fmt (fun () ->
         let budget =
           { Sec.Sat_attack.max_iterations = positive "--iterations" iterations;
-            max_seconds =
-              (if seconds > 0.0 then seconds
-               else
-                 invalid_arg
-                   (Printf.sprintf "--timeout %g: must be positive" seconds));
             solver_conflicts =
               Option.map (positive "--attack-budget") solver_budget }
         in
@@ -618,8 +616,8 @@ let attack_cmd =
   Cmd.v
     (Cmd.info "attack"
        ~doc:"Lock one module as an eFPGA and run the oracle-guided SAT attack")
-    Term.(const run $ design_arg $ module_name $ iterations $ seconds
-          $ solver_budget $ diag_format)
+    Term.(const run $ design_arg $ module_name $ iterations $ solver_budget
+          $ diag_format)
 
 (* ---------- decompose ---------- *)
 

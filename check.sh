@@ -732,14 +732,14 @@ fault_pid=""
 # committed BENCH_<rev>.json at the repo root
 BENCH="$PWD/_build/default/bench/main.exe"
 mkdir "$tmpdir/paper"
-if ! ( cd "$tmpdir/paper" && "$BENCH" table1 figure4 overhead soc \
+if ! ( cd "$tmpdir/paper" && "$BENCH" table1 table2 figure4 overhead soc \
   > "$tmpdir/paper/bench.log" 2>&1 ); then
-  echo "check.sh: bench table1 figure4 overhead soc failed; log:" >&2
+  echo "check.sh: bench table1 table2 figure4 overhead soc failed; log:" >&2
   cat "$tmpdir/paper/bench.log" >&2
   exit 1
 fi
 paper_json=$(find "$tmpdir/paper" -name 'BENCH_*.json' | head -n 1)
-for s in table1 figure4 overhead soc; do
+for s in table1 table2 figure4 overhead soc; do
   if [ -z "$paper_json" ] || ! grep -q "\"$s\":{" "$paper_json"; then
     echo "check.sh: bench snapshot has no $s section:" >&2
     cat "$tmpdir/paper/bench.log" >&2

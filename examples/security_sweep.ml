@@ -32,8 +32,7 @@ let () =
       let design = B.elaborate b in
       let circuit = N.Synth.synthesize_module design module_name in
       let mapped, _ = N.Lutmap.map ~k:4 circuit in
-      let budget = { Sec.Sat_attack.max_iterations = 128; max_seconds = 20.0;
-                     solver_conflicts = None } in
+      let budget = { Sec.Sat_attack.max_iterations = 128; solver_conflicts = None } in
       let locked = Sec.Locked.of_mapped mapped in
       let oracle = Sec.Locked.make_oracle locked in
       let outcome = Sec.Sat_attack.attack ~budget locked ~oracle in

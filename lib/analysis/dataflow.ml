@@ -17,6 +17,7 @@ type t = {
   design : V.Elaborate.design;
   graph : Graph.t;
   top_path : string;
+  instances : V.Design.tree list;  (* below the top, in preorder *)
 }
 
 let var_label path var = path ^ "/" ^ var
@@ -101,12 +102,13 @@ and connect2 g ~from ~into =
       List.iter (fun src -> Graph.add_edge g (Graph.node g src) dn) from)
     into
 
-(** Build the flat dataflow graph of an elaborated design. *)
+(** Build the flat dataflow graph and instance list of a design. *)
 let build (d : V.Elaborate.design) : t =
   let g = Graph.create () in
   let top = V.Elaborate.find_emodule d d.V.Elaborate.d_top in
   add_module d g d.V.Elaborate.d_top top;
-  { design = d; graph = g; top_path = d.V.Elaborate.d_top }
+  { design = d; graph = g; top_path = d.V.Elaborate.d_top;
+    instances = V.Design.all_instances d }
 
 (** All top-level output port names. *)
 let top_outputs (t : t) : string list =
@@ -144,7 +146,7 @@ let instances_affecting (t : t) ~(output : string) : V.Design.tree list =
             | V.Ast.Output | V.Ast.Inout -> in_cone (var_label node.path p.pname)
             | V.Ast.Input -> false)
           em.V.Elaborate.em_ports)
-      (V.Design.all_instances t.design)
+      t.instances
 
 (** Per-module scores of Algorithm 1 lines 2-9: for each selected output,
     every module with at least one affecting instance gets +1. *)

@@ -10,9 +10,10 @@ type t = {
   design : Alice_verilog.Elaborate.design;
   graph : Graph.t;
   top_path : string;
+  instances : Alice_verilog.Design.tree list;  (** below the top, in preorder *)
 }
 
-(** Build the flat dataflow graph of an elaborated design. *)
+(** Build the flat dataflow graph and instance list of a design. *)
 val build : Alice_verilog.Elaborate.design -> t
 
 (** All top-level output port names. *)

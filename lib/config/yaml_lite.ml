@@ -22,22 +22,27 @@ let refuse_flow_map line (s : string) =
   if String.length s > 0 && s.[0] = '{' then
     error line "inline {...} maps are not supported; use a block mapping"
 
+(* the text between a matching pair of outer quotes *)
+let unquote (s : string) : string option =
+  let n = String.length s in
+  if n >= 2 && (s.[0] = '"' || s.[0] = '\'') && s.[n - 1] = s.[0] then
+    Some (String.sub s 1 (n - 2))
+  else None
+
 let parse_scalar (s : string) : J.t =
   let s = String.trim s in
-  if s = "" || s = "~" || s = "null" then J.Null
-  else if s = "true" || s = "yes" then J.Bool true
-  else if s = "false" || s = "no" then J.Bool false
-  else if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-    J.String (String.sub s 1 (String.length s - 2))
-  else if String.length s >= 2 && s.[0] = '\'' && s.[String.length s - 1] = '\'' then
-    J.String (String.sub s 1 (String.length s - 2))
-  else
+  match unquote s with
+  | Some text -> J.String text
+  | None when s = "" || s = "~" || s = "null" -> J.Null
+  | None when s = "true" || s = "yes" -> J.Bool true
+  | None when s = "false" || s = "no" -> J.Bool false
+  | None -> (
     match int_of_string_opt s with
     | Some i -> J.Int i
     | None -> (
       match float_of_string_opt s with
       | Some f -> J.Float f
-      | None -> J.String s)
+      | None -> J.String s))
 
 let rec parse_flow_value line (s : string) : J.t =
   let s = String.trim s in
@@ -71,21 +76,28 @@ let rec parse_flow_value line (s : string) : J.t =
 
 type line = { num : int; indent : int; body : string }
 
-let strip_comment s =
-  (* a # not inside quotes starts a comment *)
-  let n = String.length s in
-  let rec find i in_quote quote_char =
-    if i >= n then n
+(* the first index [i] outside "..." and '...' spans where [stop i depth]
+   holds, [depth] counting the brackets open before [i] *)
+let find_unquoted (s : string) (stop : int -> int -> bool) : int option =
+  let rec find i depth quote =
+    if i >= String.length s then None
     else
       match s.[i] with
-      | ('"' | '\'') as q ->
-        if in_quote && q = quote_char then find (i + 1) false ' '
-        else if in_quote then find (i + 1) in_quote quote_char
-        else find (i + 1) true q
-      | '#' when not in_quote -> i
-      | _ -> find (i + 1) in_quote quote_char
+      | c when quote <> None ->
+        find (i + 1) depth (if Some c = quote then None else quote)
+      | _ when stop i depth -> Some i
+      | ('"' | '\'') as q -> find (i + 1) depth (Some q)
+      | '[' -> find (i + 1) (depth + 1) None
+      | ']' -> find (i + 1) (depth - 1) None
+      | _ -> find (i + 1) depth None
   in
-  String.sub s 0 (find 0 false ' ')
+  find 0 0 None
+
+(* a # not inside quotes starts a comment *)
+let strip_comment s =
+  match find_unquoted s (fun i _ -> s.[i] = '#') with
+  | Some i -> String.sub s 0 i
+  | None -> s
 
 let prepare (src : string) : line list =
   String.split_on_char '\n' src
@@ -108,24 +120,18 @@ let prepare (src : string) : line list =
 
 (* ---------- block structure ---------- *)
 
-(* split "key: value" at the first ':' outside quotes/brackets *)
+(* split "key: value" at the first ':' outside quotes/brackets; a quoted
+   key loses its quotes *)
 let split_key_value (l : line) : (string * string) option =
   let s = l.body in
   refuse_flow_map l.num s;
   let n = String.length s in
-  let rec find i depth =
-    if i >= n then None
-    else
-      match s.[i] with
-      | '[' -> find (i + 1) (depth + 1)
-      | ']' -> find (i + 1) (depth - 1)
-      | ':' when depth = 0 && (i + 1 >= n || s.[i + 1] = ' ') -> Some i
-      | _ -> find (i + 1) depth
-  in
-  match find 0 0 with
+  let separator i depth = depth = 0 && s.[i] = ':' && (i + 1 >= n || s.[i + 1] = ' ') in
+  match find_unquoted s separator with
   | None -> None
   | Some i ->
     let key = String.trim (String.sub s 0 i) in
+    let key = Option.value (unquote key) ~default:key in
     let value = if i + 1 >= n then "" else String.sub s (i + 1) (n - i - 1) in
     Some (key, String.trim value)
 

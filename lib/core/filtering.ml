@@ -47,6 +47,13 @@ let run (df : A.Dataflow.t) (cfg : C.Flow_config.t) : result =
         (fun (n : V.Design.tree) -> Hashtbl.replace affecting n.path ())
         (A.Dataflow.instances_affecting df ~output))
     outputs;
+  (* each module's affecting instances; [find_all] returns the last added
+     first, so adding in reverse preorder reads back in preorder *)
+  let by_module = Hashtbl.create 32 in
+  List.iter
+    (fun (n : V.Design.tree) ->
+      if Hashtbl.mem affecting n.path then Hashtbl.add by_module n.module_name n)
+    (List.rev df.A.Dataflow.instances);
   let candidates =
     List.filter_map
       (fun (module_name, score) ->
@@ -57,10 +64,7 @@ let run (df : A.Dataflow.t) (cfg : C.Flow_config.t) : result =
           if check_parameters cfg ~io_pins then
             Some
               { module_name; score; io_pins;
-                instances =
-                  List.filter
-                    (fun (n : V.Design.tree) -> Hashtbl.mem affecting n.path)
-                    (V.Design.instances_of_module design module_name) }
+                instances = Hashtbl.find_all by_module module_name }
           else None
         end)
       scores

@@ -92,7 +92,6 @@ module Scorer = struct
 
   let measured_budget (cfg : C.Flow_config.t) : Sec.Sat_attack.budget =
     { Sec.Sat_attack.max_iterations = cfg.C.Flow_config.attack_iterations;
-      max_seconds = infinity;
       solver_conflicts = Some cfg.C.Flow_config.attack_budget }
 
   (** Attack one candidate's locked netlist under the measured budget. *)

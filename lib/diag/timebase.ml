@@ -1,11 +1,9 @@
-(** One wall-clock helper for every phase/attack timer in the repo.
+(** One wall-clock helper for the flow's phase times, the
+    characterization deadline and the SAT attack's reported time.
 
-    [Unix.gettimeofday] can step backwards under NTP adjustment; the
-    flow's phase times and the attacks' budget checks both misbehave on
-    negative intervals, so readings are clamped to be non-decreasing
-    ("monotonic-ish"). All callers that previously kept their own
-    [gettimeofday] pairs (flow phases, SAT attack, approximate attack)
-    go through this module.
+    [Unix.gettimeofday] can step backwards under NTP adjustment, and a
+    negative interval would misreport a phase or trip the deadline, so
+    readings are clamped to be non-decreasing ("monotonic-ish").
 
     The clamp state is mutex-guarded: deadline predicates are polled
     from worker domains when characterization runs parallel, and an

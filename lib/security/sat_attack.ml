@@ -21,8 +21,8 @@ module Solver = Alice_sat.Solver
 module Timebase = Alice_diag.Timebase
 
 (** How an attack run ended. [Converged] proves the key space collapsed;
-    [Exhausted] means the iteration/time budget ran out (the lock held
-    within the budget); [Inconclusive] means the SAT solver's own
+    [Exhausted] means the DIP budget ran out (the lock held within the
+    budget); [Inconclusive] means the SAT solver's own
     conflict budget ran out, so the run proves nothing either way and
     must not be read as "secure". *)
 type status = Converged | Exhausted | Inconclusive
@@ -45,21 +45,19 @@ type outcome = {
 
 type budget = {
   max_iterations : int;
-  max_seconds : float;
   solver_conflicts : int option;
       (* per-call conflict budget for the underlying SAT solver;
          [None] leaves the solver unbounded *)
 }
 
 let default_budget =
-  { max_iterations = 256; max_seconds = 30.0; solver_conflicts = None }
+  { max_iterations = 256; solver_conflicts = None }
 
 (** Run the attack. [oracle] maps a scan-input stimulus to the correct
     response (use {!Locked.make_oracle} for the standard threat model). *)
 let attack ?(budget = default_budget) (l : Locked.t)
     ~(oracle : bool array -> bool array) : outcome =
   let start = Timebase.now_s () in
-  let elapsed () = Timebase.elapsed_since start in
   let ins = Locked.input_nets l in
   let outs = Locked.output_nets l in
   (* base formula: the two-copy miter, with the "some output differs"
@@ -118,11 +116,11 @@ let attack ?(budget = default_budget) (l : Locked.t)
   in
   let finish ~status ~iterations ~key =
     { status; iterations; key; key_bits = l.Locked.key_bits;
-      seconds = elapsed (); conflicts = !spent; reused = reused () }
+      seconds = Timebase.elapsed_since start; conflicts = !spent; reused = reused () }
   in
   let rec loop iterations =
-    if iterations >= budget.max_iterations || elapsed () > budget.max_seconds
-    then finish ~status:Exhausted ~iterations ~key:None
+    if iterations >= budget.max_iterations then
+      finish ~status:Exhausted ~iterations ~key:None
     else begin
       match solve [ act ] with
       | Solver.Unknown ->

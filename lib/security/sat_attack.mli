@@ -10,9 +10,9 @@
     queries. *)
 
 (** How a run ended. [Converged] proves the key space collapsed;
-    [Exhausted] means the iteration/time budget ran out (the lock held
-    within the budget); [Inconclusive] means the SAT solver's own
-    conflict budget ran out — the run proves nothing either way and
+    [Exhausted] means the DIP budget ([max_iterations]) ran out (the
+    lock held within the budget); [Inconclusive] means the SAT solver's
+    own conflict budget ran out — the run proves nothing either way and
     must not be read as "secure". *)
 type status = Converged | Exhausted | Inconclusive
 
@@ -23,7 +23,7 @@ type outcome = {
   iterations : int;         (** distinguishing inputs used *)
   key : bool array option;  (** recovered key, when converged *)
   key_bits : int;
-  seconds : float;
+  seconds : float;          (** wall-clock time, reported only *)
   conflicts : int;
       (** solver conflicts spent across every solver call the run made;
           unlike [seconds] this is deterministic, so it is the cost
@@ -34,9 +34,10 @@ type outcome = {
           first) *)
 }
 
+(** Bounds on the attack's work, never on wall-clock time, so a verdict
+    does not depend on how fast the solver or the host is. *)
 type budget = {
-  max_iterations : int;
-  max_seconds : float;
+  max_iterations : int;  (** distinguishing inputs the attack may use *)
   solver_conflicts : int option;
       (** per-call conflict budget for the underlying solver; [None]
           leaves it unbounded *)

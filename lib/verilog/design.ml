@@ -64,7 +64,3 @@ let io_pin_range (d : Elaborate.design) : int * int =
   | [] -> (0, 0)
   | c :: rest ->
     List.fold_left (fun (lo, hi) c -> (min lo c, max hi c)) (c, c) rest
-
-(** Find the instances (paths) of a given specialized module name. *)
-let instances_of_module (d : Elaborate.design) name : tree list =
-  List.filter (fun n -> n.module_name = name) (all_instances d)

@@ -36,6 +36,3 @@ val instance_count : Elaborate.design -> int
 
 (** [min, max] I/O pin count over non-top modules. *)
 val io_pin_range : Elaborate.design -> int * int
-
-(** Instances (paths) of a given specialized module name. *)
-val instances_of_module : Elaborate.design -> string -> tree list

@@ -280,22 +280,27 @@ let test_configs_match_paper_params () =
       Alcotest.(check (float 1e-9)) "beta 1" 1.0 c1.Alice_config.Flow_config.beta)
     B.all
 
-(* the headline Table 2 structural columns for the fast designs; DES3 is
-   exercised by the bench harness (it takes ~minutes) *)
+(* Table 2's structural columns, all 14 rows *)
 let test_flow_columns () =
   let expect =
-    (* name, cfg, R, C, valid, chosen sizes, redacted *)
-    [ ("FIR", `C1, 1, Some 1, Some 1, [ "6x6" ], Some 1);
-      ("FIR", `C2, 3, Some 3, Some 3, [ "6x6" ], Some 1);
-      ("IIR", `C1, 0, None, None, [], None);
-      ("IIR", `C2, 2, Some 2, Some 2, [ "9x9" ], Some 1);
-      ("SHA256", `C1, 1, Some 1, Some 1, [ "12x12" ], Some 1);
-      ("SASC", `C1, 1, Some 1, Some 1, [ "7x7" ], Some 1);
-      ("USB_PHY", `C1, 2, Some 3, Some 1, [ "7x7" ], Some 1);
-      ("GCD", `C1, 9, Some 29, Some 22, [ "5x5"; "4x4" ], Some 4) ]
+    (* name, cfg, R, C, valid, S, chosen sizes, redacted *)
+    [ ("DES3", `C1, 8, Some 218, Some 218, Some 3151, [ "10x10"; "10x10" ], Some 8);
+      ("DES3", `C2, 8, Some 255, Some 255, Some 255, [ "14x14" ], Some 8);
+      ("FIR", `C1, 1, Some 1, Some 1, Some 1, [ "6x6" ], Some 1);
+      ("FIR", `C2, 3, Some 3, Some 3, Some 3, [ "6x6" ], Some 1);
+      ("IIR", `C1, 0, None, None, None, [], None);
+      ("IIR", `C2, 2, Some 2, Some 2, Some 2, [ "9x9" ], Some 1);
+      ("SHA256", `C1, 1, Some 1, Some 1, Some 1, [ "12x12" ], Some 1);
+      ("SHA256", `C2, 1, Some 1, Some 1, Some 1, [ "12x12" ], Some 1);
+      ("SASC", `C1, 1, Some 1, Some 1, Some 1, [ "7x7" ], Some 1);
+      ("SASC", `C2, 1, Some 1, Some 1, Some 1, [ "7x7" ], Some 1);
+      ("USB_PHY", `C1, 2, Some 3, Some 1, Some 1, [ "7x7" ], Some 1);
+      ("USB_PHY", `C2, 2, Some 3, Some 1, Some 1, [ "7x7" ], Some 1);
+      ("GCD", `C1, 9, Some 29, Some 22, Some 127, [ "5x5"; "4x4" ], Some 4);
+      ("GCD", `C2, 10, Some 90, Some 83, Some 83, [ "6x6" ], Some 3) ]
   in
   List.iter
-    (fun (name, cfg, r, c, valid, sizes, redacted) ->
+    (fun (name, cfg, r, c, valid, s, sizes, redacted) ->
       let b = Option.get (B.find name) in
       let config = match cfg with `C1 -> B.config1 b | `C2 -> B.config2 b in
       let flow = flow_ast ~config (B.parse b) in
@@ -304,6 +309,7 @@ let test_flow_columns () =
       Alcotest.(check int) (tag "R") r row.A.Report.r_count;
       Alcotest.(check (option int)) (tag "C") c row.A.Report.c_count;
       Alcotest.(check (option int)) (tag "valid") valid row.A.Report.valid_efpgas;
+      Alcotest.(check (option int)) (tag "S") s row.A.Report.s_count;
       Alcotest.(check (list string)) (tag "sizes") sizes row.A.Report.efpga_sizes;
       Alcotest.(check (option int)) (tag "redacted") redacted row.A.Report.redacted_modules)
     expect

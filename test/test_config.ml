@@ -230,6 +230,17 @@ let test_finite_and_window () =
   Alcotest.(check (pair int int)) "one-width window accepted" (1, 1)
     C.Flow_config.(c.min_fabric_size, c.max_fabric_size)
 
+(* a ": " inside quotes is text, not the key separator: a quoted list
+   item stays a string and a quoted key keeps its colon *)
+let test_quoted_colons () =
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check string) (String.escaped src) want
+        (J.to_string (parse src)))
+    [ ("selected_outputs:\n  - \"a: b\"\n  - 'c: d'",
+       {|{"selected_outputs":["a: b","c: d"]}|});
+      ({|"k: v": 1|}, {|{"k: v":1}|}) ]
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
@@ -241,4 +252,5 @@ let tests =
     Alcotest.test_case "clb and io bounds" `Quick test_clb_io_bounds;
     Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds;
     Alcotest.test_case "pin and eFPGA budget bounds" `Quick test_budget_bounds;
-    Alcotest.test_case "finite weights and fabric window" `Quick test_finite_and_window ]
+    Alcotest.test_case "finite weights and fabric window" `Quick test_finite_and_window;
+    Alcotest.test_case "quoted colons" `Quick test_quoted_colons ]

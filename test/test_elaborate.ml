@@ -83,7 +83,10 @@ let test_instance_tree () =
   in
   Alcotest.(check (list string)) "paths"
     [ "top.m"; "top.m.l1"; "top.m.l2" ] paths;
-  let leaves = V.Design.instances_of_module d "leaf" in
+  let leaves =
+    List.filter (fun (n : V.Design.tree) -> n.module_name = "leaf")
+      (V.Design.all_instances d)
+  in
   Alcotest.(check int) "leaf instances" 2 (List.length leaves)
 
 let test_positional_bindings () =

@@ -167,8 +167,7 @@ let long_session_rows name cfg only =
   let module F = Alice_fabric in
   let module Sec = Alice_security in
   let budget =
-    { Sec.Sat_attack.max_iterations = 40; max_seconds = infinity;
-      solver_conflicts = Some 3_000 }
+    { Sec.Sat_attack.max_iterations = 40; solver_conflicts = Some 3_000 }
   in
   List.filter_map
     (fun (e : A.Selection.efpga_impl) ->

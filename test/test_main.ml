@@ -25,6 +25,5 @@ let () =
       ("redact", Test_redact.tests);
       ("decompose", Test_decompose.tests);
       ("structural", Test_structural.tests);
-      ("unroll", Test_unroll.tests);
       ("benchmarks", Test_benchmarks.tests);
       ("golden", Test_golden.tests) ]

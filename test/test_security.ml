@@ -66,8 +66,7 @@ let test_attack_budget () =
   let oracle = Sec.Locked.make_oracle locked in
   let outcome =
     Sec.Sat_attack.attack
-      ~budget:{ Sec.Sat_attack.max_iterations = 1; max_seconds = 30.0;
-                solver_conflicts = None }
+      ~budget:{ Sec.Sat_attack.max_iterations = 1; solver_conflicts = None }
       locked ~oracle
   in
   Alcotest.(check bool) "budget exhausts" false
@@ -149,7 +148,7 @@ let test_attack_property () =
       let outcome =
         Sec.Sat_attack.attack
           ~budget:{ Sec.Sat_attack.max_iterations = (1 lsl n) + 1;
-                    max_seconds = infinity; solver_conflicts = None }
+                    solver_conflicts = None }
           locked ~oracle:(Sec.Locked.make_oracle locked)
       in
       let label what = Printf.sprintf "seed %d: %s" seed what in
