@@ -354,6 +354,47 @@ if [ -z "$recomputed" ] || ! grep -q \
   exit 1
 fi
 
+# --- cache keys: an entry that changes only a field selection reads ---
+# --- shares every characterization, and another -j resumes the sweep --
+cat > "$tmpdir/floor.yaml" <<'EOF'
+base:
+  top: gcd
+  selected_outputs:
+    - result
+  max_io_pins: 64
+  max_efpgas: 2
+sweep:
+  - name: floor0
+    fabric:
+      min_clb_utilization: 0.0
+  - name: floor3
+    fabric:
+      min_clb_utilization: 0.3
+EOF
+floor_sweep() {
+  dune exec --no-build bin/alice_cli.exe -- sweep "$tmpdir/gcd.v" \
+    -c "$tmpdir/floor.yaml" --cache-dir "$tmpdir/fcache" -j "$1" > "$2" 2>&1
+}
+floor_sweep 1 "$tmpdir/floor_cold.txt"
+# the computed column of each entry, and the stores of the whole sweep
+first=$(awk '$1 == "floor0" { print $8 }' "$tmpdir/floor_cold.txt")
+second=$(awk '$1 == "floor3" { print $8 }' "$tmpdir/floor_cold.txt")
+stores=$(sed -n 's/^cache store: .* \([0-9][0-9]*\) stores,.*/\1/p' \
+  "$tmpdir/floor_cold.txt")
+if [ -z "$first" ] || [ "$first" -eq 0 ] || [ "$second" != 0 ] \
+  || [ "$stores" != "$first" ]; then
+  echo "check.sh: an entry differing only in min_clb_utilization" \
+    "recomputed or re-stored characterizations:" >&2
+  cat "$tmpdir/floor_cold.txt" >&2
+  exit 1
+fi
+floor_sweep 2 "$tmpdir/floor_j2.txt"
+if [ "$(awk '$NF == "yes"' "$tmpdir/floor_j2.txt" | wc -l)" -ne 2 ]; then
+  echo "check.sh: the sweep rerun with -j 2 did not resume every entry:" >&2
+  cat "$tmpdir/floor_j2.txt" >&2
+  exit 1
+fi
+
 # --- redaction service: 8 concurrent clients, warm stats, streaming ---
 # --- sweep, clean drain — once per transport (unix + tcp) -------------
 # the daemon is exercised through the built binary directly: `dune exec`

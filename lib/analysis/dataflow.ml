@@ -148,18 +148,18 @@ let instances_affecting (t : t) ~(output : string) : V.Design.tree list =
           em.V.Elaborate.em_ports)
       t.instances
 
-(** Per-module scores of Algorithm 1 lines 2-9: for each selected output,
-    every module with at least one affecting instance gets +1. *)
-let module_scores (t : t) ~(outputs : string list) : (string * int) list =
-  let outputs = if outputs = [] then top_outputs t else outputs in
+(** Per-module scores of Algorithm 1 lines 2-9: for each selected
+    output's affecting instances, every module with at least one of
+    them gets +1. *)
+let module_scores (t : t) (affecting : V.Design.tree list list) :
+    (string * int) list =
   let scores = Hashtbl.create 16 in
   List.iter
     (fun (m : V.Elaborate.emodule) ->
       Hashtbl.replace scores m.V.Elaborate.em_name 0)
     (V.Design.non_top_modules t.design);
   List.iter
-    (fun output ->
-      let affecting = instances_affecting t ~output in
+    (fun affecting ->
       let modules_hit = Hashtbl.create 8 in
       List.iter
         (fun (n : V.Design.tree) -> Hashtbl.replace modules_hit n.module_name ())
@@ -168,7 +168,7 @@ let module_scores (t : t) ~(outputs : string list) : (string * int) list =
         (fun m () ->
           Hashtbl.replace scores m (1 + Option.value (Hashtbl.find_opt scores m) ~default:0))
         modules_hit)
-    outputs;
+    affecting;
   Hashtbl.fold (fun m s acc -> (m, s) :: acc) scores []
   |> List.sort (fun (a, sa) (b, sb) -> if sa <> sb then compare sb sa else compare a b)
 

@@ -23,10 +23,12 @@ val top_outputs : t -> string list
     given top-level output. *)
 val instances_affecting : t -> output:string -> Alice_verilog.Design.tree list
 
-(** Per-module scores of Algorithm 1: for each selected output, every
-    module with at least one affecting instance gets +1. Sorted by
-    descending score. [outputs = []] means all top outputs. *)
-val module_scores : t -> outputs:string list -> (string * int) list
+(** Per-module scores of Algorithm 1 from each selected output's
+    {!instances_affecting}, one list per output: for each list, every
+    module with at least one instance in it gets +1. Sorted by
+    descending score. *)
+val module_scores :
+  t -> Alice_verilog.Design.tree list list -> (string * int) list
 
 (** One dependence notion — {!instances_dependent} when [transitive],
     else {!instances_directly_connected} — as a predicate that finds

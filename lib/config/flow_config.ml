@@ -39,14 +39,19 @@ type score_formula = Reward | Penalty
     [attack_area_weight]. Default: [Heuristic]. *)
 type score_mode = Heuristic | Measured
 
-let score_mode_to_string = function
-  | Heuristic -> "heuristic"
-  | Measured -> "measured"
+(* each variant's one spelling, for the readers, the keys and [pp] *)
+let rank_orders = [ ("highest", Highest); ("lowest", Lowest) ]
+let score_formulas = [ ("reward", Reward); ("penalty", Penalty) ]
+let score_modes = [ ("heuristic", Heuristic); ("measured", Measured) ]
+let spelling cases v = fst (List.find (fun (_, v') -> v' = v) cases)
 
-let score_mode_of_string = function
-  | "heuristic" -> Heuristic
-  | "measured" -> Measured
-  | other -> invalid_arg (Printf.sprintf "score: %s" other)
+let of_spelling key cases s =
+  match List.assoc_opt s cases with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "%s: %s" key s)
+
+let score_mode_to_string = spelling score_modes
+let score_mode_of_string = of_spelling "score" score_modes
 
 type t = {
   (* structural limits (CheckParameters in Algorithms 1 and 2) *)
@@ -140,41 +145,43 @@ let cfg2 = { default with max_io_pins = 96; max_efpgas = 1 }
 let of_doc (doc : J.t) : t =
   let d = default in
   let fabric = J.get_obj doc "fabric" in
-  let rank =
-    match J.get_string ~default:"highest" doc "rank_order" with
-    | "highest" -> Highest
-    | "lowest" -> Lowest
-    | other -> invalid_arg (Printf.sprintf "rank_order: %s" other)
+  let enum key cases default =
+    of_spelling key cases
+      (J.get_string ~default:(spelling cases default) doc key)
   in
-  let luts_per_clb =
-    let n = J.get_int ~default:d.luts_per_clb fabric "luts_per_clb" in
-    if n < 1 then invalid_arg "fabric.luts_per_clb: must be at least 1" else n
+  (* budgets, worker counts and fabric shapes: a zero pin budget admits
+     no module and a zero eFPGA budget no solution, either ending the
+     run blaming the design *)
+  let at_least ?(map = doc) ?(prefix = "") lo key default =
+    let n = J.get_int ~default map key in
+    if n < lo then
+      invalid_arg (Printf.sprintf "%s%s: must be at least %d" prefix key lo)
+    else n
   in
-  (* a zero pin budget admits no module and a zero eFPGA budget no
-     solution: either would end the run blaming the design *)
-  let at_least_1 key default =
-    let n = J.get_int ~default doc key in
-    if n < 1 then invalid_arg (key ^ ": must be at least 1") else n
-  in
+  let fabric_at_least = at_least ~map:fabric ~prefix:"fabric." in
+  let luts_per_clb = fabric_at_least 1 "luts_per_clb" d.luts_per_clb in
   (* a nan weight makes every score nan and the ranking arbitrary *)
   let finite key default =
     let v = J.get_float ~default doc key in
     if not (Float.is_finite v) then invalid_arg (key ^ ": must be finite") else v
   in
+  (* a key without a default: [None] when absent or null *)
+  let optional get key =
+    match J.find doc key with
+    | None | Some J.Null -> None
+    | Some _ -> Some (get doc key)
+  in
   (* an empty window has no fabric to try: every cluster would be
      characterized only to end the run with no feasible redaction *)
-  let min_fabric_size = J.get_int ~default:d.min_fabric_size fabric "min_size" in
-  if min_fabric_size < 1 then invalid_arg "fabric.min_size: must be at least 1";
+  let min_fabric_size = fabric_at_least 1 "min_size" d.min_fabric_size in
   let max_fabric_size = J.get_int ~default:d.max_fabric_size fabric "max_size" in
   if max_fabric_size < min_fabric_size then
     invalid_arg "fabric.max_size: must be at least fabric.min_size";
-  { max_io_pins = at_least_1 "max_io_pins" d.max_io_pins;
-    max_efpgas = at_least_1 "max_efpgas" d.max_efpgas;
+  { max_io_pins = at_least 1 "max_io_pins" d.max_io_pins;
+    max_efpgas = at_least 1 "max_efpgas" d.max_efpgas;
     alpha = finite "alpha" d.alpha;
     beta = finite "beta" d.beta;
-    lut_inputs =
-      (let k = J.get_int ~default:d.lut_inputs fabric "lut_inputs" in
-       if k < 2 then invalid_arg "fabric.lut_inputs: must be at least 2" else k);
+    lut_inputs = fabric_at_least 2 "lut_inputs" d.lut_inputs;
     luts_per_clb;
     ffs_per_clb =
       (let n = J.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb" in
@@ -182,9 +189,7 @@ let of_doc (doc : J.t) : t =
        if n < luts_per_clb then
          invalid_arg "fabric.ffs_per_clb: must be at least luts_per_clb"
        else n);
-    gpio_per_tile =
-      (let n = J.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile" in
-       if n < 1 then invalid_arg "fabric.gpio_per_tile: must be at least 1" else n);
+    gpio_per_tile = fabric_at_least 1 "gpio_per_tile" d.gpio_per_tile;
     min_fabric_size;
     max_fabric_size;
     target_utilization =
@@ -203,39 +208,14 @@ let of_doc (doc : J.t) : t =
          invalid_arg "fabric.min_clb_utilization: must be in [0, 1]"
        else u);
     selected_outputs = J.get_string_list ~default:[] doc "selected_outputs";
-    top = (match J.find doc "top" with
-           | Some (J.String s) -> Some s
-           | Some _ | None -> None);
+    top = optional J.get_string "top";
     min_score = J.get_int ~default:d.min_score doc "min_score";
-    rank_order = rank;
-    score_formula =
-      (match J.get_string ~default:"reward" doc "score_formula" with
-       | "reward" -> Reward
-       | "penalty" -> Penalty
-       | other -> invalid_arg (Printf.sprintf "score_formula: %s" other));
-    score_mode =
-      score_mode_of_string
-        (J.get_string ~default:(score_mode_to_string d.score_mode)
-           doc "score");
-    attack_budget =
-      (match J.find doc "attack_budget" with
-       | None | Some J.Null -> d.attack_budget
-       | Some (J.Int n) ->
-         if n <= 0 then invalid_arg "attack_budget: must be positive" else n
-       | Some _ -> invalid_arg "attack_budget: expected an integer");
-    attack_iterations =
-      (match J.find doc "attack_iterations" with
-       | None | Some J.Null -> d.attack_iterations
-       | Some (J.Int n) ->
-         if n <= 0 then invalid_arg "attack_iterations: must be positive"
-         else n
-       | Some _ -> invalid_arg "attack_iterations: expected an integer");
-    attack_jobs =
-      (match J.find doc "attack_jobs" with
-       | None | Some J.Null -> d.attack_jobs
-       | Some (J.Int n) ->
-         if n < 1 then invalid_arg "attack_jobs: must be at least 1" else n
-       | Some _ -> invalid_arg "attack_jobs: expected an integer");
+    rank_order = enum "rank_order" rank_orders d.rank_order;
+    score_formula = enum "score_formula" score_formulas d.score_formula;
+    score_mode = enum "score" score_modes d.score_mode;
+    attack_budget = at_least 1 "attack_budget" d.attack_budget;
+    attack_iterations = at_least 1 "attack_iterations" d.attack_iterations;
+    attack_jobs = at_least 1 "attack_jobs" d.attack_jobs;
     attack_area_weight =
       (let v =
          J.get_float ~default:d.attack_area_weight doc
@@ -248,69 +228,98 @@ let of_doc (doc : J.t) : t =
       J.get_bool ~default:d.transitive_independence doc
         "transitive_independence";
     characterize_deadline_s =
-      (match J.find doc "characterize_deadline_s" with
-       | None | Some J.Null -> None
-       | Some (J.Int n) ->
-         if n <= 0 then invalid_arg "characterize_deadline_s: must be positive"
-         else Some (float_of_int n)
-       | Some (J.Float f) ->
-         (* nan would compare as no deadline at all *)
-         if not (Float.is_finite f && f > 0.0) then
-           invalid_arg "characterize_deadline_s: must be positive and finite"
-         else Some f
-       | Some _ -> invalid_arg "characterize_deadline_s: expected a number");
-    jobs =
-      (match J.find doc "jobs" with
-       | None | Some J.Null -> d.jobs
-       | Some (J.Int n) ->
-         if n < 1 then invalid_arg "jobs: must be at least 1" else n
-       | Some _ -> invalid_arg "jobs: expected an integer");
+      Option.map
+        (fun s ->
+          (* nan would compare as no deadline at all *)
+          if not (Float.is_finite s && s > 0.0) then
+            invalid_arg "characterize_deadline_s: must be positive and finite"
+          else s)
+        (optional J.get_float "characterize_deadline_s");
+    jobs = at_least 1 "jobs" d.jobs;
     cache = J.get_bool ~default:d.cache doc "cache";
-    cache_dir =
-      (match J.find doc "cache_dir" with
-       | None | Some J.Null -> None
-       | Some (J.String s) -> Some s
-       | Some _ -> invalid_arg "cache_dir: expected a string");
+    cache_dir = optional J.get_string "cache_dir";
     cache_max_bytes =
-      (match J.find doc "cache_max_bytes" with
-       | None | Some J.Null -> None
-       | Some (J.Int n) ->
-         if n < 0 then invalid_arg "cache_max_bytes: must be non-negative"
-         else Some n
-       | Some _ -> invalid_arg "cache_max_bytes: expected an integer") }
+      Option.map
+        (fun n ->
+          if n < 0 then invalid_arg "cache_max_bytes: must be non-negative"
+          else n)
+        (optional J.get_int "cache_max_bytes") }
 
 let of_string (src : string) : t = of_doc (Yaml_lite.parse src)
 
-(* Every field below feeds CreateEFPGA (synthesis target, fabric family,
-   permitted widths, utilization bounds). Fields that only steer later
-   phases — selection weights, output filters, ranking — are deliberately
-   excluded so a persistent characterization cache is shared across
-   them. The version prefix versions the whole characterization key:
-   this list and how [Characterize.keyer] digests the member modules.
-   Changing either is a format change, not a silent rekey. *)
-let characterize_digest (c : t) : string =
-  let s =
-    Printf.sprintf
-      "v2;lut_inputs=%d;luts_per_clb=%d;ffs_per_clb=%d;gpio_per_tile=%d;\
-       min_fabric_size=%d;max_fabric_size=%d;target_utilization=%.17g;\
-       min_clb_utilization=%.17g"
-      c.lut_inputs c.luts_per_clb c.ffs_per_clb c.gpio_per_tile
-      c.min_fabric_size c.max_fabric_size c.target_utilization
-      c.min_clb_utilization
-  in
-  Digest.to_hex (Digest.string s)
+(* ---------- what each keyed stage reads ---------- *)
 
-(* Same discipline for attack verdicts: only the fields that can change
-   what a budgeted attack run *returns* are keyed. [score_mode],
-   [attack_jobs] and [attack_area_weight] are deliberately excluded —
-   verdicts are bit-identical across job counts, and re-ranking with a
-   different area weight must reuse cached verdicts, not re-attack. *)
-let attack_digest (c : t) : string =
-  let s =
-    Printf.sprintf "v1;attack_budget=%d;attack_iterations=%d"
-      c.attack_budget c.attack_iterations
+type stage =
+  | Front | Mapped | Packed | Placed | Sized | Attack | Selection | Deadline
+
+type field = { name : string; stages : stage list; value : unit -> string }
+
+let characterization = [ Mapped; Packed; Placed; Sized ]
+
+let result = [ Front; Mapped; Packed; Placed; Sized; Selection; Deadline ]
+
+(* The record pattern names every field, so a new field does not
+   compile until it is classified here. *)
+let classify (c : t) : field list =
+  let { max_io_pins; max_efpgas; alpha; beta; lut_inputs; luts_per_clb;
+        ffs_per_clb; gpio_per_tile; min_fabric_size; max_fabric_size;
+        target_utilization; min_clb_utilization; selected_outputs; top;
+        min_score; rank_order; score_formula; score_mode; attack_budget;
+        attack_iterations; attack_jobs; attack_area_weight;
+        transitive_independence; characterize_deadline_s; jobs; cache;
+        cache_dir; cache_max_bytes } =
+    c
   in
-  Digest.to_hex (Digest.string s)
+  let int = string_of_int and float = Printf.sprintf "%.17g"
+  and str = Printf.sprintf "%S" and bool = string_of_bool in
+  let opt show = function None -> "none" | Some v -> show v in
+  (* measured selection ranks attack verdicts, traded against area *)
+  let measured stages =
+    match score_mode with Measured -> Selection :: stages | Heuristic -> stages
+  in
+  (* printed only when a key reads it: keys are built on every request *)
+  let field name stages show v = { name; stages; value = (fun () -> show v) } in
+  [ field "max_io_pins" [ Front ] int max_io_pins;
+    field "max_efpgas" [ Selection ] int max_efpgas;
+    field "alpha" [ Selection ] float alpha;
+    field "beta" [ Selection ] float beta;
+    field "lut_inputs" [ Mapped ] int lut_inputs;
+    field "luts_per_clb" [ Packed ] int luts_per_clb;
+    field "ffs_per_clb" [ Packed ] int ffs_per_clb;
+    field "gpio_per_tile" [ Placed ] int gpio_per_tile;
+    field "min_fabric_size" [ Sized ] int min_fabric_size;
+    field "max_fabric_size" [ Sized ] int max_fabric_size;
+    field "target_utilization" [ Sized ] float target_utilization;
+    field "min_clb_utilization" [ Selection ] float min_clb_utilization;
+    field "selected_outputs" [ Front ]
+      (fun l -> String.concat "," (List.map str l)) selected_outputs;
+    field "top" [ Front ] (opt str) top;
+    field "min_score" [ Front ] int min_score;
+    field "rank_order" [ Selection ] (spelling rank_orders) rank_order;
+    field "score_formula" [ Selection ] (spelling score_formulas) score_formula;
+    field "score_mode" [ Selection ] (spelling score_modes) score_mode;
+    field "attack_budget" (measured [ Attack ]) int attack_budget;
+    field "attack_iterations" (measured [ Attack ]) int attack_iterations;
+    field "attack_jobs" [] int attack_jobs;
+    field "attack_area_weight" (measured []) float attack_area_weight;
+    field "transitive_independence" [ Front ] bool transitive_independence;
+    field "characterize_deadline_s" [ Deadline ] (opt float)
+      characterize_deadline_s;
+    field "jobs" [] int jobs;
+    field "cache" [] bool cache;
+    field "cache_dir" [] (opt str) cache_dir;
+    field "cache_max_bytes" [] (opt int) cache_max_bytes ]
+
+let digest (tag : string) (stages : stage list) (fields : field list) :
+    string =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf tag;
+  List.iter
+    (fun f ->
+      if List.exists (fun s -> List.mem s stages) f.stages then
+        Printf.bprintf buf ";%s=%s" f.name (f.value ()))
+    fields;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let pp fmt (c : t) =
   Format.fprintf fmt
@@ -318,5 +327,4 @@ let pp fmt (c : t) =
     c.max_io_pins c.max_efpgas c.alpha c.beta c.lut_inputs c.luts_per_clb
     c.gpio_per_tile c.min_fabric_size c.max_fabric_size c.target_utilization
     (String.concat ", " c.selected_outputs)
-    c.min_score
-    (match c.rank_order with Highest -> "highest" | Lowest -> "lowest")
+    c.min_score (spelling rank_orders c.rank_order)

@@ -101,9 +101,12 @@ val cfg2 : t
 (** Read a configuration from a parsed document — a YAML file or a JSON
     request, both {!Json_lite.t}; unknown keys fall back to {!default}.
     Raises [Invalid_argument] naming the key on type mismatches and
-    out-of-range values, nan included: among them a [max_io_pins] or
-    [max_efpgas] below 1, a non-finite [alpha] or [beta], a negative or
-    non-finite [attack_area_weight], a non-positive or non-finite
+    out-of-range values, nan included: among them a float for an
+    integer key, a [top] that is neither a string nor null (null, like
+    an absent [top], auto-detects), a [max_io_pins], [max_efpgas],
+    [attack_budget], [attack_iterations], [attack_jobs] or [jobs] below
+    1, a non-finite [alpha] or [beta], a negative or non-finite
+    [attack_area_weight], a non-positive or non-finite
     [characterize_deadline_s], a [fabric] that is not a mapping, a
     [fabric.min_size] below 1 or a [fabric.max_size] below it, a
     [fabric.target_utilization] outside (0, 1\] or a
@@ -113,21 +116,36 @@ val of_doc : Json_lite.t -> t
 (** [of_doc] over {!Yaml_lite.parse}. *)
 val of_string : string -> t
 
-(** Hex digest of every configuration field that can change a
-    characterization outcome (fabric family, permitted widths,
-    utilization bounds) — and none that cannot, so a persistent cache
-    is shared across selection-only variations. Two configurations
-    with equal digests always characterize a given cluster identically;
-    the digest is part of the cache key, so configurations with
-    different fabric parameters never share entries. *)
-val characterize_digest : t -> string
+(** The keyed stages of a run: [Front] (parse to clustering), the
+    characterization stages in parent order (LUT mapping, CLB packing,
+    placement and routing at one width, the size search), one [Attack]
+    verdict, [Selection] (Algorithm 3) and the [Deadline] that decides
+    which clusters are characterized at all. *)
+type stage =
+  | Front | Mapped | Packed | Placed | Sized | Attack | Selection | Deadline
 
-(** Hex digest of every configuration field that can change an attack
-    verdict (the per-call conflict budget and the DIP-iteration cap) —
-    and none that cannot: [score_mode], [attack_jobs] and
-    [attack_area_weight] are excluded, so cached verdicts survive
-    re-ranking with a different area weight or parallelism. Part of the
-    attack-verdict cache key. *)
-val attack_digest : t -> string
+(** A field, the stages that read it ([]: none, so it changes how a run
+    executes, never what it returns) and its value as keys print it. *)
+type field = { name : string; stages : stage list; value : unit -> string }
+
+(** [Mapped], [Packed], [Placed] and [Sized]. *)
+val characterization : stage list
+
+(** Every stage a run's result depends on, the configuration part of a
+    sweep point's identity. Under [Measured] scoring [Selection] reads
+    the attack fields too, so the verdicts they key are covered. *)
+val result : stage list
+
+(** Every field of [t] in declaration order with the stages that read
+    it: the one classification every cache key's configuration part
+    comes from, so a field outside a stage's read set never splits that
+    stage's cache and one inside it always rekeys it. *)
+val classify : t -> field list
+
+(** [digest tag stages (classify c)]: hex MD5 of [tag] followed by
+    [;name=value] for every field some stage in [stages] reads, in
+    declaration order; ints print in decimal, floats with [%.17g],
+    strings quoted. *)
+val digest : string -> stage list -> field list -> string
 
 val pp : Format.formatter -> t -> unit

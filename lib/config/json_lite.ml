@@ -323,7 +323,7 @@ let mismatch key what =
 let get_int ?default doc key =
   get ?default doc key (function
     | Int i -> i
-    | Float f -> int_of_float f
+    | Float f -> mismatch key (Printf.sprintf "int, got float %g" f)
     | String s -> mismatch key ("int, got string " ^ s)
     | Null | Bool _ | List _ | Obj _ -> mismatch key "int, got non-int")
 

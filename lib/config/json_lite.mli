@@ -43,8 +43,9 @@ val get_obj : t -> string -> t
 
 (** Typed accessors: return the value under [key], the [default] when
     the key is absent or null, and raise [Invalid_argument] on a type
-    mismatch (or a missing key without default). [get_int] truncates a
-    float; [get_float] promotes an int. *)
+    mismatch (or a missing key without default). [get_int] refuses a
+    float, as [get_int_list] does, naming the float or string it got;
+    [get_float] promotes an int. *)
 
 val get_int : ?default:int -> t -> string -> int
 

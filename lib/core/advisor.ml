@@ -116,19 +116,6 @@ let axes_of_constraints ~(base : C.Flow_config.t)
 
 (* ---------- the grid ---------- *)
 
-(* Two grid points are duplicates when no observable result can differ:
-   same characterization identity and — under measured scoring — same
-   attack identity. [attack_digest] deliberately excludes re-ranking
-   knobs; under heuristic scoring the attack budget is never consulted
-   at all, so budget-only variations collapse. *)
-let dedupe_key (cfg : C.Flow_config.t) : string =
-  C.Flow_config.characterize_digest cfg
-  ^
-  match cfg.C.Flow_config.score_mode with
-  | C.Flow_config.Heuristic -> ":eq1"
-  | C.Flow_config.Measured ->
-    ":measured:" ^ C.Flow_config.attack_digest cfg
-
 (* a utilization's name part; [%g] keeps six significant digits *)
 let u_label (u : float) : string = Printf.sprintf "u%g" u
 
@@ -189,7 +176,11 @@ let plan ~(base : C.Flow_config.t) ~(axes : axes) : plan =
                           attack_budget = b;
                           score_mode = m }
                       in
-                      let key = dedupe_key cfg in
+                      (* duplicates: no stage of the result reads
+                         what tells them apart *)
+                      let key =
+                        C.Flow_config.(digest "result" result (classify cfg))
+                      in
                       if Hashtbl.mem seen key then incr deduped
                       else begin
                         Hashtbl.add seen key ();

@@ -31,9 +31,9 @@
     v}
 
     Grid points whose configurations cannot produce different results —
-    same {!Alice_config.Flow_config.characterize_digest} and, under
-    measured scoring, same {!Alice_config.Flow_config.attack_digest} —
-    are deduplicated at planning time.
+    equal in every field a stage of {!Alice_config.Flow_config.result}
+    reads, so under heuristic scoring the attack budget does not count
+    — are deduplicated at planning time.
 
     Reports are deterministic: JSON and table output depend only on the
     solved points (never on wall-clock or resume provenance), so a warm

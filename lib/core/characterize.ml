@@ -7,8 +7,8 @@
     instantiates all independent modules" of Section 6. Results are
     cached by the multiset of member modules, each tagged with a digest
     of its elaborated subtree, plus a digest of every configuration
-    field that can change the outcome
-    ({!Alice_config.Flow_config.characterize_digest}) — so two clusters
+    field a characterization stage reads
+    ({!Alice_config.Flow_config.classify}) — so two clusters
     of the same module mix always get the same fabric, and the key
     stays sound when the cache outlives one run or one configuration.
 
@@ -207,26 +207,36 @@ let subtree_digester (design : V.Elaborate.design) : string -> string =
   in
   digest_of
 
-let cluster_key (digest_of : string -> string) (cfg : C.Flow_config.t) :
-    Clustering.cluster -> string =
-  let cfg_digest = C.Flow_config.characterize_digest cfg in
-  fun (cluster : Clustering.cluster) ->
-    let members =
-      cluster.Clustering.members
-      |> List.map (fun (m : V.Design.tree) ->
-             m.module_name ^ "@" ^ digest_of m.module_name)
-      |> List.sort compare |> String.concat "|"
-    in
-    members ^ "#" ^ cfg_digest
+(* [v3]: [min_clb_utilization], which only selection reads, left the
+   final key *)
+type config_keys = {
+  cfg_final : string;
+  cfg_mapped : string;
+  cfg_packed : string;
+  cfg_placed : string;
+}
 
-(** Clusters with the same member-module multiset, the same member
-    *subtree content* and the same characterization-relevant
-    configuration map to the same fabric — that triple is the cache key.
-    Returns a keying function with the per-module digests and the config
-    digest computed once, so keying a whole candidate set stays cheap. *)
+let config_keys (cfg : C.Flow_config.t) : config_keys =
+  let fields = C.Flow_config.classify cfg in
+  let digest tag stages = C.Flow_config.digest tag stages fields in
+  { cfg_final = digest "v3" C.Flow_config.characterization;
+    cfg_mapped = digest "mapped" [ C.Flow_config.Mapped ];
+    cfg_packed = digest "packed" [ C.Flow_config.Packed ];
+    cfg_placed = digest "placed" [ C.Flow_config.Placed ] }
+
+let cluster_key (digest_of : string -> string) (final : string)
+    (cluster : Clustering.cluster) : string =
+  let members =
+    cluster.Clustering.members
+    |> List.map (fun (m : V.Design.tree) ->
+           m.module_name ^ "@" ^ digest_of m.module_name)
+    |> List.sort compare |> String.concat "|"
+  in
+  members ^ "#" ^ final
+
 let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
     Clustering.cluster -> string =
-  cluster_key (subtree_digester design) cfg
+  cluster_key (subtree_digester design) (config_keys cfg).cfg_final
 
 (* The netlist stage's key: the members in cluster order, each with the
    three names [wrapper_emodule] reads and its subtree digest. The
@@ -299,16 +309,15 @@ let retarget (cluster : Clustering.cluster) (c : characterization) :
    single broken cluster degrades to one lost candidate instead of
    aborting the run. *)
 let compute (stages : cache) (design : V.Elaborate.design)
-    (cfg : C.Flow_config.t) ((nkey, cluster) : string * Clustering.cluster) :
-    characterization =
-  let k = cfg.C.Flow_config.lut_inputs in
-  let mkey = Printf.sprintf "%s#k=%d" nkey k in
+    (cfg : C.Flow_config.t) (keys : config_keys)
+    ((nkey, cluster) : string * Clustering.cluster) : characterization =
+  let mkey = nkey ^ "#" ^ keys.cfg_mapped in
   match
     let netlist =
       through stages.netlists nkey (fun () -> cluster_netlist design cluster)
     in
     through stages.mapped_circuits mkey (fun () ->
-        fst (N.Lutmap.map ~k netlist))
+        fst (N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs netlist))
   with
   | exception Out_of_memory -> raise Out_of_memory
   | exception e ->
@@ -318,13 +327,10 @@ let compute (stages : cache) (design : V.Elaborate.design)
        [Arch.of_config] sets, and its routing-track constants are
        fixed: the placed key determines the placement's arch *)
     let arch = F.Arch.of_config cfg in
-    let pkey =
-      Printf.sprintf "%s#luts=%d,ffs=%d" mkey arch.F.Arch.luts_per_clb
-        arch.F.Arch.ffs_per_clb
-    in
+    let pkey = mkey ^ "#" ^ keys.cfg_packed in
     let place_route clbs w =
       through stages.placed
-        (Printf.sprintf "%s#gpio=%d,w=%d" pkey arch.F.Arch.gpio_per_tile w)
+        (Printf.sprintf "%s#%s,w=%d" pkey keys.cfg_placed w)
         (fun () -> F.Size_search.place_route arch mapped clbs w)
     in
     match
@@ -343,20 +349,6 @@ let compute (stages : cache) (design : V.Elaborate.design)
     | Ok impl -> { cluster; outcome = Implemented impl; mapped = Some mapped }
     | Error f -> { cluster; outcome = Infeasible f; mapped = Some mapped })
 
-(** Characterize every cluster; order preserved. One {!Memo.resolve}
-    call does the work: clusters are deduplicated by cache key up front
-    — one computation per unique module multiset — and the unique keys
-    not already in [cache] are fanned out over [jobs] worker domains
-    (serial, without spawning a domain, when [jobs] is 1). With
-    [deadline_s], unique keys whose characterization has not *started*
-    when the deadline passes become [Skipped] with a [W0701] diagnostic
-    — a computation already in flight is allowed to finish. Results are
-    fanned back out to every aliasing cluster, each with its diagnostics
-    relabeled to its own instances.
-
-    Only real fabric verdicts ([Implemented]/[Infeasible]) are written
-    back to [cache]: a fault or a deadline skip is an artifact of this
-    run, and caching it would make it stick across runs. *)
 let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
     (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (clusters : Clustering.cluster list) : characterization list * stats =
@@ -387,13 +379,14 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
   (* both keys up front, serially: the digest table is not shared with
      the worker domains *)
   let digest_of = subtree_digester design in
-  let key_of = cluster_key digest_of cfg in
+  let keys = config_keys cfg in
   let r =
     Memo.resolve ~jobs ?should_stop ~keep ~recover cache.final
-      (compute cache design cfg)
+      (compute cache design cfg keys)
       (List.map
          (fun cluster ->
-           (key_of cluster, (netlist_key digest_of cluster, cluster)))
+           ( cluster_key digest_of keys.cfg_final cluster,
+             (netlist_key digest_of cluster, cluster) ))
          clusters)
   in
   ( List.map2 retarget clusters r.Memo.values,

@@ -2,16 +2,15 @@
     cluster by actually building its eFPGA — a synthetic top
     instantiating the members with all ports exposed, synthesized,
     LUT-mapped, and passed to the minimum-fabric search. Results are
-    cached by member-module multiset (subtree-digested) plus the
-    configuration's {!Alice_config.Flow_config.characterize_digest}; a
-    miss runs in memoized stages (netlist, mapped, packed, placed per
-    width), so configurations that share a stage's inputs share its
-    work;
-    {!run_all_stats} deduplicates by that key up front and characterizes
-    the unique keys across a Domain-based worker pool, with output
-    bit-identical to the serial order for any [jobs] value. The cache
-    may be supplied by the caller (see {!Engine}) so it outlives one
-    run. *)
+    cached by member-module multiset (subtree-digested) plus a digest of
+    the configuration fields the characterization stages read (see
+    {!config_keys}); a miss runs in memoized stages (netlist, mapped,
+    packed, placed per width), so configurations that share a stage's
+    inputs share its work; {!run_all_stats} deduplicates by that key up
+    front and characterizes the unique keys across a Domain-based worker
+    pool, with output bit-identical to the serial order for any [jobs]
+    value. The cache may be supplied by the caller (see {!Engine}) so it
+    outlives one run. *)
 
 module V = Alice_verilog
 module N = Alice_netlist
@@ -116,12 +115,25 @@ type stats = {
 
 val empty_stats : stats
 
+(** The configuration parts of the keys, digested once per run from
+    {!Alice_config.Flow_config.classify}: [cfg_final] of every
+    characterization stage, and each stage key's of its own stage, added
+    to its parent's key. *)
+type config_keys = {
+  cfg_final : string;
+  cfg_mapped : string;
+  cfg_packed : string;
+  cfg_placed : string;
+}
+
+val config_keys : C.Flow_config.t -> config_keys
+
 (** [keyer design cfg] is the cache key function for clusters of
     [design] under [cfg]: a cluster's member-module multiset with each
     member tagged by a digest of its elaborated subtree (its own content
     without source locations, plus its children's digests), joined with
-    the configuration's characterization digest. Sound across designs
-    and configurations: same key implies same characterization outcome.
+    the configuration's [cfg_final]. Sound across designs and
+    configurations: same key implies same characterization outcome.
     A child edit rekeys every cluster containing an ancestor; a line
     shift or a file rename rekeys nothing. Per-module digests and the
     config digest are computed once per keyer. *)

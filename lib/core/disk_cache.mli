@@ -44,8 +44,11 @@
 
 module D = Alice_diag.Diag
 
-(** Bumped on any incompatible change to the entry encoding *or* to the
-    cache-key derivation; old entries then miss cleanly. *)
+(** Bumped on an incompatible change to the entry encoding; old entries
+    then miss cleanly. A changed key derivation is handled by the keys'
+    own version tags instead: bumping this would re-key all three stores
+    and orphan every persisted attack verdict, whose key did not
+    change. *)
 val format_version : int
 
 type stats = {

@@ -241,39 +241,15 @@ let summarize (name : string) (flow : Flow.t) : sweep_point =
     sp_diags = flow.Flow.diags;
     sp_resumed = false }
 
-(* A point's identity is everything that can change its result: the
-   name keys the row, the (config, source) marshal digests the work.
-   The [v3] prefix versions the summary encoding itself — widening
-   [sweep_point] (v2 added the attack counters, v3 the advisor's
-   area/timing/security metrics) is a format change, not a silently
-   garbled resume. *)
+(* The version covers the summary encoding too: v2 added the attack
+   counters, v3 the advisor's metrics, v4 keyed the read sets instead
+   of the whole configuration, so a changed [jobs] still resumes. *)
 let point_key (name : string) (req : Flow.request) : string =
-  Printf.sprintf "sweep-point v3 %s %s" name
+  let config = C.Flow_config.(digest "result" result (classify req.config)) in
+  Printf.sprintf "sweep-point v4 %s %s" name
     (Digest.to_hex
-       (Digest.string
-          (Marshal.to_string (req.Flow.config, req.Flow.source) [])))
+       (Digest.string (Marshal.to_string (req.Flow.source, config) [])))
 
-(** Run a sweep with per-point checkpointing: each completed point's
-    summary is written to the checkpoint store as soon as it finishes,
-    and (with [resume], the default) points already checkpointed — by a
-    previous process, however it died — are served back with
-    [sp_resumed = true] and zero recomputation. Fault site
-    ["engine.sweep_point"] is hit before each computed point.
-
-    Ordering guarantee for streaming consumers: [on_point] fires only
-    AFTER the point's checkpoint write. A crash anywhere in the window
-    between "point computed" and "row delivered" therefore has exactly
-    two observable outcomes — the checkpoint was written (the rerun
-    resumes the point and re-delivers its row), or it was not (the
-    rerun recomputes the point and delivers its row). A lost row always
-    means "will be recomputed or re-delivered", never "silently skipped
-    on resume". Tested in test/test_engine.ml.
-
-    All points run through this engine's single characterization memo
-    AND its single attack-verdict pool: grid entries whose configs
-    differ only in knobs outside {!C.Flow_config.attack_digest} (e.g.
-    [attack_area_weight], [score_mode]) re-rank cached verdicts without
-    re-running a single attack. *)
 let run_sweep ?(resume = true) ?(on_point : (sweep_point -> unit) option)
     (t : t) (points : (string * Flow.request) list) : sweep_point list =
   List.map

@@ -8,11 +8,11 @@
     {!Flow.request}s run through one engine with one {!run}.
 
     Entries are content-addressed by {!Characterize.keyer} (member
-    module subtree digests plus the configuration's
-    {!Alice_config.Flow_config.characterize_digest}), loaded lazily one
-    key at a time, and survive process boundaries, so fabric-parameter
-    sweeps and repeated CLI invocations stop re-running CreateEFPGA on
-    work they have already paid for. Results are bit-identical to a
+    module subtree digests plus a digest of the configuration fields
+    characterization reads), loaded lazily one key at a time, and
+    survive process boundaries, so fabric-parameter sweeps and repeated
+    CLI invocations stop re-running CreateEFPGA on work they have
+    already paid for. Results are bit-identical to a
     cold run; only the wall clock changes. Unusable entries (truncated,
     corrupt, version-mismatched) recompute with a [W0702] warning and
     an unwritable store warns once ([W0703]) and stops writing; both
@@ -138,9 +138,11 @@ val solution_fabrics : Flow.t -> string option
     killed after [k] of [n] points (even with SIGKILL) resumes on rerun
     by serving those [k] summaries back — marked [sp_resumed] — and
     computing exactly the remaining [n - k]. A point's checkpoint key
-    digests its name, configuration and source, so editing the sweep
-    never reuses a stale row. [~resume:false] recomputes everything
-    (checkpoints are still written). A checkpoint is loaded under the
+    digests its name, its source and the configuration fields of every
+    stage in {!Alice_config.Flow_config.result}, so editing what a
+    point computes never reuses a stale row, while a changed [jobs],
+    [attack_jobs] or cache location still resumes it. [~resume:false]
+    recomputes everything (checkpoints are still written). A checkpoint is loaded under the
     point's collector with {!run}'s warning routing, so an unusable one
     is recomputed with a [W0702] on that point's diagnostics (tagged
     with its ["config"] by {!point_diags}). With caching off there are
@@ -157,10 +159,10 @@ val solution_fabrics : Flow.t -> string option
     remaining points while every completed one stays resumable.
 
     All points share this engine's characterization memo and its attack
-    verdict pool: entries whose configurations differ only in knobs
-    outside {!C.Flow_config.attack_digest} — [attack_area_weight],
-    [score_mode], [attack_jobs] — re-rank cached verdicts without
-    re-running any attack. *)
+    verdict pool: entries whose configurations differ only in fields no
+    [Attack] stage reads — [attack_area_weight], [score_mode],
+    [attack_jobs] — re-rank cached verdicts without re-running any
+    attack. *)
 val run_sweep :
   ?resume:bool -> ?on_point:(sweep_point -> unit) -> t ->
   (string * Flow.request) list -> sweep_point list

@@ -35,18 +35,19 @@ let run (df : A.Dataflow.t) (cfg : C.Flow_config.t) : result =
     | [] -> A.Dataflow.top_outputs df
     | outs -> outs
   in
-  let scores = A.Dataflow.module_scores df ~outputs in
+  (* one backward cone per output serves the scores and the candidates *)
+  let cones =
+    List.map (fun output -> A.Dataflow.instances_affecting df ~output) outputs
+  in
+  let scores = A.Dataflow.module_scores df cones in
   (* only instances inside some protected output's cone are redaction
      grist: an instance of a scoring module that never reaches a selected
      output (e.g. the RX FIFO when only a TX flag is protected) is not a
      candidate *)
   let affecting = Hashtbl.create 32 in
   List.iter
-    (fun output ->
-      List.iter
-        (fun (n : V.Design.tree) -> Hashtbl.replace affecting n.path ())
-        (A.Dataflow.instances_affecting df ~output))
-    outputs;
+    (List.iter (fun (n : V.Design.tree) -> Hashtbl.replace affecting n.path ()))
+    cones;
   (* each module's affecting instances; [find_all] returns the last added
      first, so adding in reverse preorder reads back in preorder *)
   let by_module = Hashtbl.create 32 in

@@ -111,18 +111,13 @@ let check_selected_outputs (config : C.Flow_config.t)
              design.V.Elaborate.d_top))
     config.C.Flow_config.selected_outputs
 
-(* The front stage's key: the source — its text and file name, or the
-   marshalled AST — and every configuration field the front end reads:
-   [top] (elaboration), [selected_outputs] (the check above and
-   filtering), [min_score] (filtering), [max_io_pins] (filtering and
-   clustering) and [transitive_independence] (clustering). *)
+(* the source — its text and file name, or the marshalled AST — and
+   the fields the front end reads *)
 let front_key (config : C.Flow_config.t) (source : source) : string =
-  let c = config in
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( source, c.C.Flow_config.top, c.max_io_pins, c.selected_outputs,
-            c.min_score, c.transitive_independence )
+          (source, C.Flow_config.(digest "front" [ Front ] (classify config)))
           [ Marshal.No_sharing ]))
 
 (* Parse → elaborate → dataflow → filtering → clustering: everything
@@ -177,19 +172,6 @@ let front_end ~(collector : D.Collector.t) ~filtering_s ~clustering_s
     { Characterize.ast; design; filtering; clusters;
       diags = D.Collector.list own }
 
-(** Run a {!request}. Raises {!Alice_verilog.Loc.Error} on malformed
-    input and [Invalid_argument] on a selected output the top module
-    lacks; an empty candidate set (like IIR under cfg1) is not an
-    error — the result simply carries no solution. Later-phase faults
-    never raise: they are recorded into [diags] (appended to the
-    caller's collector when one is passed) and the faulting phase
-    degrades to an empty result. With [cache], the front end and the
-    characterizations are served from and written back to the caller's
-    cache (how {!Engine} reuses work across runs; a front-end hit runs
-    neither filtering nor clustering, whose times are then 0); without
-    it every run starts cold. [attack_cache] plays the same role for
-    measured-selection attack verdicts and is unused when the
-    configuration's [score_mode] is [Heuristic]. *)
 let run_request ?(cache : Characterize.cache option)
     ?(attack_cache : Selection.Scorer.cache option) (req : request) : t =
   let config = req.config in

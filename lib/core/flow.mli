@@ -75,15 +75,14 @@ val request :
     characterizations are served from and written back to the caller's
     cache — this is how {!Engine} reuses work across runs; without it
     every run starts cold. The front stage is keyed by the source (its
-    text and file name, or the marshalled AST) and the configuration's
-    [top], [max_io_pins], [selected_outputs], [min_score] and
-    [transitive_independence]; a hit replays the stored syntax errors
-    and phase faults into this request's diagnostics and runs neither
-    filtering nor clustering, so both phase times are 0. A source that
-    fails to elaborate raises as without a cache and is never stored.
-    [attack_cache] plays the same role for measured-selection attack
-    verdicts (ignored when the configuration's [score_mode] is
-    [Heuristic]). *)
+    text and file name, or the marshalled AST) and the fields
+    {!Alice_config.Flow_config.classify} assigns to [Front]; a hit
+    replays the stored syntax errors and phase faults into this
+    request's diagnostics and runs neither filtering nor clustering, so
+    both phase times are 0. A source that fails to elaborate raises as
+    without a cache and is never stored. [attack_cache] plays the same
+    role for measured-selection attack verdicts (ignored when the
+    configuration's [score_mode] is [Heuristic]). *)
 val run_request :
   ?cache:Characterize.cache ->
   ?attack_cache:Selection.Scorer.cache ->

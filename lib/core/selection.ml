@@ -32,7 +32,8 @@ module V = Alice_verilog
     carries no timing — so verdicts are bit-identical across
     [attack_jobs] values and across cold/warm cache runs, and safe to
     persist keyed by fabric digest x locked-netlist digest x budget
-    digest ({!Alice_config.Flow_config.attack_digest}). *)
+    digest (the [Attack] fields of
+    {!Alice_config.Flow_config.classify}). *)
 module Scorer = struct
   module Sec = Alice_security
   module Memo = Alice_parallel.Memo
@@ -71,17 +72,14 @@ module Scorer = struct
   let digest_of x =
     Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
-  (** Attack-verdict cache key: fabric digest x locked-netlist digest x
-      budget digest. Changing the fabric, the mapped netlist or any
-      budget knob rekeys; changing [attack_jobs]/[attack_area_weight]
-      does not (verdicts are reusable across both). The version tag is
-      [v2] since the incremental solver (conflict counts and the
-      [v_reused] field changed). *)
-  let verdict_key (cfg : C.Flow_config.t) ~(fabric : F.Fabric.t)
-      ~(mapped : Alice_netlist.Circuit.t) : string =
-    Printf.sprintf "attack-verdict v2 %s %s %s" (digest_of fabric)
-      (digest_of mapped)
-      (C.Flow_config.attack_digest cfg)
+  (* [v2] since the incremental solver changed conflict counts and
+     added [v_reused] *)
+  let verdict_key (cfg : C.Flow_config.t) :
+      fabric:F.Fabric.t -> mapped:Alice_netlist.Circuit.t -> string =
+    let budget = C.Flow_config.(digest "v1" [ Attack ] (classify cfg)) in
+    fun ~fabric ~mapped ->
+      Printf.sprintf "attack-verdict v2 %s %s %s" (digest_of fabric)
+        (digest_of mapped) budget
 
   type t = Heuristic | Measured of { cache : cache option }
 
@@ -147,12 +145,11 @@ module Scorer = struct
       { v_status = Sec.Sat_attack.Inconclusive; v_iterations = 0;
         v_conflicts = 0; v_key_bits = 0; v_reused = 0 }
     in
+    let key = verdict_key cfg in
     let r =
       Memo.resolve ~jobs:cfg.C.Flow_config.attack_jobs ~recover memo
         (attack_one cfg)
-        (List.map
-           (fun (fabric, mapped) -> (verdict_key cfg ~fabric ~mapped, mapped))
-           cands)
+        (List.map (fun (fabric, mapped) -> (key ~fabric ~mapped, mapped)) cands)
     in
     let inconclusive, reused =
       List.fold_left

@@ -53,11 +53,13 @@ module Scorer : sig
     cache
 
   (** Attack-verdict cache key: fabric digest x locked-netlist digest x
-      budget digest ({!Alice_config.Flow_config.attack_digest}).
-      Changing the fabric, the netlist or any budget knob rekeys;
-      changing [attack_jobs] or [attack_area_weight] does not. The
-      string is persisted by every verdict store, so its format is
-      pinned by a golden test. *)
+      a digest of the [Attack] fields of
+      {!Alice_config.Flow_config.classify} ([attack_budget] and
+      [attack_iterations]). Changing the fabric, the netlist or any
+      budget knob rekeys; changing [attack_jobs] or
+      [attack_area_weight] does not. The string is persisted by every
+      verdict store, so its format is pinned by a golden test. Applied
+      to a configuration alone, it digests once for every candidate. *)
   val verdict_key :
     C.Flow_config.t ->
     fabric:F.Fabric.t ->

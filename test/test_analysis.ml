@@ -57,10 +57,14 @@ let test_affecting_instances () =
 
 let test_module_scores () =
   let _, df = dataflow () in
-  let scores = A.Dataflow.module_scores df ~outputs:[ "main_out"; "side_out" ] in
+  let module_scores outputs =
+    A.Dataflow.module_scores df
+      (List.map (fun output -> A.Dataflow.instances_affecting df ~output) outputs)
+  in
+  let scores = module_scores [ "main_out"; "side_out" ] in
   Alcotest.(check int) "producer score" 1 (List.assoc "producer" scores);
   Alcotest.(check int) "sink score" 1 (List.assoc "sink" scores);
-  let scores_one = A.Dataflow.module_scores df ~outputs:[ "side_out" ] in
+  let scores_one = module_scores [ "side_out" ] in
   Alcotest.(check int) "producer unscored" 0 (List.assoc "producer" scores_one)
 
 let test_dependence () =

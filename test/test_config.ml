@@ -241,6 +241,26 @@ let test_quoted_colons () =
        {|{"selected_outputs":["a: b","c: d"]}|});
       ({|"k: v": 1|}, {|{"k: v":1}|}) ]
 
+(* one integer reader: a float under an integer key is refused, not
+   truncated, whichever key it is; and a [top] that is not a string is
+   refused rather than read as "detect the top", which null still
+   means *)
+let test_int_and_top_types () =
+  List.iter
+    (fun (src, want) ->
+      match C.Flow_config.of_string src with
+      | exception Invalid_argument m -> Alcotest.(check string) src want m
+      | _ -> Alcotest.failf "accepted: %s" (String.escaped src))
+    [ ("max_io_pins: 64.9", "key max_io_pins: expected int, got float 64.9");
+      ("max_efpgas: 1.5", "key max_efpgas: expected int, got float 1.5");
+      ("jobs: 2.5", "key jobs: expected int, got float 2.5");
+      ("min_score: 1.5", "key min_score: expected int, got float 1.5");
+      ("fabric:\n  lut_inputs: 4.5", "key lut_inputs: expected int, got float 4.5");
+      ("top: 5", "key top: expected string");
+      ("top: [gcd]", "key top: expected string") ];
+  Alcotest.(check (option string)) "null top detects" None
+    (C.Flow_config.of_string "top: null").C.Flow_config.top
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
@@ -253,4 +273,5 @@ let tests =
     Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds;
     Alcotest.test_case "pin and eFPGA budget bounds" `Quick test_budget_bounds;
     Alcotest.test_case "finite weights and fabric window" `Quick test_finite_and_window;
-    Alcotest.test_case "quoted colons" `Quick test_quoted_colons ]
+    Alcotest.test_case "quoted colons" `Quick test_quoted_colons;
+    Alcotest.test_case "integer and top types" `Quick test_int_and_top_types ]

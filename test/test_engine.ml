@@ -94,9 +94,9 @@ let test_config_digest_in_key () =
   let cfg_a = demo_cfg in
   let cfg_b = { demo_cfg with C.Flow_config.max_fabric_size = 8 } in
   let cfg_c = { demo_cfg with C.Flow_config.lut_inputs = 6 } in
+  let digest cfg = (A.Characterize.config_keys cfg).A.Characterize.cfg_final in
   Alcotest.(check bool) "digest differs on fabric bound" true
-    (C.Flow_config.characterize_digest cfg_a
-     <> C.Flow_config.characterize_digest cfg_b);
+    (digest cfg_a <> digest cfg_b);
   let key cfg = A.Characterize.keyer flow.A.Flow.design cfg cluster in
   let key_a = key cfg_a and key_b = key cfg_b and key_c = key cfg_c in
   Alcotest.(check bool) "keys differ on fabric bound" true (key_a <> key_b);

@@ -2,8 +2,9 @@
    a cache shares across configurations must never change a result. A
    seeded differential test runs random configuration walks through one
    cache and compares every characterization, byte for byte, with a
-   fresh run; the stage counters are pinned on the GCD advise grid; and
-   a global pool fault still lands on the cluster it always did. *)
+   fresh run; the stage counters are pinned on the GCD advise grid; a
+   global pool fault still lands on the cluster it always did; and
+   every configuration field rekeys exactly the stages that read it. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -11,13 +12,14 @@ module C = Alice_config
 
 (* ---------- staged equals fresh ---------- *)
 
-(* Each variant runs at its own [min_clb_utilization]. That field is in
-   the final characterization key and in no stage key, so two variants
-   never share a final entry — the final key is a member multiset and
-   deliberately blind to instance names — while every stage is shared
-   wherever its key allows. The renamed and edited GCDs are the cases a
-   stage key must tell apart: the same modules under another instance
-   name, and the same names over another body. *)
+(* Each variant runs at its own width ceiling: the walk's [max_size]
+   plus the variant's index. Only the size search reads that field, so
+   it is in the final characterization key and in no stage key: two
+   variants never share a final entry — the final key is a member
+   multiset and deliberately blind to instance names — while every
+   stage is shared wherever its key allows. The renamed and edited GCDs
+   are the cases a stage key must tell apart: the same modules under
+   another instance name, and the same names over another body. *)
 let variants =
   let gcd = B.gcd.B.source in
   (* [s] with the first occurrence of [sub] replaced by [by] *)
@@ -27,12 +29,11 @@ let variants =
     let i = find 0 in
     String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
   in
-  [ ("GCD", B.gcd, gcd, 0.30);
-    ("GCD renamed", B.gcd, replace ~sub:"out_reg u_out" ~by:"out_reg u_res" gcd,
-     0.31);
+  [ ("GCD", B.gcd, gcd);
+    ("GCD renamed", B.gcd, replace ~sub:"out_reg u_out" ~by:"out_reg u_res" gcd);
     ("GCD edited", B.gcd, replace ~sub:"if (en) begin q <= d;"
-        ~by:"if (en) begin q <= ~d;" gcd, 0.32);
-    ("SASC", B.sasc, B.sasc.B.source, 0.33) ]
+        ~by:"if (en) begin q <= ~d;" gcd);
+    ("SASC", B.sasc, B.sasc.B.source) ]
 
 type point = {
   variant : int;
@@ -46,10 +47,10 @@ type point = {
 }
 
 let print_point p =
-  let name, _, _, _ = List.nth variants p.variant in
+  let name, _, _ = List.nth variants p.variant in
   Printf.sprintf "%s k=%d luts=%d ffs=%d gpio=%d w=[%d,%d] u=%g" name
     p.lut_inputs p.luts_per_clb p.ffs_per_clb p.gpio_per_tile p.min_size
-    p.max_size p.utilization
+    (p.max_size + p.variant) p.utilization
 
 (* A walk through the configuration space, as a sweep or an advise grid
    moves: a random start, then one field changed per step, so that
@@ -91,14 +92,14 @@ let gen_walk : point list QCheck.Gen.t =
   int_range 2 6 >>= fun n -> start >>= walk (n - 1)
 
 let request (p : point) : A.Flow.request =
-  let name, bench, text, floor = List.nth variants p.variant in
+  let name, bench, text = List.nth variants p.variant in
   let config =
     { (B.config1 bench) with
       C.Flow_config.lut_inputs = p.lut_inputs;
       luts_per_clb = p.luts_per_clb; ffs_per_clb = p.ffs_per_clb;
       gpio_per_tile = p.gpio_per_tile; min_fabric_size = p.min_size;
-      max_fabric_size = p.max_size; target_utilization = p.utilization;
-      min_clb_utilization = floor }
+      max_fabric_size = p.max_size + p.variant;
+      target_utilization = p.utilization }
   in
   A.Flow.request ~config (A.Flow.Text { text; file = Some (name ^ ".v") })
 
@@ -180,15 +181,18 @@ let test_grid_counters () =
 
 (* ---------- the front stage ---------- *)
 
-(* the front stage's (computed, hits) *)
-let front_counts (cache : A.Characterize.cache) : int * int =
+(* the front stage's (computed, hits) among a cache's stage counters *)
+let front_of (stats : A.Characterize.stage_stats list) : int * int =
   List.find_map
     (fun (s : A.Characterize.stage_stats) ->
       if s.A.Characterize.stage = "front" then
         Some (s.A.Characterize.stage_computed, s.A.Characterize.stage_hits)
       else None)
-    (A.Characterize.stage_stats cache)
+    stats
   |> Option.get
+
+let front_counts (cache : A.Characterize.cache) : int * int =
+  front_of (A.Characterize.stage_stats cache)
 
 let counts = Alcotest.(pair int int)
 
@@ -429,6 +433,153 @@ let test_pool_fault_position () =
        {config=k4-w16-u0.45; cluster=u_out}" ]
     errors
 
+(* ---------- one table keys every stage ---------- *)
+
+(* [c] with the field [name] moved to another valid value drawn from
+   [rng]. A field without a case here fails the test, so a new field
+   needs a perturbation just as it needs a classification. *)
+let perturb rng (c : C.Flow_config.t) (name : string) : C.Flow_config.t =
+  let int n = n + 1 + Random.State.int rng 3 in
+  let float x = x +. 0.1 +. Random.State.float rng 0.3 in
+  match name with
+  | "max_io_pins" -> { c with max_io_pins = int c.max_io_pins }
+  | "max_efpgas" -> { c with max_efpgas = int c.max_efpgas }
+  | "alpha" -> { c with alpha = float c.alpha }
+  | "beta" -> { c with beta = float c.beta }
+  | "lut_inputs" -> { c with lut_inputs = int c.lut_inputs }
+  | "luts_per_clb" -> { c with luts_per_clb = 1 + Random.State.int rng 3 }
+  | "ffs_per_clb" -> { c with ffs_per_clb = int c.ffs_per_clb }
+  | "gpio_per_tile" -> { c with gpio_per_tile = int c.gpio_per_tile }
+  | "min_fabric_size" -> { c with min_fabric_size = int c.min_fabric_size }
+  | "max_fabric_size" -> { c with max_fabric_size = int c.max_fabric_size }
+  | "target_utilization" ->
+    { c with target_utilization = float c.target_utilization }
+  | "min_clb_utilization" ->
+    { c with min_clb_utilization = float c.min_clb_utilization }
+  | "selected_outputs" ->
+    { c with selected_outputs = [ List.nth c.selected_outputs (Random.State.int rng 2) ] }
+  | "top" -> { c with top = Some "top" }
+  | "min_score" -> { c with min_score = int c.min_score }
+  | "rank_order" -> { c with rank_order = C.Flow_config.Lowest }
+  | "score_formula" -> { c with score_formula = C.Flow_config.Penalty }
+  | "score_mode" ->
+    { c with
+      score_mode =
+        (match c.score_mode with
+         | C.Flow_config.Heuristic -> C.Flow_config.Measured
+         | C.Flow_config.Measured -> C.Flow_config.Heuristic) }
+  | "attack_budget" -> { c with attack_budget = int c.attack_budget }
+  | "attack_iterations" -> { c with attack_iterations = int c.attack_iterations }
+  | "attack_jobs" -> { c with attack_jobs = int c.attack_jobs }
+  | "attack_area_weight" ->
+    { c with attack_area_weight = float c.attack_area_weight }
+  | "transitive_independence" -> { c with transitive_independence = true }
+  | "characterize_deadline_s" ->
+    { c with characterize_deadline_s = Some (float 3600.0) }
+  | "jobs" -> { c with jobs = int c.jobs }
+  | "cache" -> { c with cache = false }
+  | "cache_dir" -> { c with cache_dir = Some "elsewhere" }
+  | "cache_max_bytes" -> { c with cache_max_bytes = Some (int (1 lsl 20)) }
+  | other -> Alcotest.failf "no perturbation for field %s" other
+
+(* what a run returns, less the cache accounting *)
+let outcome (flow : A.Flow.t) : string =
+  Marshal.to_string
+    ( flow.A.Flow.characterized,
+      { flow.A.Flow.selection with
+        A.Selection.attack = A.Selection.Scorer.empty_stats },
+      Option.map (fun (r : A.Redact.redacted) -> r.A.Redact.verilog)
+        (A.Flow.redact flow) )
+    [ Marshal.No_sharing ]
+
+let point_outcome (sp : A.Engine.sweep_point) =
+  Marshal.to_string
+    (sp.A.Engine.sp_feasible, sp.A.Engine.sp_fabrics, sp.A.Engine.sp_metrics)
+    [ Marshal.No_sharing ]
+
+(* Each field of the configuration, perturbed in turn from a warm
+   engine: a key whose stage reads the field changes and every other
+   key stays, the sweep point resumes exactly when no stage of the
+   result reads it, and the warm run equals a fresh one. Under both
+   score modes, since measured scoring widens what selection reads. *)
+let test_field_read_sets () =
+  let rng = Random.State.make [| 27 |] in
+  let source =
+    text
+      {|module f1 (input [7:0] a, output [7:0] y); assign y = a + 8'h1; endmodule
+        module f2 (input [7:0] a, output [7:0] y); assign y = a ^ 8'h55; endmodule
+        module f3 (input [7:0] a, output [7:0] y); assign y = {a[0], a[7:1]}; endmodule
+        module top (input [7:0] x, output [7:0] out1, output [7:0] out2);
+          wire [7:0] t;
+          f1 u1 (.a(x), .y(t));
+          f2 u2 (.a(t), .y(out1));
+          f3 u3 (.a(x), .y(out2));
+        endmodule|}
+  in
+  let heuristic =
+    { C.Flow_config.default with
+      C.Flow_config.max_io_pins = 40; selected_outputs = [ "out1"; "out2" ];
+      max_fabric_size = 12; attack_budget = 1_000; attack_iterations = 8;
+      jobs = 1 }
+  in
+  List.iter
+    (fun (base : C.Flow_config.t) ->
+      let mode = C.Flow_config.score_mode_to_string base.score_mode in
+      let root = Filename.temp_file "alice_stages" ".cache" in
+      Sys.remove root;
+      let engine = A.Engine.create ~cache_dir:root () in
+      let req config = A.Flow.request ~config source in
+      let point config = A.Engine.run_sweep engine [ ("p", req config) ] in
+      ignore (point base);
+      let fabric, mapped =
+        match (A.Flow.run_request (req base)).A.Flow.selection.A.Selection.valid with
+        | e :: _ -> (e.A.Selection.impl.Alice_fabric.Size_search.fabric, e.A.Selection.mapped)
+        | [] -> Alcotest.fail "no valid candidate"
+      in
+      let front_computed () = fst (front_of (A.Engine.stage_stats engine)) in
+      let keys (c : C.Flow_config.t) =
+        let k = A.Characterize.config_keys c in
+        [ ("final", C.Flow_config.characterization, k.A.Characterize.cfg_final);
+          ("mapped", [ C.Flow_config.Mapped ], k.A.Characterize.cfg_mapped);
+          ("packed", [ C.Flow_config.Packed ], k.A.Characterize.cfg_packed);
+          ("placed", [ C.Flow_config.Placed ], k.A.Characterize.cfg_placed);
+          ("verdict", [ C.Flow_config.Attack ],
+           A.Selection.Scorer.verdict_key c ~fabric ~mapped) ]
+      in
+      List.iter
+        (fun (f : C.Flow_config.field) ->
+          let label = Printf.sprintf "%s %s" mode f.C.Flow_config.name in
+          let reads stages =
+            List.exists (fun s -> List.mem s f.C.Flow_config.stages) stages
+          in
+          let cfg = perturb rng base f.C.Flow_config.name in
+          List.iter2
+            (fun (key, stages, before) (_, _, after) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s key changes" label key)
+                (reads stages) (before <> after))
+            (keys base) (keys cfg);
+          (* the point runs its front end unless it resumes, which no
+             front-end field allows *)
+          let fronts = front_computed () in
+          match point cfg with
+          | [ sp ] ->
+            Alcotest.(check bool) (label ^ ": front key changes")
+              (reads [ C.Flow_config.Front ]) (front_computed () > fronts);
+            Alcotest.(check bool) (label ^ ": point resumed")
+              (not (reads C.Flow_config.result)) sp.A.Engine.sp_resumed;
+            let fresh = A.Engine.create ~cache:false () in
+            Alcotest.(check string) (label ^ ": point equals fresh")
+              (point_outcome
+                 (List.hd (A.Engine.run_sweep fresh [ ("p", req cfg) ])))
+              (point_outcome sp);
+            Alcotest.(check string) (label ^ ": warm equals fresh")
+              (outcome (A.Flow.run_request (req cfg)))
+              (outcome (A.Engine.run engine (req cfg)))
+          | _ -> Alcotest.fail "run_sweep arity")
+        (C.Flow_config.classify base))
+    [ heuristic; { heuristic with C.Flow_config.score_mode = C.Flow_config.Measured } ]
+
 let tests =
   [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
       staged_equals_fresh;
@@ -440,4 +591,5 @@ let tests =
     Alcotest.test_case "front failures are not stored" `Quick
       test_front_failures_not_stored;
     Alcotest.test_case "front key fields" `Quick test_front_key;
-    Alcotest.test_case "pool fault position" `Quick test_pool_fault_position ]
+    Alcotest.test_case "pool fault position" `Quick test_pool_fault_position;
+    Alcotest.test_case "field read sets" `Quick test_field_read_sets ]
