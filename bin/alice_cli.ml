@@ -555,6 +555,12 @@ let advise_cmd =
 (* ---------- attack ---------- *)
 
 let attack_cmd =
+  (* the work an attack spent, as the measured flow reports it *)
+  let work (o : Sec.Sat_attack.outcome) =
+    Printf.sprintf "%d conflicts, %d learnt clauses reused, %.2fs"
+      o.Sec.Sat_attack.conflicts o.Sec.Sat_attack.reused
+      o.Sec.Sat_attack.seconds
+  in
   let module_name =
     Arg.(required & opt (some string) None & info [ "m"; "module" ] ~docv:"MODULE")
   in
@@ -598,19 +604,19 @@ let attack_cmd =
             | None -> false
           in
           Format.printf
-            "attack converged after %d distinguishing inputs in %.2fs; \
+            "attack converged after %d distinguishing inputs (%s); \
              recovered key is %s@."
-            o.Sec.Sat_attack.iterations o.Sec.Sat_attack.seconds
+            o.Sec.Sat_attack.iterations (work o)
             (if correct then "functionally correct" else "NOT correct")
         | Sec.Sat_attack.Exhausted ->
-          Format.printf "attack exhausted its budget after %d DIPs (%.2fs)@."
-            o.Sec.Sat_attack.iterations o.Sec.Sat_attack.seconds
+          Format.printf "attack exhausted its budget after %d DIPs (%s)@."
+            o.Sec.Sat_attack.iterations (work o)
         | Sec.Sat_attack.Inconclusive ->
           render_diags fmt
             [ D.warning ~code:"W0501"
                 "attack inconclusive: solver conflict budget exhausted \
-                 after %d DIPs (%.2fs); proves nothing about the lock"
-                o.Sec.Sat_attack.iterations o.Sec.Sat_attack.seconds ]);
+                 after %d DIPs (%s); proves nothing about the lock"
+                o.Sec.Sat_attack.iterations (work o) ]);
         0)
   in
   Cmd.v

@@ -425,6 +425,21 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/attack0.json"; then
   cat "$tmpdir/attack0.json" >&2
   exit 1
 fi
+# the attack's search is pinned: a change to how replays are encoded or
+# solved that keeps every decision keeps these DIPs and conflicts, and
+# each attack recovers a key proved correct
+while read -r module dips conflicts; do
+  "$ALICE" attack "$tmpdir/gcd.v" -m "$module" > "$tmpdir/attack_$module.txt"
+  if ! grep -q "^attack converged after $dips distinguishing inputs ($conflicts conflicts, .*recovered key is functionally correct$" \
+      "$tmpdir/attack_$module.txt"; then
+    echo "check.sh: attack -m $module did not converge after $dips DIPs and $conflicts conflicts to a correct key:" >&2
+    cat "$tmpdir/attack_$module.txt" >&2
+    exit 1
+  fi
+done <<'EOF'
+gcd_ctrl 25 121
+subtractor 69 14427
+EOF
 
 # serve refuses timeouts it cannot honour, before binding: a zero idle
 # timeout would mean none at all, a non-positive deadline skips every

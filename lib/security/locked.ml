@@ -63,6 +63,36 @@ let output_nets (l : t) : Circuit.net array =
   let ds = List.map (fun (d : Circuit.dff) -> d.d) (Circuit.dff_list l.circuit) in
   Array.of_list (pos @ ds)
 
+(* The nets that loading a copy may fix before the pins after it load.
+   The solver loads clauses at level 0, in order and without
+   propagating: a clause is skipped when a literal is true, loses its
+   false literals and enqueues its last one. A copy's clauses come gate
+   by gate in [gates_in_order], on fresh variables, and any key bit may
+   be fixed at level 0 already. Every clause of a LUT holds all of the
+   LUT's nets, so it can fix one only once all the others are fixed;
+   any other gate is taken to fix all its nets once one is (a constant
+   at once). One pass over the gates in load order therefore marks
+   every net loading can fix. *)
+let fixable_at_load (c : Circuit.t) : bool array =
+  let fixed = Array.make c.Circuit.next_net false in
+  List.iter
+    (fun (g : Circuit.gate) ->
+      let nets =
+        List.sort_uniq compare (g.Circuit.output :: Array.to_list g.Circuit.inputs)
+      in
+      let free = List.length (List.filter (fun n -> not fixed.(n)) nets) in
+      let fixes =
+        match g.Circuit.kind with
+        | Circuit.Lut _ -> free = 1
+        | Circuit.Const _ -> true
+        | Circuit.Buf | Circuit.Not | Circuit.And | Circuit.Or | Circuit.Xor
+        | Circuit.Xnor | Circuit.Nand | Circuit.Nor | Circuit.Mux ->
+          free < List.length nets
+      in
+      if fixes then List.iter (fun n -> fixed.(n) <- true) nets)
+    (Circuit.gates_in_order c);
+  fixed
+
 (** Encode one copy of the locked circuit into [f]. Non-LUT gates encode
     as usual; LUT gates read their truth table from [key_vars] at their
     key offset. [share] maps nets to already-existing CNF variables
@@ -74,8 +104,13 @@ let output_nets (l : t) : Circuit.net array =
     net maps to 0. A variable for it would sit in no clause, keep
     activity 0 and propagate nothing when decided, and the others are
     numbered in the same order either way, so leaving it out changes no
-    conflict or learnt clause (DESIGN.md, "Incremental SAT session"). *)
-let encode_locked (f : Cnf.t) (l : t) ~(key_vars : int array)
+    conflict or learnt clause (DESIGN.md, "Incremental SAT session").
+
+    A LUT-row clause a pin satisfies is left out unless loading could
+    fix the pinned net first: the pin's unit makes one of its literals
+    true at level 0 before any search, so it could never be unit, a
+    reason or a conflict. *)
+let encode_locked ?pins (f : Cnf.t) (l : t) ~(key_vars : int array)
     ~(share : Circuit.net -> int option) : int array =
   let referenced = Array.make l.circuit.Circuit.next_net false in
   let mark n = referenced.(n) <- true in
@@ -92,6 +127,13 @@ let encode_locked (f : Cnf.t) (l : t) ~(key_vars : int array)
         | Some v -> v
         | None -> if referenced.(n) then Cnf.fresh_var f else 0)
   in
+  let pin =
+    match pins with
+    | None -> fun _ -> None
+    | Some pins ->
+      let fixable = fixable_at_load l.circuit in
+      fun n -> if fixable.(n) then None else pins.(n)
+  in
   let offset_of = Hashtbl.create 64 in
   List.iter (fun (net, off) -> Hashtbl.replace offset_of net off) l.offsets;
   List.iter
@@ -102,16 +144,35 @@ let encode_locked (f : Cnf.t) (l : t) ~(key_vars : int array)
         let off = Hashtbl.find offset_of g.Circuit.output in
         let k = Array.length g.Circuit.inputs in
         assert (Array.length table = 1 lsl k);
+        (* the pinned inputs as a mask, and their values: a row whose
+           bits differ from the values there has a guard literal a pin
+           makes true *)
+        let care = ref 0 and value = ref 0 in
+        Array.iteri
+          (fun i n ->
+            match pin n with
+            | Some b ->
+              care := !care lor (1 lsl i);
+              if b then value := !value lor (1 lsl i)
+            | None -> ())
+          g.Circuit.inputs;
+        let keep_pos, keep_neg =
+          match pin g.Circuit.output with
+          | Some b -> (not b, b)
+          | None -> (true, true)
+        in
         for row = 0 to (1 lsl k) - 1 do
-          let guard =
-            List.init k (fun i ->
-                let v = net_var.(g.Circuit.inputs.(i)) in
-                if (row lsr i) land 1 = 1 then -v else v)
-          in
-          let key = key_vars.(off + row) in
-          (* guard -> (out <-> key) *)
-          Cnf.add_clause f (out :: -key :: guard);
-          Cnf.add_clause f (-out :: key :: guard)
+          if (row lxor !value) land !care = 0 then begin
+            let guard =
+              List.init k (fun i ->
+                  let v = net_var.(g.Circuit.inputs.(i)) in
+                  if (row lsr i) land 1 = 1 then -v else v)
+            in
+            let key = key_vars.(off + row) in
+            (* guard -> (out <-> key) *)
+            if keep_pos then Cnf.add_clause f (out :: -key :: guard);
+            if keep_neg then Cnf.add_clause f (-out :: key :: guard)
+          end
         done
       | Circuit.Const _ | Circuit.Buf | Circuit.Not | Circuit.And
       | Circuit.Or | Circuit.Xor | Circuit.Xnor | Circuit.Nand | Circuit.Nor

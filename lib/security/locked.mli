@@ -26,8 +26,19 @@ val output_nets : t -> Circuit.net array
     variables. Returns this copy's net-to-variable map: a net [share]
     does not map gets a fresh variable, in ascending net order, only if
     a gate reads or drives it or it is a core input or output (a PI, PO,
-    DFF D or Q); every other net maps to 0, which is no variable. *)
+    DFF D or Q); every other net maps to 0, which is no variable.
+
+    [pins] (by net; [None] is free) holds the values that the unit
+    clauses the caller adds right after the copy give its nets, as a
+    replayed query pins its stimulus and response; such a copy shares
+    no net. A LUT-row clause a pinned value satisfies is left out,
+    unless loading the copy could fix that net before its pin (the
+    output of a LUT with no input, for one). Gates other than LUTs keep
+    all their clauses. Variables, their numbering, and the order and
+    literals of the kept clauses are what the call without [pins]
+    gives. *)
 val encode_locked :
+  ?pins:bool option array ->
   Cnf.t -> t -> key_vars:int array -> share:(Circuit.net -> int option) -> int array
 
 (** Instantiate the circuit with an arbitrary key. *)

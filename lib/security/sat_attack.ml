@@ -55,7 +55,7 @@ let default_budget =
 
 (** Run the attack. [oracle] maps a scan-input stimulus to the correct
     response (use {!Locked.make_oracle} for the standard threat model). *)
-let attack ?(budget = default_budget) (l : Locked.t)
+let attack ?(budget = default_budget) ?(observe = ignore) (l : Locked.t)
     ~(oracle : bool array -> bool array) : outcome =
   let start = Timebase.now_s () in
   let ins = Locked.input_nets l in
@@ -94,15 +94,20 @@ let attack ?(budget = default_budget) (l : Locked.t)
         ?max_conflicts:budget.solver_conflicts session
     in
     spent := !spent + c;
+    observe (Solver.Incremental.stats session);
     r
   in
   let reused () = (Solver.Incremental.stats session).Solver.Incremental.learnt_reused in
   (* append a recorded query: fresh internal nets per key copy, inputs
-     and outputs pinned to the observed stimulus/response *)
+     and outputs pinned to the observed stimulus/response; a copy leaves
+     out the LUT rows its pins satisfy *)
   let record_dip (x : bool array) (y : bool array) : unit =
+    let pins = Array.make l.Locked.circuit.Alice_netlist.Circuit.next_net None in
+    Array.iteri (fun i n -> pins.(n) <- Some x.(i)) ins;
+    Array.iteri (fun i n -> pins.(n) <- Some y.(i)) outs;
     let replay key =
       let map =
-        Locked.encode_locked f l ~key_vars:key ~share:(fun _ -> None)
+        Locked.encode_locked ~pins f l ~key_vars:key ~share:(fun _ -> None)
       in
       Array.iteri
         (fun i n -> Cnf.add_unit f (if x.(i) then map.(n) else -map.(n)))

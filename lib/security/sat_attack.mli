@@ -46,9 +46,12 @@ type budget = {
 val default_budget : budget
 
 (** Run the attack; [oracle] maps a scan-input stimulus to the correct
-    response (use {!Locked.make_oracle}). *)
+    response (use {!Locked.make_oracle}). [observe] receives the
+    session's counters after every solver query, in order: each DIP
+    query, then the key extraction. *)
 val attack :
   ?budget:budget ->
+  ?observe:(Alice_sat.Solver.Incremental.stats -> unit) ->
   Locked.t ->
   oracle:(bool array -> bool array) ->
   outcome

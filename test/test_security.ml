@@ -163,6 +163,204 @@ let test_attack_property () =
           (Sec.Locked.key_is_correct locked key))
     (List.init 30 Fun.id)
 
+(* Differential: the attack, whose replays leave out the LUT rows their
+   pins satisfy, against [Attack_oracle]'s whole replay copies. A left-out
+   clause holds a literal its pin makes true before any search, so the
+   two must agree query for query: the same DIPs, the same session
+   counters after every query (conflicts, decisions, propagations,
+   learnt clauses kept, reused and dropped, reductions) and the same
+   outcome and key. *)
+let check_same_attack label ~budget (l : Sec.Locked.t) =
+  let run attack =
+    let dips = ref [] and queries = ref [] in
+    let oracle = Sec.Locked.make_oracle l in
+    let o =
+      attack
+        ~observe:(fun st -> queries := st :: !queries)
+        ~oracle:(fun x ->
+          dips := Array.copy x :: !dips;
+          oracle x)
+    in
+    (List.rev !dips, List.rev !queries, { o with Sec.Sat_attack.seconds = 0.0 })
+  in
+  let want_dips, want_queries, want =
+    run (fun ~observe ~oracle -> Attack_oracle.attack ~budget ~observe l ~oracle)
+  and got_dips, got_queries, got =
+    run (fun ~observe ~oracle -> Sec.Sat_attack.attack ~budget ~observe l ~oracle)
+  in
+  let conflicts =
+    List.map (fun st -> st.Alice_sat.Solver.Incremental.conflicts)
+  in
+  Alcotest.(check bool) (label ^ ": DIP sequence") true (want_dips = got_dips);
+  Alcotest.(check (list int)) (label ^ ": conflicts after each query")
+    (conflicts want_queries) (conflicts got_queries);
+  Alcotest.(check bool) (label ^ ": session counters after each query") true
+    (want_queries = got_queries);
+  Alcotest.(check bool) (label ^ ": outcome and key") true (want = got)
+
+module A = Alice
+module B = Alice_benchmarks.Suite
+
+(* every valid candidate of four attack_measured designs under both
+   configurations (83 distinct netlists), at the workload's two attack
+   budgets *)
+let test_replay_candidates () =
+  let seen = Hashtbl.create 128 in
+  List.iter
+    (fun (name, cfg) ->
+      let b = Option.get (B.find name) in
+      let config = match cfg with `C1 -> B.config1 b | `C2 -> B.config2 b in
+      let flow =
+        A.Flow.run_request
+          (A.Flow.request
+             ~config:{ config with Alice_config.Flow_config.jobs = 1 }
+             (A.Flow.Text { text = b.B.source; file = None }))
+      in
+      List.iter
+        (fun (e : A.Selection.efpga_impl) ->
+          let mapped = e.A.Selection.mapped in
+          let digest = Digest.string (Marshal.to_string mapped []) in
+          if not (Hashtbl.mem seen digest) then begin
+            Hashtbl.add seen digest ();
+            let l = Sec.Locked.of_mapped mapped in
+            List.iter
+              (fun (iterations, conflicts) ->
+                check_same_attack
+                  (Printf.sprintf "%s %s at %d/%d" name
+                     e.A.Selection.cluster.A.Clustering.key conflicts
+                     iterations)
+                  ~budget:{ Sec.Sat_attack.max_iterations = iterations;
+                            solver_conflicts = Some conflicts }
+                  l)
+              [ (4, 500); (8, 1000) ]
+          end)
+        flow.A.Flow.selection.A.Selection.valid)
+    [ ("GCD", `C1); ("GCD", `C2); ("SASC", `C1); ("SASC", `C2);
+      ("USB_PHY", `C1); ("USB_PHY", `C2); ("FIR", `C1); ("FIR", `C2) ];
+  Alcotest.(check int) "distinct netlists" 83 (Hashtbl.length seen)
+
+(* A seeded random lock with four more outputs: a LUT with no input, a
+   LUT reading only it (added before it, as the mapper orders a reader
+   before its driver), a LUT reading it and a core input, and a LUT
+   reading its complement through a Tseitin gate. Once their key bits
+   are fixed at level 0, loading a replay fixes the first, second and
+   fourth outputs before their pins, so their rows must stay; the third
+   reads a free input, and its pinned rows go. *)
+let random_lock seed =
+  let st = Random.State.make [| 0xD1F; seed |] in
+  let mapped =
+    fst (N.Lutmap.map ~k:4 (Test_lutmap.random_circuit ~size:6 seed))
+  in
+  let lut inputs =
+    N.Circuit.Lut
+      (Array.init (1 lsl Array.length inputs) (fun _ -> Random.State.bool st))
+  in
+  let c0 = N.Circuit.fresh_net mapped in
+  let c1 = N.Circuit.add_gate mapped (lut [| c0 |]) [| c0 |] in
+  N.Circuit.add_gate_with_output mapped (lut [||]) [||] ~output:c0;
+  let a0 = (snd (List.hd mapped.N.Circuit.inputs)).(0) in
+  let c2 = N.Circuit.add_gate mapped (lut [| c0; a0 |]) [| c0; a0 |] in
+  let n0 = N.Circuit.add_gate mapped N.Circuit.Not [| c0 |] in
+  let c3 = N.Circuit.add_gate mapped (lut [| n0 |]) [| n0 |] in
+  N.Circuit.set_output mapped "k" [| c0; c1; c2; c3 |];
+  Sec.Locked.of_mapped mapped
+
+let test_replay_random_locks () =
+  List.iter
+    (fun seed ->
+      let l = random_lock seed in
+      let n = Array.length (Sec.Locked.input_nets l) in
+      check_same_attack (Printf.sprintf "random lock %d" seed)
+        ~budget:{ Sec.Sat_attack.max_iterations = (1 lsl n) + 1;
+                  solver_conflicts = None }
+        l)
+    (List.init 24 Fun.id)
+
+(* The solver loads a replay copy and its pins at level 0 without
+   propagating: each clause, in order, is skipped when a literal is
+   true, loses its false literals, and enqueues its last one. This
+   replays that on a copy and returns its clauses, the literals it
+   enqueues in order and the assignment it ends with. *)
+let load_copy ~encode ~fixed (l : Sec.Locked.t) x y =
+  let module Cnf = Alice_sat.Cnf in
+  let f = Cnf.create () in
+  let key_vars = Cnf.fresh_vars f l.Sec.Locked.key_bits in
+  let map = encode f ~key_vars in
+  let pin nets bits =
+    Array.iteri
+      (fun i n -> Cnf.add_unit f (if bits.(i) then map.(n) else -map.(n)))
+      nets
+  in
+  pin (Sec.Locked.input_nets l) x;
+  pin (Sec.Locked.output_nets l) y;
+  let assign = Hashtbl.create 256 in
+  Array.iteri
+    (fun i v -> Option.iter (Hashtbl.replace assign v) fixed.(i))
+    key_vars;
+  let value lit =
+    Option.map (fun b -> if lit > 0 then b else not b)
+      (Hashtbl.find_opt assign (abs lit))
+  in
+  let clauses = ref [] and trail = ref [] in
+  Cnf.iter_from f 0 (fun c ->
+      clauses := Array.to_list c :: !clauses;
+      if not (Array.exists (fun lit -> value lit = Some true) c) then
+        match
+          List.sort_uniq compare
+            (List.filter (fun lit -> value lit = None) (Array.to_list c))
+        with
+        | [ lit ] ->
+          Hashtbl.replace assign (abs lit) (lit > 0);
+          trail := lit :: !trail
+        | [] -> Alcotest.fail "a replay copy contradicts its pins"
+        | _ -> ());
+  (List.rev !clauses, List.rev !trail, value)
+
+(* A pruned replay keeps the whole copy's clauses in order, leaves out
+   only clauses its pins satisfy, and loads to the same trail, whatever
+   key bits level 0 has fixed (to the correct key's values, as any
+   level-0 fact of the attack is). A row left out that loading would
+   have made unit, as in a LUT whose every net loading fixes, moves a
+   literal of the trail. *)
+let test_replay_load_trail () =
+  List.iter
+    (fun seed ->
+      let l = random_lock seed in
+      let st = Random.State.make [| 0x10AD; seed |] in
+      let x =
+        Array.map (fun _ -> Random.State.bool st) (Sec.Locked.input_nets l)
+      in
+      let y = Sec.Locked.make_oracle l x in
+      let fixed =
+        Array.map
+          (fun b -> if Random.State.int st 4 > 0 then Some b else None)
+          l.Sec.Locked.correct_key
+      in
+      let pins = Array.make l.Sec.Locked.circuit.N.Circuit.next_net None in
+      Array.iteri (fun i n -> pins.(n) <- Some x.(i)) (Sec.Locked.input_nets l);
+      Array.iteri (fun i n -> pins.(n) <- Some y.(i)) (Sec.Locked.output_nets l);
+      let whole, want_trail, _ =
+        load_copy ~fixed l x y ~encode:(fun f ~key_vars ->
+            Attack_oracle.encode_locked f l ~key_vars ~share:(fun _ -> None))
+      and kept, trail, value =
+        load_copy ~fixed l x y ~encode:(fun f ~key_vars ->
+            Sec.Locked.encode_locked ~pins f l ~key_vars ~share:(fun _ -> None))
+      in
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (list int)) (label "trail") want_trail trail;
+      let rec walk whole kept =
+        match (whole, kept) with
+        | w :: ws, k :: ks when w = k -> walk ws ks
+        | w :: ws, _ ->
+          Alcotest.(check bool) (label "a left-out clause is satisfied") true
+            (List.exists (fun lit -> value lit = Some true) w);
+          walk ws kept
+        | [], [] -> ()
+        | [], _ :: _ -> Alcotest.fail (label "a kept clause is not in the whole copy")
+      in
+      walk whole kept)
+    (List.init 60 Fun.id)
+
 let tests =
   [ Alcotest.test_case "lock roundtrip" `Quick test_lock_roundtrip;
     Alcotest.test_case "scan view" `Quick test_scan_view;
@@ -172,4 +370,10 @@ let tests =
     Alcotest.test_case "sequential attack" `Quick test_attack_sequential;
     Alcotest.test_case "attack property: 30 random locks" `Quick
       test_attack_property;
-    Alcotest.test_case "key check is exact" `Quick test_key_check_exact ]
+    Alcotest.test_case "key check is exact" `Quick test_key_check_exact;
+    Alcotest.test_case "pruned replays match whole ones: candidates" `Quick
+      test_replay_candidates;
+    Alcotest.test_case "pruned replays match whole ones: random locks" `Quick
+      test_replay_random_locks;
+    Alcotest.test_case "pruned replays load to the same trail" `Quick
+      test_replay_load_trail ]
