@@ -13,9 +13,10 @@
    are bench/perf's workloads, not sections here.
 
    Besides the console report, every run writes BENCH_<rev>.json into
-   the working directory (rev = `git rev-parse --short HEAD`, or "dev"
-   outside a checkout): per-section wall times plus each section's key
-   scalars, so a snapshot per revision can be committed and diffed. *)
+   the working directory (rev = `git rev-parse --short HEAD`, suffixed
+   -dirty when tracked files differ from it, or "dev" outside a
+   checkout): per-section wall times plus each section's key scalars,
+   so a snapshot per revision can be committed and diffed. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -45,22 +46,33 @@ let record_section name seconds =
     !recorded @ [ (name, Jl.Obj (("seconds", Jl.Float seconds) :: !section_notes)) ];
   section_notes := []
 
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "dev"
+(* the trimmed output of [git args], or [None] when it fails *)
+let git args =
+  match Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") with
+  | exception _ -> None
   | ic ->
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    let status = try Unix.close_process_in ic with _ -> Unix.WEXITED 1 in
-    (match (status, line) with
-    | Unix.WEXITED 0, rev when rev <> "" -> rev
-    | _ -> "dev")
+    let out = String.trim (In_channel.input_all ic) in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> Some out
+    | _ | (exception _) -> None)
+
+(* HEAD's short hash and whether tracked files differ from it: the
+   times of an uncommitted tree must not be filed under its parent *)
+let git_rev () =
+  match git "rev-parse --short HEAD" with
+  | Some rev when rev <> "" ->
+    (rev, git "status --porcelain --untracked-files=no" <> Some "")
+  | _ -> ("dev", false)
 
 let write_snapshot ~wall_s =
-  let rev = git_rev () in
-  let path = Printf.sprintf "BENCH_%s.json" rev in
+  let rev, dirty = git_rev () in
+  let path =
+    Printf.sprintf "BENCH_%s%s.json" rev (if dirty then "-dirty" else "")
+  in
   let doc =
     Jl.Obj
       [ ("rev", Jl.String rev);
+        ("dirty", Jl.Bool dirty);
         ("wall_s", Jl.Float wall_s);
         ("sections", Jl.Obj !recorded) ]
   in

@@ -294,7 +294,7 @@ let inspect_cmd =
   let run file top fmt =
     handle_errors ~fmt (fun () ->
         let ast = load_design file in
-        let d = V.Elaborate.elaborate ?top ast in
+        let d = A.Flow.elaborate_checked ?top ast in
         Format.printf "top module: %s@." d.V.Elaborate.d_top;
         Format.printf "%a" A.Report.pp_table1_header ();
         Format.printf "%a" A.Report.pp_table1_row
@@ -586,7 +586,7 @@ let attack_cmd =
               Option.map (positive "--attack-budget") solver_budget }
         in
         let ast = load_design file in
-        let d = V.Elaborate.elaborate ast in
+        let d = A.Flow.elaborate_checked ast in
         let circuit = N.Synth.synthesize_module d module_name in
         let mapped, _ = N.Lutmap.map ~k:4 circuit in
         Format.printf "module %s: %d LUTs, %d FFs, %d I/O bits@." module_name
@@ -668,7 +668,7 @@ let simulate_cmd =
   let run file top cycles vcd_out seed fmt =
     handle_errors ~fmt (fun () ->
         let ast = load_design file in
-        let d = V.Elaborate.elaborate ?top ast in
+        let d = A.Flow.elaborate_checked ?top ast in
         let c = N.Synth.synthesize d in
         let sim = N.Simulate.create c in
         let vcd = N.Vcd.create ~module_name:d.V.Elaborate.d_top sim in

@@ -425,6 +425,21 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/attack0.json"; then
   cat "$tmpdir/attack0.json" >&2
   exit 1
 fi
+# an elaboration fault is malformed input whichever command meets it:
+# inspect elaborates through the flow's normalizer, so a
+# self-instantiating top is an E0100, not a configuration error
+printf 'module top(input a, output y); top u (.a(a), .y(y)); endmodule\n' \
+  > "$tmpdir/selfinst.v"
+set +e
+"$ALICE" inspect "$tmpdir/selfinst.v" --diag-format=json \
+  > "$tmpdir/selfinst.json" 2> /dev/null
+code=$?
+set -e
+if [ "$code" -ne 1 ] || ! grep -q '"code":"E0100"' "$tmpdir/selfinst.json"; then
+  echo "check.sh: inspect of a self-instantiating top exited $code without E0100:" >&2
+  cat "$tmpdir/selfinst.json" >&2
+  exit 1
+fi
 # the attack's search is pinned: a change to how replays are encoded or
 # solved that keeps every decision keeps these DIPs and conflicts, and
 # each attack recovers a key proved correct

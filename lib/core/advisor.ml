@@ -202,7 +202,7 @@ let plan_of_source ~(base : C.Flow_config.t) ~(constraints : J.t)
     | Flow.Ast d -> d
     | Flow.Text { text; file } -> V.Parser.parse ?file text
   in
-  let design = V.Elaborate.elaborate ?top:base.C.Flow_config.top ast in
+  let design = Flow.elaborate_checked ?top:base.C.Flow_config.top ast in
   let axes = axes_of_constraints ~base design constraints in
   plan ~base ~axes
 

@@ -5,19 +5,18 @@
     Multi-module clusters get a synthetic top that instantiates every
     member with all ports exposed, exactly the "top Verilog module that
     instantiates all independent modules" of Section 6. Results are
-    cached by the multiset of member modules, each tagged with a digest
-    of its elaborated subtree, plus a digest of every configuration
+    cached by the cluster's identity — its member modules in cluster
+    order, each tagged with a digest of its elaborated subtree, which is
+    all the synthetic top reads — plus a digest of every configuration
     field a characterization stage reads
-    ({!Alice_config.Flow_config.classify}) — so two clusters
-    of the same module mix always get the same fabric, and the key
-    stays sound when the cache outlives one run or one configuration.
+    ({!Alice_config.Flow_config.classify}): a hit is always the
+    cluster's own netlist, however long the cache lives.
 
     A miss is computed in four stages, each memoized in memory in the
     cache and keyed by its parent stage's key plus exactly the inputs it
-    reads: the synthesized netlist (the ordered members as
-    [wrapper_emodule] reads them, with their subtree digests), the
-    LUT-mapped circuit (+ k), the packed CLBs (+ LUTs and FFs per CLB)
-    and one width's placement and routing (+ GPIO per tile, the width).
+    reads: the synthesized netlist (the identity), the LUT-mapped
+    circuit (+ k), the packed CLBs (+ LUTs and FFs per CLB) and one
+    width's placement and routing (+ GPIO per tile, the width).
     Grid points that differ only downstream of a stage share it: a new
     utilization target or width window re-runs no synthesis, mapping or
     packing, and places no width an earlier point already placed.
@@ -25,7 +24,7 @@
     Characterizations are independent of each other (the paper's
     per-cluster OpenFPGA fan-out), so {!run_all_stats} deduplicates the
     candidate set by cache key up front, characterizes each unique
-    module multiset once across a pool of worker domains
+    identity once across a pool of worker domains
     ({!Alice_parallel.Memo.resolve}), and fans the results back out to
     every aliasing cluster in the original order — output is
     bit-identical to the serial flow for any [jobs] value. *)
@@ -58,8 +57,8 @@ type characterization = {
   mapped : N.Circuit.t option;  (* the LUT-mapped cluster, for security work *)
 }
 
-(* Build a synthetic elaborated module instantiating the cluster members
-   with all ports promoted to top-level ports named m<i>_<port>. *)
+(* Build a synthetic elaborated module instantiating member i as u<i>,
+   its ports promoted to top-level ports named m<i>_<port>. *)
 let wrapper_emodule (design : V.Elaborate.design) (cluster : Clustering.cluster)
     ~(name : string) : V.Elaborate.emodule =
   let ports = ref [] and nets = ref [] and instances = ref [] in
@@ -79,9 +78,9 @@ let wrapper_emodule (design : V.Elaborate.design) (cluster : Clustering.cluster)
           em.V.Elaborate.em_ports
       in
       instances :=
-        { V.Elaborate.ei_name = Printf.sprintf "u%d_%s" i member.inst_name;
+        { V.Elaborate.ei_name = Printf.sprintf "u%d" i;
           ei_module = member.module_name;
-          ei_orig_module = member.orig_module_name;
+          ei_orig_module = em.V.Elaborate.em_orig_name;
           ei_bindings = bindings; ei_loc = V.Loc.none }
         :: !instances)
     cluster.Clustering.members;
@@ -207,8 +206,8 @@ let subtree_digester (design : V.Elaborate.design) : string -> string =
   in
   digest_of
 
-(* [v3]: [min_clb_utilization], which only selection reads, left the
-   final key *)
+(* [v4]: the final key starts from the ordered [identity], not the
+   member multiset (the [v3] change dropped [min_clb_utilization]) *)
 type config_keys = {
   cfg_final : string;
   cfg_mapped : string;
@@ -219,36 +218,27 @@ type config_keys = {
 let config_keys (cfg : C.Flow_config.t) : config_keys =
   let fields = C.Flow_config.classify cfg in
   let digest tag stages = C.Flow_config.digest tag stages fields in
-  { cfg_final = digest "v3" C.Flow_config.characterization;
+  { cfg_final = digest "v4" C.Flow_config.characterization;
     cfg_mapped = digest "mapped" [ C.Flow_config.Mapped ];
     cfg_packed = digest "packed" [ C.Flow_config.Packed ];
     cfg_placed = digest "placed" [ C.Flow_config.Placed ] }
 
-let cluster_key (digest_of : string -> string) (final : string)
-    (cluster : Clustering.cluster) : string =
-  let members =
-    cluster.Clustering.members
-    |> List.map (fun (m : V.Design.tree) ->
-           m.module_name ^ "@" ^ digest_of m.module_name)
-    |> List.sort compare |> String.concat "|"
-  in
-  members ^ "#" ^ final
-
-let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
-    Clustering.cluster -> string =
-  cluster_key (subtree_digester design) (config_keys cfg).cfg_final
-
-(* The netlist stage's key: the members in cluster order, each with the
-   three names [wrapper_emodule] reads and its subtree digest. The
-   ordered list, not the multiset, so that equal keys synthesize
-   identical netlists, down to instance paths and port order. *)
-let netlist_key (digest_of : string -> string) (cluster : Clustering.cluster)
+(* A cluster's identity, the netlist stage's key and the start of
+   every other: the members in cluster order, each [module@digest].
+   Ordered, since member [i]'s ports are the fabric's GPIO group [i];
+   no instance names, since [wrapper_emodule] reads none. *)
+let identity (digest_of : string -> string) (cluster : Clustering.cluster)
     : string =
   cluster.Clustering.members
   |> List.map (fun (m : V.Design.tree) ->
-         Printf.sprintf "%S %S %S %s" m.inst_name m.module_name
-           m.orig_module_name (digest_of m.module_name))
+         m.module_name ^ "@" ^ digest_of m.module_name)
   |> String.concat "|"
+
+let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
+    Clustering.cluster -> string =
+  let digest_of = subtree_digester design in
+  let final = (config_keys cfg).cfg_final in
+  fun cluster -> identity digest_of cluster ^ "#" ^ final
 
 (* a short human label for diagnostics: the cluster's member instances *)
 let cluster_label (cluster : Clustering.cluster) : string =
@@ -278,9 +268,9 @@ let skip_diag ~(deadline_s : float) (cluster : Clustering.cluster) : D.t =
     "characterization deadline (%.1fs) exceeded; cluster skipped" deadline_s
 
 (* Fan a shared characterization back out to an aliasing cluster. The
-   fabric result is identical by construction (same module multiset),
-   but a diagnostic must name *this* cluster's instances, not the ones
-   of whichever alias computed first. *)
+   fabric result is identical by construction (same identity), but a
+   diagnostic must name *this* cluster's instances, not the ones of
+   whichever alias computed first. *)
 let retarget (cluster : Clustering.cluster) (c : characterization) :
     characterization =
   let relabel (d : D.t) : D.t =
@@ -303,7 +293,7 @@ let retarget (cluster : Clustering.cluster) (c : characterization) :
   { c with cluster; outcome }
 
 (* Characterize one cluster through the stages of [stages] ([nkey] is
-   its netlist key). Any exception escaping synthesis, LUT mapping or
+   its identity). Any exception escaping synthesis, LUT mapping or
    the size search — except [Out_of_memory], which is not safely
    resumable — becomes a [Failed] outcome carrying a diagnostic, so a
    single broken cluster degrades to one lost candidate instead of
@@ -376,8 +366,8 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
     in
     { cluster; outcome; mapped = None }
   in
-  (* both keys up front, serially: the digest table is not shared with
-     the worker domains *)
+  (* every identity up front, serially: the digest table is not shared
+     with the worker domains *)
   let digest_of = subtree_digester design in
   let keys = config_keys cfg in
   let r =
@@ -385,8 +375,8 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
       (compute cache design cfg keys)
       (List.map
          (fun cluster ->
-           ( cluster_key digest_of keys.cfg_final cluster,
-             (netlist_key digest_of cluster, cluster) ))
+           let nkey = identity digest_of cluster in
+           (nkey ^ "#" ^ keys.cfg_final, (nkey, cluster)))
          clusters)
   in
   ( List.map2 retarget clusters r.Memo.values,

@@ -2,7 +2,7 @@
     cluster by actually building its eFPGA — a synthetic top
     instantiating the members with all ports exposed, synthesized,
     LUT-mapped, and passed to the minimum-fabric search. Results are
-    cached by member-module multiset (subtree-digested) plus a digest of
+    cached by the cluster's identity (see {!keyer}) plus a digest of
     the configuration fields the characterization stages read (see
     {!config_keys}); a miss runs in memoized stages (netlist, mapped,
     packed, placed per width), so configurations that share a stage's
@@ -53,8 +53,7 @@ val cluster_circuit :
 
     A miss is computed through four in-memory stage tables the cache
     also owns, each keyed by its parent's key plus exactly what the
-    stage reads: [netlist] (the members in cluster order — instance,
-    module and original module names — with their subtree digests),
+    stage reads: [netlist] (the cluster's identity, as in {!keyer}),
     [mapped] (+ k), [packed] (+ LUTs and FFs per CLB) and [placed]
     (+ GPIO per tile and one fabric width). A stage is written only when
     it returns, so a fault is never reused; stage lookups run inside
@@ -129,11 +128,12 @@ type config_keys = {
 val config_keys : C.Flow_config.t -> config_keys
 
 (** [keyer design cfg] is the cache key function for clusters of
-    [design] under [cfg]: a cluster's member-module multiset with each
-    member tagged by a digest of its elaborated subtree (its own content
-    without source locations, plus its children's digests), joined with
-    the configuration's [cfg_final]. Sound across designs and
-    configurations: same key implies same characterization outcome.
+    [design] under [cfg]: the cluster's identity — its member modules in
+    cluster order, each tagged by a digest of its elaborated subtree
+    (its own content without source locations, plus its children's
+    digests), no instance name — joined with the configuration's
+    [cfg_final]. Same key implies the same netlist, across designs and
+    configurations, so the same characterization outcome.
     A child edit rekeys every cluster containing an ancestor; a line
     shift or a file rename rekeys nothing. Per-module digests and the
     config digest are computed once per keyer. *)

@@ -10,8 +10,8 @@
     exactly those characterizations. A cold run pays them once; every
     later run — in the same process through the same engine, or in a
     new process via the on-disk store — gets them back by
-    content-addressed lookup ({!Characterize.keyer}: member-module
-    subtree digests plus the configuration's characterization digest),
+    content-addressed lookup ({!Characterize.keyer}: the ordered member
+    modules' subtree digests plus the configuration's digest),
     so results are identical to a cold run, just faster.
 
     Degradation is always soft: unusable cache entries recompute with a
@@ -243,10 +243,11 @@ let summarize (name : string) (flow : Flow.t) : sweep_point =
 
 (* The version covers the summary encoding too: v2 added the attack
    counters, v3 the advisor's metrics, v4 keyed the read sets instead
-   of the whole configuration, so a changed [jobs] still resumes. *)
+   of the whole configuration, so a changed [jobs] still resumes; v5
+   drops results a multiset characterization key may have aliased. *)
 let point_key (name : string) (req : Flow.request) : string =
   let config = C.Flow_config.(digest "result" result (classify req.config)) in
-  Printf.sprintf "sweep-point v4 %s %s" name
+  Printf.sprintf "sweep-point v5 %s %s" name
     (Digest.to_hex
        (Digest.string (Marshal.to_string (req.Flow.source, config) [])))
 

@@ -7,9 +7,9 @@
     sweep checkpoints under [sweep/]. Any number of flow
     {!Flow.request}s run through one engine with one {!run}.
 
-    Entries are content-addressed by {!Characterize.keyer} (member
-    module subtree digests plus a digest of the configuration fields
-    characterization reads), loaded lazily one key at a time, and
+    Entries are content-addressed by {!Characterize.keyer} (the member
+    modules in cluster order with their subtree digests, plus a digest
+    of the configuration fields characterization reads), loaded lazily one key at a time, and
     survive process boundaries, so fabric-parameter sweeps and repeated
     CLI invocations stop re-running CreateEFPGA on work they have
     already paid for. Results are bit-identical to a

@@ -64,6 +64,11 @@ type request = {
 val request :
   ?config:C.Flow_config.t -> ?diags:D.Collector.t -> source -> request
 
+(** {!Alice_verilog.Elaborate.elaborate} with every failure but
+    [Out_of_memory] raised as [Loc.Error]: an [E0100] through
+    {!classify_exn}, whichever command elaborates. *)
+val elaborate_checked : ?top:string -> V.Ast.design -> V.Elaborate.design
+
 (** Run a {!request}. An empty candidate set (like IIR under cfg1) is
     not an error — the result simply carries no solution. A
     [selected_outputs] entry that names no output of the top module

@@ -33,7 +33,7 @@ exception Interface_mismatch of string
 
 let fail fmt = Format.kasprintf (fun m -> raise (Interface_mismatch m)) fmt
 
-(* scan view: named input groups and output groups *)
+(* the threat model's scan view, as named groups *)
 let scan_inputs (c : Circuit.t) : (string * Circuit.net array) list =
   c.Circuit.inputs
   @ List.mapi

@@ -20,6 +20,12 @@ type result =
 
 exception Interface_mismatch of string
 
+(** The threat model's scan view, as named net groups: the core reads
+    the primary inputs, then each DFF's Q ([$ff<i>]), and drives the
+    primary outputs, then each DFF's D ([$ff<i>_d]). *)
+val scan_inputs : Circuit.t -> (string * Circuit.net array) list
+val scan_outputs : Circuit.t -> (string * Circuit.net array) list
+
 (** Raises {!Interface_mismatch} when port names/widths or register
     counts differ. [solver_budget] bounds the solver's conflicts; an
     exhausted budget yields {!Unknown}. *)

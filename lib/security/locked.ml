@@ -5,9 +5,7 @@
     enlarges the key space, so this is the attacker-favourable case).
 
     Registers are exposed as scan I/O per the threat model ("fully
-    scanned"): the combinational core's inputs are the primary inputs
-    plus every DFF Q, and its outputs the primary outputs plus every
-    DFF D. *)
+    scanned"), in {!Equiv}'s scan view. *)
 
 module Circuit = Alice_netlist.Circuit
 module Simulate = Alice_netlist.Simulate
@@ -48,20 +46,12 @@ let of_mapped (c : Circuit.t) : t =
     luts;
   { circuit = c; key_bits; correct_key; offsets = List.rev !offsets }
 
-(** Inputs of the scan-exposed combinational core. *)
+(* the core's inputs and outputs: {!Equiv}'s scan view, flattened *)
 let input_nets (l : t) : Circuit.net array =
-  let pis =
-    List.concat_map (fun (_, nets) -> Array.to_list nets) l.circuit.Circuit.inputs
-  in
-  let qs = List.map (fun (d : Circuit.dff) -> d.q) (Circuit.dff_list l.circuit) in
-  Array.of_list (pis @ qs)
+  Array.concat (List.map snd (Equiv.scan_inputs l.circuit))
 
 let output_nets (l : t) : Circuit.net array =
-  let pos =
-    List.concat_map (fun (_, nets) -> Array.to_list nets) l.circuit.Circuit.outputs
-  in
-  let ds = List.map (fun (d : Circuit.dff) -> d.d) (Circuit.dff_list l.circuit) in
-  Array.of_list (pos @ ds)
+  Array.concat (List.map snd (Equiv.scan_outputs l.circuit))
 
 (* The nets that loading a copy may fix before the pins after it load.
    The solver loads clauses at level 0, in order and without

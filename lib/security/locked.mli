@@ -15,10 +15,10 @@ type t = {
 (** Lock a LUT-mapped circuit. *)
 val of_mapped : Circuit.t -> t
 
-(** Inputs of the scan-exposed combinational core (PIs then DFF Qs). *)
+(** The core's inputs: {!Alice_sat.Equiv.scan_inputs}, flattened. *)
 val input_nets : t -> Circuit.net array
 
-(** Outputs of the core (POs then DFF Ds). *)
+(** The core's outputs: {!Alice_sat.Equiv.scan_outputs}, flattened. *)
 val output_nets : t -> Circuit.net array
 
 (** Encode one locked copy: non-LUT gates as usual, LUTs reading their

@@ -283,24 +283,25 @@ let test_configs_match_paper_params () =
 (* Table 2's structural columns, all 14 rows *)
 let test_flow_columns () =
   let expect =
-    (* name, cfg, R, C, valid, S, chosen sizes, redacted *)
-    [ ("DES3", `C1, 8, Some 218, Some 218, Some 3151, [ "10x10"; "10x10" ], Some 8);
-      ("DES3", `C2, 8, Some 255, Some 255, Some 255, [ "14x14" ], Some 8);
-      ("FIR", `C1, 1, Some 1, Some 1, Some 1, [ "6x6" ], Some 1);
-      ("FIR", `C2, 3, Some 3, Some 3, Some 3, [ "6x6" ], Some 1);
-      ("IIR", `C1, 0, None, None, None, [], None);
-      ("IIR", `C2, 2, Some 2, Some 2, Some 2, [ "9x9" ], Some 1);
-      ("SHA256", `C1, 1, Some 1, Some 1, Some 1, [ "12x12" ], Some 1);
-      ("SHA256", `C2, 1, Some 1, Some 1, Some 1, [ "12x12" ], Some 1);
-      ("SASC", `C1, 1, Some 1, Some 1, Some 1, [ "7x7" ], Some 1);
-      ("SASC", `C2, 1, Some 1, Some 1, Some 1, [ "7x7" ], Some 1);
-      ("USB_PHY", `C1, 2, Some 3, Some 1, Some 1, [ "7x7" ], Some 1);
-      ("USB_PHY", `C2, 2, Some 3, Some 1, Some 1, [ "7x7" ], Some 1);
-      ("GCD", `C1, 9, Some 29, Some 22, Some 127, [ "5x5"; "4x4" ], Some 4);
-      ("GCD", `C2, 10, Some 90, Some 83, Some 83, [ "6x6" ], Some 3) ]
+    (* name, cfg, R, C, valid, S, chosen sizes, redacted, unique
+       characterizations *)
+    [ ("DES3", `C1, 8, Some 218, Some 218, Some 3151, [ "10x10"; "10x10" ], Some 8, 218);
+      ("DES3", `C2, 8, Some 255, Some 255, Some 255, [ "14x14" ], Some 8, 255);
+      ("FIR", `C1, 1, Some 1, Some 1, Some 1, [ "6x6" ], Some 1, 1);
+      ("FIR", `C2, 3, Some 3, Some 3, Some 3, [ "6x6" ], Some 1, 3);
+      ("IIR", `C1, 0, None, None, None, [], None, 0);
+      ("IIR", `C2, 2, Some 2, Some 2, Some 2, [ "9x9" ], Some 1, 2);
+      ("SHA256", `C1, 1, Some 1, Some 1, Some 1, [ "12x12" ], Some 1, 1);
+      ("SHA256", `C2, 1, Some 1, Some 1, Some 1, [ "12x12" ], Some 1, 1);
+      ("SASC", `C1, 1, Some 1, Some 1, Some 1, [ "7x7" ], Some 1, 1);
+      ("SASC", `C2, 1, Some 1, Some 1, Some 1, [ "7x7" ], Some 1, 1);
+      ("USB_PHY", `C1, 2, Some 3, Some 1, Some 1, [ "7x7" ], Some 1, 3);
+      ("USB_PHY", `C2, 2, Some 3, Some 1, Some 1, [ "7x7" ], Some 1, 3);
+      ("GCD", `C1, 9, Some 29, Some 22, Some 127, [ "5x5"; "4x4" ], Some 4, 27);
+      ("GCD", `C2, 10, Some 90, Some 83, Some 83, [ "6x6" ], Some 3, 84) ]
   in
   List.iter
-    (fun (name, cfg, r, c, valid, s, sizes, redacted) ->
+    (fun (name, cfg, r, c, valid, s, sizes, redacted, unique) ->
       let b = Option.get (B.find name) in
       let config = match cfg with `C1 -> B.config1 b | `C2 -> B.config2 b in
       let flow = flow_ast ~config (B.parse b) in
@@ -311,7 +312,9 @@ let test_flow_columns () =
       Alcotest.(check (option int)) (tag "valid") valid row.A.Report.valid_efpgas;
       Alcotest.(check (option int)) (tag "S") s row.A.Report.s_count;
       Alcotest.(check (list string)) (tag "sizes") sizes row.A.Report.efpga_sizes;
-      Alcotest.(check (option int)) (tag "redacted") redacted row.A.Report.redacted_modules)
+      Alcotest.(check (option int)) (tag "redacted") redacted row.A.Report.redacted_modules;
+      Alcotest.(check int) (tag "unique characterizations") unique
+        flow.A.Flow.char_stats.A.Characterize.unique)
     expect
 
 let test_soc_context () =

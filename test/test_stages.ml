@@ -12,14 +12,13 @@ module C = Alice_config
 
 (* ---------- staged equals fresh ---------- *)
 
-(* Each variant runs at its own width ceiling: the walk's [max_size]
-   plus the variant's index. Only the size search reads that field, so
-   it is in the final characterization key and in no stage key: two
-   variants never share a final entry — the final key is a member
-   multiset and deliberately blind to instance names — while every
-   stage is shared wherever its key allows. The renamed and edited GCDs
-   are the cases a stage key must tell apart: the same modules under
-   another instance name, and the same names over another body. *)
+(* The variants share one cache, final entries included: a cluster's
+   identity is its members in cluster order, each a module and its
+   subtree digest, so equal keys synthesize one netlist wherever the
+   cluster sits. The renamed and edited GCDs are the cases a key must
+   get right: the same modules under another instance name, which share
+   every entry, and the same names over another body, which share none
+   of the edited subtree's. *)
 let variants =
   let gcd = B.gcd.B.source in
   (* [s] with the first occurrence of [sub] replaced by [by] *)
@@ -50,7 +49,7 @@ let print_point p =
   let name, _, _ = List.nth variants p.variant in
   Printf.sprintf "%s k=%d luts=%d ffs=%d gpio=%d w=[%d,%d] u=%g" name
     p.lut_inputs p.luts_per_clb p.ffs_per_clb p.gpio_per_tile p.min_size
-    (p.max_size + p.variant) p.utilization
+    p.max_size p.utilization
 
 (* A walk through the configuration space, as a sweep or an advise grid
    moves: a random start, then one field changed per step, so that
@@ -98,7 +97,7 @@ let request (p : point) : A.Flow.request =
       C.Flow_config.lut_inputs = p.lut_inputs;
       luts_per_clb = p.luts_per_clb; ffs_per_clb = p.ffs_per_clb;
       gpio_per_tile = p.gpio_per_tile; min_fabric_size = p.min_size;
-      max_fabric_size = p.max_size + p.variant;
+      max_fabric_size = p.max_size;
       target_utilization = p.utilization }
   in
   A.Flow.request ~config (A.Flow.Text { text; file = Some (name ^ ".v") })

@@ -196,6 +196,32 @@ let test_scan_chain () =
   Alcotest.(check bool) "cfg_out = last chain bit" bits.(n - 1)
     (N.Simulate.read_output_bits sim "cfg_out").(0)
 
+(* Simulate a redacted Structural view with each fabric's bitstream
+   loaded through its own configuration pins. *)
+let program_structural (r : Alice.Redact.redacted) : N.Simulate.t =
+  let module A = Alice in
+  let ast = V.Parser.parse ~file:"structural.v" r.A.Redact.verilog in
+  let c = N.Synth.synthesize (V.Elaborate.elaborate ~top:"top" ast) in
+  let sim = N.Simulate.create c in
+  List.iter
+    (fun (site : A.Redact.efpga_site) ->
+      let en = site.A.Redact.efpga_name ^ "_cfg_en" in
+      let cin = site.A.Redact.efpga_name ^ "_cfg_in" in
+      let clk = site.A.Redact.efpga_name ^ "_cfg_clk" in
+      N.Simulate.set_input sim en 1;
+      let bits = site.A.Redact.bitstream in
+      for j = Array.length bits - 1 downto 0 do
+        N.Simulate.set_input sim cin (if bits.(j) then 1 else 0);
+        (* a full clock cycle on this fabric's cfg_clk *)
+        N.Simulate.set_input sim clk 1;
+        N.Simulate.step sim;
+        N.Simulate.set_input sim clk 0;
+        N.Simulate.eval sim
+      done;
+      N.Simulate.set_input sim en 0)
+    r.A.Redact.sites;
+  sim
+
 (* full-system round trip: redact a design with Structural view, load
    every fabric's bitstream through its chip pins, and compare against
    the original for all inputs *)
@@ -222,27 +248,7 @@ let test_redacted_structural_system () =
   match A.Flow.redact ~view:A.Redact.Structural flow with
   | None -> Alcotest.fail "no solution"
   | Some r ->
-    let ast = V.Parser.parse ~file:"structural.v" r.A.Redact.verilog in
-    let c = N.Synth.synthesize (V.Elaborate.elaborate ~top:"top" ast) in
-    let sim = N.Simulate.create c in
-    (* load each fabric's bitstream through its own configuration pins *)
-    List.iter
-      (fun (site : A.Redact.efpga_site) ->
-        let en = site.A.Redact.efpga_name ^ "_cfg_en" in
-        let cin = site.A.Redact.efpga_name ^ "_cfg_in" in
-        let clk = site.A.Redact.efpga_name ^ "_cfg_clk" in
-        N.Simulate.set_input sim en 1;
-        let bits = site.A.Redact.bitstream in
-        for j = Array.length bits - 1 downto 0 do
-          N.Simulate.set_input sim cin (if bits.(j) then 1 else 0);
-          (* a full clock cycle on this fabric's cfg_clk *)
-          N.Simulate.set_input sim clk 1;
-          N.Simulate.step sim;
-          N.Simulate.set_input sim clk 0;
-          N.Simulate.eval sim
-        done;
-        N.Simulate.set_input sim en 0)
-      r.A.Redact.sites;
+    let sim = program_structural r in
     (* compare against the original design on every input *)
     let ref_sim =
       N.Simulate.create
@@ -263,9 +269,94 @@ let test_redacted_structural_system () =
         (N.Simulate.read_output sim "out2")
     done
 
+(* Two clusters of one module mix in different member orders: u_a|u_k
+   puts m_add's ports first on the fabric's GPIO, u_k|u_z puts k_xor's.
+   Each must be characterized as its own netlist, so that the bitstream
+   it is redacted with drives its own wiring: the best solution and
+   every valid two-member candidate, programmed through its cfg pins,
+   compute the original outputs. *)
+let test_structural_member_order () =
+  let module A = Alice in
+  let module CFG = Alice_config in
+  let src =
+    {|module m_add (input [7:0] a, output [7:0] y); assign y = a + 8'h3; endmodule
+      module k_xor (input [7:0] b, output [7:0] z); assign z = b ^ 8'h5a; endmodule
+      module top (input [7:0] x, input [7:0] w, input [7:0] v,
+                  output [7:0] o1, output [7:0] o2, output [7:0] o3);
+        m_add u_a (.a(x), .y(o1));
+        k_xor u_k (.b(w), .z(o2));
+        m_add u_z (.a(v), .y(o3));
+      endmodule|}
+  in
+  let cfg =
+    { CFG.Flow_config.default with
+      CFG.Flow_config.max_io_pins = 32; max_efpgas = 1;
+      min_fabric_size = 4; max_fabric_size = 12 }
+  in
+  let flow = flow_text ~config:cfg src in
+  let ref_sim =
+    N.Simulate.create
+      (N.Synth.synthesize (V.Elaborate.elaborate ~top:"top" (V.Parser.parse src)))
+  in
+  (* outputs of 256 vectors, o1-o3 each, that differ from the original *)
+  let wrong (solution : A.Selection.solution) =
+    let sim =
+      program_structural
+        (A.Redact.run ~view:A.Redact.Structural flow.A.Flow.design
+           flow.A.Flow.ast solution)
+    in
+    let n = ref 0 in
+    for i = 0 to 255 do
+      List.iter
+        (fun (port, value) ->
+          N.Simulate.set_input sim port value;
+          N.Simulate.set_input ref_sim port value)
+        [ ("x", i); ("w", 255 - i); ("v", i * 37 land 255) ];
+      N.Simulate.eval sim;
+      N.Simulate.eval ref_sim;
+      List.iter
+        (fun port ->
+          if N.Simulate.read_output sim port <> N.Simulate.read_output ref_sim port
+          then incr n)
+        [ "o1"; "o2"; "o3" ]
+    done;
+    !n
+  in
+  let name (solution : A.Selection.solution) =
+    String.concat ","
+      (List.map
+         (fun (e : A.Selection.efpga_impl) ->
+           e.A.Selection.cluster.A.Clustering.key)
+         solution.A.Selection.efpgas)
+  in
+  let best =
+    match flow.A.Flow.selection.A.Selection.best with
+    | Some best -> best
+    | None -> Alcotest.fail "no solution"
+  in
+  Alcotest.(check string) "best solution" "top.u_a|top.u_k" (name best);
+  let pairs =
+    List.filter_map
+      (fun (e : A.Selection.efpga_impl) ->
+        if A.Clustering.member_count e.A.Selection.cluster <> 2 then None
+        else
+          Some
+            { A.Selection.efpgas = [ e ]; total_score = e.A.Selection.score;
+              redacted_instances = 2; is_final = true })
+      flow.A.Flow.selection.A.Selection.valid
+  in
+  Alcotest.(check bool) "two-member candidates" true (List.length pairs >= 2);
+  List.iter
+    (fun solution ->
+      Alcotest.(check int) (name solution ^ ": wrong outputs of 768") 0
+        (wrong solution))
+    (best :: pairs)
+
 let tests =
   [ Alcotest.test_case "combinational round trip" `Quick test_combinational_roundtrip;
     Alcotest.test_case "redacted structural system" `Quick test_redacted_structural_system;
     Alcotest.test_case "sequential round trip" `Quick test_sequential_roundtrip;
     Alcotest.test_case "wrong bitstream detected" `Quick test_wrong_bitstream_changes_function;
-    Alcotest.test_case "scan chain" `Quick test_scan_chain ]
+    Alcotest.test_case "scan chain" `Quick test_scan_chain;
+    Alcotest.test_case "structural member order" `Quick
+      test_structural_member_order ]
