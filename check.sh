@@ -455,6 +455,32 @@ done <<'EOF'
 gcd_ctrl 25 121
 subtractor 69 14427
 EOF
+# selection keeps |S| and its best, never S itself: 14 identical 12-pin
+# leaves under two 64-pin eFPGAs have 978,628 solutions, and redacting
+# them fits in 512 MB of address space (keeping S took about 1 GB)
+ports="" insts="" i=0
+while [ "$i" -lt 14 ]; do
+  ports="$ports${ports:+, }input [5:0] a$i, output [5:0] y$i"
+  insts="$insts  leaf u$i (.a(a$i), .y(y$i));
+"
+  i=$((i + 1))
+done
+printf '%s\nmodule top(%s);\n%sendmodule\n' \
+  "module leaf(input [5:0] a, output [5:0] y); assign y = a ^ 6'h2a; endmodule" \
+  "$ports" "$insts" > "$tmpdir/leaves14.v"
+printf 'top: top\nmax_io_pins: 64\nmax_efpgas: 2\nfabric:\n  min_size: 2\n  max_size: 12\n' \
+  > "$tmpdir/leaves14.yaml"
+set +e
+( ulimit -v 524288
+  "$ALICE" redact "$tmpdir/leaves14.v" -c "$tmpdir/leaves14.yaml" \
+    --no-cache --jobs 1 -o /dev/null ) > "$tmpdir/leaves14.txt" 2>&1
+code=$?
+set -e
+if [ "$code" -ne 0 ] || ! grep -q " 978628 4x4, 4x4 " "$tmpdir/leaves14.txt"; then
+  echo "check.sh: redact of 14 leaves in 512 MB exited $code without |S| = 978628 on 4x4, 4x4:" >&2
+  cat "$tmpdir/leaves14.txt" >&2
+  exit 1
+fi
 
 # serve refuses timeouts it cannot honour, before binding: a zero idle
 # timeout would mean none at all, a non-positive deadline skips every

@@ -24,8 +24,6 @@ type axes = {
 }
 
 type plan = {
-  pl_base : C.Flow_config.t;
-  pl_axes : axes;
   pl_grid : (string * C.Flow_config.t) list;
   pl_deduped : int;
 }
@@ -192,8 +190,7 @@ let plan ~(base : C.Flow_config.t) ~(axes : axes) : plan =
             axes.ax_utilizations)
         axes.ax_max_widths)
     axes.ax_lut_inputs;
-  { pl_base = base; pl_axes = axes; pl_grid = List.rev !grid;
-    pl_deduped = !deduped }
+  { pl_grid = List.rev !grid; pl_deduped = !deduped }
 
 let plan_of_source ~(base : C.Flow_config.t) ~(constraints : J.t)
     (source : Flow.source) : plan =

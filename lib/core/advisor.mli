@@ -55,8 +55,6 @@ type axes = {
 (** The planned grid: named configurations in deterministic axis order
     (k, then width, then utilization, budget, mode), after dedup. *)
 type plan = {
-  pl_base : C.Flow_config.t;
-  pl_axes : axes;
   pl_grid : (string * C.Flow_config.t) list;
   pl_deduped : int;  (** grid points dropped as duplicates *)
 }

@@ -175,8 +175,7 @@ let empty_stats =
    content with instance locations stripped, plus its children's
    digests. A child edit therefore rekeys every ancestor, while a line
    shift or a file rename, which only move [ei_loc], rekey nothing.
-   [No_sharing] makes the blob a function of structure alone, so the
-   digest is identical across processes — and two same-named modules
+   The digest is identical across processes, and two same-named modules
    with different bodies (e.g. from different designs sharing one
    persistent store) never collide. Memoized per design. *)
 let subtree_digester (design : V.Elaborate.design) : string -> string =
@@ -196,18 +195,15 @@ let subtree_digester (design : V.Elaborate.design) : string -> string =
           (fun (i : V.Elaborate.einstance) -> digest_of i.ei_module)
           em_instances
       in
-      let blob =
-        Marshal.to_string ({ em with em_instances }, children)
-          [ Marshal.No_sharing ]
-      in
-      let d = Digest.to_hex (Digest.string blob) in
+      let d = Memo.digest ({ em with em_instances }, children) in
       Hashtbl.add mdigests name d;
       d
   in
   digest_of
 
-(* [v4]: the final key starts from the ordered [identity], not the
-   member multiset (the [v3] change dropped [min_clb_utilization]) *)
+(* [v5]: the stored implementation and mapped circuit dropped
+   [lut_depth] and [ff_path] ([v4] started the final key from the
+   ordered [identity], not the member multiset) *)
 type config_keys = {
   cfg_final : string;
   cfg_mapped : string;
@@ -218,7 +214,7 @@ type config_keys = {
 let config_keys (cfg : C.Flow_config.t) : config_keys =
   let fields = C.Flow_config.classify cfg in
   let digest tag stages = C.Flow_config.digest tag stages fields in
-  { cfg_final = digest "v4" C.Flow_config.characterization;
+  { cfg_final = digest "v5" C.Flow_config.characterization;
     cfg_mapped = digest "mapped" [ C.Flow_config.Mapped ];
     cfg_packed = digest "packed" [ C.Flow_config.Packed ];
     cfg_placed = digest "placed" [ C.Flow_config.Placed ] }

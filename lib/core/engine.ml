@@ -244,12 +244,12 @@ let summarize (name : string) (flow : Flow.t) : sweep_point =
 (* The version covers the summary encoding too: v2 added the attack
    counters, v3 the advisor's metrics, v4 keyed the read sets instead
    of the whole configuration, so a changed [jobs] still resumes; v5
-   drops results a multiset characterization key may have aliased. *)
+   drops results a multiset characterization key may have aliased; v6
+   digests the source without sharing, so a rebuilt AST resumes. *)
 let point_key (name : string) (req : Flow.request) : string =
   let config = C.Flow_config.(digest "result" result (classify req.config)) in
-  Printf.sprintf "sweep-point v5 %s %s" name
-    (Digest.to_hex
-       (Digest.string (Marshal.to_string (req.Flow.source, config) [])))
+  Printf.sprintf "sweep-point v6 %s %s" name
+    (Alice_parallel.Memo.digest (req.Flow.source, config))
 
 let run_sweep ?(resume = true) ?(on_point : (sweep_point -> unit) option)
     (t : t) (points : (string * Flow.request) list) : sweep_point list =

@@ -114,11 +114,8 @@ let check_selected_outputs (config : C.Flow_config.t)
 (* the source — its text and file name, or the marshalled AST — and
    the fields the front end reads *)
 let front_key (config : C.Flow_config.t) (source : source) : string =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (source, C.Flow_config.(digest "front" [ Front ] (classify config)))
-          [ Marshal.No_sharing ]))
+  Alice_parallel.Memo.digest
+    (source, C.Flow_config.(digest "front" [ Front ] (classify config)))
 
 (* Parse → elaborate → dataflow → filtering → clustering: everything
    before characterization, as one memoizable value. Its diagnostics
@@ -194,7 +191,7 @@ let run_request ?(cache : Characterize.cache option)
   List.iter (D.Collector.add collector) front.Characterize.diags;
   let { Characterize.ast; design; filtering; clusters; _ } = front in
   let empty_selection =
-    { Selection.valid = []; solutions = []; best = None;
+    { Selection.valid = []; solutions = 0; best = None;
       max_io_util = 0.0; max_clb_util = 0.0;
       attack = Selection.Scorer.empty_stats }
   in

@@ -5,17 +5,17 @@
       T_f = alpha * (MaxIOUtil - IOUtil_f) / MaxIOUtil
           + beta  * (MaxCLBUtil - CLBUtil_f) / MaxCLBUtil
 
-    and a branch-and-bound enumeration builds every admissible solution:
+    and a branch-and-bound enumeration visits every admissible solution:
     a set of eFPGAs with pairwise-disjoint redacted instances, final when
     it reaches the eFPGA budget or redacts every admissible instance.
     |S| counts final solutions plus non-empty working solutions (line 24
-    of the algorithm). The ranking direction follows
-    {!Alice_config.Flow_config.rank_order} (see its doc for the Eq. 1
-    polarity discussion). *)
+    of the algorithm). The enumeration keeps only that count and the
+    best solution so far, so its memory does not grow with |S|. The
+    ranking direction follows {!Alice_config.Flow_config.rank_order}
+    (see its doc for the Eq. 1 polarity discussion). *)
 
 module C = Alice_config
 module F = Alice_fabric
-module V = Alice_verilog
 
 (** The scoring seam of Algorithm 3. [Heuristic] is Eq. 1 exactly as
     today — utilization proxies, zero solver work. [Measured] replaces
@@ -66,20 +66,14 @@ module Scorer = struct
 
   let create_cache ?load ?save () : cache = Memo.create ~size:64 ?load ?save ()
 
-  (* [No_sharing] makes the blob a function of structure alone, so the
-     digest is stable across processes (same discipline as
-     characterization's module digests). *)
-  let digest_of x =
-    Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
-
   (* [v2] since the incremental solver changed conflict counts and
      added [v_reused] *)
   let verdict_key (cfg : C.Flow_config.t) :
       fabric:F.Fabric.t -> mapped:Alice_netlist.Circuit.t -> string =
     let budget = C.Flow_config.(digest "v1" [ Attack ] (classify cfg)) in
     fun ~fabric ~mapped ->
-      Printf.sprintf "attack-verdict v2 %s %s %s" (digest_of fabric)
-        (digest_of mapped) budget
+      Printf.sprintf "attack-verdict v2 %s %s %s" (Memo.digest fabric)
+        (Memo.digest mapped) budget
 
   type t = Heuristic | Measured of { cache : cache option }
 
@@ -185,7 +179,7 @@ type solution = {
 
 type result = {
   valid : efpga_impl list;          (* F in Algorithm 3 *)
-  solutions : solution list;        (* S *)
+  solutions : int;                  (* |S| *)
   best : solution option;           (* s_t *)
   max_io_util : float;
   max_clb_util : float;
@@ -292,14 +286,26 @@ let run ?scorer (cfg : C.Flow_config.t)
         stats )
   in
   let max_efpgas = cfg.C.Flow_config.max_efpgas in
+  (* a later solution ranked level with the best replaces it, so among
+     equal scores the last one enumerated wins *)
+  let ranks_first (s : solution) (best : solution) =
+    match cfg.C.Flow_config.rank_order with
+    | C.Flow_config.Highest -> compare s.total_score best.total_score >= 0
+    | C.Flow_config.Lowest -> compare s.total_score best.total_score <= 0
+  in
   (* branch & bound: canonical (index-increasing) expansion so each set
-     of eFPGAs is generated once *)
+     of eFPGAs is generated once; S is counted, never kept *)
   let valid_arr = Array.of_list valid in
   let n = Array.length valid_arr in
-  let solutions = ref [] in
+  let count = ref 0 and best = ref None in
   let rec expand (chosen : efpga_impl list) (start : int) =
     let s = solution_of (List.rev chosen) ~total_instances ~max_efpgas in
-    if chosen <> [] then solutions := s :: !solutions;
+    if chosen <> [] then begin
+      incr count;
+      match !best with
+      | Some b when not (ranks_first s b) -> ()
+      | Some _ | None -> best := Some s
+    end;
     if not s.is_final then
       for i = start to n - 1 do
         let cand = valid_arr.(i) in
@@ -310,19 +316,10 @@ let run ?scorer (cfg : C.Flow_config.t)
       done
   in
   expand [] 0;
-  let ranked =
-    List.sort
-      (fun a b ->
-        match cfg.C.Flow_config.rank_order with
-        | C.Flow_config.Highest -> compare b.total_score a.total_score
-        | C.Flow_config.Lowest -> compare a.total_score b.total_score)
-      !solutions
-  in
-  let best = match ranked with [] -> None | s :: _ -> Some s in
-  { valid; solutions = ranked; best; max_io_util; max_clb_util;
+  { valid; solutions = !count; best = !best; max_io_util; max_clb_util;
     attack = attack_stats }
 
-let solution_count (r : result) = List.length r.solutions
+let solution_count (r : result) = r.solutions
 
 let pp_solution fmt (s : solution) =
   Format.fprintf fmt "score %.3f, %d eFPGA(s) [%s], %d redacted instances"

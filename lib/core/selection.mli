@@ -2,7 +2,8 @@
     (Eq. 1 in either polarity, see
     {!Alice_config.Flow_config.score_formula}), enumerate every
     admissible solution (non-overlapping eFPGA sets up to the budget)
-    with a branch-and-bound expansion, and rank. *)
+    with a branch-and-bound expansion, and keep the count |S| and the
+    top-ranked solution. *)
 
 module C = Alice_config
 module F = Alice_fabric
@@ -123,8 +124,10 @@ type solution = {
 
 type result = {
   valid : efpga_impl list;    (** F in Algorithm 3 *)
-  solutions : solution list;  (** S, ranked best first *)
+  solutions : int;            (** |S| *)
   best : solution option;
+      (** s_t: the top-ranked solution; among equal scores, the last
+          the canonical (index-increasing) expansion of [valid] visits *)
   max_io_util : float;
   max_clb_util : float;
   attack : Scorer.stats;      (** zero under {!Scorer.Heuristic} *)
@@ -149,6 +152,7 @@ val run :
   total_instances:int ->
   result
 
+(** |S|, the [solutions] field. *)
 val solution_count : result -> int
 
 val pp_solution : Format.formatter -> solution -> unit

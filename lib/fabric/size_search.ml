@@ -9,7 +9,7 @@
     budget. *)
 
 module Circuit = Alice_netlist.Circuit
-module Lutmap = Alice_netlist.Lutmap
+
 type implementation = {
   fabric : Fabric.t;
   placement : Place.placement;
@@ -21,7 +21,6 @@ type implementation = {
   io_util : float;
   clb_util : float;
   bitstream_bits : int;
-  lut_depth : int;
 }
 
 type congestion = {
@@ -108,8 +107,7 @@ let search (arch : Arch.t) ~(min_size : int) ~(max_size : int)
               io_used; clbs_used;
               io_util = float_of_int io_used /. float_of_int io_cap;
               clb_util = float_of_int clbs_used /. float_of_int clb_cap;
-              bitstream_bits = Bitstream.length fabric;
-              lut_depth = Lutmap.depth mapped }
+              bitstream_bits = Bitstream.length fabric }
       end
     in
     (* remember the last failure of each kind so the caller sees what

@@ -17,7 +17,6 @@ type implementation = {
   io_util : float;
   clb_util : float;
   bitstream_bits : int;
-  lut_depth : int;
 }
 
 (** Congestion payload for routing failures: the last width attempted

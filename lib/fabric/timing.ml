@@ -18,7 +18,6 @@ let asic_gate_delay_ns = 0.035   (* average NAND2-class stage *)
 type report = {
   critical_path_ns : float;
   logic_levels : int;
-  worst_net_tiles : float;  (* longest routed net in tile units *)
 }
 
 (** Estimate the critical path of a placed fabric. *)
@@ -34,7 +33,7 @@ let estimate (p : Place.placement) (mapped : Circuit.t) : report =
   let level : (Circuit.net, int) Hashtbl.t = Hashtbl.create 256 in
   let at net = Option.value (Hashtbl.find_opt arrival net) ~default:0.0 in
   let lv net = Option.value (Hashtbl.find_opt level net) ~default:0 in
-  let worst = ref 0.0 and worst_levels = ref 0 and worst_net = ref 0.0 in
+  let worst = ref 0.0 and worst_levels = ref 0 in
   Array.iter
     (fun (g : Circuit.gate) ->
       let input_arrival =
@@ -51,10 +50,7 @@ let estimate (p : Place.placement) (mapped : Circuit.t) : report =
       if out_arrival > !worst then begin
         worst := out_arrival;
         worst_levels := out_level
-      end;
-      Array.iter
-        (fun n -> worst_net := Float.max !worst_net (hpwl n))
-        g.Circuit.inputs)
+      end)
     (Simulate.levelize mapped);
   (* sinks add their final wire hop *)
   let sink net =
@@ -63,8 +59,7 @@ let estimate (p : Place.placement) (mapped : Circuit.t) : report =
   in
   List.iter (fun (_, nets) -> Array.iter sink nets) mapped.Circuit.outputs;
   List.iter (fun (d : Circuit.dff) -> sink d.d) mapped.Circuit.dffs;
-  { critical_path_ns = !worst; logic_levels = !worst_levels;
-    worst_net_tiles = !worst_net }
+  { critical_path_ns = !worst; logic_levels = !worst_levels }
 
 (** ASIC reference delay for the same function: gate depth times an
     average standard-cell stage delay. *)

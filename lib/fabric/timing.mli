@@ -7,7 +7,6 @@ module Circuit = Alice_netlist.Circuit
 type report = {
   critical_path_ns : float;
   logic_levels : int;
-  worst_net_tiles : float;  (** longest routed net in tile units *)
 }
 
 val estimate : Place.placement -> Circuit.t -> report

@@ -29,7 +29,7 @@ type gate = {
   path : string;  (* hierarchical instance path of origin *)
 }
 
-type dff = { d : net; q : net; ff_path : string }
+type dff = { d : net; q : net }
 
 type t = {
   mutable next_net : int;
@@ -64,8 +64,7 @@ let add_gate_with_output c ?(path = "") kind inputs ~(output : net) : unit =
 
 (* DFF with a pre-allocated Q net (needed when the register is read
    before its always block is synthesized) *)
-let add_dff_q ?(path = "") c ~(d : net) ~(q : net) : unit =
-  c.dffs <- { d; q; ff_path = path } :: c.dffs
+let add_dff_q c ~(d : net) ~(q : net) : unit = c.dffs <- { d; q } :: c.dffs
 
 let add_input c name width : net array =
   let nets = Array.init width (fun _ -> fresh_net c) in

@@ -28,7 +28,7 @@ type gate = {
   path : string;  (** hierarchical instance path of origin *)
 }
 
-type dff = { d : net; q : net; ff_path : string }
+type dff = { d : net; q : net }
 
 type t = {
   mutable next_net : int;
@@ -52,7 +52,7 @@ val add_gate_with_output :
   t -> ?path:string -> gate_kind -> net array -> output:net -> unit
 
 (** Add a DFF with a pre-allocated Q net. *)
-val add_dff_q : ?path:string -> t -> d:net -> q:net -> unit
+val add_dff_q : t -> d:net -> q:net -> unit
 
 val add_input : t -> string -> int -> net array
 

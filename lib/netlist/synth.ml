@@ -65,7 +65,7 @@ let drive_dff st path (q : Circuit.net) (d : Circuit.net) =
   if Hashtbl.mem st.driven q then
     fail "%s: multiple drivers for register net %d" path q;
   Hashtbl.add st.driven q ();
-  Circuit.add_dff_q st.circuit ~path ~d ~q
+  Circuit.add_dff_q st.circuit ~d ~q
 
 (* ---------- width inference ---------- *)
 

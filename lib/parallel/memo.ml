@@ -8,6 +8,12 @@ type ('k, 'v) t = {
 let create ?(size = 64) ?load ?save () =
   { mu = Mutex.create (); tbl = Hashtbl.create size; load; save }
 
+(* [No_sharing] makes the blob a function of structure alone: the
+   digest is stable across processes and equal for equal values however
+   they are laid out in memory *)
+let digest (x : 'a) : string =
+  Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
+
 (* In-memory lookup, then the [load] hook outside the lock, so a slow
    load never blocks other keys; a load hit is installed *)
 let find_opt (t : ('k, 'v) t) (k : 'k) : 'v option =

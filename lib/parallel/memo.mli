@@ -27,6 +27,11 @@ val create :
   unit ->
   ('k, 'v) t
 
+(** The content digest of a key's structured part: the MD5 hex of [x]
+    marshalled without sharing, so structurally equal values digest
+    alike across processes, whatever sharing their memory layout has. *)
+val digest : 'a -> string
+
 (** [find_or_compute t k compute] is the value [t] holds for [k] (in
     memory or from [load]) paired with [true], else [compute ()] written
     back and paired with [false]: {!resolve} for one key, without its

@@ -7,14 +7,7 @@
     this repo (LUT mapping, redaction) that preserve the register set.
 
     The miter is UNSAT exactly when the circuits agree everywhere; a
-    model yields a counterexample assignment.
-
-    {!check_many} shares one incremental solver session across a batch
-    of candidates compared against the same reference: the reference is
-    encoded once, each candidate's miter disjunction is gated behind an
-    activation literal, and learnt clauses — most of which describe the
-    shared reference cone — carry from one candidate's query into the
-    next. *)
+    model yields a counterexample assignment. *)
 
 module Circuit = Alice_netlist.Circuit
 
@@ -24,10 +17,7 @@ type counterexample = {
   outputs_b : (string * string) list;
 }
 
-type result =
-  | Equivalent
-  | Different of counterexample
-  | Unknown  (* the solver's budget ran out before a verdict *)
+type result = Equivalent | Different of counterexample
 
 exception Interface_mismatch of string
 
@@ -53,89 +43,57 @@ let check_interfaces a b =
   if sig_of (scan_outputs a) <> sig_of (scan_outputs b) then
     fail "output interfaces differ"
 
-(** Check each candidate in [bs] against [a] on one shared solver
-    session. The reference cone is encoded once; candidate [i]'s "some
-    output differs" clause is gated behind a fresh activation literal
-    and solved under that assumption, then permanently disabled so later
-    queries never revisit it. Learnt clauses accumulate across the whole
-    batch. Results are in candidate order. Raises {!Interface_mismatch}
-    on the first candidate whose ports/registers differ from [a]. *)
-let check_many ?solver_budget (a : Circuit.t) (bs : Circuit.t list) :
-    result list =
-  List.iter (fun b -> check_interfaces a b) bs;
+(** Check equivalence of [a] and [b]: one miter, solved once. Raises
+    {!Interface_mismatch} when their port names/widths (or register
+    counts) differ. *)
+let check (a : Circuit.t) (b : Circuit.t) : result =
+  check_interfaces a b;
   let f = Cnf.create () in
   let map_a = Tseitin.encode_copy f a ~share:(fun _ -> None) in
-  let session = Solver.Incremental.create ~nvars:(Cnf.var_count f) () in
-  Solver.Incremental.attach session f;
-  List.map
-    (fun b ->
-      (* share the input variables between the copies *)
-      let shared = Hashtbl.create 64 in
-      List.iter2
-        (fun (_, nets_a) (_, nets_b) ->
-          Array.iteri
-            (fun i nb -> Hashtbl.replace shared nb map_a.(nets_a.(i)))
-            nets_b)
-        (scan_inputs a) (scan_inputs b);
-      let map_b =
-        Tseitin.encode_copy f b ~share:(fun n -> Hashtbl.find_opt shared n)
-      in
-      let diffs =
-        List.concat
-          (List.map2
-             (fun (_, nets_a) (_, nets_b) ->
-               Array.to_list
-                 (Array.mapi
-                    (fun i na ->
-                      let d = Cnf.fresh_var f in
-                      Cnf.encode_xor f ~out:d ~a:map_a.(na)
-                        ~b:map_b.(nets_b.(i));
-                      d)
-                    nets_a))
-             (scan_outputs a) (scan_outputs b))
-      in
-      let act = Cnf.fresh_var f in
-      Cnf.add_clause f (-act :: diffs);
-      let verdict =
-        Solver.Incremental.solve ~assumptions:[ act ]
-          ?max_conflicts:solver_budget session
-      in
-      (* retire this candidate's miter before the next query *)
-      Cnf.add_unit f (-act);
-      match verdict with
-      | Solver.Unsat -> Equivalent
-      | Solver.Unknown -> Unknown
-      | Solver.Sat model ->
-        (* one character per bit, so a port of any width fits *)
-        let pack nets map =
-          let w = Array.length nets in
-          String.init w (fun i ->
-              if Solver.model_value model map.(nets.(w - 1 - i)) then '1'
-              else '0')
-        in
-        Different
-          { inputs =
-              List.map
-                (fun (name, nets) -> (name, pack nets map_a))
-                (scan_inputs a);
-            outputs_a =
-              List.map
-                (fun (name, nets) -> (name, pack nets map_a))
-                (scan_outputs a);
-            outputs_b =
-              List.map
-                (fun (name, nets) -> (name, pack nets map_b))
-                (scan_outputs b) })
-    bs
-
-(** Check equivalence of [a] and [b]. Raises {!Interface_mismatch} when
-    their port names/widths (or register counts) differ.
-    [solver_budget] bounds the solver's conflicts; an exhausted budget
-    yields {!Unknown} rather than an unbounded search. *)
-let check ?solver_budget (a : Circuit.t) (b : Circuit.t) : result =
-  match check_many ?solver_budget a [ b ] with
-  | [ r ] -> r
-  | _ -> assert false
+  (* share the input variables between the copies *)
+  let shared = Hashtbl.create 64 in
+  List.iter2
+    (fun (_, nets_a) (_, nets_b) ->
+      Array.iteri
+        (fun i nb -> Hashtbl.replace shared nb map_a.(nets_a.(i)))
+        nets_b)
+    (scan_inputs a) (scan_inputs b);
+  let map_b =
+    Tseitin.encode_copy f b ~share:(fun n -> Hashtbl.find_opt shared n)
+  in
+  let diffs =
+    List.concat
+      (List.map2
+         (fun (_, nets_a) (_, nets_b) ->
+           Array.to_list
+             (Array.mapi
+                (fun i na ->
+                  let d = Cnf.fresh_var f in
+                  Cnf.encode_xor f ~out:d ~a:map_a.(na) ~b:map_b.(nets_b.(i));
+                  d)
+                nets_a))
+         (scan_outputs a) (scan_outputs b))
+  in
+  (* some output differs *)
+  Cnf.add_clause f diffs;
+  match Solver.solve f with
+  | Solver.Unsat -> Equivalent
+  | Solver.Unknown -> assert false (* no budget was given *)
+  | Solver.Sat model ->
+    (* one character per bit, so a port of any width fits *)
+    let pack nets map =
+      let w = Array.length nets in
+      String.init w (fun i ->
+          if Solver.model_value model map.(nets.(w - 1 - i)) then '1' else '0')
+    in
+    Different
+      { inputs =
+          List.map (fun (name, nets) -> (name, pack nets map_a)) (scan_inputs a);
+        outputs_a =
+          List.map (fun (name, nets) -> (name, pack nets map_a)) (scan_outputs a);
+        outputs_b =
+          List.map (fun (name, nets) -> (name, pack nets map_b)) (scan_outputs b)
+      }
 
 let pp_counterexample fmt (cex : counterexample) =
   let pp_group fmt l =

@@ -13,10 +13,7 @@ type counterexample = {
   outputs_b : (string * string) list;
 }
 
-type result =
-  | Equivalent
-  | Different of counterexample
-  | Unknown  (** the solver's budget ran out before a verdict *)
+type result = Equivalent | Different of counterexample
 
 exception Interface_mismatch of string
 
@@ -26,16 +23,10 @@ exception Interface_mismatch of string
 val scan_inputs : Circuit.t -> (string * Circuit.net array) list
 val scan_outputs : Circuit.t -> (string * Circuit.net array) list
 
-(** Raises {!Interface_mismatch} when port names/widths or register
-    counts differ. [solver_budget] bounds the solver's conflicts; an
-    exhausted budget yields {!Unknown}. *)
-val check : ?solver_budget:int -> Circuit.t -> Circuit.t -> result
-
-(** Check every candidate against the same reference on one shared
-    incremental solver session: the reference cone is encoded once and
-    learnt clauses carry across the batch. Results in candidate order;
-    [solver_budget] applies per candidate. *)
-val check_many :
-  ?solver_budget:int -> Circuit.t -> Circuit.t list -> result list
+(** Build one miter of the two scan-exposed cores and solve it once,
+    without a budget, so the verdict is always definite. Raises
+    {!Interface_mismatch} when port names/widths or register counts
+    differ. *)
+val check : Circuit.t -> Circuit.t -> result
 
 val pp_counterexample : Format.formatter -> counterexample -> unit

@@ -204,7 +204,7 @@ let apply_key (l : t) (key : bool array) : Circuit.t =
 let key_is_correct (l : t) (key : bool array) : bool =
   match Equiv.check l.circuit (apply_key l key) with
   | Equiv.Equivalent -> true
-  | Equiv.Different _ | Equiv.Unknown -> false
+  | Equiv.Different _ -> false
 
 (** The oracle of the threat model: evaluate the *unlocked* combinational
     core on a scan-input vector. *)

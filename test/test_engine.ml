@@ -555,6 +555,28 @@ let test_sweep_on_point_after_checkpoint () =
     [ ("p1", true); ("p2", false) ]
     (List.rev !delivered)
 
+(* a checkpoint key digests the source's structure, not its memory
+   layout: an AST equal to the swept one but with no sharing, as a
+   library caller that rebuilds its design holds, resumes every point *)
+let test_sweep_resumes_rebuilt_ast () =
+  let root = tmp_root () in
+  let ast = V.Parser.parse demo_src in
+  let rebuilt : V.Ast.design =
+    Marshal.from_string (Marshal.to_string ast [ Marshal.No_sharing ]) 0
+  in
+  let points ast =
+    List.map
+      (fun (name, config) -> (name, A.Flow.request ~config (A.Flow.Ast ast)))
+      [ ("p1", demo_cfg);
+        ("p2", { demo_cfg with C.Flow_config.max_fabric_size = 8 }) ]
+  in
+  ignore (A.Engine.run_sweep (A.Engine.create ~cache_dir:root ()) (points ast));
+  List.iter
+    (fun (sp : A.Engine.sweep_point) ->
+      Alcotest.(check bool) (sp.A.Engine.sp_name ^ " resumed") true
+        sp.A.Engine.sp_resumed)
+    (A.Engine.run_sweep (A.Engine.create ~cache_dir:root ()) (points rebuilt))
+
 let tests =
   [ Alcotest.test_case "memo hooks" `Quick test_memo_hooks;
     Alcotest.test_case "same-key writers, one store" `Quick
@@ -579,4 +601,6 @@ let tests =
     Alcotest.test_case "on_point after checkpoint" `Quick
       test_sweep_on_point_after_checkpoint;
     Alcotest.test_case "unusable sweep checkpoint warns" `Quick
-      test_sweep_checkpoint_warning ]
+      test_sweep_checkpoint_warning;
+    Alcotest.test_case "rebuilt AST resumes its sweep" `Quick
+      test_sweep_resumes_rebuilt_ast ]

@@ -241,8 +241,7 @@ module Ref = struct
                 ffs_used = N.Circuit.dff_count mapped; io_used = io; clbs_used;
                 io_util = float_of_int io /. float_of_int (F.Fabric.io_capacity fabric);
                 clb_util = float_of_int clbs_used /. float_of_int clb_cap;
-                bitstream_bits = F.Bitstream.length fabric;
-                lut_depth = N.Lutmap.depth mapped }
+                bitstream_bits = F.Bitstream.length fabric }
       end
     in
     let rec search w last_no_route last_no_fit =

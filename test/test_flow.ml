@@ -58,8 +58,8 @@ let test_clustering () =
 
 let test_selection () =
   let flow = run () in
-  let sel = flow.A.Flow.selection in
-  Alcotest.(check bool) "has solutions" true (sel.A.Selection.solutions <> []);
+  let solutions = Selection_oracle.of_flow flow in
+  Alcotest.(check bool) "has solutions" true (solutions <> []);
   (* solutions never share an instance *)
   List.iter
     (fun (s : A.Selection.solution) ->
@@ -72,9 +72,9 @@ let test_selection () =
       in
       Alcotest.(check int) "no overlap" (List.length paths)
         (List.length (List.sort_uniq compare paths)))
-    sel.A.Selection.solutions;
+    solutions;
   (* ranked best-first *)
-  (match sel.A.Selection.solutions with
+  (match solutions with
   | first :: rest ->
     List.iter
       (fun (s : A.Selection.solution) ->
@@ -106,13 +106,13 @@ let test_max_efpgas_respected () =
   List.iter
     (fun (s : A.Selection.solution) ->
       Alcotest.(check bool) "efpga budget" true (List.length s.A.Selection.efpgas <= 2))
-    flow.A.Flow.selection.A.Selection.solutions;
+    (Selection_oracle.of_flow flow);
   let cfg1 = { demo_cfg with C.Flow_config.max_efpgas = 1 } in
   let flow1 = flow_text ~config:cfg1 demo_src in
   List.iter
     (fun (s : A.Selection.solution) ->
       Alcotest.(check int) "single efpga" 1 (List.length s.A.Selection.efpgas))
-    flow1.A.Flow.selection.A.Selection.solutions
+    (Selection_oracle.of_flow flow1)
 
 let test_empty_candidates_flow () =
   (* a pin budget below every module: the flow stops like IIR/cfg1 *)
@@ -208,13 +208,106 @@ let best_is_max_prop =
         { demo_cfg with C.Flow_config.max_io_pins = pins; max_efpgas = efpgas }
       in
       let flow = flow_text ~config:cfg demo_src in
+      let solutions = Selection_oracle.of_flow flow in
       match flow.A.Flow.selection.A.Selection.best with
-      | None -> flow.A.Flow.selection.A.Selection.solutions = []
+      | None -> solutions = []
       | Some best ->
         List.for_all
           (fun (s : A.Selection.solution) ->
             s.A.Selection.total_score <= best.A.Selection.total_score +. 1e-9)
-          flow.A.Flow.selection.A.Selection.solutions)
+          solutions)
+
+(* [n] independent copies of one 12-pin leaf: many candidates, and
+   solutions that tie on score *)
+let leaves_src n =
+  String.concat "\n"
+    ([ "module leaf(input [5:0] a, output [5:0] y); assign y = a ^ 6'h2a; \
+        endmodule";
+       Printf.sprintf "module top(%s);"
+         (String.concat ", "
+            (List.init n (fun i ->
+                 Printf.sprintf "input [5:0] a%d, output [5:0] y%d" i i))) ]
+    @ List.init n (fun i ->
+          Printf.sprintf "  leaf u%d (.a(a%d), .y(y%d));" i i i)
+    @ [ "endmodule" ])
+
+let leaves_cfg =
+  { C.Flow_config.default with
+    C.Flow_config.top = Some "top"; min_fabric_size = 2; max_fabric_size = 12;
+    jobs = 1 }
+
+(* Streaming Algorithm 3 against the brute-force S: the count is |S|
+   and the best is the oracle's first, ties included, under every rank
+   order and formula and with all-zero weights, where every score
+   ties *)
+let selection_oracle_prop =
+  let cache = A.Characterize.create_cache () in
+  QCheck.Test.make ~count:12 ~name:"streamed selection equals the oracle's S"
+    QCheck.(
+      make
+        Gen.(triple (int_range 0 2) (int_range 24 64) (int_range 1 3)))
+    (fun (design, pins, efpgas) ->
+      let text, base =
+        match design with
+        | 0 -> (demo_src, demo_cfg)
+        | n -> (leaves_src (n + 3), leaves_cfg)
+      in
+      List.for_all
+        (fun (rank_order, score_formula, weight) ->
+          let config =
+            { base with
+              C.Flow_config.max_io_pins = pins; max_efpgas = efpgas;
+              rank_order; score_formula; alpha = weight; beta = weight }
+          in
+          let flow =
+            A.Flow.run_request ~cache
+              (A.Flow.request ~config (A.Flow.Text { text; file = None }))
+          in
+          let sel = flow.A.Flow.selection in
+          let oracle = Selection_oracle.of_flow flow in
+          A.Selection.solution_count sel = List.length oracle
+          &&
+          match (sel.A.Selection.best, oracle) with
+          | None, [] -> true
+          | Some best, first :: _ ->
+            List.equal ( == ) best.A.Selection.efpgas first.A.Selection.efpgas
+            && best.A.Selection.total_score = first.A.Selection.total_score
+            && best.A.Selection.redacted_instances
+               = first.A.Selection.redacted_instances
+            && best.A.Selection.is_final = first.A.Selection.is_final
+          | Some _, [] | None, _ :: _ -> false)
+        (List.concat_map
+           (fun order ->
+             List.concat_map
+               (fun formula ->
+                 [ (order, formula, 1.0); (order, formula, 0.0) ])
+               [ C.Flow_config.Reward; C.Flow_config.Penalty ])
+           [ C.Flow_config.Highest; C.Flow_config.Lowest ]))
+
+(* Algorithm 3 keeps |S| and the best, not S: on 14 identical leaves
+   under a two-eFPGA budget, |S| is 978,628, and a finished flow still
+   retains fewer than 2M words (a flow that kept S held ~15.8M) *)
+let test_selection_memory () =
+  let config =
+    { leaves_cfg with C.Flow_config.max_io_pins = 64; max_efpgas = 2 }
+  in
+  let flow = flow_text ~config (leaves_src 14) in
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr flow) in
+  Alcotest.(check bool)
+    (Printf.sprintf "flow retains %d words, under 2M" words)
+    true (words < 2_000_000);
+  let sel = flow.A.Flow.selection in
+  Alcotest.(check int) "|S|" 978_628 (A.Selection.solution_count sel);
+  Alcotest.(check (option (list string))) "best fabrics"
+    (Some [ "4x4"; "4x4" ])
+    (Option.map
+       (fun (s : A.Selection.solution) ->
+         List.map
+           (fun (e : A.Selection.efpga_impl) ->
+             Alice_fabric.Fabric.size_label e.impl.Alice_fabric.Size_search.fabric)
+           s.A.Selection.efpgas)
+       sel.A.Selection.best)
 
 let tests =
   [ Alcotest.test_case "filtering" `Quick test_filtering;
@@ -228,4 +321,8 @@ let tests =
     Alcotest.test_case "fixed point equals enumeration" `Quick
       test_fixed_point_equals_enumeration;
     QCheck_alcotest.to_alcotest cluster_invariants_prop;
-    QCheck_alcotest.to_alcotest best_is_max_prop ]
+    QCheck_alcotest.to_alcotest best_is_max_prop;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xA163 |])
+      selection_oracle_prop;
+    Alcotest.test_case "selection memory independent of |S|" `Quick
+      test_selection_memory ]

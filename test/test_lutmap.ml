@@ -157,7 +157,6 @@ let test_sat_equivalence () =
       let mapped, _ = N.Lutmap.map ~k:4 c in
       match S.Equiv.check c mapped with
       | S.Equiv.Equivalent -> ()
-      | S.Equiv.Unknown -> Alcotest.fail "unbudgeted equivalence check returned Unknown"
       | S.Equiv.Different cex ->
         Alcotest.fail
           (Format.asprintf "mapping changed the function: %a"
@@ -170,7 +169,7 @@ let test_sat_detects_difference () =
   let b = build "module m (input [3:0] a, output [3:0] y); assign y = a + 4'h2; endmodule" in
   match S.Equiv.check a b with
   | S.Equiv.Different _ -> ()
-  | S.Equiv.Equivalent | S.Equiv.Unknown ->
+  | S.Equiv.Equivalent ->
     Alcotest.fail "distinct circuits declared equivalent"
 
 (* Truth tables against a per-assignment oracle: for every LUT the

@@ -202,7 +202,8 @@ let flow_sig (flow : A.Flow.t) =
         (c.A.Characterize.cluster.A.Clustering.key,
          outcome_sig c.A.Characterize.outcome))
       flow.A.Flow.characterized,
-    List.map solution_sig flow.A.Flow.selection.A.Selection.solutions,
+    A.Selection.solution_count flow.A.Flow.selection,
+    List.map solution_sig (Selection_oracle.of_flow flow),
     Option.map solution_sig flow.A.Flow.selection.A.Selection.best,
     flow.A.Flow.selection.A.Selection.max_io_util,
     flow.A.Flow.selection.A.Selection.max_clb_util,

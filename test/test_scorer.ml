@@ -47,11 +47,11 @@ let impl_sig (e : A.Selection.efpga_impl) : string =
   ^ F.Fabric.size_label e.A.Selection.impl.F.Size_search.fabric
 
 (* the full ranking as data: one signature per ranked solution *)
-let ranking_sig (r : A.Selection.result) : string list =
+let ranking_sig (flow : A.Flow.t) : string list =
   List.map
     (fun (s : A.Selection.solution) ->
       String.concat "+" (List.map impl_sig s.A.Selection.efpgas))
-    r.A.Selection.solutions
+    (Selection_oracle.of_flow flow)
 
 (* ---------- Eq. 1 must stay finite on degenerate maxima ---------- *)
 
@@ -148,9 +148,8 @@ let test_measured_cold_warm () =
     ca.A.Selection.Scorer.attacks_run wa.A.Selection.Scorer.attacks_cached;
   Alcotest.(check int) "warm: zero solver calls" 0 (calls_after - calls_before);
   (* identical ranking and product *)
-  Alcotest.(check (list string)) "same ranking"
-    (ranking_sig cold.A.Flow.selection)
-    (ranking_sig warm.A.Flow.selection);
+  Alcotest.(check (list string)) "same ranking" (ranking_sig cold)
+    (ranking_sig warm);
   let verilog (flow : A.Flow.t) =
     match A.Flow.redact flow with
     | Some r -> r.A.Redact.verilog
@@ -201,8 +200,7 @@ let test_measured_diverges_on_gcd () =
     A.Flow.run_request (A.Flow.request ~config:cfg (A.Flow.Ast (B.parse b)))
   in
   let h = run heuristic_cfg and m = run measured_cfg in
-  let hs = ranking_sig h.A.Flow.selection
-  and ms = ranking_sig m.A.Flow.selection in
+  let hs = ranking_sig h and ms = ranking_sig m in
   Alcotest.(check bool) "heuristic solves gcd" true (hs <> []);
   Alcotest.(check bool) "measured solves gcd" true (ms <> []);
   (* same candidate pool, so the same solution set — but measured must
@@ -282,9 +280,8 @@ let test_measured_deterministic_across_jobs () =
     A.Flow.run_request (A.Flow.request ~config:cfg (A.Flow.Ast (B.parse b)))
   in
   let serial = run cfg_serial and parallel = run cfg_parallel in
-  Alcotest.(check (list string)) "identical ranking"
-    (ranking_sig serial.A.Flow.selection)
-    (ranking_sig parallel.A.Flow.selection);
+  Alcotest.(check (list string)) "identical ranking" (ranking_sig serial)
+    (ranking_sig parallel);
   let scores (flow : A.Flow.t) =
     List.map
       (fun (e : A.Selection.efpga_impl) -> e.A.Selection.score)
