@@ -19,7 +19,7 @@
 
    redact, bench, sweep and advise share one flag group: --jobs
    (characterization worker domains), --cache-dir and --no-cache (the
-   persistent characterization cache; see Alice.Engine), plus the
+   persistent cache; see Alice.Engine), plus the
    measured-selection knobs --score, --attack-budget and --attack-jobs
    (see Alice.Selection.Scorer). serve takes only --jobs and the two cache
    flags (scoring comes from its base config or the request); cache gc
@@ -112,17 +112,17 @@ let jobs_flag =
 let cache_dir_flag =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Root of the persistent characterization cache. \
-                 Defaults to \\$ALICE_CACHE_DIR, \
-                 \\$XDG_CACHE_HOME/alice or ~/.cache/alice. Warm runs \
-                 produce byte-identical results, they just skip \
-                 already-characterized eFPGAs.")
+           ~doc:"Root of the persistent cache of characterizations, \
+                 attack verdicts and sweep checkpoints. Defaults to \
+                 \\$ALICE_CACHE_DIR, \\$XDG_CACHE_HOME/alice or \
+                 ~/.cache/alice. Warm runs produce byte-identical \
+                 results, they just skip work already done.")
 
 let no_cache_flag =
   Arg.(value & flag
        & info [ "no-cache" ]
-           ~doc:"Disable the persistent characterization cache for this \
-                 invocation (nothing is read or written).")
+           ~doc:"Disable the persistent cache for this invocation \
+                 (nothing is read or written).")
 
 (* count flags are rejected as the flow rejects the same YAML keys *)
 let bounded ~(must : string) (ok : int -> bool) (flag : string) (n : int) =
@@ -1054,9 +1054,10 @@ let cache_cmd =
       Arg.(value & opt (some int) None
            & info [ "max-bytes" ] ~docv:"N"
                ~doc:"Evict least-recently-used entries until the store \
-                     fits $(docv) bytes. Omitted, a local gc only \
-                     validates and quarantines; a server gc falls back \
-                     to the server's configured budget.")
+                     fits $(docv) bytes; a negative $(docv) is refused. \
+                     Omitted, a local gc only validates and \
+                     quarantines; a server gc falls back to the \
+                     server's configured budget.")
     in
     let run socket max_bytes cache_dir fmt =
       handle_errors ~fmt (fun () ->
@@ -1088,7 +1089,7 @@ let cache_cmd =
     in
     Cmd.v
       (Cmd.info "gc"
-         ~doc:"Validate the persistent characterization cache (corrupt \
+         ~doc:"Validate every entry of the persistent cache (corrupt \
                entries are quarantined for recompute-on-demand), evict \
                least-recently-used entries to a byte budget, and — on a \
                running server — re-enable writes disabled by an earlier \
@@ -1096,7 +1097,7 @@ let cache_cmd =
       Term.(const run $ socket $ max_bytes $ cache_dir_flag $ diag_format)
   in
   Cmd.group
-    (Cmd.info "cache" ~doc:"Persistent characterization cache maintenance")
+    (Cmd.info "cache" ~doc:"Persistent cache maintenance")
     [ gc_cmd ]
 
 let () =

@@ -336,7 +336,10 @@ sweep_gcd() {
     --diag-format=json > "$1" 2> /dev/null
 }
 sweep_gcd "$tmpdir/sweep_cold.txt"
-victim=$(find "$tmpdir/scache/sweep" -name '*.bin' | head -n 1)
+# checkpoints share the store with characterizations; an entry's
+# payload carries its key
+victim=$(grep -l 'sweep-point v' "$tmpdir/scache/v1"/*.bin 2> /dev/null \
+  | head -n 1)
 if [ -z "$victim" ]; then
   echo "check.sh: sweep wrote no checkpoints" >&2
   exit 1
@@ -376,13 +379,14 @@ floor_sweep() {
     -c "$tmpdir/floor.yaml" --cache-dir "$tmpdir/fcache" -j "$1" > "$2" 2>&1
 }
 floor_sweep 1 "$tmpdir/floor_cold.txt"
-# the computed column of each entry, and the stores of the whole sweep
+# the computed column of each entry, and the stores of the whole sweep:
+# the first entry's characterizations plus both entries' checkpoints
 first=$(awk '$1 == "floor0" { print $8 }' "$tmpdir/floor_cold.txt")
 second=$(awk '$1 == "floor3" { print $8 }' "$tmpdir/floor_cold.txt")
 stores=$(sed -n 's/^cache store: .* \([0-9][0-9]*\) stores,.*/\1/p' \
   "$tmpdir/floor_cold.txt")
 if [ -z "$first" ] || [ "$first" -eq 0 ] || [ "$second" != 0 ] \
-  || [ "$stores" != "$first" ]; then
+  || [ "$stores" != "$((first + 2))" ]; then
   echo "check.sh: an entry differing only in min_clb_utilization" \
     "recomputed or re-stored characterizations:" >&2
   cat "$tmpdir/floor_cold.txt" >&2
@@ -392,6 +396,53 @@ floor_sweep 2 "$tmpdir/floor_j2.txt"
 if [ "$(awk '$NF == "yes"' "$tmpdir/floor_j2.txt" | wc -l)" -ne 2 ]; then
   echo "check.sh: the sweep rerun with -j 2 did not resume every entry:" >&2
   cat "$tmpdir/floor_j2.txt" >&2
+  exit 1
+fi
+
+# --- one byte budget bounds every entry: characterizations, attack ----
+# --- verdicts and checkpoints share one store that cache gc examines --
+printf 'cache_max_bytes: 4096\n' > "$tmpdir/budget.yaml"
+dune exec --no-build bin/alice_cli.exe -- redact "$tmpdir/gcd.v" \
+  -c "$tmpdir/budget.yaml" --score measured --cache-dir "$tmpdir/bcache" \
+  -o /dev/null > /dev/null 2>&1
+# the entries under the cache root, at any depth, outside quarantine
+bcache_entries() {
+  find "$tmpdir/bcache" -name '*.bin' -not -path '*/quarantine/*' "$@"
+}
+bcache_bytes() {
+  bcache_entries -exec cat {} + | wc -c
+}
+entries=$(bcache_entries | wc -l)
+bytes=$(bcache_bytes)
+if [ -e "$tmpdir/bcache/attack" ] || [ -e "$tmpdir/bcache/sweep" ] \
+  || [ "$entries" -eq 0 ] || [ "$bytes" -gt 4096 ]; then
+  echo "check.sh: a 4096-byte cache budget left $entries entries," \
+    "$bytes bytes:" >&2
+  ls -R "$tmpdir/bcache" >&2
+  exit 1
+fi
+dune exec --no-build bin/alice_cli.exe -- cache gc \
+  --cache-dir "$tmpdir/bcache" --max-bytes 1024 > "$tmpdir/bgc.txt"
+examined=$(sed -n 's/.*: \([0-9][0-9]*\) examined,.*/\1/p' "$tmpdir/bgc.txt")
+if [ "$examined" != "$entries" ] || [ "$(bcache_bytes)" -gt 1024 ]; then
+  echo "check.sh: cache gc --max-bytes 1024 over $entries entries left" \
+    "$(bcache_bytes) bytes:" >&2
+  cat "$tmpdir/bgc.txt" >&2
+  exit 1
+fi
+# a negative budget is refused and removes nothing
+entries=$(bcache_entries | wc -l)
+set +e
+dune exec --no-build bin/alice_cli.exe -- cache gc \
+  --cache-dir "$tmpdir/bcache" --max-bytes=-1 --diag-format=json \
+  > "$tmpdir/bgc_neg.json" 2> /dev/null
+code=$?
+set -e
+if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/bgc_neg.json" \
+  || [ "$(bcache_entries | wc -l)" -ne "$entries" ]; then
+  echo "check.sh: cache gc --max-bytes=-1 exited $code and left" \
+    "$(bcache_entries | wc -l) of $entries entries:" >&2
+  cat "$tmpdir/bgc_neg.json" >&2
   exit 1
 fi
 

@@ -78,16 +78,16 @@ type t = {
           and bit-identical across any [jobs] value. Default: the
           runtime's recommended domain count *)
   cache : bool;
-      (** persist characterizations across runs (engine-driven
-          entrypoints only); results are identical either way, warm runs
-          are just faster. Default: [true] *)
+      (** persist characterizations, attack verdicts and sweep
+          checkpoints across runs (engine-driven entrypoints only);
+          results are identical either way. Default: [true] *)
   cache_dir : string option;
-      (** root of the on-disk characterization store; [None] falls back
-          to [$ALICE_CACHE_DIR], [$XDG_CACHE_HOME/alice] or
+      (** root of the on-disk store; [None] falls back to
+          [$ALICE_CACHE_DIR], [$XDG_CACHE_HOME/alice] or
           [~/.cache/alice] *)
   cache_max_bytes : int option;
-      (** byte budget for the on-disk store; exceeded, least-recently
-          used entries are evicted. [None] leaves the store unbounded *)
+      (** byte budget over every entry of the on-disk store (LRU
+          eviction); [None] leaves the store unbounded *)
 }
 
 val default : t

@@ -1,5 +1,6 @@
-(** Versioned, content-addressed on-disk store for characterization
-    results (the persistent half of {!Engine}'s cache).
+(** Versioned, content-addressed on-disk store: the persistent half of
+    {!Engine}'s cache, holding its characterizations, attack verdicts
+    and sweep checkpoints side by side.
 
     Layout: one file per cache key under [<root>/v<N>/<md5(key)>.bin].
     Each entry is a header line
@@ -15,8 +16,8 @@
     [W0702] warning — and is {e quarantined} (moved aside into
     [<root>/quarantine/]) so the same rot is paid once, then repaired by
     the recomputation's write-back. An unwritable directory disables
-    writes with a single [W0703] warning until {!enable_writes} (which
-    {!gc} calls after freeing space) re-arms them. Each write goes
+    writes with a single [W0703] warning until {!gc} re-arms them after
+    freeing space. Each write goes
     through a temporary file of its own (named by pid and a per-process
     counter) and [Sys.rename], so concurrent processes, worker domains
     and threads never observe a torn entry or lose a rename.
@@ -82,10 +83,12 @@ let default_root () =
         Filename.concat (Filename.concat h ".cache") "alice"
       | _ -> Filename.concat (Filename.get_temp_dir_name ()) "alice-cache"))
 
+let check_budget (fn : string) : int option -> unit = function
+  | Some n when n < 0 -> invalid_arg (fn ^ ": negative max_bytes")
+  | _ -> ()
+
 let create ?root ?max_bytes ?(faults = Fi.global ()) () =
-  (match max_bytes with
-  | Some n when n < 0 -> invalid_arg "Disk_cache.create: negative max_bytes"
-  | _ -> ());
+  check_budget "Disk_cache.create" max_bytes;
   let root = match root with Some r -> r | None -> default_root () in
   { root;
     dir = Filename.concat root (Printf.sprintf "v%d" format_version);
@@ -110,12 +113,6 @@ let clear_sink (t : t) : unit =
 
 let writes_enabled (t : t) : bool =
   Mutex.protect t.mu (fun () -> not t.write_disabled)
-
-(* Re-arm writes after the operator (or {!gc}) freed space; the next
-   failure warns W0703 again — warn-once is per disabled episode, not
-   per process. *)
-let enable_writes (t : t) : unit =
-  Mutex.protect t.mu (fun () -> t.write_disabled <- false)
 
 (* Counter bumps and sink emission under the store's mutex: load/store
    run on characterization worker domains and the sink usually appends
@@ -337,9 +334,9 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
           ignore (evict_to_budget t ~budget ~keep:(Some path)))
     | exception e ->
       (* one warning, then stop trying: an unwritable cache directory
-         must not warn once per characterization. [enable_writes] (and
-         [gc], once space is freed) re-arms. A half-written temp file
-         is removed, as no later write reuses its name. *)
+         must not warn once per characterization. [gc] re-arms, once
+         space is freed. A half-written temp file is removed, as no
+         later write reuses its name. *)
       (try Sys.remove tmp with Sys_error _ -> ());
       Mutex.protect t.mu (fun () -> t.write_disabled <- true);
       warn t
@@ -352,6 +349,7 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
 (* ---------- gc: validate, quarantine, evict, re-arm ---------- *)
 
 let gc ?max_bytes (t : t) : gc_stats =
+  check_budget "Disk_cache.gc" max_bytes;
   let entries = scan_entries t in
   let examined = List.length entries in
   (* validation pass: quarantine anything that no longer checksums *)

@@ -1,5 +1,6 @@
-(** Versioned, content-addressed on-disk store for characterization
-    results — the persistent half of {!Engine}'s cache.
+(** Versioned, content-addressed on-disk store — the persistent half of
+    {!Engine}'s cache, holding its characterizations, attack verdicts
+    and sweep checkpoints in one directory.
 
     One file per key under [<root>/v<N>/<md5(key)>.bin]: a header line
     carrying the format version and an MD5 checksum of the payload,
@@ -14,9 +15,8 @@
       [<root>/quarantine/]), so the recomputation's write-back repairs
       the slot instead of re-tripping on the same rot forever.
     - A failed write (e.g. ENOSPC) disables writes with a single
-      [W0703] warning; {!enable_writes} — called by {!gc} once space is
-      freed — re-arms them, so a long-lived server recovers without a
-      restart.
+      [W0703] warning; {!gc} re-arms them once space is freed, so a
+      long-lived server recovers without a restart.
     - With [max_bytes] set the store is bounded: loads refresh their
       entry's mtime and writes evict least-recently-used entries until
       the directory fits the budget again.
@@ -30,9 +30,10 @@
     multi-domain characterization run, serve the threads of a server
     and be shared by concurrent processes.
 
-    Values are read back with [Marshal] at the caller's type: a store
-    (i.e. a [root] directory) must hold exactly one value type,
-    enforced by {!Engine} being the only writer.
+    Values are read back with [Marshal] at the caller's type, and the
+    stored key must equal the requested one: every key must therefore
+    name the type of its value. {!Engine}, the only writer, keeps its
+    three key families apart by prefix.
 
     Fault-injection sites: ["cache.read"] (checked on {!load}: [Fail]
     etc. behave as an unreadable file, [Delay] sleeps) and
@@ -46,8 +47,8 @@ module D = Alice_diag.Diag
 
 (** Bumped on an incompatible change to the entry encoding; old entries
     then miss cleanly. A changed key derivation is handled by the keys'
-    own version tags instead: bumping this would re-key all three stores
-    and orphan every persisted attack verdict, whose key did not
+    own version tags instead: bumping this would re-key every entry and
+    orphan persisted attack verdicts and checkpoints whose keys did not
     change. *)
 val format_version : int
 
@@ -100,22 +101,21 @@ val load : t -> key:string -> 'v option
 (** [store t ~key v] writes the entry atomically, then (with a byte
     budget) evicts LRU entries until the store fits; the entry just
     written is never its own victim. A failure emits one [W0703]
-    warning and disables further writes until {!enable_writes}. *)
+    warning and disables further writes until {!gc}. *)
 val store : t -> key:string -> 'v -> unit
 
 (** Whether {!store} currently writes (i.e. no un-cleared W0703). *)
 val writes_enabled : t -> bool
 
-(** Lift a [W0703] write-disable. The next failure warns again:
-    warn-once is per disabled episode, not per process. *)
-val enable_writes : t -> unit
-
 (** [gc ?max_bytes t] validates every entry (header, length, checksum),
     quarantines the ones that fail, evicts least-recently-used valid
     entries until the store fits [max_bytes] (default: the budget given
-    at {!create}; no budget, no eviction), and re-enables writes. Safe
-    against concurrent loads/stores: validation reads whole files,
-    eviction races settle at [Sys.remove]. *)
+    at {!create}; no budget, no eviction), and re-enables writes; the
+    next write failure warns again, as warn-once is per disabled
+    episode. Safe against concurrent loads/stores: validation reads
+    whole files, eviction races settle at [Sys.remove].
+    @raise Invalid_argument on a negative [max_bytes], before touching
+    any entry. *)
 val gc : ?max_bytes:int -> t -> gc_stats
 
 val stats : t -> stats

@@ -1,8 +1,8 @@
 (** The reusable flow engine: a long-lived handle owning the
     characterization and attack-verdict memo tables — in-memory,
-    mutex-guarded, backed (unless caching is off) by the persistent
-    {!Disk_cache} stores — through which any number of flow
-    {!Flow.request}s run.
+    mutex-guarded, backed (unless caching is off) by one persistent
+    {!Disk_cache} store that also holds the sweep checkpoints — through
+    which any number of flow {!Flow.request}s run.
 
     This is what makes the realistic ALICE workload cheap: fabric
     parameter exploration and iterative customization run the *same*
@@ -35,40 +35,28 @@ type t = {
   attack_memo : Scorer.cache;
       (* measured-selection attack verdicts, shared across runs like
          [memo] *)
-  stores : Disk_cache.t list;
-      (* the characterization store at the cache root, then its attack/
-         and sweep/ namespaces (one value type per store); [] with
-         caching off. Only the root store is byte-bounded: verdicts and
-         sweep summaries are tiny, and evicting one silently costs a
-         recomputation *)
-  sweep_store : Disk_cache.t option;  (* per-point sweep checkpoints *)
+  disk : Disk_cache.t option;
+      (* characterizations, verdicts and sweep checkpoints, apart by
+         their keys' prefixes; [None] with caching off *)
   engine_sink : bool Atomic.t;  (* [set_warning_sink] was called *)
   faults : Fi.t;
 }
 
 let create ?(cache = true) ?cache_dir ?max_bytes ?faults () : t =
   let faults = match faults with Some f -> f | None -> Fi.global () in
-  let stores =
-    if not cache then []
-    else begin
-      let disk = Disk_cache.create ?root:cache_dir ?max_bytes ~faults () in
-      let namespace sub =
-        Disk_cache.create ~root:(Filename.concat (Disk_cache.root disk) sub)
-          ~faults ()
-      in
-      [ disk; namespace "attack"; namespace "sweep" ]
-    end
+  let disk =
+    if cache then Some (Disk_cache.create ?root:cache_dir ?max_bytes ~faults ())
+    else None
   in
-  let store i = List.nth_opt stores i in
-  let load s key = Disk_cache.load s ~key in
-  let save s key v = Disk_cache.store s ~key v in
+  let load d key = Disk_cache.load d ~key in
+  let save d key v = Disk_cache.store d ~key v in
   { memo =
-      Characterize.create_cache ?load:(Option.map load (store 0))
-        ?save:(Option.map save (store 0)) ();
+      Characterize.create_cache ?load:(Option.map load disk)
+        ?save:(Option.map save disk) ();
     attack_memo =
-      Scorer.create_cache ?load:(Option.map load (store 1))
-        ?save:(Option.map save (store 1)) ();
-    stores; sweep_store = store 2; engine_sink = Atomic.make false; faults }
+      Scorer.create_cache ?load:(Option.map load disk)
+        ?save:(Option.map save disk) ();
+    disk; engine_sink = Atomic.make false; faults }
 
 (** An engine honoring the configuration's cache knobs ([cache],
     [cache_dir], [cache_max_bytes]) under the global fault plan. *)
@@ -76,23 +64,22 @@ let of_config (cfg : C.Flow_config.t) : t =
   create ~cache:cfg.C.Flow_config.cache ?cache_dir:cfg.C.Flow_config.cache_dir
     ?max_bytes:cfg.C.Flow_config.cache_max_bytes ()
 
-let cache_root (t : t) : string option =
-  Option.map Disk_cache.root (List.nth_opt t.stores 0)
+let cache_root (t : t) : string option = Option.map Disk_cache.root t.disk
 
 let disk_stats (t : t) : Disk_cache.stats option =
-  Option.map Disk_cache.stats (List.nth_opt t.stores 0)
+  Option.map Disk_cache.stats t.disk
 
 let stage_stats (t : t) : Characterize.stage_stats list =
   Characterize.stage_stats t.memo
 
 let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
-  List.iter (fun store -> Disk_cache.set_sink store sink) t.stores;
+  Option.iter (fun disk -> Disk_cache.set_sink disk sink) t.disk;
   Atomic.set t.engine_sink true
 
 (* Run [f] on [req] given a collector of its own, under the warning
-   routing rule: once an engine-wide sink is installed the stores'
-   sinks are left alone, so overlapping calls from several threads are
-   safe; otherwise every store warns into the request's collector while
+   routing rule: once an engine-wide sink is installed the store's
+   sink is left alone, so overlapping calls from several threads are
+   safe; otherwise the store warns into the request's collector while
    [f] runs. *)
 let routed (t : t) (req : Flow.request) (f : Flow.request -> 'a) : 'a =
   let collector =
@@ -101,11 +88,11 @@ let routed (t : t) (req : Flow.request) (f : Flow.request -> 'a) : 'a =
   let req = { req with Flow.diags = Some collector } in
   if Atomic.get t.engine_sink then f req
   else begin
-    List.iter
-      (fun store -> Disk_cache.set_sink store (D.Collector.add collector))
-      t.stores;
+    Option.iter
+      (fun disk -> Disk_cache.set_sink disk (D.Collector.add collector))
+      t.disk;
     Fun.protect
-      ~finally:(fun () -> List.iter Disk_cache.clear_sink t.stores)
+      ~finally:(fun () -> Option.iter Disk_cache.clear_sink t.disk)
       (fun () -> f req)
   end
 
@@ -118,13 +105,7 @@ let run_request (t : t) (req : Flow.request) : Flow.t =
 let run (t : t) (req : Flow.request) : Flow.t = routed t req (run_request t)
 
 let gc ?max_bytes (t : t) : Disk_cache.gc_stats option =
-  match t.stores with
-  | [] -> None
-  | disk :: namespaces ->
-    let stats = Disk_cache.gc ?max_bytes disk in
-    (* freed space un-wedges the checkpoint and attack stores too *)
-    List.iter Disk_cache.enable_writes namespaces;
-    Some stats
+  Option.map (Disk_cache.gc ?max_bytes) t.disk
 
 (* ---------- resumable sweeps ---------- *)
 
@@ -261,9 +242,7 @@ let run_sweep ?(resume = true) ?(on_point : (sweep_point -> unit) option)
       let sp =
         routed t req (fun req ->
             let checkpointed =
-              if resume then
-                Option.bind t.sweep_store (fun store ->
-                    Disk_cache.load store ~key)
+              if resume then Option.bind t.disk (Disk_cache.load ~key)
               else None
             in
             match checkpointed with
@@ -271,9 +250,7 @@ let run_sweep ?(resume = true) ?(on_point : (sweep_point -> unit) option)
             | None ->
               Fi.hit t.faults "engine.sweep_point";
               let sp = summarize name (run_request t req) in
-              Option.iter
-                (fun store -> Disk_cache.store store ~key sp)
-                t.sweep_store;
+              Option.iter (fun disk -> Disk_cache.store disk ~key sp) t.disk;
               sp)
       in
       (* deliberately after the checkpoint write: if the observer

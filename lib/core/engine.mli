@@ -2,10 +2,10 @@
     characterization memo and the attack-verdict memo — mutex-guarded
     tables that every run resolves through
     {!Alice_parallel.Memo.resolve} — backed (unless caching is off) by
-    three {!Disk_cache} stores built from one list: characterizations
-    at the cache root, attack verdicts under [attack/] and per-point
-    sweep checkpoints under [sweep/]. Any number of flow
-    {!Flow.request}s run through one engine with one {!run}.
+    one {!Disk_cache} store that holds characterizations, attack
+    verdicts and per-point sweep checkpoints side by side, told apart
+    by their keys' prefixes. Any number of flow {!Flow.request}s run
+    through one engine with one {!run}.
 
     Entries are content-addressed by {!Characterize.keyer} (the member
     modules in cluster order with their subtree digests, plus a digest
@@ -31,9 +31,10 @@ module Scorer = Selection.Scorer
 type t
 
 (** [create ?cache ?cache_dir ?max_bytes ?faults ()]. With [cache]
-    (default [true]) the memo table is backed by the {!Disk_cache} store
-    rooted at [cache_dir] (default {!Disk_cache.default_root}), bounded
-    to [max_bytes] with LRU eviction when given; with [~cache:false] the
+    (default [true]) both memo tables and the sweep checkpoints are
+    backed by the {!Disk_cache} store rooted at [cache_dir] (default
+    {!Disk_cache.default_root}), whose every entry counts against
+    [max_bytes] when given (LRU eviction); with [~cache:false] the
     engine is purely in-memory — still worth holding across runs, just
     not across processes. [faults] (default
     {!Alice_fault.Fault.global}) threads the fault-injection plan into
@@ -50,17 +51,17 @@ val of_config : C.Flow_config.t -> t
 (** Run one request through the engine's caches; per-run cache
     accounting is on the result's [char_stats].
 
-    Warning routing: until {!set_warning_sink} is called, every store
+    Warning routing: until {!set_warning_sink} is called, the store
     warns ([W0702]/[W0703]) into the request's collector while it runs,
     so overlapping calls would misattribute each other's warnings. Once
-    an engine-wide sink is installed the stores' sinks are left alone,
+    an engine-wide sink is installed the store's sink is left alone,
     any number of threads may call [run] at once, and the warnings go to
     that sink: a load made for whichever request reached a key first
     belongs to no single request. *)
 val run : t -> Flow.request -> Flow.t
 
-(** Install an engine-wide sink for the warnings of all three stores
-    and switch {!run} and {!run_sweep} to leave the stores' sinks alone;
+(** Install an engine-wide sink for the store's warnings and switch
+    {!run} and {!run_sweep} to leave the store's sink alone;
     call it before serving concurrent requests. The sink must be safe to
     call from any domain and replaces any earlier one. *)
 val set_warning_sink : t -> (D.t -> unit) -> unit
@@ -69,8 +70,8 @@ val set_warning_sink : t -> (D.t -> unit) -> unit
     off. *)
 val cache_root : t -> string option
 
-(** Cumulative persistent-store counters since [create]; [None] when
-    caching is off. *)
+(** Cumulative persistent-store counters since [create], over every
+    kind of entry; [None] when caching is off. *)
 val disk_stats : t -> Disk_cache.stats option
 
 (** Cumulative hits and computations of each in-memory
@@ -78,12 +79,12 @@ val disk_stats : t -> Disk_cache.stats option
     where a sweep's or an advise grid's reuse across points lands. *)
 val stage_stats : t -> Characterize.stage_stats list
 
-(** Garbage-collect the persistent store: validate every entry,
-    quarantine corruption, evict least-recently-used entries to
-    [max_bytes] (default: the engine's configured budget), and
-    re-enable writes after a [W0703] write-disable. [None] when caching
-    is off. Safe to call on a live engine — concurrent loads degrade to
-    misses at worst. *)
+(** Garbage-collect the persistent store ({!Disk_cache.gc}): validate
+    every entry, quarantine corruption, evict least-recently-used
+    entries to [max_bytes] (default: the engine's configured budget),
+    and re-enable writes after a [W0703] write-disable. [None] when
+    caching is off. Safe to call on a live engine — concurrent loads
+    degrade to misses at worst. *)
 val gc : ?max_bytes:int -> t -> Disk_cache.gc_stats option
 
 (** The advisor's objective vector for one solved point, read off the

@@ -45,7 +45,6 @@ module Scorer = struct
     v_status : Sec.Sat_attack.status;
     v_iterations : int;   (* DIPs the attack used *)
     v_conflicts : int;    (* solver conflicts spent across all calls *)
-    v_key_bits : int;
     v_reused : int;       (* learnt clauses the attack's incremental
                              session carried across queries *)
   }
@@ -67,12 +66,12 @@ module Scorer = struct
   let create_cache ?load ?save () : cache = Memo.create ~size:64 ?load ?save ()
 
   (* [v2] since the incremental solver changed conflict counts and
-     added [v_reused] *)
+     added [v_reused]; [v3] since the verdict dropped [v_key_bits] *)
   let verdict_key (cfg : C.Flow_config.t) :
       fabric:F.Fabric.t -> mapped:Alice_netlist.Circuit.t -> string =
     let budget = C.Flow_config.(digest "v1" [ Attack ] (classify cfg)) in
     fun ~fabric ~mapped ->
-      Printf.sprintf "attack-verdict v2 %s %s %s" (Memo.digest fabric)
+      Printf.sprintf "attack-verdict v3 %s %s %s" (Memo.digest fabric)
         (Memo.digest mapped) budget
 
   type t = Heuristic | Measured of { cache : cache option }
@@ -95,7 +94,6 @@ module Scorer = struct
     { v_status = o.Sec.Sat_attack.status;
       v_iterations = o.Sec.Sat_attack.iterations;
       v_conflicts = o.Sec.Sat_attack.conflicts;
-      v_key_bits = o.Sec.Sat_attack.key_bits;
       v_reused = o.Sec.Sat_attack.reused }
 
   (** Resilience of a verdict in [0, 1]: a candidate the attack could
@@ -137,7 +135,7 @@ module Scorer = struct
     let memo = match cache with Some c -> c | None -> create_cache () in
     let recover _ _ =
       { v_status = Sec.Sat_attack.Inconclusive; v_iterations = 0;
-        v_conflicts = 0; v_key_bits = 0; v_reused = 0 }
+        v_conflicts = 0; v_reused = 0 }
     in
     let key = verdict_key cfg in
     let r =

@@ -26,7 +26,6 @@ module Scorer : sig
     v_status : Sec.Sat_attack.status;
     v_iterations : int;  (** DIPs the attack used *)
     v_conflicts : int;   (** solver conflicts spent across all calls *)
-    v_key_bits : int;
     v_reused : int;
         (** learnt clauses the attack's incremental session carried
             across queries *)
@@ -58,8 +57,8 @@ module Scorer : sig
       {!Alice_config.Flow_config.classify} ([attack_budget] and
       [attack_iterations]). Changing the fabric, the netlist or any
       budget knob rekeys; changing [attack_jobs] or
-      [attack_area_weight] does not. The string is persisted by every
-      verdict store, so its format is pinned by a golden test. Applied
+      [attack_area_weight] does not. The string is persisted with every
+      stored verdict, so its format is pinned by a golden test. Applied
       to a configuration alone, it digests once for every candidate. *)
   val verdict_key :
     C.Flow_config.t ->

@@ -7,6 +7,7 @@ module V = Alice_verilog
 module A = Alice
 module C = Alice_config
 module D = Alice_diag.Diag
+module Fi = Alice_fault.Fault
 
 (* a fresh, not-yet-created directory for a throwaway cache root *)
 let tmp_root () =
@@ -25,6 +26,18 @@ let entry_files root =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".bin")
     |> List.map (Filename.concat dir)
+
+let contains (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* the entries of the store rooted at [root] whose payload carries a
+   key starting with [prefix] ([Marshal] keeps the key's bytes) *)
+let entries_keyed root prefix =
+  List.filter (fun f -> contains (read_file f) prefix) (entry_files root)
 
 let demo_src = {|module f1 (input [7:0] a, output [7:0] y); assign y = a + 8'h1; endmodule
   module f2 (input [7:0] a, output [7:0] y); assign y = a ^ 8'h55; endmodule
@@ -456,10 +469,9 @@ let test_sweep_point_metrics () =
 
 (* ---------- one attack-verdict pool across sweep entries ---------- *)
 
-(* two entries that differ only in a knob outside attack_digest
-   (attack_area_weight) must share verdicts: the second entry re-ranks
-   cached verdicts and runs zero new attacks *)
-let test_sweep_shares_attack_pool () =
+(* a measured sweep of the demo design over two entries that differ
+   only in a knob outside attack_digest (attack_area_weight) *)
+let measured_points () =
   let measured w =
     { demo_cfg with
       C.Flow_config.score_mode = C.Flow_config.Measured;
@@ -470,11 +482,13 @@ let test_sweep_shares_attack_pool () =
     A.Flow.request ~config:cfg
       (A.Flow.Text { text = demo_src; file = Some "demo.v" })
   in
+  [ ("w-low", req (measured 0.1)); ("w-high", req (measured 0.9)) ]
+
+(* the two entries must share verdicts: the second entry re-ranks
+   cached verdicts and runs zero new attacks *)
+let test_sweep_shares_attack_pool () =
   let engine = A.Engine.create ~cache_dir:(tmp_root ()) () in
-  match
-    A.Engine.run_sweep engine
-      [ ("w-low", req (measured 0.1)); ("w-high", req (measured 0.9)) ]
-  with
+  match A.Engine.run_sweep engine (measured_points ()) with
   | [ first; second ] ->
     Alcotest.(check bool) "first entry attacks" true
       (first.A.Engine.sp_attacks_run > 0);
@@ -495,7 +509,7 @@ let test_sweep_checkpoint_warning () =
       [ ("p1", demo_request ()) ]
   in
   ignore (sweep ());
-  (match entry_files (Filename.concat root "sweep") with
+  (match entries_keyed root "sweep-point v" with
   | [ checkpoint ] -> write_file checkpoint "rotted"
   | fs -> Alcotest.failf "expected one checkpoint, found %d" (List.length fs));
   match sweep () with
@@ -509,6 +523,49 @@ let test_sweep_checkpoint_warning () =
         (List.assoc_opt "config" d.D.context)
     | ds -> Alcotest.failf "expected one W0702, got %d" (List.length ds))
   | _ -> Alcotest.fail "run_sweep arity"
+
+(* ---------- one budget and one gc cover every kind of entry ---------- *)
+
+(* every [.bin] file under [dir], at any depth *)
+let rec bin_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then bin_files path
+         else if Filename.check_suffix f ".bin" then [ path ]
+         else [])
+
+(* characterizations, attack verdicts and sweep checkpoints share one
+   store, so one budget bounds them all and gc examines every kind. The
+   measured sweep writes 12 entries (5,567 bytes, none above 1,302);
+   evicting to 4,096 bytes keeps a verdict and the last checkpoint in
+   whatever order equal mtimes put the entries *)
+let test_budget_covers_every_entry () =
+  let root = tmp_root () and max_bytes = 4096 in
+  let engine = A.Engine.create ~cache_dir:root ~max_bytes ~faults:Fi.none () in
+  ignore (A.Engine.run_sweep engine (measured_points ()));
+  let files = bin_files root in
+  Alcotest.(check (list string)) "every entry in the one store"
+    (List.sort compare (entry_files root)) (List.sort compare files);
+  let total =
+    List.fold_left (fun acc f -> acc + (Unix.stat f).Unix.st_size) 0 files
+  in
+  if total > max_bytes then
+    Alcotest.failf "%d bytes on disk over a %d-byte budget" total max_bytes;
+  let rot prefix =
+    match entries_keyed root prefix with
+    | f :: _ -> write_file f "garbage"
+    | [] -> Alcotest.failf "no %S entry kept" prefix
+  in
+  rot "attack-verdict v";
+  rot "sweep-point v";
+  match A.Engine.gc engine with
+  | None -> Alcotest.fail "the engine has a store"
+  | Some g ->
+    Alcotest.(check int) "gc examines every entry" (List.length files)
+      g.A.Disk_cache.gc_examined;
+    Alcotest.(check int) "gc quarantines the verdict and the checkpoint" 2
+      g.A.Disk_cache.gc_quarantined
 
 (* ---------- on_point fires only after the checkpoint write ---------- *)
 
@@ -603,4 +660,6 @@ let tests =
     Alcotest.test_case "unusable sweep checkpoint warns" `Quick
       test_sweep_checkpoint_warning;
     Alcotest.test_case "rebuilt AST resumes its sweep" `Quick
-      test_sweep_resumes_rebuilt_ast ]
+      test_sweep_resumes_rebuilt_ast;
+    Alcotest.test_case "one budget and gc cover every entry" `Quick
+      test_budget_covers_every_entry ]

@@ -204,6 +204,12 @@ let test_eviction_lru_order () =
   Unix.utimes (path "b") 2000.0 2000.0;
   Unix.utimes (path "c") 3000.0 3000.0;
   let size k = (Unix.stat (path k)).Unix.st_size in
+  (* a negative budget is refused before any entry is touched *)
+  Alcotest.check_raises "negative budget refused"
+    (Invalid_argument "Disk_cache.gc: negative max_bytes") (fun () ->
+      ignore (A.Disk_cache.gc ~max_bytes:(-1) store));
+  Alcotest.(check bool) "negative budget removes no entry" true
+    (List.for_all (fun k -> Sys.file_exists (path k)) [ "a"; "b"; "c" ]);
   (* budget admits exactly one entry: gc must evict a then b, keep c *)
   let g = A.Disk_cache.gc ~max_bytes:(size "c") store in
   Alcotest.(check int) "examined all" 3 g.A.Disk_cache.gc_examined;

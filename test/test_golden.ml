@@ -105,10 +105,10 @@ let golden_long_sessions =
 (* Golden verdict keys: the attack-verdict cache key of a candidate
    (design, configuration, cluster). Every persisted verdict is stored
    under such a string, so a change to its format would silently orphan
-   every verdict store. *)
+   every stored verdict. *)
 let golden_verdict_keys =
   [ ( "GCD", `C1, "gcd.u_dp.u_lt",
-      "attack-verdict v2 df102eb899b38d0d29cdd9ef5aa3a879 \
+      "attack-verdict v3 df102eb899b38d0d29cdd9ef5aa3a879 \
        53c56390f1dfac01aff64a1b6c864247 39da22bac4b079a3f96fe4184e4ddfa5" ) ]
 
 let cfg_label = function `C1 -> "cfg1" | `C2 -> "cfg2"

@@ -1228,12 +1228,12 @@ let wire_golden : (string * string) list =
     ("cached1/sweep-stream", "1ac10514cd679f9f4abc79c57f9ae746");
     ("cached1/advise", "2e0dd6dbcfde4836ba4a85c2967f5d8d");
     ("cached1/advise-stream", "79539e52bdf863330befaab999873b4f");
-    ("cached1/stats", "46efb1b481cab6f54680d66d3b61423b");
+    ("cached1/stats", "3394fcbc0f4e219fc9d7706312bda8b6");
     ("cached2/sweep", "833fa2b716883020e80c1500399ba7bf");
     ("cached2/sweep-stream", "1ac10514cd679f9f4abc79c57f9ae746");
     ("cached2/advise", "e63f99f41f2d9e0c5946131aa89fd348");
     ("cached2/advise-stream", "79539e52bdf863330befaab999873b4f");
-    ("cached2/stats", "dac7e218f91e590473e1c05d353344ae") ]
+    ("cached2/stats", "72abce3d28b15c743e4d1e2ba5fc9627") ]
 
 let test_wire_transcript () =
   let run ~engine requests =
