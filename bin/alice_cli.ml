@@ -557,9 +557,9 @@ let advise_cmd =
 let attack_cmd =
   (* the work an attack spent, as the measured flow reports it *)
   let work (o : Sec.Sat_attack.outcome) =
-    Printf.sprintf "%d conflicts, %d learnt clauses reused, %.2fs"
-      o.Sec.Sat_attack.conflicts o.Sec.Sat_attack.reused
-      o.Sec.Sat_attack.seconds
+    Printf.sprintf "%d conflicts, %d decisions, %d learnt clauses reused, %.2fs"
+      o.Sec.Sat_attack.conflicts o.Sec.Sat_attack.decisions
+      o.Sec.Sat_attack.reused o.Sec.Sat_attack.seconds
   in
   let module_name =
     Arg.(required & opt (some string) None & info [ "m"; "module" ] ~docv:"MODULE")

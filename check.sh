@@ -492,19 +492,20 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0100"' "$tmpdir/selfinst.json"; then
   exit 1
 fi
 # the attack's search is pinned: a change to how replays are encoded or
-# solved that keeps every decision keeps these DIPs and conflicts, and
-# each attack recovers a key proved correct
-while read -r module dips conflicts; do
+# solved that keeps every decision keeps these DIPs, conflicts and
+# decisions, and each attack recovers a key proved correct; the
+# subtractor's conflicts pass the 1e100 activity rescale
+while read -r module dips conflicts decisions; do
   "$ALICE" attack "$tmpdir/gcd.v" -m "$module" > "$tmpdir/attack_$module.txt"
-  if ! grep -q "^attack converged after $dips distinguishing inputs ($conflicts conflicts, .*recovered key is functionally correct$" \
+  if ! grep -q "^attack converged after $dips distinguishing inputs ($conflicts conflicts, $decisions decisions, .*recovered key is functionally correct$" \
       "$tmpdir/attack_$module.txt"; then
-    echo "check.sh: attack -m $module did not converge after $dips DIPs and $conflicts conflicts to a correct key:" >&2
+    echo "check.sh: attack -m $module did not converge after $dips DIPs, $conflicts conflicts and $decisions decisions to a correct key:" >&2
     cat "$tmpdir/attack_$module.txt" >&2
     exit 1
   fi
 done <<'EOF'
-gcd_ctrl 25 121
-subtractor 69 14427
+gcd_ctrl 25 121 1118
+subtractor 69 14427 46503
 EOF
 # selection keeps |S| and its best, never S itself: 14 identical 12-pin
 # leaves under two 64-pin eFPGAs have 978,628 solutions, and redacting

@@ -85,12 +85,20 @@ module Scorer = struct
     { Sec.Sat_attack.max_iterations = cfg.C.Flow_config.attack_iterations;
       solver_conflicts = Some cfg.C.Flow_config.attack_budget }
 
-  (** Attack one candidate's locked netlist under the measured budget. *)
+  (** Attack one candidate's locked netlist under the measured budget.
+      A converged attack's key is proved correct before its verdict
+      stands; a missing or wrong key raises. *)
   let attack_one (cfg : C.Flow_config.t) (mapped : Alice_netlist.Circuit.t) :
       verdict =
     let locked = Sec.Locked.of_mapped mapped in
     let oracle = Sec.Locked.make_oracle locked in
     let o = Sec.Sat_attack.attack ~budget:(measured_budget cfg) locked ~oracle in
+    (match (o.Sec.Sat_attack.status, o.Sec.Sat_attack.key) with
+    | Sec.Sat_attack.Converged, Some key when Sec.Locked.key_is_correct locked key
+      -> ()
+    | Sec.Sat_attack.Converged, _ ->
+      failwith "Scorer.attack_one: converged without a correct key"
+    | (Sec.Sat_attack.Exhausted | Sec.Sat_attack.Inconclusive), _ -> ());
     { v_status = o.Sec.Sat_attack.status;
       v_iterations = o.Sec.Sat_attack.iterations;
       v_conflicts = o.Sec.Sat_attack.conflicts;
@@ -126,9 +134,9 @@ module Scorer = struct
       are attacked once; cache misses fan out over [attack_jobs] worker
       domains (strictly serial at 1). Verdicts of every status are
       written back — all are deterministic facts about (netlist, fabric,
-      budget). A crashed or skipped attack task degrades to an uncached
-      Inconclusive verdict so one broken candidate cannot abort
-      selection. *)
+      budget). A crashed or skipped attack task, or a converged one
+      whose key fails the check, degrades to an uncached Inconclusive
+      verdict so one broken candidate cannot abort selection. *)
   let measure ~(cache : cache option) (cfg : C.Flow_config.t)
       (cands : (F.Fabric.t * Alice_netlist.Circuit.t) list) :
       verdict list * stats =

@@ -76,7 +76,11 @@ module Scorer : sig
       conflict/iteration budgets, no wall-clock bound (determinism). *)
   val measured_budget : C.Flow_config.t -> Sec.Sat_attack.budget
 
-  (** Attack one candidate's locked netlist under {!measured_budget}. *)
+  (** Attack one candidate's locked netlist under {!measured_budget}.
+      A converged attack's key must pass {!Sec.Locked.key_is_correct}
+      (one single-shot solver call); a missing or wrong key raises
+      [Failure], which {!measure} turns into an uncached Inconclusive
+      verdict. *)
   val attack_one : C.Flow_config.t -> Alice_netlist.Circuit.t -> verdict
 
   (** Resilience of a verdict in [0, 1]: resisted-at-budget scores 1.0;
@@ -96,7 +100,8 @@ module Scorer : sig
   (** Resolve a verdict per candidate (order preserved): key-aliasing
       candidates are attacked once, cache misses fan out over
       [attack_jobs] domains, every computed verdict is written back to
-      the cache. *)
+      the cache. An attack that raises, a converged one with a wrong
+      key included, gets an uncached Inconclusive verdict. *)
   val measure :
     cache:cache option ->
     C.Flow_config.t ->

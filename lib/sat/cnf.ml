@@ -22,16 +22,22 @@ let fresh_var (f : t) : int =
 
 let fresh_vars (f : t) n : int array = Array.init n (fun _ -> fresh_var f)
 
-let add_clause (f : t) (c : lit list) : unit =
-  assert (List.for_all (fun l -> l <> 0 && abs l <= f.var_count) c);
+(* [c] becomes the stored clause itself *)
+let add_clause_array (f : t) (c : clause) : unit =
+  for i = 0 to Array.length c - 1 do
+    let l = c.(i) in
+    assert (l <> 0 && abs l <= f.var_count)
+  done;
   let n = f.clause_count in
   if n = Array.length f.clauses then begin
     let grown = Array.make (max 16 (2 * n)) [||] in
     Array.blit f.clauses 0 grown 0 n;
     f.clauses <- grown
   end;
-  f.clauses.(n) <- Array.of_list c;
+  f.clauses.(n) <- c;
   f.clause_count <- n + 1
+
+let add_clause (f : t) (c : lit list) : unit = add_clause_array f (Array.of_list c)
 
 (* up to the count at the call, so [g] may add clauses to [f] *)
 let iter_from (f : t) (n : int) (g : clause -> unit) : unit =

@@ -16,6 +16,10 @@ val fresh_vars : t -> int -> int array
 (** Raises [Assert_failure] on zero or out-of-range literals. *)
 val add_clause : t -> lit list -> unit
 
+(** {!add_clause} of an array, which the formula keeps as the clause:
+    the caller must not mutate it afterwards. *)
+val add_clause_array : t -> clause -> unit
+
 val add_unit : t -> lit -> unit
 
 (** [iter_from f n g] applies [g] to every clause added at position

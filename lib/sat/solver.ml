@@ -4,15 +4,15 @@
     the SAT attack generates (thousands of variables).
 
     Branching takes the unassigned variable of highest activity, the
-    lowest index among equal activities, from a binary max-heap ordered
-    by (activity descending, index ascending), so a decision costs
-    O(log n) instead of a scan over every variable. Assigned variables
-    leave the heap lazily: a decision pops them as they surface at the
-    top. Every variable a backjump unassigns is re-inserted, so every
-    unassigned variable is always in the heap; a bump sifts its variable
-    up; and the 1e100 activity rescale re-heapifies, because underflow
-    can turn two distinct activities into a tie that the index must then
-    break.
+    lowest index among equal activities, from two tiers. Variables of
+    positive activity live in a binary max-heap ordered by (activity
+    descending, index ascending); a variable no conflict has bumped
+    (activity 0) stays out of it, behind a cursor below which every such
+    variable is assigned. A decision takes the heap's top once the lazy
+    pops have left an unassigned variable there, and otherwise the first
+    unassigned variable at or above the cursor. Any positive activity
+    outranks 0, so this is the maximum of the same strict order over the
+    unassigned variables, whatever the tiers hold.
 
     The engine is a persistent *incremental session* ({!Incremental}):
     one solver instance stays alive across queries, clauses and
@@ -67,9 +67,12 @@ type t = {
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
-  mutable heap : int array;            (* branching order, see [before] *)
+  mutable heap : int array;            (* branching order, see [before];
+                                          only positive activities *)
   mutable heap_len : int;
   mutable heap_pos : int array;        (* per var: slot in [heap], -1 if out *)
+  mutable zcur : int;                  (* every activity-0 variable below
+                                          it is assigned *)
   mutable phase : bool array;          (* saved phases *)
   mutable seen : bool array;           (* scratch for analyze *)
   mutable learnt_buf : int array;      (* scratch for analyze *)
@@ -118,7 +121,8 @@ let grow_array a n fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* ---- branching order: a binary max-heap of variables ---- *)
+(* ---- branching order: a binary max-heap of the variables of
+   positive activity, then a cursor over those of activity 0 ---- *)
 
 (* [v] branches before [u]: higher activity, then lower index — the
    order of a scan over 1..nvars keeping the first strict maximum *)
@@ -171,14 +175,28 @@ let heap_pop (s : t) =
   s.heap_len <- s.heap_len - 1;
   if s.heap_len > 0 then sift_down s s.heap.(s.heap_len) 0
 
-let heapify (s : t) =
-  for i = (s.heap_len / 2) - 1 downto 0 do
-    sift_down s s.heap.(i) i
-  done
+(* an unassigned variable enters the tier its activity names *)
+let requeue (s : t) v =
+  if s.activity.(v) > 0.0 then heap_insert s v
+  else if v < s.zcur then s.zcur <- v
 
-(** Grow per-variable state so variables [1..n] exist, entering the new
-    ones into the branching heap. Amortized O(1): capacity doubles. Safe
-    on a live session — only appends. *)
+(* after the 1e100 rescale every heap member re-enters by its new
+   activity: one that underflowed to 0 joins the cursor's tier, and
+   underflow can also tie two activities that the index must then
+   break *)
+let rescale_heap (s : t) =
+  let members = Array.sub s.heap 0 s.heap_len in
+  s.heap_len <- 0;
+  Array.iter
+    (fun v ->
+      s.heap_pos.(v) <- -1;
+      requeue s v)
+    members
+
+(** Grow per-variable state so variables [1..n] exist. A new variable
+    has activity 0 and an index above every other, so it already sits
+    in the cursor's tier and nothing is inserted. Amortized O(1):
+    capacity doubles. Safe on a live session — only appends. *)
 let ensure_vars (s : t) (n : int) : unit =
   if n > s.var_cap then begin
     let cap = ref s.var_cap in
@@ -201,9 +219,6 @@ let ensure_vars (s : t) (n : int) : unit =
     s.lbd_stamp <- grow_array s.lbd_stamp (cap + 2) 0;
     s.var_cap <- cap
   end;
-  for v = s.nvars + 1 to n do
-    heap_insert s v
-  done;
   if n > s.nvars then s.nvars <- n
 
 (* an empty session whose variables [1..nvars] enter through
@@ -229,6 +244,7 @@ let create_session ?(nvars = 0) ?(reduce_base = default_reduce_base) () =
       heap = Array.make (cap + 1) 0;
       heap_len = 0;
       heap_pos = Array.make (cap + 1) (-1);
+      zcur = 1;
       phase = Array.make (cap + 1) false;
       seen = Array.make (cap + 1) false;
       learnt_buf = Array.make 16 0;
@@ -429,8 +445,11 @@ let bump (s : t) v =
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
     s.var_inc <- s.var_inc *. 1e-100;
-    heapify s
+    rescale_heap s
   end
+  (* a bumped variable sits in a conflict or reason clause, so it is
+     assigned: out of the heap, it enters at the backjump that
+     unassigns it *)
   else if s.heap_pos.(v) >= 0 then sift_up s v s.heap_pos.(v)
 
 let decay (s : t) = s.var_inc <- s.var_inc /. 0.95
@@ -499,27 +518,36 @@ let backjump (s : t) (target_level : int) : unit =
       let v = var_of_lit s.trail.(i) in
       s.assign.(v) <- 0;
       s.reason.(v) <- no_clause;
-      heap_insert s v
+      requeue s v
     done;
     s.trail_size <- boundary;
     s.qhead <- boundary;
     s.decision_level <- target_level
   end
 
-(* the decision literal: the heap's first unassigned variable in its
-   saved phase, or 0 (no literal) once every variable is assigned. It
-   stays in the heap, assigned, until a later pick pops it, so a
-   decision abandoned for the budget needs no re-insertion *)
+(* the decision literal in its saved phase, or 0 (no literal) once
+   every variable is assigned: the heap's top once the assigned
+   variables above it are popped, else the first unassigned variable
+   from the cursor on. Every unassigned variable of positive activity is
+   in the heap, so an empty heap leaves only activity 0 to pick from.
+   The pick stays where it is, assigned, until a later pick passes it,
+   so a decision abandoned for the budget needs no re-insertion *)
 let rec pick_branch (s : t) : int =
-  if s.heap_len = 0 then 0
+  if s.heap_len > 0 && s.assign.(s.heap.(0)) <> 0 then begin
+    heap_pop s;
+    pick_branch s
+  end
   else begin
-    let v = s.heap.(0) in
-    if s.assign.(v) <> 0 then begin
-      heap_pop s;
-      pick_branch s
-    end
-    else if s.phase.(v) then 2 * v
-    else (2 * v) + 1
+    let v =
+      if s.heap_len > 0 then s.heap.(0)
+      else begin
+        while s.zcur <= s.nvars && s.assign.(s.zcur) <> 0 do
+          s.zcur <- s.zcur + 1
+        done;
+        if s.zcur > s.nvars then 0 else s.zcur
+      end
+    in
+    if v = 0 then 0 else if s.phase.(v) then 2 * v else (2 * v) + 1
   end
 
 (* literal block distance: distinct decision levels among the lits *)

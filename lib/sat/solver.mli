@@ -1,7 +1,8 @@
 (** A CDCL SAT solver: two-watched-literal propagation, first-UIP
     conflict analysis with clause learning, VSIDS-style branching
-    activity (an order heap; highest activity, then lowest index) with
-    phase saving, and geometric restarts. Sized for the circuit problems
+    activity (highest activity, then lowest index: an order heap for
+    the bumped variables, a cursor over the rest) with phase saving,
+    and geometric restarts. Sized for the circuit problems
     the SAT attack generates.
 
     The engine is a persistent {!Incremental} session: one solver

@@ -13,45 +13,25 @@ module Cnf = Alice_sat.Cnf
 module Equiv = Alice_sat.Equiv
 module Tseitin = Alice_sat.Tseitin
 
+(* What encoding a copy reads, fixed per lock and compiled once by
+   [of_mapped]: two replays per DIP read it instead of re-deriving it *)
+type compiled = {
+  gates : Circuit.gate array;    (* in [Circuit.gates_in_order] *)
+  key_offset : int array;        (* per gate: its LUT's first key bit;
+                                    -1 for any other gate *)
+  referenced : bool array;       (* per net: a gate reads or drives it,
+                                    or it is a core input or output *)
+  inputs : Circuit.net array;    (* the core's inputs and outputs: *)
+  outputs : Circuit.net array;   (* {!Equiv}'s scan view, flattened *)
+  fixable : bool array;          (* per net: [fixable_at_load] *)
+}
+
 type t = {
   circuit : Circuit.t;          (* LUT-mapped netlist *)
   key_bits : int;
-  correct_key : bool array;
-  offsets : (Circuit.net * int) list;  (* LUT output net -> key offset *)
+  correct_key : bool array;     (* the LUT tables in gate order *)
+  compiled : compiled;
 }
-
-let luts_of (c : Circuit.t) : (Circuit.net * int array * bool array) list =
-  List.filter_map
-    (fun (g : Circuit.gate) ->
-      match g.Circuit.kind with
-      | Circuit.Lut table -> Some (g.Circuit.output, g.Circuit.inputs, table)
-      | Circuit.Const _ | Circuit.Buf | Circuit.Not | Circuit.And
-      | Circuit.Or | Circuit.Xor | Circuit.Xnor | Circuit.Nand | Circuit.Nor
-      | Circuit.Mux -> None)
-    (Circuit.gates_in_order c)
-
-(** Lock a LUT-mapped circuit. *)
-let of_mapped (c : Circuit.t) : t =
-  let luts = luts_of c in
-  let key_bits =
-    List.fold_left (fun acc (_, _, table) -> acc + Array.length table) 0 luts
-  in
-  let correct_key = Array.make key_bits false in
-  let offsets = ref [] and pos = ref 0 in
-  List.iter
-    (fun (out, _inputs, table) ->
-      offsets := (out, !pos) :: !offsets;
-      Array.iteri (fun i b -> correct_key.(!pos + i) <- b) table;
-      pos := !pos + Array.length table)
-    luts;
-  { circuit = c; key_bits; correct_key; offsets = List.rev !offsets }
-
-(* the core's inputs and outputs: {!Equiv}'s scan view, flattened *)
-let input_nets (l : t) : Circuit.net array =
-  Array.concat (List.map snd (Equiv.scan_inputs l.circuit))
-
-let output_nets (l : t) : Circuit.net array =
-  Array.concat (List.map snd (Equiv.scan_outputs l.circuit))
 
 (* The nets that loading a copy may fix before the pins after it load.
    The solver loads clauses at level 0, in order and without
@@ -83,6 +63,66 @@ let fixable_at_load (c : Circuit.t) : bool array =
     (Circuit.gates_in_order c);
   fixed
 
+(** Lock a LUT-mapped circuit, compiling once what encoding a copy
+    reads. *)
+let of_mapped (c : Circuit.t) : t =
+  let gates = Array.of_list (Circuit.gates_in_order c) in
+  (* a LUT's table has 2^k >= 1 rows, so an empty one is no LUT *)
+  let tables =
+    Array.map
+      (fun (g : Circuit.gate) ->
+        match g.Circuit.kind with
+        | Circuit.Lut table ->
+          assert (Array.length table = 1 lsl Array.length g.Circuit.inputs);
+          table
+        | Circuit.Const _ | Circuit.Buf | Circuit.Not | Circuit.And
+        | Circuit.Or | Circuit.Xor | Circuit.Xnor | Circuit.Nand | Circuit.Nor
+        | Circuit.Mux -> [||])
+      gates
+  in
+  let key_offset = Array.make (Array.length gates) (-1) and key_bits = ref 0 in
+  Array.iteri
+    (fun i table ->
+      if Array.length table > 0 then begin
+        key_offset.(i) <- !key_bits;
+        key_bits := !key_bits + Array.length table
+      end)
+    tables;
+  let inputs = Array.concat (List.map snd (Equiv.scan_inputs c)) in
+  let outputs = Array.concat (List.map snd (Equiv.scan_outputs c)) in
+  let referenced = Array.make c.Circuit.next_net false in
+  let mark n = referenced.(n) <- true in
+  Array.iter
+    (fun (g : Circuit.gate) ->
+      mark g.Circuit.output;
+      Array.iter mark g.Circuit.inputs)
+    gates;
+  Array.iter mark inputs;
+  Array.iter mark outputs;
+  { circuit = c; key_bits = !key_bits;
+    correct_key = Array.concat (Array.to_list tables);
+    compiled =
+      { gates; key_offset; referenced; inputs; outputs;
+        fixable = fixable_at_load c } }
+
+let input_nets (l : t) : Circuit.net array = l.compiled.inputs
+
+let output_nets (l : t) : Circuit.net array = l.compiled.outputs
+
+(* add the clause [a; b; guard] of LUT row [row], whose guard holds,
+   per input, the literal that is false when the input has the row's
+   bit; built straight into the array [Cnf] keeps *)
+let add_row (f : Cnf.t) (net_var : int array) (ins : Circuit.net array) row
+    a b =
+  let k = Array.length ins in
+  let c = Array.make (k + 2) a in
+  c.(1) <- b;
+  for i = 0 to k - 1 do
+    let v = net_var.(ins.(i)) in
+    c.(i + 2) <- (if (row lsr i) land 1 = 1 then -v else v)
+  done;
+  Cnf.add_clause_array f c
+
 (** Encode one copy of the locked circuit into [f]. Non-LUT gates encode
     as usual; LUT gates read their truth table from [key_vars] at their
     key offset. [share] maps nets to already-existing CNF variables
@@ -102,72 +142,51 @@ let fixable_at_load (c : Circuit.t) : bool array =
     reason or a conflict. *)
 let encode_locked ?pins (f : Cnf.t) (l : t) ~(key_vars : int array)
     ~(share : Circuit.net -> int option) : int array =
-  let referenced = Array.make l.circuit.Circuit.next_net false in
-  let mark n = referenced.(n) <- true in
-  List.iter
-    (fun (g : Circuit.gate) ->
-      mark g.Circuit.output;
-      Array.iter mark g.Circuit.inputs)
-    (Circuit.gates_in_order l.circuit);
-  Array.iter mark (input_nets l);
-  Array.iter mark (output_nets l);
+  let cl = l.compiled in
   let net_var =
-    Array.init l.circuit.Circuit.next_net (fun n ->
+    Array.init (Array.length cl.referenced) (fun n ->
         match share n with
         | Some v -> v
-        | None -> if referenced.(n) then Cnf.fresh_var f else 0)
+        | None -> if cl.referenced.(n) then Cnf.fresh_var f else 0)
   in
   let pin =
     match pins with
     | None -> fun _ -> None
-    | Some pins ->
-      let fixable = fixable_at_load l.circuit in
-      fun n -> if fixable.(n) then None else pins.(n)
+    | Some pins -> fun n -> if cl.fixable.(n) then None else pins.(n)
   in
-  let offset_of = Hashtbl.create 64 in
-  List.iter (fun (net, off) -> Hashtbl.replace offset_of net off) l.offsets;
-  List.iter
-    (fun (g : Circuit.gate) ->
-      match g.Circuit.kind with
-      | Circuit.Lut table ->
+  Array.iteri
+    (fun gi (g : Circuit.gate) ->
+      let off = cl.key_offset.(gi) in
+      if off < 0 then Tseitin.encode_gate f net_var g
+      else begin
         let out = net_var.(g.Circuit.output) in
-        let off = Hashtbl.find offset_of g.Circuit.output in
-        let k = Array.length g.Circuit.inputs in
-        assert (Array.length table = 1 lsl k);
+        let ins = g.Circuit.inputs in
         (* the pinned inputs as a mask, and their values: a row whose
            bits differ from the values there has a guard literal a pin
            makes true *)
         let care = ref 0 and value = ref 0 in
-        Array.iteri
-          (fun i n ->
-            match pin n with
-            | Some b ->
-              care := !care lor (1 lsl i);
-              if b then value := !value lor (1 lsl i)
-            | None -> ())
-          g.Circuit.inputs;
+        for i = 0 to Array.length ins - 1 do
+          match pin ins.(i) with
+          | Some b ->
+            care := !care lor (1 lsl i);
+            if b then value := !value lor (1 lsl i)
+          | None -> ()
+        done;
         let keep_pos, keep_neg =
           match pin g.Circuit.output with
           | Some b -> (not b, b)
           | None -> (true, true)
         in
-        for row = 0 to (1 lsl k) - 1 do
+        for row = 0 to (1 lsl Array.length ins) - 1 do
           if (row lxor !value) land !care = 0 then begin
-            let guard =
-              List.init k (fun i ->
-                  let v = net_var.(g.Circuit.inputs.(i)) in
-                  if (row lsr i) land 1 = 1 then -v else v)
-            in
             let key = key_vars.(off + row) in
             (* guard -> (out <-> key) *)
-            if keep_pos then Cnf.add_clause f (out :: -key :: guard);
-            if keep_neg then Cnf.add_clause f (-out :: key :: guard)
+            if keep_pos then add_row f net_var ins row out (-key);
+            if keep_neg then add_row f net_var ins row (-out) key
           end
         done
-      | Circuit.Const _ | Circuit.Buf | Circuit.Not | Circuit.And
-      | Circuit.Or | Circuit.Xor | Circuit.Xnor | Circuit.Nand | Circuit.Nor
-      | Circuit.Mux -> Tseitin.encode_gate f net_var g)
-    (Circuit.gates_in_order l.circuit);
+      end)
+    cl.gates;
   net_var
 
 (** Instantiate the circuit with an arbitrary key: LUT tables replaced by
@@ -175,27 +194,21 @@ let encode_locked ?pins (f : Cnf.t) (l : t) ~(key_vars : int array)
 let apply_key (l : t) (key : bool array) : Circuit.t =
   if Array.length key <> l.key_bits then invalid_arg "apply_key: wrong key length";
   let c = l.circuit in
-  let offset_of = Hashtbl.create 64 in
-  List.iter (fun (net, off) -> Hashtbl.replace offset_of net off) l.offsets;
   let keyed = Circuit.create (c.Circuit.name ^ "_keyed") in
   keyed.Circuit.next_net <- c.Circuit.next_net;
   keyed.Circuit.inputs <- c.Circuit.inputs;
   keyed.Circuit.outputs <- c.Circuit.outputs;
   keyed.Circuit.dffs <- c.Circuit.dffs;
-  List.iter
-    (fun (g : Circuit.gate) ->
-      match g.Circuit.kind with
-      | Circuit.Lut table ->
-        let off = Hashtbl.find offset_of g.Circuit.output in
-        let table' = Array.init (Array.length table) (fun i -> key.(off + i)) in
-        Circuit.add_gate_with_output keyed (Circuit.Lut table') g.Circuit.inputs
-          ~output:g.Circuit.output
-      | Circuit.Const _ | Circuit.Buf | Circuit.Not | Circuit.And
-      | Circuit.Or | Circuit.Xor | Circuit.Xnor | Circuit.Nand | Circuit.Nor
-      | Circuit.Mux ->
-        Circuit.add_gate_with_output keyed g.Circuit.kind g.Circuit.inputs
-          ~output:g.Circuit.output)
-    (Circuit.gates_in_order c);
+  Array.iteri
+    (fun i (g : Circuit.gate) ->
+      let off = l.compiled.key_offset.(i) in
+      let kind =
+        if off < 0 then g.Circuit.kind
+        else Circuit.Lut (Array.sub key off (1 lsl Array.length g.Circuit.inputs))
+      in
+      Circuit.add_gate_with_output keyed kind g.Circuit.inputs
+        ~output:g.Circuit.output)
+    l.compiled.gates;
   keyed
 
 (** Whether [key] unlocks the original function: the keyed circuit is
@@ -210,8 +223,7 @@ let key_is_correct (l : t) (key : bool array) : bool =
     core on a scan-input vector. *)
 let make_oracle (l : t) : bool array -> bool array =
   let sim = Simulate.create l.circuit in
-  let ins = input_nets l in
-  let outs = output_nets l in
+  let ins = l.compiled.inputs and outs = l.compiled.outputs in
   fun (stimulus : bool array) ->
     if Array.length stimulus <> Array.length ins then
       invalid_arg "oracle: wrong stimulus width";

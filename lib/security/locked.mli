@@ -1,24 +1,38 @@
 (** A circuit locked by eFPGA redaction: a LUT-mapped netlist whose
     truth tables are secret. The bitstream restricted to LUT content is
-    the key; registers are scan-exposed per the threat model. *)
+    the key; registers are scan-exposed per the threat model.
+
+    A lock is compiled once, by {!of_mapped}: the gates in load order,
+    each LUT's key offset, the nets a copy gives variables to, the core
+    inputs and outputs, and the nets loading a copy can fix. Encoding a
+    copy, keying the circuit and the oracle read that data, so the two
+    replays of every DIP re-derive none of it. *)
 
 module Circuit = Alice_netlist.Circuit
 module Cnf = Alice_sat.Cnf
 
-type t = {
+(** What encoding a copy reads, fixed per lock. *)
+type compiled
+
+type t = private {
   circuit : Circuit.t;  (** LUT-mapped netlist *)
   key_bits : int;
   correct_key : bool array;
-  offsets : (Circuit.net * int) list;  (** LUT output net -> key offset *)
+      (** the key layout: every LUT's truth table, concatenated in
+          {!Circuit.gates_in_order} *)
+  compiled : compiled;
 }
 
-(** Lock a LUT-mapped circuit. *)
+(** Lock a LUT-mapped circuit and compile it. The circuit must not
+    change afterwards. *)
 val of_mapped : Circuit.t -> t
 
-(** The core's inputs: {!Alice_sat.Equiv.scan_inputs}, flattened. *)
+(** The core's inputs: {!Alice_sat.Equiv.scan_inputs}, flattened. The
+    lock's own array: do not mutate it. *)
 val input_nets : t -> Circuit.net array
 
-(** The core's outputs: {!Alice_sat.Equiv.scan_outputs}, flattened. *)
+(** The core's outputs: {!Alice_sat.Equiv.scan_outputs}, flattened. The
+    lock's own array: do not mutate it. *)
 val output_nets : t -> Circuit.net array
 
 (** Encode one locked copy: non-LUT gates as usual, LUTs reading their

@@ -39,6 +39,7 @@ type outcome = {
   key_bits : int;
   seconds : float;
   conflicts : int;         (* solver conflicts spent across all calls *)
+  decisions : int;         (* the session's decisions *)
   reused : int;            (* learnt clauses inherited across session
                               queries *)
 }
@@ -97,7 +98,6 @@ let attack ?(budget = default_budget) ?(observe = ignore) (l : Locked.t)
     observe (Solver.Incremental.stats session);
     r
   in
-  let reused () = (Solver.Incremental.stats session).Solver.Incremental.learnt_reused in
   (* append a recorded query: fresh internal nets per key copy, inputs
      and outputs pinned to the observed stimulus/response; a copy leaves
      out the LUT rows its pins satisfy *)
@@ -120,8 +120,11 @@ let attack ?(budget = default_budget) ?(observe = ignore) (l : Locked.t)
     replay key2
   in
   let finish ~status ~iterations ~key =
+    let st = Solver.Incremental.stats session in
     { status; iterations; key; key_bits = l.Locked.key_bits;
-      seconds = Timebase.elapsed_since start; conflicts = !spent; reused = reused () }
+      seconds = Timebase.elapsed_since start; conflicts = !spent;
+      decisions = st.Solver.Incremental.decisions;
+      reused = st.Solver.Incremental.learnt_reused }
   in
   let rec loop iterations =
     if iterations >= budget.max_iterations then

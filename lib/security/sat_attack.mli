@@ -28,6 +28,7 @@ type outcome = {
       (** solver conflicts spent across every solver call the run made;
           unlike [seconds] this is deterministic, so it is the cost
           measure measured selection scoring ranks on *)
+  decisions : int;  (** the session's branching decisions, all queries *)
   reused : int;
       (** learnt clauses inherited across the session's queries
           (cumulative live learnt clauses at each query start after the

@@ -1,17 +1,26 @@
 (* Reference SAT attack for the differential suite: the encoder and
    attack loop [Alice_security] used before each replay left out the
-   LUT rows its pins satisfy, kept verbatim. Every DIP appends two whole
-   copies of the locked netlist and pins their core inputs and outputs
-   with units loaded after the copy — the plainest statement of the
-   replay, and the search the pruned loop must reproduce query for
-   query. *)
+   LUT rows its pins satisfy and before the lock was compiled once,
+   kept verbatim apart from deriving each LUT's key offset and the scan
+   nets from the circuit itself. Every DIP appends two whole copies of
+   the locked netlist and pins their core inputs and outputs with units
+   loaded after the copy — the plainest statement of the replay, and
+   the search the pruned loop must reproduce query for query. It reads
+   nothing [Locked.of_mapped] compiles. *)
 
 module Circuit = Alice_netlist.Circuit
 module Cnf = Alice_sat.Cnf
+module Equiv = Alice_sat.Equiv
 module Solver = Alice_sat.Solver
 module Tseitin = Alice_sat.Tseitin
 module Locked = Alice_security.Locked
 module Sat_attack = Alice_security.Sat_attack
+
+let input_nets (l : Locked.t) =
+  Array.concat (List.map snd (Equiv.scan_inputs l.Locked.circuit))
+
+let output_nets (l : Locked.t) =
+  Array.concat (List.map snd (Equiv.scan_outputs l.Locked.circuit))
 
 (* one whole copy: [Locked.encode_locked] without pins *)
 let encode_locked (f : Cnf.t) (l : Locked.t) ~(key_vars : int array)
@@ -23,22 +32,23 @@ let encode_locked (f : Cnf.t) (l : Locked.t) ~(key_vars : int array)
       mark g.Circuit.output;
       Array.iter mark g.Circuit.inputs)
     (Circuit.gates_in_order l.Locked.circuit);
-  Array.iter mark (Locked.input_nets l);
-  Array.iter mark (Locked.output_nets l);
+  Array.iter mark (input_nets l);
+  Array.iter mark (output_nets l);
   let net_var =
     Array.init l.Locked.circuit.Circuit.next_net (fun n ->
         match share n with
         | Some v -> v
         | None -> if referenced.(n) then Cnf.fresh_var f else 0)
   in
-  let offset_of = Hashtbl.create 64 in
-  List.iter (fun (net, off) -> Hashtbl.replace offset_of net off) l.Locked.offsets;
+  (* the key layout: the LUT tables in gate order *)
+  let next_offset = ref 0 in
   List.iter
     (fun (g : Circuit.gate) ->
       match g.Circuit.kind with
       | Circuit.Lut table ->
         let out = net_var.(g.Circuit.output) in
-        let off = Hashtbl.find offset_of g.Circuit.output in
+        let off = !next_offset in
+        next_offset := off + Array.length table;
         let k = Array.length g.Circuit.inputs in
         assert (Array.length table = 1 lsl k);
         for row = 0 to (1 lsl k) - 1 do
@@ -63,8 +73,8 @@ let encode_locked (f : Cnf.t) (l : Locked.t) ~(key_vars : int array)
 let attack ~(budget : Sat_attack.budget)
     ~(observe : Solver.Incremental.stats -> unit) (l : Locked.t)
     ~(oracle : bool array -> bool array) : Sat_attack.outcome =
-  let ins = Locked.input_nets l in
-  let outs = Locked.output_nets l in
+  let ins = input_nets l in
+  let outs = output_nets l in
   let f = Cnf.create () in
   let key1 = Cnf.fresh_vars f l.Locked.key_bits in
   let key2 = Cnf.fresh_vars f l.Locked.key_bits in
@@ -97,7 +107,6 @@ let attack ~(budget : Sat_attack.budget)
     observe (Solver.Incremental.stats session);
     r
   in
-  let reused () = (Solver.Incremental.stats session).Solver.Incremental.learnt_reused in
   let record_dip (x : bool array) (y : bool array) : unit =
     let replay key =
       let map = encode_locked f l ~key_vars:key ~share:(fun _ -> None) in
@@ -112,8 +121,11 @@ let attack ~(budget : Sat_attack.budget)
     replay key2
   in
   let finish ~status ~iterations ~key =
+    let st = Solver.Incremental.stats session in
     { Sat_attack.status; iterations; key; key_bits = l.Locked.key_bits;
-      seconds = 0.0; conflicts = !spent; reused = reused () }
+      seconds = 0.0; conflicts = !spent;
+      decisions = st.Solver.Incremental.decisions;
+      reused = st.Solver.Incremental.learnt_reused }
   in
   let rec loop iterations =
     if iterations >= budget.Sat_attack.max_iterations then

@@ -23,6 +23,10 @@
    the largest, passes the clause-DB reduction ceiling; each row also
    pins the recovered key's digest.
 
+   Golden query stats: every query's session counters, decisions
+   included, over every valid candidate's attack in the satisfiable-query
+   regime of measured selection.
+
    Golden verdict keys: the strings verdicts persist under. *)
 
 module A = Alice
@@ -101,6 +105,16 @@ let golden_long_sessions =
         "iir.u_engine.u_quant 9x9 exhausted/40/3299/40539 -" ] );
     ( "GCD", `C2, Some "gcd.u_dp.u_reg_b|gcd.u_dp.u_sub",
       [ "gcd.u_dp.u_reg_b|gcd.u_dp.u_sub 6x6 exhausted/40/2099/27280 -" ] ) ]
+
+(* (design, configuration, digest): the MD5 of every query's
+   [Solver.Incremental.stats], one line per query, over the attacks of
+   every valid candidate at (500 conflicts, 4 DIPs), the deck's budget.
+   There nearly every query is satisfiable and decisions outnumber
+   conflicts by far, so this pins the branching order where the verdict
+   rows, which hold no decision, do not. *)
+let golden_query_stats =
+  [ ("SASC", `C1, "17f08c132aa5a3420cd3da950873426d");
+    ("SHA256", `C1, "6509e1ca9a2f2c3edbd4eff108363aa9") ]
 
 (* Golden verdict keys: the attack-verdict cache key of a candidate
    (design, configuration, cluster). Every persisted verdict is stored
@@ -192,6 +206,27 @@ let long_session_rows name cfg only =
       end)
     (run_flow name cfg).A.Flow.selection.A.Selection.valid
 
+let query_stats_digest name cfg =
+  let module Sec = Alice_security in
+  let module S = Alice_sat.Solver.Incremental in
+  let budget =
+    { Sec.Sat_attack.max_iterations = 4; solver_conflicts = Some 500 }
+  in
+  let lines = Buffer.create 4096 in
+  let observe (st : S.stats) =
+    Printf.bprintf lines "%d %d %d %d %d %d %d %d %d\n" st.S.queries
+      st.S.conflicts st.S.decisions st.S.propagations st.S.learnt_live
+      st.S.learnt_reused st.S.learnt_dropped st.S.learnt_ceiling st.S.reduces
+  in
+  List.iter
+    (fun (e : A.Selection.efpga_impl) ->
+      let l = Sec.Locked.of_mapped e.A.Selection.mapped in
+      ignore
+        (Sec.Sat_attack.attack ~budget ~observe l
+           ~oracle:(Sec.Locked.make_oracle l)))
+    (run_flow name cfg).A.Flow.selection.A.Selection.valid;
+  Digest.to_hex (Digest.string (Buffer.contents lines))
+
 let verdict_key name cfg cluster_key =
   let module F = Alice_fabric in
   let flow = run_flow name cfg in
@@ -238,6 +273,14 @@ let tests =
             Alcotest.(check (list string)) label want
               (long_session_rows name cfg only)))
       golden_long_sessions
+  @ List.map
+      (fun (name, cfg, want) ->
+        let label =
+          Printf.sprintf "%s %s query stats at 500/4" name (cfg_label cfg)
+        in
+        Alcotest.test_case label `Quick (fun () ->
+            Alcotest.(check string) label want (query_stats_digest name cfg)))
+      golden_query_stats
   @ List.map
       (fun (name, k, want) ->
         let label = Printf.sprintf "%s k=%d mapping" name k in

@@ -302,6 +302,38 @@ let test_measured_deterministic_across_jobs () =
   Alcotest.(check (list string)) "identical verdict rows" (rows serial)
     (rows parallel)
 
+(* ---------- a converged verdict carries a checked key ---------- *)
+
+(* An attack asks one query per DIP; a converged one then asks the
+   Unsat query and the key extraction, and the scorer proves the key
+   with one single-shot [Equiv] solve before the verdict stands. *)
+let test_converged_key_checked () =
+  let b = Option.get (B.find "gcd") in
+  let flow =
+    A.Flow.run_request (A.Flow.request ~config:(B.config1 b) (A.Flow.Ast (B.parse b)))
+  in
+  (* at 64 DIPs one cluster, [gcd.u_dp.u_mux_a], converges *)
+  let cfg = { (gcd_measured_cfg ()) with C.Flow_config.attack_iterations = 64 } in
+  let converged =
+    List.fold_left
+      (fun converged (e : A.Selection.efpga_impl) ->
+        let before = Sat.Solver.total_calls () in
+        let v = A.Selection.Scorer.attack_one cfg e.A.Selection.mapped in
+        let calls = Sat.Solver.total_calls () - before in
+        let dips = v.A.Selection.Scorer.v_iterations in
+        let label = e.A.Selection.cluster.A.Clustering.key ^ ": solver calls" in
+        match v.A.Selection.Scorer.v_status with
+        | Alice_security.Sat_attack.Converged ->
+          Alcotest.(check int) label (dips + 3) calls;
+          converged + 1
+        | Alice_security.Sat_attack.Exhausted ->
+          Alcotest.(check int) label dips calls;
+          converged
+        | Alice_security.Sat_attack.Inconclusive -> converged)
+      0 flow.A.Flow.selection.A.Selection.valid
+  in
+  Alcotest.(check bool) "some attack converges" true (converged > 0)
+
 let tests =
   [ Alcotest.test_case "score_eq1 degenerate maxima" `Quick
       test_score_eq1_degenerate;
@@ -316,4 +348,6 @@ let tests =
     Alcotest.test_case "verdict rows surface in reports" `Quick
       test_verdict_rows_in_report;
     Alcotest.test_case "measured deterministic across jobs" `Quick
-      test_measured_deterministic_across_jobs ]
+      test_measured_deterministic_across_jobs;
+    Alcotest.test_case "converged verdicts carry a checked key" `Quick
+      test_converged_key_checked ]

@@ -119,14 +119,17 @@ let test_key_check_exact () =
     [ N.Circuit.lut_count c; locked.Sec.Locked.key_bits;
       Array.length (Sec.Locked.input_nets locked) ];
   let y = (List.assoc "y" c.N.Circuit.outputs).(0) in
-  let lut =
-    List.find (fun (g : N.Circuit.gate) -> g.N.Circuit.output = y)
-      (N.Circuit.gates_in_order c)
+  (* the key is the LUT tables in gate order: the last bit of [y]'s *)
+  let rec last_bit off = function
+    | [] -> Alcotest.fail "no LUT drives y"
+    | (g : N.Circuit.gate) :: gs -> (
+      match g.N.Circuit.kind with
+      | N.Circuit.Lut table when g.N.Circuit.output = y ->
+        off + Array.length table - 1
+      | N.Circuit.Lut table -> last_bit (off + Array.length table) gs
+      | _ -> last_bit off gs)
   in
-  let bit =
-    List.assoc y locked.Sec.Locked.offsets
-    + (1 lsl Array.length lut.N.Circuit.inputs) - 1
-  in
+  let bit = last_bit 0 (N.Circuit.gates_in_order c) in
   let key = Array.copy locked.Sec.Locked.correct_key in
   key.(bit) <- not key.(bit);
   Alcotest.(check bool) "correct key accepted" true
