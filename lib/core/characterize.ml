@@ -21,6 +21,11 @@
     utilization target or width window re-runs no synthesis, mapping or
     packing, and places no width an earlier point already placed.
 
+    Each module is synthesized and mapped once per cache: a member's
+    piece is the netlist and mapped stages of its one-member identity,
+    and a multi-member cluster's mapped circuit is spliced from its
+    members' pieces ({!splice}), equal to mapping its whole netlist.
+
     Characterizations are independent of each other (the paper's
     per-cluster OpenFPGA fan-out), so {!run_all_stats} deduplicates the
     candidate set by cache key up front, characterizes each unique
@@ -57,10 +62,16 @@ type characterization = {
   mapped : N.Circuit.t option;  (* the LUT-mapped cluster, for security work *)
 }
 
+(* the synthetic top's name, and so the cluster circuit's *)
+let top_name = "efpga_cluster"
+
+(* member [i]'s port [port] on the synthetic top *)
+let top_port i port = Printf.sprintf "m%d_%s" i port
+
 (* Build a synthetic elaborated module instantiating member i as u<i>,
    its ports promoted to top-level ports named m<i>_<port>. *)
-let wrapper_emodule (design : V.Elaborate.design) (cluster : Clustering.cluster)
-    ~(name : string) : V.Elaborate.emodule =
+let wrapper_emodule (design : V.Elaborate.design) (members : V.Design.tree list)
+    : V.Elaborate.emodule =
   let ports = ref [] and nets = ref [] and instances = ref [] in
   List.iteri
     (fun i (member : V.Design.tree) ->
@@ -68,7 +79,7 @@ let wrapper_emodule (design : V.Elaborate.design) (cluster : Clustering.cluster)
       let bindings =
         List.map
           (fun (p : V.Elaborate.eport) ->
-            let top_name = Printf.sprintf "m%d_%s" i p.pname in
+            let top_name = top_port i p.pname in
             ports := { p with V.Elaborate.pname = top_name } :: !ports;
             nets :=
               { V.Elaborate.nname = top_name; nwidth = p.width;
@@ -83,24 +94,138 @@ let wrapper_emodule (design : V.Elaborate.design) (cluster : Clustering.cluster)
           ei_orig_module = em.V.Elaborate.em_orig_name;
           ei_bindings = bindings; ei_loc = V.Loc.none }
         :: !instances)
-    cluster.Clustering.members;
-  { V.Elaborate.em_name = name; em_orig_name = name;
+    members;
+  { V.Elaborate.em_name = top_name; em_orig_name = top_name;
     em_ports = List.rev !ports; em_nets = List.rev !nets; em_assigns = [];
     em_always = []; em_instances = List.rev !instances; em_params = [] }
+
+let members_netlist (design : V.Elaborate.design) (members : V.Design.tree list)
+    : N.Circuit.t =
+  N.Synth.synthesize
+    { V.Elaborate.d_top = top_name;
+      d_modules =
+        V.Elaborate.Smap.add top_name (wrapper_emodule design members)
+          design.V.Elaborate.d_modules }
 
 (** Synthesize the gate-level circuit of a cluster's synthetic top. *)
 let cluster_netlist (design : V.Elaborate.design) (cluster : Clustering.cluster)
     : N.Circuit.t =
-  let name = "efpga_cluster" in
-  let wrapper = wrapper_emodule design cluster ~name in
-  N.Synth.synthesize
-    { V.Elaborate.d_top = name;
-      d_modules = V.Elaborate.Smap.add name wrapper design.V.Elaborate.d_modules }
+  members_netlist design cluster.Clustering.members
 
-(** Synthesize and LUT-map the circuit a cluster would put on a fabric. *)
+(** Synthesize and LUT-map the circuit a cluster would put on a fabric,
+    the whole cluster at once. *)
 let cluster_circuit (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (cluster : Clustering.cluster) : N.Circuit.t =
   fst (N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs (cluster_netlist design cluster))
+
+(* The nets [Synth.synthesize] declares for one instance of [name]: one
+   per bit of each of its nets, then its instances' in order. *)
+let rec declared_bits (design : V.Elaborate.design) (name : string) : int =
+  let em = V.Elaborate.find_emodule design name in
+  List.fold_left
+    (fun n (e : V.Elaborate.enet) -> n + e.V.Elaborate.nwidth)
+    0 em.V.Elaborate.em_nets
+  + List.fold_left
+      (fun n (i : V.Elaborate.einstance) -> n + declared_bits design i.ei_module)
+      0 em.V.Elaborate.em_instances
+
+(* [splice design members pieces] is the whole cluster's mapped circuit,
+   [Lutmap.map] of [members_netlist design members], built from each
+   member's piece: the netlist and mapped circuit of the member alone.
+
+   [Synth.synthesize] numbers the synthetic top's nets in four blocks,
+   each in member order: T, the top's port nets; S, each member's
+   declared nets; P, the primary inputs; G, each member's gate outputs.
+   The constant-0 and constant-1 nets are allocated at their first use
+   anywhere, so a member whose constant an earlier member already
+   allocated reuses that net, and its later G nets move down by one. A
+   member alone allocates the same blocks with the same sizes, so its
+   piece relocates block by block. A member's logic reads only its own
+   nets and the constants, and no best cut holds a constant, so each
+   net's LUT is its piece's, relocated; one [Lutmap.cover] pass over the
+   cluster's roots emits them in the whole mapping's order. Leaves and
+   truth tables are fresh arrays per LUT, as the whole mapping's are. *)
+let splice (design : V.Elaborate.design) (members : V.Design.tree list)
+    (pieces : (N.Circuit.t * N.Circuit.t) list) : N.Circuit.t =
+  (* each member's T, S and P block sizes *)
+  let sizes =
+    List.map2
+      (fun (m : V.Design.tree) ((netlist : N.Circuit.t), _) ->
+        ( N.Circuit.io_bit_count netlist,
+          declared_bits design m.module_name,
+          N.Circuit.input_bit_count netlist ))
+      members pieces
+  in
+  let total f = List.fold_left (fun n size -> n + f size) 0 sizes in
+  let all_t = total (fun (t, _, _) -> t) and all_s = total (fun (_, s, _) -> s) in
+  let next_t = ref 0 and next_s = ref all_t and next_p = ref (all_t + all_s) in
+  let next_g = ref (all_t + all_s + total (fun (_, _, p) -> p)) in
+  let zero = ref None and one = ref None in
+  (* a member's piece net -> the cluster's net *)
+  let relocation (t, s, p) ((netlist : N.Circuit.t), _) : int array =
+    let r = Array.make netlist.N.Circuit.next_net 0 in
+    let block first size next =
+      for x = 0 to size - 1 do r.(first + x) <- !next + x done;
+      next := !next + size
+    in
+    block 0 t next_t;
+    block t s next_s;
+    block (t + s) p next_p;
+    let g0 = t + s + p in
+    let constants =
+      List.filter_map
+        (fun (g : N.Circuit.gate) ->
+          match g.kind with
+          | N.Circuit.Const b when g.output >= g0 ->
+            Some (g.output, if b then one else zero)
+          | N.Circuit.Const _ | N.Circuit.Buf | N.Circuit.Not | N.Circuit.And
+          | N.Circuit.Or | N.Circuit.Xor | N.Circuit.Xnor | N.Circuit.Nand
+          | N.Circuit.Nor | N.Circuit.Mux | N.Circuit.Lut _ -> None)
+        netlist.N.Circuit.gates
+    in
+    for x = g0 to netlist.N.Circuit.next_net - 1 do
+      match List.assoc_opt x constants with
+      | Some { contents = Some shared } -> r.(x) <- shared
+      | constant ->
+        r.(x) <- !next_g;
+        Option.iter (fun c -> c := Some !next_g) constant;
+        incr next_g
+    done;
+    r
+  in
+  let relocated = List.map2 (fun size piece -> (relocation size piece, snd piece)) sizes pieces in
+  let luts = Array.make !next_g None in
+  let move r nets = Array.map (fun n -> r.(n)) nets in
+  List.iter
+    (fun (r, (mapped : N.Circuit.t)) ->
+      List.iter
+        (fun (g : N.Circuit.gate) ->
+          match g.kind with
+          | N.Circuit.Lut table ->
+            luts.(r.(g.output)) <- Some (move r g.inputs, Array.copy table)
+          | N.Circuit.Const _ | N.Circuit.Buf | N.Circuit.Not | N.Circuit.And
+          | N.Circuit.Or | N.Circuit.Xor | N.Circuit.Xnor | N.Circuit.Nand
+          | N.Circuit.Nor | N.Circuit.Mux -> ())
+        mapped.N.Circuit.gates)
+    relocated;
+  (* a piece's port [m0_<port>] as member [i]'s *)
+  let ports i r =
+    List.map (fun (name, nets) ->
+        (top_port i (String.sub name 3 (String.length name - 3)), move r nets))
+  in
+  let c = N.Circuit.create top_name in
+  c.N.Circuit.next_net <- !next_g;
+  c.N.Circuit.inputs <-
+    List.concat (List.mapi (fun i (r, (m : N.Circuit.t)) -> ports i r m.inputs) relocated);
+  c.N.Circuit.outputs <-
+    List.concat (List.mapi (fun i (r, (m : N.Circuit.t)) -> ports i r m.outputs) relocated);
+  (* newest first: the last member's flip-flops lead *)
+  c.N.Circuit.dffs <-
+    List.concat_map
+      (fun (r, (m : N.Circuit.t)) ->
+        List.map (fun (d : N.Circuit.dff) -> { N.Circuit.d = r.(d.d); q = r.(d.q) }) m.dffs)
+      (List.rev relocated);
+  N.Lutmap.cover c ~lut:(fun net -> luts.(net))
 
 (* One in-memory stage: its memo table and its lookup counters. *)
 type 'v stage = {
@@ -220,21 +345,23 @@ let config_keys (cfg : C.Flow_config.t) : config_keys =
     cfg_placed = digest "placed" [ C.Flow_config.Placed ] }
 
 (* A cluster's identity, the netlist stage's key and the start of
-   every other: the members in cluster order, each [module@digest].
-   Ordered, since member [i]'s ports are the fabric's GPIO group [i];
-   no instance names, since [wrapper_emodule] reads none. *)
-let identity (digest_of : string -> string) (cluster : Clustering.cluster)
-    : string =
-  cluster.Clustering.members
-  |> List.map (fun (m : V.Design.tree) ->
-         m.module_name ^ "@" ^ digest_of m.module_name)
-  |> String.concat "|"
+   every other: its members' ids [module@digest] in cluster order, a
+   one-member identity each. Ordered, since member [i]'s ports are the
+   fabric's GPIO group [i]; no instance names, since [wrapper_emodule]
+   reads none. *)
+let member_ids (digest_of : string -> string) (cluster : Clustering.cluster)
+    : string list =
+  List.map
+    (fun (m : V.Design.tree) -> m.module_name ^ "@" ^ digest_of m.module_name)
+    cluster.Clustering.members
+
+let identity (ids : string list) : string = String.concat "|" ids
 
 let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
     Clustering.cluster -> string =
   let digest_of = subtree_digester design in
   let final = (config_keys cfg).cfg_final in
-  fun cluster -> identity digest_of cluster ^ "#" ^ final
+  fun cluster -> identity (member_ids digest_of cluster) ^ "#" ^ final
 
 (* a short human label for diagnostics: the cluster's member instances *)
 let cluster_label (cluster : Clustering.cluster) : string =
@@ -288,22 +415,43 @@ let retarget (cluster : Clustering.cluster) (c : characterization) :
   in
   { c with cluster; outcome }
 
-(* Characterize one cluster through the stages of [stages] ([nkey] is
-   its identity). Any exception escaping synthesis, LUT mapping or
+(* Characterize one cluster through the stages of [stages] ([ids] are
+   its members' identities). A one-member cluster is its member's piece:
+   its netlist, then its mapped circuit. A larger one splices its
+   mapped circuit from its members' pieces, unless one of them raises:
+   then it is synthesized and mapped whole, so its fault reads as the
+   whole cluster's. Any exception escaping synthesis, LUT mapping or
    the size search — except [Out_of_memory], which is not safely
    resumable — becomes a [Failed] outcome carrying a diagnostic, so a
    single broken cluster degrades to one lost candidate instead of
    aborting the run. *)
 let compute (stages : cache) (design : V.Elaborate.design)
     (cfg : C.Flow_config.t) (keys : config_keys)
-    ((nkey, cluster) : string * Clustering.cluster) : characterization =
+    ((ids, cluster) : string list * Clustering.cluster) : characterization =
+  let k = cfg.C.Flow_config.lut_inputs in
+  let nkey = identity ids in
   let mkey = nkey ^ "#" ^ keys.cfg_mapped in
-  match
+  let piece id member =
     let netlist =
-      through stages.netlists nkey (fun () -> cluster_netlist design cluster)
+      through stages.netlists id (fun () -> members_netlist design [ member ])
     in
-    through stages.mapped_circuits mkey (fun () ->
-        fst (N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs netlist))
+    ( netlist,
+      through stages.mapped_circuits (id ^ "#" ^ keys.cfg_mapped) (fun () ->
+          fst (N.Lutmap.map ~k netlist)) )
+  in
+  match
+    match (ids, cluster.Clustering.members) with
+    | [ id ], [ member ] -> snd (piece id member)
+    | _, members ->
+      through stages.mapped_circuits mkey (fun () ->
+          match List.map2 piece ids members with
+          | pieces -> splice design members pieces
+          | exception Out_of_memory -> raise Out_of_memory
+          | exception _ ->
+            let netlist =
+              through stages.netlists nkey (fun () -> cluster_netlist design cluster)
+            in
+            fst (N.Lutmap.map ~k netlist))
   with
   | exception Out_of_memory -> raise Out_of_memory
   | exception e ->
@@ -371,8 +519,8 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
       (compute cache design cfg keys)
       (List.map
          (fun cluster ->
-           let nkey = identity digest_of cluster in
-           (nkey ^ "#" ^ keys.cfg_final, (nkey, cluster)))
+           let ids = member_ids digest_of cluster in
+           (identity ids ^ "#" ^ keys.cfg_final, (ids, cluster)))
          clusters)
   in
   ( List.map2 retarget clusters r.Memo.values,

@@ -41,9 +41,25 @@ type characterization = {
     module instantiating every member with all ports exposed. *)
 val cluster_netlist : V.Elaborate.design -> Clustering.cluster -> N.Circuit.t
 
-(** Synthesize and LUT-map the circuit a cluster would put on a fabric. *)
+(** Synthesize and LUT-map the circuit a cluster would put on a fabric,
+    the whole cluster at once: {!cluster_netlist}, then
+    {!Alice_netlist.Lutmap.map}. Characterization maps a cluster of two
+    or more members whole only when a member's piece raises (see
+    {!cache}). *)
 val cluster_circuit :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> N.Circuit.t
+
+(** [splice design members pieces] is the mapped circuit of the cluster
+    of [members], {!cluster_circuit}'s value with the same sharing,
+    built without synthesizing or mapping anything: [pieces] holds each
+    member's piece, in member order, that is the member alone as a
+    cluster, its {!cluster_netlist} and that netlist's
+    {!Alice_netlist.Lutmap.map} circuit at the cluster's k. Members of
+    one module may share a piece. Characterization builds every cluster
+    of two or more members this way (see {!cache}). *)
+val splice :
+  V.Elaborate.design -> V.Design.tree list -> (N.Circuit.t * N.Circuit.t) list ->
+  N.Circuit.t
 
 (** Shared characterization cache: a mutex-guarded memo table keyed by
     {!keyer}, safe to share across worker domains and across runs.
@@ -53,12 +69,21 @@ val cluster_circuit :
 
     A miss is computed through four in-memory stage tables the cache
     also owns, each keyed by its parent's key plus exactly what the
-    stage reads: [netlist] (the cluster's identity, as in {!keyer}),
-    [mapped] (+ k), [packed] (+ LUTs and FFs per CLB) and [placed]
-    (+ GPIO per tile and one fabric width). A stage is written only when
-    it returns, so a fault is never reused; stage lookups run inside
-    the one pooled task of their characterization. The stages add
-    nothing to the persistent store: the final entry is the same.
+    stage reads: [netlist] (an identity, as in {!keyer}), [mapped]
+    (+ k), [packed] (+ LUTs and FFs per CLB) and [placed] (+ GPIO per
+    tile and one fabric width). The netlist and mapped stages hold
+    pieces: a member's piece is the netlist and mapped entries of its
+    one-member identity [module@digest], so each module is synthesized
+    and mapped once per cache. A one-member cluster is its piece. A
+    larger cluster's mapped entry, looked up first, is on a miss
+    {!splice}d from its members' pieces; when a piece raises, the
+    cluster is synthesized into its own netlist entry and mapped whole,
+    so its fault is the one {!cluster_circuit} raises. A stage is
+    written only when it returns, so a fault is never reused; a lookup
+    that finds its key being computed waits for it, so each entry is
+    computed once for any [jobs]; stage lookups run inside the one
+    pooled task of their characterization. The stages add nothing to
+    the persistent store: the final entry is the same.
 
     The cache also holds {!Flow}'s front end as one more in-memory
     stage, [front] (see {!front_stage}). *)

@@ -336,6 +336,45 @@ let enumerate_cuts ~k (c : Circuit.t) (gates : Circuit.gate array)
     (Simulate.levelize c);
   (cuts, best)
 
+(* The cover [map] ends with: a breadth-first pass from [c]'s roots
+   that emits [lut net] for each demanded net and demands its leaves in
+   order. A net is "covered" by a LUT whose function is its cone over
+   the chosen leaves; primary inputs and DFF outputs need none. *)
+let cover_luts (c : Circuit.t)
+    ~(lut : Circuit.net -> (Circuit.net array * bool array) option) :
+    Circuit.t * (Circuit.net * Circuit.net array * bool array) list =
+  let is_source = Circuit.source_nets c in
+  let required = Queue.create () in
+  let visited = Array.make c.Circuit.next_net false in
+  let demand net =
+    if (not is_source.(net)) && not visited.(net) then begin
+      visited.(net) <- true;
+      Queue.add net required
+    end
+  in
+  List.iter demand (root_nets c);
+  let luts = ref [] in
+  while not (Queue.is_empty required) do
+    let net = Queue.pop required in
+    Option.iter
+      (fun (leaves, table) ->
+        luts := (net, leaves, table) :: !luts;
+        Array.iter demand leaves)
+      (lut net)
+  done;
+  let mapped = Circuit.create (c.Circuit.name ^ "_lutmapped") in
+  mapped.Circuit.next_net <- c.Circuit.next_net;
+  mapped.Circuit.inputs <- c.Circuit.inputs;
+  mapped.Circuit.outputs <- c.Circuit.outputs;
+  mapped.Circuit.dffs <- c.Circuit.dffs;
+  List.iter
+    (fun (net, leaves, table) ->
+      Circuit.add_gate_with_output mapped (Circuit.Lut table) leaves ~output:net)
+    !luts;
+  (mapped, !luts)
+
+let cover c ~lut = fst (cover_luts c ~lut)
+
 (** Map a circuit onto k-LUTs. Returns the mapped circuit (LUT gates
     only, same net ids) and the mapping description.
 
@@ -374,61 +413,34 @@ let map ~k (c : Circuit.t) : Circuit.t * mapping =
           (fun (d : Circuit.dff) -> { d with Circuit.d = resolve_alias d.d })
           c.Circuit.dffs }
   in
-  (* a net is "covered" by emitting a LUT whose function is its cone over
-     the chosen cut; cut leaves become new cover obligations *)
-  let required = Queue.create () in
-  let visited = Array.make c.Circuit.next_net false in
-  let demand net =
-    if (not is_source.(net)) && not visited.(net) then begin
-      visited.(net) <- true;
-      Queue.add net required
-    end
-  in
-  List.iter demand (root_nets c);
   let memo = Array.make c.Circuit.next_net [||] in
-  let luts = ref [] in
-  while not (Queue.is_empty required) do
-    let net = Queue.pop required in
-    let emit_const_or_copy () =
+  let lut net =
+    let b = best.(net) in
+    if b >= 0 && not (cuts.len.(b) = 1 && cuts.leaves.(b * k) = net) then begin
+      let leaves = leaves_of cuts b in
+      Some (leaves, truth_table gates producer memo leaves net)
+    end
+    else if producer.(net) < 0 then None
+    else
       (* no combinational cut: constant driver, or a root aliasing a
          source through buffers *)
-      if producer.(net) >= 0 then
-        let g = gates.(producer.(net)) in
-        match g.Circuit.kind with
-        | Circuit.Const b -> luts := (net, [], [| b |]) :: !luts
-        | Circuit.Buf ->
-          let src = g.Circuit.inputs.(0) in
-          let table = truth_table gates producer memo [| src |] net in
-          demand src;
-          luts := (net, [ src ], table) :: !luts
-        | Circuit.Not | Circuit.And | Circuit.Or | Circuit.Xor | Circuit.Xnor
-        | Circuit.Nand | Circuit.Nor | Circuit.Mux | Circuit.Lut _ ->
-          invalid_arg
-            (Printf.sprintf "Lutmap.map: no cut of at most %d leaves covers the \
-                             %d-input gate driving net %d"
-               k (Array.length g.Circuit.inputs) net)
-    in
-    let b = best.(net) in
-    if b < 0 || (cuts.len.(b) = 1 && cuts.leaves.(b * k) = net) then
-      emit_const_or_copy ()
-    else begin
-      let leaves = leaves_of cuts b in
-      let table = truth_table gates producer memo leaves net in
-      luts := (net, Array.to_list leaves, table) :: !luts;
-      Array.iter demand leaves
-    end
-  done;
-  let mapped = Circuit.create (c.Circuit.name ^ "_lutmapped") in
-  mapped.Circuit.next_net <- c.Circuit.next_net;
-  mapped.Circuit.inputs <- c.Circuit.inputs;
-  mapped.Circuit.outputs <- c.Circuit.outputs;
-  mapped.Circuit.dffs <- c.Circuit.dffs;
-  List.iter
-    (fun (net, leaves, table) ->
-      Circuit.add_gate_with_output mapped (Circuit.Lut table)
-        (Array.of_list leaves) ~output:net)
-    !luts;
-  (mapped, { k; luts = !luts })
+      let g = gates.(producer.(net)) in
+      match g.Circuit.kind with
+      | Circuit.Const b -> Some ([||], [| b |])
+      | Circuit.Buf ->
+        let src = [| g.Circuit.inputs.(0) |] in
+        Some (src, truth_table gates producer memo src net)
+      | Circuit.Not | Circuit.And | Circuit.Or | Circuit.Xor | Circuit.Xnor
+      | Circuit.Nand | Circuit.Nor | Circuit.Mux | Circuit.Lut _ ->
+        invalid_arg
+          (Printf.sprintf "Lutmap.map: no cut of at most %d leaves covers the \
+                           %d-input gate driving net %d"
+             k (Array.length g.Circuit.inputs) net)
+  in
+  let mapped, luts = cover_luts c ~lut in
+  ( mapped,
+    { k;
+      luts = List.map (fun (net, leaves, table) -> (net, Array.to_list leaves, table)) luts } )
 
 let lut_count (m : mapping) = List.length m.luts
 

@@ -17,6 +17,21 @@ type mapping = {
     is none. *)
 val map : k:int -> Circuit.t -> Circuit.t * mapping
 
+(** [cover c ~lut] is the cover {!map} ends with, for a caller that
+    already knows each net's LUT: a breadth-first pass from [c]'s roots
+    (its outputs, then its DFFs' D pins, in list order) that emits
+    [lut net], leaves and truth table, for every net it reaches that is
+    neither a primary input nor a DFF output, and demands that LUT's
+    leaves in order; [None] emits nothing. [c]'s outputs and D pins must
+    already be rewired past buffer chains, as {!map} rewires them, and
+    its gates are not read. The result keeps [c]'s net numbering, I/O
+    and DFFs, has the emitted LUTs as its only gates, and is named
+    [c]'s name with [_lutmapped]. Each LUT's arrays go into the circuit
+    as given. *)
+val cover :
+  Circuit.t -> lut:(Circuit.net -> (Circuit.net array * bool array) option) ->
+  Circuit.t
+
 val lut_count : mapping -> int
 
 (** Depth in LUT levels of a mapped circuit. *)

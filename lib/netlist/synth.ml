@@ -815,7 +815,17 @@ let rec drive_module st path (em : V.Elaborate.emodule) =
 
 (** Flatten an elaborated design into a gate-level circuit. The circuit's
     primary inputs/outputs are the top module's ports. Undriven nets are
-    tied to constant 0 (matching the simulator's x-free semantics). *)
+    tied to constant 0 (matching the simulator's x-free semantics).
+
+    Nets are numbered in four blocks: the top's own nets; each
+    instance's declared nets, depth first in instance order; the
+    primary inputs, in port order; and the gate outputs, in drive order
+    (a module's assignments, then its always blocks, then each instance
+    in turn). The constant-0 and constant-1 nets
+    are gate outputs allocated once, at their first use anywhere, and
+    tie-offs drive declared nets without allocating any.
+    [Characterize.splice] relies on this order to relocate a cluster
+    member's netlist into the whole cluster's. *)
 let synthesize ?name (d : V.Elaborate.design) : Circuit.t =
   let top = V.Elaborate.find_emodule d d.V.Elaborate.d_top in
   let circuit = Circuit.create (Option.value name ~default:top.em_name) in

@@ -1,12 +1,15 @@
 type ('k, 'v) t = {
   mu : Mutex.t;
   tbl : ('k, 'v) Hashtbl.t;
+  claims : ('k, unit) Hashtbl.t;  (* keys a [find_or_compute] is computing *)
+  released : Condition.t;  (* broadcast whenever a claim is dropped *)
   load : ('k -> 'v option) option;
   save : ('k -> 'v -> unit) option;
 }
 
 let create ?(size = 64) ?load ?save () =
-  { mu = Mutex.create (); tbl = Hashtbl.create size; load; save }
+  { mu = Mutex.create (); tbl = Hashtbl.create size; claims = Hashtbl.create 8;
+    released = Condition.create (); load; save }
 
 (* [No_sharing] makes the blob a function of structure alone: the
    digest is stable across processes and equal for equal values however
@@ -30,14 +33,37 @@ let set (t : ('k, 'v) t) (k : 'k) (v : 'v) : unit =
   Mutex.protect t.mu (fun () -> Hashtbl.replace t.tbl k v);
   Option.iter (fun save -> save k v) t.save
 
+(* A claim on [k] makes its caller the one that computes it: another
+   caller waits for the value instead of computing it a second time. *)
 let find_or_compute (t : ('k, 'v) t) (k : 'k) (compute : unit -> 'v) :
     'v * bool =
-  match find_opt t k with
+  (* under [t.mu]: the value held for [k], else a claim on it once no
+     other caller holds one *)
+  let rec claim () =
+    match Hashtbl.find_opt t.tbl k with
+    | Some v -> Some v
+    | None when Hashtbl.mem t.claims k ->
+      Condition.wait t.released t.mu;
+      claim ()
+    | None ->
+      Hashtbl.replace t.claims k ();
+      None
+  in
+  match Mutex.protect t.mu claim with
   | Some v -> (v, true)
   | None ->
-    let v = compute () in
-    set t k v;
-    (v, false)
+    let release () =
+      Mutex.protect t.mu (fun () ->
+          Hashtbl.remove t.claims k;
+          Condition.broadcast t.released)
+    in
+    Fun.protect ~finally:release (fun () ->
+        match find_opt t k with
+        | Some v -> (v, true)
+        | None ->
+          let v = compute () in
+          set t k v;
+          (v, false))
 
 type ('k, 'v) resolution = {
   values : 'v list;

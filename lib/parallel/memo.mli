@@ -5,9 +5,10 @@
 
     Lookups and write-backs are atomic with respect to each other and
     computation runs outside the lock, so a slow computation never
-    blocks other keys. Two batches racing on one key may both compute
-    it; the last write-back wins, which is safe for any pure keyed
-    computation.
+    blocks other keys. Two {!resolve} batches racing on one key may
+    both compute it; the last write-back wins, which is safe for any
+    pure keyed computation. {!find_or_compute} computes a key once: a
+    second caller waits for the first.
 
     A table may be backed by a store: [load] is consulted (outside the
     lock) on an in-memory miss and its hit is installed, so the store is
@@ -36,8 +37,11 @@ val digest : 'a -> string
     memory or from [load]) paired with [true], else [compute ()] written
     back and paired with [false]: {!resolve} for one key, without its
     {!Pool} dispatch, so a lookup nested inside a pooled task costs no
-    task or worker of its own. An exception from [compute] propagates
-    and nothing is written back. *)
+    task or worker of its own. A caller that finds [k] being computed
+    by another [find_or_compute] waits for that value and gets it as a
+    hit, so a key is computed once however many domains ask for it at
+    once. An exception from [compute] propagates and nothing is written
+    back; a waiting caller then computes [k] itself. *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
 
 (** What one {!resolve} call produced: one value per item in item

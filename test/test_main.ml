@@ -18,6 +18,7 @@ let () =
       ("clustering", Test_clustering.tests);
       ("engine", Test_engine.tests);
       ("stages", Test_stages.tests);
+      ("splice", Test_splice.tests);
       ("pareto", Test_pareto.tests);
       ("advisor", Test_advisor.tests);
       ("scorer", Test_scorer.tests);

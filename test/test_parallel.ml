@@ -106,6 +106,41 @@ let test_memo_contention () =
   Alcotest.(check int) "all 8 keys cached" 8 r.P.Memo.hits;
   Alcotest.(check int) "no recomputation" n (Atomic.get computed)
 
+(* Four domains look up one key at once, the first computation held
+   until all four have arrived: it runs once and the others wait for
+   it, as hits. When it raises, one waiter computes the key in turn. *)
+let test_find_or_compute_once () =
+  let callers = 4 in
+  let run ~fail_first =
+    let memo : (int, int) P.Memo.t = P.Memo.create () in
+    let arrived = Atomic.make 0 and calls = Atomic.make 0 in
+    let compute () =
+      let call = Atomic.fetch_and_add calls 1 in
+      while Atomic.get arrived < callers do Domain.cpu_relax () done;
+      Unix.sleepf 0.02;
+      if fail_first && call = 0 then raise (Failure "first computation");
+      42
+    in
+    let lookup () =
+      Atomic.incr arrived;
+      match P.Memo.find_or_compute memo 7 compute with
+      | v, hit -> Ok (v, hit)
+      | exception Failure _ -> Error ()
+    in
+    let results = List.map Domain.join (List.init callers (fun _ -> Domain.spawn lookup)) in
+    (Atomic.get calls, results)
+  in
+  let calls, results = run ~fail_first:false in
+  Alcotest.(check int) "computed once" 1 calls;
+  Alcotest.(check (list (result (pair int bool) unit))) "one computation, three hits"
+    [ Ok (42, false); Ok (42, true); Ok (42, true); Ok (42, true) ]
+    (List.sort compare results);
+  let calls, results = run ~fail_first:true in
+  Alcotest.(check int) "computed again after a raise" 2 calls;
+  Alcotest.(check (list (result (pair int bool) unit))) "the raise reaches its caller only"
+    [ Ok (42, false); Ok (42, true); Ok (42, true); Error () ]
+    (List.sort compare results)
+
 exception Rejected of int
 
 (* Random items with duplicate keys, resolved at jobs 1 and 4 against a
@@ -257,6 +292,8 @@ let tests =
       test_should_stop_skips_undispatched;
     Alcotest.test_case "memo table under domain contention" `Quick
       test_memo_contention;
+    Alcotest.test_case "find_or_compute computes a key once" `Quick
+      test_find_or_compute_once;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2022 |])
       resolve_prop;
     Alcotest.test_case "flow: jobs=1 vs jobs=4 equivalence" `Slow
