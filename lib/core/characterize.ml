@@ -79,13 +79,13 @@ let wrapper_emodule (design : V.Elaborate.design) (members : V.Design.tree list)
       let bindings =
         List.map
           (fun (p : V.Elaborate.eport) ->
-            let top_name = top_port i p.pname in
-            ports := { p with V.Elaborate.pname = top_name } :: !ports;
+            let name = top_port i p.pname in
+            ports := { p with V.Elaborate.pname = name } :: !ports;
             nets :=
-              { V.Elaborate.nname = top_name; nwidth = p.width;
+              { V.Elaborate.nname = name; nwidth = p.width;
                 nkind = V.Ast.Wire }
               :: !nets;
-            (p.pname, Some (V.Ast.Ident top_name)))
+            (p.pname, Some (V.Ast.Ident name)))
           em.V.Elaborate.em_ports
       in
       instances :=

@@ -223,6 +223,14 @@ let test_generated_designs () =
           saw "one module twice";
         List.iter
           (fun (m : V.Design.tree) ->
+            let em = V.Elaborate.find_emodule design m.module_name in
+            let has dir =
+              List.exists (fun (p : V.Elaborate.eport) -> p.dir = dir) em.em_ports
+            in
+            if not (has V.Ast.Input) then saw "a member with no input";
+            if not (has V.Ast.Output) then saw "a member with no output";
+            if em.em_always = [] && em.em_instances = [] then
+              saw "a member with no register";
             if m.children <> [] then saw "nested instances";
             if m.module_name <> m.orig_module_name then saw "a specialization")
           members;
@@ -234,7 +242,9 @@ let test_generated_designs () =
       (generated_clusters st design ~n:8)
   done;
   Alcotest.(check (list string)) "shapes covered"
-    [ "a specialization"; "nested instances"; "one module twice" ]
+    [ "a member with no input"; "a member with no output";
+      "a member with no register"; "a specialization"; "nested instances";
+      "one module twice" ]
     (List.sort compare (List.of_seq (Hashtbl.to_seq_keys shapes)));
   Alcotest.(check (pair int int)) "(spliced, raised on both paths)" (1164, 36)
     (tally.same, tally.raised)
