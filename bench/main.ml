@@ -245,7 +245,7 @@ let run_security () =
       let b = Option.get (B.find bench) in
       let design = B.elaborate b in
       let circuit = N.Synth.synthesize_module design module_name in
-      let mapped, _ = N.Lutmap.map ~k:4 circuit in
+      let mapped = N.Lutmap.map ~k:4 circuit in
       attack_one label mapped)
     [ ("GCD/ctrl", "GCD", "gcd_ctrl");
       ("GCD/is_zero", "GCD", "is_zero");

@@ -5,7 +5,6 @@
      alice redact   - < design.v             # same, source on stdin
      alice sweep    design.v -c sweep.yaml   # config grid over one design
      alice attack    design.v -m module      # lock a module and SAT-attack it
-     alice decompose design.v -m module      # fine-grained redaction prep
      alice simulate  design.v --vcd out.vcd  # random-stimulus simulation
      alice bench     <name>                  # run a bundled benchmark
      alice serve     --socket /run/alice.sock  # long-lived redaction daemon
@@ -588,7 +587,7 @@ let attack_cmd =
         let ast = load_design file in
         let d = A.Flow.elaborate_checked ast in
         let circuit = N.Synth.synthesize_module d module_name in
-        let mapped, _ = N.Lutmap.map ~k:4 circuit in
+        let mapped = N.Lutmap.map ~k:4 circuit in
         Format.printf "module %s: %d LUTs, %d FFs, %d I/O bits@." module_name
           (N.Circuit.lut_count mapped) (N.Circuit.dff_count mapped)
           (N.Circuit.io_bit_count mapped);
@@ -625,35 +624,6 @@ let attack_cmd =
     Term.(const run $ design_arg $ module_name $ iterations $ solver_budget
           $ diag_format)
 
-(* ---------- decompose ---------- *)
-
-let decompose_cmd =
-  let module_name =
-    Arg.(required & opt (some string) None & info [ "m"; "module" ] ~docv:"MODULE")
-  in
-  let pins = Arg.(value & opt int 64 & info [ "pins" ] ~docv:"N") in
-  let run file module_name pins output fmt =
-    handle_errors ~fmt (fun () ->
-        let ast = load_design file in
-        match A.Decompose.decompose_module ast ~module_name ~max_io_pins:pins with
-        | exception A.Decompose.Unsupported msg ->
-          render_diags fmt
-            [ D.error ~code:"E0802" "cannot decompose: %s" msg ];
-          1
-        | design', plan ->
-          List.iter2
-            (fun part outs ->
-              Format.eprintf "%s <- outputs {%s}@." part (String.concat ", " outs))
-            plan.A.Decompose.part_names plan.A.Decompose.group_outputs;
-          write_output output (V.Pp.design_to_string design');
-          0)
-  in
-  Cmd.v
-    (Cmd.info "decompose"
-       ~doc:"Split a combinational module into eFPGA-sized parts              (fine-grained redaction pre-processing)")
-    Term.(const run $ design_arg $ module_name $ pins $ output_arg
-          $ diag_format)
-
 (* ---------- simulate ---------- *)
 
 let simulate_cmd =
@@ -685,7 +655,8 @@ let simulate_cmd =
         done;
         List.iter
           (fun (name, _) ->
-            Format.printf "%s = %d@." name (N.Simulate.read_output sim name))
+            Format.printf "%s = %s@." name
+              (N.Simulate.string_of_bits (N.Simulate.read_output_bits sim name)))
           c.N.Circuit.outputs;
         (match vcd_out with
         | Some path ->
@@ -905,7 +876,8 @@ let client_cmd =
   in
   let timeout =
     Arg.(value & opt float 300.0
-         & info [ "timeout" ] ~docv:"S" ~doc:"Response timeout in seconds.")
+         & info [ "timeout" ] ~docv:"S"
+             ~doc:"Response timeout in seconds; positive and finite.")
   in
   let retry_attempts =
     Arg.(value & opt int 1
@@ -1107,5 +1079,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ inspect_cmd; redact_cmd; sweep_cmd; advise_cmd; attack_cmd;
-            decompose_cmd; simulate_cmd; bench_cmd; serve_cmd; client_cmd;
-            cache_cmd ]))
+            simulate_cmd; bench_cmd; serve_cmd; client_cmd; cache_cmd ]))

@@ -551,6 +551,30 @@ for flag in --idle-timeout --deadline; do
   fi
 done
 
+# so does the client, before opening a socket: a zero receive timeout
+# would mean none at all, and the client would wait forever
+set +e
+"$ALICE" client --timeout 0 --op ping -s "unix:$tmpdir/absent.sock" \
+  --diag-format=json > "$tmpdir/client0.json" 2> /dev/null
+code=$?
+set -e
+if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/client0.json"; then
+  echo "check.sh: client --timeout 0 exited $code without E0602:" >&2
+  cat "$tmpdir/client0.json" >&2
+  exit 1
+fi
+
+# simulate prints an output wider than an int from its bits: 2^69 + 1
+# on 70 bits, not the 33 an int wraps it to
+printf "module top(output [69:0] y);\n  assign y = {1'b1, 34'd0, 34'd0, 1'b1};\nendmodule\n" \
+  > "$tmpdir/wide70.v"
+"$ALICE" simulate "$tmpdir/wide70.v" --cycles 1 > "$tmpdir/wide70.txt"
+if ! grep -qx "y = 70'h200000000000000001" "$tmpdir/wide70.txt"; then
+  echo "check.sh: simulate printed a 70-bit output wrong:" >&2
+  cat "$tmpdir/wide70.txt" >&2
+  exit 1
+fi
+
 # a utilization outside (0, 1] is a configuration error (E0602), refused
 # before any characterization -- not a design without a feasible
 # redaction (E0801)

@@ -11,6 +11,7 @@ module A = Alice
 module B = Alice_benchmarks.Suite
 module C = Alice_config
 module F = Alice_fabric
+module N = Alice_netlist
 module V = Alice_verilog
 
 let flow_ast ~config ast =
@@ -57,8 +58,14 @@ let () =
     Format.printf "best solution: %a@." A.Selection.pp_solution best;
     List.iter
       (fun (e : A.Selection.efpga_impl) ->
-        Format.printf "  eFPGA %a <- {%s}@." F.Size_search.pp_implementation
-          e.impl e.cluster.A.Clustering.key)
+        let fabric = e.impl.F.Size_search.fabric in
+        Format.printf
+          "  eFPGA %s: %d LUTs, %d FFs, %d I/O; CLB util %.0f%%, I/O util \
+           %.0f%%, %d cfg bits <- {%s}@."
+          (F.Fabric.size_label fabric) (N.Circuit.lut_count e.mapped)
+          (N.Circuit.dff_count e.mapped) (N.Circuit.io_bit_count e.mapped)
+          (100. *. e.impl.clb_util) (100. *. e.impl.io_util)
+          (F.Bitstream.length fabric) e.cluster.A.Clustering.key)
       best.A.Selection.efpgas);
 
   (* redacted design generation *)

@@ -116,7 +116,7 @@ let cluster_netlist (design : V.Elaborate.design) (cluster : Clustering.cluster)
     the whole cluster at once. *)
 let cluster_circuit (design : V.Elaborate.design) (cfg : C.Flow_config.t)
     (cluster : Clustering.cluster) : N.Circuit.t =
-  fst (N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs (cluster_netlist design cluster))
+  N.Lutmap.map ~k:cfg.C.Flow_config.lut_inputs (cluster_netlist design cluster)
 
 (* The nets [Synth.synthesize] declares for one instance of [name]: one
    per bit of each of its nets, then its instances' in order. *)
@@ -326,9 +326,10 @@ let subtree_digester (design : V.Elaborate.design) : string -> string =
   in
   digest_of
 
-(* [v5]: the stored implementation and mapped circuit dropped
-   [lut_depth] and [ff_path] ([v4] started the final key from the
-   ordered [identity], not the member multiset) *)
+(* [v6]: the stored implementation dropped the fields read back from
+   its mapped circuit, placement and fabric ([v5] dropped [lut_depth]
+   and [ff_path]; [v4] started the final key from the ordered
+   [identity], not the member multiset) *)
 type config_keys = {
   cfg_final : string;
   cfg_mapped : string;
@@ -339,7 +340,7 @@ type config_keys = {
 let config_keys (cfg : C.Flow_config.t) : config_keys =
   let fields = C.Flow_config.classify cfg in
   let digest tag stages = C.Flow_config.digest tag stages fields in
-  { cfg_final = digest "v5" C.Flow_config.characterization;
+  { cfg_final = digest "v6" C.Flow_config.characterization;
     cfg_mapped = digest "mapped" [ C.Flow_config.Mapped ];
     cfg_packed = digest "packed" [ C.Flow_config.Packed ];
     cfg_placed = digest "placed" [ C.Flow_config.Placed ] }
@@ -437,7 +438,7 @@ let compute (stages : cache) (design : V.Elaborate.design)
     in
     ( netlist,
       through stages.mapped_circuits (id ^ "#" ^ keys.cfg_mapped) (fun () ->
-          fst (N.Lutmap.map ~k netlist)) )
+          N.Lutmap.map ~k netlist) )
   in
   match
     match (ids, cluster.Clustering.members) with
@@ -451,7 +452,7 @@ let compute (stages : cache) (design : V.Elaborate.design)
             let netlist =
               through stages.netlists nkey (fun () -> cluster_netlist design cluster)
             in
-            fst (N.Lutmap.map ~k netlist))
+            N.Lutmap.map ~k netlist)
   with
   | exception Out_of_memory -> raise Out_of_memory
   | exception e ->

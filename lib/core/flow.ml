@@ -192,7 +192,6 @@ let run_request ?(cache : Characterize.cache option)
   let { Characterize.ast; design; filtering; clusters; _ } = front in
   let empty_selection =
     { Selection.valid = []; solutions = 0; best = None;
-      max_io_util = 0.0; max_clb_util = 0.0;
       attack = Selection.Scorer.empty_stats }
   in
   let (characterized, char_stats), selection =

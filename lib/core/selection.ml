@@ -187,8 +187,6 @@ type result = {
   valid : efpga_impl list;          (* F in Algorithm 3 *)
   solutions : int;                  (* |S| *)
   best : solution option;           (* s_t *)
-  max_io_util : float;
-  max_clb_util : float;
   attack : Scorer.stats;            (* zero under Scorer.Heuristic *)
 }
 
@@ -250,24 +248,21 @@ let run ?scorer (cfg : C.Flow_config.t)
             (Some _ | None) ) -> None)
       characterized
   in
-  let max_io_util =
-    List.fold_left
-      (fun acc (_, (i : F.Size_search.implementation), _) -> Float.max acc i.io_util)
-      0.0 valid_raw
-  and max_clb_util =
-    List.fold_left
-      (fun acc (_, (i : F.Size_search.implementation), _) -> Float.max acc i.clb_util)
-      0.0 valid_raw
-  in
   let valid, attack_stats =
     match scorer with
     | Scorer.Heuristic ->
+      (* Eq. 1 divides by the maxima over all valid fabrics *)
+      let max_util (util : F.Size_search.implementation -> float) =
+        List.fold_left (fun acc (_, i, _) -> Float.max acc (util i)) 0.0 valid_raw
+      in
+      let max_io = max_util (fun i -> i.io_util)
+      and max_clb = max_util (fun i -> i.clb_util) in
       ( List.map
           (fun (cluster, (impl : F.Size_search.implementation), mapped) ->
             { cluster; impl; mapped; verdict = None;
               score =
-                score_eq1 cfg ~max_io:max_io_util ~max_clb:max_clb_util
-                  ~io_util:impl.io_util ~clb_util:impl.clb_util })
+                score_eq1 cfg ~max_io ~max_clb ~io_util:impl.io_util
+                  ~clb_util:impl.clb_util })
           valid_raw,
         Scorer.empty_stats )
     | Scorer.Measured { cache } ->
@@ -322,8 +317,7 @@ let run ?scorer (cfg : C.Flow_config.t)
       done
   in
   expand [] 0;
-  { valid; solutions = !count; best = !best; max_io_util; max_clb_util;
-    attack = attack_stats }
+  { valid; solutions = !count; best = !best; attack = attack_stats }
 
 let solution_count (r : result) = r.solutions
 

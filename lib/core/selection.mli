@@ -132,12 +132,13 @@ type result = {
   best : solution option;
       (** s_t: the top-ranked solution; among equal scores, the last
           the canonical (index-increasing) expansion of [valid] visits *)
-  max_io_util : float;
-  max_clb_util : float;
   attack : Scorer.stats;      (** zero under {!Scorer.Heuristic} *)
 }
 
-(** The per-fabric score under the configured formula and weights. *)
+(** The per-fabric score under the configured formula and weights.
+    [max_io]/[max_clb] are the largest I/O and CLB utilizations among
+    the valid fabrics, which {!run} takes from them each time it
+    scores by Eq. 1. *)
 val score_eq1 :
   C.Flow_config.t ->
   max_io:float ->

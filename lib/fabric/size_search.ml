@@ -13,14 +13,8 @@ module Circuit = Alice_netlist.Circuit
 type implementation = {
   fabric : Fabric.t;
   placement : Place.placement;
-  routing : Route.report;
-  luts_used : int;
-  ffs_used : int;
-  io_used : int;
-  clbs_used : int;
   io_util : float;
   clb_util : float;
-  bitstream_bits : int;
 }
 
 type congestion = {
@@ -99,15 +93,10 @@ let search (arch : Arch.t) ~(min_size : int) ~(max_size : int)
                  cg_demand = routing.Route.max_demand;
                  cg_tracks = routing.Route.tracks_available })
         else
-          let fabric = placement.Place.fabric in
           Ok
-            { fabric; placement; routing;
-              luts_used = Circuit.lut_count mapped;
-              ffs_used = Circuit.dff_count mapped;
-              io_used; clbs_used;
+            { fabric = placement.Place.fabric; placement;
               io_util = float_of_int io_used /. float_of_int io_cap;
-              clb_util = float_of_int clbs_used /. float_of_int clb_cap;
-              bitstream_bits = Bitstream.length fabric }
+              clb_util = float_of_int clbs_used /. float_of_int clb_cap }
       end
     in
     (* remember the last failure of each kind so the caller sees what
@@ -138,12 +127,6 @@ let minimum (arch : Arch.t) ~(min_size : int) ~(max_size : int)
   search arch ~min_size ~max_size ~target_utilization
     ~pack:(fun () -> Place.pack arch mapped)
     ~place_route:(place_route arch mapped) mapped
-
-let pp_implementation fmt (impl : implementation) =
-  Format.fprintf fmt
-    "%s: %d LUTs, %d FFs, %d I/O; CLB util %.0f%%, I/O util %.0f%%, %d cfg bits"
-    (Fabric.size_label impl.fabric) impl.luts_used impl.ffs_used impl.io_used
-    (100. *. impl.clb_util) (100. *. impl.io_util) impl.bitstream_bits
 
 (* ---------- searchable axes (pre-architecture advisor) ---------- *)
 

@@ -6,17 +6,15 @@
 
 module Circuit = Alice_netlist.Circuit
 
+(** A feasible fabric and the cluster's placement on it. Counts, the
+    routing estimate and the bitstream length are read from the mapped
+    circuit, the placement ({!Route.route}) and the fabric
+    ({!Bitstream.length}). *)
 type implementation = {
-  fabric : Fabric.t;
+  fabric : Fabric.t;  (** the placement's own fabric *)
   placement : Place.placement;
-  routing : Route.report;
-  luts_used : int;
-  ffs_used : int;
-  io_used : int;
-  clbs_used : int;
-  io_util : float;
-  clb_util : float;
-  bitstream_bits : int;
+  io_util : float;  (** I/O bits used over the pad ring's capacity *)
+  clb_util : float;  (** CLBs used over the fabric's CLBs *)
 }
 
 (** Congestion payload for routing failures: the last width attempted
@@ -80,8 +78,6 @@ val minimum :
   target_utilization:float ->
   Circuit.t ->
   (implementation, failure) result
-
-val pp_implementation : Format.formatter -> implementation -> unit
 
 (* ---------- searchable axes (pre-architecture advisor) ---------- *)
 

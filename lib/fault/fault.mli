@@ -15,9 +15,9 @@
 
     Sites currently wired (see DESIGN.md "Failure model"):
     ["cache.read"], ["cache.write"] ({!Disk_cache}); ["pool.task"],
-    ["pool.worker"] ({!Alice_parallel.Pool}); ["server.worker"],
-    ["sock.read"], ["sock.write"], ["sock.stream"] (a streamed sweep-row
-    write), ["tcp.accept"] (the server's TCP front door);
+    ["pool.worker"], ["pool.spawn"] ({!Alice_parallel.Pool});
+    ["server.worker"], ["sock.read"], ["sock.write"], ["sock.stream"] (a
+    streamed sweep-row write), ["tcp.accept"] (the server's TCP front door);
     ["sock.connect"], ["client.rpc"] (the client);
     ["engine.sweep_point"] ({!Engine.run_sweep}). *)
 

@@ -47,12 +47,6 @@ let cut_limit = 8
 (* a gate's merged cuts are collected until there are more than this *)
 let merge_cap = 400
 
-type mapping = {
-  k : int;
-  luts : (Circuit.net * int list * bool array) list;
-      (* output net, leaf nets, truth table *)
-}
-
 (* A growable table of cuts of at most [k] leaves: cut [i] has
    [len.(i)] strictly ascending leaves at [leaves.(i*k) ..], a
    signature with bit [leaf mod 62] set per leaf, a depth and an area
@@ -340,9 +334,9 @@ let enumerate_cuts ~k (c : Circuit.t) (gates : Circuit.gate array)
    that emits [lut net] for each demanded net and demands its leaves in
    order. A net is "covered" by a LUT whose function is its cone over
    the chosen leaves; primary inputs and DFF outputs need none. *)
-let cover_luts (c : Circuit.t)
+let cover (c : Circuit.t)
     ~(lut : Circuit.net -> (Circuit.net array * bool array) option) :
-    Circuit.t * (Circuit.net * Circuit.net array * bool array) list =
+    Circuit.t =
   let is_source = Circuit.source_nets c in
   let required = Queue.create () in
   let visited = Array.make c.Circuit.next_net false in
@@ -371,12 +365,10 @@ let cover_luts (c : Circuit.t)
     (fun (net, leaves, table) ->
       Circuit.add_gate_with_output mapped (Circuit.Lut table) leaves ~output:net)
     !luts;
-  (mapped, !luts)
-
-let cover c ~lut = fst (cover_luts c ~lut)
+  mapped
 
 (** Map a circuit onto k-LUTs. Returns the mapped circuit (LUT gates
-    only, same net ids) and the mapping description.
+    only, same net ids).
 
     Primary outputs and DFF D-pins whose cone is a pure buffer chain are
     rewired to the chain's source instead of costing an identity LUT —
@@ -384,7 +376,7 @@ let cover c ~lut = fst (cover_luts c ~lut)
 
     Raises [Invalid_argument] when [k < 2], or when a gate the cover
     needs has no cut of at most [k] leaves (a 3-input mux at [k = 2]). *)
-let map ~k (c : Circuit.t) : Circuit.t * mapping =
+let map ~k (c : Circuit.t) : Circuit.t =
   if k < 2 then
     invalid_arg (Printf.sprintf "Lutmap.map: k = %d, a LUT needs at least 2 inputs" k);
   let gates = Array.of_list (Circuit.gates_in_order c) in
@@ -437,12 +429,7 @@ let map ~k (c : Circuit.t) : Circuit.t * mapping =
                            %d-input gate driving net %d"
              k (Array.length g.Circuit.inputs) net)
   in
-  let mapped, luts = cover_luts c ~lut in
-  ( mapped,
-    { k;
-      luts = List.map (fun (net, leaves, table) -> (net, Array.to_list leaves, table)) luts } )
-
-let lut_count (m : mapping) = List.length m.luts
+  cover c ~lut
 
 (** Depth in LUT levels of the mapped circuit. *)
 let depth (mapped : Circuit.t) : int =

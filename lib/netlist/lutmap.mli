@@ -4,18 +4,12 @@
     costing identity LUTs. The mapped circuit reuses the original net
     numbering, so I/O and DFF records carry over. *)
 
-type mapping = {
-  k : int;
-  luts : (Circuit.net * int list * bool array) list;
-      (** output net, leaf nets, truth table *)
-}
-
-(** Map a circuit onto k-LUTs; returns the mapped circuit (LUT gates
-    only) and the mapping description. Raises [Invalid_argument] when
+(** Map a circuit onto k-LUTs; returns the mapped circuit, whose only
+    gates are its LUTs (see {!cover}). Raises [Invalid_argument] when
     [k < 2], or when a gate the cover needs has no cut of at most [k]
     leaves (a 3-input mux at [k = 2]): the mapping is complete or there
     is none. *)
-val map : k:int -> Circuit.t -> Circuit.t * mapping
+val map : k:int -> Circuit.t -> Circuit.t
 
 (** [cover c ~lut] is the cover {!map} ends with, for a caller that
     already knows each net's LUT: a breadth-first pass from [c]'s roots
@@ -31,8 +25,6 @@ val map : k:int -> Circuit.t -> Circuit.t * mapping
 val cover :
   Circuit.t -> lut:(Circuit.net -> (Circuit.net array * bool array) option) ->
   Circuit.t
-
-val lut_count : mapping -> int
 
 (** Depth in LUT levels of a mapped circuit. *)
 val depth : Circuit.t -> int

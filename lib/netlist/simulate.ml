@@ -51,12 +51,36 @@ let create (c : Circuit.t) : t =
 (* ---------- value conversions ---------- *)
 
 let bools_of_int width v : bool array =
-  Array.init width (fun i -> (v lsr i) land 1 = 1)
+  Array.init width (fun i -> (v asr Int.min i (Sys.int_size - 1)) land 1 = 1)
 
 let int_of_bools (bits : bool array) : int =
   let v = ref 0 in
   Array.iteri (fun i b -> if b then v := !v lor (1 lsl i)) bits;
   !v
+
+(* the widest port whose every value is a non-negative int *)
+let int_port_bits = Sys.int_size - 1
+
+let check_int_port kind name width =
+  if width > int_port_bits then
+    invalid_arg
+      (Printf.sprintf "%s %s is %d bits wide; an int holds at most %d" kind
+         name width int_port_bits)
+
+let string_of_bits (bits : bool array) : string =
+  let width = Array.length bits in
+  if width <= int_port_bits then string_of_int (int_of_bools bits)
+  else
+    let digits = (width + 3) / 4 in
+    let nibble d =
+      let v = ref 0 in
+      for j = (4 * d) + 3 downto 4 * d do
+        v := (2 * !v) + if j < width && bits.(j) then 1 else 0
+      done;
+      "0123456789abcdef".[!v]
+    in
+    Printf.sprintf "%d'h%s" width
+      (String.init digits (fun i -> nibble (digits - 1 - i)))
 
 (* ---------- driving and reading ---------- *)
 
@@ -71,7 +95,9 @@ let set_input_bits (sim : t) name (bits : bool array) : unit =
 let set_input (sim : t) name (v : int) : unit =
   match Circuit.find_input sim.circuit name with
   | None -> invalid_arg (Printf.sprintf "no input named %s" name)
-  | Some nets -> set_input_bits sim name (bools_of_int (Array.length nets) v)
+  | Some nets ->
+    check_int_port "input" name (Array.length nets);
+    set_input_bits sim name (bools_of_int (Array.length nets) v)
 
 (** Propagate values through the combinational logic. *)
 let eval (sim : t) : unit =
@@ -95,6 +121,9 @@ let read_output_bits (sim : t) name : bool array =
   | None -> invalid_arg (Printf.sprintf "no output named %s" name)
   | Some nets -> Array.map (fun n -> sim.values.(n)) nets
 
-let read_output (sim : t) name : int = int_of_bools (read_output_bits sim name)
+let read_output (sim : t) name : int =
+  let bits = read_output_bits sim name in
+  check_int_port "output" name (Array.length bits);
+  int_of_bools bits
 
 let read_net (sim : t) (n : Circuit.net) : bool = sim.values.(n)

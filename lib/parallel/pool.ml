@@ -90,9 +90,22 @@ let map_ordered ?(should_stop = fun () -> false) ?faults (pool : t)
       in
       supervise ()
     in
-    let workers =
-      Array.init (min pool.jobs n) (fun _ -> Domain.spawn worker)
+    (* a spawn that fails (the runtime holds a bounded number of
+       domains) stops the spawning: the workers already running drain
+       every task, the caller drains them when none started, and every
+       spawned worker is joined, so none outlives the batch *)
+    let rec spawn workers k =
+      if k = 0 then workers
+      else
+        match
+          Fi.hit faults "pool.spawn";
+          Domain.spawn worker
+        with
+        | d -> spawn (d :: workers) (k - 1)
+        | exception _ -> workers
     in
-    Array.iter Domain.join workers;
+    let workers = spawn [] (min pool.jobs n) in
+    if workers = [] then worker ();
+    List.iter Domain.join workers;
     Array.to_list results
   end

@@ -15,17 +15,23 @@
     not yet dispatched come back {!Skipped}.
 
     Fault-injection sites: ["pool.task"] (hit inside each task's
-    containment — an injected failure is that task's [Raised]) and
+    containment — an injected failure is that task's [Raised]),
     ["pool.worker"] (hit between claim and dispatch, {e outside} the
     per-task containment — an injected [Kill] exercises the worker
-    supervision above; the claimed slot comes back [Raised]). *)
+    supervision above; the claimed slot comes back [Raised]) and
+    ["pool.spawn"] (hit before each worker domain is spawned — an
+    injected failure is a spawn the runtime refused). *)
 
 type t
 
 (** [create ~jobs] is a pool dispatching at most [max 1 jobs] tasks
     concurrently. Worker domains are spawned per {!map_ordered} batch
     (never more than the batch size) and joined before it returns, so a
-    pool holds no resources between calls and needs no shutdown. *)
+    pool holds no resources between calls and needs no shutdown. A
+    spawn that fails (the runtime holds at most 128 domains, the
+    caller's included) ends the spawning: the workers already running
+    drain the batch, or the calling domain does when none started, and
+    the outcomes are unchanged. *)
 val create : jobs:int -> t
 
 val jobs : t -> int
@@ -46,8 +52,8 @@ type 'a outcome =
     [jobs = 1] no domain is spawned and the tasks run sequentially in
     the calling domain — byte-identical to a serial [List.map] with the
     same dispatch-time stop check. [faults] (default
-    {!Alice_fault.Fault.global}) arms the ["pool.task"] and
-    ["pool.worker"] injection sites. *)
+    {!Alice_fault.Fault.global}) arms the ["pool.task"], ["pool.worker"]
+    and ["pool.spawn"] injection sites. *)
 val map_ordered :
   ?should_stop:(unit -> bool) -> ?faults:Alice_fault.Fault.t -> t ->
   ('a -> 'b) -> 'a list -> 'b outcome list

@@ -796,10 +796,6 @@ module Incremental = struct
     List.iter (fun l -> ensure_vars s (abs l)) clause;
     add_clause_internal s (Array.of_list clause)
 
-  let add_cnf (s : session) (f : Cnf.t) : unit =
-    ensure_vars s (Cnf.var_count f);
-    Cnf.iter_from f 0 (add_clause_internal s)
-
   let attach (s : session) (f : Cnf.t) : unit =
     (match s.source with
     | Some g when g != f -> invalid_arg "Incremental.attach: already attached"
@@ -834,18 +830,18 @@ module Incremental = struct
       learnt_ceiling = s.max_learnts; reduces = s.reduces }
 end
 
-(** Solve the formula: a one-query session. [assumptions] are literals
-    (DIMACS convention) asserted for this query only.
+(** Solve the formula: a one-query session with [f] attached.
+    [assumptions] are literals (DIMACS convention) asserted for this
+    query only.
 
     [max_conflicts]/[max_decisions] are hard resource budgets: when the
     search would exceed either, it stops and returns {!Unknown} instead
     of looping indefinitely on a hard instance. Conflicts at decision
     level 0 still conclude [Unsat] regardless of budget. *)
-let solve ?(assumptions : int list = []) ?max_conflicts ?max_decisions
-    (f : Cnf.t) : result =
+let solve ?assumptions ?max_conflicts ?max_decisions (f : Cnf.t) : result =
   let s = create_session ~nvars:(Cnf.var_count f) () in
-  Incremental.add_cnf s f;
-  solve_session s ~assumptions ~max_conflicts ~max_decisions
+  Incremental.attach s f;
+  Incremental.solve ?assumptions ?max_conflicts ?max_decisions s
 
 (** Value of a DIMACS variable in a model. *)
 let model_value (model : bool array) (v : int) : bool =

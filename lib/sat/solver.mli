@@ -10,7 +10,8 @@
     the live instance, each query solves under per-call assumptions, and
     learnt clauses carry over between queries (with LBD-ordered
     clause-database reduction keeping the retained set bounded). The
-    single-shot {!solve} is a one-query session. *)
+    single-shot {!solve} is a one-query session with the formula
+    attached. *)
 
 type result =
   | Sat of bool array  (** indexed by variable; entry 0 unused *)
@@ -73,16 +74,13 @@ module Incremental : sig
   val nvars : session -> int
 
   (** Grow the session to know variables [1..n]. Idempotent; [add_clause]
-      and [add_cnf] call it implicitly. *)
+      and {!sync} call it implicitly. *)
   val ensure_vars : session -> int -> unit
 
   (** Append one clause (DIMACS literals) to the live instance. Must be
       called between queries, never during one. Raises
       [Invalid_argument] on a literal 0. *)
   val add_clause : session -> int list -> unit
-
-  (** Append every clause of [f] (used to load the initial formula). *)
-  val add_cnf : session -> Cnf.t -> unit
 
   (** Attach a CNF the caller keeps encoding into. Each subsequent query
       first pulls the clauses added to the CNF since the last sync, so

@@ -13,6 +13,11 @@ type t = {
 }
 
 let connect ?(timeout_s = 60.0) ?faults ~socket () : t =
+  (* a zero receive timeout means none at all *)
+  if not (Float.is_finite timeout_s && timeout_s > 0.0) then
+    invalid_arg
+      (Printf.sprintf "client: the timeout must be positive and finite, got %g"
+         timeout_s);
   let faults = match faults with Some f -> f | None -> Fi.global () in
   (match Fi.check faults "sock.connect" with
   | None -> ()
@@ -40,9 +45,8 @@ let connect ?(timeout_s = 60.0) ?faults ~socket () : t =
       Unix.connect fd addr;
       (* single-line round trips must not sit out a Nagle window *)
       Endpoint.set_nodelay fd;
-      if timeout_s > 0.0 then
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s
-         with Unix.Unix_error _ -> ());
+      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s
+       with Unix.Unix_error _ -> ());
       { ic = Unix.in_channel_of_descr fd;
         oc = Unix.out_channel_of_descr fd;
         timeout_s;

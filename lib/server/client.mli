@@ -25,9 +25,10 @@ type t
 (** [connect ~socket ()] opens a connection. [socket] is an endpoint
     in {!Endpoint.parse} grammar ([unix:/path], [tcp:HOST:PORT], or a
     bare Unix-socket path). [timeout_s] (default 60) bounds each
-    response wait. TCP connections get [TCP_NODELAY]. [faults]
-    defaults to {!Alice_fault.Fault.global}. Raises
-    {!Connection_error} (including on a malformed endpoint). *)
+    response wait; one that is not positive and finite raises
+    [Invalid_argument] before any socket is opened. TCP connections get
+    [TCP_NODELAY]. [faults] defaults to {!Alice_fault.Fault.global}.
+    Raises {!Connection_error} (including on a malformed endpoint). *)
 val connect :
   ?timeout_s:float -> ?faults:Alice_fault.Fault.t -> socket:string -> unit -> t
 

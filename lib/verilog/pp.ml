@@ -167,6 +167,4 @@ let to_string add x =
 
 let module_to_string m = to_string add_module m
 
-let design_to_string d = to_string add_design d
-
 let expr_to_string e = to_string add_expr e

@@ -9,5 +9,3 @@ val add_design : Buffer.t -> Ast.design -> unit
 val expr_to_string : Ast.expr -> string
 
 val module_to_string : Ast.module_decl -> string
-
-val design_to_string : Ast.design -> string

@@ -350,7 +350,7 @@ let test_attack_inconclusive () =
     "module m (input [5:0] a, output [5:0] y); assign y = (a ^ 6'h2a) + 6'h7; endmodule"
   in
   let c = N.Synth.synthesize (V.Elaborate.elaborate (V.Parser.parse src)) in
-  let mapped, _ = N.Lutmap.map ~k:4 c in
+  let mapped = N.Lutmap.map ~k:4 c in
   let locked = Alice_security.Locked.of_mapped mapped in
   let oracle = Alice_security.Locked.make_oracle locked in
   let budget =

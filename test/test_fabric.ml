@@ -19,7 +19,7 @@ let test_capacities () =
 
 let mapped_of src =
   let c = N.Synth.synthesize (V.Elaborate.elaborate (V.Parser.parse src)) in
-  fst (N.Lutmap.map ~k:4 c)
+  N.Lutmap.map ~k:4 c
 
 let small_design =
   {|module m (input clk, input rst, input [7:0] a, input [7:0] b, output reg [7:0] q);
@@ -236,12 +236,9 @@ module Ref = struct
                    cg_tracks = routing.F.Route.tracks_available })
           else
             Ok
-              { F.Size_search.fabric; placement; routing;
-                luts_used = N.Circuit.lut_count mapped;
-                ffs_used = N.Circuit.dff_count mapped; io_used = io; clbs_used;
+              { F.Size_search.fabric; placement;
                 io_util = float_of_int io /. float_of_int (F.Fabric.io_capacity fabric);
-                clb_util = float_of_int clbs_used /. float_of_int clb_cap;
-                bitstream_bits = F.Bitstream.length fabric }
+                clb_util = float_of_int clbs_used /. float_of_int clb_cap }
       end
     in
     let rec search w last_no_route last_no_fit =
@@ -281,7 +278,7 @@ let random_mapped ~k seed =
   done;
   List.iter (fun q -> N.Circuit.add_dff_q c ~d:(pick ()) ~q) qs;
   N.Circuit.set_output c "y" (Array.init (1 + Random.State.int st 16) (fun _ -> pick ()));
-  fst (N.Lutmap.map ~k c)
+  N.Lutmap.map ~k c
 
 (* every distinct LUT-mapped cluster the flows of the benchmarks [names]
    characterize under [configs] *)
@@ -442,7 +439,8 @@ let test_size_search () =
     Alcotest.(check bool) "utilization under target" true
       (impl.F.Size_search.clb_util <= 0.5 +. 1e-9);
     Alcotest.(check bool) "io fits" true
-      (impl.F.Size_search.io_used <= F.Fabric.io_capacity impl.F.Size_search.fabric);
+      (N.Circuit.io_bit_count mapped
+       <= F.Fabric.io_capacity impl.F.Size_search.fabric);
     (* minimality: one size down must fail at same constraints *)
     (match
        F.Size_search.minimum arch ~min_size:2 ~max_size:(w - 1)

@@ -283,6 +283,30 @@ let test_pool_worker_kill_parallel () =
       | _ -> ())
     results
 
+(* a worker the runtime refuses to spawn (it holds at most 128 domains)
+   stops the spawning: the workers already running drain the batch, the
+   caller drains it when none started, and the outcomes are the serial
+   run's *)
+let test_pool_spawn_failure () =
+  let f x = if x = 7 then failwith "seven" else x * 3 in
+  let outcomes plan jobs =
+    List.map
+      (function
+        | P.Value v -> string_of_int v
+        | P.Raised e -> Printexc.to_string e
+        | P.Skipped -> "skipped")
+      (P.map_ordered ~faults:plan (P.create ~jobs) f (List.init 20 Fun.id))
+  in
+  let serial = outcomes Fi.none 1 in
+  List.iter
+    (fun spec ->
+      let plan = Fi.parse spec in
+      Alcotest.(check (list string)) (spec ^ ": serial outcomes") serial
+        (outcomes plan 4);
+      Alcotest.(check (list (pair string int))) (spec ^ ": one refused spawn")
+        [ ("pool.spawn", 1) ] (Fi.injected plan))
+    [ "pool.spawn=fail@2"; "pool.spawn=fail@1+" ]
+
 (* ---------- engine: a killed sweep resumes without recompute ---------- *)
 
 let demo_src =
@@ -510,6 +534,8 @@ let tests =
       test_pool_worker_kill_serial;
     Alcotest.test_case "pool kill contained (parallel)" `Quick
       test_pool_worker_kill_parallel;
+    Alcotest.test_case "pool spawn failure drains the batch" `Quick
+      test_pool_spawn_failure;
     Alcotest.test_case "sweep resumes after kill" `Quick
       test_sweep_resume_after_kill;
     Alcotest.test_case "client fds never leak" `Quick

@@ -142,8 +142,8 @@ let view_digest view name cfg =
 let mapping_digest name k =
   let module N = Alice_netlist in
   let c = N.Synth.synthesize (B.elaborate (Option.get (B.find name))) in
-  let _, mapping = N.Lutmap.map ~k c in
-  Digest.to_hex (Digest.string (Marshal.to_string mapping.N.Lutmap.luts [ Marshal.No_sharing ]))
+  let luts = Test_lutmap.luts_of (N.Lutmap.map ~k c) in
+  Digest.to_hex (Digest.string (Marshal.to_string luts [ Marshal.No_sharing ]))
 
 let placement_digest name cfg =
   let module F = Alice_fabric in
@@ -156,7 +156,7 @@ let placement_digest name cfg =
           Some
             ( List.map snd p.F.Place.clbs,
               p.F.Place.wirelength,
-              impl.F.Size_search.routing,
+              F.Route.route p,
               (F.Timing.estimate p mapped).F.Timing.critical_path_ns )
         | _ -> None)
       (run_flow name cfg).A.Flow.characterized

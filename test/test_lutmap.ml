@@ -6,6 +6,17 @@ module N = Alice_netlist
 
 let build src = N.Synth.synthesize (V.Elaborate.elaborate (V.Parser.parse src))
 
+(* A mapped circuit's LUTs as (output net, leaves, truth table), in its
+   gate order; any other gate fails the test *)
+let luts_of (mapped : N.Circuit.t) : (N.Circuit.net * int list * bool array) list =
+  List.map
+    (fun (g : N.Circuit.gate) ->
+      match g.N.Circuit.kind with
+      | N.Circuit.Lut table ->
+        (g.N.Circuit.output, Array.to_list g.N.Circuit.inputs, table)
+      | _ -> Alcotest.fail "non-LUT gate in mapped circuit")
+    (N.Circuit.gates_in_order mapped)
+
 let test_k_feasibility () =
   let c = build
     {|module m (input [7:0] a, input [7:0] b, output [7:0] y);
@@ -14,7 +25,8 @@ let test_k_feasibility () =
   in
   List.iter
     (fun k ->
-      let mapped, mapping = N.Lutmap.map ~k c in
+      (* every gate in the mapped circuit is a LUT ([luts_of] fails
+         otherwise) of at most k leaves *)
       List.iter
         (fun (_, leaves, table) ->
           Alcotest.(check bool)
@@ -23,14 +35,7 @@ let test_k_feasibility () =
             (List.length leaves <= k);
           Alcotest.(check int) "table size" (1 lsl List.length leaves)
             (Array.length table))
-        mapping.N.Lutmap.luts;
-      (* every gate in the mapped circuit is a LUT *)
-      List.iter
-        (fun (g : N.Circuit.gate) ->
-          match g.N.Circuit.kind with
-          | N.Circuit.Lut _ -> ()
-          | _ -> Alcotest.fail "non-LUT gate in mapped circuit")
-        (N.Circuit.gates_in_order mapped))
+        (luts_of (N.Lutmap.map ~k c)))
     [ 2; 3; 4; 6 ]
 
 let equivalent ?(samples = 64) (a : N.Circuit.t) (b : N.Circuit.t) : bool =
@@ -64,7 +69,7 @@ let test_equivalence_comb () =
       assign flag = ^(a | b);
     endmodule|}
   in
-  let mapped, _ = N.Lutmap.map ~k:4 c in
+  let mapped = N.Lutmap.map ~k:4 c in
   Alcotest.(check bool) "comb equivalence" true (equivalent c mapped)
 
 let test_equivalence_seq () =
@@ -77,7 +82,7 @@ let test_equivalence_seq () =
       assign y = q ^ d;
     endmodule|}
   in
-  let mapped, _ = N.Lutmap.map ~k:4 c in
+  let mapped = N.Lutmap.map ~k:4 c in
   Alcotest.(check bool) "sequential equivalence" true (equivalent c mapped)
 
 let test_rom_compression () =
@@ -91,8 +96,7 @@ let test_rom_compression () =
   done;
   Buffer.add_string buf "      default: y = 4'h0;\n    endcase\n  end\nendmodule\n";
   let c = build (Buffer.contents buf) in
-  let _, mapping = N.Lutmap.map ~k:4 c in
-  let luts = N.Lutmap.lut_count mapping in
+  let luts = N.Circuit.lut_count (N.Lutmap.map ~k:4 c) in
   Alcotest.(check bool)
     (Printf.sprintf "16x4 ROM maps to <= 8 LUTs (got %d)" luts)
     true (luts <= 8)
@@ -100,8 +104,8 @@ let test_rom_compression () =
 let test_alias_outputs_free () =
   (* wiring an input straight to an output must not cost a LUT *)
   let c = build "module m (input [7:0] a, output [7:0] y); assign y = a; endmodule" in
-  let _, mapping = N.Lutmap.map ~k:4 c in
-  Alcotest.(check int) "identity is free" 0 (N.Lutmap.lut_count mapping)
+  Alcotest.(check int) "identity is free" 0
+    (N.Circuit.lut_count (N.Lutmap.map ~k:4 c))
 
 let test_depth_reported () =
   let c = build
@@ -109,8 +113,7 @@ let test_depth_reported () =
       assign y = a + b;
     endmodule|}
   in
-  let mapped, _ = N.Lutmap.map ~k:4 c in
-  let depth = N.Lutmap.depth mapped in
+  let depth = N.Lutmap.depth (N.Lutmap.map ~k:4 c) in
   Alcotest.(check bool)
     (Printf.sprintf "16-bit adder depth sane (got %d)" depth)
     true
@@ -135,7 +138,7 @@ let map_equiv_prop =
     (QCheck.make gen_src ~print:Fun.id)
     (fun src ->
       let c = build src in
-      let mapped, _ = N.Lutmap.map ~k:4 c in
+      let mapped = N.Lutmap.map ~k:4 c in
       equivalent ~samples:32 c mapped)
 
 (* formal check: mapping preserves function, proven by SAT *)
@@ -154,7 +157,7 @@ let test_sat_equivalence () =
   List.iter
     (fun src ->
       let c = build src in
-      let mapped, _ = N.Lutmap.map ~k:4 c in
+      let mapped = N.Lutmap.map ~k:4 c in
       match S.Equiv.check c mapped with
       | S.Equiv.Equivalent -> ()
       | S.Equiv.Different cex ->
@@ -203,7 +206,6 @@ let test_truth_tables_match_cones () =
         (N.Circuit.gates_in_order c);
       List.iter
         (fun k ->
-          let _, mapping = N.Lutmap.map ~k c in
           List.iter
             (fun (net, leaves, table) ->
               let assignment = Hashtbl.create 8 in
@@ -216,7 +218,7 @@ let test_truth_tables_match_cones () =
                   if bit <> eval_cone producer assignment net then
                     Alcotest.failf "%s k=%d: LUT %d row %d differs from its cone" name k net idx)
                 table)
-            mapping.N.Lutmap.luts)
+            (luts_of (N.Lutmap.map ~k c)))
         [ 4; 6 ])
     [ "GCD"; "SHA256"; "SOC" ]
 
@@ -340,8 +342,8 @@ let test_differential () =
           end
           else begin
             incr compared;
-            let mapped, mapping = N.Lutmap.map ~k c in
-            if (mapped, mapping.N.Lutmap.luts) <> want then
+            let mapped = N.Lutmap.map ~k c in
+            if (mapped, luts_of mapped) <> want then
               Alcotest.failf "%s: mapping differs from the reference" label
           end)
         [ 2; 3; 4; 5; 6 ])
@@ -361,9 +363,9 @@ let test_k_below_two_rejected () =
     (fun k ->
       match N.Lutmap.map ~k c with
       | exception Invalid_argument _ -> ()
-      | _, mapping ->
+      | mapped ->
         Alcotest.failf "k=%d mapped to %d LUTs instead of raising" k
-          (N.Lutmap.lut_count mapping))
+          (N.Circuit.lut_count mapped))
     [ 1; 0; -1 ];
   (* a configuration built in code skips [of_doc]'s check: every cluster
      then fails to characterize, and no fabric is chosen *)

@@ -24,7 +24,6 @@ let () =
       ("scorer", Test_scorer.tests);
       ("server", Test_server.tests);
       ("redact", Test_redact.tests);
-      ("decompose", Test_decompose.tests);
       ("structural", Test_structural.tests);
       ("benchmarks", Test_benchmarks.tests);
       ("golden", Test_golden.tests) ]

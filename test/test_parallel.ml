@@ -220,28 +220,38 @@ let solution_sig (s : A.Selection.solution) =
     s.A.Selection.redacted_instances,
     s.A.Selection.is_final )
 
-let outcome_sig (o : A.Characterize.outcome) =
-  match o with
+(* an implementation's fabric, LUTs from its mapped circuit, and CLBs
+   and I/O bits from its placement *)
+let outcome_sig (c : A.Characterize.characterization) =
+  match c.A.Characterize.outcome with
   | A.Characterize.Implemented impl ->
+    let p = impl.F.Size_search.placement in
     `Implemented
       ( F.Fabric.size_label impl.F.Size_search.fabric,
-        impl.F.Size_search.luts_used, impl.F.Size_search.clbs_used,
-        impl.F.Size_search.io_used )
+        Option.map Alice_netlist.Circuit.lut_count c.A.Characterize.mapped,
+        List.length p.F.Place.clbs, List.length p.F.Place.io_sites )
   | A.Characterize.Infeasible f -> `Infeasible (F.Size_search.failure_to_string f)
   | A.Characterize.Failed d -> `Failed d
   | A.Characterize.Skipped d -> `Skipped d
+
+(* the largest utilization among the valid implementations, the
+   maximum Eq. 1 divides by *)
+let max_util (util : F.Size_search.implementation -> float) (flow : A.Flow.t) =
+  List.fold_left
+    (fun acc (e : A.Selection.efpga_impl) -> Float.max acc (util e.A.Selection.impl))
+    0.0 flow.A.Flow.selection.A.Selection.valid
 
 let flow_sig (flow : A.Flow.t) =
   ( List.map
       (fun (c : A.Characterize.characterization) ->
         (c.A.Characterize.cluster.A.Clustering.key,
-         outcome_sig c.A.Characterize.outcome))
+         outcome_sig c))
       flow.A.Flow.characterized,
     A.Selection.solution_count flow.A.Flow.selection,
     List.map solution_sig (Selection_oracle.of_flow flow),
     Option.map solution_sig flow.A.Flow.selection.A.Selection.best,
-    flow.A.Flow.selection.A.Selection.max_io_util,
-    flow.A.Flow.selection.A.Selection.max_clb_util,
+    max_util (fun i -> i.F.Size_search.io_util) flow,
+    max_util (fun i -> i.F.Size_search.clb_util) flow,
     flow.A.Flow.diags )
 
 let test_flow_jobs_equivalence () =

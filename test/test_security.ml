@@ -8,7 +8,7 @@ module Sec = Alice_security
 
 let mapped_of src =
   let c = N.Synth.synthesize (V.Elaborate.elaborate (V.Parser.parse src)) in
-  fst (N.Lutmap.map ~k:4 c)
+  N.Lutmap.map ~k:4 c
 
 let small_comb =
   {|module m (input [5:0] a, output [3:0] y);
@@ -146,7 +146,7 @@ let test_attack_property () =
   List.iter
     (fun seed ->
       let circuit = Test_lutmap.random_circuit ~size:6 seed in
-      let mapped = fst (N.Lutmap.map ~k:4 circuit) in
+      let mapped = N.Lutmap.map ~k:4 circuit in
       let locked = Sec.Locked.of_mapped mapped in
       let n = Array.length (Sec.Locked.input_nets locked) in
       Alcotest.(check bool) "at most 8 scan inputs" true (n <= 8);
@@ -253,7 +253,7 @@ let test_replay_candidates () =
 let random_lock seed =
   let st = Random.State.make [| 0xD1F; seed |] in
   let mapped =
-    fst (N.Lutmap.map ~k:4 (Test_lutmap.random_circuit ~size:6 seed))
+    N.Lutmap.map ~k:4 (Test_lutmap.random_circuit ~size:6 seed)
   in
   let lut inputs =
     N.Circuit.Lut

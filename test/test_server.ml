@@ -646,6 +646,20 @@ let test_server_rejects_bad_timeouts () =
       ("deadline -1", { base with S.Server.deadline_s = Some (-1.0) });
       ("deadline nan", { base with S.Server.deadline_s = Some nan }) ]
 
+(* regression: a receive timeout of 0 (or a negative or nan one) set
+   none at all, so the client waited forever; it is refused before any
+   socket is opened *)
+let test_client_rejects_bad_timeouts () =
+  let missing = tmp_socket () in
+  List.iter
+    (fun timeout_s ->
+      match S.Client.connect ~timeout_s ~socket:missing () with
+      | exception Invalid_argument _ -> ()
+      | exception e ->
+        Alcotest.failf "timeout %g: %s" timeout_s (Printexc.to_string e)
+      | _ -> Alcotest.failf "timeout %g: connected" timeout_s)
+    [ 0.0; -1.0; nan; infinity ]
+
 (* regression: an expired receive timeout escaped the client as
    [Sys_blocked_io], an internal error that also skipped the retry
    loop. A listener that never accepts never answers. *)
@@ -1304,6 +1318,8 @@ let tests =
     Alcotest.test_case "busy rejection" `Quick test_server_busy_rejection;
     Alcotest.test_case "start rejects bad timeouts" `Quick
       test_server_rejects_bad_timeouts;
+    Alcotest.test_case "client rejects bad timeouts" `Quick
+      test_client_rejects_bad_timeouts;
     Alcotest.test_case "client receive timeout" `Quick
       test_client_receive_timeout;
     Alcotest.test_case "cheap lane immune to heavy saturation" `Quick

@@ -140,7 +140,7 @@ let compare_cluster (tally : tally) ~label design ~k pieces
           let netlist =
             A.Characterize.cluster_netlist design (A.Clustering.make_cluster design [ m ])
           in
-          (netlist, fst (N.Lutmap.map ~k netlist))
+          (netlist, N.Lutmap.map ~k netlist)
         with
         | p -> Ok p
         | exception e -> Error e

@@ -15,7 +15,7 @@ let arch = F.Arch.default
 
 let build_fabric src =
   let c = N.Synth.synthesize (V.Elaborate.elaborate (V.Parser.parse src)) in
-  let mapped, _ = N.Lutmap.map ~k:4 c in
+  let mapped = N.Lutmap.map ~k:4 c in
   let impl =
     match
       F.Size_search.minimum arch ~min_size:2 ~max_size:8 ~target_utilization:0.6 mapped

@@ -315,6 +315,37 @@ let synth_matches_interpreter =
           N.Simulate.read_output sim "y" = reval [| a; b; c |] e)
         cases)
 
+(* a port wider than an int prints in hex from its bits, and the int
+   accessors refuse it rather than wrap its value *)
+let test_wide_ports () =
+  let sim =
+    sim_of
+      {|module w (input [69:0] a, output [69:0] y, output [69:0] ones,
+                  output [61:0] top);
+        assign y = {1'b1, 34'd0, 34'd0, 1'b1};
+        assign ones = {70{1'b1}};
+        assign top = {62{1'b1}};
+      endmodule|}
+  in
+  N.Simulate.eval sim;
+  let show name = N.Simulate.string_of_bits (N.Simulate.read_output_bits sim name) in
+  Alcotest.(check string) "2^69 + 1" "70'h200000000000000001" (show "y");
+  Alcotest.(check string) "all ones" "70'h3fffffffffffffffff" (show "ones");
+  Alcotest.(check string) "62 bits stay decimal" (string_of_int max_int) (show "top");
+  Alcotest.(check int) "62 bits read as an int" max_int
+    (N.Simulate.read_output sim "top");
+  let refused f =
+    match f () with
+    | exception Invalid_argument msg -> msg
+    | _ -> Alcotest.fail "a 70-bit port was read or driven as an int"
+  in
+  Alcotest.(check string) "read_output refuses"
+    "output y is 70 bits wide; an int holds at most 62"
+    (refused (fun () -> ignore (N.Simulate.read_output sim "y")));
+  Alcotest.(check string) "set_input refuses"
+    "input a is 70 bits wide; an int holds at most 62"
+    (refused (fun () -> N.Simulate.set_input sim "a" 1))
+
 let test_vcd_dump () =
   let src =
     {|module m (input clk, input [3:0] d, output reg [3:0] q);
@@ -349,4 +380,5 @@ let tests =
     Alcotest.test_case "nonblocking swap" `Quick test_nonblocking_swap;
     Alcotest.test_case "multiple drivers rejected" `Quick test_multiple_drivers_rejected;
     Alcotest.test_case "vcd dump" `Quick test_vcd_dump;
+    Alcotest.test_case "wide ports" `Quick test_wide_ports;
     QCheck_alcotest.to_alcotest synth_matches_interpreter ]
