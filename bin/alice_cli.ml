@@ -1027,9 +1027,8 @@ let cache_cmd =
            & info [ "max-bytes" ] ~docv:"N"
                ~doc:"Evict least-recently-used entries until the store \
                      fits $(docv) bytes; a negative $(docv) is refused. \
-                     Omitted, a local gc only validates and \
-                     quarantines; a server gc falls back to the \
-                     server's configured budget.")
+                     Omitted, a local gc evicts nothing; a server gc \
+                     falls back to the server's configured budget.")
     in
     let run socket max_bytes cache_dir fmt =
       handle_errors ~fmt (fun () ->
@@ -1062,10 +1061,11 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "gc"
          ~doc:"Validate every entry of the persistent cache (corrupt \
-               entries are quarantined for recompute-on-demand), evict \
-               least-recently-used entries to a byte budget, and — on a \
-               running server — re-enable writes disabled by an earlier \
-               write failure")
+               entries are quarantined for recompute-on-demand), compact \
+               its segments, evicting least-recently-used entries to a \
+               byte budget, delete the entry files of earlier cache \
+               versions, and — on a running server — re-enable writes \
+               disabled by an earlier write failure")
       Term.(const run $ socket $ max_bytes $ cache_dir_flag $ diag_format)
   in
   Cmd.group

@@ -253,6 +253,14 @@ if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_warm.json"; then
   echo "check.sh: advise reports differ between cold and warm cache" >&2
   exit 1
 fi
+# ...and the store is a log, not a file per entry: the cold run appends
+# to one segment and its generation file, the warm run writes nothing
+files=$(find "$tmpdir/acache" -type f -not -path '*/quarantine/*' | wc -l)
+if [ "$files" -gt 2 ]; then
+  echo "check.sh: a cold and a warm advise left $files cache files:" >&2
+  find "$tmpdir/acache" -type f >&2
+  exit 1
+fi
 
 # --- staged characterization: every point of a cold grid equals the ---
 # --- same point advised alone, and the grid synthesizes each of GCD's -
@@ -337,15 +345,21 @@ sweep_gcd() {
     --diag-format=json > "$1" 2> /dev/null
 }
 sweep_gcd "$tmpdir/sweep_cold.txt"
-# checkpoints share the store with characterizations; an entry's
-# payload carries its key
-victim=$(grep -l 'sweep-point v' "$tmpdir/scache/v1"/*.bin 2> /dev/null \
+# checkpoints share the store with characterizations; a record's
+# payload carries its key, and its header line starts ALICE-CACHE
+segment=$(grep -l 'sweep-point v' "$tmpdir/scache/v2"/*.log 2> /dev/null \
   | head -n 1)
-if [ -z "$victim" ]; then
+if [ -z "$segment" ]; then
   echo "check.sh: sweep wrote no checkpoints" >&2
   exit 1
 fi
-printf 'rotted' > "$victim"
+key_at=$(grep -boa 'sweep-point v' "$segment" | head -n 1 | cut -d: -f1)
+record_at=$(grep -boa 'ALICE-CACHE 2 ' "$segment" | cut -d: -f1 \
+  | awk -v key="$key_at" '$1 < key { at = $1 } END { print at }')
+victim="$segment@$record_at"
+# rot the checkpoint's payload in place: its key no longer checksums
+printf 'rotted' | dd of="$segment" bs=1 seek="$key_at" conv=notrunc \
+  2> /dev/null
 sweep_gcd "$tmpdir/sweep_rot.txt"
 # the one entry not resumed is the corrupted checkpoint's
 recomputed=$(awk '$NF == "no" { print $1 }' "$tmpdir/sweep_rot.txt")
@@ -406,14 +420,21 @@ printf 'cache_max_bytes: 4096\n' > "$tmpdir/budget.yaml"
 dune exec --no-build bin/alice_cli.exe -- redact "$tmpdir/gcd.v" \
   -c "$tmpdir/budget.yaml" --score measured --cache-dir "$tmpdir/bcache" \
   -o /dev/null > /dev/null 2>&1
-# the entries under the cache root, at any depth, outside quarantine
-bcache_entries() {
-  find "$tmpdir/bcache" -name '*.bin' -not -path '*/quarantine/*' "$@"
+# the store's segments under the cache root, at any depth, outside
+# quarantine
+bcache_segments() {
+  find "$tmpdir/bcache" -name '*.log' -not -path '*/quarantine/*' "$@"
 }
 bcache_bytes() {
-  bcache_entries -exec cat {} + | wc -c
+  bcache_segments -exec cat {} + | wc -c
 }
-entries=$(bcache_entries | wc -l)
+# the store's entries: its live records, one per key digest (DESIGN.md,
+# "On-disk format")
+bcache_entries() {
+  bcache_segments -exec cat {} + \
+    | grep -aoE 'ALICE-CACHE 2 [0-9a-f]{32}' | sort -u | wc -l
+}
+entries=$(bcache_entries)
 bytes=$(bcache_bytes)
 if [ -e "$tmpdir/bcache/attack" ] || [ -e "$tmpdir/bcache/sweep" ] \
   || [ "$entries" -eq 0 ] || [ "$bytes" -gt 4096 ]; then
@@ -432,7 +453,7 @@ if [ "$examined" != "$entries" ] || [ "$(bcache_bytes)" -gt 1024 ]; then
   exit 1
 fi
 # a negative budget is refused and removes nothing
-entries=$(bcache_entries | wc -l)
+entries=$(bcache_entries)
 set +e
 dune exec --no-build bin/alice_cli.exe -- cache gc \
   --cache-dir "$tmpdir/bcache" --max-bytes=-1 --diag-format=json \
@@ -440,9 +461,9 @@ dune exec --no-build bin/alice_cli.exe -- cache gc \
 code=$?
 set -e
 if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/bgc_neg.json" \
-  || [ "$(bcache_entries | wc -l)" -ne "$entries" ]; then
+  || [ "$(bcache_entries)" -ne "$entries" ]; then
   echo "check.sh: cache gc --max-bytes=-1 exited $code and left" \
-    "$(bcache_entries | wc -l) of $entries entries:" >&2
+    "$(bcache_entries) of $entries entries:" >&2
   cat "$tmpdir/bgc_neg.json" >&2
   exit 1
 fi
@@ -870,16 +891,23 @@ if ! grep -q '"cache.write":[1-9]' "$tmpdir/stats_fault.json"; then
   exit 1
 fi
 
-# cache-gc quarantines an entry corrupted at rest, and the server keeps
+# cache-gc quarantines a record corrupted at rest, and the server keeps
 # serving (the torn *write* above was already repaired on first read, so
-# rot a stored entry directly to exercise the gc validation pass)
-victim=$(find "$tmpdir/faultcache" -name '*.bin' \
+# rot a stored record's payload in place to exercise the gc validation
+# pass)
+victim=$(find "$tmpdir/faultcache" -name '*.log' \
   -not -path '*/quarantine/*' | head -n 1)
 if [ -z "$victim" ]; then
   echo "check.sh: fault-plan server wrote no cache entries" >&2
   exit 1
 fi
-printf 'rotted' > "$victim"
+# rot the segment's last record: concurrent requests may store a key
+# twice, and the index holds the key's last record. Its payload follows
+# its header line
+record_at=$(grep -boa 'ALICE-CACHE 2 ' "$victim" | tail -n 1 | cut -d: -f1)
+header=$(tail -c +"$((record_at + 1))" "$victim" | head -n 1 | wc -c)
+printf 'rotted' | dd of="$victim" bs=1 seek="$((record_at + header))" \
+  conv=notrunc 2> /dev/null
 "$ALICE" client --socket "$fsock" --op cache-gc --retry 6 \
   > "$tmpdir/gc_fault.json"
 if ! grep -q '"quarantined":[1-9]' "$tmpdir/gc_fault.json"; then

@@ -2,31 +2,41 @@
     {!Engine}'s cache, holding its characterizations, attack verdicts
     and sweep checkpoints side by side.
 
-    Layout: one file per cache key under [<root>/v<N>/<md5(key)>.bin].
-    Each entry is a header line
+    Layout: a log-structured hash table (Sheehy & Smith, "Bitcask",
+    2010). Each handle appends to a segment file of its own,
+    [<root>/v<N>/<pid>-<n>.log], opened at its first store. A record is
+    a header line
 
-    {v ALICE-CACHE <format-version> <md5-of-payload> <payload-bytes> v}
+    {v ALICE-CACHE <format-version> <md5-of-key> <md5-of-payload> <payload-bytes> v}
 
-    followed by the payload, a [Marshal] blob of [(key, value)]. The
-    full key is stored and re-checked on load, so a filename collision
-    can only cost a miss, never a wrong hit.
+    followed by the payload, a [Marshal] blob of [(key, value)]. An
+    in-memory index maps each key digest to its record: the handle's
+    own appends enter it as they are written, and a miss rescans only
+    what other segments gained since the last look, reading each header
+    and seeking past its payload. Every append also adds a byte to
+    [<root>/v<N>/generation], so a miss that finds no other handle's
+    byte there skips the rescan. The full key is stored and re-checked
+    on load, so a digest collision can only cost a miss, never a wrong
+    hit.
 
-    The store never fails a flow: a missing, truncated, corrupt or
-    version-mismatched entry degrades to a miss (recompute) with a
-    [W0702] warning — and is {e quarantined} (moved aside into
-    [<root>/quarantine/]) so the same rot is paid once, then repaired by
-    the recomputation's write-back. An unwritable directory disables
-    writes with a single [W0703] warning until {!gc} re-arms them after
-    freeing space. Each write goes
-    through a temporary file of its own (named by pid and a per-process
-    counter) and [Sys.rename], so concurrent processes, worker domains
-    and threads never observe a torn entry or lose a rename.
+    The store never fails a flow: a truncated, corrupt or
+    version-mismatched record degrades to a miss (recompute) with a
+    [W0702] warning, and is {e quarantined}: its bytes are copied into
+    [<root>/quarantine/] and its magic is overwritten in place, so no
+    handle indexes it again and the same rot is paid once, then repaired
+    by the recomputation's write-back. A record whose declared length
+    runs past its segment's end is an incomplete tail (a write in
+    progress, or a writer killed mid-write): it is neither indexed nor
+    reported, and the next scan resumes there. An unwritable directory
+    disables writes with a single [W0703] warning until {!gc} re-arms
+    them.
 
-    With a byte budget ([max_bytes]) the store is bounded: loads touch
-    their entry's mtime, and when a write pushes the directory over
-    budget the least-recently-used entries are evicted until it fits
-    (the entry just written is never its own victim). {!gc} does the
-    same on demand, plus full-store validation.
+    With a byte budget ([max_bytes]) the store is bounded: loads and
+    stores stamp their record's index entry, and when the segments
+    outgrow the budget the handle compacts them into one fresh segment
+    holding the most recently used records that fit (the record just
+    written is never its own victim). {!gc} does the same on demand,
+    plus full-store validation.
 
     Fault injection (sites [cache.read], [cache.write]) threads through
     both IO boundaries; see {!Alice_fault.Fault}. *)
@@ -34,7 +44,7 @@
 module D = Alice_diag.Diag
 module Fi = Alice_fault.Fault
 
-let format_version = 1
+let format_version = 2
 
 type stats = {
   disk_hits : int;     (* entries served from disk *)
@@ -49,17 +59,43 @@ type gc_stats = {
   gc_examined : int;       (* entries inspected *)
   gc_quarantined : int;    (* entries failing validation, moved aside *)
   gc_evicted : int;        (* valid entries evicted by the budget *)
-  gc_freed_bytes : int;    (* bytes reclaimed (quarantine + eviction) *)
+  gc_freed_bytes : int;    (* bytes reclaimed *)
   gc_live_bytes : int;     (* bytes still stored after the pass *)
   gc_writes_reenabled : bool;  (* a W0703 write-disable was lifted *)
 }
 
+(* A segment file, by its name in the store directory. *)
+type segment = {
+  name : string;
+  mutable size : int;     (* its bytes at the last look *)
+  mutable scanned : int;  (* the whole records before this are indexed *)
+}
+
+(* One record: [len] bytes at [off] in [seg], header included. *)
+type slot = { seg : segment; off : int; len : int; mutable stamp : int }
+
+(* The segment this handle appends to, opened by process [pid], and the
+   store's generation file. *)
+type writer = {
+  fd : Unix.file_descr;
+  generation : Unix.file_descr;
+  pid : int;
+  own : segment;
+}
+
 type t = {
   root : string;
-  dir : string;  (* root/v<format_version>, the actual entry directory *)
+  dir : string;  (* root/v<format_version>, the segment directory *)
   max_bytes : int option;
   faults : Fi.t;
-  mu : Mutex.t;
+  mu : Mutex.t;  (* guards the tables and every mutable field *)
+  index : (string, slot) Hashtbl.t;  (* md5 hex of a key -> its record *)
+  segments : (string, segment) Hashtbl.t;  (* every segment, by name *)
+  mutable writer : writer option;
+  mutable clock : int;  (* last-use stamps: the LRU order *)
+  mutable expected : int;
+      (* the generation file's size if no other handle wrote since the
+         last look; -1 before the first *)
   mutable hits : int;
   mutable misses : int;
   mutable stores : int;
@@ -68,8 +104,13 @@ type t = {
   mutable evicted : int;
   mutable sink : (D.t -> unit) option;
   mutable write_disabled : bool;
-  mutable used_bytes : int option;  (* lazy dir-size estimate, budget mode *)
 }
+
+let live_magic = "ALICE-CACHE"
+
+(* overwrites [live_magic] of a quarantined record; same length, so the
+   header still gives the record's length to a scan that skips it *)
+let dead_magic = "ALICE-DEAD!"
 
 let default_root () =
   match Sys.getenv_opt "ALICE_CACHE_DIR" with
@@ -87,15 +128,31 @@ let check_budget (fn : string) : int option -> unit = function
   | Some n when n < 0 -> invalid_arg (fn ^ ": negative max_bytes")
   | _ -> ()
 
+let close_writer (w : writer) : unit =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ w.fd; w.generation ]
+
+let drop_writer (t : t) : unit =
+  Option.iter close_writer t.writer;
+  t.writer <- None
+
 let create ?root ?max_bytes ?(faults = Fi.global ()) () =
   check_budget "Disk_cache.create" max_bytes;
   let root = match root with Some r -> r | None -> default_root () in
-  { root;
-    dir = Filename.concat root (Printf.sprintf "v%d" format_version);
-    max_bytes; faults;
-    mu = Mutex.create ();
-    hits = 0; misses = 0; stores = 0; failures = 0; quarantined = 0;
-    evicted = 0; sink = None; write_disabled = false; used_bytes = None }
+  let t =
+    { root;
+      dir = Filename.concat root (Printf.sprintf "v%d" format_version);
+      max_bytes; faults;
+      mu = Mutex.create ();
+      index = Hashtbl.create 256; segments = Hashtbl.create 8;
+      writer = None; clock = 0; expected = -1;
+      hits = 0; misses = 0; stores = 0; failures = 0; quarantined = 0;
+      evicted = 0; sink = None; write_disabled = false }
+  in
+  (* an engine per request must not leak one descriptor each *)
+  Gc.finalise drop_writer t;
+  t
 
 let root (t : t) = t.root
 
@@ -122,9 +179,6 @@ let warn (t : t) (d : D.t) : unit =
       t.failures <- t.failures + 1;
       match t.sink with Some f -> f d | None -> ())
 
-let entry_path (t : t) (key : string) : string =
-  Filename.concat t.dir (Digest.to_hex (Digest.string key) ^ ".bin")
-
 let quarantine_dir (t : t) : string = Filename.concat t.root "quarantine"
 
 let rec mkdir_p (dir : string) : unit =
@@ -134,24 +188,224 @@ let rec mkdir_p (dir : string) : unit =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let file_size (path : string) : int =
-  match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error _ -> 0
+let key_digest (key : string) : string = Digest.to_hex (Digest.string key)
 
-(* Move an unusable entry aside so it cannot fail the next load too;
-   the recompute's write-back then repairs the slot. Fall back to
-   deletion (and then to nothing) — quarantine is best-effort hygiene,
-   never a new failure mode. *)
-let quarantine (t : t) (path : string) : unit =
-  let dst = Filename.concat (quarantine_dir t) (Filename.basename path) in
+let segment_path (t : t) (seg : segment) : string = Filename.concat t.dir seg.name
+
+(* Every append and every compaction adds a byte to this file, after the
+   records it announces are written. Its size moves whenever a record
+   or a segment appears or goes, so a miss that finds it at the size
+   this handle expects skips the directory scan: a miss costs one
+   [stat], however many segments the store has gathered. *)
+let generation_path (t : t) : string = Filename.concat t.dir "generation"
+
+let generation_flags =
+  [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+
+(* one byte onto the generation file through [fd]; under [t.mu] *)
+let bump (t : t) (fd : Unix.file_descr) : unit =
+  ignore (Unix.write_substring fd "." 0 1);
+  if t.expected >= 0 then t.expected <- t.expected + 1
+
+(* [(pid, n)] of a segment name [<pid>-<n>.log]; other files are not
+   segments *)
+let segment_id (name : string) : (int * int) option =
+  match Scanf.sscanf name "%u-%u.log%!" (fun pid n -> (pid, n)) with
+  | id -> Some id
+  | exception _ -> None
+
+let tick (t : t) : int =
+  t.clock <- t.clock + 1;
+  t.clock
+
+(* ---------- the index: scanning segments ---------- *)
+
+(* A header is one short line; more bytes than this without a newline
+   are not one. *)
+let header_max = 128
+
+(* The record at [pos] of a segment of [size] bytes: whether it is live,
+   its key digest and its length, header included. [None] when the
+   bytes there hold no whole record. *)
+let record_at (ic : In_channel.t) (pos : int) (size : int) :
+    (bool * string * int) option =
+  let n = min header_max (size - pos) in
+  if n <= 0 then None
+  else begin
+    In_channel.seek ic (Int64.of_int pos);
+    match In_channel.really_input_string ic n with
+    | None -> None
+    | Some s -> (
+      match String.index_opt s '\n' with
+      | None -> None
+      | Some nl -> (
+        match String.split_on_char ' ' (String.sub s 0 nl) with
+        | [ magic; _version; kd; _payload_digest; bytes ]
+          when magic = live_magic || magic = dead_magic -> (
+          match int_of_string_opt bytes with
+          | Some b when b >= 0 && pos + nl + 1 + b <= size ->
+            Some (magic = live_magic, kd, nl + 1 + b)
+          | _ -> None)
+        | _ -> None))
+  end
+
+(* Index the whole records of [seg] past [seg.scanned], seeking past
+   each payload. An incomplete tail, or bytes that are no header, end
+   the scan unreported, and the next one resumes there. A key already
+   indexed keeps its record: with segments scanned in name order, every
+   handle resolves a duplicate alike. Under [t.mu]. *)
+let scan (t : t) (seg : segment) : unit =
+  match In_channel.open_bin (segment_path t seg) with
+  | exception Sys_error _ -> ()
+  | ic ->
+    let rec go pos =
+      match record_at ic pos seg.size with
+      | None -> pos
+      | Some (live, kd, len) ->
+        if live && not (Hashtbl.mem t.index kd) then
+          Hashtbl.replace t.index kd { seg; off = pos; len; stamp = tick t };
+        go (pos + len)
+    in
+    seg.scanned <-
+      Fun.protect ~finally:(fun () -> In_channel.close_noerr ic) (fun () ->
+          go seg.scanned)
+
+(* Bring the index up to date with the directory: forget the segments
+   that are gone (another handle's compaction deleted them), and index
+   what the others gained since the last look. The handle's own segment
+   needs no look: its appends are indexed as they are written. Under
+   [t.mu]. *)
+let look (t : t) : unit =
+  let present = Hashtbl.create 16 in
+  (match Sys.readdir t.dir with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun name ->
+        Option.iter (Hashtbl.replace present name) (segment_id name))
+      names);
+  let gone =
+    Hashtbl.fold
+      (fun name _ acc -> if Hashtbl.mem present name then acc else name :: acc)
+      t.segments []
+  in
+  if gone <> [] then begin
+    List.iter (Hashtbl.remove t.segments) gone;
+    Hashtbl.filter_map_inplace
+      (fun _ s -> if Hashtbl.mem present s.seg.name then Some s else None)
+      t.index
+  end;
+  let own = Option.map (fun w -> w.own.name) t.writer in
+  Hashtbl.fold (fun name id acc -> (id, name) :: acc) present []
+  |> List.sort compare
+  |> List.iter (fun (_, name) ->
+         if Some name <> own then begin
+           let seg =
+             match Hashtbl.find_opt t.segments name with
+             | Some seg -> seg
+             | None ->
+               let seg = { name; size = 0; scanned = 0 } in
+               Hashtbl.replace t.segments name seg;
+               seg
+           in
+           match Unix.stat (segment_path t seg) with
+           | exception Unix.Unix_error _ -> ()
+           | { Unix.st_size; _ } ->
+             if st_size <> seg.size then begin
+               seg.size <- st_size;
+               scan t seg
+             end
+         end)
+
+(* [look], unless the generation file shows that no other handle wrote
+   since the last one. The file's size is read first: a write that lands
+   during the look moves it past what is recorded, and the next refresh
+   looks again. Under [t.mu]. *)
+let refresh (t : t) : unit =
+  let generation =
+    match Unix.stat (generation_path t) with
+    | { Unix.st_size; _ } -> st_size
+    | exception Unix.Unix_error _ -> -1
+  in
+  if generation < 0 || generation <> t.expected then begin
+    t.expected <- generation;
+    look t
+  end
+
+(* The record indexed for [kd], else the one a rescan finds. Under
+   [t.mu]. *)
+let find (t : t) (kd : string) : slot option =
+  match Hashtbl.find_opt t.index kd with
+  | Some _ as s -> s
+  | None ->
+    refresh t;
+    Hashtbl.find_opt t.index kd
+
+(* bytes in every segment the handle knows of *)
+let segment_bytes (t : t) : int =
+  Hashtbl.fold (fun _ seg acc -> acc + seg.size) t.segments 0
+
+let locate (t : t) ~(key : string) : (string * int * int) option =
+  Mutex.protect t.mu (fun () ->
+      Option.map
+        (fun s -> (segment_path t s.seg, s.off, s.len))
+        (find t (key_digest key)))
+
+(* ---------- load ---------- *)
+
+(* The record's bytes: exactly its indexed length, fewer at a short
+   read; [None] when its segment cannot be opened. *)
+let read_record (t : t) (s : slot) : string option =
+  let flags = [ Unix.O_RDONLY; Unix.O_CLOEXEC ] in
+  match Unix.openfile (segment_path t s.seg) flags 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+    let buf = Bytes.create s.len in
+    let rec fill got =
+      if got = s.len then got
+      else
+        match Unix.read fd buf got (s.len - got) with
+        | 0 -> got
+        | n -> fill (got + n)
+        | exception Unix.Unix_error _ -> got
+    in
+    let got =
+      match Unix.lseek fd s.off Unix.SEEK_SET with
+      | _ -> fill 0
+      | exception Unix.Unix_error _ -> 0
+    in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Some (Bytes.sub_string buf 0 got)
+
+(* Set a bad record aside: copy its bytes into quarantine, drop it from
+   the index and overwrite its magic in place, so that no handle indexes
+   it again and every later load finds the recompute's write-back.
+   Best-effort hygiene, never a new failure mode. *)
+let quarantine (t : t) (kd : string) (s : slot) (raw : string) : unit =
   (try
      mkdir_p (quarantine_dir t);
-     Sys.rename path dst
-   with _ -> ( try Sys.remove path with Sys_error _ -> ()));
-  Mutex.protect t.mu (fun () -> t.quarantined <- t.quarantined + 1)
+     Out_channel.with_open_bin
+       (Filename.concat (quarantine_dir t) (kd ^ ".bin"))
+       (fun oc -> Out_channel.output_string oc raw)
+   with Sys_error _ -> ());
+  (try
+     let flags = [ Unix.O_WRONLY; Unix.O_CLOEXEC ] in
+     let fd = Unix.openfile (segment_path t s.seg) flags 0 in
+     Fun.protect
+       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+       (fun () ->
+         ignore (Unix.lseek fd s.off Unix.SEEK_SET);
+         ignore
+           (Unix.write_substring fd dead_magic 0
+              (min (String.length dead_magic) (String.length raw))))
+   with Unix.Unix_error _ -> ());
+  Mutex.protect t.mu (fun () ->
+      (match Hashtbl.find_opt t.index kd with
+      | Some s' when s' == s -> Hashtbl.remove t.index kd
+      | _ -> ());
+      t.quarantined <- t.quarantined + 1)
 
-(* Entry validation up to the payload: header shape, format version,
+(* Record validation up to the payload: header shape, format version,
    payload length, payload digest. A payload that passes is the blob we
    wrote, so it is safe to [Marshal.from_string]; gc stops here, as it
    does not know the key. *)
@@ -162,7 +416,7 @@ let verified_payload (raw : string) : (string, string) result =
     let header = String.sub raw 0 nl in
     let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
     match
-      Scanf.sscanf header "ALICE-CACHE %d %s %d" (fun v d n -> (v, d, n))
+      Scanf.sscanf header "ALICE-CACHE %d %s %s %d" (fun v _ d n -> (v, d, n))
     with
     | exception _ -> Error "malformed header"
     | version, digest, len ->
@@ -187,158 +441,239 @@ let parse_entry (key : string) (raw : string) : ('v, string) result =
         if (stored_key : string) <> key then Error "key collision" else Ok v)
 
 let load (t : t) ~(key : string) : 'v option =
-  let path = entry_path t key in
   let injected_read_failure =
     match Fi.check t.faults "cache.read" with
     | Some (Fi.Delay s) -> Unix.sleepf s; false
     | Some _ -> true
     | None -> false
   in
-  match if injected_read_failure then raise (Sys_error "injected read failure")
-        else In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ ->
+  let miss () =
     Mutex.protect t.mu (fun () -> t.misses <- t.misses + 1);
     None
-  | raw -> (
-    match parse_entry key raw with
-    | Ok v ->
-      (* recency for LRU eviction: utimes 0 0 = touch to now *)
-      (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-      Mutex.protect t.mu (fun () -> t.hits <- t.hits + 1);
-      Some v
-    | Error reason ->
-      quarantine t path;
-      warn t
-        (D.warning ~code:"W0702"
-           ~context:[ ("entry", path) ]
-           "unusable cache entry (%s); quarantined, recomputing" reason);
-      None)
-
-(* ---------- byte budget ---------- *)
-
-(* (path, size, mtime) of every entry, oldest first *)
-let scan_entries (t : t) : (string * int * float) list =
-  match Sys.readdir t.dir with
-  | exception Sys_error _ -> []
-  | names ->
-    Array.to_list names
-    |> List.filter (fun f -> Filename.check_suffix f ".bin")
-    |> List.filter_map (fun f ->
-           let path = Filename.concat t.dir f in
-           match Unix.stat path with
-           | { Unix.st_size; st_mtime; _ } -> Some (path, st_size, st_mtime)
-           | exception Unix.Unix_error _ -> None)
-    |> List.sort (fun (p1, _, m1) (p2, _, m2) ->
-           compare (m1, p1) (m2, p2))
-
-let note_stored (t : t) ~(size : int) ~(replaced : int) : unit =
-  Mutex.protect t.mu (fun () ->
-      t.stores <- t.stores + 1;
-      match t.used_bytes with
-      | Some used -> t.used_bytes <- Some (used + size - replaced)
-      | None -> ())
-
-(* Evict least-recently-used entries until the directory fits [budget];
-   [keep] (the entry just written) is never its own victim. Runs outside
-   the mutex — eviction is idempotent and concurrent evictors only race
-   to delete the same oldest files, which [Sys.remove] settles. *)
-let evict_to_budget (t : t) ~(budget : int) ~(keep : string option) : int =
-  let entries = scan_entries t in
-  let total = List.fold_left (fun acc (_, s, _) -> acc + s) 0 entries in
-  Mutex.protect t.mu (fun () -> t.used_bytes <- Some total);
-  let rec go over entries freed =
-    if over <= 0 then freed
-    else
-      match entries with
-      | [] -> freed
-      | (path, size, _) :: rest ->
-        if keep = Some path then go over rest freed
-        else begin
-          (match Sys.remove path with
-          | () ->
-            Mutex.protect t.mu (fun () ->
-                t.evicted <- t.evicted + 1;
-                t.used_bytes <-
-                  Option.map (fun u -> max 0 (u - size)) t.used_bytes)
-          | exception Sys_error _ -> ());
-          go (over - size) rest (freed + size)
-        end
   in
-  go (total - budget) entries 0
+  let kd = key_digest key in
+  let rec attempt ~retried =
+    match Mutex.protect t.mu (fun () -> find t kd) with
+    | None -> miss ()
+    | Some s -> (
+      match read_record t s with
+      | None when not retried ->
+        (* its segment went to another handle's compaction: look again *)
+        Mutex.protect t.mu (fun () -> refresh t);
+        attempt ~retried:true
+      | None -> miss ()
+      | Some raw -> (
+        match parse_entry key raw with
+        | Ok v ->
+          Mutex.protect t.mu (fun () ->
+              s.stamp <- tick t;
+              t.hits <- t.hits + 1);
+          Some v
+        | Error reason ->
+          quarantine t kd s raw;
+          warn t
+            (D.warning ~code:"W0702"
+               ~context:
+                 [ ("entry", Printf.sprintf "%s@%d" (segment_path t s.seg) s.off) ]
+               "unusable cache entry (%s); quarantined, recomputing" reason);
+          None))
+  in
+  if injected_read_failure then miss () else attempt ~retried:false
 
-let ensure_used_bytes (t : t) : int =
-  match Mutex.protect t.mu (fun () -> t.used_bytes) with
-  | Some used -> used
-  | None ->
-    let total =
-      List.fold_left (fun acc (_, s, _) -> acc + s) 0 (scan_entries t)
+(* ---------- store ---------- *)
+
+(* Numbers this process's segments: with the pid, every handle and every
+   compaction appends to a segment of its own. *)
+let segment_seq = Atomic.make 0
+
+(* A fresh, empty segment of this process, registered and open for
+   appends. [O_EXCL] passes over a name an earlier process of the same
+   pid left: its tail may be incomplete, and a record appended after it
+   would be unreadable. Under [t.mu]. *)
+let rec open_segment (t : t) : writer =
+  mkdir_p t.dir;
+  let pid = Unix.getpid () in
+  let name = Printf.sprintf "%d-%d.log" pid (Atomic.fetch_and_add segment_seq 1) in
+  match
+    Unix.openfile (Filename.concat t.dir name)
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+      0o644
+  with
+  | fd ->
+    let generation =
+      try Unix.openfile (generation_path t) generation_flags 0o644
+      with e -> Unix.close fd; raise e
     in
-    Mutex.protect t.mu (fun () ->
-        match t.used_bytes with
-        | Some used -> used  (* another thread scanned first *)
-        | None -> t.used_bytes <- Some total; total)
+    let own = { name; size = 0; scanned = 0 } in
+    Hashtbl.replace t.segments name own;
+    { fd; generation; pid; own }
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_segment t
 
-(* Numbers this process's temp files: with the pid, every write gets a
-   temp file of its own, whichever domain, thread or process makes it. *)
-let tmp_seq = Atomic.make 0
+(* The segment to append to, and its size: the offset of the next
+   record. A forked child, or a handle whose segment another handle's
+   compaction deleted ([st_nlink = 0]), starts a fresh one. Under
+   [t.mu]. *)
+let rec append_target (t : t) : writer * int =
+  match t.writer with
+  | None ->
+    let w = open_segment t in
+    t.writer <- Some w;
+    (w, 0)
+  | Some w when w.pid <> Unix.getpid () ->
+    drop_writer t;
+    append_target t
+  | Some w ->
+    let st = Unix.fstat w.fd in
+    if st.Unix.st_nlink > 0 then (w, st.Unix.st_size)
+    else begin
+      drop_writer t;
+      append_target t
+    end
+
+(* One write of a whole record, indexed at once. Under [t.mu]. *)
+let append (t : t) (kd : string) (record : string) : unit =
+  let w, off = append_target t in
+  let len = String.length record in
+  ignore (Unix.write_substring w.fd record 0 len);
+  w.own.size <- off + len;
+  w.own.scanned <- off + len;
+  Hashtbl.replace t.index kd { seg = w.own; off; len; stamp = tick t };
+  bump t w.generation
+
+(* A record: its header, then the payload. A torn record keeps the
+   header of its whole payload and zeroes the payload's second half, as
+   a power cut mid-write would: it looks stored, fails its checksum on
+   the next load, and the records after it stay readable. *)
+let encode (kd : string) ~(torn : bool) (payload : string) : string =
+  let n = String.length payload in
+  let header =
+    Printf.sprintf "%s %d %s %s %d\n" live_magic format_version kd
+      (Digest.to_hex (Digest.string payload)) n
+  in
+  let h = String.length header in
+  let b = Bytes.create (h + n) in
+  Bytes.blit_string header 0 b 0 h;
+  Bytes.blit_string payload 0 b h n;
+  if torn then Bytes.fill b (h + (n / 2)) (n - (n / 2)) '\000';
+  Bytes.unsafe_to_string b
+
+(* Copy [records] into a fresh segment, in order: its writer and the
+   records' new slots. A record that cannot be read is left out. A
+   failed write removes the fresh segment and raises. Under [t.mu]. *)
+let copy_out (t : t) (records : (string * slot) list) :
+    writer * (string * slot) list =
+  let w = open_segment t in
+  let copy (pos, moved) (kd, s) =
+    match read_record t s with
+    | Some raw when String.length raw = s.len ->
+      ignore (Unix.write_substring w.fd raw 0 s.len);
+      (pos + s.len, (kd, { s with seg = w.own; off = pos }) :: moved)
+    | _ -> (pos, moved)
+  in
+  match List.fold_left copy (0, []) records with
+  | size, moved ->
+    w.own.size <- size;
+    w.own.scanned <- size;
+    (w, moved)
+  | exception e ->
+    close_writer w;
+    (try Sys.remove (segment_path t w.own) with Sys_error _ -> ());
+    Hashtbl.remove t.segments w.own.name;
+    raise e
+
+(* Rewrite the store as one fresh segment holding the live records the
+   budget admits: [keep] first, then the most recently used while they
+   fit. Dead, superseded and incomplete records go with the old
+   segments; the live records left out count as evicted. The fresh
+   segment holds its records oldest first, so a later handle's scan
+   reads back the LRU order, and a store of many segments becomes one.
+   Nothing happens to one segment that holds only what it keeps.
+   Returns the number evicted. Under [t.mu], after [refresh]. *)
+let compact (t : t) ~(budget : int option) ~(keep : string option) : int =
+  let recent_first =
+    Hashtbl.fold (fun kd s acc -> (kd, s) :: acc) t.index []
+    |> List.sort (fun (ka, a) (kb, b) ->
+           compare (Some kb = keep, b.stamp) (Some ka = keep, a.stamp))
+  in
+  let kept, evicted =
+    match budget with
+    | None -> (recent_first, [])
+    | Some budget ->
+      let rec take room = function
+        | ((kd, s) as r) :: rest when s.len <= room || Some kd = keep ->
+          let kept, evicted = take (room - s.len) rest in
+          (r :: kept, evicted)
+        | rest -> ([], rest)
+      in
+      take budget recent_first
+  in
+  let kept_bytes = List.fold_left (fun acc (_, s) -> acc + s.len) 0 kept in
+  if evicted = [] && kept_bytes = segment_bytes t
+     && Hashtbl.length t.segments <= 1
+  then 0
+  else
+    let old = Hashtbl.fold (fun _ seg acc -> seg :: acc) t.segments [] in
+    match
+      if kept = [] then (None, [])
+      else
+        let w, moved = copy_out t (List.rev kept) in
+        (Some w, moved)
+    with
+    | exception Unix.Unix_error _ -> 0  (* out of space: keep the old segments *)
+    | fresh, moved ->
+      drop_writer t;
+      List.iter
+        (fun seg ->
+          (try Sys.remove (segment_path t seg) with Sys_error _ -> ());
+          Hashtbl.remove t.segments seg.name)
+        old;
+      t.writer <- fresh;
+      Hashtbl.reset t.index;
+      List.iter (fun (kd, s) -> Hashtbl.replace t.index kd s) moved;
+      (try
+         let fd = Unix.openfile (generation_path t) generation_flags 0o644 in
+         Fun.protect
+           ~finally:(fun () -> Unix.close fd)
+           (fun () -> bump t fd)
+       with Unix.Unix_error _ -> ());
+      t.evicted <- t.evicted + List.length evicted;
+      List.length evicted
 
 let store (t : t) ~(key : string) (v : 'a) : unit =
   if writes_enabled t then begin
-    let path = entry_path t key in
-    let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-        (Atomic.fetch_and_add tmp_seq 1)
-    in
     let injected = Fi.check t.faults "cache.write" in
     (match injected with Some (Fi.Delay s) -> Unix.sleepf s | _ -> ());
+    let kd = key_digest key in
     match
       (match injected with
       | Some Fi.Fail | Some Fi.Kill ->
         raise (Sys_error "injected write failure")
-      | Some Fi.Enospc ->
-        raise (Unix.Unix_error (Unix.ENOSPC, "write", path))
+      | Some Fi.Enospc -> raise (Unix.Unix_error (Unix.ENOSPC, "write", t.dir))
       | Some (Fi.Eintr | Fi.Eagain) ->
         raise (Sys_error "injected transient write failure")
       | Some Fi.Torn | Some (Fi.Delay _) | None -> ());
-      mkdir_p t.dir;
-      let payload = Marshal.to_string (key, v) [] in
-      let header =
-        Printf.sprintf "ALICE-CACHE %d %s %d\n" format_version
-          (Digest.to_hex (Digest.string payload))
-          (String.length payload)
-      in
-      (* a torn write persists only half the payload — the simulated
-         power cut lands after the rename, so load sees a truncated
-         entry with a well-formed header *)
-      let payload =
-        match injected with
-        | Some Fi.Torn -> String.sub payload 0 (String.length payload / 2)
-        | _ -> payload
-      in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc header;
-          output_string oc payload);
-      let replaced = file_size path in
-      Sys.rename tmp path;
-      (replaced, String.length header + String.length payload)
+      let torn = match injected with Some Fi.Torn -> true | _ -> false in
+      let record = encode kd ~torn (Marshal.to_string (key, v) []) in
+      Mutex.protect t.mu (fun () ->
+          append t kd record;
+          t.stores <- t.stores + 1)
     with
-    | replaced, size ->
-      note_stored t ~size ~replaced;
-      (match t.max_bytes with
-      | None -> ()
-      | Some budget ->
-        if ensure_used_bytes t > budget then
-          ignore (evict_to_budget t ~budget ~keep:(Some path)))
+    | () ->
+      Option.iter
+        (fun budget ->
+          Mutex.protect t.mu (fun () ->
+              refresh t;
+              if segment_bytes t > budget then
+                ignore (compact t ~budget:(Some budget) ~keep:(Some kd))))
+        t.max_bytes
     | exception e ->
       (* one warning, then stop trying: an unwritable cache directory
          must not warn once per characterization. [gc] re-arms, once
-         space is freed. A half-written temp file is removed, as no
-         later write reuses its name. *)
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Mutex.protect t.mu (fun () -> t.write_disabled <- true);
+         space is freed; the next write starts a fresh segment, as this
+         one may end in part of a record. *)
+      Mutex.protect t.mu (fun () ->
+          drop_writer t;
+          t.write_disabled <- true);
       warn t
         (D.warning ~code:"W0703"
            ~context:[ ("dir", t.dir) ]
@@ -346,54 +681,80 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
            (Printexc.to_string e))
   end
 
-(* ---------- gc: validate, quarantine, evict, re-arm ---------- *)
+(* ---------- gc: reclaim, validate, quarantine, compact, re-arm ---------- *)
+
+let file_size (path : string) : int =
+  match Unix.stat path with
+  | { Unix.st_size; _ } -> st_size
+  | exception Unix.Unix_error _ -> 0
+
+(* An entry file or an orphaned temp file of the one-file-per-entry
+   format: [<32 hex>.bin] or [<32 hex>.bin.tmp.<pid>.<n>]. *)
+let earlier_format_file (name : string) : bool =
+  String.length name >= 36
+  && String.for_all
+       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+       (String.sub name 0 32)
+  &&
+  let rest = String.sub name 32 (String.length name - 32) in
+  rest = ".bin"
+  || (match Scanf.sscanf rest ".bin.tmp.%u.%u%!" (fun _ _ -> ()) with
+     | () -> true
+     | exception _ -> false)
+
+(* Delete the entry files of every earlier format version, and each
+   [v<k>] directory once it is empty; nothing else under the root.
+   Returns the bytes freed. *)
+let reclaim_earlier_formats (t : t) : int =
+  let freed = ref 0 in
+  for k = 1 to format_version - 1 do
+    let dir = Filename.concat t.root (Printf.sprintf "v%d" k) in
+    match Sys.readdir dir with
+    | exception Sys_error _ -> ()
+    | names ->
+      Array.iter
+        (fun name ->
+          if earlier_format_file name then begin
+            let path = Filename.concat dir name in
+            let size = file_size path in
+            match Sys.remove path with
+            | () -> freed := !freed + size
+            | exception Sys_error _ -> ()
+          end)
+        names;
+      (try Sys.rmdir dir with Sys_error _ -> ())
+  done;
+  !freed
 
 let gc ?max_bytes (t : t) : gc_stats =
   check_budget "Disk_cache.gc" max_bytes;
-  let entries = scan_entries t in
-  let examined = List.length entries in
-  (* validation pass: quarantine anything that no longer checksums *)
-  let quarantined, bad_bytes =
-    List.fold_left
-      (fun (n, bytes) (path, size, _) ->
-        let ok =
-          match In_channel.with_open_bin path In_channel.input_all with
-          | raw -> Result.is_ok (verified_payload raw)
-          | exception Sys_error _ -> false
-        in
-        if ok then (n, bytes)
-        else begin
-          quarantine t path;
-          (n + 1, bytes + size)
-        end)
-      (0, 0) entries
-  in
-  (* eviction pass against the requested (or configured) budget *)
-  let budget = match max_bytes with Some b -> Some b | None -> t.max_bytes in
-  let evicted_bytes, evicted_count =
-    match budget with
-    | None ->
-      (* still refresh the size estimate *)
-      let total =
-        List.fold_left (fun acc (_, s, _) -> acc + s) 0 (scan_entries t)
-      in
-      Mutex.protect t.mu (fun () -> t.used_bytes <- Some total);
-      (0, 0)
-    | Some budget ->
-      let before = Mutex.protect t.mu (fun () -> t.evicted) in
-      let freed = evict_to_budget t ~budget ~keep:None in
-      let after = Mutex.protect t.mu (fun () -> t.evicted) in
-      (freed, after - before)
-  in
-  let live =
-    Mutex.protect t.mu (fun () -> Option.value t.used_bytes ~default:0)
-  in
-  let reenabled =
+  let earlier = reclaim_earlier_formats t in
+  let records =
     Mutex.protect t.mu (fun () ->
-        let was = t.write_disabled in
-        t.write_disabled <- false;
-        was)
+        refresh t;
+        Hashtbl.fold (fun kd s acc -> (kd, s) :: acc) t.index [])
   in
-  { gc_examined = examined; gc_quarantined = quarantined;
-    gc_evicted = evicted_count; gc_freed_bytes = bad_bytes + evicted_bytes;
-    gc_live_bytes = live; gc_writes_reenabled = reenabled }
+  (* validation pass: quarantine anything that no longer checksums *)
+  let quarantined =
+    List.fold_left
+      (fun n (kd, s) ->
+        match read_record t s with
+        | Some raw when Result.is_error (verified_payload raw) ->
+          quarantine t kd s raw;
+          n + 1
+        | _ -> n)
+      0 records
+  in
+  (* compaction against the requested (or configured) budget *)
+  let budget = match max_bytes with Some b -> Some b | None -> t.max_bytes in
+  Mutex.protect t.mu (fun () ->
+      refresh t;
+      let before = segment_bytes t in
+      let evicted = compact t ~budget ~keep:None in
+      let live = segment_bytes t in
+      let reenabled = t.write_disabled in
+      t.write_disabled <- false;
+      { gc_examined = List.length records; gc_quarantined = quarantined;
+        gc_evicted = evicted;
+        gc_freed_bytes = earlier + max 0 (before - live);
+        gc_live_bytes = live; gc_writes_reenabled = reenabled })

@@ -2,33 +2,43 @@
     {!Engine}'s cache, holding its characterizations, attack verdicts
     and sweep checkpoints in one directory.
 
-    One file per key under [<root>/v<N>/<md5(key)>.bin]: a header line
-    carrying the format version and an MD5 checksum of the payload,
-    then a [Marshal] blob of [(key, value)]. The full key is re-checked
-    on load, so a filename collision can only cost a miss, never a
-    wrong hit.
+    A log per handle under [<root>/v<N>/]: each handle appends records
+    to a segment file of its own, [<pid>-<n>.log], and an in-memory
+    index maps each key's digest to its record. A record is a header
+    line [ALICE-CACHE <N> <md5(key)> <md5(payload)> <payload-bytes>],
+    then the payload, a [Marshal] blob of [(key, value)]. A miss rescans
+    only what other handles' segments gained since the last look, so
+    concurrent processes share entries; a [generation] file that every
+    append grows by a byte lets a miss skip the rescan when no other
+    handle wrote. The full key is re-checked on
+    load, so a digest collision can only cost a miss, never a wrong hit.
 
     The store never fails a flow — it degrades, and it repairs:
 
-    - A truncated, corrupt or version-mismatched entry degrades to a
-      miss with a [W0702] warning and is {e quarantined} (moved into
-      [<root>/quarantine/]), so the recomputation's write-back repairs
-      the slot instead of re-tripping on the same rot forever.
+    - A truncated, corrupt or version-mismatched record degrades to a
+      miss with a [W0702] warning and is {e quarantined}: its bytes are
+      copied into [<root>/quarantine/] and it is marked dead in place,
+      so no handle indexes it again and the recomputation's write-back
+      is what later loads find.
+    - A record cut short at a segment's end (a write in progress, or a
+      writer killed mid-write) is an incomplete tail: it is neither
+      indexed nor reported.
     - A failed write (e.g. ENOSPC) disables writes with a single
       [W0703] warning; {!gc} re-arms them once space is freed, so a
       long-lived server recovers without a restart.
-    - With [max_bytes] set the store is bounded: loads refresh their
-      entry's mtime and writes evict least-recently-used entries until
-      the directory fits the budget again.
+    - With [max_bytes] set the store is bounded: loads and stores stamp
+      their record as used, and a write that takes the segments over
+      budget compacts them into one fresh segment holding the most
+      recently used records that fit.
 
-    {!gc} does all of the above on demand: validates every entry,
-    quarantines failures, evicts to the budget, re-enables writes.
+    {!gc} does all of the above on demand: validates every record,
+    quarantines failures, compacts to the budget, re-enables writes,
+    and deletes the entry files an earlier format version left.
 
-    Writes are atomic (a temporary file per write, named by pid and a
-    per-process counter, then rename), loads and counters are
-    mutex-guarded, so one store may back the memo table of a
-    multi-domain characterization run, serve the threads of a server
-    and be shared by concurrent processes.
+    Each write is one append of a whole record, made under the handle's
+    mutex; loads and counters are mutex-guarded, so one store may back
+    the memo table of a multi-domain characterization run, serve the
+    threads of a server and be shared by concurrent processes.
 
     Values are read back with [Marshal] at the caller's type, and the
     stored key must equal the requested one: every key must therefore
@@ -36,20 +46,20 @@
     three key families apart by prefix.
 
     Fault-injection sites: ["cache.read"] (checked on {!load}: [Fail]
-    etc. behave as an unreadable file, [Delay] sleeps) and
+    etc. behave as an unreadable record, [Delay] sleeps) and
     ["cache.write"] (checked on {!store}: [Fail]/[Eintr]/[Eagain] take
     the W0703 path, [Enospc] raises the real [Unix_error] into that
-    path, [Torn] persists a truncated payload under a well-formed
-    header — the entry {e looks} stored but fails its checksum on the
-    next load, [Delay] sleeps). *)
+    path, [Torn] appends a record whose payload's second half is zeroed
+    under a well-formed header — the entry {e looks} stored but fails
+    its checksum on the next load, [Delay] sleeps). *)
 
 module D = Alice_diag.Diag
 
-(** Bumped on an incompatible change to the entry encoding; old entries
-    then miss cleanly. A changed key derivation is handled by the keys'
-    own version tags instead: bumping this would re-key every entry and
-    orphan persisted attack verdicts and checkpoints whose keys did not
-    change. *)
+(** Bumped on an incompatible change to the record encoding; old entries
+    then miss cleanly, and {!gc} deletes them. A changed key derivation
+    is handled by the keys' own version tags instead: bumping this would
+    re-key every entry and orphan persisted attack verdicts and
+    checkpoints whose keys did not change. *)
 val format_version : int
 
 type stats = {
@@ -66,7 +76,9 @@ type gc_stats = {
   gc_examined : int;       (** entries inspected *)
   gc_quarantined : int;    (** entries failing validation, moved aside *)
   gc_evicted : int;        (** valid entries evicted by the budget *)
-  gc_freed_bytes : int;    (** bytes reclaimed (quarantine + eviction) *)
+  gc_freed_bytes : int;
+      (** bytes reclaimed: quarantined, evicted, dead, superseded and
+          incomplete records, and an earlier format's entry files *)
   gc_live_bytes : int;     (** bytes still stored after the pass *)
   gc_writes_reenabled : bool;  (** a W0703 write-disable was lifted *)
 }
@@ -87,33 +99,37 @@ val create :
 
 val root : t -> string
 
-(** Where the entry for [key] lives (exposed for tests and tooling). *)
-val entry_path : t -> string -> string
+(** Where the record for [key] lives: its segment file, its offset and
+    its length, header included (exposed for tests and tooling). *)
+val locate : t -> key:string -> (string * int * int) option
 
-(** Where quarantined entries are moved ([<root>/quarantine]). *)
+(** Where quarantined records are copied ([<root>/quarantine]). *)
 val quarantine_dir : t -> string
 
 (** [load t ~key] returns the stored value, or [None] for a missing or
-    unusable entry (the latter emits [W0702] and quarantines the file).
-    A hit refreshes the entry's mtime — the LRU clock. *)
+    unusable record (the latter emits [W0702] and quarantines it). A
+    hit stamps the record as used — the LRU clock. *)
 val load : t -> key:string -> 'v option
 
-(** [store t ~key v] writes the entry atomically, then (with a byte
-    budget) evicts LRU entries until the store fits; the entry just
-    written is never its own victim. A failure emits one [W0703]
-    warning and disables further writes until {!gc}. *)
+(** [store t ~key v] appends the record, then (with a byte budget)
+    compacts the store to the budget when the segments outgrow it; the
+    record just written is never its own victim. A failure emits one
+    [W0703] warning and disables further writes until {!gc}. *)
 val store : t -> key:string -> 'v -> unit
 
 (** Whether {!store} currently writes (i.e. no un-cleared W0703). *)
 val writes_enabled : t -> bool
 
-(** [gc ?max_bytes t] validates every entry (header, length, checksum),
-    quarantines the ones that fail, evicts least-recently-used valid
-    entries until the store fits [max_bytes] (default: the budget given
-    at {!create}; no budget, no eviction), and re-enables writes; the
-    next write failure warns again, as warn-once is per disabled
-    episode. Safe against concurrent loads/stores: validation reads
-    whole files, eviction races settle at [Sys.remove].
+(** [gc ?max_bytes t] validates every record (header, length,
+    checksum), quarantines the ones that fail, compacts the store to
+    the most recently used records that fit [max_bytes] (default: the
+    budget given at {!create}; with no budget it drops only dead,
+    superseded and incomplete records) in one fresh segment that
+    replaces all the others, re-enables writes, and deletes
+    the entry files and orphaned temp files of earlier format versions.
+    The next write failure warns again, as warn-once is per disabled
+    episode. A record another process appends while the pass compacts
+    may be lost, which costs a later miss, never a wrong hit.
     @raise Invalid_argument on a negative [max_bytes], before touching
     any entry. *)
 val gc : ?max_bytes:int -> t -> gc_stats

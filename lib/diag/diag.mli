@@ -26,8 +26,6 @@ type t = {
   context : (string * string) list;  (** ordered key/value detail *)
 }
 
-val severity_to_string : severity -> string
-
 val make :
   ?loc:Loc.t -> ?context:(string * string) list ->
   severity -> code:string -> string -> t

@@ -78,8 +78,6 @@ val dff_count : t -> int
 
 val input_bit_count : t -> int
 
-val output_bit_count : t -> int
-
 val io_bit_count : t -> int
 
 val find_input : t -> string -> net array option

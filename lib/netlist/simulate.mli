@@ -21,8 +21,6 @@ val levelize : Circuit.t -> Circuit.gate array
     sign-extended to [width]. *)
 val bools_of_int : int -> int -> bool array
 
-val int_of_bools : bool array -> int
-
 (** A port value as [alice simulate] prints it: decimal up to 62 bits,
     [<width>'h<hex>] with every hex digit above. *)
 val string_of_bits : bool array -> string

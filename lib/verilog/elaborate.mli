@@ -40,16 +40,10 @@ val find_emodule : design -> string -> emodule
 (** Bit width of a declared net; [Invalid_argument] if unknown. *)
 val net_width : emodule -> string -> int
 
-(** Evaluate a constant expression under a parameter environment;
-    [Invalid_argument] on non-constant input. *)
-val eval_const : int Smap.t -> Ast.expr -> int
-
-(** Pick the top module: the unique module never instantiated by another.
-    [Invalid_argument] when ambiguous or absent. *)
-val detect_top : Ast.design -> string
-
-(** Elaborate a parsed design. [top] defaults to {!detect_top}. Raises
-    {!Loc.Error} or [Invalid_argument] on elaboration failures. *)
+(** Elaborate a parsed design. [top] defaults to the unique module that
+    no other module instantiates; [Invalid_argument] when there is none
+    or more than one. Raises {!Loc.Error} or [Invalid_argument] on
+    elaboration failures. *)
 val elaborate : ?top:string -> Ast.design -> design
 
 (** Total I/O pin count of a module: the sum of its port widths — the

@@ -18,14 +18,49 @@ let tmp_root () =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* every entry file of a store rooted at [root] *)
-let entry_files root =
-  let dir = Filename.concat root (Printf.sprintf "v%d" A.Disk_cache.format_version) in
+(* overwrite the bytes at [off] of [path] with [bytes], in place *)
+let patch path off bytes =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes)))
+
+let store_dir root =
+  Filename.concat root (Printf.sprintf "v%d" A.Disk_cache.format_version)
+
+(* every segment file of a store rooted at [root] *)
+let segment_files root =
+  let dir = store_dir root in
   if not (Sys.file_exists dir) then []
   else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".bin")
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".log")
     |> List.map (Filename.concat dir)
+
+(* The live records of a store rooted at [root], as (segment, offset,
+   bytes), read by the documented record format: a header line
+   [ALICE-CACHE <version> <md5-of-key> <md5-of-payload> <payload-bytes>],
+   then the payload. A dead record ([ALICE-DEAD!]) is skipped; the walk
+   of a segment ends at bytes that hold no whole record. *)
+let records root =
+  List.concat_map
+    (fun path ->
+      let body = read_file path in
+      let rec walk pos acc =
+        match String.index_from_opt body pos '\n' with
+        | None -> List.rev acc
+        | Some nl -> (
+          match String.split_on_char ' ' (String.sub body pos (nl - pos)) with
+          | [ magic; _; _; _; len ]
+            when magic = "ALICE-CACHE" || magic = "ALICE-DEAD!" ->
+            let stop = nl + 1 + int_of_string len in
+            if stop > String.length body then List.rev acc
+            else if magic = "ALICE-DEAD!" then walk stop acc
+            else walk stop ((path, pos, String.sub body pos (stop - pos)) :: acc)
+          | _ -> List.rev acc)
+      in
+      walk 0 [])
+    (segment_files root)
 
 let contains (s : string) (sub : string) : bool =
   let n = String.length sub in
@@ -34,10 +69,21 @@ let contains (s : string) (sub : string) : bool =
   in
   at 0
 
-(* the entries of the store rooted at [root] whose payload carries a
+(* the records of the store rooted at [root] whose payload carries a
    key starting with [prefix] ([Marshal] keeps the key's bytes) *)
-let entries_keyed root prefix =
-  List.filter (fun f -> contains (read_file f) prefix) (entry_files root)
+let records_keyed root prefix =
+  List.filter (fun (_, _, bytes) -> contains bytes prefix) (records root)
+
+(* rot a record in place: [bytes] over the start of its payload, so it
+   fails its checksum *)
+let rot_record (path, off, record) bytes =
+  patch path (off + String.index record '\n' + 1) bytes
+
+(* where [store]'s record for [key] lives: segment, offset, length *)
+let located store key =
+  match A.Disk_cache.locate store ~key with
+  | Some r -> r
+  | None -> Alcotest.failf "no record for %s" key
 
 let demo_src = {|module f1 (input [7:0] a, output [7:0] y); assign y = a + 8'h1; endmodule
   module f2 (input [7:0] a, output [7:0] y); assign y = a ^ 8'h55; endmodule
@@ -116,8 +162,9 @@ let test_config_digest_in_key () =
   Alcotest.(check bool) "keys differ on lut arch" true (key_a <> key_c);
   (* so two such configs can never share an on-disk entry *)
   let store = A.Disk_cache.create ~root:(tmp_root ()) () in
+  A.Disk_cache.store store ~key:key_a "a";
   Alcotest.(check bool) "distinct entry paths" true
-    (A.Disk_cache.entry_path store key_a <> A.Disk_cache.entry_path store key_b);
+    (A.Disk_cache.locate store ~key:key_b = None);
   (* selection-only knobs must NOT invalidate characterizations *)
   let cfg_sel = { demo_cfg with C.Flow_config.alpha = 9.0; max_efpgas = 1 } in
   Alcotest.(check string) "selection knobs reuse" key_a (key cfg_sel)
@@ -201,11 +248,13 @@ let test_disk_round_trip () =
   Alcotest.(check int) "misses" 1 s.A.Disk_cache.disk_misses;
   Alcotest.(check int) "failures" 0 s.A.Disk_cache.failures
 
-(* degrade [store]'s entry for [key] with [mangle], then expect a miss
-   plus exactly one W0702 through the sink *)
+(* degrade [store]'s record for [key] with [mangle], in place (the
+   record is its segment's last), then expect a miss plus exactly one
+   W0702 through the sink *)
 let check_degrades name store key mangle =
-  let path = A.Disk_cache.entry_path store key in
-  write_file path (mangle (read_file path));
+  let path, off, len = located store key in
+  let body = read_file path in
+  write_file path (String.sub body 0 off ^ mangle (String.sub body off len));
   let warned = ref [] in
   A.Disk_cache.set_sink store (fun d -> warned := d :: !warned);
   let got : string option = A.Disk_cache.load store ~key in
@@ -223,11 +272,11 @@ let test_unusable_entries_degrade () =
     A.Disk_cache.store store ~key "payload";
     store
   in
-  (* truncated file *)
+  (* truncated record: the handle that indexed it reads short *)
   let s1 = fresh "k" in
   check_degrades "truncated" s1 "k" (fun body ->
       String.sub body 0 (String.length body / 2));
-  (* empty file *)
+  (* empty record *)
   let s2 = fresh "k" in
   check_degrades "empty" s2 "k" (fun _ -> "");
   (* version bump: rewrite the header's version field, checksum intact *)
@@ -251,6 +300,141 @@ let test_unusable_entries_degrade () =
   let s5 = fresh "k" in
   check_degrades "garbage" s5 "k" (fun _ -> "not a cache entry at all\njunk")
 
+(* ---------- the log's own failure modes ---------- *)
+
+let collect_warnings store =
+  let warned = ref [] in
+  A.Disk_cache.set_sink store (fun d -> warned := d.D.code :: !warned);
+  warned
+
+(* a writer killed mid-record leaves an incomplete tail: a fresh handle
+   indexes what precedes it and misses the cut record without a
+   diagnostic, and gc drops the tail *)
+let test_crash_tail () =
+  let root = tmp_root () in
+  let writer = A.Disk_cache.create ~root () in
+  A.Disk_cache.store writer ~key:"k1" "one";
+  A.Disk_cache.store writer ~key:"k2" "two";
+  let path, off, len = located writer "k2" in
+  (* the cut keeps k2's header, whose declared length now runs past the
+     segment's end *)
+  let header = String.index (String.sub (read_file path) off len) '\n' + 1 in
+  Unix.truncate path (off + header + ((len - header) / 2));
+  let fresh = A.Disk_cache.create ~root () in
+  let warned = collect_warnings fresh in
+  Alcotest.(check (option string)) "k1 loads" (Some "one")
+    (A.Disk_cache.load fresh ~key:"k1");
+  Alcotest.(check (option string)) "k2 misses" None
+    (A.Disk_cache.load fresh ~key:"k2");
+  Alcotest.(check (list string)) "no diagnostic" [] !warned;
+  A.Disk_cache.store fresh ~key:"k2" "two";
+  Alcotest.(check (option string)) "k2 stored anew" (Some "two")
+    (A.Disk_cache.load fresh ~key:"k2");
+  let g = A.Disk_cache.gc fresh in
+  Alcotest.(check int) "nothing to quarantine" 0 g.A.Disk_cache.gc_quarantined;
+  let on_disk =
+    List.fold_left
+      (fun acc f -> acc + (Unix.stat f).Unix.st_size)
+      0 (segment_files root)
+  and whole =
+    List.fold_left (fun acc (_, _, r) -> acc + String.length r) 0 (records root)
+  in
+  Alcotest.(check int) "gc dropped the cut tail" whole on_disk;
+  Alcotest.(check int) "gc merged the two segments" 1
+    (List.length (segment_files root));
+  Alcotest.(check int) "live bytes reported" on_disk g.A.Disk_cache.gc_live_bytes;
+  let after = A.Disk_cache.create ~root () in
+  Alcotest.(check (list (option string))) "both load after gc"
+    [ Some "one"; Some "two" ]
+    (List.map (fun key -> A.Disk_cache.load after ~key) [ "k1"; "k2" ]);
+  Alcotest.(check (list string)) "still no diagnostic" [] !warned
+
+(* a rotted record is marked dead where it lies, so a handle that opens
+   the store later finds the write-back, not the rot *)
+let test_rot_paid_once () =
+  let root = tmp_root () in
+  let writer = A.Disk_cache.create ~root () in
+  A.Disk_cache.store writer ~key:"k" "value";
+  let path, off, len = located writer "k" in
+  rot_record (path, off, String.sub (read_file path) off len) "rotted";
+  let h1 = A.Disk_cache.create ~root () in
+  let w1 = collect_warnings h1 in
+  Alcotest.(check (option string)) "handle 1 misses" None
+    (A.Disk_cache.load h1 ~key:"k");
+  Alcotest.(check (list string)) "handle 1 warns once" [ "W0702" ] !w1;
+  A.Disk_cache.store h1 ~key:"k" "value";
+  let h2 = A.Disk_cache.create ~root () in
+  let w2 = collect_warnings h2 in
+  Alcotest.(check (option string)) "handle 2 loads the write-back" (Some "value")
+    (A.Disk_cache.load h2 ~key:"k");
+  Alcotest.(check (list string)) "handle 2 warns nothing" [] !w2
+
+(* another handle's compaction deletes this handle's segment; the next
+   store must go to a fresh segment, not to the unlinked file *)
+let test_deleted_segment () =
+  let root = tmp_root () in
+  let a = A.Disk_cache.create ~root () in
+  A.Disk_cache.store a ~key:"k1" "one";
+  let segment, _, _ = located a "k1" in
+  let b = A.Disk_cache.create ~root () in
+  ignore (A.Disk_cache.gc ~max_bytes:0 b);
+  Alcotest.(check bool) "b's gc deleted a's segment" false (Sys.file_exists segment);
+  A.Disk_cache.store a ~key:"k2" "two";
+  Alcotest.(check (option string)) "a fresh handle loads a's next store"
+    (Some "two")
+    (A.Disk_cache.load (A.Disk_cache.create ~root ()) ~key:"k2")
+
+(* gc merges two segments into one; a handle that indexed a record
+   finds it again in the merged segment, and sees records stored after
+   its last look *)
+let test_follows_compaction () =
+  let root = tmp_root () in
+  let writer = A.Disk_cache.create ~root () in
+  A.Disk_cache.store writer ~key:"k1" "one";
+  A.Disk_cache.store (A.Disk_cache.create ~root ()) ~key:"k0" "zero";
+  let reader = A.Disk_cache.create ~root () in
+  let warned = collect_warnings reader in
+  Alcotest.(check (option string)) "reader indexes k1" (Some "one")
+    (A.Disk_cache.load reader ~key:"k1");
+  Alcotest.(check (option string)) "k2 not stored yet" None
+    (A.Disk_cache.load reader ~key:"k2");
+  let segment, _, _ = located writer "k1" in
+  ignore (A.Disk_cache.gc (A.Disk_cache.create ~root ()));
+  Alcotest.(check bool) "the compaction deleted k1's segment" false
+    (Sys.file_exists segment);
+  Alcotest.(check int) "one segment left" 1 (List.length (segment_files root));
+  Alcotest.(check (option string)) "k1 found in the fresh segment" (Some "one")
+    (A.Disk_cache.load reader ~key:"k1");
+  A.Disk_cache.store writer ~key:"k2" "two";
+  Alcotest.(check (option string)) "k2 seen after its store" (Some "two")
+    (A.Disk_cache.load reader ~key:"k2");
+  Alcotest.(check (list string)) "no diagnostic" [] !warned
+
+(* gc deletes the entry files and orphaned temp files a one-file-per-
+   entry store left under an earlier version's directory, and nothing
+   else there *)
+let test_gc_reclaims_earlier_format () =
+  let root = tmp_root () in
+  let v1 = Filename.concat root "v1" in
+  Sys.mkdir root 0o755;
+  Sys.mkdir v1 0o755;
+  let entry = Filename.concat v1 (Digest.to_hex (Digest.string "old") ^ ".bin") in
+  let tmp = entry ^ ".tmp.4242.7" and notes = Filename.concat v1 "notes.txt" in
+  write_file entry (String.make 100 'e');
+  write_file tmp (String.make 30 't');
+  write_file notes "kept";
+  let store = A.Disk_cache.create ~root () in
+  let g = A.Disk_cache.gc store in
+  Alcotest.(check (list bool)) "entry and temp file gone, notes kept"
+    [ false; false; true ]
+    (List.map Sys.file_exists [ entry; tmp; notes ]);
+  Alcotest.(check int) "their bytes freed" 130 g.A.Disk_cache.gc_freed_bytes;
+  (* once nothing else is left, the directory goes too *)
+  Sys.remove notes;
+  write_file entry "e";
+  ignore (A.Disk_cache.gc store);
+  Alcotest.(check bool) "empty v1 removed" false (Sys.file_exists v1)
+
 (* ---------- engine: cold vs warm across processes ---------- *)
 
 let test_engine_warm_identical () =
@@ -262,7 +446,7 @@ let test_engine_warm_identical () =
   Alcotest.(check int) "cold: no hits" 0 cold_stats.A.Characterize.cache_hits;
   Alcotest.(check int) "cold: computed all" cold_stats.A.Characterize.unique
     cold_stats.A.Characterize.computed;
-  Alcotest.(check bool) "entries persisted" true (entry_files root <> []);
+  Alcotest.(check bool) "entries persisted" true (records root <> []);
   (* warm: a NEW engine over the same store — a second process *)
   let warm_engine = A.Engine.create ~cache_dir:root () in
   let warm = A.Engine.run warm_engine (demo_request ()) in
@@ -288,12 +472,9 @@ let test_engine_warm_identical () =
 let test_engine_survives_store_corruption () =
   let root = tmp_root () in
   let cold = A.Engine.run (A.Engine.create ~cache_dir:root ()) (demo_request ()) in
-  (* truncate every persisted entry *)
-  List.iter
-    (fun f ->
-      let body = read_file f in
-      write_file f (String.sub body 0 (min 10 (String.length body))))
-    (entry_files root);
+  (* corrupt every persisted record in place: a cut segment tail would
+     be an incomplete write, silently a miss *)
+  List.iter (fun r -> rot_record r "rotted") (records root);
   let warm_engine = A.Engine.create ~cache_dir:root () in
   let warm = A.Engine.run warm_engine (demo_request ()) in
   let stats = warm.A.Flow.char_stats in
@@ -380,9 +561,9 @@ let test_batch_soc_warm () =
 (* ---------- concurrent writers, one cache dir ---------- *)
 
 (* two writers hammering the same keys in one store directory while a
-   reader polls: atomic tmp+rename means a load sees either nothing or
-   a complete entry, never a torn one (which would surface as a W0702
-   failure in the reader's stats) *)
+   reader polls: the reader's scan indexes only whole records, so a
+   load sees either nothing or a complete entry, never a torn one
+   (which would surface as a W0702 failure in the reader's stats) *)
 let test_concurrent_writers () =
   let root = tmp_root () in
   let keys = List.init 16 (fun i -> Printf.sprintf "shared-key-%d" i) in
@@ -427,9 +608,9 @@ let test_concurrent_writers () =
 (* ---------- same-key writers, one store ---------- *)
 
 (* two threads of one process storing one key, as a server's workers
-   do: unless every write has a temp file of its own, one writer's
-   rename finds the file gone (W0703, writes disabled) or moves a
-   half-written one into place (W0702 on the next load) *)
+   do: unless their appends are serialized and each is indexed at its
+   own offset, a load reads an interleaved or half-written record
+   (W0702) or a write fails (W0703, writes disabled) *)
 let test_same_key_writers () =
   let store = A.Disk_cache.create ~root:(tmp_root ()) () in
   let warned = ref [] in
@@ -509,9 +690,9 @@ let test_sweep_checkpoint_warning () =
       [ ("p1", demo_request ()) ]
   in
   ignore (sweep ());
-  (match entries_keyed root "sweep-point v" with
-  | [ checkpoint ] -> write_file checkpoint "rotted"
-  | fs -> Alcotest.failf "expected one checkpoint, found %d" (List.length fs));
+  (match records_keyed root "sweep-point v" with
+  | [ checkpoint ] -> rot_record checkpoint "rotted"
+  | rs -> Alcotest.failf "expected one checkpoint, found %d" (List.length rs));
   match sweep () with
   | [ sp ] -> (
     Alcotest.(check bool) "recomputed" false sp.A.Engine.sp_resumed;
@@ -526,35 +707,35 @@ let test_sweep_checkpoint_warning () =
 
 (* ---------- one budget and one gc cover every kind of entry ---------- *)
 
-(* every [.bin] file under [dir], at any depth *)
-let rec bin_files dir =
+(* every file under [dir], at any depth *)
+let rec all_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.concat_map (fun f ->
          let path = Filename.concat dir f in
-         if Sys.is_directory path then bin_files path
-         else if Filename.check_suffix f ".bin" then [ path ]
-         else [])
+         if Sys.is_directory path then all_files path else [ path ])
 
 (* characterizations, attack verdicts and sweep checkpoints share one
    store, so one budget bounds them all and gc examines every kind. The
-   measured sweep writes 12 entries (5,567 bytes, none above 1,302);
-   evicting to 4,096 bytes keeps a verdict and the last checkpoint in
-   whatever order equal mtimes put the entries *)
+   measured sweep writes 12 entries (5,843 bytes, none above 1,311),
+   the verdicts and checkpoints last; evicting to 4,096 bytes keeps the
+   most recently stored, so every verdict and checkpoint stays *)
 let test_budget_covers_every_entry () =
   let root = tmp_root () and max_bytes = 4096 in
   let engine = A.Engine.create ~cache_dir:root ~max_bytes ~faults:Fi.none () in
   ignore (A.Engine.run_sweep engine (measured_points ()));
-  let files = bin_files root in
+  let segments = segment_files root in
   Alcotest.(check (list string)) "every entry in the one store"
-    (List.sort compare (entry_files root)) (List.sort compare files);
+    (List.sort compare (Filename.concat (store_dir root) "generation" :: segments))
+    (List.sort compare (all_files root));
   let total =
-    List.fold_left (fun acc f -> acc + (Unix.stat f).Unix.st_size) 0 files
+    List.fold_left (fun acc f -> acc + (Unix.stat f).Unix.st_size) 0 segments
   in
   if total > max_bytes then
     Alcotest.failf "%d bytes on disk over a %d-byte budget" total max_bytes;
+  let entries = List.length (records root) in
   let rot prefix =
-    match entries_keyed root prefix with
-    | f :: _ -> write_file f "garbage"
+    match records_keyed root prefix with
+    | r :: _ -> rot_record r "garbage"
     | [] -> Alcotest.failf "no %S entry kept" prefix
   in
   rot "attack-verdict v";
@@ -562,7 +743,7 @@ let test_budget_covers_every_entry () =
   match A.Engine.gc engine with
   | None -> Alcotest.fail "the engine has a store"
   | Some g ->
-    Alcotest.(check int) "gc examines every entry" (List.length files)
+    Alcotest.(check int) "gc examines every entry" entries
       g.A.Disk_cache.gc_examined;
     Alcotest.(check int) "gc quarantines the verdict and the checkpoint" 2
       g.A.Disk_cache.gc_quarantined
@@ -646,6 +827,15 @@ let tests =
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "unusable entries degrade" `Quick
       test_unusable_entries_degrade;
+    Alcotest.test_case "crash tail is silent" `Quick test_crash_tail;
+    Alcotest.test_case "rot is paid once across handles" `Quick
+      test_rot_paid_once;
+    Alcotest.test_case "deleted segment starts a fresh one" `Quick
+      test_deleted_segment;
+    Alcotest.test_case "a handle follows another's compaction" `Quick
+      test_follows_compaction;
+    Alcotest.test_case "gc reclaims an earlier format" `Quick
+      test_gc_reclaims_earlier_format;
     Alcotest.test_case "warm engine bit-identical" `Quick
       test_engine_warm_identical;
     Alcotest.test_case "store corruption survived" `Quick

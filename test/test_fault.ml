@@ -139,10 +139,10 @@ let test_torn_write_quarantine_recompute () =
   in
   let warned = ref [] in
   A.Disk_cache.set_sink store (fun d -> warned := d.D.code :: !warned);
-  (* the torn write "succeeds": the entry exists on disk *)
+  (* the torn write "succeeds": the record is on disk *)
   A.Disk_cache.store store ~key:"k" "payload-payload-payload";
   Alcotest.(check bool) "entry file exists" true
-    (Sys.file_exists (A.Disk_cache.entry_path store "k"));
+    (A.Disk_cache.locate store ~key:"k" <> None);
   (* ... but fails its checksum on load: quarantined, W0702, a miss *)
   Alcotest.(check (option string)) "torn entry misses" None
     (A.Disk_cache.load store ~key:"k");
@@ -151,7 +151,7 @@ let test_torn_write_quarantine_recompute () =
     (Sys.file_exists
        (Filename.concat
           (A.Disk_cache.quarantine_dir store)
-          (Filename.basename (A.Disk_cache.entry_path store "k"))));
+          (Digest.to_hex (Digest.string "k") ^ ".bin")));
   (* the recompute's write-back repairs the slot for good *)
   A.Disk_cache.store store ~key:"k" "payload-payload-payload";
   Alcotest.(check (option string)) "repaired" (Some "payload-payload-payload")
@@ -197,43 +197,70 @@ let test_eviction_lru_order () =
   let root = tmp_root () in
   let store = A.Disk_cache.create ~root () in
   let value = String.make 256 'x' in
+  (* the order of stores is the recency order: a is coldest, c is
+     hottest *)
   List.iter (fun k -> A.Disk_cache.store store ~key:k value) [ "a"; "b"; "c" ];
-  (* pin distinct mtimes: a is coldest, c is hottest *)
-  let path k = A.Disk_cache.entry_path store k in
-  Unix.utimes (path "a") 1000.0 1000.0;
-  Unix.utimes (path "b") 2000.0 2000.0;
-  Unix.utimes (path "c") 3000.0 3000.0;
-  let size k = (Unix.stat (path k)).Unix.st_size in
+  let stored s k = A.Disk_cache.locate s ~key:k <> None in
+  let size k =
+    match A.Disk_cache.locate store ~key:k with
+    | Some (_, _, len) -> len
+    | None -> Alcotest.failf "no record for %s" k
+  in
   (* a negative budget is refused before any entry is touched *)
   Alcotest.check_raises "negative budget refused"
     (Invalid_argument "Disk_cache.gc: negative max_bytes") (fun () ->
       ignore (A.Disk_cache.gc ~max_bytes:(-1) store));
   Alcotest.(check bool) "negative budget removes no entry" true
-    (List.for_all (fun k -> Sys.file_exists (path k)) [ "a"; "b"; "c" ]);
+    (List.for_all (stored store) [ "a"; "b"; "c" ]);
   (* budget admits exactly one entry: gc must evict a then b, keep c *)
   let g = A.Disk_cache.gc ~max_bytes:(size "c") store in
   Alcotest.(check int) "examined all" 3 g.A.Disk_cache.gc_examined;
   Alcotest.(check int) "evicted two" 2 g.A.Disk_cache.gc_evicted;
   Alcotest.(check int) "none quarantined" 0 g.A.Disk_cache.gc_quarantined;
-  Alcotest.(check bool) "coldest gone" false (Sys.file_exists (path "a"));
-  Alcotest.(check bool) "middle gone" false (Sys.file_exists (path "b"));
-  Alcotest.(check bool) "hottest kept" true (Sys.file_exists (path "c"));
-  (* a load refreshes recency: after touching c, storing d over budget
-     in a bounded store evicts c's now-older sibling first *)
+  Alcotest.(check bool) "coldest gone" false (stored store "a");
+  Alcotest.(check bool) "middle gone" false (stored store "b");
+  Alcotest.(check bool) "hottest kept" true (stored store "c");
+  (* in a bounded store, a write that takes the store over budget evicts
+     the older entry *)
   let bounded =
     A.Disk_cache.create ~root:(tmp_root ()) ~max_bytes:(size "c") ()
   in
   A.Disk_cache.store bounded ~key:"old" value;
-  Unix.utimes (A.Disk_cache.entry_path bounded "old") 1000.0 1000.0;
   A.Disk_cache.store bounded ~key:"new" value;
   (* the write pushed the store over budget: the stale entry is evicted
      and the entry just written is never its own victim *)
   Alcotest.(check bool) "bounded store evicts stale" false
-    (Sys.file_exists (A.Disk_cache.entry_path bounded "old"));
+    (stored bounded "old");
   Alcotest.(check (option string)) "fresh entry survives" (Some value)
     (A.Disk_cache.load bounded ~key:"new");
   Alcotest.(check int) "eviction counted" 1
     (A.Disk_cache.stats bounded).A.Disk_cache.evicted
+
+(* a load stamps recency too: in a store bounded to two records, store
+   a, store b, load a, store c evicts b *)
+let test_eviction_recency_by_load () =
+  let value = String.make 256 'x' in
+  let probe = A.Disk_cache.create ~root:(tmp_root ()) () in
+  A.Disk_cache.store probe ~key:"a" value;
+  let size =
+    match A.Disk_cache.locate probe ~key:"a" with
+    | Some (_, _, len) -> len
+    | None -> Alcotest.fail "no record"
+  in
+  let store = A.Disk_cache.create ~root:(tmp_root ()) ~max_bytes:(2 * size) () in
+  A.Disk_cache.store store ~key:"a" value;
+  A.Disk_cache.store store ~key:"b" value;
+  Alcotest.(check (option string)) "a loads" (Some value)
+    (A.Disk_cache.load store ~key:"a");
+  A.Disk_cache.store store ~key:"c" value;
+  Alcotest.(check bool) "b evicted" true (A.Disk_cache.locate store ~key:"b" = None);
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string)) (k ^ " still loads") (Some value)
+        (A.Disk_cache.load store ~key:k))
+    [ "a"; "c" ];
+  Alcotest.(check int) "one eviction" 1
+    (A.Disk_cache.stats store).A.Disk_cache.evicted
 
 (* ---------- pool: injected worker death is contained ---------- *)
 
@@ -530,6 +557,8 @@ let tests =
     Alcotest.test_case "enospc: gc re-enables writes" `Quick
       test_enospc_gc_reenables_writes;
     Alcotest.test_case "lru eviction order" `Quick test_eviction_lru_order;
+    Alcotest.test_case "lru recency by load" `Quick
+      test_eviction_recency_by_load;
     Alcotest.test_case "pool kill contained (serial)" `Quick
       test_pool_worker_kill_serial;
     Alcotest.test_case "pool kill contained (parallel)" `Quick
