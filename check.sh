@@ -254,7 +254,7 @@ if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_warm.json"; then
   exit 1
 fi
 # ...and the store is a log, not a file per entry: the cold run appends
-# to one segment and its generation file, the warm run writes nothing
+# to one segment, the warm run writes nothing
 files=$(find "$tmpdir/acache" -type f -not -path '*/quarantine/*' | wc -l)
 if [ "$files" -gt 2 ]; then
   echo "check.sh: a cold and a warm advise left $files cache files:" >&2

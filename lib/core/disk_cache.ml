@@ -13,11 +13,9 @@
     in-memory index maps each key digest to its record: the handle's
     own appends enter it as they are written, and a miss rescans only
     what other segments gained since the last look, reading each header
-    and seeking past its payload. Every append also adds a byte to
-    [<root>/v<N>/generation], so a miss that finds no other handle's
-    byte there skips the rescan. The full key is stored and re-checked
-    on load, so a digest collision can only cost a miss, never a wrong
-    hit.
+    (at most [header_max] bytes) and seeking past its payload. The full
+    key is stored and re-checked on load, so a digest collision can only
+    cost a miss, never a wrong hit.
 
     The store never fails a flow: a truncated, corrupt or
     version-mismatched record degrades to a miss (recompute) with a
@@ -27,16 +25,18 @@
     by the recomputation's write-back. A record whose declared length
     runs past its segment's end is an incomplete tail (a write in
     progress, or a writer killed mid-write): it is neither indexed nor
-    reported, and the next scan resumes there. An unwritable directory
-    disables writes with a single [W0703] warning until {!gc} re-arms
-    them.
+    reported, and the next scan resumes there. A record that another
+    handle marked dead after this one indexed it is a silent miss. An
+    unwritable directory disables writes with a single [W0703] warning
+    until {!gc} re-arms them.
 
     With a byte budget ([max_bytes]) the store is bounded: loads and
     stores stamp their record's index entry, and when the segments
     outgrow the budget the handle compacts them into one fresh segment
-    holding the most recently used records that fit (the record just
-    written is never its own victim). {!gc} does the same on demand,
-    plus full-store validation.
+    holding the most recently used records that fit in half the budget
+    (the record just written is never its own victim), so the copying
+    is spread over the stores that refill the other half. {!gc} compacts
+    to the whole budget on demand, plus full-store validation.
 
     Fault injection (sites [cache.read], [cache.write]) threads through
     both IO boundaries; see {!Alice_fault.Fault}. *)
@@ -74,14 +74,8 @@ type segment = {
 (* One record: [len] bytes at [off] in [seg], header included. *)
 type slot = { seg : segment; off : int; len : int; mutable stamp : int }
 
-(* The segment this handle appends to, opened by process [pid], and the
-   store's generation file. *)
-type writer = {
-  fd : Unix.file_descr;
-  generation : Unix.file_descr;
-  pid : int;
-  own : segment;
-}
+(* The segment this handle appends to, opened by process [pid]. *)
+type writer = { fd : Unix.file_descr; pid : int; own : segment }
 
 type t = {
   root : string;
@@ -93,9 +87,6 @@ type t = {
   segments : (string, segment) Hashtbl.t;  (* every segment, by name *)
   mutable writer : writer option;
   mutable clock : int;  (* last-use stamps: the LRU order *)
-  mutable expected : int;
-      (* the generation file's size if no other handle wrote since the
-         last look; -1 before the first *)
   mutable hits : int;
   mutable misses : int;
   mutable stores : int;
@@ -128,10 +119,10 @@ let check_budget (fn : string) : int option -> unit = function
   | Some n when n < 0 -> invalid_arg (fn ^ ": negative max_bytes")
   | _ -> ()
 
-let close_writer (w : writer) : unit =
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ w.fd; w.generation ]
+let close_fd (fd : Unix.file_descr) : unit =
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let close_writer (w : writer) : unit = close_fd w.fd
 
 let drop_writer (t : t) : unit =
   Option.iter close_writer t.writer;
@@ -146,7 +137,7 @@ let create ?root ?max_bytes ?(faults = Fi.global ()) () =
       max_bytes; faults;
       mu = Mutex.create ();
       index = Hashtbl.create 256; segments = Hashtbl.create 8;
-      writer = None; clock = 0; expected = -1;
+      writer = None; clock = 0;
       hits = 0; misses = 0; stores = 0; failures = 0; quarantined = 0;
       evicted = 0; sink = None; write_disabled = false }
   in
@@ -192,20 +183,24 @@ let key_digest (key : string) : string = Digest.to_hex (Digest.string key)
 
 let segment_path (t : t) (seg : segment) : string = Filename.concat t.dir seg.name
 
-(* Every append and every compaction adds a byte to this file, after the
-   records it announces are written. Its size moves whenever a record
-   or a segment appears or goes, so a miss that finds it at the size
-   this handle expects skips the directory scan: a miss costs one
-   [stat], however many segments the store has gathered. *)
-let generation_path (t : t) : string = Filename.concat t.dir "generation"
+let open_read (path : string) : Unix.file_descr =
+  Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
 
-let generation_flags =
-  [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
-
-(* one byte onto the generation file through [fd]; under [t.mu] *)
-let bump (t : t) (fd : Unix.file_descr) : unit =
-  ignore (Unix.write_substring fd "." 0 1);
-  if t.expected >= 0 then t.expected <- t.expected + 1
+(* Up to [n] bytes at [pos] of [fd], unbuffered: fewer at the end of the
+   file or on a read error. *)
+let pread (fd : Unix.file_descr) (pos : int) (n : int) : string =
+  let buf = Bytes.create n in
+  let rec fill got =
+    if got = n then got
+    else
+      match Unix.read fd buf got (n - got) with
+      | 0 -> got
+      | k -> fill (got + k)
+      | exception Unix.Unix_error _ -> got
+  in
+  match Unix.lseek fd pos Unix.SEEK_SET with
+  | _ -> Bytes.sub_string buf 0 (fill 0)
+  | exception Unix.Unix_error _ -> ""
 
 (* [(pid, n)] of a segment name [<pid>-<n>.log]; other files are not
    segments *)
@@ -224,42 +219,40 @@ let tick (t : t) : int =
    are not one. *)
 let header_max = 128
 
-(* The record at [pos] of a segment of [size] bytes: whether it is live,
-   its key digest and its length, header included. [None] when the
-   bytes there hold no whole record. *)
-let record_at (ic : In_channel.t) (pos : int) (size : int) :
+(* The record at [pos] of a segment of [size] bytes, from one read of at
+   most [header_max] bytes: whether it is live, its key digest and its
+   length, header included. [None] when the bytes there hold no whole
+   record. *)
+let record_at (fd : Unix.file_descr) (pos : int) (size : int) :
     (bool * string * int) option =
   let n = min header_max (size - pos) in
   if n <= 0 then None
-  else begin
-    In_channel.seek ic (Int64.of_int pos);
-    match In_channel.really_input_string ic n with
+  else
+    let s = pread fd pos n in
+    match String.index_opt s '\n' with
     | None -> None
-    | Some s -> (
-      match String.index_opt s '\n' with
-      | None -> None
-      | Some nl -> (
-        match String.split_on_char ' ' (String.sub s 0 nl) with
-        | [ magic; _version; kd; _payload_digest; bytes ]
-          when magic = live_magic || magic = dead_magic -> (
-          match int_of_string_opt bytes with
-          | Some b when b >= 0 && pos + nl + 1 + b <= size ->
-            Some (magic = live_magic, kd, nl + 1 + b)
-          | _ -> None)
-        | _ -> None))
-  end
+    | Some nl -> (
+      match String.split_on_char ' ' (String.sub s 0 nl) with
+      | [ magic; _version; kd; _payload_digest; bytes ]
+        when magic = live_magic || magic = dead_magic -> (
+        match int_of_string_opt bytes with
+        | Some b when b >= 0 && pos + nl + 1 + b <= size ->
+          Some (magic = live_magic, kd, nl + 1 + b)
+        | _ -> None)
+      | _ -> None)
 
-(* Index the whole records of [seg] past [seg.scanned], seeking past
-   each payload. An incomplete tail, or bytes that are no header, end
-   the scan unreported, and the next one resumes there. A key already
-   indexed keeps its record: with segments scanned in name order, every
-   handle resolves a duplicate alike. Under [t.mu]. *)
+(* Index the whole records of [seg] past [seg.scanned], reading each
+   header and seeking past its payload. An incomplete tail, or bytes
+   that are no header, end the scan unreported, and the next one
+   resumes there. A key already indexed keeps its record: with segments
+   scanned in name order, every handle resolves a duplicate alike.
+   Under [t.mu]. *)
 let scan (t : t) (seg : segment) : unit =
-  match In_channel.open_bin (segment_path t seg) with
-  | exception Sys_error _ -> ()
-  | ic ->
+  match open_read (segment_path t seg) with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
     let rec go pos =
-      match record_at ic pos seg.size with
+      match record_at fd pos seg.size with
       | None -> pos
       | Some (live, kd, len) ->
         if live && not (Hashtbl.mem t.index kd) then
@@ -267,14 +260,13 @@ let scan (t : t) (seg : segment) : unit =
         go (pos + len)
     in
     seg.scanned <-
-      Fun.protect ~finally:(fun () -> In_channel.close_noerr ic) (fun () ->
-          go seg.scanned)
+      Fun.protect ~finally:(fun () -> close_fd fd) (fun () -> go seg.scanned)
 
 (* Bring the index up to date with the directory: forget the segments
    that are gone (another handle's compaction deleted them), and index
-   what the others gained since the last look. The handle's own segment
-   needs no look: its appends are indexed as they are written. Under
-   [t.mu]. *)
+   what each segment gained since the last look. The handle's own
+   appends are indexed as they are written, so its own segment shows no
+   gain. Under [t.mu]. *)
 let look (t : t) : unit =
   let present = Hashtbl.create 16 in
   (match Sys.readdir t.dir with
@@ -295,51 +287,51 @@ let look (t : t) : unit =
       (fun _ s -> if Hashtbl.mem present s.seg.name then Some s else None)
       t.index
   end;
-  let own = Option.map (fun w -> w.own.name) t.writer in
   Hashtbl.fold (fun name id acc -> (id, name) :: acc) present []
   |> List.sort compare
   |> List.iter (fun (_, name) ->
-         if Some name <> own then begin
-           let seg =
-             match Hashtbl.find_opt t.segments name with
-             | Some seg -> seg
-             | None ->
-               let seg = { name; size = 0; scanned = 0 } in
-               Hashtbl.replace t.segments name seg;
-               seg
-           in
-           match Unix.stat (segment_path t seg) with
-           | exception Unix.Unix_error _ -> ()
-           | { Unix.st_size; _ } ->
-             if st_size <> seg.size then begin
-               seg.size <- st_size;
-               scan t seg
-             end
-         end)
+         let seg =
+           match Hashtbl.find_opt t.segments name with
+           | Some seg -> seg
+           | None ->
+             let seg = { name; size = 0; scanned = 0 } in
+             Hashtbl.replace t.segments name seg;
+             seg
+         in
+         match Unix.stat (segment_path t seg) with
+         | exception Unix.Unix_error _ -> ()
+         | { Unix.st_size; _ } ->
+           if st_size <> seg.size then begin
+             seg.size <- st_size;
+             scan t seg
+           end)
 
-(* [look], unless the generation file shows that no other handle wrote
-   since the last one. The file's size is read first: a write that lands
-   during the look moves it past what is recorded, and the next refresh
-   looks again. Under [t.mu]. *)
-let refresh (t : t) : unit =
-  let generation =
-    match Unix.stat (generation_path t) with
-    | { Unix.st_size; _ } -> st_size
-    | exception Unix.Unix_error _ -> -1
-  in
-  if generation < 0 || generation <> t.expected then begin
-    t.expected <- generation;
-    look t
-  end
+(* [look], reading every segment's headers again from the start: a key
+   whose indexed record was dropped is then found at a live record that
+   a scan passed over while the index held the dropped one. Under
+   [t.mu]. *)
+let rescan (t : t) : unit =
+  Hashtbl.iter
+    (fun _ seg ->
+      seg.size <- 0;
+      seg.scanned <- 0)
+    t.segments;
+  look t
 
-(* The record indexed for [kd], else the one a rescan finds. Under
+(* The record indexed for [kd], else the one a look finds. Under
    [t.mu]. *)
 let find (t : t) (kd : string) : slot option =
   match Hashtbl.find_opt t.index kd with
   | Some _ as s -> s
   | None ->
-    refresh t;
+    look t;
     Hashtbl.find_opt t.index kd
+
+(* Drop [kd]'s index entry if it is still [s]. Under [t.mu]. *)
+let forget (t : t) (kd : string) (s : slot) : unit =
+  match Hashtbl.find_opt t.index kd with
+  | Some s' when s' == s -> Hashtbl.remove t.index kd
+  | _ -> ()
 
 (* bytes in every segment the handle knows of *)
 let segment_bytes (t : t) : int =
@@ -356,26 +348,14 @@ let locate (t : t) ~(key : string) : (string * int * int) option =
 (* The record's bytes: exactly its indexed length, fewer at a short
    read; [None] when its segment cannot be opened. *)
 let read_record (t : t) (s : slot) : string option =
-  let flags = [ Unix.O_RDONLY; Unix.O_CLOEXEC ] in
-  match Unix.openfile (segment_path t s.seg) flags 0 with
+  match open_read (segment_path t s.seg) with
   | exception Unix.Unix_error _ -> None
   | fd ->
-    let buf = Bytes.create s.len in
-    let rec fill got =
-      if got = s.len then got
-      else
-        match Unix.read fd buf got (s.len - got) with
-        | 0 -> got
-        | n -> fill (got + n)
-        | exception Unix.Unix_error _ -> got
-    in
-    let got =
-      match Unix.lseek fd s.off Unix.SEEK_SET with
-      | _ -> fill 0
-      | exception Unix.Unix_error _ -> 0
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Some (Bytes.sub_string buf 0 got)
+    Fun.protect ~finally:(fun () -> close_fd fd) (fun () ->
+        Some (pread fd s.off s.len))
+
+(* a record another handle quarantined: no entry, and no new fault *)
+let is_dead (raw : string) : bool = String.starts_with ~prefix:dead_magic raw
 
 (* Set a bad record aside: copy its bytes into quarantine, drop it from
    the index and overwrite its magic in place, so that no handle indexes
@@ -391,18 +371,14 @@ let quarantine (t : t) (kd : string) (s : slot) (raw : string) : unit =
   (try
      let flags = [ Unix.O_WRONLY; Unix.O_CLOEXEC ] in
      let fd = Unix.openfile (segment_path t s.seg) flags 0 in
-     Fun.protect
-       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-       (fun () ->
+     Fun.protect ~finally:(fun () -> close_fd fd) (fun () ->
          ignore (Unix.lseek fd s.off Unix.SEEK_SET);
          ignore
            (Unix.write_substring fd dead_magic 0
               (min (String.length dead_magic) (String.length raw))))
    with Unix.Unix_error _ -> ());
   Mutex.protect t.mu (fun () ->
-      (match Hashtbl.find_opt t.index kd with
-      | Some s' when s' == s -> Hashtbl.remove t.index kd
-      | _ -> ());
+      forget t kd s;
       t.quarantined <- t.quarantined + 1)
 
 (* Record validation up to the payload: header shape, format version,
@@ -456,12 +432,25 @@ let load (t : t) ~(key : string) : 'v option =
     match Mutex.protect t.mu (fun () -> find t kd) with
     | None -> miss ()
     | Some s -> (
+      (* the indexed record went stale after this handle indexed it:
+         bring the index up to date once, else miss *)
+      let again resync =
+        if retried then miss ()
+        else begin
+          Mutex.protect t.mu resync;
+          attempt ~retried:true
+        end
+      in
       match read_record t s with
-      | None when not retried ->
-        (* its segment went to another handle's compaction: look again *)
-        Mutex.protect t.mu (fun () -> refresh t);
-        attempt ~retried:true
-      | None -> miss ()
+      | None ->
+        (* its segment went to another handle's compaction *)
+        again (fun () -> look t)
+      | Some raw when is_dead raw ->
+        (* another handle quarantined it; the write-back may sit in a
+           segment this handle has scanned already *)
+        again (fun () ->
+            forget t kd s;
+            rescan t)
       | Some raw -> (
         match parse_entry key raw with
         | Ok v ->
@@ -482,31 +471,38 @@ let load (t : t) ~(key : string) : 'v option =
 
 (* ---------- store ---------- *)
 
-(* Numbers this process's segments: with the pid, every handle and every
-   compaction appends to a segment of its own. *)
+(* The last segment number this process took. *)
 let segment_seq = Atomic.make 0
 
+(* The [n] of a new segment [<pid>-<n>.log]: above the last one this
+   process took, and no less than the time in microseconds. So with
+   the pid, every handle and every compaction appends to a segment of
+   its own, and a name is never reused, not even by a later process
+   with a recycled pid after a compaction deleted an earlier process's
+   segment: a handle that indexed the deleted file must not read a new
+   one through its name. *)
+let rec next_seq () : int =
+  let last = Atomic.get segment_seq in
+  let n = max (last + 1) (int_of_float (Unix.gettimeofday () *. 1e6)) in
+  if Atomic.compare_and_set segment_seq last n then n else next_seq ()
+
 (* A fresh, empty segment of this process, registered and open for
-   appends. [O_EXCL] passes over a name an earlier process of the same
-   pid left: its tail may be incomplete, and a record appended after it
-   would be unreadable. Under [t.mu]. *)
+   appends. [O_EXCL] passes over a name that exists already: its tail
+   may be incomplete, and a record appended after it would be
+   unreadable. Under [t.mu]. *)
 let rec open_segment (t : t) : writer =
   mkdir_p t.dir;
   let pid = Unix.getpid () in
-  let name = Printf.sprintf "%d-%d.log" pid (Atomic.fetch_and_add segment_seq 1) in
+  let name = Printf.sprintf "%d-%d.log" pid (next_seq ()) in
   match
     Unix.openfile (Filename.concat t.dir name)
       [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
       0o644
   with
   | fd ->
-    let generation =
-      try Unix.openfile (generation_path t) generation_flags 0o644
-      with e -> Unix.close fd; raise e
-    in
     let own = { name; size = 0; scanned = 0 } in
     Hashtbl.replace t.segments name own;
-    { fd; generation; pid; own }
+    { fd; pid; own }
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_segment t
 
 (* The segment to append to, and its size: the offset of the next
@@ -537,8 +533,7 @@ let append (t : t) (kd : string) (record : string) : unit =
   ignore (Unix.write_substring w.fd record 0 len);
   w.own.size <- off + len;
   w.own.scanned <- off + len;
-  Hashtbl.replace t.index kd { seg = w.own; off; len; stamp = tick t };
-  bump t w.generation
+  Hashtbl.replace t.index kd { seg = w.own; off; len; stamp = tick t }
 
 (* A record: its header, then the payload. A torn record keeps the
    header of its whole payload and zeroes the payload's second half, as
@@ -588,7 +583,7 @@ let copy_out (t : t) (records : (string * slot) list) :
    segment holds its records oldest first, so a later handle's scan
    reads back the LRU order, and a store of many segments becomes one.
    Nothing happens to one segment that holds only what it keeps.
-   Returns the number evicted. Under [t.mu], after [refresh]. *)
+   Returns the number evicted. Under [t.mu], after [look]. *)
 let compact (t : t) ~(budget : int option) ~(keep : string option) : int =
   let recent_first =
     Hashtbl.fold (fun kd s acc -> (kd, s) :: acc) t.index []
@@ -630,12 +625,6 @@ let compact (t : t) ~(budget : int option) ~(keep : string option) : int =
       t.writer <- fresh;
       Hashtbl.reset t.index;
       List.iter (fun (kd, s) -> Hashtbl.replace t.index kd s) moved;
-      (try
-         let fd = Unix.openfile (generation_path t) generation_flags 0o644 in
-         Fun.protect
-           ~finally:(fun () -> Unix.close fd)
-           (fun () -> bump t fd)
-       with Unix.Unix_error _ -> ());
       t.evicted <- t.evicted + List.length evicted;
       List.length evicted
 
@@ -659,12 +648,15 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
           t.stores <- t.stores + 1)
     with
     | () ->
+      (* over budget, compact to half of it: each compaction copies at
+         most half the budget, and half the budget of stores comes
+         before the next one *)
       Option.iter
         (fun budget ->
           Mutex.protect t.mu (fun () ->
-              refresh t;
+              look t;
               if segment_bytes t > budget then
-                ignore (compact t ~budget:(Some budget) ~keep:(Some kd))))
+                ignore (compact t ~budget:(Some (budget / 2)) ~keep:(Some kd))))
         t.max_bytes
     | exception e ->
       (* one warning, then stop trying: an unwritable cache directory
@@ -731,7 +723,7 @@ let gc ?max_bytes (t : t) : gc_stats =
   let earlier = reclaim_earlier_formats t in
   let records =
     Mutex.protect t.mu (fun () ->
-        refresh t;
+        look t;
         Hashtbl.fold (fun kd s acc -> (kd, s) :: acc) t.index [])
   in
   (* validation pass: quarantine anything that no longer checksums *)
@@ -739,6 +731,10 @@ let gc ?max_bytes (t : t) : gc_stats =
     List.fold_left
       (fun n (kd, s) ->
         match read_record t s with
+        | Some raw when is_dead raw ->
+          (* another handle quarantined it already *)
+          Mutex.protect t.mu (fun () -> forget t kd s);
+          n
         | Some raw when Result.is_error (verified_payload raw) ->
           quarantine t kd s raw;
           n + 1
@@ -748,7 +744,9 @@ let gc ?max_bytes (t : t) : gc_stats =
   (* compaction against the requested (or configured) budget *)
   let budget = match max_bytes with Some b -> Some b | None -> t.max_bytes in
   Mutex.protect t.mu (fun () ->
-      refresh t;
+      (* a key whose record the validation dropped may have a live
+         record elsewhere, which the compaction must keep *)
+      rescan t;
       let before = segment_bytes t in
       let evicted = compact t ~budget ~keep:None in
       let live = segment_bytes t in

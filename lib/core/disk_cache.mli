@@ -7,11 +7,10 @@
     index maps each key's digest to its record. A record is a header
     line [ALICE-CACHE <N> <md5(key)> <md5(payload)> <payload-bytes>],
     then the payload, a [Marshal] blob of [(key, value)]. A miss rescans
-    only what other handles' segments gained since the last look, so
-    concurrent processes share entries; a [generation] file that every
-    append grows by a byte lets a miss skip the rescan when no other
-    handle wrote. The full key is re-checked on
-    load, so a digest collision can only cost a miss, never a wrong hit.
+    only what other handles' segments gained since the last look, one
+    short read per new header, so concurrent processes share entries.
+    The full key is re-checked on load, so a digest collision can only
+    cost a miss, never a wrong hit.
 
     The store never fails a flow — it degrades, and it repairs:
 
@@ -19,7 +18,9 @@
       miss with a [W0702] warning and is {e quarantined}: its bytes are
       copied into [<root>/quarantine/] and it is marked dead in place,
       so no handle indexes it again and the recomputation's write-back
-      is what later loads find.
+      is what later loads find. A handle that had indexed the record
+      before takes the mark for a silent miss and looks for the
+      write-back.
     - A record cut short at a segment's end (a write in progress, or a
       writer killed mid-write) is an incomplete tail: it is neither
       indexed nor reported.
@@ -29,7 +30,8 @@
     - With [max_bytes] set the store is bounded: loads and stores stamp
       their record as used, and a write that takes the segments over
       budget compacts them into one fresh segment holding the most
-      recently used records that fit.
+      recently used records that fit in half the budget, so a run of
+      stores pays one compaction per half budget it writes.
 
     {!gc} does all of the above on demand: validates every record,
     quarantines failures, compacts to the budget, re-enables writes,
@@ -112,8 +114,8 @@ val quarantine_dir : t -> string
 val load : t -> key:string -> 'v option
 
 (** [store t ~key v] appends the record, then (with a byte budget)
-    compacts the store to the budget when the segments outgrow it; the
-    record just written is never its own victim. A failure emits one
+    compacts the store to half the budget when the segments outgrow it;
+    the record just written is never its own victim. A failure emits one
     [W0703] warning and disables further writes until {!gc}. *)
 val store : t -> key:string -> 'v -> unit
 
@@ -121,12 +123,14 @@ val store : t -> key:string -> 'v -> unit
 val writes_enabled : t -> bool
 
 (** [gc ?max_bytes t] validates every record (header, length,
-    checksum), quarantines the ones that fail, compacts the store to
-    the most recently used records that fit [max_bytes] (default: the
-    budget given at {!create}; with no budget it drops only dead,
-    superseded and incomplete records) in one fresh segment that
-    replaces all the others, re-enables writes, and deletes
-    the entry files and orphaned temp files of earlier format versions.
+    checksum), quarantines the ones that fail, rereads every header so
+    that a key whose record it dropped keeps any live record found
+    elsewhere, compacts the store to the most recently used records
+    that fit [max_bytes] (default: the budget given at {!create}; with
+    no budget it drops only dead, superseded and incomplete records) in
+    one fresh segment that replaces all the others, re-enables writes,
+    and deletes the entry files and orphaned temp files of earlier
+    format versions.
     The next write failure warns again, as warn-once is per disabled
     episode. A record another process appends while the pass compacts
     may be lost, which costs a later miss, never a wrong hit.

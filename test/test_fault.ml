@@ -236,31 +236,83 @@ let test_eviction_lru_order () =
   Alcotest.(check int) "eviction counted" 1
     (A.Disk_cache.stats bounded).A.Disk_cache.evicted
 
-(* a load stamps recency too: in a store bounded to two records, store
-   a, store b, load a, store c evicts b *)
+(* the length of the record that stores [value] under a three-letter
+   key *)
+let record_size value =
+  let probe = A.Disk_cache.create ~root:(tmp_root ()) () in
+  A.Disk_cache.store probe ~key:"k00" value;
+  match A.Disk_cache.locate probe ~key:"k00" with
+  | Some (_, _, len) -> len
+  | None -> Alcotest.fail "no record"
+
+(* a load stamps recency too: a store bounded to four records compacts
+   to two when a fifth arrives, keeping the record just written and the
+   most recently used one; store a, b, c and d, load a, store e: a and
+   e stay, and without the load's stamp d would stay instead of a *)
 let test_eviction_recency_by_load () =
   let value = String.make 256 'x' in
-  let probe = A.Disk_cache.create ~root:(tmp_root ()) () in
-  A.Disk_cache.store probe ~key:"a" value;
-  let size =
-    match A.Disk_cache.locate probe ~key:"a" with
-    | Some (_, _, len) -> len
-    | None -> Alcotest.fail "no record"
-  in
-  let store = A.Disk_cache.create ~root:(tmp_root ()) ~max_bytes:(2 * size) () in
-  A.Disk_cache.store store ~key:"a" value;
-  A.Disk_cache.store store ~key:"b" value;
+  let size = record_size value in
+  let store = A.Disk_cache.create ~root:(tmp_root ()) ~max_bytes:(4 * size) () in
+  List.iter
+    (fun k -> A.Disk_cache.store store ~key:k value)
+    [ "k0a"; "k0b"; "k0c"; "k0d" ];
   Alcotest.(check (option string)) "a loads" (Some value)
-    (A.Disk_cache.load store ~key:"a");
-  A.Disk_cache.store store ~key:"c" value;
-  Alcotest.(check bool) "b evicted" true (A.Disk_cache.locate store ~key:"b" = None);
+    (A.Disk_cache.load store ~key:"k0a");
+  A.Disk_cache.store store ~key:"k0e" value;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " evicted") true
+        (A.Disk_cache.locate store ~key:k = None))
+    [ "k0b"; "k0c"; "k0d" ];
   List.iter
     (fun k ->
       Alcotest.(check (option string)) (k ^ " still loads") (Some value)
         (A.Disk_cache.load store ~key:k))
-    [ "a"; "c" ];
-  Alcotest.(check int) "one eviction" 1
+    [ "k0a"; "k0e" ];
+  Alcotest.(check int) "three evictions" 3
     (A.Disk_cache.stats store).A.Disk_cache.evicted
+
+(* a full bounded store compacts to half its budget, so a run of stores
+   pays one compaction per half budget of appends, not one per store.
+   Bounded to eight records, the ninth store compacts to four, and so
+   does every fifth store after it: 7 compactions in 40 stores, 5
+   records evicted by each *)
+let test_compaction_amortized () =
+  let value = String.make 256 'x' in
+  let size = record_size value in
+  let max_bytes = 8 * size in
+  let root = tmp_root () in
+  let store = A.Disk_cache.create ~root ~max_bytes () in
+  (* each compaction moves the writer to a fresh segment, so the
+     segments the stored records were found in number 1 + compactions *)
+  let segments = Hashtbl.create 16 in
+  for i = 1 to 40 do
+    let key = Printf.sprintf "k%02d" i in
+    A.Disk_cache.store store ~key value;
+    (match A.Disk_cache.locate store ~key with
+    | Some (segment, _, _) -> Hashtbl.replace segments segment ()
+    | None -> Alcotest.failf "%s not stored" key);
+    let dir =
+      Filename.concat root (Printf.sprintf "v%d" A.Disk_cache.format_version)
+    in
+    let bytes =
+      Array.fold_left
+        (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
+        0 (Sys.readdir dir)
+    in
+    if bytes > max_bytes then
+      Alcotest.failf "%d bytes after store %d, over a %d-byte budget" bytes i
+        max_bytes
+  done;
+  Alcotest.(check int) "seven compactions" 7 (Hashtbl.length segments - 1);
+  Alcotest.(check int) "five evicted by each" 35
+    (A.Disk_cache.stats store).A.Disk_cache.evicted;
+  List.iter
+    (fun i ->
+      let key = Printf.sprintf "k%02d" i in
+      Alcotest.(check (option string)) (key ^ " loads") (Some value)
+        (A.Disk_cache.load store ~key))
+    [ 36; 37; 38; 39; 40 ]
 
 (* ---------- pool: injected worker death is contained ---------- *)
 
@@ -559,6 +611,8 @@ let tests =
     Alcotest.test_case "lru eviction order" `Quick test_eviction_lru_order;
     Alcotest.test_case "lru recency by load" `Quick
       test_eviction_recency_by_load;
+    Alcotest.test_case "bounded store compacts to half its budget" `Quick
+      test_compaction_amortized;
     Alcotest.test_case "pool kill contained (serial)" `Quick
       test_pool_worker_kill_serial;
     Alcotest.test_case "pool kill contained (parallel)" `Quick
