@@ -585,6 +585,28 @@ if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/client0.json"; then
   exit 1
 fi
 
+# an empty cache directory is refused (E0602), from the flag and from
+# cache gc alike, before anything is written: it would root the store
+# at the working directory (./v2, and a gc of ./v1)
+mkdir "$tmpdir/emptyroot"
+refuses_empty_root() {
+  # $@: the command, run from an empty directory
+  set +e
+  (cd "$tmpdir/emptyroot" && "$@" --cache-dir "" --diag-format=json) \
+    > "$tmpdir/emptyroot.json" 2> /dev/null
+  code=$?
+  set -e
+  if [ "$code" -ne 1 ] || ! grep -q '"code":"E0602"' "$tmpdir/emptyroot.json" \
+    || [ -n "$(ls -A "$tmpdir/emptyroot")" ]; then
+    echo "check.sh: $* --cache-dir '' exited $code without E0602, or wrote:" >&2
+    cat "$tmpdir/emptyroot.json" >&2
+    ls -A "$tmpdir/emptyroot" >&2
+    exit 1
+  fi
+}
+refuses_empty_root "$PWD/$ALICE" redact "$tmpdir/gcd.v"
+refuses_empty_root "$PWD/$ALICE" cache gc
+
 # simulate prints an output wider than an int from its bits: 2^69 + 1
 # on 70 bits, not the 33 an int wraps it to
 printf "module top(output [69:0] y);\n  assign y = {1'b1, 34'd0, 34'd0, 1'b1};\nendmodule\n" \
@@ -702,9 +724,16 @@ fabric:
   min_clb_utilization: 0.3
 EOF
 
-# single-shot reference for byte-identity
+# single-shot reference for byte-identity, and its count of unique
+# characterization keys
 "$ALICE" redact "$tmpdir/soc.v" -c "$tmpdir/soc.yaml" --no-cache \
-  -o "$tmpdir/ref.v" 2> /dev/null
+  -o "$tmpdir/ref.v" 2> "$tmpdir/ref.txt"
+ref_unique=$(sed -n 's/^cache: .* \([0-9][0-9]*\) unique$/\1/p' "$tmpdir/ref.txt")
+if [ -z "$ref_unique" ]; then
+  echo "check.sh: the single-shot SoC redaction printed no cache line:" >&2
+  cat "$tmpdir/ref.txt" >&2
+  exit 1
+fi
 
 # a two-point sweep request for the streaming check (file path is read
 # by the server process, which runs from this directory)
@@ -782,6 +811,15 @@ server_smoke() {
   "$ALICE" client --connect "$ep" --op stats > "$tmpdir/stats_$label.json"
   if ! grep -q '"hits":[1-9]' "$tmpdir/stats_$label.json"; then
     echo "check.sh: $label server stats report no cache hits:" >&2
+    cat "$tmpdir/stats_$label.json" >&2
+    exit 1
+  fi
+  # ...and the 9 requests computed and stored each key once: a request
+  # that finds a key another is computing waits for it
+  counts=$(sed -n 's/.*"cache":{"hits":[0-9]*,"computed":\([0-9]*\),.*"disk":{[^}]*"stores":\([0-9]*\),.*/\1 \2/p' \
+    "$tmpdir/stats_$label.json")
+  if [ "$counts" != "$ref_unique $ref_unique" ]; then
+    echo "check.sh: $label server computed and stored '$counts' for $ref_unique unique keys:" >&2
     cat "$tmpdir/stats_$label.json" >&2
     exit 1
   fi
@@ -901,9 +939,8 @@ if [ -z "$victim" ]; then
   echo "check.sh: fault-plan server wrote no cache entries" >&2
   exit 1
 fi
-# rot the segment's last record: concurrent requests may store a key
-# twice, and the index holds the key's last record. Its payload follows
-# its header line
+# rot the segment's last record: the newest record of its key, so the
+# one the index holds. Its payload follows its header line
 record_at=$(grep -boa 'ALICE-CACHE 2 ' "$victim" | tail -n 1 | cut -d: -f1)
 header=$(tail -c +"$((record_at + 1))" "$victim" | head -n 1 | wc -c)
 printf 'rotted' | dd of="$victim" bs=1 seek="$((record_at + header))" \

@@ -47,9 +47,8 @@ module Timebase = Alice_diag.Timebase
     outcome of the size search; [Failed] is a fault — an exception that
     escaped synthesis, mapping or the search — captured as a diagnostic
     so one broken cluster cannot abort the whole flow; [Skipped] is a
-    cluster never dispatched because the characterization deadline
-    passed: a budget decision, not a fault, carried as a [W0701]
-    warning. *)
+    cache miss whose task started after the characterization deadline:
+    a budget decision, not a fault, carried as a [W0701] warning. *)
 type outcome =
   | Implemented of F.Size_search.implementation
   | Infeasible of F.Size_search.failure
@@ -227,25 +226,6 @@ let splice (design : V.Elaborate.design) (members : V.Design.tree list)
       (List.rev relocated);
   N.Lutmap.cover c ~lut:(fun net -> luts.(net))
 
-(* One in-memory stage: its memo table and its lookup counters. *)
-type 'v stage = {
-  memo : (string, 'v) Memo.t;
-  hits : int Atomic.t;
-  computed : int Atomic.t;
-}
-
-let stage () =
-  { memo = Memo.create ~size:64 (); hits = Atomic.make 0;
-    computed = Atomic.make 0 }
-
-(* A stage's value for [key], computed on a miss. No [Pool] dispatch, so
-   a characterization stays one pool task however many stages it hits;
-   an exception is never written back. *)
-let through (s : 'v stage) (key : string) (compute : unit -> 'v) : 'v =
-  let v, hit = Memo.find_or_compute s.memo key compute in
-  Atomic.incr (if hit then s.hits else s.computed);
-  v
-
 (* What [Flow] builds before characterization, for one source and
    front-end configuration. All of it is immutable, so one value is
    shared by every request and domain that hits it. *)
@@ -257,29 +237,32 @@ type front = {
   diags : D.t list;
 }
 
+(* The final table and the in-memory stages. A stage is looked up with
+   [Memo.find_or_compute], no [Pool] dispatch, so a characterization
+   stays one pool task however many stages it looks up. *)
 type cache = {
   final : (string, characterization) Memo.t;
-  netlists : N.Circuit.t stage;
-  mapped_circuits : N.Circuit.t stage;
-  packed : F.Place.clb list stage;
-  placed : (F.Place.placement * F.Route.report) stage;
-  fronts : front stage;
+  netlists : (string, N.Circuit.t) Memo.t;
+  mapped_circuits : (string, N.Circuit.t) Memo.t;
+  packed : (string, F.Place.clb list) Memo.t;
+  placed : (string, F.Place.placement * F.Route.report) Memo.t;
+  fronts : (string, front) Memo.t;
 }
 
 let create_cache ?load ?save () : cache =
-  { final = Memo.create ~size:64 ?load ?save (); netlists = stage ();
-    mapped_circuits = stage (); packed = stage (); placed = stage ();
-    fronts = stage () }
+  { final = Memo.create ?load ?save (); netlists = Memo.create ();
+    mapped_circuits = Memo.create (); packed = Memo.create ();
+    placed = Memo.create (); fronts = Memo.create () }
 
 let front_stage (c : cache) ~(key : string) (compute : unit -> front) : front =
-  through c.fronts key compute
+  Memo.find_or_compute c.fronts key compute
 
 type stage_stats = { stage : string; stage_hits : int; stage_computed : int }
 
 let stage_stats (c : cache) : stage_stats list =
-  let count name (s : _ stage) =
-    { stage = name; stage_hits = Atomic.get s.hits;
-      stage_computed = Atomic.get s.computed }
+  let count name memo =
+    let stage_hits, stage_computed = Memo.counts memo in
+    { stage = name; stage_hits; stage_computed }
   in
   [ count "netlist" c.netlists; count "mapped" c.mapped_circuits;
     count "packed" c.packed; count "placed" c.placed; count "front" c.fronts ]
@@ -434,23 +417,25 @@ let compute (stages : cache) (design : V.Elaborate.design)
   let mkey = nkey ^ "#" ^ keys.cfg_mapped in
   let piece id member =
     let netlist =
-      through stages.netlists id (fun () -> members_netlist design [ member ])
+      Memo.find_or_compute stages.netlists id (fun () ->
+          members_netlist design [ member ])
     in
     ( netlist,
-      through stages.mapped_circuits (id ^ "#" ^ keys.cfg_mapped) (fun () ->
-          N.Lutmap.map ~k netlist) )
+      Memo.find_or_compute stages.mapped_circuits (id ^ "#" ^ keys.cfg_mapped)
+        (fun () -> N.Lutmap.map ~k netlist) )
   in
   match
     match (ids, cluster.Clustering.members) with
     | [ id ], [ member ] -> snd (piece id member)
     | _, members ->
-      through stages.mapped_circuits mkey (fun () ->
+      Memo.find_or_compute stages.mapped_circuits mkey (fun () ->
           match List.map2 piece ids members with
           | pieces -> splice design members pieces
           | exception Out_of_memory -> raise Out_of_memory
           | exception _ ->
             let netlist =
-              through stages.netlists nkey (fun () -> cluster_netlist design cluster)
+              Memo.find_or_compute stages.netlists nkey (fun () ->
+                  cluster_netlist design cluster)
             in
             N.Lutmap.map ~k netlist)
   with
@@ -464,7 +449,7 @@ let compute (stages : cache) (design : V.Elaborate.design)
     let arch = F.Arch.of_config cfg in
     let pkey = mkey ^ "#" ^ keys.cfg_packed in
     let place_route clbs w =
-      through stages.placed
+      Memo.find_or_compute stages.placed
         (Printf.sprintf "%s#%s,w=%d" pkey keys.cfg_placed w)
         (fun () -> F.Size_search.place_route arch mapped clbs w)
     in
@@ -474,7 +459,7 @@ let compute (stages : cache) (design : V.Elaborate.design)
         ~max_size:cfg.C.Flow_config.max_fabric_size
         ~target_utilization:cfg.C.Flow_config.target_utilization
         ~pack:(fun () ->
-          through stages.packed pkey (fun () -> F.Place.pack arch mapped))
+          Memo.find_or_compute stages.packed pkey (fun () -> F.Place.pack arch mapped))
         ~place_route mapped
     with
     | exception Out_of_memory -> raise Out_of_memory
@@ -489,9 +474,6 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
     (clusters : Clustering.cluster list) : characterization list * stats =
   let cache = match cache with Some c -> c | None -> create_cache () in
   let t0 = Timebase.now_s () in
-  let should_stop =
-    Option.map (fun limit () -> Timebase.elapsed_since t0 > limit) deadline_s
-  in
   let keep c =
     match c.outcome with
     | Implemented _ | Infeasible _ -> true
@@ -501,30 +483,39 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
      task is a safety net so an unexpected escape still costs one
      candidate *)
   let recover (_, cluster) e =
-    let outcome =
-      match e with
-      | Some e -> Failed (diag_of_cluster_exn cluster e)
-      | None ->
-        Skipped
-          (skip_diag ~deadline_s:(Option.value deadline_s ~default:0.0)
-             cluster)
-    in
-    { cluster; outcome; mapped = None }
+    { cluster; outcome = Failed (diag_of_cluster_exn cluster e); mapped = None }
   in
   (* every identity up front, serially: the digest table is not shared
      with the worker domains *)
   let digest_of = subtree_digester design in
   let keys = config_keys cfg in
+  (* a miss whose task starts past the deadline is skipped; [keep]
+     rejects the skip, so a later run computes the key *)
+  let task ((_, cluster) as x) =
+    match deadline_s with
+    | Some limit when Timebase.elapsed_since t0 > limit ->
+      { cluster; outcome = Skipped (skip_diag ~deadline_s:limit cluster);
+        mapped = None }
+    | Some _ | None -> compute cache design cfg keys x
+  in
   let r =
-    Memo.resolve ~jobs ?should_stop ~keep ~recover cache.final
-      (compute cache design cfg keys)
+    Memo.resolve ~jobs ~keep ~recover cache.final task
       (List.map
          (fun cluster ->
            let ids = member_ids digest_of cluster in
            (identity ids ^ "#" ^ keys.cfg_final, (ids, cluster)))
          clusters)
   in
+  let skipped =
+    List.length
+      (List.filter
+         (fun (_, c) ->
+           match c.outcome with
+           | Skipped _ -> true
+           | Implemented _ | Infeasible _ | Failed _ -> false)
+         r.Memo.uniques)
+  in
   ( List.map2 retarget clusters r.Memo.values,
     { clusters = List.length clusters; unique = List.length r.Memo.uniques;
-      cache_hits = r.Memo.hits; computed = r.Memo.computed;
-      skipped = r.Memo.skipped } )
+      cache_hits = r.Memo.hits; computed = r.Memo.computed - skipped;
+      skipped } )

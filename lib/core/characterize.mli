@@ -10,7 +10,9 @@
     front and characterizes the unique keys across a Domain-based worker
     pool, with output bit-identical to the serial order for any [jobs]
     value. The cache may be supplied by the caller (see {!Engine}) so it
-    outlives one run. *)
+    outlives one run; runs sharing it at once compute each key once, as
+    every table computes a key under a claim
+    ({!Alice_parallel.Memo}). *)
 
 module V = Alice_verilog
 module N = Alice_netlist
@@ -22,8 +24,8 @@ module D = Alice_diag.Diag
     fabric; [Infeasible] is the size search's expected "no permitted
     fabric works"; [Failed] is a fault — an exception that escaped
     synthesis, mapping or the search, captured as a diagnostic so one
-    broken cluster cannot abort the whole flow; [Skipped] is a cluster
-    never dispatched because the characterization deadline passed — a
+    broken cluster cannot abort the whole flow; [Skipped] is a cache
+    miss whose task started after the characterization deadline — a
     budget decision carried as a [W0701] warning, not a fault. *)
 type outcome =
   | Implemented of F.Size_search.implementation
@@ -80,10 +82,11 @@ val splice :
     cluster is synthesized into its own netlist entry and mapped whole,
     so its fault is the one {!cluster_circuit} raises. A stage is
     written only when it returns, so a fault is never reused; a lookup
-    that finds its key being computed waits for it, so each entry is
-    computed once for any [jobs]; stage lookups run inside the one
-    pooled task of their characterization. The stages add nothing to
-    the persistent store: the final entry is the same.
+    that finds its key being computed waits for it
+    ({!Alice_parallel.Memo.find_or_compute}), so each entry is computed
+    once for any [jobs]; stage lookups run inside the one pooled task of
+    their characterization. The stages add nothing to the persistent
+    store: the final entry is the same.
 
     The cache also holds {!Flow}'s front end as one more in-memory
     stage, [front] (see {!front_stage}). *)
@@ -127,8 +130,9 @@ val stage_stats : cache -> stage_stats list
 
 (** Per-{!run_all_stats} accounting, in unique cache keys: [unique] distinct
     keys among [clusters] requested, of which [cache_hits] came from
-    the cache (in-memory or its backing store), [computed] were
-    characterized in this run, and [skipped] fell to the deadline. *)
+    the cache (in-memory, its backing store, or a concurrent run that
+    was computing the key), [computed] were characterized in this run,
+    and [skipped] fell to the deadline. *)
 type stats = {
   clusters : int;
   unique : int;
@@ -171,12 +175,13 @@ val keyer :
     call: clusters are deduplicated by cache key up front — one
     computation per unique key, fanned back out to every aliasing
     cluster with per-cluster relabeled diagnostics. Keys already present
-    in [cache] (default: a fresh ephemeral one) are served from it; only
+    in [cache] (default: a fresh ephemeral one) are served from it, and
+    a key another run on [cache] is computing is waited for; only
     fabric verdicts ([Implemented]/[Infeasible]) are written back, so
     faults and deadline skips never stick across runs. With
-    [deadline_s], computations not started before the wall-clock
-    deadline come back [Skipped] with a [W0701] diagnostic; in-flight
-    computations are allowed to finish. *)
+    [deadline_s], a miss whose task starts after the wall-clock
+    deadline comes back [Skipped] with a [W0701] diagnostic; hits are
+    never skipped and in-flight computations finish. *)
 val run_all_stats :
   ?deadline_s:float ->
   ?jobs:int ->

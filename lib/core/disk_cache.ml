@@ -131,6 +131,8 @@ let drop_writer (t : t) : unit =
 let create ?root ?max_bytes ?(faults = Fi.global ()) () =
   check_budget "Disk_cache.create" max_bytes;
   let root = match root with Some r -> r | None -> default_root () in
+  (* an empty root would put the store under the working directory *)
+  if root = "" then invalid_arg "Disk_cache.create: empty cache directory";
   let t =
     { root;
       dir = Filename.concat root (Printf.sprintf "v%d" format_version);

@@ -95,7 +95,9 @@ val default_root : unit -> string
     touched on disk until the first write) the store rooted at [root],
     default {!default_root}. [max_bytes] bounds the entry directory
     with LRU eviction; omitted, the store is unbounded. [faults]
-    defaults to {!Alice_fault.Fault.global}. *)
+    defaults to {!Alice_fault.Fault.global}.
+    @raise Invalid_argument on an empty [root] or a negative
+    [max_bytes]. *)
 val create :
   ?root:string -> ?max_bytes:int -> ?faults:Alice_fault.Fault.t -> unit -> t
 

@@ -134,9 +134,9 @@ module Scorer = struct
       are attacked once; cache misses fan out over [attack_jobs] worker
       domains (strictly serial at 1). Verdicts of every status are
       written back — all are deterministic facts about (netlist, fabric,
-      budget). A crashed or skipped attack task, or a converged one
-      whose key fails the check, degrades to an uncached Inconclusive
-      verdict so one broken candidate cannot abort selection. *)
+      budget). A crashed attack task, or a converged one whose key
+      fails the check, degrades to an uncached Inconclusive verdict so
+      one broken candidate cannot abort selection. *)
   let measure ~(cache : cache option) (cfg : C.Flow_config.t)
       (cands : (F.Fabric.t * Alice_netlist.Circuit.t) list) :
       verdict list * stats =
@@ -161,7 +161,7 @@ module Scorer = struct
         (0, 0) r.Memo.uniques
     in
     ( r.Memo.values,
-      { attacks_run = r.Memo.computed + r.Memo.skipped;
+      { attacks_run = r.Memo.computed;
         attacks_cached = r.Memo.hits; attacks_inconclusive = inconclusive;
         attacks_reused = reused } )
 end

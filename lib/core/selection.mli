@@ -72,11 +72,9 @@ module Scorer : sig
       [Measured] verdict lookups and is ignored under [Heuristic]. *)
   val of_config : ?cache:cache -> C.Flow_config.t -> t
 
-  (** The attack budget [Measured] runs under: the configuration's
-      conflict/iteration budgets, no wall-clock bound (determinism). *)
-  val measured_budget : C.Flow_config.t -> Sec.Sat_attack.budget
-
-  (** Attack one candidate's locked netlist under {!measured_budget}.
+  (** Attack one candidate's locked netlist under the configuration's
+      conflict and iteration budgets, with no wall-clock bound
+      (determinism).
       A converged attack's key must pass {!Sec.Locked.key_is_correct}
       (one single-shot solver call); a missing or wrong key raises
       [Failure], which {!measure} turns into an uncached Inconclusive
@@ -87,15 +85,6 @@ module Scorer : sig
       a solved candidate scores [0.5 * c / (c + budget)] — below 0.5
       and monotone in the conflicts the break needed. *)
   val resilience : C.Flow_config.t -> verdict -> float
-
-  (** [resilience] minus the weighted area cost (CLB count normalized
-      by [max_clbs], the largest valid fabric's). *)
-  val measured_score :
-    C.Flow_config.t ->
-    max_clbs:int ->
-    F.Size_search.implementation ->
-    verdict ->
-    float
 
   (** Resolve a verdict per candidate (order preserved): key-aliasing
       candidates are attacked once, cache misses fan out over

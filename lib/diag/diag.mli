@@ -86,7 +86,5 @@ module Collector : sig
 
   val is_empty : t -> bool
 
-  val error_count : t -> int
-
   val has_errors : t -> bool
 end

@@ -3,12 +3,13 @@
     compute the misses once each across a {!Pool}, write back, and fan
     the values out in input order — the same result for any [jobs].
 
-    Lookups and write-backs are atomic with respect to each other and
-    computation runs outside the lock, so a slow computation never
-    blocks other keys. Two {!resolve} batches racing on one key may
-    both compute it; the last write-back wins, which is safe for any
-    pure keyed computation. {!find_or_compute} computes a key once: a
-    second caller waits for the first.
+    A key is computed under a claim, by {!resolve} and
+    {!find_or_compute} alike: a caller that finds the key claimed by
+    another waits for that caller's value and counts it as a hit, so
+    concurrent callers compute each key once. Lookups and write-backs
+    are atomic with respect to each other and computation runs outside
+    the lock, so a slow computation blocks only the callers of its own
+    key.
 
     A table may be backed by a store: [load] is consulted (outside the
     lock) on an in-memory miss and its hit is installed, so the store is
@@ -28,49 +29,48 @@ val create :
   unit ->
   ('k, 'v) t
 
+(** [(hits, computed)] since {!create}: the lookups [t] served, from
+    memory, from [load] or by waiting on another caller's claim, and the
+    computations that returned. *)
+val counts : ('k, 'v) t -> int * int
+
 (** The content digest of a key's structured part: the MD5 hex of [x]
     marshalled without sharing, so structurally equal values digest
     alike across processes, whatever sharing their memory layout has. *)
 val digest : 'a -> string
 
 (** [find_or_compute t k compute] is the value [t] holds for [k] (in
-    memory or from [load]) paired with [true], else [compute ()] written
-    back and paired with [false]: {!resolve} for one key, without its
-    {!Pool} dispatch, so a lookup nested inside a pooled task costs no
-    task or worker of its own. A caller that finds [k] being computed
-    by another [find_or_compute] waits for that value and gets it as a
-    hit, so a key is computed once however many domains ask for it at
-    once. An exception from [compute] propagates and nothing is written
-    back; a waiting caller then computes [k] itself. *)
-val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
+    memory or from [load]), else [compute ()] written back: {!resolve}
+    for one key, without its {!Pool} dispatch, so a lookup nested inside
+    a pooled task costs no task or worker of its own. An exception from
+    [compute] propagates and nothing is written back; a waiting caller
+    then computes [k] itself. *)
+val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 (** What one {!resolve} call produced: one value per item in item
     order, one per distinct key in first-occurrence order, and every
-    distinct key counted once — a hit (memory or [load]), computed (its
-    task returned or raised) or skipped (never dispatched). *)
+    distinct key counted once — a hit (memory, [load], or another
+    caller's claim) or computed (its task returned or raised). *)
 type ('k, 'v) resolution = {
   values : 'v list;
   uniques : ('k * 'v) list;
   hits : int;
   computed : int;
-  skipped : int;
 }
 
-(** [resolve ?jobs ?should_stop ?keep ~recover t compute items]
-    dedupes the [(key, input)] items by key (first occurrence wins),
-    serves the keys [t] holds, and runs [compute input] for the rest
-    over a {!Pool} of [jobs] domains (default 1: serial, no domain
-    spawned), polling [should_stop] before each dispatch as
-    {!Pool.map_ordered} does. Computed values that [keep] accepts
-    (default: all) are written back to [t], and so to [save], in miss
-    order. A task that raised [e] becomes [recover input (Some e)], one
-    never dispatched [recover input None]; these are never written back.
+(** [resolve ?jobs ?keep ~recover t compute items] dedupes the
+    [(key, input)] items by key (first occurrence wins), looks the keys
+    up serially in that order (memory, then [load]), and runs
+    [compute input] under the key's claim for the rest over a {!Pool}
+    of [jobs] domains (default 1: serial, no domain spawned). Computed
+    values that [keep] accepts (default: all) go into [t] as their
+    claims drop and to [save] serially in miss order afterwards. A task
+    that raised [e] becomes [recover input e], never written back.
     [Out_of_memory] is re-raised. *)
 val resolve :
   ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
   ?keep:('v -> bool) ->
-  recover:('a -> exn option -> 'v) ->
+  recover:('a -> exn -> 'v) ->
   ('k, 'v) t ->
   ('a -> 'v) ->
   ('k * 'a) list ->

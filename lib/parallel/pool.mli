@@ -10,9 +10,8 @@
     task or the pool — and so is a crash of the worker {e between}
     tasks (exercised by fault injection): the worker re-enters its
     claim loop, so a dying worker costs at most one task slot, never
-    the batch. A cooperative stop predicate, checked at dispatch time,
-    supports deadline semantics — tasks already in flight finish, tasks
-    not yet dispatched come back {!Skipped}.
+    the batch. Every task runs: a caller that wants to give up on work,
+    as the characterization deadline does, decides inside its task.
 
     Fault-injection sites: ["pool.task"] (hit inside each task's
     containment — an injected failure is that task's [Raised]),
@@ -40,20 +39,13 @@ val jobs : t -> int
 type 'a outcome =
   | Value of 'a        (** the task returned *)
   | Raised of exn      (** the task raised; siblings were unaffected *)
-  | Skipped            (** never dispatched: [should_stop] was true *)
 
-(** [map_ordered ?should_stop ?faults pool f xs] applies [f] to every
-    element of [xs] across the pool's workers and returns the outcomes
-    in the order of [xs].
-
-    [should_stop] is polled immediately before each task is dispatched;
-    once it returns [true], no further task starts (in-flight tasks
-    finish) and every undispatched task's outcome is [Skipped]. With
-    [jobs = 1] no domain is spawned and the tasks run sequentially in
-    the calling domain — byte-identical to a serial [List.map] with the
-    same dispatch-time stop check. [faults] (default
-    {!Alice_fault.Fault.global}) arms the ["pool.task"], ["pool.worker"]
-    and ["pool.spawn"] injection sites. *)
+(** [map_ordered ?faults pool f xs] applies [f] to every element of
+    [xs] across the pool's workers and returns the outcomes in the
+    order of [xs]. With [jobs = 1] no domain is spawned and the tasks
+    run sequentially in the calling domain, as a serial [List.map].
+    [faults] (default {!Alice_fault.Fault.global}) arms the
+    ["pool.task"], ["pool.worker"] and ["pool.spawn"] injection
+    sites. *)
 val map_ordered :
-  ?should_stop:(unit -> bool) -> ?faults:Alice_fault.Fault.t -> t ->
-  ('a -> 'b) -> 'a list -> 'b outcome list
+  ?faults:Alice_fault.Fault.t -> t -> ('a -> 'b) -> 'a list -> 'b outcome list

@@ -306,42 +306,100 @@ let test_config_knobs () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative budget must be rejected"
 
-let test_deadline_skips_clusters () =
-  (* a deadline that has already passed when characterization starts:
-     every cluster is skipped with W0701 and the flow still returns *)
-  let cfg =
-    { isolation_cfg with C.Flow_config.characterize_deadline_s = Some 0.0 }
+(* A deadline that has already passed when characterization starts, at
+   [jobs] 1 and 4: each run's characterizations and diagnostics, which
+   must not depend on [jobs]. *)
+let past_deadline_runs () =
+  let run jobs =
+    let cfg =
+      { isolation_cfg with
+        C.Flow_config.characterize_deadline_s = Some 0.0; jobs }
+    in
+    flow_text ~config:cfg isolation_src
   in
-  let flow = flow_text ~config:cfg isolation_src in
-  Alcotest.(check bool) "clusters were skipped" true
-    (List.exists (fun d -> d.D.code = "W0701") flow.A.Flow.diags);
-  Alcotest.(check bool) "run completed" true
-    (flow.A.Flow.selection.A.Selection.best = None)
+  let serial = run 1 and parallel = run 4 in
+  let outcomes (flow : A.Flow.t) =
+    List.map
+      (fun (c : A.Characterize.characterization) ->
+        ( c.A.Characterize.cluster.A.Clustering.key,
+          match c.A.Characterize.outcome with
+          | A.Characterize.Skipped d -> Some d
+          | A.Characterize.Implemented _ | A.Characterize.Infeasible _
+          | A.Characterize.Failed _ -> None ))
+      flow.A.Flow.characterized
+  in
+  Alcotest.(check bool) "jobs 4 outcomes equal jobs 1" true
+    (outcomes serial = outcomes parallel);
+  Alcotest.(check string) "jobs 4 diagnostics equal jobs 1"
+    (D.list_to_json serial.A.Flow.diags) (D.list_to_json parallel.A.Flow.diags);
+  [ serial; parallel ]
+
+let test_deadline_skips_clusters () =
+  (* every cluster is skipped with W0701 and the flow still returns *)
+  List.iter
+    (fun (flow : A.Flow.t) ->
+      Alcotest.(check bool) "clusters were skipped" true
+        (List.exists (fun d -> d.D.code = "W0701") flow.A.Flow.diags);
+      Alcotest.(check bool) "run completed" true
+        (flow.A.Flow.selection.A.Selection.best = None))
+    (past_deadline_runs ())
 
 let test_deadline_skip_is_not_a_failure () =
   (* a budget skip is a [Skipped] outcome carrying a warning — never a
      [Failed] fault, and never an error-severity diagnostic, so the
      CLI's severity-derived exit code stays 0 for a skip-only run *)
-  let cfg =
-    { isolation_cfg with C.Flow_config.characterize_deadline_s = Some 0.0 }
-  in
-  let flow = flow_text ~config:cfg isolation_src in
-  Alcotest.(check bool) "clusters exist" true
-    (flow.A.Flow.characterized <> []);
   List.iter
-    (fun (c : A.Characterize.characterization) ->
-      match c.A.Characterize.outcome with
-      | A.Characterize.Skipped d ->
-        Alcotest.(check string) "skip code" "W0701" d.D.code;
-        Alcotest.(check bool) "skip is a warning" false (D.is_error d)
-      | A.Characterize.Failed _ ->
-        Alcotest.fail "deadline skip misclassified as Failed"
-      | A.Characterize.Implemented _ | A.Characterize.Infeasible _ ->
-        Alcotest.fail "nothing can characterize under a 0s deadline")
-    flow.A.Flow.characterized;
-  (* only-skips => no errors anywhere on the flow (exit-code-0 shape) *)
-  Alcotest.(check bool) "no error diagnostics for a mere budget skip" false
-    (List.exists D.is_error flow.A.Flow.diags)
+    (fun (flow : A.Flow.t) ->
+      Alcotest.(check bool) "clusters exist" true
+        (flow.A.Flow.characterized <> []);
+      List.iter
+        (fun (c : A.Characterize.characterization) ->
+          match c.A.Characterize.outcome with
+          | A.Characterize.Skipped d ->
+            Alcotest.(check string) "skip code" "W0701" d.D.code;
+            Alcotest.(check bool) "skip is a warning" false (D.is_error d)
+          | A.Characterize.Failed _ ->
+            Alcotest.fail "deadline skip misclassified as Failed"
+          | A.Characterize.Implemented _ | A.Characterize.Infeasible _ ->
+            Alcotest.fail "nothing can characterize under a 0s deadline")
+        flow.A.Flow.characterized;
+      (* only-skips => no errors anywhere on the flow (exit-code-0 shape) *)
+      Alcotest.(check bool) "no error diagnostics for a mere budget skip" false
+        (List.exists D.is_error flow.A.Flow.diags))
+    (past_deadline_runs ())
+
+(* The deadline skips misses only: an engine warmed without one serves
+   every key of a rerun under a deadline that has already passed, and
+   skips nothing. No cluster fails, as a failure is never cached. *)
+let test_deadline_spares_hits () =
+  let src =
+    {|module f1 (input [3:0] a, output [3:0] y); assign y = a + 4'h1; endmodule
+      module f2 (input [3:0] a, output [3:0] y); assign y = a ^ 4'h5; endmodule
+      module top (input [3:0] x, output [3:0] o1, output [3:0] o2);
+        f1 u1 (.a(x), .y(o1));
+        f2 u2 (.a(x), .y(o2));
+      endmodule|}
+  in
+  let engine = A.Engine.create ~cache:false () in
+  let run deadline =
+    A.Engine.run engine
+      (A.Flow.request
+         ~config:
+           { isolation_cfg with
+             C.Flow_config.characterize_deadline_s = deadline; jobs = 1 }
+         (A.Flow.Text { text = src; file = None }))
+  in
+  let cold = run None in
+  let warm = run (Some 0.0) in
+  let stats = warm.A.Flow.char_stats in
+  Alcotest.(check bool) "the cold run computed" true
+    (cold.A.Flow.char_stats.A.Characterize.computed > 0);
+  Alcotest.(check int) "every key a hit" stats.A.Characterize.unique
+    stats.A.Characterize.cache_hits;
+  Alcotest.(check int) "nothing computed" 0 stats.A.Characterize.computed;
+  Alcotest.(check int) "nothing skipped" 0 stats.A.Characterize.skipped;
+  Alcotest.(check bool) "no W0701" false
+    (List.exists (fun d -> d.D.code = "W0701") warm.A.Flow.diags)
 
 (* ---------- attack budgets surface as Inconclusive ---------- *)
 
@@ -445,6 +503,8 @@ let tests =
       test_deadline_skips_clusters;
     Alcotest.test_case "deadline skip is not a failure" `Quick
       test_deadline_skip_is_not_a_failure;
+    Alcotest.test_case "deadline spares cache hits" `Quick
+      test_deadline_spares_hits;
     Alcotest.test_case "attack inconclusive under solver budget" `Quick
       test_attack_inconclusive;
     Alcotest.test_case "fuzz: corrupt sources never crash" `Slow

@@ -666,6 +666,103 @@ let test_same_key_writers () =
   Alcotest.(check (list string)) "no W0702/W0703" [] !warned;
   Alcotest.(check int) "every round's entry loads" 0 !lost
 
+(* ---------- concurrent identical requests, one engine ---------- *)
+
+(* Four threads run GCD under cfg1 through one engine at once, as a
+   server's workers do: each key is computed once, by the request that
+   claims it first, and stored once (27 keys, where requests that
+   claimed nothing computed 53-65), and every flow is a single-shot
+   run's. *)
+let test_concurrent_requests_compute_once () =
+  let b = Option.get (Alice_benchmarks.Suite.find "GCD") in
+  let config =
+    { (Alice_benchmarks.Suite.config1 b) with C.Flow_config.jobs = 1 }
+  in
+  let req () =
+    A.Flow.request ~config
+      (A.Flow.Text { text = b.Alice_benchmarks.Suite.source; file = Some "gcd.v" })
+  in
+  let root = tmp_root () in
+  let engine = A.Engine.create ~cache_dir:root () in
+  let warnings = Atomic.make 0 in
+  A.Engine.set_warning_sink engine (fun _ -> Atomic.incr warnings);
+  let threads = 4 in
+  let mu = Mutex.create () and all_in = Condition.create () and arrived = ref 0 in
+  let flows = Array.make threads None in
+  let run i =
+    Mutex.protect mu (fun () ->
+        incr arrived;
+        Condition.broadcast all_in;
+        while !arrived < threads do Condition.wait all_in mu done);
+    flows.(i) <- Some (A.Engine.run engine (req ()))
+  in
+  List.iter Thread.join (List.init threads (Thread.create run));
+  let flows = List.map Option.get (Array.to_list flows) in
+  let single = A.Flow.run_request (req ()) in
+  let unique = single.A.Flow.char_stats.A.Characterize.unique in
+  Alcotest.(check int) "computed sums to the unique count" unique
+    (List.fold_left
+       (fun n (f : A.Flow.t) -> n + f.A.Flow.char_stats.A.Characterize.computed)
+       0 flows);
+  let digests =
+    List.map
+      (fun (_, _, record) -> List.nth (String.split_on_char ' ' record) 2)
+      (records root)
+  in
+  Alcotest.(check int) "one record per key" unique (List.length digests);
+  Alcotest.(check int) "one record per key digest" unique
+    (List.length (List.sort_uniq compare digests));
+  Alcotest.(check int) "no store warnings" 0 (Atomic.get warnings);
+  let best (flow : A.Flow.t) =
+    Option.map
+      (fun (s : A.Selection.solution) ->
+        ( List.map
+            (fun (e : A.Selection.efpga_impl) ->
+              ( e.A.Selection.cluster.A.Clustering.key,
+                Alice_fabric.Fabric.size_label
+                  e.A.Selection.impl.Alice_fabric.Size_search.fabric ))
+            s.A.Selection.efpgas,
+          s.A.Selection.total_score ))
+      flow.A.Flow.selection.A.Selection.best
+  in
+  let programmed (flow : A.Flow.t) =
+    Option.map
+      (fun (r : A.Redact.redacted) -> r.A.Redact.verilog)
+      (A.Flow.redact ~view:A.Redact.Programmed flow)
+  in
+  Alcotest.(check bool) "the single-shot run redacts" true (programmed single <> None);
+  List.iter
+    (fun (flow : A.Flow.t) ->
+      Alcotest.(check bool) "single-shot selection" true (best flow = best single);
+      Alcotest.(check int) "single-shot solution count"
+        (A.Selection.solution_count single.A.Flow.selection)
+        (A.Selection.solution_count flow.A.Flow.selection);
+      Alcotest.(check string) "single-shot diagnostics"
+        (D.list_to_json single.A.Flow.diags) (D.list_to_json flow.A.Flow.diags);
+      Alcotest.(check (option string)) "single-shot programmed Verilog"
+        (programmed single) (programmed flow))
+    flows
+
+(* ---------- an empty cache directory ---------- *)
+
+(* An empty cache directory would root the store at the working
+   directory; each way of naming one is refused as a configuration
+   error (E0602) before anything is written. *)
+let test_empty_cache_dir_refused () =
+  let refused name f =
+    match f () with
+    | exception (Invalid_argument _ as e) ->
+      Alcotest.(check (option string)) (name ^ ": E0602") (Some "E0602")
+        (Option.map (fun (d : D.t) -> d.D.code) (A.Flow.classify_exn e))
+    | _ -> Alcotest.failf "%s: an empty cache directory was accepted" name
+  in
+  refused "Disk_cache.create" (fun () -> ignore (A.Disk_cache.create ~root:"" ()));
+  refused "Engine.create" (fun () -> ignore (A.Engine.create ~cache_dir:"" ()));
+  refused "the cache_dir key" (fun () ->
+      ignore (A.Engine.of_config (C.Flow_config.of_string "cache_dir: \"\"\n")));
+  (* caching off opens no store, so names none *)
+  ignore (A.Engine.create ~cache:false ~cache_dir:"" ())
+
 (* ---------- sweep points carry the advisor's objectives ---------- *)
 
 let test_sweep_point_metrics () =
@@ -860,6 +957,10 @@ let tests =
   [ Alcotest.test_case "memo hooks" `Quick test_memo_hooks;
     Alcotest.test_case "same-key writers, one store" `Quick
       test_same_key_writers;
+    Alcotest.test_case "concurrent identical requests compute a key once" `Quick
+      test_concurrent_requests_compute_once;
+    Alcotest.test_case "empty cache directory refused" `Quick
+      test_empty_cache_dir_refused;
     Alcotest.test_case "concurrent writers same dir" `Quick
       test_concurrent_writers;
     Alcotest.test_case "config digest in cache key" `Quick

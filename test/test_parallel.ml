@@ -51,23 +51,8 @@ let test_exception_capture () =
           | P.Pool.Raised (Boom j) ->
             Alcotest.(check int) "a task's error is its own" i j
           | P.Pool.Raised e ->
-            Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)
-          | P.Pool.Skipped -> Alcotest.fail "nothing should be skipped")
+            Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e))
         out)
-    [ 1; 4 ]
-
-let test_should_stop_skips_undispatched () =
-  (* a stop predicate true from the start: nothing is dispatched *)
-  let xs = List.init 10 Fun.id in
-  List.iter
-    (fun jobs ->
-      let pool = P.Pool.create ~jobs in
-      let out = P.Pool.map_ordered ~should_stop:(fun () -> true) pool
-          (fun x -> x) xs
-      in
-      Alcotest.(check bool) "all skipped" true
-        (List.for_all (fun o -> o = P.Pool.Skipped) out);
-      Alcotest.(check int) "order/length preserved" 10 (List.length out))
     [ 1; 4 ]
 
 (* ---------- the keyed resolver ---------- *)
@@ -97,14 +82,48 @@ let test_memo_contention () =
       Alcotest.(check int) "every key a hit or computed once" 8
         (r.P.Memo.hits + r.P.Memo.computed))
     callers;
-  (* racing callers may each compute a key, but within one call every
-     key is computed at most once *)
-  let n = Atomic.get computed in
-  Alcotest.(check bool) "8 to 32 computations" true (n >= 8 && n <= 32);
+  (* a key another caller has claimed is waited for, not computed *)
+  Alcotest.(check int) "each key computed once" 8 (Atomic.get computed);
   (* every key is now bound: a later call computes nothing *)
   let r = resolve () in
   Alcotest.(check int) "all 8 keys cached" 8 r.P.Memo.hits;
-  Alcotest.(check int) "no recomputation" n (Atomic.get computed)
+  Alcotest.(check int) "no recomputation" 8 (Atomic.get computed)
+
+(* Two domains resolve overlapping batches through one memo at once,
+   the second in reverse key order, each over its own 2-domain pool:
+   every key is computed once, by the call that claims it first, and
+   the other call counts it as a hit, however the tasks interleave. *)
+let test_resolve_overlapping_batches () =
+  let memo : (int, int) P.Memo.t = P.Memo.create () in
+  let calls = Array.init 18 (fun _ -> Atomic.make 0) in
+  let compute k =
+    Atomic.incr calls.(k);
+    Unix.sleepf 0.005;
+    k * 10
+  in
+  let arrived = Atomic.make 0 in
+  let batch keys () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do Domain.cpu_relax () done;
+    P.Memo.resolve ~jobs:2 ~recover:(fun _ e -> raise e) memo compute
+      (List.map (fun k -> (k, k)) keys)
+  in
+  let a = List.init 12 Fun.id and b = List.init 12 (fun i -> 17 - i) in
+  let da = Domain.spawn (batch a) and db = Domain.spawn (batch b) in
+  let ra = Domain.join da and rb = Domain.join db in
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check int) (Printf.sprintf "key %d computed once" k) 1 (Atomic.get n))
+    calls;
+  List.iter
+    (fun (name, keys, (r : (int, int) P.Memo.resolution)) ->
+      Alcotest.(check (list int)) (name ^ ": values")
+        (List.map (fun k -> k * 10) keys) r.P.Memo.values;
+      Alcotest.(check int) (name ^ ": every key a hit or computed") 12
+        (r.P.Memo.hits + r.P.Memo.computed))
+    [ ("a", a, ra); ("b", b, rb) ];
+  Alcotest.(check (pair int int)) "the memo's hits and computations" (6, 18)
+    (P.Memo.counts memo)
 
 (* Four domains look up one key at once, the first computation held
    until all four have arrived: it runs once and the others wait for
@@ -124,40 +143,38 @@ let test_find_or_compute_once () =
     let lookup () =
       Atomic.incr arrived;
       match P.Memo.find_or_compute memo 7 compute with
-      | v, hit -> Ok (v, hit)
+      | v -> Ok v
       | exception Failure _ -> Error ()
     in
     let results = List.map Domain.join (List.init callers (fun _ -> Domain.spawn lookup)) in
-    (Atomic.get calls, results)
+    (Atomic.get calls, List.sort compare results, P.Memo.counts memo)
   in
-  let calls, results = run ~fail_first:false in
+  let calls, results, counts = run ~fail_first:false in
   Alcotest.(check int) "computed once" 1 calls;
-  Alcotest.(check (list (result (pair int bool) unit))) "one computation, three hits"
-    [ Ok (42, false); Ok (42, true); Ok (42, true); Ok (42, true) ]
-    (List.sort compare results);
-  let calls, results = run ~fail_first:true in
+  Alcotest.(check (list (result int unit))) "every caller gets the value"
+    [ Ok 42; Ok 42; Ok 42; Ok 42 ] results;
+  Alcotest.(check (pair int int)) "one computation, three hits" (3, 1) counts;
+  let calls, results, counts = run ~fail_first:true in
   Alcotest.(check int) "computed again after a raise" 2 calls;
-  Alcotest.(check (list (result (pair int bool) unit))) "the raise reaches its caller only"
-    [ Ok (42, false); Ok (42, true); Ok (42, true); Error () ]
-    (List.sort compare results)
+  Alcotest.(check (list (result int unit))) "the raise reaches its caller only"
+    [ Ok 42; Ok 42; Ok 42; Error () ] results;
+  Alcotest.(check (pair int int)) "a raise is not counted" (2, 1) counts
 
 exception Rejected of int
 
 (* Random items with duplicate keys, resolved at jobs 1 and 4 against a
    serial reference. Keys below 2 are served by the [load] hook, inputs
-   divisible by 5 raise, [keep] rejects odd values, and [stop] skips
-   every miss. *)
+   divisible by 5 raise, and [keep] rejects odd values. *)
 let resolve_prop =
   QCheck.Test.make ~count:100 ~name:"resolve matches a serial reference"
-    QCheck.(pair bool (small_list (pair (int_range 0 9) (int_range 0 50))))
-    (fun (stop, items) ->
+    QCheck.(small_list (pair (int_range 0 9) (int_range 0 50)))
+    (fun items ->
       let load k = if k < 2 then Some (1000 + k) else None in
       let compute x = if x mod 5 = 0 then raise (Rejected x) else 3 * x in
       let keep v = v mod 2 = 0 in
       let recover x = function
-        | Some (Rejected y) when x = y -> -x
-        | Some e -> raise e
-        | None -> -1
+        | Rejected y when x = y -> -x
+        | e -> raise e
       in
       (* each distinct key in first-occurrence order, decided by its
          first input: (value, written back) *)
@@ -174,7 +191,6 @@ let resolve_prop =
             ( k,
               match load k with
               | Some v -> (v, false)
-              | None when stop -> (-1, false)
               | None -> (
                 match compute x with
                 | v -> (v, keep v)
@@ -193,16 +209,11 @@ let resolve_prop =
           let memo =
             P.Memo.create ~load ~save:(fun k _ -> saved := k :: !saved) ()
           in
-          let r =
-            P.Memo.resolve ~jobs ~should_stop:(fun () -> stop) ~keep ~recover
-              memo compute items
-          in
+          let r = P.Memo.resolve ~jobs ~keep ~recover memo compute items in
           r.P.Memo.values = List.map (fun (k, _) -> value k) items
           && r.P.Memo.uniques = List.map (fun (k, _) -> (k, value k)) order
           && r.P.Memo.hits = hits
-          && r.P.Memo.hits + r.P.Memo.computed + r.P.Memo.skipped
-             = List.length order
-          && r.P.Memo.skipped = (if stop then List.length order - hits else 0)
+          && r.P.Memo.hits + r.P.Memo.computed = List.length order
           && List.rev !saved = kept)
         [ 1; 4 ])
 
@@ -298,12 +309,12 @@ let tests =
       test_map_ordered_matches_serial;
     Alcotest.test_case "exception capture isolates one task" `Quick
       test_exception_capture;
-    Alcotest.test_case "should_stop skips undispatched tasks" `Quick
-      test_should_stop_skips_undispatched;
     Alcotest.test_case "memo table under domain contention" `Quick
       test_memo_contention;
     Alcotest.test_case "find_or_compute computes a key once" `Quick
       test_find_or_compute_once;
+    Alcotest.test_case "overlapping resolve batches compute a key once" `Quick
+      test_resolve_overlapping_batches;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2022 |])
       resolve_prop;
     Alcotest.test_case "flow: jobs=1 vs jobs=4 equivalence" `Slow
