@@ -172,27 +172,13 @@ let run_table2 () =
 (* Figure 4: physical area of the two GCD solutions                    *)
 (* ------------------------------------------------------------------ *)
 
-let solution_area (b : B.benchmark) (flow : A.Flow.t) : float * string =
-  match flow.A.Flow.selection.A.Selection.best with
+(* the die area and fabric labels of a flow's solution *)
+let solution_area (flow : A.Flow.t) : float * string =
+  match A.Report.solution_area flow with
   | None -> (nan, "-")
-  | Some best ->
-    let fabrics =
-      List.map
-        (fun (e : A.Selection.efpga_impl) -> e.impl.F.Size_search.fabric)
-        best.A.Selection.efpgas
-    in
-    (* remaining ASIC logic: the opaque redacted design (fabric stubs are
-       empty) synthesized and counted in gate equivalents *)
-    let asic_gates =
-      match A.Flow.redact ~view:A.Redact.Opaque flow with
-      | None -> 0
-      | Some r ->
-        let ast = V.Parser.parse r.A.Redact.verilog in
-        let d = V.Elaborate.elaborate ~top:b.B.top ast in
-        N.Stats.logic_gate_count (N.Synth.synthesize d)
-    in
-    ( F.Area.solution_area ~asic_gates fabrics,
-      String.concat " + " (List.map F.Fabric.size_label fabrics) )
+  | Some a ->
+    ( a.A.Report.sa_asic_um2 +. a.A.Report.sa_fabric_um2,
+      String.concat " + " (List.map F.Fabric.size_label a.A.Report.sa_fabrics) )
 
 let run_figure4 () =
   section "Figure 4: physical area of the two GCD solutions (NanGate 45nm model)";
@@ -200,8 +186,8 @@ let run_figure4 () =
   let ast = B.parse gcd in
   let flow1 = run_flow ~config:(B.config1 gcd) ast in
   let flow2 = run_flow ~config:(B.config2 gcd) ast in
-  let a1, s1 = solution_area gcd flow1 in
-  let a2, s2 = solution_area gcd flow2 in
+  let a1, s1 = solution_area flow1 in
+  let a2, s2 = solution_area flow2 in
   Format.printf "cfg1 (%s): %10.0f um^2   (paper: two 4x4, 52,629 um^2)@." s1 a1;
   Format.printf "cfg2 (%s): %10.0f um^2   (paper: one 5x5,  54,512 um^2)@." s2 a2;
   Format.printf "ratio cfg2/cfg1: measured %.2f, paper %.2f@." (a2 /. a1)
@@ -430,32 +416,15 @@ let run_soc () =
         min_fabric_size = 4; max_fabric_size = 20; target_utilization = 0.5;
         min_clb_utilization = 0.3 }
     in
-    let flow = run_flow ~config:cfg ast in
-    match flow.A.Flow.selection.A.Selection.best with
+    match A.Report.solution_area (run_flow ~config:cfg ast) with
     | None -> Format.printf "%-12s no solution@." name
-    | Some best ->
-      let fabrics =
-        List.map
-          (fun (e : A.Selection.efpga_impl) -> e.impl.F.Size_search.fabric)
-          best.A.Selection.efpgas
-      in
-      let fabric_area =
-        List.fold_left (fun acc f -> acc +. F.Area.fabric_area f) 0.0 fabrics
-      in
-      let asic_gates =
-        match A.Flow.redact ~view:A.Redact.Opaque flow with
-        | None -> 0
-        | Some r ->
-          let rast = V.Parser.parse r.A.Redact.verilog in
-          N.Stats.logic_gate_count
-            (N.Synth.synthesize (V.Elaborate.elaborate ~top rast))
-      in
-      let total = fabric_area +. F.Area.asic_area ~gates:asic_gates in
+    | Some a ->
+      let total = a.A.Report.sa_fabric_um2 +. a.A.Report.sa_asic_um2 in
       Format.printf "%-12s eFPGAs %-12s total %8.0f um^2, fabric share %3.0f%%@."
         name
-        (String.concat "+" (List.map F.Fabric.size_label fabrics))
+        (String.concat "+" (List.map F.Fabric.size_label a.A.Report.sa_fabrics))
         total
-        (100.0 *. fabric_area /. total)
+        (100.0 *. a.A.Report.sa_fabric_um2 /. total)
   in
   let gcd = Option.get (B.find "GCD") in
   share "GCD alone" (B.parse gcd) "gcd" [ "result" ];
@@ -471,7 +440,7 @@ let run_soc () =
      observation about integration.@."
 
 (* ------------------------------------------------------------------ *)
-(* Mixed load: cheap-lane latency under heavy saturation, both         *)
+(* Mixed load: cheap-op latency under heavy saturation, both           *)
 (* transports                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -506,9 +475,8 @@ let run_mixed () =
       ~finally:(fun () -> S.Server.stop t; S.Server.wait t)
       (fun () ->
         let socket = S.Endpoint.to_string (List.hd (S.Server.endpoints t)) in
-        (* connection-per-ping, like a health checker: a persistent
-           cheap connection would pin the reserved worker and shut
-           every later ping out *)
+        (* connection-per-ping, like a health checker: each ping pays a
+           connect and a connection thread's start *)
         let ping_once () =
           let a = Unix.gettimeofday () in
           ignore (S.Client.one_shot ~socket (S.Protocol.ping_request ()));
@@ -519,8 +487,8 @@ let run_mixed () =
         let rounds = 30 in
         let idle = Array.init rounds (fun _ -> ping_once ()) in
         let idle_p95 = pctl idle 0.95 in
-        (* saturate the heavy lane: more concurrent redact loops than
-           there are general workers *)
+        (* saturate the execution slots: more concurrent redact loops
+           than there are heavy slots *)
         let stop = Atomic.make false in
         let heavies =
           List.init 6 (fun _ ->

@@ -749,15 +749,20 @@ let serve_cmd =
   let max_in_flight =
     Arg.(value & opt int 4
          & info [ "max-in-flight" ] ~docv:"N"
-             ~doc:"Worker threads, i.e. requests executing concurrently.")
+             ~doc:"Concurrency: heavy requests ($(b,redact), \
+                   $(b,characterize), $(b,sweep), $(b,advise)) execute at \
+                   most $(docv) - 1 at a time (at least 1), and the share \
+                   they never take keeps cheap ones ($(b,ping), \
+                   $(b,stats), ...) answering at once.")
   in
   let max_queue =
     Arg.(value & opt int 16
          & info [ "max-queue" ] ~docv:"N"
-             ~doc:"Admitted connections that may wait for a worker; beyond \
-                   $(b,max-in-flight + max-queue) outstanding, new \
-                   connections are refused with a structured $(b,busy) \
-                   error (E1003) instead of queueing without bound.")
+             ~doc:"Connections admitted beyond $(b,max-in-flight), each with \
+                   a thread of its own; beyond \
+                   $(b,max-in-flight + max-queue) live connections, new \
+                   ones are refused with a structured $(b,busy) error \
+                   (E1003) instead of queueing without bound.")
   in
   let deadline =
     Arg.(value & opt (some float) None
@@ -766,13 +771,14 @@ let serve_cmd =
                    (the request configuration's own \
                    $(b,characterize_deadline_s) wins). Expensive designs \
                    degrade to deadline-skip diagnostics instead of \
-                   monopolizing a worker.")
+                   monopolizing an execution slot.")
   in
   let idle_timeout =
     Arg.(value & opt float 30.0
          & info [ "idle-timeout" ] ~docv:"S"
              ~doc:"Close a connection idle this long between requests, so \
-                   dead clients cannot pin a worker or stall the drain.")
+                   dead clients cannot hold an admission or stall the \
+                   drain.")
   in
   let run listen socket config max_in_flight max_queue deadline idle_timeout
       jobs cache_dir no_cache fmt =
@@ -819,9 +825,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the long-lived redaction daemon: newline-delimited JSON \
              requests over Unix-domain sockets and/or TCP, one shared \
-             characterization cache across all clients, bounded in-flight \
-             admission control with a cheap lane reserved for health \
-             checks, graceful drain on SIGTERM or a $(b,shutdown) request")
+             characterization cache across all clients, bounded \
+             admission control, a thread per connection with heavy \
+             requests waiting for an execution slot while health checks \
+             answer at once, graceful drain on SIGTERM or a \
+             $(b,shutdown) request")
     Term.(const run $ listen $ socket $ config $ max_in_flight $ max_queue
           $ deadline $ idle_timeout $ jobs_flag $ cache_dir_flag
           $ no_cache_flag $ diag_format)

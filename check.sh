@@ -867,11 +867,12 @@ fi
 server_smoke tcp "tcp:127.0.0.1:0"
 
 # --- fault smoke: the service self-heals under an injected plan -------
-# one worker is killed mid-request and one cache write is torn; the
-# clients retry with backoff and every response must still be
-# byte-identical to the single-shot reference
+# one connection thread is killed mid-request, the fourth connection's
+# thread cannot be started (refused as busy) and one cache write is
+# torn; the clients retry with backoff and every response must still
+# be byte-identical to the single-shot reference
 fsock="$tmpdir/alice_fault.sock"
-ALICE_FAULT_PLAN='server.worker=kill@3;cache.write=torn@2' \
+ALICE_FAULT_PLAN='server.worker=kill@3;server.spawn=fail@4;cache.write=torn@2' \
   "$ALICE" serve --socket "$fsock" -c "$tmpdir/soc.yaml" --jobs 1 \
   --cache-dir "$tmpdir/faultcache" > /dev/null 2> "$tmpdir/serve_fault.log" &
 fault_pid=$!
@@ -909,17 +910,29 @@ for n in 1 2 3 4 5 6 7 8; do
   fi
 done
 
-# the worker kill was contained, counted, and the slot respawned
+# the thread kill was contained, logged and counted, and the server
+# kept serving
 "$ALICE" client --socket "$fsock" --op stats --retry 6 \
   > "$tmpdir/stats_fault.json"
 if ! grep -q '"crashed":[1-9]' "$tmpdir/stats_fault.json"; then
-  echo "check.sh: fault-plan stats report no contained worker crash:" >&2
+  echo "check.sh: fault-plan stats report no contained thread crash:" >&2
   cat "$tmpdir/stats_fault.json" >&2
   exit 1
 fi
 if ! grep -q '\[E1005\]' "$tmpdir/serve_fault.log"; then
-  echo "check.sh: worker crash was not logged as E1005" >&2
+  echo "check.sh: thread crash was not logged as E1005" >&2
   cat "$tmpdir/serve_fault.log" >&2
+  exit 1
+fi
+# the refused spawn was answered as busy, counted, and retried
+if ! grep -q '"rejected":{"busy":[1-9]' "$tmpdir/stats_fault.json"; then
+  echo "check.sh: fault-plan stats report no busy refusal:" >&2
+  cat "$tmpdir/stats_fault.json" >&2
+  exit 1
+fi
+if ! grep -q '"server.spawn":1' "$tmpdir/stats_fault.json"; then
+  echo "check.sh: thread spawn failure was not injected/recorded:" >&2
+  cat "$tmpdir/stats_fault.json" >&2
   exit 1
 fi
 # the torn cache write fired and was contained (counted, not fatal)

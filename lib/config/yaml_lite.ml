@@ -179,6 +179,9 @@ and parse_map lines indent : J.t * line list =
       match split_key_value l with
       | None -> error l.num "expected 'key: value'"
       | Some (key, value) ->
+        (* readers take a key's first entry, so a repeat would be
+           silently ignored; YAML requires unique keys *)
+        if List.mem_assoc key acc then error l.num "duplicate key '%s'" key;
         if value = "" then begin
           let sub, rest' = parse_block rest (indent + 1) in
           loop ((key, sub) :: acc) rest'

@@ -8,5 +8,6 @@
 exception Parse_error of int * string  (** line number, message *)
 
 (** Parse a document. Raises {!Parse_error}, also on an unquoted [{]
-    that starts a value or a list item (an inline flow map). *)
+    that starts a value or a list item (an inline flow map) and on a
+    key repeated in one map (at the repeat's line). *)
 val parse : string -> Json_lite.t

@@ -3,6 +3,7 @@
 
 module V = Alice_verilog
 module F = Alice_fabric
+module N = Alice_netlist
 
 type table2_row = {
   design_name : string;
@@ -45,6 +46,38 @@ let row_of_flow ~(design_name : string) (flow : Flow.t) : table2_row =
       (match best with
       | None -> None
       | Some s -> Some s.Selection.redacted_instances) }
+
+type solution_area = {
+  sa_fabrics : F.Fabric.t list;
+  sa_fabric_um2 : float;
+  sa_asic_um2 : float;
+}
+
+let solution_area (flow : Flow.t) : solution_area option =
+  match flow.Flow.selection.Selection.best with
+  | None -> None
+  | Some best ->
+    let fabrics =
+      List.map
+        (fun (e : Selection.efpga_impl) -> e.impl.F.Size_search.fabric)
+        best.Selection.efpgas
+    in
+    (* the remaining ASIC logic: the opaque view's fabric stubs are
+       empty, so synthesizing it counts everything else *)
+    let opaque =
+      Redact.run ~view:Redact.Opaque flow.Flow.design flow.Flow.ast best
+    in
+    let asic_gates =
+      N.Stats.logic_gate_count
+        (N.Synth.synthesize
+           (V.Elaborate.elaborate ~top:flow.Flow.design.V.Elaborate.d_top
+              (V.Parser.parse opaque.Redact.verilog)))
+    in
+    Some
+      { sa_fabrics = fabrics;
+        sa_fabric_um2 =
+          List.fold_left (fun acc f -> acc +. F.Area.fabric_area f) 0.0 fabrics;
+        sa_asic_um2 = F.Area.asic_area ~gates:asic_gates }
 
 let opt_str f = function None -> "-" | Some v -> f v
 

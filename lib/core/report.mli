@@ -22,6 +22,20 @@ val pp_table2_header : Format.formatter -> unit -> unit
 
 val pp_table2_row : Format.formatter -> table2_row -> unit
 
+(** Die area of a flow's selected solution in the NanGate-45nm model of
+    {!Alice_fabric.Area} (the measure of the paper's Figure 4): the
+    selected fabrics, and the rest of the chip as the opaque redacted
+    design (fabric stubs empty) synthesized and counted in gate
+    equivalents. *)
+type solution_area = {
+  sa_fabrics : Alice_fabric.Fabric.t list;  (** in selection order *)
+  sa_fabric_um2 : float;
+  sa_asic_um2 : float;
+}
+
+(** [None] when the flow selected no solution. *)
+val solution_area : Flow.t -> solution_area option
+
 (** Per-candidate attack verdict line (measured selection only). *)
 type verdict_row = {
   vr_cluster : string;  (** cluster canonical identity *)

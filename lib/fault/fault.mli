@@ -16,8 +16,10 @@
     Sites currently wired (see DESIGN.md "Failure model"):
     ["cache.read"], ["cache.write"] ({!Disk_cache}); ["pool.task"],
     ["pool.worker"], ["pool.spawn"] ({!Alice_parallel.Pool});
-    ["server.worker"], ["sock.read"], ["sock.write"], ["sock.stream"] (a
-    streamed sweep-row write), ["tcp.accept"] (the server's TCP front door);
+    ["server.worker"] (a request on a connection thread),
+    ["server.spawn"] (a connection thread's start), ["sock.read"],
+    ["sock.write"], ["sock.stream"] (a streamed sweep-row write),
+    ["tcp.accept"] (the server's TCP front door);
     ["sock.connect"], ["client.rpc"] (the client);
     ["engine.sweep_point"] ({!Engine.run_sweep}). *)
 

@@ -2,7 +2,7 @@
     request counters, a log-scale latency histogram over completed
     requests, admission-control rejection counters, and aggregated
     characterization-cache accounting. All recording entry points are
-    safe to call from any worker thread; {!snapshot} is a consistent
+    safe to call from any thread; {!snapshot} is a consistent
     cut (taken under the same lock) that the [stats] operation
     serializes. *)
 
@@ -32,8 +32,8 @@ type snapshot = {
   attacks_inconclusive : int;
       (** unique verdicts whose attack proved nothing either way *)
   worker_crashes : int;
-      (** [E1005] events: connections whose worker crashed (the crash
-          was contained and the worker slot respawned) *)
+      (** [E1005] events: connections whose thread crashed (the crash
+          was contained and only that connection's thread ended) *)
 }
 
 type t
@@ -59,7 +59,7 @@ val record_attack_run : t -> run:int -> cached:int -> inconclusive:int -> unit
 
 val record_cache_warning : t -> unit
 
-(** Count one contained worker crash ([E1005]). *)
+(** Count one contained connection-thread crash ([E1005]). *)
 val record_worker_crash : t -> unit
 
 val snapshot : t -> snapshot

@@ -67,28 +67,14 @@ let op_name = function
 
 type lane = Cheap | Heavy
 
-let lane_of_op_name = function
-  | "redact" | "characterize" | "sweep" | "advise" -> Heavy
-  | _ -> Cheap
-
-let lane_of_op op = lane_of_op_name (op_name op)
+let lane_of_op = function
+  | Redact _ | Characterize _ | Sweep _ | Advise _ -> Heavy
+  | Ping | Stats | Shutdown | CacheGc _ -> Cheap
 
 let streams ~(minor : int) = function
   | Sweep { stream; _ } -> stream && minor >= 1
   | Advise { stream; _ } -> stream && minor >= 4
   | Ping | Stats | Shutdown | Redact _ | Characterize _ | CacheGc _ -> false
-
-(* Deliberately lenient — this runs on the acceptor against bytes it
-   has only peeked at: anything that is not recognizably a heavy
-   operation (including garbage, which a worker answers with a fast
-   structured error) goes to the cheap lane. *)
-let lane_of_line (line : string) : lane =
-  match J.parse line with
-  | exception _ -> Cheap
-  | j -> (
-    match J.find j "op" with
-    | Some (J.String name) -> lane_of_op_name name
-    | _ -> Cheap)
 
 (* ---------- request parsing ---------- *)
 

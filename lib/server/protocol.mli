@@ -25,8 +25,9 @@
     server adds the [E10xx] range: [E1000] malformed request, [E1001]
     unsupported version, [E1002] unknown/invalid operation, [E1003]
     busy — admission control rejected the connection, [E1004] shutting
-    down, [E1005] worker crash — logged and counted server-side, never
-    sent as a response, [E1006] cache-gc on a cache-less server). *)
+    down, [E1005] connection-thread crash — logged and counted
+    server-side, never sent as a response, [E1006] cache-gc on a
+    cache-less server). *)
 
 module J = Alice_config.Json_lite
 module D = Alice_diag.Diag
@@ -122,20 +123,15 @@ val op_name : op -> string
     streaming form, gets one buffered line. *)
 val streams : minor:int -> op -> bool
 
-(** The two admission lanes of the server's priority queue. [Cheap]
-    operations ([ping], [stats], [cache-gc], [shutdown] — and malformed
-    requests, which cost one error line) answer in microseconds and
-    must never wait behind a saturating sweep; [Heavy] operations
-    ([redact], [characterize], [sweep], [advise]) run the flow. *)
+(** The two scheduling classes of the server. A [Heavy] operation
+    ([redact], [characterize], [sweep], [advise]) runs the flow and
+    waits for one of the server's execution slots; a [Cheap] one
+    ([ping], [stats], [cache-gc], [shutdown]) answers in microseconds
+    and runs at once, so it never waits behind a saturating sweep. A
+    malformed request never reaches an op and is answered at once too. *)
 type lane = Cheap | Heavy
 
 val lane_of_op : op -> lane
-
-(** Classify a raw request line the way the server's acceptor does on
-    peeked bytes: [Heavy] only when the line is valid JSON whose [op]
-    names a heavy operation; everything else — cheap operations,
-    garbage, incomplete framing — is [Cheap]. Never raises. *)
-val lane_of_line : string -> lane
 
 (** Parse one request line. Raises {!Bad_request}. *)
 val parse_request : string -> request

@@ -1,16 +1,15 @@
 (** Server core (see the interface for the architecture). One acceptor
-    thread owns admission control, multiplexes every listener and
-    classifies admitted connections into the two priority lanes;
-    [max_in_flight] worker threads own connections (one reserved for
-    the cheap lane when there are at least two); all of them share one
-    engine, one metrics registry and one mutex/condition pair around
-    the hand-off lanes.
+    thread owns admission control and multiplexes every listener; each
+    admitted connection gets a thread of its own, which hands every
+    heavy request to the slot threads and runs every cheap one itself.
+    All of them share one engine, one metrics registry and one mutex
+    around the connection count and the queue of heavy requests.
 
     Shutdown is signal-safe: {!stop} only flips an atomic flag and
     pokes each listener with a throwaway connection, so it may run
-    inside a signal handler or on a worker thread that already holds no
-    lock; the acceptor notices the flag, marks the server stopping
-    under the lock and broadcasts the workers awake. *)
+    inside a signal handler or on a connection thread that holds no
+    lock; the acceptor notices the flag and stops admitting, and each
+    connection thread notices it after its current response. *)
 
 module A = Alice
 module C = Alice_config
@@ -42,16 +41,15 @@ type t = {
   engine : A.Engine.t;
   metrics : Metrics.t;
   listeners : (Unix.file_descr * Endpoint.t) list;  (* effective endpoints *)
-  mu : Mutex.t;
-  cv : Condition.t;
-  cheap_pending : Unix.file_descr Queue.t;
-  heavy_pending : Unix.file_descr Queue.t;
-  mutable unclassified : int;  (* connections the acceptor still holds *)
-  mutable active : int;  (* workers currently handling a connection *)
-  mutable stopping : bool;  (* guarded by [mu]; set only by the acceptor *)
+  mu : Mutex.t;  (* guards the three fields below *)
+  mutable connections : int;  (* live connection threads *)
+  jobs : (unit -> unit) Queue.t;  (* heavy requests waiting for a slot *)
+  mutable slots_closed : bool;  (* set once no connection is left *)
+  job_queued : Condition.t;  (* signalled when [jobs] grows *)
+  drained : Condition.t;  (* broadcast when [connections] reaches 0 *)
   stop_requested : bool Atomic.t;  (* settable from signal handlers *)
   mutable acceptor : Thread.t option;
-  mutable workers : Thread.t list;
+  mutable slots : Thread.t list;
   mutable waited : bool;
 }
 
@@ -218,12 +216,9 @@ let conclude ~(id : J.t) ~(minor : int) (op : P.op)
 
 let stats_fields t : (string * J.t) list =
   let s = Metrics.snapshot t.metrics in
-  let cheap_q, heavy_q, unclassified, active =
+  let connections, waiting =
     Mutex.lock t.mu;
-    let r =
-      ( Queue.length t.cheap_pending, Queue.length t.heavy_pending,
-        t.unclassified, t.active )
-    in
+    let r = (t.connections, Queue.length t.jobs) in
     Mutex.unlock t.mu;
     r
   in
@@ -282,13 +277,15 @@ let stats_fields t : (string * J.t) list =
                      (Fi.injected t.cfg.faults)) ) ] ) ]
   in
   [ ("uptime_s", J.Float s.Metrics.uptime_s);
-    ("in_flight", J.Int active);
+    ("in_flight", J.Int (connections - waiting));
+    (* a cheap request never waits, and nothing waits unclassified: those
+       two gauges stay 0 so the object keeps its shape *)
     ( "queued",
       J.Obj
-        [ ("cheap", J.Int cheap_q);
-          ("heavy", J.Int heavy_q);
-          ("unclassified", J.Int unclassified);
-          ("total", J.Int (cheap_q + heavy_q + unclassified)) ] );
+        [ ("cheap", J.Int 0);
+          ("heavy", J.Int waiting);
+          ("unclassified", J.Int 0);
+          ("total", J.Int waiting) ] );
     ( "workers",
       J.Obj
         [ ("configured", J.Int t.cfg.max_in_flight);
@@ -448,11 +445,63 @@ let execute t ~(id : J.t) ~(minor : int) ~(emit : string -> unit) (op : P.op)
           ("live_bytes", J.Int g.A.Disk_cache.gc_live_bytes);
           ("writes_reenabled", J.Bool g.A.Disk_cache.gc_writes_reenabled) ])
 
+(* ---------- execution slots ---------- *)
+
+(* Heavy requests run on [max_in_flight - 1] slot threads (at least
+   one), one request each at a time, in arrival order: the remaining
+   share of [max_in_flight] is the one heavy requests never take, so a
+   cheap request always runs at once on its connection's thread. Heavy
+   work stays on these few long-lived threads however many connections
+   come and go: run on short-lived connection threads, its allocations
+   spread over many malloc arenas and raise the peak RSS. *)
+let slot_count (cfg : config) = Int.max 1 (cfg.max_in_flight - 1)
+
+(* A slot thread: run queued heavy requests until the slots close. *)
+let slot_loop t () =
+  let rec next () =
+    Mutex.lock t.mu;
+    while Queue.is_empty t.jobs && not t.slots_closed do
+      Condition.wait t.job_queued t.mu
+    done;
+    let job = Queue.take_opt t.jobs in
+    Mutex.unlock t.mu;
+    Option.iter (fun job -> job (); next ()) job
+  in
+  next ()
+
+(* Run [f] on a slot thread, after waiting for one, and return its
+   result, or raise whatever it raised ([Stream_failed] and
+   [Out_of_memory] included), on the calling thread; [waited] receives
+   the seconds spent waiting for the slot. *)
+let on_slot t ~(waited : float ref) (f : unit -> 'a) : 'a =
+  let queued_at = Unix.gettimeofday () in
+  let result = ref None and finished = Condition.create () in
+  let job () =
+    waited := Unix.gettimeofday () -. queued_at;
+    let r = match f () with v -> Ok v | exception e -> Error e in
+    Mutex.lock t.mu;
+    result := Some r;
+    Condition.signal finished;
+    Mutex.unlock t.mu
+  in
+  Mutex.lock t.mu;
+  Queue.push job t.jobs;
+  Condition.signal t.job_queued;
+  while Option.is_none !result do
+    Condition.wait finished t.mu
+  done;
+  Mutex.unlock t.mu;
+  match Option.get !result with Ok v -> v | Error e -> raise e
+
 (* ---------- connection handling ---------- *)
 
+(* The scheduling decision is made here, once per request, from the
+   parsed op: a heavy op runs on a slot, a cheap one at once. The
+   latency histogram times parsing and execution, not the wait. *)
 let respond t ~(emit : string -> unit) (line : string) :
     string * [ `Continue | `Stop ] =
   let t0 = Unix.gettimeofday () in
+  let waited = ref 0.0 in
   let op_name, (resp, ok), action =
     match P.parse_request line with
     | exception P.Bad_request { kind; diag } ->
@@ -463,8 +512,13 @@ let respond t ~(emit : string -> unit) (line : string) :
     | { P.id; minor; op } ->
       let name = P.op_name op in
       Metrics.record_received t.metrics ~op:name;
+      let run () = execute t ~id ~minor ~emit op in
       let result =
-        match execute t ~id ~minor ~emit op with
+        match
+          match P.lane_of_op op with
+          | P.Heavy -> on_slot t ~waited run
+          | P.Cheap -> run ()
+        with
         | result -> result
         | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e)
           ->
@@ -482,7 +536,7 @@ let respond t ~(emit : string -> unit) (line : string) :
       (name, result, match op with P.Shutdown -> `Stop | _ -> `Continue)
   in
   Metrics.record_completed t.metrics ~op:op_name ~ok
-    ~seconds:(Unix.gettimeofday () -. t0);
+    ~seconds:(Unix.gettimeofday () -. t0 -. !waited);
   (resp, action)
 
 (* wake the acceptor out of [select] with a throwaway connection to
@@ -518,20 +572,20 @@ let read_request_line ~(faults : Fi.t) (ic : in_channel) : string option =
    idle timeout, a shutdown request, or the server starting to drain
    (the response to the current request is always sent first). The fd
    is closed exactly once, through the out channel, on every path out —
-   including a crash escaping to the worker supervision below. Ordinary
+   including a crash escaping to {!connection_thread}. Ordinary
    connection trouble (timeout, client reset, broken pipe, a stream
-   that died mid-sweep) is absorbed here; an injected worker kill and
+   that died mid-sweep) is absorbed here; an injected thread kill and
    runaway resource exhaustion escape on purpose, to exercise (or
-   reach) the supervisor. *)
+   reach) the crash accounting there. *)
 let handle_connection t (fd : Unix.file_descr) : unit =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout_s
    with Unix.Unix_error _ -> ());
   let faults = t.cfg.faults in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  (* streamed row frames share the worker's output channel; any
+  (* streamed row frames share the connection's output channel; any
      trouble — injected or a vanished client — surfaces as
-     [Stream_failed], never as a worker-killing exception *)
+     [Stream_failed], never as a thread-killing exception *)
   let emit line =
     (match Fi.check faults "sock.stream" with
     | Some (Fi.Delay s) -> Unix.sleepf s
@@ -581,72 +635,32 @@ let handle_connection t (fd : Unix.file_descr) : unit =
 
 (* ---------- threads ---------- *)
 
-(* lane discipline: everyone serves the cheap lane first (cheap ops are
-   microseconds, so they cannot crowd out heavy progress); the reserved
-   worker serves nothing else, so there is always capacity for health
-   checks while every other worker grinds through sweeps *)
-let pop_connection t ~(reserved : bool) : Unix.file_descr option =
-  if not (Queue.is_empty t.cheap_pending) then
-    Some (Queue.pop t.cheap_pending)
-  else if (not reserved) && not (Queue.is_empty t.heavy_pending) then
-    Some (Queue.pop t.heavy_pending)
-  else None
+(* give an admission back: a connection thread ended, or never
+   started *)
+let release_connection t =
+  Mutex.lock t.mu;
+  t.connections <- t.connections - 1;
+  if t.connections = 0 then Condition.broadcast t.drained;
+  Mutex.unlock t.mu
 
-let rec worker_loop t ~(reserved : bool) () =
-  let rec loop () =
-    Mutex.lock t.mu;
-    let rec await () =
-      match pop_connection t ~reserved with
-      | Some fd -> Some fd
-      | None ->
-        if t.stopping then None
-        else begin
-          Condition.wait t.cv t.mu;
-          await ()
-        end
-    in
-    match await () with
-    | None -> Mutex.unlock t.mu (* draining and this lane is empty: done *)
-    | Some fd ->
-      t.active <- t.active + 1;
-      Mutex.unlock t.mu;
-      let crash =
-        match handle_connection t fd with
-        | () -> None
-        | exception e -> Some e
-      in
-      (* the fd is already closed (handle_connection's protection) and
-         [active] is balanced on every path, so a crash can never leak
-         a descriptor or a slot of admission-control budget *)
-      Mutex.lock t.mu;
-      t.active <- t.active - 1;
-      Mutex.unlock t.mu;
-      (match crash with
-      | None -> loop ()
-      | Some e ->
-        (* Worker supervision: whatever escaped handle_connection's
-           containment poisoned this thread's trustworthiness, so the
-           slot is retired and a fresh worker hired in its place — with
-           the same lane reservation (the connection died with its fd;
-           the client sees a dropped link and retries). During a drain
-           the slot is simply retired. *)
-        Metrics.record_worker_crash t.metrics;
-        Format.eprintf
-          "alice-serve: [E1005] worker crashed handling a connection: %s; \
-           respawning slot@."
-          (Printexc.to_string e);
-        Mutex.lock t.mu;
-        if not t.stopping then
-          t.workers <- Thread.create (worker_loop t ~reserved) () :: t.workers;
-        Mutex.unlock t.mu)
-  in
-  loop ()
+(* The body of one connection's thread. Whatever escapes
+   handle_connection's containment ends only this thread: it is logged
+   as [E1005] and counted, the fd is already closed, and the admission
+   is given back on every path (the client sees a dropped link and
+   retries). *)
+let connection_thread t (fd : Unix.file_descr) : unit =
+  Fun.protect ~finally:(fun () -> release_connection t) @@ fun () ->
+  try handle_connection t fd
+  with e ->
+    Metrics.record_worker_crash t.metrics;
+    Format.eprintf
+      "alice-serve: [E1005] connection thread crashed: %s@."
+      (Printexc.to_string e)
 
 (* Refuse a connection before reading anything from it: the error line
-   is small enough to fit any socket buffer, so this cannot block a
-   worker (it runs on the acceptor). *)
+   is small enough to fit any socket buffer, so this cannot block the
+   acceptor it runs on. *)
 let refuse (fd : Unix.file_descr) (response : string) : unit =
-  (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
   try
     let oc = Unix.out_channel_of_descr fd in
     output_string oc response;
@@ -655,6 +669,7 @@ let refuse (fd : Unix.file_descr) (response : string) : unit =
     close_out_noerr oc
   with _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* [queued]: the admitted connections beyond [max_in_flight] *)
 let busy_response t queued =
   P.error_response ~id:J.Null ~kind:"busy"
     (D.error ~code:"E1003"
@@ -668,112 +683,60 @@ let draining_response () =
   P.error_response ~id:J.Null ~kind:"shutting_down"
     (D.error ~code:"E1004" "server is shutting down")
 
-(* the drain hand-off: mark stopping under the lock and wake every
-   worker; runs on the acceptor thread only *)
-let begin_drain t =
-  Mutex.lock t.mu;
-  t.stopping <- true;
-  Condition.broadcast t.cv;
-  Mutex.unlock t.mu
-
-(* hand a classified connection to the workers *)
-let enqueue t (lane : P.lane) (fd : Unix.file_descr) : unit =
-  (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.mu;
-  (match lane with
-  | P.Cheap -> Queue.push fd t.cheap_pending
-  | P.Heavy -> Queue.push fd t.heavy_pending);
-  Condition.broadcast t.cv;
-  Mutex.unlock t.mu
-
-(* a connection admitted but not yet classified: the acceptor holds it
-   until its first request line is peekable (never consumed — the
-   worker reads it normally) or its patience runs out *)
-type unclassified_conn = { ufd : Unix.file_descr; arrived : float }
-
-(* Peek at the first request line without consuming it. [`Wait] means
-   no complete line yet; classification errs cheap (garbage gets a fast
-   error line; EOF gets a fast burial) except for an oversized first
-   line, which only heavy operations with inline sources produce. *)
-let peek_buf_len = 8192
-
-let peek_classify (fd : Unix.file_descr) : [ `Lane of P.lane | `Wait ] =
-  let buf = Bytes.create peek_buf_len in
-  match Unix.recv fd buf 0 peek_buf_len [ Unix.MSG_PEEK ] with
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-    `Wait
-  | exception Unix.Unix_error _ -> `Lane P.Cheap
-  | 0 -> `Lane P.Cheap
-  | n -> (
-    let s = Bytes.sub_string buf 0 n in
-    match String.index_opt s '\n' with
-    | Some i -> `Lane (P.lane_of_line (String.trim (String.sub s 0 i)))
-    | None when n = peek_buf_len -> `Lane P.Heavy
-    | None -> `Wait)
-
-let acceptor_loop t () =
-  let unclassified : unclassified_conn list ref = ref [] in
-  let sync_unclassified () =
-    Mutex.lock t.mu;
-    t.unclassified <- List.length !unclassified;
-    Mutex.unlock t.mu
-  in
-  let refuse_unclassified () =
-    List.iter
-      (fun c ->
-        Metrics.record_rejected_draining t.metrics;
-        refuse c.ufd (draining_response ()))
-      !unclassified;
-    unclassified := [];
-    sync_unclassified ()
-  in
-  (* a listener failing hard (closed socket underneath us) drains the
-     server rather than spinning *)
-  let broken = ref false in
-  let admit fd ~(from : Endpoint.t) =
-    if Atomic.get t.stop_requested then begin
-      Metrics.record_rejected_draining t.metrics;
-      refuse fd (draining_response ())
-    end
-    else begin
-      let refused_tcp =
-        (* fault site for the TCP front door: an injected accept
-           failure drops the connection before admission *)
-        match from with
-        | Endpoint.Tcp _ -> (
-          match Fi.check t.cfg.faults "tcp.accept" with
-          | Some (Fi.Delay s) ->
-            Unix.sleepf s;
-            false
-          | Some _ ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            true
-          | None -> false)
-        | Endpoint.Unix_path _ -> false
+(* Admit a connection and start its thread, or refuse it: [E1004] while
+   draining, [E1003] past [max_in_flight + max_queue] live connections
+   or when its thread cannot be started. *)
+let admit t (fd : Unix.file_descr) ~(from : Endpoint.t) : unit =
+  if Atomic.get t.stop_requested then begin
+    Metrics.record_rejected_draining t.metrics;
+    refuse fd (draining_response ())
+  end
+  else
+    let refused_tcp =
+      (* fault site for the TCP front door: an injected accept
+         failure drops the connection before admission *)
+      match from with
+      | Endpoint.Tcp _ -> (
+        match Fi.check t.cfg.faults "tcp.accept" with
+        | Some (Fi.Delay s) ->
+          Unix.sleepf s;
+          false
+        | Some _ ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          true
+        | None -> false)
+      | Endpoint.Unix_path _ -> false
+    in
+    if not refused_tcp then begin
+      Mutex.lock t.mu;
+      let admitted = t.connections < t.cfg.max_in_flight + t.cfg.max_queue in
+      if admitted then t.connections <- t.connections + 1;
+      let queued = Int.max 0 (t.connections - t.cfg.max_in_flight) in
+      Mutex.unlock t.mu;
+      Endpoint.set_nodelay fd;
+      let started =
+        admitted
+        &&
+        match
+          Fi.hit t.cfg.faults "server.spawn";
+          Thread.create (connection_thread t) fd
+        with
+        | _ -> true
+        | exception _ ->
+          release_connection t;
+          false
       in
-      if not refused_tcp then begin
-        Mutex.lock t.mu;
-        let queued =
-          Queue.length t.cheap_pending + Queue.length t.heavy_pending
-          + List.length !unclassified
-        in
-        let outstanding = t.active + queued in
-        Mutex.unlock t.mu;
-        if outstanding >= t.cfg.max_in_flight + t.cfg.max_queue then begin
-          Metrics.record_rejected_busy t.metrics;
-          refuse fd (busy_response t queued)
-        end
-        else begin
-          Endpoint.set_nodelay fd;
-          (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-          unclassified :=
-            { ufd = fd; arrived = Unix.gettimeofday () } :: !unclassified;
-          sync_unclassified ()
-        end
+      if not started then begin
+        Metrics.record_rejected_busy t.metrics;
+        refuse fd (busy_response t queued)
       end
     end
-  in
+
+(* Select on the listeners only, admitting what they accept, until a
+   stop is requested or a listener fails hard (a closed socket
+   underneath us drains the server rather than spinning). *)
+let acceptor_loop t () =
+  let broken = ref false in
   let accept_ready readable =
     List.iter
       (fun (lfd, ep) ->
@@ -786,66 +749,34 @@ let acceptor_loop t () =
                   _, _ ) ->
             ()
           | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-            (* descriptor exhaustion is transient — workers are busy
-               closing fds — so back off briefly instead of draining *)
+            (* descriptor exhaustion is transient — connection threads
+               are closing fds — so back off briefly instead of
+               draining *)
             Unix.sleepf 0.05
           | exception _ -> broken := true
           | fd, _ ->
+            (* some systems hand the listener's O_NONBLOCK down to the
+               accepted socket; its thread reads it blocking *)
             (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-            admit fd ~from:ep)
+            admit t fd ~from:ep)
       t.listeners
   in
-  let classify_ready readable =
-    let now = Unix.gettimeofday () in
-    let keep =
-      List.filter
-        (fun c ->
-          let decision =
-            if List.memq c.ufd readable then peek_classify c.ufd
-            else if now -. c.arrived > t.cfg.idle_timeout_s then
-              (* silent client: hand it to the cheap lane, whose
-                 worker applies the receive timeout and buries it *)
-              `Lane P.Cheap
-            else `Wait
-          in
-          match decision with
-          | `Wait -> true
-          | `Lane lane ->
-            enqueue t lane c.ufd;
-            false)
-        !unclassified
-    in
-    unclassified := keep;
-    sync_unclassified ()
-  in
   let rec loop () =
-    if Atomic.get t.stop_requested then begin
-      refuse_unclassified ();
-      begin_drain t
-    end
-    else
-      let watch =
-        List.map fst t.listeners @ List.map (fun c -> c.ufd) !unclassified
-      in
+    if not (Atomic.get t.stop_requested) then
       (* bounded wait: a stop request must be noticed even when the
          wake-up poke cannot connect (a socket file may have been
-         removed underneath us), and unclassified-connection deadlines
-         need a tick *)
-      match Unix.select watch [] [] 0.5 with
+         removed underneath us) *)
+      match Unix.select (List.map fst t.listeners) [] [] 0.5 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception _ ->
-        refuse_unclassified ();
-        begin_drain t
+      | exception _ -> ()
       | readable, _, _ ->
         accept_ready readable;
-        classify_ready readable;
-        if !broken then begin
-          refuse_unclassified ();
-          begin_drain t
-        end
-        else loop ()
+        if not !broken then loop ()
   in
-  loop ()
+  loop ();
+  (* however the loop ended, every connection closes after its current
+     response *)
+  Atomic.set t.stop_requested true
 
 (* ---------- lifecycle ---------- *)
 
@@ -864,7 +795,7 @@ let start ?engine (cfg : config) : t =
   in
   check_seconds "idle_timeout_s" cfg.idle_timeout_s;
   Option.iter (check_seconds "deadline_s") cfg.deadline_s;
-  (* a worker writing to a client that vanished must see EPIPE, not die *)
+  (* a thread writing to a client that vanished must see EPIPE, not die *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> ());
   let engine =
     match engine with
@@ -895,17 +826,13 @@ let start ?engine (cfg : config) : t =
     (fun (fd, _) -> try Unix.set_nonblock fd with Unix.Unix_error _ -> ())
     listeners;
   let t =
-    { cfg; engine; metrics; listeners; mu = Mutex.create ();
-      cv = Condition.create (); cheap_pending = Queue.create ();
-      heavy_pending = Queue.create (); unclassified = 0; active = 0;
-      stopping = false; stop_requested = Atomic.make false; acceptor = None;
-      workers = []; waited = false }
+    { cfg; engine; metrics; listeners; mu = Mutex.create (); connections = 0;
+      jobs = Queue.create (); slots_closed = false;
+      job_queued = Condition.create (); drained = Condition.create ();
+      stop_requested = Atomic.make false; acceptor = None; slots = [];
+      waited = false }
   in
-  t.workers <-
-    List.init cfg.max_in_flight (fun i ->
-        Thread.create
-          (worker_loop t ~reserved:(i = 0 && cfg.max_in_flight > 1))
-          ());
+  t.slots <- List.init (slot_count cfg) (fun _ -> Thread.create (slot_loop t) ());
   t.acceptor <- Some (Thread.create (acceptor_loop t) ());
   t
 
@@ -915,34 +842,17 @@ let stop (t : t) : unit =
 let wait (t : t) : unit =
   if not t.waited then begin
     t.waited <- true;
-    (match t.acceptor with Some th -> Thread.join th | None -> ());
-    (* crashing workers hire replacements concurrently with this join,
-       so join to a fixpoint over snapshots of the roster; it terminates
-       because no replacement is hired once [stopping] is set (which the
-       acceptor did before we got here) *)
-    let joined = Hashtbl.create 8 in
-    let rec drain_workers () =
-      let remaining =
-        Mutex.lock t.mu;
-        let r =
-          List.filter
-            (fun th -> not (Hashtbl.mem joined (Thread.id th)))
-            t.workers
-        in
-        Mutex.unlock t.mu;
-        r
-      in
-      match remaining with
-      | [] -> ()
-      | ths ->
-        List.iter
-          (fun th ->
-            Thread.join th;
-            Hashtbl.replace joined (Thread.id th) ())
-          ths;
-        drain_workers ()
-    in
-    drain_workers ();
+    Option.iter Thread.join t.acceptor;
+    (* the acceptor has stopped admitting, so the count only falls; at 0
+       no connection is left to queue a heavy request *)
+    Mutex.lock t.mu;
+    while t.connections > 0 do
+      Condition.wait t.drained t.mu
+    done;
+    t.slots_closed <- true;
+    Condition.broadcast t.job_queued;
+    Mutex.unlock t.mu;
+    List.iter Thread.join t.slots;
     List.iter
       (fun (fd, ep) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -6,27 +6,27 @@
     and all clients. The protocol is byte-identical over both
     transports; an endpoint only decides the socket family.
 
-    {2 Concurrency, admission control and priority lanes}
+    {2 Concurrency, admission control and execution slots}
 
-    A fixed pool of [max_in_flight] worker threads serves connections;
-    characterization inside each request still fans out across the
+    One acceptor thread multiplexes every listener and admits
+    connections; each admitted connection gets a thread of its own,
+    which reads and answers its requests in order. Every request is
+    scheduled on its own, from its parsed operation
+    ({!Protocol.lane_of_op}): a {e heavy} one
+    ([redact]/[characterize]/[sweep]/[advise]) waits for one of
+    [max(1, max_in_flight - 1)] execution slots — long-lived threads
+    that run heavy requests one at a time each, in arrival order — while
+    a {e cheap} one ([ping]/[stats]/[cache-gc]/[shutdown], and a
+    malformed request) runs at once on its connection's thread, so a
+    saturating sweep load can never starve health checks.
+    Characterization inside each request still fans out across the
     configuration's [jobs] worker domains ({!Alice_parallel.Pool}), so
-    the two axes compose: connection concurrency × per-request domain
-    parallelism. One acceptor thread multiplexes every listener, admits
-    connections into a bounded hand-off queue, and classifies each
-    admitted connection — by peeking (without consuming) its first
-    request line — into one of two lanes: {e cheap}
-    ([ping]/[stats]/[cache-gc]/[shutdown], and malformed requests) or
-    {e heavy} ([redact]/[characterize]/[sweep]/[advise]). With two or more
-    workers, one is reserved for the cheap lane, so a saturating sweep
-    load can never starve health checks; the remaining workers drain
-    the cheap lane first, then the heavy one. A connection's lane is
-    fixed by its first request (one-shot clients, the common case, send
-    exactly one). Once [active + queued] reaches
-    [max_in_flight + max_queue], new connections are refused
-    immediately with a structured [busy] error ([E1003]) instead of
-    queuing without bound — load sheds at the door, never by hanging.
-    [stats] reports the per-lane queue depths.
+    the two axes compose: heavy-request concurrency × per-request domain
+    parallelism. Once [max_in_flight + max_queue] connections are live,
+    new ones are refused immediately with a structured [busy] error
+    ([E1003]) instead of queuing without bound — load sheds at the
+    door, never by hanging; so does a connection whose thread cannot be
+    started. [stats] reports the heavy requests waiting for a slot.
 
     {2 Streaming sweeps and advice}
 
@@ -47,11 +47,11 @@
     A server-wide [deadline_s] is injected as the request
     configuration's [characterize_deadline_s] when the request does not
     set one, so an expensive design degrades to deadline-skip
-    diagnostics ([W0701]) instead of monopolizing a worker. On SIGTERM,
+    diagnostics ([W0701]) instead of monopolizing a slot. On SIGTERM,
     SIGINT or a [shutdown] request the server stops accepting (new
-    connections get [E1004]), finishes every admitted request, removes
-    its Unix socket files and returns from {!wait} — a clean drain,
-    never a dropped in-flight response.
+    connections get [E1004]), answers the request each connection has
+    read and closes it, removes its Unix socket files and returns from
+    {!wait} — a clean drain, never a dropped in-flight response.
 
     Results are byte-identical to single-shot `alice redact` on the
     same input: the engine only changes whether CreateEFPGA runs again,
@@ -66,8 +66,14 @@ type config = {
       (** endpoints to listen on, all multiplexed by one acceptor;
           at least one. [tcp:HOST:0] binds an ephemeral port — read it
           back from {!endpoints} *)
-  max_in_flight : int;  (** worker threads; at least 1 *)
-  max_queue : int;  (** admitted connections awaiting a worker; >= 0 *)
+  max_in_flight : int;
+      (** at least 1. Heavy requests execute at most
+          [max(1, max_in_flight - 1)] at a time; the slot they never take
+          is the one cheap requests always have *)
+  max_queue : int;
+      (** >= 0: live connections admitted beyond [max_in_flight], each
+          with its thread; past [max_in_flight + max_queue] a new
+          connection is refused as busy *)
   base : J.t;
       (** flow-configuration document merged under every request's
           inline [config] (request keys win) *)
@@ -80,15 +86,17 @@ type config = {
   idle_timeout_s : float;
       (** per-connection receive timeout: a connection idle this long
           between requests (or before its first) is closed, so dead
-          clients cannot pin a worker or stall the shutdown drain *)
+          clients cannot hold an admission or stall the shutdown drain *)
   faults : Alice_fault.Fault.t;
       (** fault-injection plan armed at the server's IO boundaries
-          (sites ["server.worker"], ["sock.read"], ["sock.write"],
+          (sites ["server.worker"] — a request on a connection thread —
+          ["server.spawn"] — a connection thread's start, refused as
+          busy when it fires — ["sock.read"], ["sock.write"],
           ["sock.stream"] — a streamed row write — and ["tcp.accept"]);
           {!Alice_fault.Fault.none} in production. A crash escaping a
           connection — injected or real — is contained: the fd is
           closed, the event is logged as [E1005] and counted in
-          {!Metrics}, and the worker slot respawns instead of wedging *)
+          {!Metrics}, and only that connection's thread ends *)
 }
 
 (** One Unix listener at [socket_path], [max_in_flight = 4],
@@ -98,7 +106,7 @@ val default_config : socket_path:string -> config
 
 type t
 
-(** Bind every endpoint, start the acceptor and worker threads, and
+(** Bind every endpoint, start the acceptor and slot threads, and
     return immediately. [engine] defaults to {!Alice.Engine.of_config}
     of the base document's cache knobs. A stale Unix socket file (no
     listener behind it) is removed; a live one raises
@@ -113,13 +121,16 @@ val start : ?engine:A.Engine.t -> config -> t
     should pass to [--connect]. *)
 val endpoints : t -> Endpoint.t list
 
-(** Begin a graceful drain: stop accepting, finish admitted requests.
+(** Begin a graceful drain: stop accepting, answer the request each
+    connection has read, then close it.
     Safe to call from any thread, from a signal handler, and more than
     once. Returns without waiting — pair with {!wait}. *)
 val stop : t -> unit
 
-(** Block until the drain completes: every worker has exited and the
-    Unix socket files are removed. Idempotent. *)
+(** Block until the drain completes: the acceptor, every connection
+    thread and the slot threads have exited and the Unix socket files
+    are removed. A silent connection ends at its idle timeout.
+    Idempotent. *)
 val wait : t -> unit
 
 (** [run cfg] = {!start}, install SIGTERM/SIGINT handlers that {!stop}

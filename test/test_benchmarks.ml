@@ -320,6 +320,23 @@ let test_flow_columns () =
         flow.A.Flow.char_stats.A.Characterize.unique)
     expect
 
+(* Figure 4: the die areas of GCD's two solutions, pinned to the
+   micrometer (the paper reports 52,629 and 54,512 um^2; EXPERIMENTS.md
+   says why a tile-additive model lands cfg2 lower) *)
+let test_figure4_areas () =
+  let b = Option.get (B.find "GCD") in
+  List.iter
+    (fun (tag, config, sizes, um2) ->
+      match A.Report.solution_area (flow_ast ~config (B.parse b)) with
+      | None -> Alcotest.failf "%s: no solution" tag
+      | Some a ->
+        Alcotest.(check (list string)) (tag ^ " fabrics") sizes
+          (List.map Alice_fabric.Fabric.size_label a.A.Report.sa_fabrics);
+        Alcotest.(check (float 0.5)) (tag ^ " um^2") um2
+          (a.A.Report.sa_asic_um2 +. a.A.Report.sa_fabric_um2))
+    [ ("cfg1", B.config1 b, [ "5x5"; "4x4" ], 52725.);
+      ("cfg2", B.config2 b, [ "6x6" ], 46607.) ]
+
 let test_soc_context () =
   (* the PicoSoC-flavoured wrapper synthesizes, runs, and the flow finds
      the same protected core inside it *)
@@ -373,4 +390,5 @@ let tests =
       test_redaction_preserves_all_benchmarks;
     Alcotest.test_case "configs match paper" `Quick test_configs_match_paper_params;
     Alcotest.test_case "soc context" `Quick test_soc_context;
+    Alcotest.test_case "figure 4 areas" `Quick test_figure4_areas;
     Alcotest.test_case "table 2 columns (fast designs)" `Slow test_flow_columns ]

@@ -70,6 +70,25 @@ let test_errors () =
   Alcotest.(check bool) "quoted brace is a string" true
     (parse "a: '{b: 1}'" = J.Obj [ ("a", J.String "{b: 1}") ])
 
+(* regression: a key repeated in one map was kept twice and read from its
+   first entry, so [jobs: 1 ... jobs: 4] ran with 1 and a second
+   [fabric:] block was ignored whole. Both are refused at the repeat. *)
+let test_duplicate_keys () =
+  List.iter
+    (fun (src, line) ->
+      match parse src with
+      | exception C.Yaml_lite.Parse_error (l, _) -> Alcotest.(check int) src line l
+      | _ -> Alcotest.failf "accepted: %s" (String.escaped src))
+    [ ("jobs: 1\nmax_efpgas: 2\njobs: 4", 3);
+      ("fabric:\n  max_size: 8\nfabric:\n  max_size: 16", 3);
+      ("fabric:\n  min_size: 2\n  max_size: 8\n  min_size: 3", 4);
+      ("sweep:\n  - name: a\n    name: b", 3) ];
+  (* the same key in sibling maps is no repeat *)
+  Alcotest.(check int) "one name per entry" 2
+    (match J.find (parse "sweep:\n  - name: a\n  - name: b") "sweep" with
+    | Some (J.List l) -> List.length l
+    | _ -> 0)
+
 let test_flow_config () =
   let cfg =
     C.Flow_config.of_string
@@ -266,6 +285,7 @@ let tests =
     Alcotest.test_case "nesting" `Quick test_nesting;
     Alcotest.test_case "comments" `Quick test_comments_blanks;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "duplicate keys" `Quick test_duplicate_keys;
     Alcotest.test_case "flow config" `Quick test_flow_config;
     Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults;
     Alcotest.test_case "lut_inputs bound" `Quick test_lut_inputs_bound;

@@ -2,7 +2,7 @@
    exercises: deterministic triggers, client backoff schedules, cache
    quarantine/eviction/ENOSPC repair, pool worker containment,
    resumable sweeps, fd-leak regressions, and an end-to-end server run
-   under a hostile plan (worker kill + torn write + ENOSPC) that must
+   under a hostile plan (thread kill + torn write + ENOSPC) that must
    still answer every request byte-identically. *)
 
 module A = Alice
@@ -543,9 +543,10 @@ let test_server_self_heals_under_plan () =
       (* request 1 rides out the injected EINTR on the server's read *)
       let pong = J.parse (rpc (S.Protocol.ping_request ())) in
       Alcotest.(check bool) "ping ok through EINTR" true (J.get_bool pong "ok");
-      (* request 2's worker is killed mid-handling: the retrying client
-         reconnects and the respawned slot answers correctly while the
-         cache degrades under the torn write and the full disk *)
+      (* request 2's connection thread is killed mid-handling: the
+         retrying client reconnects and a fresh thread answers correctly
+         while the cache degrades under the torn write and the full
+         disk *)
       let before = if Sys.file_exists "/proc/self/fd" then fd_count () else 0 in
       let redact () =
         let resp =

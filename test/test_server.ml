@@ -1,9 +1,9 @@
 (* The redaction service: the Json_lite codec, the endpoint grammar,
-   the NDJSON protocol (priority lanes, minor-version negotiation), the
-   metrics registry, and in-process end-to-end passes over live servers
-   on both transports — ping, byte-identical redaction, warm-cache
-   stats, admission control, cheap-lane starvation resistance,
-   streaming sweeps, and a clean drain. *)
+   the NDJSON protocol (scheduling classes, minor-version negotiation),
+   the metrics registry, and in-process end-to-end passes over live
+   servers on both transports — ping, byte-identical redaction,
+   warm-cache stats, admission control, cheap requests never waiting
+   behind heavy ones, streaming sweeps, and a clean drain. *)
 
 module A = Alice
 module C = Alice_config
@@ -238,24 +238,19 @@ let test_protocol_lanes () =
       ( = )
   in
   let check name want line =
-    Alcotest.check lane name want (S.Protocol.lane_of_line line)
+    Alcotest.check lane name want
+      (S.Protocol.lane_of_op (S.Protocol.parse_request line).S.Protocol.op)
   in
   check "ping" S.Protocol.Cheap {|{"v":1,"op":"ping"}|};
   check "stats" S.Protocol.Cheap {|{"v":1,"op":"stats"}|};
   check "shutdown" S.Protocol.Cheap {|{"v":1,"op":"shutdown"}|};
   check "cache-gc" S.Protocol.Cheap {|{"v":1,"op":"cache-gc"}|};
   check "redact" S.Protocol.Heavy {|{"v":1,"op":"redact","source":"m"}|};
-  check "characterize" S.Protocol.Heavy {|{"v":1,"op":"characterize"}|};
-  check "sweep" S.Protocol.Heavy {|{"v":1,"op":"sweep"}|};
-  check "advise" S.Protocol.Heavy {|{"v":1,"op":"advise"}|};
-  (* garbage costs one error line: it must never wait behind a sweep *)
-  check "garbage" S.Protocol.Cheap "not json at all";
-  check "no op" S.Protocol.Cheap {|{"v":1}|};
-  let r =
-    S.Protocol.parse_request {|{"v":1,"op":"characterize","source":"m"}|}
-  in
-  Alcotest.check lane "lane_of_op" S.Protocol.Heavy
-    (S.Protocol.lane_of_op r.S.Protocol.op)
+  check "characterize" S.Protocol.Heavy
+    {|{"v":1,"op":"characterize","source":"m"}|};
+  check "sweep" S.Protocol.Heavy
+    {|{"v":1,"op":"sweep","source":"m","sweep":[{}]}|};
+  check "advise" S.Protocol.Heavy {|{"v":1,"op":"advise","source":"m"}|}
 
 let test_protocol_responses () =
   let ok =
@@ -454,7 +449,8 @@ let tmp_socket () =
 (* start a server on [listen] (default: one fresh Unix socket) and hand
    the test the canonical string of its first effective endpoint — for
    tcp:HOST:0 this carries the kernel-chosen port *)
-let with_server ?(max_in_flight = 2) ?(max_queue = 4) ?listen f =
+let with_server ?(max_in_flight = 2) ?(max_queue = 4)
+    ?(faults = Alice_fault.Fault.global ()) ?listen f =
   let listen =
     match listen with
     | Some l -> l
@@ -463,7 +459,7 @@ let with_server ?(max_in_flight = 2) ?(max_queue = 4) ?listen f =
   let cfg =
     { (S.Server.default_config ~socket_path:"/unused") with
       S.Server.listen; max_in_flight; max_queue; base = base_yaml;
-      idle_timeout_s = 20.0 }
+      idle_timeout_s = 20.0; faults }
   in
   let t = S.Server.start ~engine:(A.Engine.create ~cache:false ()) cfg in
   Fun.protect
@@ -596,12 +592,12 @@ let test_server_invalid_op_metrics () =
 
 let test_server_busy_rejection () =
   with_server ~max_in_flight:1 ~max_queue:0 (fun socket _t ->
-      (* pin the single worker: an open connection counts as active from
-         admission until its line is served, so a half-sent request
-         holds the slot deterministically *)
+      (* pin the single admission: an open connection counts from
+         admission until it closes, so a silent one holds it
+         deterministically *)
       let pin = S.Client.connect ~socket () in
       Fun.protect ~finally:(fun () -> S.Client.close pin) (fun () ->
-          (* wait for the worker to pick the pinned connection up *)
+          (* wait for the acceptor to admit the pinned connection *)
           Unix.sleepf 0.2;
           let resp = J.parse (rpc socket (S.Protocol.ping_request ())) in
           Alcotest.(check bool) "refused" false (J.get_bool resp "ok");
@@ -610,7 +606,7 @@ let test_server_busy_rejection () =
             Alcotest.(check string) "busy kind" "busy" (J.get_string e "kind");
             Alcotest.(check string) "busy code" "E1003" (J.get_string e "code")
           | None -> Alcotest.fail "no error object");
-      (* slot released: the server recovers *)
+      (* admission given back: the server recovers *)
       let rec retry n =
         match J.parse (rpc socket (S.Protocol.ping_request ())) with
         | pong when J.get_bool pong "ok" -> ()
@@ -688,41 +684,73 @@ let test_client_receive_timeout () =
           (String.starts_with ~prefix:"receive timed out" msg)
       | resp -> Alcotest.failf "got a response: %s" resp)
 
-let test_server_cheap_lane_no_starvation () =
-  (* Saturate every heavy slot with redact requests whose server-side
-     file source is a FIFO nobody is writing yet: each pins its worker
-     deterministically (the open blocks until a writer appears), with
-     max_in_flight = 2 that is the one general worker, and the rest of
-     the heavy traffic queues. A ping must still answer immediately on
-     the reserved cheap worker. Then feed the FIFO to let every heavy
-     request finish (with an error — the FIFO is not valid Verilog —
-     which is fine: only scheduling is under test). *)
+(* A redact whose server-side file source is a FIFO nobody is writing
+   yet pins the execution slot it runs in deterministically: the open
+   blocks until a writer appears. Fed, it fails (a FIFO is not valid
+   Verilog), which is fine: only scheduling is under test. *)
+let with_fifo f =
   let fifo = Filename.temp_file "alice_fifo" ".pipe" in
   Sys.remove fifo;
   Unix.mkfifo fifo 0o600;
   Fun.protect ~finally:(fun () -> try Sys.remove fifo with Sys_error _ -> ())
-  @@ fun () ->
+  @@ fun () -> f fifo
+
+let fifo_redact fifo =
+  J.to_string
+    (J.Obj [ ("v", J.Int 1); ("op", J.String "redact"); ("file", J.String fifo) ])
+
+(* Feed the FIFO until every thread in [threads] has finished: a
+   nonblocking write-end open succeeds exactly when a request is blocked
+   on the read end (ENXIO otherwise), and each success unblocks that
+   request, which errors out and frees its slot for the next waiting
+   heavy. A counted feed loop would race: one reader's open/close window
+   can absorb two feeds and leave the last request blocked forever. *)
+let feed_until_joined fifo threads =
+  let stop_feeding = Atomic.make false in
+  let feeder =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop_feeding) do
+          (match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+          | fd -> Unix.close fd
+          | exception Unix.Unix_error (Unix.ENXIO, _, _) -> ());
+          Unix.sleepf 0.02
+        done)
+      ()
+  in
+  List.iter Thread.join threads;
+  Atomic.set stop_feeding true;
+  Thread.join feeder
+
+(* a one-shot ping that must answer within 2 s, on a single attempt *)
+let ping_within_2s socket =
+  match S.Client.one_shot ~timeout_s:2.0 ~socket (S.Protocol.ping_request ()) with
+  | resp -> J.get_bool (J.parse resp) "ok"
+  | exception S.Client.Connection_error msg ->
+    Alcotest.failf "ping not answered within 2 s: %s" msg
+
+let test_server_cheap_lane_no_starvation () =
+  (* Saturate every heavy slot with FIFO redacts: with max_in_flight = 2
+     there is one, so one redact executes and the rest of the heavy
+     traffic waits for the slot. A ping must still answer immediately,
+     since a cheap request never takes a slot. Then feed the FIFO to let
+     every heavy request finish. *)
+  with_fifo @@ fun fifo ->
   with_server ~max_in_flight:2 ~max_queue:8 (fun socket _t ->
       let heavies = 3 in
       let done_count = ref 0 in
       let done_mu = Mutex.create () in
-      let req =
-        J.to_string
-          (J.Obj
-             [ ("v", J.Int 1); ("op", J.String "redact");
-               ("file", J.String fifo) ])
-      in
       let threads =
         List.init heavies (fun _ ->
             Thread.create
               (fun () ->
-                ignore (rpc socket req);
+                ignore (rpc socket (fifo_redact fifo));
                 Mutex.lock done_mu;
                 incr done_count;
                 Mutex.unlock done_mu)
               ())
       in
-      (* let the heavy lane fill: 1 pinned in flight, 2 queued *)
+      (* let the slot fill: 1 pinned executing, 2 waiting *)
       Unix.sleepf 0.5;
       let t0 = Unix.gettimeofday () in
       let pong = J.parse (rpc socket (S.Protocol.ping_request ())) in
@@ -736,40 +764,94 @@ let test_server_cheap_lane_no_starvation () =
       Mutex.unlock done_mu;
       Alcotest.(check int) "heavies still pinned when ping answered" 0
         finished;
-      (* the cheap lane also answers stats, which shows the heavy queue *)
+      (* stats is cheap too, and shows the heavies waiting for the slot *)
       let stats = J.parse (rpc socket (S.Protocol.stats_request ())) in
       (match J.find stats "queued" with
       | Some q ->
         Alcotest.(check bool) "heavy lane backed up" true
           (J.get_int q "heavy" >= 1)
       | None -> Alcotest.fail "no queued block");
-      (* now feed the FIFO until every heavy request has finished: a
-         nonblocking write-end open succeeds exactly when a worker is
-         blocked on the read end (ENXIO otherwise), and each success
-         unblocks that worker, which errors out and frees the slot for
-         the next queued heavy. A counted feed loop would race: one
-         reader's open/close window can absorb two feeds and leave the
-         last worker blocked forever. *)
-      let stop_feeding = Atomic.make false in
-      let feeder =
-        Thread.create
-          (fun () ->
-            while not (Atomic.get stop_feeding) do
-              (match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
-              | fd -> Unix.close fd
-              | exception Unix.Unix_error (Unix.ENXIO, _, _) -> ());
-              Unix.sleepf 0.02
-            done)
-          ()
-      in
-      List.iter Thread.join threads;
-      Atomic.set stop_feeding true;
-      Thread.join feeder;
+      feed_until_joined fifo threads;
       Mutex.lock done_mu;
       let finished = !done_count in
       Mutex.unlock done_mu;
       Alcotest.(check int) "all heavies completed after unpinning" heavies
         finished)
+
+(* regression: a connection whose first request was cheap held the one
+   worker reserved for cheap requests until it closed or idled out, so
+   with the heavy slot pinned every other ping queued behind it *)
+let test_server_idle_connection_holds_nothing () =
+  with_fifo @@ fun fifo ->
+  with_server ~max_in_flight:2 ~max_queue:8 (fun socket _t ->
+      let pin = Thread.create (fun () -> ignore (rpc socket (fifo_redact fifo))) () in
+      Fun.protect ~finally:(fun () -> feed_until_joined fifo [ pin ])
+      @@ fun () ->
+      Unix.sleepf 0.5;
+      let a = S.Client.connect ~socket () in
+      Fun.protect ~finally:(fun () -> S.Client.close a) @@ fun () ->
+      let pong = J.parse (S.Client.rpc a (S.Protocol.ping_request ())) in
+      Alcotest.(check bool) "persistent ping ok" true (J.get_bool pong "ok");
+      Alcotest.(check bool) "ping answered beside an idle connection" true
+        (ping_within_2s socket))
+
+(* regression: a connection's first request fixed the lane of every
+   later one, so a redact sent after a ping ran on the worker reserved
+   for cheap requests; it now waits for the heavy slot like any other *)
+let test_server_heavy_after_cheap_waits () =
+  with_fifo @@ fun fifo ->
+  with_server ~max_in_flight:2 ~max_queue:8 (fun socket _t ->
+      let pin = Thread.create (fun () -> ignore (rpc socket (fifo_redact fifo))) () in
+      Unix.sleepf 0.5;
+      let a = S.Client.connect ~socket () in
+      Fun.protect ~finally:(fun () -> S.Client.close a) @@ fun () ->
+      let pong = J.parse (S.Client.rpc a (S.Protocol.ping_request ())) in
+      Alcotest.(check bool) "persistent ping ok" true (J.get_bool pong "ok");
+      let second =
+        Thread.create (fun () -> ignore (S.Client.rpc a (fifo_redact fifo))) ()
+      in
+      Fun.protect ~finally:(fun () -> feed_until_joined fifo [ pin; second ])
+      @@ fun () ->
+      Unix.sleepf 0.5;
+      Alcotest.(check bool) "ping answered while the slot is pinned" true
+        (ping_within_2s socket);
+      let stats = J.parse (rpc socket (S.Protocol.stats_request ())) in
+      match J.find stats "queued" with
+      | Some q ->
+        Alcotest.(check bool) "the second redact waits for the slot" true
+          (J.get_int q "heavy" >= 1)
+      | None -> Alcotest.fail "no queued block")
+
+(* a connection whose thread cannot be started is refused as busy, and
+   the server keeps serving *)
+let test_server_spawn_failure () =
+  let faults = Alice_fault.Fault.parse "server.spawn=fail@2" in
+  with_server ~faults (fun socket _t ->
+      let ping () = J.parse (rpc socket (S.Protocol.ping_request ())) in
+      Alcotest.(check bool) "first connection served" true
+        (J.get_bool (ping ()) "ok");
+      let refused = ping () in
+      Alcotest.(check bool) "second connection refused" false
+        (J.get_bool refused "ok");
+      (match J.find refused "error" with
+      | Some e ->
+        Alcotest.(check string) "busy kind" "busy" (J.get_string e "kind");
+        Alcotest.(check string) "busy code" "E1003" (J.get_string e "code")
+      | None -> Alcotest.fail "no error object");
+      let stats = J.parse (rpc socket (S.Protocol.stats_request ())) in
+      Alcotest.(check bool) "third connection served" true
+        (J.get_bool stats "ok");
+      (match J.find stats "rejected" with
+      | Some r -> Alcotest.(check int) "refusal counted" 1 (J.get_int r "busy")
+      | None -> Alcotest.fail "no rejected block");
+      match J.find stats "faults" with
+      | Some f -> (
+        match J.find f "injected" with
+        | Some inj ->
+          Alcotest.(check int) "spawn failure recorded" 1
+            (J.get_int inj "server.spawn")
+        | None -> Alcotest.fail "no injected counts")
+      | None -> Alcotest.fail "no faults block")
 
 let sweep_entries =
   [ J.Obj [ ("name", J.String "one"); ("max_efpgas", J.Int 1) ];
@@ -1324,6 +1406,11 @@ let tests =
       test_client_receive_timeout;
     Alcotest.test_case "cheap lane immune to heavy saturation" `Quick
       test_server_cheap_lane_no_starvation;
+    Alcotest.test_case "idle connection holds no slot" `Quick
+      test_server_idle_connection_holds_nothing;
+    Alcotest.test_case "heavy after cheap waits for the slot" `Quick
+      test_server_heavy_after_cheap_waits;
+    Alcotest.test_case "refused spawn is busy" `Quick test_server_spawn_failure;
     Alcotest.test_case "streaming sweep" `Quick test_server_streaming_sweep;
     Alcotest.test_case "streaming negotiation" `Quick
       test_server_streaming_negotiation;
