@@ -390,5 +390,5 @@ let tests =
       test_redaction_preserves_all_benchmarks;
     Alcotest.test_case "configs match paper" `Quick test_configs_match_paper_params;
     Alcotest.test_case "soc context" `Quick test_soc_context;
-    Alcotest.test_case "figure 4 areas" `Quick test_figure4_areas;
-    Alcotest.test_case "table 2 columns (fast designs)" `Slow test_flow_columns ]
+    Alcotest.test_case "table 2 columns (fast designs)" `Slow test_flow_columns;
+    Alcotest.test_case "figure 4 areas" `Quick test_figure4_areas ]
